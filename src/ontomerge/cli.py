@@ -1,7 +1,8 @@
 """Command-line front end for the integration pipeline.
 
-Subcommands: ``integrate`` (full pipeline), ``align`` (report only, no
-merged component), ``gen`` (synthetic scenario), ``eval`` (score a report
+Subcommands: ``integrate`` (full pipeline), ``align`` (the same pipeline,
+writing the report and optionally the enriched ontology but no merged
+component), ``gen`` (synthetic scenario), ``eval`` (score a report
 against ground truth), ``export-dot`` (ontology inspection graph).
 
 Exit codes: 0 success, 1 usage error, 2 parse/schema error,
@@ -27,9 +28,8 @@ from .errors import (
     MalformedFile,
     SchemaViolation,
 )
-from .integrator import align, build_clusters, merge, integrate
+from .integrator import integrate
 from .model import Report
-from .transform import component_to_ontology
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="where to write the conflict report")
 
     align_cmd = commands.add_parser(
-        "align", help="score and classify concept pairs without merging"
+        "align", help="run the pipeline but write no merged component"
     )
     _add_input_flags(align_cmd)
     align_cmd.add_argument("--report", required=True, metavar="PATH")
@@ -166,19 +166,8 @@ def _cmd_align(args) -> int:
     outputs = [args.report] + ([args.out_ontology] if args.out_ontology else [])
     _distinct_outputs(outputs)
     components, od = _load_inputs(args)
-    sources = [component_to_ontology(c) for c in components]
-    warnings: list[str] = []
-    correspondences, enriched_od, records = align(
-        sources, od, tau=args.tau, warnings=warnings
-    )
-    all_ids = [cid for source in sources for cid in source.concepts]
-    partition = build_clusters(correspondences, all_ids)
-    result = merge(
-        partition, sources, enriched_od,
-        correspondences=correspondences, enrichment_records=records,
-        warnings=warnings,
-    )
-    payloads = {args.report: model_io.serialize_report(result.report)}
+    _, enriched_od, report = integrate(components, od, tau=args.tau)
+    payloads = {args.report: model_io.serialize_report(report)}
     if args.out_ontology:
         payloads[args.out_ontology] = model_io.serialize_ontology(enriched_od)
     _write_outputs(payloads)

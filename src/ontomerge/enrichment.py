@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 from .errors import ArityTooLarge
 from .matching import max_weight_assignment
 from .model import Concept, EnrichmentRecord, Ontology, Relation, find_owner
-from .similarity import lookup_relations
+from .similarity import _children_sorted, lookup_relations
 from .terms import normalize_term
 
 # Exhaustive child-matching bound; wider pairs must be resolved manually.
@@ -92,17 +92,10 @@ def find_direct_relation(
     t1: str, t2: str, sources: list[Ontology]
 ) -> Optional[tuple[Relation, Ontology]]:
     """First declared semantic relation between the two terms in one source."""
-    wanted = {t1, t2}
     for source in sources:
-        for relation in source.relations:
-            if relation.kind == "part_of":
-                continue
-            terms = {
-                normalize_term(source.concepts[relation.a].term),
-                normalize_term(source.concepts[relation.b].term),
-            }
-            if terms == wanted:
-                return relation, source
+        relations = lookup_relations(source, t1, t2)
+        if relations:
+            return relations[0], source
     return None
 
 
@@ -124,23 +117,13 @@ def _equivalence_partners(
     return sorted(partners)
 
 
-def _find_bridge(
-    s1: str, s2: str, od: Ontology, sources: list[Ontology]
+def _first_relation(
+    ontologies: list[Ontology], s1: str, s2: str, kinds: tuple[str, ...]
 ) -> Optional[Relation]:
-    """Synonymy or homonymy between two terms, support ontology first."""
-    for relation in lookup_relations(od, s1, s2):
-        if relation.kind in ("synonymy", "homonymy"):
-            return relation
-    wanted = {s1, s2}
-    for source in sources:
-        for relation in source.relations:
-            if relation.kind not in ("synonymy", "homonymy"):
-                continue
-            terms = {
-                normalize_term(source.concepts[relation.a].term),
-                normalize_term(source.concepts[relation.b].term),
-            }
-            if terms == wanted:
+    """First relation of one of ``kinds`` between two terms, ontologies in order."""
+    for ontology in ontologies:
+        for relation in lookup_relations(ontology, s1, s2):
+            if relation.kind in kinds:
                 return relation
     return None
 
@@ -162,7 +145,7 @@ def infer_via_equivalents(
         for s2, rel2 in _equivalence_partners(t2, sources):
             if rel2 == rel1:
                 continue  # each side needs its own equivalence edge
-            bridge = _find_bridge(s1, s2, od, sources)
+            bridge = _first_relation([od, *sources], s1, s2, ("synonymy", "homonymy"))
             if bridge is None:
                 continue
             resolved = resolve_endpoints(od, t1, t2)
@@ -207,27 +190,21 @@ def infer_via_children(
             f"composite pair ({c1.id!r}, {c2.id!r}) has {n} children; "
             f"exhaustive matching is limited to {MAX_CHILD_ARITY}"
         )
-    o1 = find_owner(sources, c1.id)
-    o2 = find_owner(sources, c2.id)
-    left = sorted(
-        (o1.concepts[k] for k in c1.children),
-        key=lambda c: (normalize_term(c.term), c.id),
-    )
-    right = sorted(
-        (o2.concepts[k] for k in c2.children),
-        key=lambda c: (normalize_term(c.term), c.id),
-    )
+    left = _children_sorted(c1, find_owner(sources, c1.id))
+    right = _children_sorted(c2, find_owner(sources, c2.id))
+    ontologies = [od, *sources]
     support: list[list[Optional[Relation]]] = []
     weights = []
     for kid1 in left:
         row_rel: list[Optional[Relation]] = []
         row_w = []
         for kid2 in right:
-            related, relation = _children_related(
-                normalize_term(kid1.term), normalize_term(kid2.term), od, sources
-            )
+            s1, s2 = normalize_term(kid1.term), normalize_term(kid2.term)
+            relation = None  # term equality needs no relation
+            if s1 != s2:
+                relation = _first_relation(ontologies, s1, s2, ("synonymy", "equivalence"))
             row_rel.append(relation)
-            row_w.append(1 if related else 0)
+            row_w.append(1 if s1 == s2 or relation is not None else 0)
         support.append(row_rel)
         weights.append(row_w)
     total, assignment = max_weight_assignment(weights)
@@ -241,28 +218,6 @@ def infer_via_children(
         a=resolved.a, b=resolved.b, kind="synonymy", provenance="inferred_case3"
     )
     return EnrichmentRecord(injected=injected, evidence=evidence, pair=(c1.id, c2.id))
-
-
-def _children_related(
-    s1: str, s2: str, od: Ontology, sources: list[Ontology]
-) -> tuple[bool, Optional[Relation]]:
-    if s1 == s2:
-        return True, None  # term equality needs no relation
-    for relation in lookup_relations(od, s1, s2):
-        if relation.kind in ("synonymy", "equivalence"):
-            return True, relation
-    wanted = {s1, s2}
-    for source in sources:
-        for relation in source.relations:
-            if relation.kind not in ("synonymy", "equivalence"):
-                continue
-            terms = {
-                normalize_term(source.concepts[relation.a].term),
-                normalize_term(source.concepts[relation.b].term),
-            }
-            if terms == wanted:
-                return True, relation
-    return False, None
 
 
 def enrich(

@@ -31,7 +31,7 @@ from .model import (
 )
 from .similarity import semantic_similarity
 from .terms import name_sort_key, normalize_term
-from .transform import component_to_ontology, ontology_to_component
+from .transform import component_to_ontology, concept_id, ontology_to_component
 
 DEFAULT_TAU = Fraction(1)
 ASSUMED_IDENTICAL_WARNING = "assumed identical: no O_d coverage"
@@ -275,7 +275,7 @@ def merge(
                 children.add(child_cid)
             source = find_owner(sources, member)
             for assoc in concept.associations:
-                target_cid = merged_id_of[f"{source.id}#{normalize_term(assoc.target)}"]
+                target_cid = merged_id_of[concept_id(source.id, assoc.target)]
                 associations.add((_display_of(target_cid, cluster_ids, displays), assoc.label))
         merged.add_concept(
             Concept(

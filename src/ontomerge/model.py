@@ -9,9 +9,10 @@ valid.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import SchemaViolation
 from .terms import name_sort_key, normalize_term
@@ -111,6 +112,38 @@ class Concept:
         return replace(self)
 
 
+def find_cycle(
+    roots: Iterable[str], children: Callable[[str], Iterable[str]]
+) -> Optional[list[str]]:
+    """First cycle met by a depth-first walk from each root in turn, or None.
+
+    ``children`` lists a node's successors in visiting order.  The cycle
+    is returned as the path that starts and ends at the repeated node.
+    Iterative, so composition depth is not bounded by the recursion limit.
+    """
+    done: set[str] = set()
+    for root in roots:
+        if root in done:
+            continue
+        path = [root]
+        on_path = {root: 0}  # node -> its index in path
+        pending = [iter(children(root))]
+        while pending:
+            child = next(pending[-1], None)
+            if child is None:
+                pending.pop()
+                node = path.pop()
+                del on_path[node]
+                done.add(node)
+            elif child in on_path:
+                return path[on_path[child]:] + [child]
+            elif child not in done:
+                on_path[child] = len(path)
+                path.append(child)
+                pending.append(iter(children(child)))
+    return None
+
+
 class Ontology:
     """A concept graph with typed semantic relations.
 
@@ -119,6 +152,12 @@ class Ontology:
     composition link is rejected.  Duplicate semantic relations (same
     unordered endpoint pair and kind) and synonymy/homonymy coexistence
     on one concept pair are rejected as well.
+
+    Two indexes, filled only by ``add_concept`` and ``add_relation``,
+    answer term questions without a scan: normalized term -> sorted
+    concept ids backs ``term_present`` and ``concepts_by_term``; sorted
+    pair of normalized terms -> semantic relations, in sorted order,
+    backs ``similarity.lookup_relations``.
     """
 
     def __init__(self, id: str, concepts: Iterable[Concept] = (), relations: Iterable[Relation] = ()):
@@ -127,6 +166,8 @@ class Ontology:
         self.id = id
         self.concepts: dict[str, Concept] = {}
         self._relations: dict[tuple[str, str, str], Relation] = {}
+        self._ids_by_term: dict[str, list[str]] = {}
+        self._by_term_pair: dict[tuple[str, str], list[Relation]] = {}
         for concept in concepts:
             self.add_concept(concept)
         for relation in relations:
@@ -141,6 +182,7 @@ class Ontology:
         if concept.id in self.concepts:
             raise SchemaViolation(f"duplicate concept id {concept.id!r} in ontology {self.id!r}")
         self.concepts[concept.id] = concept
+        insort(self._ids_by_term.setdefault(normalize_term(concept.term), []), concept.id)
         for child in concept.children:
             self._relations[(concept.id, child, "part_of")] = Relation(
                 concept.id, child, "part_of"
@@ -171,6 +213,10 @@ class Ontology:
                 "synonymy and homonymy"
             )
         self._relations[relation.key] = relation
+        pair = tuple(sorted(
+            normalize_term(self.concepts[end].term) for end in (relation.a, relation.b)
+        ))
+        insort(self._by_term_pair.setdefault(pair, []), relation)
 
     def has_relation(self, relation: Relation) -> bool:
         return relation.key in self._relations
@@ -183,46 +229,31 @@ class Ontology:
                     raise SchemaViolation(
                         f"concept {concept.id!r} references unknown child {child!r}"
                     )
-        self._check_acyclic()
+        cycle = self.composition_cycle()
+        if cycle:
+            raise SchemaViolation("composition cycle: " + " -> ".join(cycle))
 
-    def _check_acyclic(self) -> None:
-        state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-        def visit(node: str, trail: tuple[str, ...]) -> None:
-            mark = state.get(node)
-            if mark == 2:
-                return
-            if mark == 1:
-                cycle = trail[trail.index(node):] + (node,)
-                raise SchemaViolation(
-                    "composition cycle: " + " -> ".join(cycle)
-                )
-            state[node] = 1
-            for child in self.concepts[node].children:
-                if child in self.concepts:
-                    visit(child, trail + (node,))
-            state[node] = 2
-
-        for cid in sorted(self.concepts):
-            visit(cid, ())
+    def composition_cycle(self) -> Optional[list[str]]:
+        """A cycle of composition links between known concepts, or None."""
+        return find_cycle(
+            sorted(self.concepts),
+            lambda node: [c for c in self.concepts[node].children if c in self.concepts],
+        )
 
     def concepts_by_term(self, normalized: str) -> list[Concept]:
         """All concepts whose normalized term equals ``normalized``, by id."""
-        found = [
-            c for c in self.concepts.values() if normalize_term(c.term) == normalized
-        ]
-        return sorted(found, key=lambda c: c.id)
+        return [self.concepts[cid] for cid in self._ids_by_term.get(normalized, ())]
 
     def term_present(self, normalized: str) -> bool:
-        return any(
-            normalize_term(c.term) == normalized for c in self.concepts.values()
-        )
+        return normalized in self._ids_by_term
 
     def copy(self) -> "Ontology":
+        """Independent clone: concepts are copied and indexes rebuilt."""
         clone = Ontology(self.id)
         for concept in self.concepts.values():
             clone.add_concept(concept.copy())
-        clone._relations = dict(self._relations)
+        for relation in self._relations.values():
+            clone.add_relation(relation)
         return clone
 
     def __eq__(self, other) -> bool:
@@ -374,24 +405,14 @@ class BusinessComponent:
         return rel
 
     def _check_composition_acyclic(self, by_name: dict[str, Entity]) -> None:
-        state: dict[str, int] = {}
-
-        def visit(key: str, trail: tuple[str, ...]) -> None:
-            mark = state.get(key)
-            if mark == 2:
-                return
-            if mark == 1:
-                cycle = trail[trail.index(key):] + (key,)
-                raise SchemaViolation(
-                    f"component {self.id!r}: composition cycle: " + " -> ".join(cycle)
-                )
-            state[key] = 1
-            for child in by_name[key].components:
-                visit(normalize_term(child), trail + (key,))
-            state[key] = 2
-
-        for key in sorted(by_name):
-            visit(key, ())
+        cycle = find_cycle(
+            sorted(by_name),
+            lambda key: [normalize_term(child) for child in by_name[key].components],
+        )
+        if cycle:
+            raise SchemaViolation(
+                f"component {self.id!r}: composition cycle: " + " -> ".join(cycle)
+            )
 
     def entity(self, name: str) -> Entity:
         """Look an entity up by (normalized) name."""

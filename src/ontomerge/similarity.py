@@ -13,6 +13,12 @@ fallback fires.
 
 All scores are exact Fractions in [0, 1]; atomic pairs score exactly 0
 or 1.
+
+Term questions read the indexes that ``Ontology`` keeps on write: "does
+the support ontology know this term" is ``Ontology.term_present`` (the
+term -> concepts index), and "which semantic relations join these two
+terms" is ``lookup_relations`` (the term-pair index), for the support
+ontology and for each source alike.
 """
 
 from __future__ import annotations
@@ -67,25 +73,16 @@ def _children_sorted(concept: Concept, ontology: Ontology) -> list[Concept]:
     return sorted(kids, key=lambda c: (normalize_term(c.term), c.id))
 
 
-def lookup_relations(od: Ontology, t1: str, t2: str) -> tuple[Relation, ...]:
-    """All semantic support-ontology relations between two normalized terms.
+def lookup_relations(ontology: Ontology, t1: str, t2: str) -> tuple[Relation, ...]:
+    """All semantic relations of ``ontology`` between two normalized terms.
 
-    Matches any pair of support-ontology concepts bearing the terms; t1
-    and t2 may be equal (homonymy between two concepts sharing one term).
-    part_of edges never count.  Result is sorted.
+    Matches any pair of concepts bearing the terms; t1 and t2 may be
+    equal (homonymy between two concepts sharing one term).  part_of
+    edges never count.  Result is sorted.  Answered from the ontology's
+    term-pair index, so the cost does not grow with the relation count;
+    this is the one query for the support ontology and for each source.
     """
-    wanted = {t1, t2}
-    found = []
-    for relation in od.relations:
-        if relation.kind == "part_of":
-            continue
-        terms = {
-            normalize_term(od.concepts[relation.a].term),
-            normalize_term(od.concepts[relation.b].term),
-        }
-        if terms == wanted:
-            found.append(relation)
-    return tuple(found)
+    return tuple(ontology._by_term_pair.get(tuple(sorted((t1, t2))), ()))
 
 
 def semantic_similarity(

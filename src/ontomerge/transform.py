@@ -58,7 +58,9 @@ def ontology_to_component(ontology: Ontology, name: str) -> BusinessComponent:
     merging) surface as ``alias: <term>`` attribute annotations.  Raises
     CyclicComposition when part_of links form a cycle.
     """
-    _require_acyclic(ontology)
+    cycle = ontology.composition_cycle()
+    if cycle:
+        raise CyclicComposition("part_of cycle: " + " -> ".join(cycle))
     ontology.validate()
     entities = []
     for concept in sorted(ontology.concepts.values(), key=lambda c: name_sort_key(c.term)):
@@ -86,22 +88,3 @@ def ontology_to_component(ontology: Ontology, name: str) -> BusinessComponent:
         id=ontology.id, name=name, entities=tuple(entities), relations=relations
     )
 
-
-def _require_acyclic(ontology: Ontology) -> None:
-    state: dict[str, int] = {}
-
-    def visit(node: str, trail: tuple[str, ...]) -> None:
-        mark = state.get(node)
-        if mark == 2:
-            return
-        if mark == 1:
-            cycle = trail[trail.index(node):] + (node,)
-            raise CyclicComposition("part_of cycle: " + " -> ".join(cycle))
-        state[node] = 1
-        for child in ontology.concepts[node].children:
-            if child in ontology.concepts:
-                visit(child, trail + (node,))
-        state[node] = 2
-
-    for cid in sorted(ontology.concepts):
-        visit(cid, ())

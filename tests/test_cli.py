@@ -1,6 +1,10 @@
 """Exit codes, output files, and the no-partial-output guarantee."""
 
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from ontomerge import model_io
 from ontomerge.cli import main
@@ -126,6 +130,43 @@ def test_repeated_runs_are_byte_identical(tmp_path, scenario_files):
     assert main(_integrate_args(scenario_files, second)) == 0
     for name in ("cmr.json", "od2.json", "report.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# sha256 of ``integrate`` outputs on fixtures/; any change is a change of output
+PINNED_FIXTURE_DIGESTS = {
+    "cmr.json": "daf03e7d2a3c9d7b673378a8a293f5fde4e2626acec09879d3f6d4e39fc9d1f1",
+    "od2.json": "250de1daa76d8765d41884746242b506f55a70d062c34ffcc9ecb22be32abe93",
+    "report.json": "1df63b427734f2b1a571afeb71008a0329aef594ce5b1d36966b855d34c01147",
+}
+
+
+def test_integrate_outputs_on_fixtures_are_pinned(tmp_path):
+    paths = {name: FIXTURES / f"{name}.json" for name in ("cm1", "cm2", "od")}
+    assert main(_integrate_args(paths, tmp_path)) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_FIXTURE_DIGESTS
+    }
+    assert digests == PINNED_FIXTURE_DIGESTS
+
+
+@pytest.mark.parametrize("second", ["cm2", "cm1"])
+def test_align_report_equals_integrate_report(tmp_path, second, capsys):
+    paths = {"cm1": FIXTURES / "cm1.json", "cm2": FIXTURES / f"{second}.json",
+             "od": FIXTURES / "od.json"}
+    assert main(_integrate_args(paths, tmp_path)) == 0
+    aligned = tmp_path / "aligned.json"
+    code = main([
+        "align",
+        "--component", str(paths["cm1"]),
+        "--component", str(paths["cm2"]),
+        "--ontology", str(paths["od"]),
+        "--report", str(aligned),
+    ])
+    assert code == 0
+    assert aligned.read_bytes() == (tmp_path / "report.json").read_bytes()
 
 
 def test_align_writes_report_only(tmp_path, scenario_files, capsys):

@@ -1,0 +1,184 @@
+"""The ontology term indexes against the naive scans they replaced.
+
+``Ontology`` answers term questions from two maps filled on write.  The
+functions below are the scans that answered them before: they re-read
+every concept or relation on every call and serve as oracles here.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ontomerge import (
+    Concept,
+    Ontology,
+    Relation,
+    ScenarioSpec,
+    SchemaViolation,
+    align,
+    component_to_ontology,
+    find_direct_relation,
+    generate_scenario,
+    lookup_relations,
+)
+from ontomerge.enrichment import _first_relation
+from ontomerge.terms import normalize_term
+
+# Spellings that normalize onto a few shared terms, so that concepts
+# collide on terms and homonymies can join two same-termed concepts.
+SPELLINGS = ("Alpha", "alpha", " ALPHA ", "bêta", "Bêta", "gamma", "Delta  x", "delta x")
+TERMS = sorted({normalize_term(s) for s in SPELLINGS}) + ["absent"]
+SEMANTIC = ("equivalence", "homonymy", "synonymy")
+
+
+def naive_lookup(ontology, t1, t2):
+    wanted = {t1, t2}
+    found = []
+    for relation in ontology.relations:
+        if relation.kind == "part_of":
+            continue
+        terms = {
+            normalize_term(ontology.concepts[relation.a].term),
+            normalize_term(ontology.concepts[relation.b].term),
+        }
+        if terms == wanted:
+            found.append(relation)
+    return tuple(found)
+
+
+def naive_concepts_by_term(ontology, normalized):
+    found = [
+        c for c in ontology.concepts.values() if normalize_term(c.term) == normalized
+    ]
+    return sorted(found, key=lambda c: c.id)
+
+
+def naive_term_present(ontology, normalized):
+    return any(normalize_term(c.term) == normalized for c in ontology.concepts.values())
+
+
+def naive_first_relation(ontologies, s1, s2, kinds):
+    wanted = {s1, s2}
+    for ontology in ontologies:
+        for relation in ontology.relations:
+            if relation.kind not in kinds:
+                continue
+            terms = {
+                normalize_term(ontology.concepts[relation.a].term),
+                normalize_term(ontology.concepts[relation.b].term),
+            }
+            if terms == wanted:
+                return relation
+    return None
+
+
+def naive_direct_relation(t1, t2, sources):
+    for source in sources:
+        relation = naive_first_relation([source], t1, t2, SEMANTIC)
+        if relation is not None:
+            return relation, source
+    return None
+
+
+def answers(ontology):
+    """Every term question the indexes answer, asked over the whole pool."""
+    return {
+        "lookup": {(t1, t2): lookup_relations(ontology, t1, t2)
+                   for t1 in TERMS for t2 in TERMS},
+        "present": {t: ontology.term_present(t) for t in TERMS},
+        "by_term": {t: [c.id for c in ontology.concepts_by_term(t)] for t in TERMS},
+    }
+
+
+def assert_matches_oracle(ontology):
+    got = answers(ontology)
+    for (t1, t2), found in got["lookup"].items():
+        assert found == naive_lookup(ontology, t1, t2)
+    for term in TERMS:
+        assert got["present"][term] == naive_term_present(ontology, term)
+        assert got["by_term"][term] == [
+            c.id for c in naive_concepts_by_term(ontology, term)
+        ]
+
+
+# An op adds a concept (spelling, child picks) or a relation (two picks,
+# kind); picks index the concepts present when the op runs.
+concept_ops = st.tuples(
+    st.just("concept"), st.sampled_from(SPELLINGS),
+    st.lists(st.integers(0, 30), max_size=2),
+)
+relation_ops = st.tuples(
+    st.just("relation"), st.integers(0, 30), st.integers(0, 30), st.sampled_from(SEMANTIC),
+)
+op_lists = st.lists(st.one_of(concept_ops, relation_ops), max_size=30)
+
+
+def apply_ops(ontology, ops, prefix):
+    for index, op in enumerate(ops):
+        ids = sorted(ontology.concepts)
+        if op[0] == "concept":
+            _, spelling, picks = op
+            children = {ids[p % len(ids)] for p in picks} if ids else set()
+            ontology.add_concept(
+                Concept(id=f"{prefix}{index}", term=spelling, children=tuple(children))
+            )
+        elif ids:
+            _, left, right, kind = op
+            try:
+                ontology.add_relation(Relation(ids[left % len(ids)], ids[right % len(ids)], kind))
+            except SchemaViolation:
+                pass  # self-loop, duplicate or synonymy/homonymy clash
+
+
+@settings(max_examples=200, deadline=None)
+@given(op_lists, op_lists)
+def test_indexes_match_naive_scans_through_writes_and_copies(ops, more_ops):
+    ontology = Ontology("O")
+    apply_ops(ontology, ops, "O#")
+    assert_matches_oracle(ontology)
+    before = answers(ontology)
+
+    clone = ontology.copy()
+    assert clone == ontology
+    apply_ops(clone, more_ops, "C#")
+    assert_matches_oracle(clone)
+    assert answers(ontology) == before  # writes to the clone stay there
+    assert_matches_oracle(ontology)
+
+    sources = [ontology, clone]
+    for t1 in TERMS:
+        for t2 in TERMS:
+            assert find_direct_relation(t1, t2, sources) == naive_direct_relation(
+                t1, t2, sources
+            )
+            for kinds in (("synonymy", "homonymy"), ("synonymy", "equivalence")):
+                assert _first_relation(sources, t1, t2, kinds) == naive_first_relation(
+                    sources, t1, t2, kinds
+                )
+
+
+def test_same_term_homonymy_is_indexed_under_one_term():
+    ontology = Ontology(
+        "O",
+        concepts=[Concept("O#a", "Service"), Concept("O#b", " service ")],
+        relations=[Relation("O#a", "O#b", "homonymy")],
+    )
+    assert lookup_relations(ontology, "service", "service") == (
+        Relation("O#a", "O#b", "homonymy"),
+    )
+    assert [c.id for c in ontology.concepts_by_term("service")] == ["O#a", "O#b"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_indexes_match_naive_scans_after_enrichment(seed):
+    components, od, _ = generate_scenario(ScenarioSpec(16, 5, 1, 0.0, rng_seed=seed))
+    sources = [component_to_ontology(c) for c in components]
+    _, enriched, records = align(sources, od)
+    assert records  # withheld relations were injected into the copy
+    terms = sorted({normalize_term(c.term) for c in enriched.concepts.values()})
+    for t1 in terms:
+        assert enriched.term_present(t1)
+        assert enriched.concepts_by_term(t1) == naive_concepts_by_term(enriched, t1)
+        for t2 in terms:
+            assert lookup_relations(enriched, t1, t2) == naive_lookup(enriched, t1, t2)
+    assert len(enriched.relations) == len(od.relations) + len(records)

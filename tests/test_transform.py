@@ -8,6 +8,7 @@ from ontomerge import (
     CyclicComposition,
     Entity,
     Ontology,
+    SchemaViolation,
     build_clusters,
     align,
     component_to_ontology,
@@ -76,6 +77,35 @@ def test_part_of_cycle_raises_cyclic_composition():
     ontology.add_concept(Concept(id="X#a", term="a", children=("X#b",)))
     ontology.add_concept(Concept(id="X#b", term="b", children=("X#a",)))
     with pytest.raises(CyclicComposition):
+        ontology_to_component(ontology, name="boucle")
+
+
+def _chain(depth: int, closed: bool = False) -> tuple[Entity, ...]:
+    """Entities e0 ⊃ e1 ⊃ ... ⊃ e<depth-1>, the last containing e0 if closed."""
+    last = ("e0",) if closed else ()
+    return tuple(
+        Entity(name=f"e{i}", components=(f"e{i + 1}",) if i + 1 < depth else last)
+        for i in range(depth)
+    )
+
+
+def test_deep_composition_chain_round_trips():
+    component = BusinessComponent(id="CM9", name="chaîne", entities=_chain(3000))
+    ontology = component_to_ontology(component)
+    assert ontology.concepts["CM9#e0"].children == ("CM9#e1",)
+    assert ontology_to_component(ontology, name=component.name) == component
+
+
+def test_deep_cycles_raise_each_callers_error():
+    with pytest.raises(SchemaViolation, match=r"^component 'CM9': composition cycle: e0 -> "):
+        BusinessComponent(id="CM9", name="boucle", entities=_chain(3000, closed=True))
+    ontology = Ontology("X")
+    for i in range(3000):
+        ontology.add_concept(Concept(id=f"X#{i:04}", term=f"t{i}",
+                                     children=(f"X#{(i + 1) % 3000:04}",)))
+    with pytest.raises(SchemaViolation, match=r"^composition cycle: X#0000 -> X#0001 -> "):
+        ontology.validate()
+    with pytest.raises(CyclicComposition, match=r"^part_of cycle: X#0000 -> .* -> X#0000$"):
         ontology_to_component(ontology, name="boucle")
 
 

@@ -26,7 +26,6 @@ from .errors import ArityTooLarge
 from .matching import max_weight_assignment
 from .model import Concept, EnrichmentRecord, Ontology, Relation, find_owner
 from .similarity import _children_sorted, lookup_relations
-from .terms import normalize_term
 
 # Exhaustive child-matching bound; wider pairs must be resolved manually.
 MAX_CHILD_ARITY = 8
@@ -102,19 +101,13 @@ def find_direct_relation(
 def _equivalence_partners(
     term: str, sources: list[Ontology]
 ) -> list[tuple[str, Relation]]:
-    """(partner term, equivalence relation) pairs touching ``term``, sorted."""
-    partners = []
-    for source in sources:
-        for relation in source.relations:
-            if relation.kind != "equivalence":
-                continue
-            ta = normalize_term(source.concepts[relation.a].term)
-            tb = normalize_term(source.concepts[relation.b].term)
-            if ta == term:
-                partners.append((tb, relation))
-            elif tb == term:
-                partners.append((ta, relation))
-    return sorted(partners)
+    """(partner term, equivalence relation) pairs touching ``term``, sorted.
+
+    Read from each source's equivalence-partner index.
+    """
+    return sorted(
+        partner for source in sources for partner in source._partners.get(term, ())
+    )
 
 
 def _first_relation(
@@ -180,8 +173,8 @@ def infer_via_children(
     """
     if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
         return None
-    t1 = normalize_term(c1.term)
-    t2 = normalize_term(c2.term)
+    t1 = c1.key
+    t2 = c2.key
     if t1 == t2:
         return None
     n = len(c1.children)
@@ -199,7 +192,7 @@ def infer_via_children(
         row_rel: list[Optional[Relation]] = []
         row_w = []
         for kid2 in right:
-            s1, s2 = normalize_term(kid1.term), normalize_term(kid2.term)
+            s1, s2 = kid1.key, kid2.key
             relation = None  # term equality needs no relation
             if s1 != s2:
                 relation = _first_relation(ontologies, s1, s2, ("synonymy", "equivalence"))
@@ -236,8 +229,8 @@ def enrich(
     ArityTooLarge from case 3 degrades to a warning as well.
     """
     sink = warnings if warnings is not None else []
-    t1 = normalize_term(c1.term)
-    t2 = normalize_term(c2.term)
+    t1 = c1.key
+    t2 = c2.key
 
     record = None
     direct = find_direct_relation(t1, t2, sources)

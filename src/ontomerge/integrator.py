@@ -30,7 +30,7 @@ from .model import (
     find_owner,
 )
 from .similarity import semantic_similarity
-from .terms import name_sort_key, normalize_term
+from .terms import normalize_term
 from .transform import component_to_ontology, concept_id, ontology_to_component
 
 DEFAULT_TAU = Fraction(1)
@@ -88,10 +88,10 @@ def align(
                         c1, c2, enriched_od, list(ordered), enrich=hook
                     )
                     verdict = _classify(c1, c2, score, evidence.kind, tau)
-                    if verdict == "Identical" and normalize_term(c1.term) == normalize_term(c2.term):
+                    if verdict == "Identical" and c1.key == c2.key:
                         sink.append(
                             f"{ASSUMED_IDENTICAL_WARNING} for term "
-                            f"{normalize_term(c1.term)!r} ({c1.id}, {c2.id})"
+                            f"{c1.key!r} ({c1.id}, {c2.id})"
                         )
                     correspondences.append(
                         Correspondence(
@@ -106,7 +106,7 @@ def _classify(c1: Concept, c2: Concept, score: Fraction, kind: str, tau: Fractio
     if kind in ("od_synonymy", "enriched") and score == 1:
         return "Synonym"
     if kind in ("od_homonymy", "enriched") and score == 0:
-        if normalize_term(c1.term) == normalize_term(c2.term):
+        if c1.key == c2.key:
             return "Homonym"
         return "Distinct"
     if kind == "syntactic" and score >= tau:
@@ -246,6 +246,7 @@ def merge(
             "merged concept terms collide after disambiguation; support ontology "
             "or inputs are contradictory"
         )
+    display_of = dict(zip(cluster_ids, displays))
 
     merged = Ontology(merged_id)
     mapping: dict[str, MappingEntry] = {}
@@ -254,7 +255,7 @@ def merge(
         term_keys: dict[str, str] = {}
         for member in members:
             concept = member_concept[member]
-            term_keys.setdefault(normalize_term(concept.term), concept.term)
+            term_keys.setdefault(concept.key, concept.term)
         aliases = tuple(
             raw for key, raw in sorted(term_keys.items()) if key != normalize_term(display)
         )
@@ -276,7 +277,7 @@ def merge(
             source = find_owner(sources, member)
             for assoc in concept.associations:
                 target_cid = merged_id_of[concept_id(source.id, assoc.target)]
-                associations.add((_display_of(target_cid, cluster_ids, displays), assoc.label))
+                associations.add((display_of[target_cid], assoc.label))
         merged.add_concept(
             Concept(
                 id=cid,
@@ -302,7 +303,7 @@ def merge(
     report = Report(
         correspondences=sorted(correspondences, key=lambda c: c.pair),
         enrichments=sorted(enrichment_records, key=lambda r: (r.pair, r.injected)),
-        clusters=sorted(clusters, key=lambda cl: (name_sort_key(cl.term), cl.members)),
+        clusters=sorted(clusters, key=lambda cl: (cl.term, cl.members)),
         warnings=sorted(sink),
     )
     report.validate(member_concept.keys())
@@ -317,7 +318,7 @@ def _cluster_display(
     sources: Sequence[Ontology],
 ) -> str:
     flagged = sorted(
-        (normalize_term(member_concept[m].term), m)
+        (member_concept[m].key, m)
         for m in members
         if m in homonym_endpoints
     )
@@ -328,7 +329,7 @@ def _cluster_display(
     by_term: dict[str, str] = {}
     for member in sorted(members):
         concept = member_concept[member]
-        by_term.setdefault(normalize_term(concept.term), concept.term)
+        by_term.setdefault(concept.key, concept.term)
     in_od = sorted(key for key in by_term if od.term_present(key))
     chosen = in_od[0] if in_od else sorted(by_term)[0]
     return by_term[chosen]
@@ -356,10 +357,6 @@ def _disambiguate_displays(
                 f"source id {owner!r}"
             )
             displays[index] = f"{displays[index]} ({owner})"
-
-
-def _display_of(cluster_id: str, cluster_ids: list[str], displays: list[str]) -> str:
-    return displays[cluster_ids.index(cluster_id)]
 
 
 def integrate(

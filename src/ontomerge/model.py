@@ -82,6 +82,11 @@ class Concept:
     A concept with no children is atomic.  ``attributes``, ``associations``
     and ``aliases`` carry component metadata through transformation and
     merging; they play no role in similarity.
+
+    ``key`` is derived: the normalized ``term``, computed once on
+    construction and read wherever two terms are compared.  ``term`` must
+    therefore not be reassigned after construction; build a new concept
+    (``dataclasses.replace``) to change it.
     """
 
     id: str
@@ -90,11 +95,12 @@ class Concept:
     attributes: tuple[str, ...] = ()
     associations: tuple[Association, ...] = ()
     aliases: tuple[str, ...] = ()
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.id:
             raise SchemaViolation("concept id must be nonempty")
-        normalize_term(self.term)  # raises EmptyTerm on blank terms
+        self.key = normalize_term(self.term)  # raises EmptyTerm on blank terms
         self.children = tuple(sorted(self.children))
         if len(set(self.children)) != len(self.children):
             raise SchemaViolation(f"concept {self.id!r} lists a duplicate child")
@@ -153,11 +159,16 @@ class Ontology:
     unordered endpoint pair and kind) and synonymy/homonymy coexistence
     on one concept pair are rejected as well.
 
-    Two indexes, filled only by ``add_concept`` and ``add_relation``,
-    answer term questions without a scan: normalized term -> sorted
-    concept ids backs ``term_present`` and ``concepts_by_term``; sorted
-    pair of normalized terms -> semantic relations, in sorted order,
-    backs ``similarity.lookup_relations``.
+    Three indexes, filled only by ``add_concept`` and ``add_relation``
+    and rebuilt by ``copy``, answer term questions without a scan:
+
+    * normalized term -> sorted concept ids backs ``term_present`` and
+      ``concepts_by_term``;
+    * sorted pair of normalized terms -> semantic relations, in sorted
+      order, backs ``similarity.lookup_relations``;
+    * normalized term -> sorted (partner term, equivalence relation)
+      pairs, one per equivalence touching a concept with that term, backs
+      ``enrichment._equivalence_partners``.
     """
 
     def __init__(self, id: str, concepts: Iterable[Concept] = (), relations: Iterable[Relation] = ()):
@@ -168,6 +179,7 @@ class Ontology:
         self._relations: dict[tuple[str, str, str], Relation] = {}
         self._ids_by_term: dict[str, list[str]] = {}
         self._by_term_pair: dict[tuple[str, str], list[Relation]] = {}
+        self._partners: dict[str, list[tuple[str, Relation]]] = {}
         for concept in concepts:
             self.add_concept(concept)
         for relation in relations:
@@ -182,7 +194,7 @@ class Ontology:
         if concept.id in self.concepts:
             raise SchemaViolation(f"duplicate concept id {concept.id!r} in ontology {self.id!r}")
         self.concepts[concept.id] = concept
-        insort(self._ids_by_term.setdefault(normalize_term(concept.term), []), concept.id)
+        insort(self._ids_by_term.setdefault(concept.key, []), concept.id)
         for child in concept.children:
             self._relations[(concept.id, child, "part_of")] = Relation(
                 concept.id, child, "part_of"
@@ -213,10 +225,12 @@ class Ontology:
                 "synonymy and homonymy"
             )
         self._relations[relation.key] = relation
-        pair = tuple(sorted(
-            normalize_term(self.concepts[end].term) for end in (relation.a, relation.b)
-        ))
-        insort(self._by_term_pair.setdefault(pair, []), relation)
+        ta, tb = self.concepts[relation.a].key, self.concepts[relation.b].key
+        insort(self._by_term_pair.setdefault((min(ta, tb), max(ta, tb)), []), relation)
+        if relation.kind == "equivalence":
+            insort(self._partners.setdefault(ta, []), (tb, relation))
+            if tb != ta:
+                insort(self._partners.setdefault(tb, []), (ta, relation))
 
     def has_relation(self, relation: Relation) -> bool:
         return relation.key in self._relations

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
 
@@ -294,53 +295,95 @@ def serialize_ontology(ontology: Ontology) -> bytes:
 # reports
 
 
+# One correspondence of the report, as ``_dumps`` lays it out at depth 2.
+_CORRESPONDENCE = (
+    "    {{\n"
+    '      "c1": {},\n'
+    '      "c2": {},\n'
+    '      "evidence": {},\n'
+    '      "score": {},\n'
+    '      "verdict": {}\n'
+    "    }}"
+)
+
+
+def _dumps_nested(value: Any, depth: int) -> str:
+    """``_dumps`` rendering of ``value`` as it appears ``depth`` levels deep."""
+    text = json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)
+    # JSON strings escape their newlines, so every newline here is layout.
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _correspondence_list(correspondences: list[Correspondence]) -> str:
+    if not correspondences:
+        return "[]"
+    evidence_text: dict[Evidence, str] = {}
+    items = []
+    for corr in sorted(correspondences, key=lambda c: c.pair):
+        evidence = evidence_text.get(corr.evidence)
+        if evidence is None:
+            evidence = evidence_text[corr.evidence] = _dumps_nested(
+                {
+                    "kind": corr.evidence.kind,
+                    "relations_used": [r.to_dict() for r in corr.evidence.relations_used],
+                },
+                3,
+            )
+        items.append(_CORRESPONDENCE.format(
+            encode_basestring(corr.c1),
+            encode_basestring(corr.c2),
+            evidence,
+            encode_basestring(str(corr.score)),
+            encode_basestring(corr.verdict),
+        ))
+    return "[\n" + ",\n".join(items) + "\n  ]"
+
+
 def serialize_report(report: Report) -> bytes:
     """Canonical bytes for a report document.
 
     Scores are exact fraction strings; every list is sorted by its
-    primary key.
+    primary key.  The bytes are those ``_dumps`` gives for the report as
+    one dict, but the correspondence list, one entry per scored pair, is
+    written from a fixed template: strings go through the encoder
+    ``json.dumps(ensure_ascii=False)`` uses, and each distinct evidence
+    is rendered once.  The other top-level values are rendered by
+    ``json.dumps`` and placed by their position among the sorted keys.
+    ``tests/test_model_io.py`` keeps the plain ``_dumps`` rendering as the
+    oracle for these bytes.
     """
-    return _dumps(
-        {
-            "format_version": FORMAT_VERSION,
-            "correspondences": [
-                {
-                    "c1": corr.c1,
-                    "c2": corr.c2,
-                    "score": str(corr.score),
-                    "verdict": corr.verdict,
-                    "evidence": {
-                        "kind": corr.evidence.kind,
-                        "relations_used": [
-                            r.to_dict() for r in corr.evidence.relations_used
-                        ],
-                    },
-                }
-                for corr in sorted(report.correspondences, key=lambda c: c.pair)
-            ],
-            "enrichments": [
-                {
-                    "pair": list(record.pair),
-                    "injected": record.injected.to_dict(),
-                    "evidence": [r.to_dict() for r in record.evidence],
-                }
-                for record in sorted(
-                    report.enrichments, key=lambda r: (r.pair, r.injected)
-                )
-            ],
-            "clusters": [
-                {
-                    "term": cluster.term,
-                    "members": list(cluster.members),
-                    "aliases": list(cluster.aliases),
-                }
-                for cluster in sorted(
-                    report.clusters, key=lambda cl: (cl.term, cl.members)
-                )
-            ],
-            "warnings": sorted(report.warnings),
-        }
-    )
+    fields: dict[str, Any] = {
+        "format_version": FORMAT_VERSION,
+        "enrichments": [
+            {
+                "pair": list(record.pair),
+                "injected": record.injected.to_dict(),
+                "evidence": [r.to_dict() for r in record.evidence],
+            }
+            for record in sorted(
+                report.enrichments, key=lambda r: (r.pair, r.injected)
+            )
+        ],
+        "clusters": [
+            {
+                "term": cluster.term,
+                "members": list(cluster.members),
+                "aliases": list(cluster.aliases),
+            }
+            for cluster in sorted(
+                report.clusters, key=lambda cl: (cl.term, cl.members)
+            )
+        ],
+        "warnings": sorted(report.warnings),
+    }
+    members = []
+    for key in sorted([*fields, "correspondences"]):
+        if key == "correspondences":
+            value = _correspondence_list(report.correspondences)
+        else:
+            value = _dumps_nested(fields[key], 1)
+        members.append(f"  {encode_basestring(key)}: {value}")
+    return ("{\n" + ",\n".join(members) + "\n}\n").encode("utf-8")
 
 
 def parse_report(path) -> Report:

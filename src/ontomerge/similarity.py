@@ -55,7 +55,7 @@ def syntactic_similarity(c1: Concept, c2: Concept, o1: Ontology, o2: Ontology) -
     Symmetric in its arguments.
     """
     if c1.is_atomic and c2.is_atomic:
-        return ONE if normalize_term(c1.term) == normalize_term(c2.term) else ZERO
+        return ONE if c1.key == c2.key else ZERO
     if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
         return ZERO
     left = _children_sorted(c1, o1)
@@ -70,7 +70,7 @@ def syntactic_similarity(c1: Concept, c2: Concept, o1: Ontology, o2: Ontology) -
 
 def _children_sorted(concept: Concept, ontology: Ontology) -> list[Concept]:
     kids = [ontology.concepts[child] for child in concept.children]
-    return sorted(kids, key=lambda c: (normalize_term(c.term), c.id))
+    return sorted(kids, key=lambda c: (c.key, c.id))
 
 
 def lookup_relations(ontology: Ontology, t1: str, t2: str) -> tuple[Relation, ...]:
@@ -109,8 +109,8 @@ def semantic_similarity(
     """
     o1 = find_owner(sources, c1.id)
     o2 = find_owner(sources, c2.id)
-    t1 = normalize_term(c1.term)
-    t2 = normalize_term(c2.term)
+    t1 = c1.key
+    t2 = c2.key
 
     def fallback() -> tuple[Fraction, Evidence]:
         return syntactic_similarity(c1, c2, o1, o2), Evidence(kind="syntactic")

@@ -1,9 +1,11 @@
 """The ontology term indexes against the naive scans they replaced.
 
-``Ontology`` answers term questions from two maps filled on write.  The
+``Ontology`` answers term questions from three maps filled on write.  The
 functions below are the scans that answered them before: they re-read
 every concept or relation on every call and serve as oracles here.
 """
+
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from ontomerge import (
     generate_scenario,
     lookup_relations,
 )
-from ontomerge.enrichment import _first_relation
+from ontomerge.enrichment import _equivalence_partners, _first_relation
 from ontomerge.terms import normalize_term
 
 # Spellings that normalize onto a few shared terms, so that concepts
@@ -71,6 +73,22 @@ def naive_first_relation(ontologies, s1, s2, kinds):
     return None
 
 
+def naive_equivalence_partners(term, sources):
+    """(partner term, equivalence relation) pairs touching ``term``, sorted."""
+    partners = []
+    for source in sources:
+        for relation in source.relations:
+            if relation.kind != "equivalence":
+                continue
+            ta = normalize_term(source.concepts[relation.a].term)
+            tb = normalize_term(source.concepts[relation.b].term)
+            if ta == term:
+                partners.append((tb, relation))
+            elif tb == term:
+                partners.append((ta, relation))
+    return sorted(partners)
+
+
 def naive_direct_relation(t1, t2, sources):
     for source in sources:
         relation = naive_first_relation([source], t1, t2, SEMANTIC)
@@ -86,10 +104,13 @@ def answers(ontology):
                    for t1 in TERMS for t2 in TERMS},
         "present": {t: ontology.term_present(t) for t in TERMS},
         "by_term": {t: [c.id for c in ontology.concepts_by_term(t)] for t in TERMS},
+        "partners": {t: _equivalence_partners(t, [ontology]) for t in TERMS},
     }
 
 
 def assert_matches_oracle(ontology):
+    for concept in ontology.concepts.values():
+        assert concept.key == normalize_term(concept.term)
     got = answers(ontology)
     for (t1, t2), found in got["lookup"].items():
         assert found == naive_lookup(ontology, t1, t2)
@@ -98,6 +119,7 @@ def assert_matches_oracle(ontology):
         assert got["by_term"][term] == [
             c.id for c in naive_concepts_by_term(ontology, term)
         ]
+        assert got["partners"][term] == naive_equivalence_partners(term, [ontology])
 
 
 # An op adds a concept (spelling, child picks) or a relation (two picks,
@@ -146,6 +168,7 @@ def test_indexes_match_naive_scans_through_writes_and_copies(ops, more_ops):
 
     sources = [ontology, clone]
     for t1 in TERMS:
+        assert _equivalence_partners(t1, sources) == naive_equivalence_partners(t1, sources)
         for t2 in TERMS:
             assert find_direct_relation(t1, t2, sources) == naive_direct_relation(
                 t1, t2, sources
@@ -178,7 +201,34 @@ def test_indexes_match_naive_scans_after_enrichment(seed):
     terms = sorted({normalize_term(c.term) for c in enriched.concepts.values()})
     for t1 in terms:
         assert enriched.term_present(t1)
+        assert _equivalence_partners(t1, [enriched]) == naive_equivalence_partners(
+            t1, [enriched]
+        )
         assert enriched.concepts_by_term(t1) == naive_concepts_by_term(enriched, t1)
         for t2 in terms:
             assert lookup_relations(enriched, t1, t2) == naive_lookup(enriched, t1, t2)
     assert len(enriched.relations) == len(od.relations) + len(records)
+
+
+def test_align_normalizes_per_concept_not_per_pair(monkeypatch):
+    # Terms are normalized once, when a concept is built; scoring a pair
+    # reads ``Concept.key``.  A count, not a timing, so it cannot flake.
+    components, od, _ = generate_scenario(ScenarioSpec(60, 8, 3, 0, rng_seed=1))
+    sources = [component_to_ontology(c) for c in components]
+    calls = [0]
+
+    def counted(raw):
+        calls[0] += 1
+        return normalize_term(raw)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "normalize_term", None)
+        if name.startswith("ontomerge") and bound is normalize_term:
+            monkeypatch.setattr(module, "normalize_term", counted)
+    correspondences, _, records = align(sources, od)
+    size = sum(len(o.concepts) + len(o.relations) for o in [*sources, od])
+    assert {r.case for r in records} == {
+        "inferred_case1", "inferred_case2", "inferred_case3"
+    }
+    assert len(correspondences) > 10 * size
+    assert calls[0] <= 2 * size

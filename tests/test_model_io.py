@@ -1,14 +1,26 @@
 """Parsing, canonical serialization, and DOT export."""
 
 import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ontomerge import (
+    BusinessComponent,
+    Cluster,
     Concept,
+    Correspondence,
+    EnrichmentRecord,
+    Entity,
+    Evidence,
     MalformedFile,
     Ontology,
     Relation,
+    Report,
     SchemaViolation,
     export_dot,
     parse_component,
@@ -19,8 +31,11 @@ from ontomerge import (
     serialize_report,
     integrate,
 )
+from ontomerge import model_io
+from ontomerge.model import PROVENANCES, RELATION_KINDS, SEMANTIC_KINDS
 
 from .conftest import make_cm1, make_support_ontology
+from .strategies import fractions01
 
 
 def _write(tmp_path, name, payload):
@@ -281,6 +296,144 @@ def test_report_round_trip(tmp_path, cm1, cm2, support_od):
     path = _write(tmp_path, "report.json", payload)
     parsed = parse_report(path)
     assert serialize_report(parsed) == payload
+
+
+def test_report_clusters_round_trip_in_memory_order(tmp_path):
+    # raw "Banana" sorts before "apple", but normalized it sorts after it
+    components = [
+        BusinessComponent(id=cid, name=cid, entities=tuple(
+            Entity(name=name) for name in ("apple", "Banana", "cherry")
+        ))
+        for cid in ("CM1", "CM2")
+    ]
+    _, _, report = integrate(components, Ontology("Od"))
+    assert [cl.term for cl in report.clusters] == ["Banana", "apple", "cherry"]
+    path = _write(tmp_path, "report.json", serialize_report(report))
+    assert parse_report(path) == report
+
+
+def _dumps_report_oracle(report):
+    """The report as one dict rendered by ``_dumps``: what the writer must equal."""
+    return model_io._dumps(
+        {
+            "format_version": model_io.FORMAT_VERSION,
+            "correspondences": [
+                {
+                    "c1": corr.c1,
+                    "c2": corr.c2,
+                    "score": str(corr.score),
+                    "verdict": corr.verdict,
+                    "evidence": {
+                        "kind": corr.evidence.kind,
+                        "relations_used": [
+                            r.to_dict() for r in corr.evidence.relations_used
+                        ],
+                    },
+                }
+                for corr in sorted(report.correspondences, key=lambda c: c.pair)
+            ],
+            "enrichments": [
+                {
+                    "pair": list(record.pair),
+                    "injected": record.injected.to_dict(),
+                    "evidence": [r.to_dict() for r in record.evidence],
+                }
+                for record in sorted(
+                    report.enrichments, key=lambda r: (r.pair, r.injected)
+                )
+            ],
+            "clusters": [
+                {
+                    "term": cluster.term,
+                    "members": list(cluster.members),
+                    "aliases": list(cluster.aliases),
+                }
+                for cluster in sorted(
+                    report.clusters, key=lambda cl: (cl.term, cl.members)
+                )
+            ],
+            "warnings": sorted(report.warnings),
+        }
+    )
+
+
+# Ids mix the characters JSON escapes, a line separator it leaves raw and
+# non-ASCII text; aliases must also stay nonblank after normalization.
+ids = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\u2028", "é", "中", "a", "#", " "]),
+    min_size=1, max_size=6,
+)
+names = ids.filter(lambda s: s.strip())
+
+
+def _relations(kinds, provenances):
+    return st.tuples(ids, ids, st.sampled_from(kinds), st.sampled_from(provenances)).filter(
+        lambda t: t[0] != t[1]
+    ).map(lambda t: Relation(*t))
+
+
+relations = _relations(RELATION_KINDS, PROVENANCES)
+
+
+@st.composite
+def correspondences(draw):
+    verdict, score, kind = draw(st.sampled_from([
+        ("Distinct", None, "syntactic"),
+        ("Identical", 1, "syntactic"),
+        ("Synonym", 1, "od_synonymy"),
+        ("Synonym", 1, "enriched"),
+        ("Homonym", 0, "od_homonymy"),
+        ("Distinct", 0, "od_homonymy"),
+    ]))
+    used = draw(st.lists(relations, min_size=1 if kind.startswith("od_") else 0, max_size=3))
+    return Correspondence(
+        c1=draw(ids), c2=draw(ids),
+        score=draw(fractions01) if score is None else Fraction(score),
+        verdict=verdict, evidence=Evidence(kind, tuple(used)),
+    )
+
+
+records = st.builds(
+    EnrichmentRecord,
+    injected=_relations(SEMANTIC_KINDS, PROVENANCES[1:]),
+    evidence=st.lists(relations, max_size=3).map(tuple),
+    pair=st.tuples(ids, ids),
+)
+clusters = st.builds(
+    Cluster,
+    term=ids,
+    members=st.lists(ids, min_size=1, max_size=3).map(tuple),
+    aliases=st.lists(names, max_size=2).map(tuple),
+)
+
+
+@st.composite
+def reports(draw):
+    """A report whose lists are already in the order the serializer writes."""
+    return Report(
+        correspondences=sorted(
+            draw(st.lists(correspondences(), max_size=6)), key=lambda c: c.pair
+        ),
+        enrichments=sorted(
+            draw(st.lists(records, max_size=3)), key=lambda r: (r.pair, r.injected)
+        ),
+        clusters=sorted(
+            draw(st.lists(clusters, max_size=3)), key=lambda cl: (cl.term, cl.members)
+        ),
+        warnings=sorted(draw(st.lists(ids, max_size=3))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports())
+@example(Report())
+def test_report_writer_matches_dumps_oracle(report):
+    payload = serialize_report(report)
+    assert payload == _dumps_report_oracle(report)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        path.write_bytes(payload)
+        assert parse_report(path) == report
 
 
 def test_metadata_survives_ontology_round_trip(tmp_path, cm1):

@@ -7,7 +7,6 @@ enriched with the relations inferred along the way.
 """
 
 from .errors import (
-    ArityTooLarge,
     CyclicComposition,
     EmptyTerm,
     HomonymClusterCollision,
@@ -56,7 +55,6 @@ from .transform import component_to_ontology, ontology_to_component
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityTooLarge",
     "Association",
     "BusinessComponent",
     "Cluster",

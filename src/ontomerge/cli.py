@@ -22,12 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import evalgen, model_io
-from .errors import (
-    HomonymClusterCollision,
-    IntegrationError,
-    MalformedFile,
-    SchemaViolation,
-)
+from .errors import HomonymClusterCollision, IntegrationError
 from .integrator import integrate
 from .model import Report
 
@@ -176,11 +171,7 @@ def _cmd_align(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.spec:
-        try:
-            raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedFile(f"{args.spec}: {exc}") from exc
-        spec = evalgen.ScenarioSpec.from_dict(raw)
+        spec = evalgen.ScenarioSpec.from_dict(model_io._load_document(args.spec))
     else:
         spec = evalgen.ScenarioSpec(
             concept_count=args.concepts,
@@ -251,10 +242,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HomonymClusterCollision as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLLISION
-    except (MalformedFile, SchemaViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except IntegrationError as exc:
+    except IntegrationError as exc:  # parse, schema and spec errors alike
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as exc:

@@ -22,13 +22,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import ArityTooLarge
 from .matching import max_weight_assignment
 from .model import Concept, EnrichmentRecord, Ontology, Relation, find_owner
 from .similarity import _children_sorted, lookup_relations
-
-# Exhaustive child-matching bound; wider pairs must be resolved manually.
-MAX_CHILD_ARITY = 8
 
 
 class ResolvedEndpoints(NamedTuple):
@@ -165,11 +161,12 @@ def infer_via_children(
     Children relate when their normalized terms are equal or a synonymy /
     equivalence relation between the terms exists in the support ontology
     or any source.  A perfect injective matching over all n children is
-    required; the search is exhaustive for n <= MAX_CHILD_ARITY and raises
-    ArityTooLarge beyond that.  Only distinct parent terms are inferred
-    (a shared term is already decided syntactically, and a self-synonymy
-    would break pipeline idempotence); the inferred kind is always
-    synonymy.
+    required, found by ``max_weight_assignment`` in O(n^3) at any arity;
+    among several perfect matchings its tie rule picks the one whose
+    relations become the evidence.  Only distinct parent terms are
+    inferred (a shared term is already decided syntactically, and a
+    self-synonymy would break pipeline idempotence); the inferred kind is
+    always synonymy.
     """
     if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
         return None
@@ -177,12 +174,6 @@ def infer_via_children(
     t2 = c2.key
     if t1 == t2:
         return None
-    n = len(c1.children)
-    if n > MAX_CHILD_ARITY:
-        raise ArityTooLarge(
-            f"composite pair ({c1.id!r}, {c2.id!r}) has {n} children; "
-            f"exhaustive matching is limited to {MAX_CHILD_ARITY}"
-        )
     left = _children_sorted(c1, find_owner(sources, c1.id))
     right = _children_sorted(c2, find_owner(sources, c2.id))
     ontologies = [od, *sources]
@@ -201,7 +192,7 @@ def infer_via_children(
         support.append(row_rel)
         weights.append(row_w)
     total, assignment = max_weight_assignment(weights)
-    if total != n:
+    if total != len(left):
         return None
     evidence = tuple(
         support[i][j] for i, j in enumerate(assignment) if support[i][j] is not None
@@ -225,8 +216,7 @@ def enrich(
     On success the support ontology gains exactly one relation (plus any
     endpoint concepts it needed) and lookups for the pair are nonempty
     afterwards.  On failure ``od`` is untouched.  An injection that would
-    put synonymy and homonymy on the same pair is refused with a warning;
-    ArityTooLarge from case 3 degrades to a warning as well.
+    put synonymy and homonymy on the same pair is refused with a warning.
     """
     sink = warnings if warnings is not None else []
     t1 = c1.key
@@ -248,11 +238,7 @@ def enrich(
     if record is None:
         record = infer_via_equivalents(t1, t2, sources, od, pair=(c1.id, c2.id))
     if record is None:
-        try:
-            record = infer_via_children(c1, c2, sources, od)
-        except ArityTooLarge as exc:
-            sink.append(f"enrichment skipped for ({c1.id}, {c2.id}): {exc}")
-            return None
+        record = infer_via_children(c1, c2, sources, od)
     if record is None:
         return None
 

@@ -21,10 +21,6 @@ class CyclicComposition(IntegrationError):
     """Composition (part_of) links form a cycle."""
 
 
-class ArityTooLarge(IntegrationError):
-    """Composite pair is too wide for exhaustive child matching."""
-
-
 class HomonymClusterCollision(IntegrationError):
     """Transitive merging would place a homonym pair in one cluster.
 

@@ -21,14 +21,12 @@ including those implied by the planted evidence itself.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
-from .errors import InfeasibleSpec, MalformedFile, ScenarioMismatch, SchemaViolation
+from .errors import InfeasibleSpec, ScenarioMismatch, SchemaViolation
 from .model import (
     BusinessComponent,
     ComponentRelation,
@@ -39,6 +37,7 @@ from .model import (
     Report,
     as_fraction,
 )
+from .model_io import _dumps, _load_document
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -63,11 +62,19 @@ class ScenarioSpec:
             raise InfeasibleSpec(
                 "synonym_pairs + homonym_pairs may not exceed half of concept_count"
             )
-        if not 0 <= as_fraction(self.od_coverage) <= 1:
+        try:
+            coverage = as_fraction(self.od_coverage)
+        except (TypeError, ValueError) as exc:
+            raise InfeasibleSpec(
+                f"od_coverage must be a number, got {self.od_coverage!r}"
+            ) from exc
+        if not 0 <= coverage <= 1:
             raise InfeasibleSpec(f"od_coverage must be in [0, 1], got {self.od_coverage}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
+        if not isinstance(data, dict):
+            raise InfeasibleSpec("scenario spec must be a JSON object")
         try:
             return cls(
                 concept_count=data["concept_count"],
@@ -287,17 +294,11 @@ def serialize_truth(truth: GroundTruth) -> bytes:
             for planted in truth.planted
         ],
     }
-    return (
-        json.dumps(document, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
+    return _dumps(document)
 
 
 def parse_truth(path) -> GroundTruth:
-    path = Path(path)
-    try:
-        document = json.loads(path.read_bytes().decode("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedFile(f"{path}: {exc}") from exc
+    document = _load_document(path)
     if not isinstance(document, dict) or document.get("format_version") != 1:
         raise SchemaViolation(f"{path}: expected a ground-truth document, format_version 1")
     try:

@@ -1,13 +1,19 @@
 """Exact maximum-weight assignment between two equal-size concept lists.
 
-Subset dynamic programming (O(n^2 * 2^n)):  exact over Fractions, which
-keeps composite similarity scores on the precise k/n grid.  Composite
-arities come from entity composition lists, so n stays small.
+Kuhn-Munkres (Hungarian method with row and column potentials, O(n^3))
+on integers.  Each weight is scaled by ``lcm(denominators) * n**n`` and
+cell (r, c) gains ``c * n**r``.  The added terms sum to less than one
+scaled unit, so they only order the optimal assignments, and the one
+returned is the lexicographically largest read from the last row
+backwards: the largest column the last row takes in any optimal
+assignment, then the largest left for the row before it, and so on.
+The total is summed from the original cells, so it stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
@@ -16,11 +22,9 @@ def max_weight_assignment(
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Return (best total, assignment) for a square weight matrix.
 
-    assignment[i] is the column matched to row i.  The total is the
-    unique maximum; among equally good assignments the choice is
-    deterministic (first improving column per subset wins).  Callers that
-    want a term-lexicographic tie-break sort their rows and columns
-    before building the matrix.
+    assignment[i] is the column matched to row i; cells are Fractions or
+    ints.  Callers that want a term-lexicographic tie-break sort their
+    rows and columns before building the matrix.
     """
     n = len(weights)
     if n == 0:
@@ -28,32 +32,48 @@ def max_weight_assignment(
     if any(len(row) != n for row in weights):
         raise ValueError("weight matrix must be square")
 
-    size = 1 << n
-    best: list[Fraction | None] = [None] * size
-    choice: list[int] = [-1] * size
-    best[0] = Fraction(0)
-    for mask in range(size):
-        if best[mask] is None:
-            continue
-        row = bin(mask).count("1")
-        if row == n:
-            continue
-        for col in range(n):
-            bit = 1 << col
-            if mask & bit:
-                continue
-            total = best[mask] + weights[row][col]
-            nxt = mask | bit
-            if best[nxt] is None or total > best[nxt]:
-                best[nxt] = total
-                choice[nxt] = col
+    scale = lcm(*(w.denominator for row in weights for w in row)) * n**n
+    # cost to minimize, 1-based: negated scaled weight minus the tie term
+    cost = [[]] + [
+        [0] + [-(w.numerator * (scale // w.denominator)) - c * n**r
+               for c, w in enumerate(row)]
+        for r, row in enumerate(weights)
+    ]
+    # u, v: row and column potentials; owner[j]: row holding column j
+    # (0 = free); column 0 is where each row's augmenting path starts
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    owner = [0] * (n + 1)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        slack: list = [None] * (n + 1)
+        used = [False] * (n + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            delta, j1 = None, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    reduced = cost[i0][j] - u[i0] - v[j]
+                    if slack[j] is None or reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if delta is None or slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # flip the augmenting path back to its start
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
 
-    full = size - 1
-    assignment = [-1] * n
-    mask = full
-    while mask:
-        col = choice[mask]
-        row = bin(mask).count("1") - 1
-        assignment[row] = col
-        mask &= ~(1 << col)
-    return best[full], tuple(assignment)
+    assignment = [0] * n
+    for j in range(1, n + 1):
+        assignment[owner[j] - 1] = j - 1
+    total = sum((weights[r][c] for r, c in enumerate(assignment)), Fraction(0))
+    return total, tuple(assignment)

@@ -58,15 +58,6 @@ class Relation:
     def to_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "kind": self.kind, "provenance": self.provenance}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Relation":
-        return cls(
-            a=data["a"],
-            b=data["b"],
-            kind=data["kind"],
-            provenance=data.get("provenance", "declared"),
-        )
-
 
 class Association(NamedTuple):
     """An entity association carried through as opaque metadata."""

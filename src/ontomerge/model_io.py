@@ -119,6 +119,17 @@ def _string_list(obj: dict, key: str, context: str) -> tuple[str, ...]:
     return tuple(values)
 
 
+def _relation(raw: Any, context: str) -> Relation:
+    """One relation object of an ontology or report document."""
+    _expect(isinstance(raw, dict), context, "relation must be an object")
+    a, b, kind = (_get(raw, key, str, context) for key in ("a", "b", "kind"))
+    provenance = _get(raw, "provenance", str, context, default="declared")
+    try:
+        return Relation(a, b, kind, provenance)
+    except SchemaViolation as exc:
+        raise SchemaViolation(f"{context}: {exc}") from exc
+
+
 def _dumps(document: dict) -> bytes:
     return (
         json.dumps(document, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
@@ -239,21 +250,10 @@ def parse_ontology(path) -> Ontology:
                 aliases=_string_list(raw, "aliases", cctx),
             )
         )
-    relations = []
-    for index, raw in enumerate(_get(doc, "relations", list, context, default=[])):
-        rctx = f"{context}: relations[{index}]"
-        _expect(isinstance(raw, dict), rctx, "relation must be an object")
-        try:
-            relations.append(
-                Relation(
-                    a=_get(raw, "a", str, rctx),
-                    b=_get(raw, "b", str, rctx),
-                    kind=_get(raw, "kind", str, rctx),
-                    provenance=_get(raw, "provenance", str, rctx, default="declared"),
-                )
-            )
-        except SchemaViolation as exc:
-            raise SchemaViolation(f"{rctx}: {exc}") from exc
+    relations = [
+        _relation(raw, f"{context}: relations[{index}]")
+        for index, raw in enumerate(_get(doc, "relations", list, context, default=[]))
+    ]
     try:
         ontology = Ontology(ontology_id, concepts=concepts, relations=relations)
         ontology.validate()
@@ -409,8 +409,10 @@ def parse_report(path) -> Report:
                 evidence=Evidence(
                     kind=_get(evidence_raw, "kind", str, cctx),
                     relations_used=tuple(
-                        Relation.from_dict(r)
-                        for r in _get(evidence_raw, "relations_used", list, cctx, default=[])
+                        _relation(r, f"{cctx}.evidence.relations_used[{rindex}]")
+                        for rindex, r in enumerate(
+                            _get(evidence_raw, "relations_used", list, cctx, default=[])
+                        )
                     ),
                 ),
             )
@@ -427,10 +429,10 @@ def parse_report(path) -> Report:
         )
         enrichments.append(
             EnrichmentRecord(
-                injected=Relation.from_dict(_get(raw, "injected", dict, ectx)),
+                injected=_relation(_get(raw, "injected", dict, ectx), f"{ectx}.injected"),
                 evidence=tuple(
-                    Relation.from_dict(r)
-                    for r in _get(raw, "evidence", list, ectx, default=[])
+                    _relation(r, f"{ectx}.evidence[{rindex}]")
+                    for rindex, r in enumerate(_get(raw, "evidence", list, ectx, default=[]))
                 ),
                 pair=(pair[0], pair[1]),
             )

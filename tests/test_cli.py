@@ -245,6 +245,52 @@ def test_infeasible_gen_spec_is_schema_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", [
+    [1, 2],
+    {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "od_coverage": "half"},
+], ids=["root-not-object", "coverage-not-number"])
+def test_malformed_gen_spec_is_schema_error(tmp_path, capsys, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    code = main(["gen", "--out-dir", str(tmp_path / "x"), "--spec", str(spec_path)])
+    assert code == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+_GOOD_RELATION = {"a": "A#x", "b": "B#y", "kind": "synonymy", "provenance": "inferred_case1"}
+
+
+@pytest.mark.parametrize("relations_used, injected, evidence, path", [
+    ([1], _GOOD_RELATION, [], "correspondences[0].evidence.relations_used[0]"),
+    ([{"a": "x"}], _GOOD_RELATION, [], "correspondences[0].evidence.relations_used[0]"),
+    ([], _GOOD_RELATION, ["oops"], "enrichments[0].evidence[0]"),
+    ([], {**_GOOD_RELATION, "a": 1}, [], "enrichments[0].injected"),
+], ids=["relation-not-object", "relation-missing-field", "evidence-not-object",
+        "endpoint-not-string"])
+def test_malformed_report_relation_is_schema_error(
+    tmp_path, capsys, relations_used, injected, evidence, path
+):
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps({
+        "format_version": 1,
+        "correspondences": [{
+            "c1": "A#x", "c2": "B#y", "score": "1", "verdict": "Synonym",
+            "evidence": {"kind": "enriched", "relations_used": relations_used},
+        }],
+        "enrichments": [{"pair": ["A#x", "B#y"], "injected": injected, "evidence": evidence}],
+        "clusters": [],
+        "warnings": [],
+    }), encoding="utf-8")
+    truth_path = tmp_path / "truth.json"
+    truth_path.write_text(json.dumps({
+        "format_version": 1,
+        "pairs": [{"c1": "A#x", "c2": "B#y", "verdict": "Synonym"}],
+    }), encoding="utf-8")
+    code = main(["eval", "--report", str(report_path), "--truth", str(truth_path)])
+    assert code == 2
+    assert path in capsys.readouterr().err
+
+
 def test_unexpected_failure_is_internal_error(tmp_path, scenario_files, capsys, monkeypatch):
     import ontomerge.cli as cli_module
 

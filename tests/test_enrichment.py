@@ -3,7 +3,6 @@
 import pytest
 
 from ontomerge import (
-    ArityTooLarge,
     Concept,
     Ontology,
     Relation,
@@ -222,8 +221,8 @@ def test_case3_skips_equal_parent_terms():
     ) is None
 
 
-def test_case3_arity_limit():
-    n = 9
+@pytest.mark.parametrize("n", [9, 64])
+def test_case3_has_no_arity_limit(n):
     left = _ontology(
         "OCM1",
         ("OCM1#big", "big", tuple(f"OCM1#k{i}" for i in range(n))),
@@ -235,18 +234,16 @@ def test_case3_arity_limit():
         *[(f"OCM2#k{i}", f"k{i}") for i in range(n)],
     )
     od = _support("big", "large")
-    with pytest.raises(ArityTooLarge):
-        infer_via_children(
-            left.concepts["OCM1#big"], right.concepts["OCM2#large"], [left, right], od
-        )
     warnings = []
     record = enrich(
         left.concepts["OCM1#big"], right.concepts["OCM2#large"], od, [left, right],
         warnings=warnings,
     )
-    assert record is None
-    assert any("matching" in w for w in warnings)
-    assert not [r for r in od.relations if r.kind != "part_of"]
+    assert record is not None
+    assert record.injected.provenance == "inferred_case3"
+    assert record.pair == ("OCM1#big", "OCM2#large")
+    assert warnings == []
+    assert [r.kind for r in od.relations if r.kind != "part_of"] == ["synonymy"]
 
 
 # ---------------------------------------------------------------------------

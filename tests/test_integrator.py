@@ -12,6 +12,7 @@ from ontomerge import (
     Evidence,
     HomonymClusterCollision,
     Ontology,
+    Relation,
     SchemaViolation,
     align,
     build_clusters,
@@ -122,6 +123,41 @@ def test_fractional_threshold_admits_partial_composites():
         c.score for c in lax if c.pair == ("CM1#dossier", "CM2#dossier2")
     ]
     assert pair_score == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("n", [12, 64])
+def test_wide_composites_are_synonyms_through_their_children(n):
+    # the parents' terms are in the support ontology with no relation
+    # between them; their children pair up through declared synonymies,
+    # so case-3 enrichment decides the pair whatever its width
+    left_kids = [f"a{i}" for i in range(n)]
+    right_kids = [f"b{i}" for i in range(n)]
+    left = BusinessComponent(
+        id="CM1", name="a",
+        entities=(
+            Entity(name="Big", components=tuple(left_kids)),
+            *(Entity(name=kid) for kid in left_kids),
+        ),
+    )
+    right = BusinessComponent(
+        id="CM2", name="b",
+        entities=(
+            Entity(name="Large", components=tuple(right_kids)),
+            *(Entity(name=kid) for kid in right_kids),
+        ),
+    )
+    od = Ontology("Od")
+    for term in ["big", "large", *left_kids, *right_kids]:
+        od.add_concept(Concept(id=f"Od#{term}", term=term))
+    for a, b in zip(left_kids, right_kids):
+        od.add_relation(Relation(a=f"Od#{a}", b=f"Od#{b}", kind="synonymy"))
+
+    _, _, report = integrate([left, right], od)
+    (parent,) = [c for c in report.correspondences if c.pair == ("CM1#big", "CM2#large")]
+    assert parent.verdict == "Synonym"
+    assert parent.evidence.kind == "enriched"
+    assert [r.injected.provenance for r in report.enrichments] == ["inferred_case3"]
+    assert report.warnings == []
 
 
 def test_align_does_not_mutate_its_input_ontology(cm1, cm2):

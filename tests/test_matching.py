@@ -1,5 +1,6 @@
-"""The subset-DP assignment against a permutation brute force."""
+"""Kuhn-Munkres assignment against a permutation brute force and the subset DP."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -16,6 +17,45 @@ def brute_force_total(weights):
         sum((weights[i][p[i]] for i in range(n)), Fraction(0))
         for p in permutations(range(n))
     )
+
+
+def subset_dp_assignment(weights):
+    """The O(n^2 * 2^n) subset DP that Kuhn-Munkres replaced; its tie rule is the spec."""
+    n = len(weights)
+    if n == 0:
+        return Fraction(0), ()
+    if any(len(row) != n for row in weights):
+        raise ValueError("weight matrix must be square")
+
+    size = 1 << n
+    best: list[Fraction | None] = [None] * size
+    choice: list[int] = [-1] * size
+    best[0] = Fraction(0)
+    for mask in range(size):
+        if best[mask] is None:
+            continue
+        row = bin(mask).count("1")
+        if row == n:
+            continue
+        for col in range(n):
+            bit = 1 << col
+            if mask & bit:
+                continue
+            total = best[mask] + weights[row][col]
+            nxt = mask | bit
+            if best[nxt] is None or total > best[nxt]:
+                best[nxt] = total
+                choice[nxt] = col
+
+    full = size - 1
+    assignment = [-1] * n
+    mask = full
+    while mask:
+        col = choice[mask]
+        row = bin(mask).count("1") - 1
+        assignment[row] = col
+        mask &= ~(1 << col)
+    return best[full], tuple(assignment)
 
 
 def test_empty_matrix():
@@ -66,3 +106,41 @@ def test_matches_brute_force(weights):
     assert sum(
         (weights[i][j] for i, j in enumerate(assignment)), Fraction(0)
     ) == total
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """Up to 7x7: 0/1 cells (many optimal assignments) or small fractions."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    if draw(st.booleans()):
+        cell = st.sampled_from([0, 1])
+    else:
+        cell = st.builds(
+            Fraction,
+            st.integers(min_value=0, max_value=3),
+            st.sampled_from([1, 2, 3, 6]),
+        )
+    return [[draw(cell) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_matrices())
+def test_matches_subset_dp_including_ties(weights):
+    assert max_weight_assignment(weights) == subset_dp_assignment(weights)
+
+
+def test_wide_matrix_with_known_optimum():
+    # a shuffled permutation of 1s over noise below 1/64: the permutation
+    # beats every other assignment, whose noise sums to less than one
+    n = 64
+    rng = random.Random(64)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    weights = [
+        [Fraction(1) if perm[r] == c else Fraction(rng.randrange(64), 64 * 64)
+         for c in range(n)]
+        for r in range(n)
+    ]
+    total, assignment = max_weight_assignment(weights)
+    assert assignment == tuple(perm)
+    assert total == n

@@ -28,6 +28,7 @@ from typing import Optional
 
 from .errors import InfeasibleSpec, ScenarioMismatch, SchemaViolation
 from .model import (
+    VERDICTS,
     BusinessComponent,
     ComponentRelation,
     Concept,
@@ -70,6 +71,8 @@ class ScenarioSpec:
             ) from exc
         if not 0 <= coverage <= 1:
             raise InfeasibleSpec(f"od_coverage must be in [0, 1], got {self.od_coverage}")
+        if not isinstance(self.rng_seed, int):
+            raise InfeasibleSpec(f"rng_seed must be an integer, got {self.rng_seed!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
@@ -306,6 +309,9 @@ def parse_truth(path) -> GroundTruth:
             (entry["c1"], entry["c2"]): entry["verdict"]
             for entry in document["pairs"]
         }
+        for verdict in verdicts.values():
+            if verdict not in VERDICTS:
+                raise SchemaViolation(f"{path}: unknown ground-truth verdict {verdict!r}")
         planted = tuple(
             PlantedRelation(
                 t1=entry["t1"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .enrichment import enrich
@@ -72,20 +73,22 @@ def align(
     records: list[EnrichmentRecord] = []
 
     def hook(a: Concept, b: Concept):
-        record = enrich(a, b, enriched_od, list(ordered), warnings=sink)
+        record = enrich(a, b, enriched_od, ordered, warnings=sink)
         if record is not None:
             records.append(record)
         return record
 
     correspondences: list[Correspondence] = []
+    items = [sorted(source.concepts.items()) for source in ordered]
     for i, left in enumerate(ordered):
-        for right in ordered[i + 1:]:
-            for cid1 in sorted(left.concepts):
-                for cid2 in sorted(right.concepts):
-                    c1 = left.concepts[cid1]
-                    c2 = right.concepts[cid2]
+        for j in range(i + 1, len(ordered)):
+            owners = (left, ordered[j])
+            memo: dict[tuple[str, str], Fraction] = {}
+            for cid1, c1 in items[i]:
+                for cid2, c2 in items[j]:
                     score, evidence = semantic_similarity(
-                        c1, c2, enriched_od, list(ordered), enrich=hook
+                        c1, c2, enriched_od, ordered, enrich=hook,
+                        owners=owners, memo=memo,
                     )
                     verdict = _classify(c1, c2, score, evidence.kind, tau)
                     if verdict == "Identical" and c1.key == c2.key:
@@ -103,13 +106,16 @@ def align(
 
 
 def _classify(c1: Concept, c2: Concept, score: Fraction, kind: str, tau: Fraction) -> str:
-    if kind in ("od_synonymy", "enriched") and score == 1:
+    # integer comparisons (denominators are positive): score == 1, score == 0,
+    # score >= tau
+    num, den = score.numerator, score.denominator
+    if kind in ("od_synonymy", "enriched") and num == den:
         return "Synonym"
-    if kind in ("od_homonymy", "enriched") and score == 0:
+    if kind in ("od_homonymy", "enriched") and num == 0:
         if c1.key == c2.key:
             return "Homonym"
         return "Distinct"
-    if kind == "syntactic" and score >= tau:
+    if kind == "syntactic" and num * tau.denominator >= tau.numerator * den:
         return "Identical"
     return "Distinct"
 
@@ -301,7 +307,7 @@ def merge(
             )
 
     report = Report(
-        correspondences=sorted(correspondences, key=lambda c: c.pair),
+        correspondences=sorted(correspondences, key=attrgetter("c1", "c2")),
         enrichments=sorted(enrichment_records, key=lambda r: (r.pair, r.injected)),
         clusters=sorted(clusters, key=lambda cl: (cl.term, cl.members)),
         warnings=sorted(sink),

@@ -457,14 +457,18 @@ class Correspondence:
     def __post_init__(self):
         if self.verdict not in VERDICTS:
             raise SchemaViolation(f"unknown verdict {self.verdict!r}")
-        if not 0 <= self.score <= 1:
+        if not isinstance(self.score, (Fraction, int)):
+            raise SchemaViolation(f"similarity score {self.score!r} is not exact")
+        # integer comparisons (the denominator is positive)
+        num, den = self.score.numerator, self.score.denominator
+        if not 0 <= num <= den:
             raise SchemaViolation(f"similarity score {self.score} out of [0, 1]")
         if self.verdict == "Synonym" and (
-            self.score != 1 or self.evidence.kind not in ("od_synonymy", "enriched")
+            num != den or self.evidence.kind not in ("od_synonymy", "enriched")
         ):
             raise SchemaViolation("Synonym verdict requires score 1 and ontology evidence")
         if self.verdict == "Homonym" and (
-            self.score != 0 or self.evidence.kind not in ("od_homonymy", "enriched")
+            num != 0 or self.evidence.kind not in ("od_homonymy", "enriched")
         ):
             raise SchemaViolation("Homonym verdict requires score 0 and ontology evidence")
         if self.verdict == "Identical" and self.evidence.kind != "syntactic":

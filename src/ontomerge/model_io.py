@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -295,11 +296,11 @@ def serialize_ontology(ontology: Ontology) -> bytes:
 # reports
 
 
-# One correspondence of the report, as ``_dumps`` lays it out at depth 2.
-_CORRESPONDENCE = (
-    "    {{\n"
-    '      "c1": {},\n'
-    '      "c2": {},\n'
+# One correspondence of the report, as ``_dumps`` lays it out at depth 2:
+# a head per c1, then c2, then a tail per (evidence, score, verdict).
+_CORRESPONDENCE_HEAD = '    {{\n      "c1": {},\n      "c2": '
+_CORRESPONDENCE_TAIL = (
+    ",\n"
     '      "evidence": {},\n'
     '      "score": {},\n'
     '      "verdict": {}\n'
@@ -317,25 +318,27 @@ def _dumps_nested(value: Any, depth: int) -> str:
 def _correspondence_list(correspondences: list[Correspondence]) -> str:
     if not correspondences:
         return "[]"
-    evidence_text: dict[Evidence, str] = {}
+    tails: dict[tuple[Evidence, int, int, str], str] = {}
     items = []
-    for corr in sorted(correspondences, key=lambda c: c.pair):
-        evidence = evidence_text.get(corr.evidence)
-        if evidence is None:
-            evidence = evidence_text[corr.evidence] = _dumps_nested(
-                {
-                    "kind": corr.evidence.kind,
-                    "relations_used": [r.to_dict() for r in corr.evidence.relations_used],
-                },
-                3,
+    c1 = None
+    for corr in sorted(correspondences, key=attrgetter("c1", "c2")):
+        if corr.c1 != c1:
+            c1 = corr.c1
+            head = _CORRESPONDENCE_HEAD.format(encode_basestring(c1))
+        evidence, score = corr.evidence, corr.score
+        key = (evidence, score.numerator, score.denominator, corr.verdict)
+        tail = tails.get(key)
+        if tail is None:
+            rendered = {
+                "kind": evidence.kind,
+                "relations_used": [r.to_dict() for r in evidence.relations_used],
+            }
+            tail = tails[key] = _CORRESPONDENCE_TAIL.format(
+                _dumps_nested(rendered, 3),
+                encode_basestring(str(score)),
+                encode_basestring(corr.verdict),
             )
-        items.append(_CORRESPONDENCE.format(
-            encode_basestring(corr.c1),
-            encode_basestring(corr.c2),
-            evidence,
-            encode_basestring(str(corr.score)),
-            encode_basestring(corr.verdict),
-        ))
+        items.append(head + encode_basestring(corr.c2) + tail)
     return "[\n" + ",\n".join(items) + "\n  ]"
 
 
@@ -346,9 +349,11 @@ def serialize_report(report: Report) -> bytes:
     primary key.  The bytes are those ``_dumps`` gives for the report as
     one dict, but the correspondence list, one entry per scored pair, is
     written from a fixed template: strings go through the encoder
-    ``json.dumps(ensure_ascii=False)`` uses, and each distinct evidence
-    is rendered once.  The other top-level values are rendered by
-    ``json.dumps`` and placed by their position among the sorted keys.
+    ``json.dumps(ensure_ascii=False)`` uses, the head of an entry is
+    rendered once per ``c1`` and its tail once per distinct (evidence,
+    score, verdict), so a pair costs one encoded ``c2``.  The other
+    top-level values are rendered by ``json.dumps`` and placed by their
+    position among the sorted keys.
     ``tests/test_model_io.py`` keeps the plain ``_dumps`` rendering as the
     oracle for these bytes.
     """

@@ -3,7 +3,8 @@
 Two measures work together.  The syntactic measure compares terms
 directly: atomic concepts score 1 exactly when their normalized terms are
 equal, and composite concepts of equal arity score the best average
-pairing of their children (maximum-weight bipartite matching).  The
+pairing of their children (maximum-weight bipartite matching), computed
+bottom-up over the composition graph and memoized per ``align``.  The
 semantic measure consults the support ontology first: a synonymy relation
 between the two terms forces 1, a homonymy relation forces 0, and only
 when the ontology is silent does the syntactic measure decide.  When both
@@ -43,29 +44,73 @@ EnrichHook = Callable[[Concept, Concept], Optional[object]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# The evidence of every syntactic score; it carries no relations.
+SYNTACTIC = Evidence(kind="syntactic")
 
 
-def syntactic_similarity(c1: Concept, c2: Concept, o1: Ontology, o2: Ontology) -> Fraction:
-    """Term-equality score, recursively averaged over the best child pairing.
+def syntactic_similarity(
+    c1: Concept,
+    c2: Concept,
+    o1: Ontology,
+    o2: Ontology,
+    *,
+    memo: Optional[dict[tuple[str, str], Fraction]] = None,
+) -> Fraction:
+    """Term-equality score, averaged bottom-up over the best child pairing.
 
     Atomic vs atomic: 1 if the normalized terms are equal, else 0.
     Composite vs composite with the same child count n: the total weight
     of a maximum-weight injective child assignment divided by n, where
-    child weights are computed recursively.  Mixed arities score 0.
-    Symmetric in its arguments.
+    each child weight is the score of that child pair.  Mixed arities
+    score 0.  Symmetric in its arguments.
+
+    Composite pairs are scored bottom-up from an explicit stack, so no
+    composition depth meets the recursion limit, and each composite pair
+    is scored once per ``memo``: a dict keyed by (id in ``o1``, id in
+    ``o2``).  ``align`` keeps one memo per pair of sources; the scores
+    read only the two component ontologies, which enrichment never writes.
     """
-    if c1.is_atomic and c2.is_atomic:
+    score = _flat_score(c1, c2)
+    if score is not None:
+        return score
+    if memo is None:
+        memo = {}
+    stack = [(c1, c2)]
+    while stack:
+        a, b = stack[-1]
+        if (a.id, b.id) in memo:
+            stack.pop()
+            continue
+        right = _children_sorted(b, o2)
+        weights = []
+        pending = []
+        for x in _children_sorted(a, o1):
+            row = []
+            for y in right:
+                weight = _flat_score(x, y)
+                if weight is None:
+                    weight = memo.get((x.id, y.id))
+                    if weight is None:
+                        pending.append((x, y))
+                row.append(weight)
+            weights.append(row)
+        if pending:
+            stack.extend(pending)  # score the child pairs first
+            continue
+        stack.pop()
+        total, _ = max_weight_assignment(weights)
+        memo[a.id, b.id] = total / len(weights)
+    return memo[c1.id, c2.id]
+
+
+def _flat_score(c1: Concept, c2: Concept) -> Optional[Fraction]:
+    """The syntactic score of a pair that needs no child matching, else None."""
+    kids1, kids2 = c1.children, c2.children
+    if not kids1 and not kids2:
         return ONE if c1.key == c2.key else ZERO
-    if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
+    if not kids1 or not kids2 or len(kids1) != len(kids2):
         return ZERO
-    left = _children_sorted(c1, o1)
-    right = _children_sorted(c2, o2)
-    weights = [
-        [syntactic_similarity(a, b, o1, o2) for b in right]
-        for a in left
-    ]
-    total, _ = max_weight_assignment(weights)
-    return total / len(left)
+    return None
 
 
 def _children_sorted(concept: Concept, ontology: Ontology) -> list[Concept]:
@@ -91,6 +136,9 @@ def semantic_similarity(
     od: Ontology,
     sources: list[Ontology],
     enrich: EnrichHook | None = None,
+    *,
+    owners: Optional[tuple[Ontology, Ontology]] = None,
+    memo: Optional[dict[tuple[str, str], Fraction]] = None,
 ) -> tuple[Fraction, Evidence]:
     """Support-ontology-driven score with syntactic fallback.
 
@@ -106,23 +154,21 @@ def semantic_similarity(
 
     Evidence kind is "enriched" when any decisive relation was inferred
     rather than declared.  Symmetric in (c1, c2).
+
+    ``owners`` is the (ontology of c1, ontology of c2) pair; when it is
+    omitted, a composite pair looks its owners up in ``sources``.  ``memo``
+    is passed on to ``syntactic_similarity``.
     """
-    o1 = find_owner(sources, c1.id)
-    o2 = find_owner(sources, c2.id)
     t1 = c1.key
     t2 = c2.key
-
-    def fallback() -> tuple[Fraction, Evidence]:
-        return syntactic_similarity(c1, c2, o1, o2), Evidence(kind="syntactic")
-
     if not (od.term_present(t1) and od.term_present(t2)):
-        return fallback()
+        return _fallback(c1, c2, sources, owners, memo)
     relations = lookup_relations(od, t1, t2)
     if not relations and enrich is not None:
         if enrich(c1, c2) is not None:
             relations = lookup_relations(od, t1, t2)
     if not relations:
-        return fallback()
+        return _fallback(c1, c2, sources, owners, memo)
     synonymies = tuple(r for r in relations if r.kind == "synonymy")
     if synonymies:
         return ONE, Evidence(kind=_evidence_kind(synonymies, "od_synonymy"),
@@ -131,7 +177,22 @@ def semantic_similarity(
     if homonymies:
         return ZERO, Evidence(kind=_evidence_kind(homonymies, "od_homonymy"),
                               relations_used=homonymies)
-    return fallback()
+    return _fallback(c1, c2, sources, owners, memo)
+
+
+def _fallback(
+    c1: Concept,
+    c2: Concept,
+    sources: list[Ontology],
+    owners: Optional[tuple[Ontology, Ontology]],
+    memo: Optional[dict[tuple[str, str], Fraction]],
+) -> tuple[Fraction, Evidence]:
+    """The syntactic score; only a composite pair needs the owners."""
+    score = _flat_score(c1, c2)
+    if score is None:
+        o1, o2 = owners or (find_owner(sources, c1.id), find_owner(sources, c2.id))
+        score = syntactic_similarity(c1, c2, o1, o2, memo=memo)
+    return score, SYNTACTIC
 
 
 def _evidence_kind(relations: tuple[Relation, ...], declared_kind: str) -> str:

@@ -248,7 +248,8 @@ def test_infeasible_gen_spec_is_schema_error(tmp_path, capsys):
 @pytest.mark.parametrize("spec", [
     [1, 2],
     {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "od_coverage": "half"},
-], ids=["root-not-object", "coverage-not-number"])
+    {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "rng_seed": [1]},
+], ids=["root-not-object", "coverage-not-number", "seed-not-integer"])
 def test_malformed_gen_spec_is_schema_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec), encoding="utf-8")
@@ -289,6 +290,31 @@ def test_malformed_report_relation_is_schema_error(
     code = main(["eval", "--report", str(report_path), "--truth", str(truth_path)])
     assert code == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verdict", ["Bogus", ["Synonym"]], ids=["unknown", "not-string"])
+def test_bad_truth_verdict_is_schema_error(tmp_path, capsys, verdict):
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps({
+        "format_version": 1,
+        "correspondences": [{
+            "c1": "A#x", "c2": "B#y", "score": "1", "verdict": "Identical",
+            "evidence": {"kind": "syntactic", "relations_used": []},
+        }],
+        "enrichments": [],
+        "clusters": [],
+        "warnings": [],
+    }), encoding="utf-8")
+    truth_path = tmp_path / "truth.json"
+    truth_path.write_text(json.dumps({
+        "format_version": 1,
+        "pairs": [{"c1": "A#x", "c2": "B#y", "verdict": verdict}],
+    }), encoding="utf-8")
+    code = main(["eval", "--report", str(report_path), "--truth", str(truth_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown ground-truth verdict" in err
+    assert "internal error" not in err
 
 
 def test_unexpected_failure_is_internal_error(tmp_path, scenario_files, capsys, monkeypatch):

@@ -375,21 +375,28 @@ def _relations(kinds, provenances):
 relations = _relations(RELATION_KINDS, PROVENANCES)
 
 
+# (verdict, score) pairs each evidence kind admits; None draws any score.
+VERDICTS_OF_KIND = {
+    "syntactic": [("Distinct", None), ("Distinct", 1), ("Identical", None), ("Identical", 1)],
+    "od_synonymy": [("Synonym", 1), ("Distinct", 1)],
+    "enriched": [("Synonym", 1), ("Homonym", 0), ("Distinct", 1), ("Distinct", 0)],
+    "od_homonymy": [("Homonym", 0), ("Distinct", 0)],
+}
+evidences = st.sampled_from(sorted(VERDICTS_OF_KIND)).flatmap(
+    lambda kind: st.lists(
+        relations, min_size=1 if kind.startswith("od_") else 0, max_size=3
+    ).map(lambda used: Evidence(kind, tuple(used)))
+)
+
+
 @st.composite
-def correspondences(draw):
-    verdict, score, kind = draw(st.sampled_from([
-        ("Distinct", None, "syntactic"),
-        ("Identical", 1, "syntactic"),
-        ("Synonym", 1, "od_synonymy"),
-        ("Synonym", 1, "enriched"),
-        ("Homonym", 0, "od_homonymy"),
-        ("Distinct", 0, "od_homonymy"),
-    ]))
-    used = draw(st.lists(relations, min_size=1 if kind.startswith("od_") else 0, max_size=3))
+def correspondences(draw, c1s, evidence):
+    chosen = draw(evidence)
+    verdict, score = draw(st.sampled_from(VERDICTS_OF_KIND[chosen.kind]))
     return Correspondence(
-        c1=draw(ids), c2=draw(ids),
+        c1=draw(c1s), c2=draw(ids),
         score=draw(fractions01) if score is None else Fraction(score),
-        verdict=verdict, evidence=Evidence(kind, tuple(used)),
+        verdict=verdict, evidence=chosen,
     )
 
 
@@ -410,9 +417,12 @@ clusters = st.builds(
 @st.composite
 def reports(draw):
     """A report whose lists are already in the order the serializer writes."""
+    # small pools, so one c1 and one evidence recur with other scores and verdicts
+    c1s = st.sampled_from(draw(st.lists(ids, min_size=1, max_size=3)))
+    shared = st.sampled_from(draw(st.lists(evidences, min_size=1, max_size=3)))
     return Report(
         correspondences=sorted(
-            draw(st.lists(correspondences(), max_size=6)), key=lambda c: c.pair
+            draw(st.lists(correspondences(c1s, shared), max_size=8)), key=lambda c: c.pair
         ),
         enrichments=sorted(
             draw(st.lists(records, max_size=3)), key=lambda r: (r.pair, r.injected)
@@ -424,9 +434,17 @@ def reports(draw):
     )
 
 
+_SYNTACTIC = Evidence("syntactic")
+
+
 @settings(max_examples=300, deadline=None)
 @given(reports())
 @example(Report())
+@example(Report(correspondences=[
+    Correspondence("a", "b", Fraction(1), "Identical", _SYNTACTIC),
+    Correspondence("a", "c", Fraction(1), "Distinct", _SYNTACTIC),
+    Correspondence("a", "d", Fraction(1, 2), "Distinct", _SYNTACTIC),
+]))
 def test_report_writer_matches_dumps_oracle(report):
     payload = serialize_report(report)
     assert payload == _dumps_report_oracle(report)

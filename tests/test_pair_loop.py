@@ -1,0 +1,264 @@
+"""The pair loop of ``align`` against the per-pair path it replaced.
+
+``naive_align`` is the scoring loop as it was before per-concept facts
+were hoisted out of it: owners found with ``find_owner`` for every pair,
+composites scored by plain recursion with no memo, a fresh syntactic
+``Evidence`` per pair and ``Fraction`` comparisons in the classifier.
+The fast loop must agree with it on every output, and count guards keep
+the per-pair lookups and the composite re-scoring from coming back.
+"""
+
+import sys
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ontomerge import (
+    BusinessComponent,
+    Concept,
+    Correspondence,
+    Entity,
+    Evidence,
+    Ontology,
+    Relation,
+    ScenarioSpec,
+    align,
+    component_to_ontology,
+    enrich,
+    generate_scenario,
+    lookup_relations,
+    serialize_component,
+    serialize_ontology,
+    syntactic_similarity,
+)
+from ontomerge.cli import main
+from ontomerge.integrator import ASSUMED_IDENTICAL_WARNING
+from ontomerge.matching import max_weight_assignment
+from ontomerge.model import as_fraction, find_owner
+from ontomerge.similarity import _children_sorted
+
+from .strategies import TERM_POOL, build_ontology, concept_trees, terms
+
+
+# ---------------------------------------------------------------------------
+# naive reference
+
+
+def naive_syntactic(c1, c2, o1, o2):
+    if c1.is_atomic and c2.is_atomic:
+        return Fraction(1) if c1.key == c2.key else Fraction(0)
+    if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
+        return Fraction(0)
+    left = _children_sorted(c1, o1)
+    right = _children_sorted(c2, o2)
+    weights = [[naive_syntactic(a, b, o1, o2) for b in right] for a in left]
+    total, _ = max_weight_assignment(weights)
+    return total / len(left)
+
+
+def naive_semantic(c1, c2, od, sources, hook):
+    o1 = find_owner(sources, c1.id)
+    o2 = find_owner(sources, c2.id)
+    t1, t2 = c1.key, c2.key
+
+    def fallback():
+        return naive_syntactic(c1, c2, o1, o2), Evidence(kind="syntactic")
+
+    if not (od.term_present(t1) and od.term_present(t2)):
+        return fallback()
+    relations = lookup_relations(od, t1, t2)
+    if not relations and hook(c1, c2) is not None:
+        relations = lookup_relations(od, t1, t2)
+    if not relations:
+        return fallback()
+    for kind, declared, score in (("synonymy", "od_synonymy", 1), ("homonymy", "od_homonymy", 0)):
+        used = tuple(r for r in relations if r.kind == kind)
+        if used:
+            inferred = any(r.provenance.startswith("inferred_case") for r in used)
+            return Fraction(score), Evidence(
+                kind="enriched" if inferred else declared, relations_used=used
+            )
+    return fallback()
+
+
+def naive_classify(c1, c2, score, kind, tau):
+    if kind in ("od_synonymy", "enriched") and score == 1:
+        return "Synonym"
+    if kind in ("od_homonymy", "enriched") and score == 0:
+        return "Homonym" if c1.key == c2.key else "Distinct"
+    if kind == "syntactic" and score >= tau:
+        return "Identical"
+    return "Distinct"
+
+
+def naive_align(sources, od, tau, warnings):
+    tau = as_fraction(tau)
+    ordered = sorted(sources, key=lambda o: o.id)
+    enriched_od = od.copy()
+    records = []
+
+    def hook(a, b):
+        record = enrich(a, b, enriched_od, list(ordered), warnings=warnings)
+        if record is not None:
+            records.append(record)
+        return record
+
+    correspondences = []
+    for i, left in enumerate(ordered):
+        for right in ordered[i + 1:]:
+            for cid1 in sorted(left.concepts):
+                for cid2 in sorted(right.concepts):
+                    c1, c2 = left.concepts[cid1], right.concepts[cid2]
+                    score, evidence = naive_semantic(
+                        c1, c2, enriched_od, list(ordered), hook
+                    )
+                    verdict = naive_classify(c1, c2, score, evidence.kind, tau)
+                    if verdict == "Identical" and c1.key == c2.key:
+                        warnings.append(
+                            f"{ASSUMED_IDENTICAL_WARNING} for term "
+                            f"{c1.key!r} ({c1.id}, {c2.id})"
+                        )
+                    correspondences.append(Correspondence(
+                        c1=cid1, c2=cid2, score=score, verdict=verdict, evidence=evidence,
+                    ))
+    return correspondences, enriched_od, records
+
+
+# ---------------------------------------------------------------------------
+# the fast loop agrees with the naive one
+
+
+def _relabel(tree, rename):
+    if isinstance(tree, tuple):
+        term, subtrees = tree
+        return (rename.get(term, term), [_relabel(sub, rename) for sub in subtrees])
+    return rename.get(tree, tree)
+
+
+@st.composite
+def alignment_inputs(draw):
+    """A generated scenario plus two composite-rich sources over TERM_POOL.
+
+    The two extra sources give fractional composite scores (so ``tau``
+    below 1 matters) and shared child pairs; pool terms put into the
+    support ontology send their pairs through the enrichment hook, where
+    equal-term children can make case 3 fire.
+    """
+    synonyms = draw(st.integers(min_value=0, max_value=3))
+    homonyms = draw(st.integers(min_value=0, max_value=2))
+    spec = ScenarioSpec(
+        concept_count=draw(st.integers(min_value=max(4, 2 * (synonyms + homonyms)),
+                                       max_value=14)),
+        synonym_pairs=synonyms,
+        homonym_pairs=homonyms,
+        od_coverage=draw(st.sampled_from([0, 0.5, 1])),
+        rng_seed=draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    components, od, _ = generate_scenario(spec)
+    sources = [component_to_ontology(c) for c in components]
+    left = (draw(terms), draw(st.lists(concept_trees(2, 3), min_size=1, max_size=3)))
+    if draw(st.booleans()):  # same shape, some terms renamed
+        right = _relabel(left, draw(st.dictionaries(terms, terms)))
+    else:
+        right = (draw(terms), draw(st.lists(concept_trees(2, 3), min_size=1, max_size=3)))
+    sources += [build_ontology(left, "L")[0], build_ontology(right, "R")[0]]
+    known = draw(st.lists(st.sampled_from(TERM_POOL), unique=True, max_size=6))
+    for term in known:
+        od.add_concept(Concept(id=f"Od#pool-{term}", term=term))
+    if len(known) >= 2 and draw(st.booleans()):
+        od.add_relation(Relation(f"Od#pool-{known[0]}", f"Od#pool-{known[1]}", "synonymy"))
+    tau = draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(1, 3)]))
+    return sources, od, tau
+
+
+@settings(max_examples=150, deadline=None)
+@given(alignment_inputs())
+def test_align_matches_naive_per_pair_path(inputs):
+    sources, od, tau = inputs
+    fast_warnings, naive_warnings = [], []
+    fast = align(sources, od, tau, warnings=fast_warnings)
+    naive = naive_align(sources, od, tau, naive_warnings)
+    assert fast[0] == naive[0]
+    assert fast[1] == naive[1]
+    assert fast[2] == naive[2]
+    assert fast_warnings == naive_warnings
+
+
+# ---------------------------------------------------------------------------
+# count guards
+
+
+def _count_calls(monkeypatch, function):
+    """Rebind ``function`` in every ontomerge module to a counting wrapper."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ontomerge") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
+
+
+def test_align_finds_owners_per_concept_not_per_pair(monkeypatch):
+    components, od, _ = generate_scenario(ScenarioSpec(60, 8, 3, 0, rng_seed=1))
+    sources = [component_to_ontology(c) for c in components]
+    calls = _count_calls(monkeypatch, find_owner)
+    correspondences, _, records = align(sources, od)
+    concepts = sum(len(o.concepts) for o in sources)
+    assert {r.injected.provenance for r in records} == {
+        "inferred_case1", "inferred_case2", "inferred_case3"
+    }
+    assert len(correspondences) > 10 * concepts
+    assert calls[0] <= concepts  # 3,688 when each pair looked up its two owners
+
+
+# ---------------------------------------------------------------------------
+# deep composition chains
+
+
+def _chain_ontology(ontology_id, depth):
+    """c0 ⊃ c1 ⊃ ... ⊃ c<depth-1>; every concept is named after its level."""
+    ontology = Ontology(ontology_id)
+    for i in range(depth):
+        children = (f"{ontology_id}#c{i + 1}",) if i + 1 < depth else ()
+        ontology.add_concept(Concept(id=f"{ontology_id}#c{i}", term=f"t{i}", children=children))
+    return ontology
+
+
+def test_syntactic_similarity_scores_3000_deep_chains():
+    o1 = _chain_ontology("A", 3000)
+    o2 = _chain_ontology("B", 3000)
+    shorter = _chain_ontology("C", 2999)
+    assert syntactic_similarity(o1.concepts["A#c0"], o2.concepts["B#c0"], o1, o2) == 1
+    assert syntactic_similarity(o1.concepts["A#c0"], shorter.concepts["C#c0"], o1, shorter) == 0
+
+
+def _chain_component(component_id, depth):
+    return BusinessComponent(id=component_id, name=component_id, entities=tuple(
+        Entity(name=f"e{i}", components=(f"e{i + 1}",) if i + 1 < depth else ())
+        for i in range(depth)
+    ))
+
+
+def test_integrate_deep_chains_scores_each_composite_pair_once(tmp_path, monkeypatch):
+    depth = 120
+    args = ["integrate"]
+    for component_id in ("CM1", "CM2"):
+        path = tmp_path / f"{component_id}.json"
+        path.write_bytes(serialize_component(_chain_component(component_id, depth)))
+        args += ["--component", str(path)]
+    (tmp_path / "od.json").write_bytes(serialize_ontology(Ontology("Od")))
+    args += [
+        "--ontology", str(tmp_path / "od.json"),
+        "--out-component", str(tmp_path / "out_component.json"),
+        "--out-ontology", str(tmp_path / "out_ontology.json"),
+        "--report", str(tmp_path / "out_report.json"),
+    ]
+    calls = _count_calls(monkeypatch, max_weight_assignment)
+    assert main(args) == 0
+    composite_pairs = (depth - 1) ** 2  # every composite has one child
+    assert 0 < calls[0] <= composite_pairs

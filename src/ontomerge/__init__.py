@@ -45,6 +45,7 @@ from .model_io import (
     serialize_report,
 )
 from .similarity import (
+    children_index,
     lookup_relations,
     normalize_term,
     semantic_similarity,
@@ -81,6 +82,7 @@ __all__ = [
     "SchemaViolation",
     "align",
     "build_clusters",
+    "children_index",
     "component_to_ontology",
     "enrich",
     "evaluate",

@@ -11,7 +11,8 @@ are tried in order:
   the pair.
 * case 3 - both concepts are composites of the same arity whose children
   can be perfectly paired through known synonymy/equivalence relations or
-  term equality; the pair is inferred synonymous.
+  term equality (children read from ``similarity.children_index``); the
+  pair is inferred synonymous.
 
 Enrichment only ever adds relations, never modifies or removes one, and
 refuses any injection that would make a pair carry both synonymy and
@@ -23,8 +24,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .matching import max_weight_assignment
-from .model import Concept, EnrichmentRecord, Ontology, Relation, find_owner
-from .similarity import _children_sorted, lookup_relations
+from .model import Concept, EnrichmentRecord, Ontology, Relation
+from .similarity import ChildrenIndex, lookup_relations
 
 
 class ResolvedEndpoints(NamedTuple):
@@ -155,6 +156,7 @@ def infer_via_children(
     c2: Concept,
     sources: list[Ontology],
     od: Ontology,
+    kids: ChildrenIndex,
 ) -> Optional[EnrichmentRecord]:
     """Case 3: composites whose children pair up through known relations.
 
@@ -166,7 +168,7 @@ def infer_via_children(
     relations become the evidence.  Only distinct parent terms are
     inferred (a shared term is already decided syntactically, and a
     self-synonymy would break pipeline idempotence); the inferred kind is
-    always synonymy.
+    always synonymy.  ``kids`` is the ``children_index`` of the sources.
     """
     if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
         return None
@@ -174,8 +176,7 @@ def infer_via_children(
     t2 = c2.key
     if t1 == t2:
         return None
-    left = _children_sorted(c1, find_owner(sources, c1.id))
-    right = _children_sorted(c2, find_owner(sources, c2.id))
+    left, right = kids[c1.id], kids[c2.id]
     ontologies = [od, *sources]
     support: list[list[Optional[Relation]]] = []
     weights = []
@@ -209,6 +210,7 @@ def enrich(
     c2: Concept,
     od: Ontology,
     sources: list[Ontology],
+    kids: ChildrenIndex,
     warnings: Optional[list[str]] = None,
 ) -> Optional[EnrichmentRecord]:
     """Try case 1, then 2, then 3; commit at most one relation to ``od``.
@@ -217,6 +219,7 @@ def enrich(
     endpoint concepts it needed) and lookups for the pair are nonempty
     afterwards.  On failure ``od`` is untouched.  An injection that would
     put synonymy and homonymy on the same pair is refused with a warning.
+    ``kids`` is the ``children_index`` of the sources, read by case 3.
     """
     sink = warnings if warnings is not None else []
     t1 = c1.key
@@ -238,7 +241,7 @@ def enrich(
     if record is None:
         record = infer_via_equivalents(t1, t2, sources, od, pair=(c1.id, c2.id))
     if record is None:
-        record = infer_via_children(c1, c2, sources, od)
+        record = infer_via_children(c1, c2, sources, od, kids)
     if record is None:
         return None
 

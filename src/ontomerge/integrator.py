@@ -28,9 +28,8 @@ from .model import (
     Ontology,
     Report,
     as_fraction,
-    find_owner,
 )
-from .similarity import semantic_similarity
+from .similarity import children_index, semantic_similarity
 from .terms import normalize_term
 from .transform import component_to_ontology, concept_id, ontology_to_component
 
@@ -57,6 +56,9 @@ def align(
       are equal but the support ontology had no say (a latent homonym
       cannot be excluded);
     * anything else -> Distinct.
+
+    Concept ids must be unique across sources: the children index and the
+    composite-score memo, both built once per run, are keyed by them.
     """
     tau = as_fraction(tau)
     if not 0 < tau <= 1:
@@ -69,26 +71,25 @@ def align(
 
     sink = warnings if warnings is not None else []
     ordered = sorted(sources, key=lambda o: o.id)
+    kids = children_index(ordered)
     enriched_od = od.copy()
     records: list[EnrichmentRecord] = []
 
     def hook(a: Concept, b: Concept):
-        record = enrich(a, b, enriched_od, ordered, warnings=sink)
+        record = enrich(a, b, enriched_od, ordered, kids, warnings=sink)
         if record is not None:
             records.append(record)
         return record
 
     correspondences: list[Correspondence] = []
+    memo: dict[tuple[str, str], Fraction] = {}
     items = [sorted(source.concepts.items()) for source in ordered]
-    for i, left in enumerate(ordered):
+    for i in range(len(ordered)):
         for j in range(i + 1, len(ordered)):
-            owners = (left, ordered[j])
-            memo: dict[tuple[str, str], Fraction] = {}
             for cid1, c1 in items[i]:
                 for cid2, c2 in items[j]:
                     score, evidence = semantic_similarity(
-                        c1, c2, enriched_od, ordered, enrich=hook,
-                        owners=owners, memo=memo,
+                        c1, c2, enriched_od, kids, enrich=hook, memo=memo
                     )
                     verdict = _classify(c1, c2, score, evidence.kind, tau)
                     if verdict == "Identical" and c1.key == c2.key:
@@ -231,14 +232,13 @@ def merge(
         if corr.verdict == "Homonym":
             homonym_endpoints.update(corr.pair)
 
-    member_concept = {
-        cid: source.concepts[cid] for source in sources for cid in source.concepts
-    }
+    member_concept = {cid: c for source in sources for cid, c in source.concepts.items()}
+    owner_id = {cid: source.id for source in sources for cid in source.concepts}
     displays = [
-        _cluster_display(members, member_concept, od, homonym_endpoints, sources)
+        _cluster_display(members, member_concept, od, homonym_endpoints, owner_id)
         for members in partition
     ]
-    _disambiguate_displays(displays, partition, member_concept, sources, sink)
+    _disambiguate_displays(displays, partition, owner_id, sink)
 
     merged_id_of: dict[str, str] = {}
     cluster_ids = []
@@ -280,9 +280,8 @@ def merge(
                     )
                     continue
                 children.add(child_cid)
-            source = find_owner(sources, member)
             for assoc in concept.associations:
-                target_cid = merged_id_of[concept_id(source.id, assoc.target)]
+                target_cid = merged_id_of[concept_id(owner_id[member], assoc.target)]
                 associations.add((display_of[target_cid], assoc.label))
         merged.add_concept(
             Concept(
@@ -321,7 +320,7 @@ def _cluster_display(
     member_concept: dict[str, Concept],
     od: Ontology,
     homonym_endpoints: set[str],
-    sources: Sequence[Ontology],
+    owner_id: dict[str, str],
 ) -> str:
     flagged = sorted(
         (member_concept[m].key, m)
@@ -330,8 +329,7 @@ def _cluster_display(
     )
     if flagged:
         _, member = flagged[0]
-        concept = member_concept[member]
-        return f"{concept.term} ({find_owner(sources, member).id})"
+        return f"{member_concept[member].term} ({owner_id[member]})"
     by_term: dict[str, str] = {}
     for member in sorted(members):
         concept = member_concept[member]
@@ -344,8 +342,7 @@ def _cluster_display(
 def _disambiguate_displays(
     displays: list[str],
     partition: Sequence[tuple[str, ...]],
-    member_concept: dict[str, Concept],
-    sources: Sequence[Ontology],
+    owner_id: dict[str, str],
     sink: list[str],
 ) -> None:
     """Suffix colliding display terms with their source id (in place)."""
@@ -356,8 +353,7 @@ def _disambiguate_displays(
         if len(indexes) < 2:
             continue
         for index in indexes:
-            member = partition[index][0]
-            owner = find_owner(sources, member).id
+            owner = owner_id[partition[index][0]]
             sink.append(
                 f"display term {key!r} used by several clusters; suffixing with "
                 f"source id {owner!r}"
@@ -374,24 +370,27 @@ def integrate(
 ) -> tuple[BusinessComponent, Ontology, Report]:
     """Full pipeline: components in, merged component + enriched ontology out.
 
-    Components with colliding ids are kept by suffixing later duplicates
-    with ~2, ~3, ... so a result component can be re-integrated against a
+    Components with colliding ids are kept by suffixing each later
+    duplicate with the smallest free ~2, ~3, ... (free: no input id and no
+    earlier rename), so a result component can be re-integrated against a
     copy of itself.  Outputs are reusable as future inputs.
     """
     if len(components) < 2:
         raise SchemaViolation("integration needs at least two components")
-    seen: dict[str, int] = {}
+    taken = {component.id for component in components}
+    kept: set[str] = set()
     warnings: list[str] = []
     deduped = []
     for component in components:
-        count = seen.get(component.id, 0) + 1
-        seen[component.id] = count
-        if count > 1:
-            new_id = f"{component.id}~{count}"
-            warnings.append(
-                f"duplicate component id {component.id!r} renamed to {new_id!r}"
-            )
+        if component.id in kept:
+            suffix = 2
+            while f"{component.id}~{suffix}" in taken:
+                suffix += 1
+            new_id = f"{component.id}~{suffix}"
+            taken.add(new_id)
+            warnings.append(f"duplicate component id {component.id!r} renamed to {new_id!r}")
             component = replace(component, id=new_id)
+        kept.add(component.id)
         deduped.append(component)
     sources = [component_to_ontology(component) for component in deduped]
     correspondences, enriched_od, records = align(sources, od, tau, warnings=warnings)

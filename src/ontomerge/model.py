@@ -277,14 +277,6 @@ class Ontology:
         )
 
 
-def find_owner(ontologies: Iterable[Ontology], concept_id: str) -> Ontology:
-    """Return the ontology that contains ``concept_id``."""
-    for ontology in ontologies:
-        if concept_id in ontology.concepts:
-            return ontology
-    raise KeyError(f"concept {concept_id!r} not found in any given ontology")
-
-
 class ComponentRelation(NamedTuple):
     """A semantic relation declared between two entities of a component."""
 

@@ -4,13 +4,13 @@ Two measures work together.  The syntactic measure compares terms
 directly: atomic concepts score 1 exactly when their normalized terms are
 equal, and composite concepts of equal arity score the best average
 pairing of their children (maximum-weight bipartite matching), computed
-bottom-up over the composition graph and memoized per ``align``.  The
-semantic measure consults the support ontology first: a synonymy relation
-between the two terms forces 1, a homonymy relation forces 0, and only
-when the ontology is silent does the syntactic measure decide.  When both
-terms occur in the support ontology but no relation links them, an
-optional enrichment hook gets one chance to inject one before the
-fallback fires.
+bottom-up over the composition graph, reading children from one
+``children_index`` and memoized per ``align``.  The semantic measure
+consults the support ontology first: a synonymy relation between the two
+terms forces 1, a homonymy relation forces 0, and only when the ontology
+is silent does the syntactic measure decide.  When both terms occur in
+the support ontology but no relation links them, an optional enrichment
+hook gets one chance to inject one before the fallback fires.
 
 All scores are exact Fractions in [0, 1]; atomic pairs score exactly 0
 or 1.
@@ -27,11 +27,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .errors import SchemaViolation
 from .matching import max_weight_assignment
-from .model import Concept, Evidence, Ontology, Relation, find_owner
+from .model import Concept, Evidence, Ontology, Relation
 from .terms import normalize_term
 
 __all__ = [
+    "children_index",
     "lookup_relations",
     "normalize_term",
     "semantic_similarity",
@@ -41,6 +43,7 @@ __all__ = [
 # An enrichment hook takes the two concepts and returns some truthy record
 # when it committed a new relation to the support ontology.
 EnrichHook = Callable[[Concept, Concept], Optional[object]]
+ChildrenIndex = dict[str, tuple[Concept, ...]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,11 +51,25 @@ ONE = Fraction(1)
 SYNTACTIC = Evidence(kind="syntactic")
 
 
+def children_index(ontologies: list[Ontology]) -> ChildrenIndex:
+    """Map each concept id of ``ontologies`` to its children, sorted by (key, id).
+
+    Raises SchemaViolation when two ontologies share a concept id.
+    """
+    kids: ChildrenIndex = {}
+    for ontology in ontologies:
+        for cid, concept in ontology.concepts.items():
+            if cid in kids:
+                raise SchemaViolation(f"concept id {cid!r} occurs in several sources")
+            children = (ontology.concepts[child] for child in concept.children)
+            kids[cid] = tuple(sorted(children, key=lambda c: (c.key, c.id)))
+    return kids
+
+
 def syntactic_similarity(
     c1: Concept,
     c2: Concept,
-    o1: Ontology,
-    o2: Ontology,
+    kids: ChildrenIndex,
     *,
     memo: Optional[dict[tuple[str, str], Fraction]] = None,
 ) -> Fraction:
@@ -62,13 +79,14 @@ def syntactic_similarity(
     Composite vs composite with the same child count n: the total weight
     of a maximum-weight injective child assignment divided by n, where
     each child weight is the score of that child pair.  Mixed arities
-    score 0.  Symmetric in its arguments.
+    score 0.  Symmetric in its arguments.  ``kids`` is the
+    ``children_index`` of the ontologies holding both concepts.
 
     Composite pairs are scored bottom-up from an explicit stack, so no
     composition depth meets the recursion limit, and each composite pair
-    is scored once per ``memo``: a dict keyed by (id in ``o1``, id in
-    ``o2``).  ``align`` keeps one memo per pair of sources; the scores
-    read only the two component ontologies, which enrichment never writes.
+    is scored once per ``memo``: a dict keyed by (id of c1's side, id of
+    c2's side).  ``align`` keeps one memo per run; the scores read only
+    the component ontologies, which enrichment never writes.
     """
     score = _flat_score(c1, c2)
     if score is not None:
@@ -81,10 +99,10 @@ def syntactic_similarity(
         if (a.id, b.id) in memo:
             stack.pop()
             continue
-        right = _children_sorted(b, o2)
+        right = kids[b.id]
         weights = []
         pending = []
-        for x in _children_sorted(a, o1):
+        for x in kids[a.id]:
             row = []
             for y in right:
                 weight = _flat_score(x, y)
@@ -113,11 +131,6 @@ def _flat_score(c1: Concept, c2: Concept) -> Optional[Fraction]:
     return None
 
 
-def _children_sorted(concept: Concept, ontology: Ontology) -> list[Concept]:
-    kids = [ontology.concepts[child] for child in concept.children]
-    return sorted(kids, key=lambda c: (c.key, c.id))
-
-
 def lookup_relations(ontology: Ontology, t1: str, t2: str) -> tuple[Relation, ...]:
     """All semantic relations of ``ontology`` between two normalized terms.
 
@@ -134,10 +147,9 @@ def semantic_similarity(
     c1: Concept,
     c2: Concept,
     od: Ontology,
-    sources: list[Ontology],
+    kids: ChildrenIndex,
     enrich: EnrichHook | None = None,
     *,
-    owners: Optional[tuple[Ontology, Ontology]] = None,
     memo: Optional[dict[tuple[str, str], Fraction]] = None,
 ) -> tuple[Fraction, Evidence]:
     """Support-ontology-driven score with syntactic fallback.
@@ -153,45 +165,27 @@ def semantic_similarity(
     5. other relations only (equivalence) -> syntactic score.
 
     Evidence kind is "enriched" when any decisive relation was inferred
-    rather than declared.  Symmetric in (c1, c2).
-
-    ``owners`` is the (ontology of c1, ontology of c2) pair; when it is
-    omitted, a composite pair looks its owners up in ``sources``.  ``memo``
-    is passed on to ``syntactic_similarity``.
+    rather than declared.  Symmetric in (c1, c2).  ``kids`` and ``memo``
+    are passed on to ``syntactic_similarity``.
     """
     t1 = c1.key
     t2 = c2.key
-    if not (od.term_present(t1) and od.term_present(t2)):
-        return _fallback(c1, c2, sources, owners, memo)
-    relations = lookup_relations(od, t1, t2)
-    if not relations and enrich is not None:
-        if enrich(c1, c2) is not None:
+    if od.term_present(t1) and od.term_present(t2):
+        relations = lookup_relations(od, t1, t2)
+        if not relations and enrich is not None and enrich(c1, c2) is not None:
             relations = lookup_relations(od, t1, t2)
-    if not relations:
-        return _fallback(c1, c2, sources, owners, memo)
-    synonymies = tuple(r for r in relations if r.kind == "synonymy")
-    if synonymies:
-        return ONE, Evidence(kind=_evidence_kind(synonymies, "od_synonymy"),
-                             relations_used=synonymies)
-    homonymies = tuple(r for r in relations if r.kind == "homonymy")
-    if homonymies:
-        return ZERO, Evidence(kind=_evidence_kind(homonymies, "od_homonymy"),
-                              relations_used=homonymies)
-    return _fallback(c1, c2, sources, owners, memo)
-
-
-def _fallback(
-    c1: Concept,
-    c2: Concept,
-    sources: list[Ontology],
-    owners: Optional[tuple[Ontology, Ontology]],
-    memo: Optional[dict[tuple[str, str], Fraction]],
-) -> tuple[Fraction, Evidence]:
-    """The syntactic score; only a composite pair needs the owners."""
+        if relations:
+            synonymies = tuple(r for r in relations if r.kind == "synonymy")
+            if synonymies:
+                return ONE, Evidence(kind=_evidence_kind(synonymies, "od_synonymy"),
+                                     relations_used=synonymies)
+            homonymies = tuple(r for r in relations if r.kind == "homonymy")
+            if homonymies:
+                return ZERO, Evidence(kind=_evidence_kind(homonymies, "od_homonymy"),
+                                      relations_used=homonymies)
     score = _flat_score(c1, c2)
-    if score is None:
-        o1, o2 = owners or (find_owner(sources, c1.id), find_owner(sources, c2.id))
-        score = syntactic_similarity(c1, c2, o1, o2, memo=memo)
+    if score is None:  # only a composite pair pays for a syntactic call
+        score = syntactic_similarity(c1, c2, kids, memo=memo)
     return score, SYNTACTIC
 
 

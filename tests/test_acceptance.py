@@ -19,6 +19,7 @@ from ontomerge import (
     Relation,
     ScenarioSpec,
     build_clusters,
+    children_index,
     component_to_ontology,
     enrich,
     evaluate,
@@ -79,16 +80,16 @@ def test_criterion_1_canonical_scenario():
 @given(concept_pairs(max_depth=2, max_children=4))
 def test_criterion_2a_syntactic_oracle_and_symmetry(pair):
     c1, c2, o1, o2 = pair
-    score = syntactic_similarity(c1, c2, o1, o2)
+    score = syntactic_similarity(c1, c2, children_index([o1, o2]))
     assert score == brute_force_syntactic(c1, c2, o1, o2)
-    assert score == syntactic_similarity(c2, c1, o2, o1)
+    assert score == syntactic_similarity(c2, c1, children_index([o2, o1]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(concept_pairs(max_depth=2, max_children=4))
 def test_criterion_2b_reflexivity(pair):
     c1, _, o1, _ = pair
-    assert syntactic_similarity(c1, c1, o1, o1) == Fraction(1)
+    assert syntactic_similarity(c1, c1, children_index([o1])) == Fraction(1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -102,8 +103,8 @@ def test_criterion_2c_semantic_precedence_and_symmetry(t1, t2, kind):
     if kind != "none":
         od.add_relation(Relation("Od#a", "Od#b", kind))
     c1, c2 = left.concepts["L#c"], right.concepts["R#c"]
-    score, evidence = semantic_similarity(c1, c2, od, [left, right])
-    flipped, _ = semantic_similarity(c2, c1, od, [left, right])
+    score, evidence = semantic_similarity(c1, c2, od, children_index([left, right]))
+    flipped, _ = semantic_similarity(c2, c1, od, children_index([left, right]))
     assert score == flipped
     if kind == "synonymy":
         assert score == Fraction(1) and evidence.kind == "od_synonymy"
@@ -111,7 +112,7 @@ def test_criterion_2c_semantic_precedence_and_symmetry(t1, t2, kind):
         assert score == Fraction(0) and evidence.kind == "od_homonymy"
     else:
         assert evidence.kind == "syntactic"
-        assert score == syntactic_similarity(c1, c2, left, right)
+        assert score == syntactic_similarity(c1, c2, children_index([left, right]))
 
 
 def test_criterion_2_report():
@@ -203,7 +204,10 @@ def test_criterion_3_enrichment_properties():
         owner1 = next(s for s in sources if cid1 in s.concepts)
         owner2 = next(s for s in sources if cid2 in s.concepts)
         before = len(od.relations)
-        record = enrich(owner1.concepts[cid1], owner2.concepts[cid2], od, sources)
+        record = enrich(
+            owner1.concepts[cid1], owner2.concepts[cid2], od, sources,
+            children_index(sources),
+        )
         assert record is not None, name
         assert record.injected.kind == kind, name
         assert record.injected.provenance == provenance, name
@@ -244,7 +248,7 @@ def test_criterion_3_enrichment_properties():
     )
     record = enrich(
         combined_left.concepts["O1#a"], combined_right.concepts["O2#b"],
-        od, [combined_left, combined_right],
+        od, [combined_left, combined_right], children_index([combined_left, combined_right]),
     )
     assert record is not None
     assert record.injected.provenance == "inferred_case2"  # case 3 also possible
@@ -281,7 +285,7 @@ def test_criterion_3_enrichment_properties():
     )
     record = enrich(
         direct_left.concepts["O1#tarif"], direct_right.concepts["O2#taux"],
-        od, [direct_left, direct_right],
+        od, [direct_left, direct_right], children_index([direct_left, direct_right]),
     )
     assert record is not None
     assert record.injected.provenance == "inferred_case1"  # case 2 also possible

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ontomerge import model_io
+from ontomerge import BusinessComponent, Entity, Ontology, model_io
 from ontomerge.cli import main
 
 from .conftest import make_conflicting_components, make_contradictory_od
@@ -101,6 +101,25 @@ def test_collision_is_exit_three(tmp_path, capsys):
     paths["od"].write_bytes(model_io.serialize_ontology(od))
     code = main(_integrate_args(paths, tmp_path))
     assert code == 3
+    for name in ("cmr.json", "od2.json", "report.json"):
+        assert not (tmp_path / name).exists()
+
+
+def test_concept_id_shared_by_two_components_is_schema_error(tmp_path, capsys):
+    # entity "b#c" of component A and entity "c" of component A#b both get id A#b#c
+    left = BusinessComponent(id="A", name="A", entities=(Entity("b#c", ("x",)),))
+    right = BusinessComponent(id="A#b", name="A b", entities=(Entity("c", ("y",)),))
+    paths = {
+        "cm1": tmp_path / "l.json",
+        "cm2": tmp_path / "r.json",
+        "od": tmp_path / "od.json",
+    }
+    paths["cm1"].write_bytes(model_io.serialize_component(left))
+    paths["cm2"].write_bytes(model_io.serialize_component(right))
+    paths["od"].write_bytes(model_io.serialize_ontology(Ontology("Od")))
+    code = main(_integrate_args(paths, tmp_path))
+    assert code == 2
+    assert "'A#b#c'" in capsys.readouterr().err
     for name in ("cmr.json", "od2.json", "report.json"):
         assert not (tmp_path / name).exists()
 

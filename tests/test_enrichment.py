@@ -6,6 +6,7 @@ from ontomerge import (
     Concept,
     Ontology,
     Relation,
+    children_index,
     enrich,
     find_direct_relation,
     infer_via_children,
@@ -70,7 +71,8 @@ def test_find_direct_relation_ignores_part_of():
 def test_case1_injects_declared_relation():
     source, od = _case1_fixture()
     record = enrich(
-        source.concepts["OCM3#facture"], source.concepts["OCM3#note"], od, [source]
+        source.concepts["OCM3#facture"], source.concepts["OCM3#note"], od, [source],
+        children_index([source]),
     )
     assert record is not None
     assert record.injected.provenance == "inferred_case1"
@@ -166,7 +168,8 @@ def _case3_fixture():
 def test_case3_infers_synonymy_from_children():
     left, right, od = _case3_fixture()
     record = infer_via_children(
-        left.concepts["OCM1#dossier"], right.concepts["OCM2#folder"], [left, right], od
+        left.concepts["OCM1#dossier"], right.concepts["OCM2#folder"], [left, right], od,
+        children_index([left, right]),
     )
     assert record is not None
     assert record.injected.kind == "synonymy"
@@ -180,7 +183,8 @@ def test_case3_fails_on_partial_child_match():
     left, right, _ = _case3_fixture()
     od = _support("dossier", "folder", "traitement", "cure")  # no cure/traitement link
     assert infer_via_children(
-        left.concepts["OCM1#dossier"], right.concepts["OCM2#folder"], [left, right], od
+        left.concepts["OCM1#dossier"], right.concepts["OCM2#folder"], [left, right], od,
+        children_index([left, right]),
     ) is None
 
 
@@ -197,7 +201,8 @@ def test_case3_identical_children_need_no_relations():
     )
     od = _support("dossier", "chemise")
     record = infer_via_children(
-        left.concepts["OCM1#dossier"], right.concepts["OCM2#chemise"], [left, right], od
+        left.concepts["OCM1#dossier"], right.concepts["OCM2#chemise"], [left, right], od,
+        children_index([left, right]),
     )
     assert record is not None
     assert record.evidence == ()
@@ -217,7 +222,8 @@ def test_case3_skips_equal_parent_terms():
     )
     od = _support("dossier")
     assert infer_via_children(
-        left.concepts["OCM1#dossier"], right.concepts["OCM2#dossier"], [left, right], od
+        left.concepts["OCM1#dossier"], right.concepts["OCM2#dossier"], [left, right], od,
+        children_index([left, right]),
     ) is None
 
 
@@ -237,6 +243,7 @@ def test_case3_has_no_arity_limit(n):
     warnings = []
     record = enrich(
         left.concepts["OCM1#big"], right.concepts["OCM2#large"], od, [left, right],
+        children_index([left, right]),
         warnings=warnings,
     )
     assert record is not None
@@ -255,7 +262,10 @@ def test_no_evidence_leaves_support_ontology_untouched():
     right = _ontology("OCM2", ("OCM2#b", "brume"))
     od = _support("aube", "brume")
     before = serialize_ontology(od)
-    record = enrich(left.concepts["OCM1#a"], right.concepts["OCM2#b"], od, [left, right])
+    record = enrich(
+        left.concepts["OCM1#a"], right.concepts["OCM2#b"], od, [left, right],
+        children_index([left, right]),
+    )
     assert record is None
     assert serialize_ontology(od) == before
 
@@ -277,7 +287,7 @@ def test_case_order_prefers_direct_relation():
     od = _support("dossier", "classeur")
     record = enrich(
         left.concepts["OCM1#dossier"], right.concepts["OCM2#classeur"],
-        od, [left, right],
+        od, [left, right], children_index([left, right]),
     )
     assert record is not None
     assert record.injected.provenance == "inferred_case1"
@@ -301,7 +311,7 @@ def test_consistency_guard_refuses_contradiction():
     warnings = []
     record = enrich(
         source.concepts["OCM1#tarif"], source.concepts["OCM1#taux"],
-        od, [source], warnings=warnings,
+        od, [source], children_index([source]), warnings=warnings,
     )
     assert record is None
     assert serialize_ontology(od) == before
@@ -311,9 +321,9 @@ def test_consistency_guard_refuses_contradiction():
 def test_enrich_is_idempotent():
     source, od = _case1_fixture()
     c1, c2 = source.concepts["OCM3#facture"], source.concepts["OCM3#note"]
-    first = enrich(c1, c2, od, [source])
+    first = enrich(c1, c2, od, [source], children_index([source]))
     after_first = serialize_ontology(od)
-    second = enrich(c1, c2, od, [source])
+    second = enrich(c1, c2, od, [source], children_index([source]))
     assert first is not None and second is None
     assert serialize_ontology(od) == after_first
 
@@ -341,7 +351,7 @@ def test_same_term_injection_creates_second_endpoint():
     od = _support("poste")
     record = enrich(
         left.concepts["OCM1#poste"], right.concepts["OCM2#poste"],
-        od, [left, right, bridge_holder],
+        od, [left, right, bridge_holder], children_index([left, right, bridge_holder]),
     )
     assert record is not None
     assert record.injected.kind == "homonymy"
@@ -353,5 +363,5 @@ def test_monotonicity_relation_count_never_shrinks():
     left, right, od = _case2_fixture()
     before = len(od.relations)
     enrich(left.concepts["OCM1#client"], right.concepts["OCM2#commande"],
-           od, [left, right])
+           od, [left, right], children_index([left, right]))
     assert len(od.relations) == before + 1

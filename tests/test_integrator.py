@@ -1,16 +1,23 @@
 """Alignment verdicts, union-find clustering, merging, and the full pipeline."""
 
 import random
+from dataclasses import replace
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontomerge import (
+    Association,
     BusinessComponent,
     Concept,
     Correspondence,
     Entity,
     Evidence,
     HomonymClusterCollision,
+    IntegrationError,
     Ontology,
     Relation,
     SchemaViolation,
@@ -31,6 +38,7 @@ from .conftest import (
     make_contradictory_od,
     make_support_ontology,
 )
+from .strategies import TERM_POOL, terms
 
 
 def _verdicts(correspondences):
@@ -352,6 +360,15 @@ def test_self_integration_is_identity_up_to_ordering(cm1):
     assert len(same_term) == len(cm1.entities)
 
 
+def test_duplicate_id_is_renamed_past_ids_already_in_use(cm1):
+    # A, A, A~2: the second A may not take A~2, which the third input holds
+    a, a2 = replace(cm1, id="A"), replace(cm1, id="A~2")
+    _, _, report = integrate([a, a, a2], Ontology("Od"))
+    assert "duplicate component id 'A' renamed to 'A~3'" in report.warnings
+    owners = {member.split("#")[0] for cl in report.clusters for member in cl.members}
+    assert owners == {"A", "A~2", "A~3"}
+
+
 def test_self_integration_honors_declared_homonymy(cm1, support_od):
     # the support ontology says "service" is ambiguous, so the two copies
     # cannot be assumed to mean the same thing
@@ -393,3 +410,64 @@ def test_report_clusters_partition_all_concepts(cm1, cm2, support_od):
     _, _, report = integrate([cm1, cm2], support_od)
     members = [m for cl in report.clusters for m in cl.members]
     assert len(members) == len(set(members)) == 5
+
+
+# ---------------------------------------------------------------------------
+# input order
+
+
+@st.composite
+def small_components(draw, component_id):
+    """A component over TERM_POOL with composition, associations and relations."""
+    names = draw(st.lists(terms, min_size=1, max_size=6, unique=True))
+    entities = []
+    for i, name in enumerate(names):
+        later = names[i + 1:]  # children come later in the list, so no cycle
+        children = draw(st.lists(st.sampled_from(later), unique=True, max_size=3)) if later else []
+        targets = draw(st.lists(st.sampled_from(names), unique=True, max_size=1))
+        entities.append(Entity(
+            name=name, components=tuple(children),
+            associations=tuple(Association(target, "uses") for target in targets),
+        ))
+    relations = []
+    if len(names) >= 2 and draw(st.booleans()):
+        kind = draw(st.sampled_from(["synonymy", "homonymy", "equivalence"]))
+        relations.append((names[0], names[1], kind))
+    return BusinessComponent(
+        id=component_id, name=component_id, entities=tuple(entities), relations=tuple(relations)
+    )
+
+
+@st.composite
+def order_inputs(draw):
+    ids = ["CM1", "CM2", "CM3", "CM4"][:draw(st.integers(min_value=3, max_value=4))]
+    components = [draw(small_components(cid)) for cid in ids]
+    od = Ontology("Od")
+    known = draw(st.lists(st.sampled_from(TERM_POOL), unique=True, min_size=2, max_size=6))
+    for term in known:
+        od.add_concept(Concept(id=f"Od#{term}", term=term))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["synonymy", "homonymy"]))
+        od.add_relation(Relation(f"Od#{known[0]}", f"Od#{known[1]}", kind))
+    if draw(st.booleans()):  # the last known term is ambiguous
+        od.add_concept(Concept(id=f"Od#{known[-1]}~2", term=known[-1]))
+        od.add_relation(Relation(f"Od#{known[-1]}", f"Od#{known[-1]}~2", "homonymy"))
+    tau = draw(st.sampled_from([Fraction(1), Fraction(1, 2)]))
+    return components, od, tau
+
+
+def _outcome(components, od, tau):
+    try:
+        merged, enriched, report = integrate(components, od, tau)
+    except IntegrationError as error:
+        return type(error).__name__, str(error)
+    return serialize_component(merged), serialize_ontology(enriched), serialize_report(report)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order_inputs())
+def test_integrate_output_does_not_depend_on_component_order(inputs):
+    components, od, tau = inputs
+    expected = _outcome(components, od, tau)
+    for order in permutations(components):
+        assert _outcome(list(order), od, tau) == expected

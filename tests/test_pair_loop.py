@@ -2,16 +2,18 @@
 
 ``naive_align`` is the scoring loop as it was before per-concept facts
 were hoisted out of it: owners found with ``find_owner`` for every pair,
-composites scored by plain recursion with no memo, a fresh syntactic
-``Evidence`` per pair and ``Fraction`` comparisons in the classifier.
-The fast loop must agree with it on every output, and count guards keep
-the per-pair lookups and the composite re-scoring from coming back.
+children sorted on every expansion (``_children_sorted``), composites
+scored by plain recursion with no memo, a fresh syntactic ``Evidence``
+per pair and ``Fraction`` comparisons in the classifier.  The fast loop
+must agree with it on every output, and count guards keep the child
+re-sorting and the composite re-scoring from coming back.
 """
 
 import sys
 from fractions import Fraction
+from typing import Iterable
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontomerge import (
@@ -24,6 +26,7 @@ from ontomerge import (
     Relation,
     ScenarioSpec,
     align,
+    children_index,
     component_to_ontology,
     enrich,
     generate_scenario,
@@ -35,14 +38,26 @@ from ontomerge import (
 from ontomerge.cli import main
 from ontomerge.integrator import ASSUMED_IDENTICAL_WARNING
 from ontomerge.matching import max_weight_assignment
-from ontomerge.model import as_fraction, find_owner
-from ontomerge.similarity import _children_sorted
+from ontomerge.model import as_fraction
 
 from .strategies import TERM_POOL, build_ontology, concept_trees, terms
 
 
 # ---------------------------------------------------------------------------
 # naive reference
+
+
+def find_owner(ontologies: Iterable[Ontology], concept_id: str) -> Ontology:
+    """Return the ontology that contains ``concept_id``."""
+    for ontology in ontologies:
+        if concept_id in ontology.concepts:
+            return ontology
+    raise KeyError(f"concept {concept_id!r} not found in any given ontology")
+
+
+def _children_sorted(concept: Concept, ontology: Ontology) -> list[Concept]:
+    kids = [ontology.concepts[child] for child in concept.children]
+    return sorted(kids, key=lambda c: (c.key, c.id))
 
 
 def naive_syntactic(c1, c2, o1, o2):
@@ -99,7 +114,9 @@ def naive_align(sources, od, tau, warnings):
     records = []
 
     def hook(a, b):
-        record = enrich(a, b, enriched_od, list(ordered), warnings=warnings)
+        # the children of the pair, looked up and sorted again on every attempt
+        kids = {c.id: _children_sorted(c, find_owner(ordered, c.id)) for c in (a, b)}
+        record = enrich(a, b, enriched_od, list(ordered), kids, warnings=warnings)
         if record is not None:
             records.append(record)
         return record
@@ -172,8 +189,31 @@ def alignment_inputs(draw):
     return sources, od, tau
 
 
+def _tied_children_inputs():
+    """Case 3 with two perfect child matchings that cite different relations.
+
+    gamma ⊃ (bêta, alpha) meets delta ⊃ (alpha, bêta) and the support
+    ontology says alpha and bêta are synonyms, so pairing by equal terms
+    and pairing across the synonymy both match every child.  The children
+    order (normalized term, then id) decides which one becomes the
+    evidence; left's ids run against its terms, so an order by id alone
+    picks the other one.
+    """
+    components, od, _ = generate_scenario(ScenarioSpec(4, 1, 0, 0, rng_seed=1))
+    sources = [component_to_ontology(c) for c in components]
+    sources += [
+        build_ontology(("gamma", ["bêta", "alpha"]), "L")[0],
+        build_ontology(("delta", ["alpha", "bêta"]), "R")[0],
+    ]
+    for term in ("alpha", "bêta", "gamma", "delta"):
+        od.add_concept(Concept(id=f"Od#pool-{term}", term=term))
+    od.add_relation(Relation("Od#pool-alpha", "Od#pool-bêta", "synonymy"))
+    return sources, od, Fraction(1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(alignment_inputs())
+@example(_tied_children_inputs())
 def test_align_matches_naive_per_pair_path(inputs):
     sources, od, tau = inputs
     fast_warnings, naive_warnings = [], []
@@ -203,19 +243,6 @@ def _count_calls(monkeypatch, function):
     return calls
 
 
-def test_align_finds_owners_per_concept_not_per_pair(monkeypatch):
-    components, od, _ = generate_scenario(ScenarioSpec(60, 8, 3, 0, rng_seed=1))
-    sources = [component_to_ontology(c) for c in components]
-    calls = _count_calls(monkeypatch, find_owner)
-    correspondences, _, records = align(sources, od)
-    concepts = sum(len(o.concepts) for o in sources)
-    assert {r.injected.provenance for r in records} == {
-        "inferred_case1", "inferred_case2", "inferred_case3"
-    }
-    assert len(correspondences) > 10 * concepts
-    assert calls[0] <= concepts  # 3,688 when each pair looked up its two owners
-
-
 # ---------------------------------------------------------------------------
 # deep composition chains
 
@@ -233,8 +260,9 @@ def test_syntactic_similarity_scores_3000_deep_chains():
     o1 = _chain_ontology("A", 3000)
     o2 = _chain_ontology("B", 3000)
     shorter = _chain_ontology("C", 2999)
-    assert syntactic_similarity(o1.concepts["A#c0"], o2.concepts["B#c0"], o1, o2) == 1
-    assert syntactic_similarity(o1.concepts["A#c0"], shorter.concepts["C#c0"], o1, shorter) == 0
+    kids = children_index([o1, o2, shorter])
+    assert syntactic_similarity(o1.concepts["A#c0"], o2.concepts["B#c0"], kids) == 1
+    assert syntactic_similarity(o1.concepts["A#c0"], shorter.concepts["C#c0"], kids) == 0
 
 
 def _chain_component(component_id, depth):
@@ -244,8 +272,8 @@ def _chain_component(component_id, depth):
     ))
 
 
-def test_integrate_deep_chains_scores_each_composite_pair_once(tmp_path, monkeypatch):
-    depth = 120
+def _chain_integrate_args(tmp_path, depth):
+    """``cli integrate`` arguments for two components holding one chain each."""
     args = ["integrate"]
     for component_id in ("CM1", "CM2"):
         path = tmp_path / f"{component_id}.json"
@@ -258,7 +286,38 @@ def test_integrate_deep_chains_scores_each_composite_pair_once(tmp_path, monkeyp
         "--out-ontology", str(tmp_path / "out_ontology.json"),
         "--report", str(tmp_path / "out_report.json"),
     ]
+    return args
+
+
+def test_integrate_deep_chains_scores_each_composite_pair_once(tmp_path, monkeypatch):
+    depth = 120
+    args = _chain_integrate_args(tmp_path, depth)
     calls = _count_calls(monkeypatch, max_weight_assignment)
     assert main(args) == 0
     composite_pairs = (depth - 1) ** 2  # every composite has one child
     assert 0 < calls[0] <= composite_pairs
+
+
+def _count_concept_sorts(monkeypatch):
+    """Count the lists of concepts that any ontomerge module sorts."""
+    calls = [0]
+
+    def counted(iterable, **kwargs):
+        items = list(iterable)
+        if items and isinstance(items[0], Concept):
+            calls[0] += 1
+        return sorted(items, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ontomerge"):
+            monkeypatch.setattr(module, "sorted", counted, raising=False)
+    return calls
+
+
+def test_integrate_sorts_each_child_list_once(tmp_path, monkeypatch):
+    depth = 120
+    args = _chain_integrate_args(tmp_path, depth)
+    calls = _count_concept_sorts(monkeypatch)
+    assert main(args) == 0
+    concepts = 2 * depth
+    assert 0 < calls[0] <= concepts  # 55,977 when each expansion re-sorted the children

@@ -14,6 +14,7 @@ from ontomerge import (
     BusinessComponent,
     Ontology,
     Relation,
+    children_index,
     component_to_ontology,
     lookup_relations,
     normalize_term,
@@ -99,7 +100,7 @@ def test_identical_atomic_terms_score_one():
     o1 = _atoms(("A#service", "Service", ()))
     o2 = _atoms(("B#service", "Service", ()))
     score = syntactic_similarity(
-        o1.concepts["A#service"], o2.concepts["B#service"], o1, o2
+        o1.concepts["A#service"], o2.concepts["B#service"], children_index([o1, o2])
     )
     assert score == 1
 
@@ -108,7 +109,8 @@ def test_distinct_atomic_terms_score_zero():
     o1 = _atoms(("A#service", "Service", ()))
     o2 = _atoms(("B#prestation", "Prestation", ()))
     score = syntactic_similarity(
-        o1.concepts["A#service"], o2.concepts["B#prestation"], o1, o2
+        o1.concepts["A#service"], o2.concepts["B#prestation"],
+        children_index([o1, o2]),
     )
     assert score == 0
 
@@ -127,7 +129,7 @@ def test_composites_score_best_average_pairing():
     c1, c2 = o1.concepts["A#dossier"], o2.concepts["B#dossier2"]
     expected = brute_force_syntactic(c1, c2, o1, o2)
     assert expected == Fraction(1, 2)  # one matching child of two
-    assert syntactic_similarity(c1, c2, o1, o2) == expected
+    assert syntactic_similarity(c1, c2, children_index([o1, o2])) == expected
 
 
 def test_mixed_arity_scores_zero():
@@ -136,16 +138,18 @@ def test_mixed_arity_scores_zero():
         ("A#dossier", "Dossier", ("A#x",)),
     )
     o2 = _atoms(("B#dossier", "Dossier", ()))
-    assert syntactic_similarity(o1.concepts["A#dossier"], o2.concepts["B#dossier"], o1, o2) == 0
+    assert syntactic_similarity(
+        o1.concepts["A#dossier"], o2.concepts["B#dossier"], children_index([o1, o2])
+    ) == 0
 
 
 @settings(max_examples=1000, deadline=None)
 @given(concept_pairs(max_depth=2, max_children=4))
 def test_syntactic_equals_brute_force_and_is_symmetric(pair):
     c1, c2, o1, o2 = pair
-    score = syntactic_similarity(c1, c2, o1, o2)
+    score = syntactic_similarity(c1, c2, children_index([o1, o2]))
     assert score == brute_force_syntactic(c1, c2, o1, o2)
-    assert score == syntactic_similarity(c2, c1, o2, o1)
+    assert score == syntactic_similarity(c2, c1, children_index([o2, o1]))
     assert 0 <= score <= 1
 
 
@@ -153,7 +157,7 @@ def test_syntactic_equals_brute_force_and_is_symmetric(pair):
 @given(concept_pairs(max_depth=2, max_children=4))
 def test_syntactic_self_similarity_is_one(pair):
     c1, _, o1, _ = pair
-    assert syntactic_similarity(c1, c1, o1, o1) == 1
+    assert syntactic_similarity(c1, c1, children_index([o1])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +232,7 @@ def test_od_synonymy_forces_one():
     )
     score, evidence = semantic_similarity(
         sources[0].concepts["CM1#service"], sources[1].concepts["CM2#prestation"],
-        od, sources,
+        od, children_index(sources),
     )
     assert score == 1
     assert evidence.kind == "od_synonymy"
@@ -246,7 +250,7 @@ def test_od_homonymy_forces_zero():
     )
     score, evidence = semantic_similarity(
         sources[0].concepts["CM1#service"], sources[1].concepts["CM2#service"],
-        od, sources,
+        od, children_index(sources),
     )
     assert score == 0
     assert evidence.kind == "od_homonymy"
@@ -260,7 +264,7 @@ def test_terms_absent_fall_back_to_syntactic():
     od = _support(concepts=[("Od#service", "Service")])
     score, evidence = semantic_similarity(
         sources[0].concepts["CM1#facture"], sources[1].concepts["CM2#facture"],
-        od, sources,
+        od, children_index(sources),
     )
     assert score == 1
     assert evidence.kind == "syntactic"
@@ -277,7 +281,7 @@ def test_equivalence_only_falls_back_to_syntactic():
     )
     score, evidence = semantic_similarity(
         sources[0].concepts["CM1#client"], sources[1].concepts["CM2#acheteur"],
-        od, sources,
+        od, children_index(sources),
     )
     assert score == 0
     assert evidence.kind == "syntactic"
@@ -300,7 +304,7 @@ def test_enrichment_hook_called_once_and_result_reread():
 
     score, evidence = semantic_similarity(
         sources[0].concepts["CM1#facture"], sources[1].concepts["CM2#note"],
-        od, sources, enrich=hook,
+        od, children_index(sources), enrich=hook,
     )
     assert calls == [("CM1#facture", "CM2#note")]
     assert score == 1
@@ -321,7 +325,7 @@ def test_failed_enrichment_degrades_to_syntactic():
 
     score, evidence = semantic_similarity(
         sources[0].concepts["CM1#facture"], sources[1].concepts["CM2#note"],
-        od, sources, enrich=hook,
+        od, children_index(sources), enrich=hook,
     )
     assert calls == [1]
     assert score == 0
@@ -340,7 +344,7 @@ def test_hook_not_called_when_terms_absent():
 
     score, evidence = semantic_similarity(
         sources[0].concepts["CM1#facture"], sources[1].concepts["CM2#note"],
-        od, sources, enrich=hook,
+        od, children_index(sources), enrich=hook,
     )
     assert evidence.kind == "syntactic"
 
@@ -366,8 +370,8 @@ def test_od_relation_precedence_over_any_syntactic_score(t1, t2, kind):
     od.add_relation(Relation("Od#a", "Od#b", kind))
     c1 = sources[0].concepts[f"CM1#{normalize_term(t1)}"]
     c2 = sources[1].concepts[f"CM2#{normalize_term(t2)}"]
-    score, evidence = semantic_similarity(c1, c2, od, sources)
-    flipped, _ = semantic_similarity(c2, c1, od, sources)
+    score, evidence = semantic_similarity(c1, c2, od, children_index(sources))
+    flipped, _ = semantic_similarity(c2, c1, od, children_index(sources))
     assert score == flipped
     if kind == "synonymy":
         assert score == 1 and evidence.kind == "od_synonymy"

@@ -31,6 +31,8 @@ from .model import (
     Ontology,
     Relation,
     Report,
+    expand_correspondences,
+    pair_space_of,
 )
 from .enrichment import enrich, find_direct_relation, infer_via_children, infer_via_equivalents
 from .evalgen import GroundTruth, ScenarioSpec, evaluate, generate_scenario
@@ -86,6 +88,7 @@ __all__ = [
     "component_to_ontology",
     "enrich",
     "evaluate",
+    "expand_correspondences",
     "export_dot",
     "find_direct_relation",
     "generate_scenario",
@@ -96,6 +99,7 @@ __all__ = [
     "merge",
     "normalize_term",
     "ontology_to_component",
+    "pair_space_of",
     "parse_component",
     "parse_ontology",
     "parse_report",

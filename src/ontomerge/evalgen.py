@@ -37,6 +37,7 @@ from .model import (
     Relation,
     Report,
     as_fraction,
+    pair_rows,
 )
 from .model_io import _dumps, _load_document
 
@@ -246,8 +247,16 @@ def generate_scenario(
 
 
 def evaluate(report: Report, truth: GroundTruth) -> dict:
-    """Per-class precision/recall/F1 for Synonym and Homonym, plus macro F1."""
-    predicted = {corr.pair: corr.verdict for corr in report.correspondences}
+    """Per-class precision/recall/F1 for Synonym and Homonym, plus macro F1.
+
+    Reads every pair of the report through ``pair_rows``, so a sparse
+    report's unlisted pairs count as Distinct.
+    """
+    predicted = {
+        (c1, c2): "Distinct" if corr is None else corr.verdict
+        for c1, _, partners, cells in pair_rows(report)
+        for c2, corr in zip(partners, cells)
+    }
     if set(predicted) != set(truth.verdicts):
         missing = sorted(set(truth.verdicts) - set(predicted))[:3]
         extra = sorted(set(predicted) - set(truth.verdicts))[:3]
@@ -305,13 +314,14 @@ def parse_truth(path) -> GroundTruth:
     if not isinstance(document, dict) or document.get("format_version") != 1:
         raise SchemaViolation(f"{path}: expected a ground-truth document, format_version 1")
     try:
-        verdicts = {
-            (entry["c1"], entry["c2"]): entry["verdict"]
-            for entry in document["pairs"]
-        }
-        for verdict in verdicts.values():
+        verdicts: dict[tuple[str, str], str] = {}
+        for entry in document["pairs"]:
+            pair, verdict = (entry["c1"], entry["c2"]), entry["verdict"]
             if verdict not in VERDICTS:
                 raise SchemaViolation(f"{path}: unknown ground-truth verdict {verdict!r}")
+            if pair in verdicts:
+                raise SchemaViolation(f"{path}: ground-truth pair {pair} is listed twice")
+            verdicts[pair] = verdict
         planted = tuple(
             PlantedRelation(
                 t1=entry["t1"],

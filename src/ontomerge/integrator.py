@@ -1,11 +1,12 @@
 """Drive the integration pipeline.
 
 Steps: derive one ontology per component, score every cross-component
-concept pair against the support ontology (triggering enrichment where it
-helps), classify verdicts, cluster synonym/identical concepts with
-union-find, merge clusters into one result ontology, and convert that
-back into a component.  Everything is sequential and deterministic:
-fixed inputs give byte-identical serialized outputs.
+concept pair that can be other than Distinct against the support
+ontology (triggering enrichment where it helps), classify verdicts,
+cluster synonym/identical concepts with union-find, merge clusters into
+one result ontology, and convert that back into a component.  Everything
+is sequential and deterministic: fixed inputs give byte-identical
+serialized outputs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .model import (
     Ontology,
     Report,
     as_fraction,
+    pair_space_of,
 )
 from .similarity import children_index, semantic_similarity
 from .terms import normalize_term
@@ -43,11 +45,24 @@ def align(
     tau: Fraction | float | int = DEFAULT_TAU,
     warnings: Optional[list[str]] = None,
 ) -> tuple[list[Correspondence], Ontology, list[EnrichmentRecord]]:
-    """Score all cross-source concept pairs and classify them.
+    """Score the cross-source concept pairs that can be other than Distinct.
 
-    Pairs are evaluated in sorted (source id, concept id) order.  The
-    given support ontology is copied; enrichment commits land on the copy,
-    which is returned.  Verdicts:
+    Returns only the scored pairs: those whose concepts share a key, or
+    whose keys both occur in the support ontology, or which are
+    composites of equal arity.  Every other pair of the sources is
+    exactly (0, syntactic, Distinct), as ``semantic_similarity`` would
+    score it: its flat syntactic score is 0, and with one term absent
+    from the support ontology no lookup or enrichment runs.  Enrichment
+    never adds a term to the support ontology (it runs only on two
+    present terms and at most adds a second endpoint for one of them),
+    so the candidates can be drawn from the input's terms.  The full
+    list is the expansion of the returned one over
+    ``pair_space_of(sources)`` (see ``model.pair_rows``).
+
+    Pairs are scored in sorted (source id, concept id) order, source
+    pair by source pair, as a scan of every pair would meet them.  The
+    given support ontology is copied; enrichment commits land on the
+    copy, which is returned.  Verdicts:
 
     * score 1 via a support-ontology or enriched synonymy -> Synonym;
     * score 0 via homonymy with equal terms -> Homonym (unequal terms are
@@ -84,10 +99,11 @@ def align(
     correspondences: list[Correspondence] = []
     memo: dict[tuple[str, str], Fraction] = {}
     items = [sorted(source.concepts.items()) for source in ordered]
+    blocks = [_Candidates(source_items, od) for source_items in items]
     for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
+        for later in blocks[i + 1:]:
             for cid1, c1 in items[i]:
-                for cid2, c2 in items[j]:
+                for cid2, c2 in later.against(c1, od.term_present(c1.key)):
                     score, evidence = semantic_similarity(
                         c1, c2, enriched_od, kids, enrich=hook, memo=memo
                     )
@@ -104,6 +120,43 @@ def align(
                         )
                     )
     return correspondences, enriched_od, records
+
+
+class _Candidates:
+    """One source's concepts indexed by what makes a pair worth scoring.
+
+    ``by_key`` maps a key to its concepts, ``by_arity`` a child count to
+    its composites, and ``known`` lists the concepts whose key the
+    support ontology holds; each list is sorted by concept id.
+    """
+
+    def __init__(self, items: list[tuple[str, Concept]], od: Ontology):
+        self.by_key: dict[str, list[tuple[str, Concept]]] = {}
+        self.by_arity: dict[int, list[tuple[str, Concept]]] = {}
+        self.known: list[tuple[str, Concept]] = []
+        for item in items:
+            concept = item[1]
+            self.by_key.setdefault(concept.key, []).append(item)
+            if concept.children:
+                self.by_arity.setdefault(len(concept.children), []).append(item)
+            if od.term_present(concept.key):
+                self.known.append(item)
+
+    def against(self, concept: Concept, known: bool) -> Sequence[tuple[str, Concept]]:
+        """The (id, concept) items to score ``concept`` against, by id.
+
+        ``known`` says whether the support ontology holds its key; then
+        every same-key concept is among ``self.known`` already.
+        """
+        base = self.known if known else self.by_key.get(concept.key, ())
+        composites = self.by_arity.get(len(concept.children), ())  # no key 0
+        if not composites:
+            return base
+        if not base:
+            return composites
+        union = dict(base)
+        union.update(composites)
+        return sorted(union.items())
 
 
 def _classify(c1: Concept, c2: Concept, score: Fraction, kind: str, tau: Fraction) -> str:
@@ -238,7 +291,7 @@ def merge(
         _cluster_display(members, member_concept, od, homonym_endpoints, owner_id)
         for members in partition
     ]
-    _disambiguate_displays(displays, partition, owner_id, sink)
+    _disambiguate_displays(displays, partition, member_concept, owner_id, sink)
 
     merged_id_of: dict[str, str] = {}
     cluster_ids = []
@@ -342,10 +395,18 @@ def _cluster_display(
 def _disambiguate_displays(
     displays: list[str],
     partition: Sequence[tuple[str, ...]],
+    member_concept: dict[str, Concept],
     owner_id: dict[str, str],
     sink: list[str],
 ) -> None:
-    """Suffix colliding display terms with their source id (in place)."""
+    """Suffix colliding display terms with a source id (in place).
+
+    The suffix is the smallest source id among the cluster's members
+    whose key is the display's key.  A source holds one concept per key,
+    so two clusters sharing a display get different suffixes.  A display
+    no member bears (a homonym's "<term> (<source id>)") falls back to
+    the source of the first member.
+    """
     groups: dict[str, list[int]] = {}
     for index, display in enumerate(displays):
         groups.setdefault(normalize_term(display), []).append(index)
@@ -353,7 +414,11 @@ def _disambiguate_displays(
         if len(indexes) < 2:
             continue
         for index in indexes:
-            owner = owner_id[partition[index][0]]
+            members = partition[index]
+            owner = min(
+                (owner_id[m] for m in members if member_concept[m].key == key),
+                default=owner_id[members[0]],
+            )
             sink.append(
                 f"display term {key!r} used by several clusters; suffixing with "
                 f"source id {owner!r}"
@@ -373,7 +438,9 @@ def integrate(
     Components with colliding ids are kept by suffixing each later
     duplicate with the smallest free ~2, ~3, ... (free: no input id and no
     earlier rename), so a result component can be re-integrated against a
-    copy of itself.  Outputs are reusable as future inputs.
+    copy of itself.  Outputs are reusable as future inputs.  The report
+    is sparse: it lists the scored pairs, and its ``pair_space`` stands
+    for the Distinct rest.
     """
     if len(components) < 2:
         raise SchemaViolation("integration needs at least two components")
@@ -406,4 +473,5 @@ def integrate(
         merged_id=merged_id,
     )
     merged_component = ontology_to_component(result.merged, name=merged_name)
-    return merged_component, enriched_od, result.report
+    report = replace(result.report, pair_space=pair_space_of(sources))
+    return merged_component, enriched_od, report

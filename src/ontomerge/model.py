@@ -12,7 +12,9 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import SchemaViolation
 from .terms import name_sort_key, normalize_term
@@ -436,6 +438,10 @@ class Evidence:
             )
 
 
+# The evidence of every syntactic score; it carries no relations.
+SYNTACTIC = Evidence(kind="syntactic")
+
+
 @dataclass(frozen=True)
 class Correspondence:
     """The verdict on one cross-component concept pair."""
@@ -512,12 +518,21 @@ class Cluster:
 
 @dataclass
 class Report:
-    """Everything the pipeline found: verdicts, injections, clusters, warnings."""
+    """Everything the pipeline found: verdicts, injections, clusters, warnings.
+
+    ``pair_space`` holds the sorted concept ids of each source, sources in
+    id order.  When it is set, the report is sparse: a cross-source pair
+    of that space (c1 from an earlier source, c2 from a later one) that
+    ``correspondences`` leaves out is (0, syntactic, Distinct).  When it
+    is empty, as in a report read from a file, ``correspondences`` names
+    every pair.  ``pair_rows`` walks both forms in the same order.
+    """
 
     correspondences: list[Correspondence] = field(default_factory=list)
     enrichments: list[EnrichmentRecord] = field(default_factory=list)
     clusters: list[Cluster] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    pair_space: tuple[tuple[str, ...], ...] = ()
 
     def validate(self, concept_ids: Iterable[str]) -> None:
         """Every given concept must appear in exactly one cluster."""
@@ -532,6 +547,99 @@ class Report:
         doubled = sorted(cid for cid, n in placed.items() if n > 1)
         if doubled:
             raise SchemaViolation(f"concepts appear in several clusters: {doubled}")
+
+
+def pair_space_of(sources: Iterable[Ontology]) -> tuple[tuple[str, ...], ...]:
+    """The ``Report.pair_space`` of ``sources``: sorted concept ids, sources by id."""
+    ordered = sorted(sources, key=lambda o: o.id)
+    return tuple(tuple(sorted(source.concepts)) for source in ordered)
+
+
+_C2 = attrgetter("c2")
+
+
+def pair_rows(
+    report: Report,
+) -> Iterator[tuple[str, Optional[int], Sequence[str], Sequence[Optional[Correspondence]]]]:
+    """Every pair of ``report``, one row per c1, in global (c1, c2) string order.
+
+    A row is (c1, side, partners, cells): ``partners`` are the row's c2 ids
+    in string order and ``cells[k]`` is the listed correspondence of
+    (c1, partners[k]), or None for a pair that a sparse report leaves out
+    as (0, syntactic, Distinct).  In a sparse report ``side`` is the index
+    of c1's source in ``pair_space`` and every row of one side shares one
+    ``partners`` tuple: all concept ids of the later sources, merged.
+    Concept ids order rows across sources ("CM 2#x" < "CM#x").  In an
+    explicit report ``side`` is None and each row lists its own pairs.
+
+    Raises SchemaViolation for a pair listed twice and, in a sparse
+    report, for a pair outside the pair space or one that points from a
+    later source to an earlier one.  Nothing listed is dropped.
+    """
+    scored = sorted(report.correspondences, key=attrgetter("c1", "c2"))
+    space = report.pair_space
+    if not space:
+        for c1, group in groupby(scored, key=attrgetter("c1")):
+            row = list(group)
+            partners = [corr.c2 for corr in row]
+            for c2, following in zip(partners, partners[1:]):
+                if c2 == following:
+                    raise SchemaViolation(f"pair ({c1}, {c2}) is listed twice")
+            yield c1, None, partners, row
+        return
+
+    side_of = {cid: side for side, ids in enumerate(space) for cid in ids}
+    partners: list[tuple[str, ...]] = [()] * len(space)
+    for side in range(len(space) - 2, -1, -1):
+        partners[side] = tuple(sorted(partners[side + 1] + space[side + 1]))
+    blanks = [(None,) * len(ids) for ids in partners]
+    where: dict[int, dict[str, int]] = {}
+    listed_rows = groupby(scored, key=attrgetter("c1"))
+    pending = next(listed_rows, None)
+    for c1 in sorted(cid for ids in space[:-1] for cid in ids):
+        side = side_of[c1]
+        cells: Sequence[Optional[Correspondence]] = blanks[side]
+        if pending is not None and pending[0] <= c1:
+            if pending[0] != c1:
+                raise _stray_pair(next(pending[1]), side_of)
+            listed = list(pending[1])
+            pending = next(listed_rows, None)
+            if tuple(map(_C2, listed)) == partners[side]:
+                cells = listed  # the row lists every pair
+            else:
+                if side not in where:
+                    where[side] = {cid: k for k, cid in enumerate(partners[side])}
+                index = where[side]
+                cells = list(cells)
+                for corr in listed:
+                    k = index.get(corr.c2)
+                    if k is None:
+                        raise _stray_pair(corr, side_of)
+                    if cells[k] is not None:
+                        raise SchemaViolation(f"pair ({c1}, {corr.c2}) is listed twice")
+                    cells[k] = corr
+        yield c1, side, partners[side], cells
+    if pending is not None:
+        raise _stray_pair(next(pending[1]), side_of)
+
+
+def _stray_pair(corr: Correspondence, side_of: dict[str, int]) -> SchemaViolation:
+    sides = side_of.get(corr.c1), side_of.get(corr.c2)
+    if None in sides:
+        return SchemaViolation(f"pair {corr.pair} lies outside the report's pair space")
+    return SchemaViolation(
+        f"pair {corr.pair} does not point from an earlier source to a later one"
+    )
+
+
+def expand_correspondences(report: Report) -> list[Correspondence]:
+    """Every pair of ``report`` as a Correspondence, in (c1, c2) order."""
+    zero = Fraction(0)
+    return [
+        Correspondence(c1, c2, zero, "Distinct", SYNTACTIC) if corr is None else corr
+        for c1, _, partners, cells in pair_rows(report)
+        for c2, corr in zip(partners, cells)
+    ]
 
 
 class MappingEntry(NamedTuple):

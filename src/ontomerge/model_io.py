@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring
-from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -59,6 +58,8 @@ from .model import (
     Ontology,
     Relation,
     Report,
+    SYNTACTIC,
+    pair_rows,
 )
 
 FORMAT_VERSION = 1
@@ -315,30 +316,54 @@ def _dumps_nested(value: Any, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
-def _correspondence_list(correspondences: list[Correspondence]) -> str:
-    if not correspondences:
-        return "[]"
+def _correspondence_tail(evidence: Evidence, score: Fraction, verdict: str) -> str:
+    rendered = {
+        "kind": evidence.kind,
+        "relations_used": [r.to_dict() for r in evidence.relations_used],
+    }
+    return _CORRESPONDENCE_TAIL.format(
+        _dumps_nested(rendered, 3),
+        encode_basestring(str(score)),
+        encode_basestring(verdict),
+    )
+
+
+def _correspondence_list(report: Report) -> str:
     tails: dict[tuple[Evidence, int, int, str], str] = {}
+    trivial_tail = _correspondence_tail(SYNTACTIC, Fraction(0), "Distinct")
+    # per side of a sparse report: each partner's encoded id, and the same
+    # followed by the tail of an unlisted pair (built for the first row
+    # that lists none of its pairs)
+    encoded: dict[int, list[str]] = {}
+    unlisted: dict[int, list[str]] = {}
     items = []
-    c1 = None
-    for corr in sorted(correspondences, key=attrgetter("c1", "c2")):
-        if corr.c1 != c1:
-            c1 = corr.c1
-            head = _CORRESPONDENCE_HEAD.format(encode_basestring(c1))
-        evidence, score = corr.evidence, corr.score
-        key = (evidence, score.numerator, score.denominator, corr.verdict)
-        tail = tails.get(key)
-        if tail is None:
-            rendered = {
-                "kind": evidence.kind,
-                "relations_used": [r.to_dict() for r in evidence.relations_used],
-            }
-            tail = tails[key] = _CORRESPONDENCE_TAIL.format(
-                _dumps_nested(rendered, 3),
-                encode_basestring(str(score)),
-                encode_basestring(corr.verdict),
-            )
-        items.append(head + encode_basestring(corr.c2) + tail)
+    for c1, side, partners, cells in pair_rows(report):
+        head = _CORRESPONDENCE_HEAD.format(encode_basestring(c1))
+        if side is None:
+            ids = [encode_basestring(c2) for c2 in partners]
+        elif not any(cells):
+            if side not in unlisted:
+                unlisted[side] = [
+                    encode_basestring(c2) + trivial_tail for c2 in partners
+                ]
+            items += [head + entry for entry in unlisted[side]]
+            continue
+        elif side in encoded:
+            ids = encoded[side]
+        else:
+            ids = encoded[side] = [encode_basestring(c2) for c2 in partners]
+        for c2, corr in zip(ids, cells):
+            if corr is None:
+                items.append(head + c2 + trivial_tail)
+                continue
+            score = corr.score
+            key = (corr.evidence, score.numerator, score.denominator, corr.verdict)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = _correspondence_tail(corr.evidence, score, corr.verdict)
+            items.append(head + c2 + tail)
+    if not items:
+        return "[]"
     return "[\n" + ",\n".join(items) + "\n  ]"
 
 
@@ -347,15 +372,20 @@ def serialize_report(report: Report) -> bytes:
 
     Scores are exact fraction strings; every list is sorted by its
     primary key.  The bytes are those ``_dumps`` gives for the report as
-    one dict, but the correspondence list, one entry per scored pair, is
-    written from a fixed template: strings go through the encoder
-    ``json.dumps(ensure_ascii=False)`` uses, the head of an entry is
-    rendered once per ``c1`` and its tail once per distinct (evidence,
-    score, verdict), so a pair costs one encoded ``c2``.  The other
-    top-level values are rendered by ``json.dumps`` and placed by their
-    position among the sorted keys.
-    ``tests/test_model_io.py`` keeps the plain ``_dumps`` rendering as the
-    oracle for these bytes.
+    one dict whose correspondence list names every pair, in (c1, c2)
+    order: a sparse report (``Report.pair_space`` set) gets its unlisted
+    pairs written as (0, syntactic, Distinct) entries, so v1 files list
+    every pair either way.  That list is written from a fixed template
+    while ``model.pair_rows`` walks the pairs: strings go through the
+    encoder ``json.dumps(ensure_ascii=False)`` uses, the head of an entry
+    is rendered once per ``c1``, the tail once per distinct (evidence,
+    score, verdict), and each partner id once per source, also joined to
+    the constant tail of an unlisted pair: a row that lists none of its
+    pairs costs one concatenation per pair.
+    The other top-level values are rendered by ``json.dumps`` and placed
+    by their position among the sorted keys.  ``tests/test_model_io.py``
+    keeps the plain ``_dumps`` rendering as the oracle for these bytes.
+    Raises SchemaViolation where ``pair_rows`` does.
     """
     fields: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
@@ -384,7 +414,7 @@ def serialize_report(report: Report) -> bytes:
     members = []
     for key in sorted([*fields, "correspondences"]):
         if key == "correspondences":
-            value = _correspondence_list(report.correspondences)
+            value = _correspondence_list(report)
         else:
             value = _dumps_nested(fields[key], 1)
         members.append(f"  {encode_basestring(key)}: {value}")
@@ -392,11 +422,16 @@ def serialize_report(report: Report) -> bytes:
 
 
 def parse_report(path) -> Report:
-    """Read a report document back into memory (the serializer's inverse)."""
+    """Read a report document back into memory (the serializer's inverse).
+
+    The result is explicit (empty ``pair_space``): its correspondences
+    are every pair the file lists, and a pair listed twice is rejected.
+    """
     doc = _load_document(path)
     context = str(path)
     _check_version(doc, context)
     correspondences = []
+    pairs: set[tuple[str, str]] = set()
     for index, raw in enumerate(_get(doc, "correspondences", list, context)):
         cctx = f"{context}: correspondences[{index}]"
         _expect(isinstance(raw, dict), cctx, "correspondence must be an object")
@@ -422,6 +457,9 @@ def parse_report(path) -> Report:
                 ),
             )
         )
+        pair = correspondences[-1].pair
+        _expect(pair not in pairs, cctx, f"pair {pair} is listed twice")
+        pairs.add(pair)
     enrichments = []
     for index, raw in enumerate(_get(doc, "enrichments", list, context, default=[])):
         ectx = f"{context}: enrichments[{index}]"

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from .errors import SchemaViolation
 from .matching import max_weight_assignment
-from .model import Concept, Evidence, Ontology, Relation
+from .model import SYNTACTIC, Concept, Evidence, Ontology, Relation
 from .terms import normalize_term
 
 __all__ = [
@@ -47,8 +47,6 @@ ChildrenIndex = dict[str, tuple[Concept, ...]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# The evidence of every syntactic score; it carries no relations.
-SYNTACTIC = Evidence(kind="syntactic")
 
 
 def children_index(ontologies: list[Ontology]) -> ChildrenIndex:

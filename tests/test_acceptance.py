@@ -23,6 +23,7 @@ from ontomerge import (
     component_to_ontology,
     enrich,
     evaluate,
+    expand_correspondences,
     generate_scenario,
     integrate,
     ontology_to_component,
@@ -54,7 +55,7 @@ def test_criterion_1_canonical_scenario():
         [make_cm1(), make_cm2()], make_support_ontology()
     )
     elapsed = time.perf_counter() - started
-    verdicts = {c.pair: c.verdict for c in report.correspondences}
+    verdicts = {c.pair: c.verdict for c in expand_correspondences(report)}
     assert verdicts[("CM1#service", "CM2#prestation")] == "Synonym"
     assert verdicts[("CM1#service", "CM2#service")] == "Homonym"
     assert verdicts[("CM1#compagnie", "CM2#cabinet")] == "Synonym"

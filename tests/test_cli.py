@@ -336,6 +336,57 @@ def test_bad_truth_verdict_is_schema_error(tmp_path, capsys, verdict):
     assert "internal error" not in err
 
 
+def _generated_run(tmp_path):
+    """A generated scenario integrated by the CLI: (report path, truth path)."""
+    data, out = tmp_path / "scenario", tmp_path / "run"
+    assert main([
+        "gen", "--out-dir", str(data), "--concepts", "12",
+        "--synonym-pairs", "3", "--homonym-pairs", "0", "--od-coverage", "1", "--seed", "2",
+    ]) == 0
+    out.mkdir()
+    assert main([
+        "integrate",
+        "--component", str(data / "cm1.json"),
+        "--component", str(data / "cm2.json"),
+        "--ontology", str(data / "od.json"),
+        "--out-component", str(out / "cmr.json"),
+        "--out-ontology", str(out / "od2.json"),
+        "--report", str(out / "report.json"),
+    ]) == 0
+    return out / "report.json", data / "truth.json"
+
+
+def test_duplicate_report_pair_is_schema_error(tmp_path, capsys):
+    report_path, truth_path = _generated_run(tmp_path)
+    document = json.loads(report_path.read_bytes())
+    synonym = next(c for c in document["correspondences"] if c["verdict"] == "Synonym")
+    document["correspondences"].append({
+        **synonym, "score": "0", "verdict": "Distinct",
+        "evidence": {"kind": "syntactic", "relations_used": []},
+    })
+    report_path.write_text(json.dumps(document), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["eval", "--report", str(report_path), "--truth", str(truth_path)])
+    assert code == 2  # the second copy used to win: exit 0, macro_f1 below 1
+    err = capsys.readouterr().err
+    assert "is listed twice" in err
+    assert "internal error" not in err
+
+
+def test_duplicate_truth_pair_is_schema_error(tmp_path, capsys):
+    report_path, truth_path = _generated_run(tmp_path)
+    document = json.loads(truth_path.read_bytes())
+    synonym = next(p for p in document["pairs"] if p["verdict"] == "Synonym")
+    document["pairs"].append({**synonym, "verdict": "Distinct"})
+    truth_path.write_text(json.dumps(document), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["eval", "--report", str(report_path), "--truth", str(truth_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "is listed twice" in err
+    assert "internal error" not in err
+
+
 def test_unexpected_failure_is_internal_error(tmp_path, scenario_files, capsys, monkeypatch):
     import ontomerge.cli as cli_module
 

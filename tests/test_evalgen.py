@@ -11,6 +11,7 @@ from ontomerge import (
     ScenarioMismatch,
     ScenarioSpec,
     evaluate,
+    expand_correspondences,
     generate_scenario,
     integrate,
     serialize_component,
@@ -100,7 +101,7 @@ def test_missing_synonym_lowers_recall():
     # downgrade one detected synonym to Distinct
     damaged = []
     dropped = False
-    for corr in report.correspondences:
+    for corr in expand_correspondences(report):
         if corr.verdict == "Synonym" and not dropped:
             dropped = True
             from ontomerge import Correspondence, Evidence

@@ -14,13 +14,16 @@ from ontomerge import (
     Concept,
     Ontology,
     Relation,
+    Report,
     ScenarioSpec,
     SchemaViolation,
     align,
     component_to_ontology,
+    expand_correspondences,
     find_direct_relation,
     generate_scenario,
     lookup_relations,
+    pair_space_of,
 )
 from ontomerge.enrichment import _equivalence_partners, _first_relation
 from ontomerge.terms import normalize_term
@@ -230,5 +233,6 @@ def test_align_normalizes_per_concept_not_per_pair(monkeypatch):
     assert {r.case for r in records} == {
         "inferred_case1", "inferred_case2", "inferred_case3"
     }
-    assert len(correspondences) > 10 * size
+    full = expand_correspondences(Report(correspondences, pair_space=pair_space_of(sources)))
+    assert len(full) > 10 * size
     assert calls[0] <= 2 * size

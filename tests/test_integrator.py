@@ -20,12 +20,15 @@ from ontomerge import (
     IntegrationError,
     Ontology,
     Relation,
+    Report,
     SchemaViolation,
     align,
     build_clusters,
     component_to_ontology,
+    expand_correspondences,
     integrate,
     merge,
+    pair_space_of,
     serialize_component,
     serialize_ontology,
     serialize_report,
@@ -70,6 +73,9 @@ def test_two_lonely_concepts_are_distinct():
         ),
     ]
     correspondences, _, _ = align(sources, Ontology("Od"))
+    correspondences = expand_correspondences(
+        Report(correspondences, pair_space=pair_space_of(sources))
+    )
     assert [c.verdict for c in correspondences] == ["Distinct"]
 
 
@@ -306,6 +312,28 @@ def test_homonym_clusters_get_source_suffixes(cm1, cm2, support_od):
     names = {e.name for e in merged.entities}
     assert "Service (CM1)" in names
     assert "Service (CM2)" in names
+
+
+def test_colliding_displays_are_suffixed_by_a_member_bearing_the_display():
+    # Case 3 infers synonymy(bêta, alpha) from the composites' shared child,
+    # so both clusters hold CM1 members and both are displayed "alpha".
+    # Suffixing with the first member's source gave "alpha (CM1)" twice.
+    def component(cid, entities):
+        return BusinessComponent(id=cid, name=cid, entities=tuple(
+            Entity(name=name, components=children) for name, children in entities
+        ))
+
+    components = [
+        component("CM1", [("alpha", ()), ("bêta", ("delta",)), ("delta", ())]),
+        component("CM2", [("alpha", ())]),
+        component("CM3", [("alpha", ("delta",)), ("bêta", ()), ("delta", ())]),
+    ]
+    od = Ontology("Od", concepts=[Concept(id=f"Od#{t}", term=t) for t in ("alpha", "bêta")])
+    merged, _, report = integrate(components, od)
+    assert sorted(e.name for e in merged.entities) == ["alpha (CM1)", "alpha (CM3)", "delta"]
+    assert {cl.term: cl.members for cl in report.clusters}["alpha (CM3)"] == (
+        "CM1#bêta", "CM3#alpha",
+    )
 
 
 def test_all_singletons_is_disjoint_union():

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,10 @@ from ontomerge import (
     Relation,
     Report,
     SchemaViolation,
+    expand_correspondences,
+    component_to_ontology,
     export_dot,
+    pair_space_of,
     parse_component,
     parse_ontology,
     parse_report,
@@ -309,7 +313,29 @@ def test_report_clusters_round_trip_in_memory_order(tmp_path):
     _, _, report = integrate(components, Ontology("Od"))
     assert [cl.term for cl in report.clusters] == ["Banana", "apple", "cherry"]
     path = _write(tmp_path, "report.json", serialize_report(report))
-    assert parse_report(path) == report
+    explicit = replace(report, correspondences=expand_correspondences(report), pair_space=())
+    assert parse_report(path) == explicit
+
+
+def naive_full_list(report):
+    """Every pair a report stands for, sorted by pair.
+
+    A sparse report's space is walked source pair by source pair, and each
+    pair it does not list is filled in as (0, syntactic, Distinct).
+    """
+    if not report.pair_space:
+        return sorted(report.correspondences, key=lambda c: c.pair)
+    scored = {c.pair: c for c in report.correspondences}
+    assert len(scored) == len(report.correspondences)
+    full = []
+    for i, left in enumerate(report.pair_space):
+        for right in report.pair_space[i + 1:]:
+            for c1 in left:
+                for c2 in right:
+                    trivial = Correspondence(c1, c2, Fraction(0), "Distinct", Evidence("syntactic"))
+                    full.append(scored.pop((c1, c2), trivial))
+    assert not scored
+    return sorted(full, key=lambda c: c.pair)
 
 
 def _dumps_report_oracle(report):
@@ -330,7 +356,7 @@ def _dumps_report_oracle(report):
                         ],
                     },
                 }
-                for corr in sorted(report.correspondences, key=lambda c: c.pair)
+                for corr in naive_full_list(report)
             ],
             "enrichments": [
                 {
@@ -390,11 +416,11 @@ evidences = st.sampled_from(sorted(VERDICTS_OF_KIND)).flatmap(
 
 
 @st.composite
-def correspondences(draw, c1s, evidence):
+def correspondences(draw, c1s, evidence, c2s=ids):
     chosen = draw(evidence)
     verdict, score = draw(st.sampled_from(VERDICTS_OF_KIND[chosen.kind]))
     return Correspondence(
-        c1=draw(c1s), c2=draw(ids),
+        c1=draw(c1s), c2=draw(c2s),
         score=draw(fractions01) if score is None else Fraction(score),
         verdict=verdict, evidence=chosen,
     )
@@ -422,7 +448,10 @@ def reports(draw):
     shared = st.sampled_from(draw(st.lists(evidences, min_size=1, max_size=3)))
     return Report(
         correspondences=sorted(
-            draw(st.lists(correspondences(c1s, shared), max_size=8)), key=lambda c: c.pair
+            draw(st.lists(
+                correspondences(c1s, shared), max_size=8, unique_by=lambda c: c.pair
+            )),
+            key=lambda c: c.pair,
         ),
         enrichments=sorted(
             draw(st.lists(records, max_size=3)), key=lambda r: (r.pair, r.injected)
@@ -452,6 +481,108 @@ def test_report_writer_matches_dumps_oracle(report):
         path = Path(tmp) / "report.json"
         path.write_bytes(payload)
         assert parse_report(path) == report
+
+
+# Source ids whose concept ids interleave: "CM 2#x" < "CM!#x" < "CM#x".
+SOURCE_IDS = ["CM", "CM 2", "CM!", "CM#a"]
+
+
+@st.composite
+def sparse_reports(draw):
+    """A sparse report: a pair space over 2-3 sources and some of its pairs."""
+    source_ids = sorted(draw(st.lists(
+        st.sampled_from(SOURCE_IDS), min_size=2, max_size=3, unique=True
+    )))
+    seen = set()
+    space = []
+    for source_id in source_ids:
+        concept_ids = {f"{source_id}#{name}" for name in draw(st.lists(names, max_size=4))}
+        space.append(tuple(sorted(concept_ids - seen)))  # unique across sources
+        seen |= concept_ids
+    pairs = [
+        (c1, c2)
+        for i, left in enumerate(space)
+        for right in space[i + 1:]
+        for c1 in left
+        for c2 in right
+    ]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    shared = st.sampled_from(draw(st.lists(evidences, min_size=1, max_size=3)))
+    return Report(
+        correspondences=[
+            draw(correspondences(st.just(c1), shared, st.just(c2))) for c1, c2 in chosen
+        ],
+        warnings=sorted(draw(st.lists(ids, max_size=2))),
+        pair_space=tuple(space),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_reports())
+def test_sparse_report_writer_matches_dumps_oracle(report):
+    payload = serialize_report(report)
+    assert payload == _dumps_report_oracle(report)
+    assert expand_correspondences(report) == naive_full_list(report)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        path.write_bytes(payload)
+        parsed = parse_report(path)
+    assert parsed == replace(report, correspondences=naive_full_list(report), pair_space=())
+
+
+def test_integrate_report_bytes_with_interleaved_source_ids():
+    od = Ontology("Od", concepts=[
+        Concept(id=f"Od#{term}", term=term) for term in ("service", "prestation", "client")
+    ], relations=[Relation("Od#prestation", "Od#service", "synonymy")])
+    entities = [
+        Entity(name="Service", components=("Client", "Contrat")),
+        Entity(name="Client"),
+        Entity(name="Contrat"),
+    ]
+    components = [
+        BusinessComponent(id="CM", name="a", entities=(*entities, Entity(name="Agence"))),
+        BusinessComponent(id="CM 2", name="b", entities=(
+            Entity(name="Prestation", components=("Client", "Dossier")),
+            Entity(name="Client"),
+            Entity(name="Dossier"),
+            Entity(name="Guichet"),
+        )),
+        BusinessComponent(id="CM!", name="c", entities=(
+            Entity(name="Offre", components=("Client", "Contrat")),
+            Entity(name="Client"),
+            Entity(name="Contrat"),
+        )),
+    ]
+    _, _, report = integrate(components, od)
+    assert report.pair_space == pair_space_of(
+        component_to_ontology(c) for c in components
+    )
+    full = naive_full_list(report)
+    assert len(report.correspondences) < len(full) == 4 * 4 + 4 * 3 + 4 * 3
+    assert [c.pair for c in full][:2] == [("CM 2#client", "CM!#client"),
+                                           ("CM 2#client", "CM!#contrat")]
+    assert serialize_report(report) == _dumps_report_oracle(report)
+
+
+_TRIVIAL = Correspondence("CM#a", "CM 2#b", Fraction(0), "Distinct", Evidence("syntactic"))
+
+
+@pytest.mark.parametrize("pair, message", [
+    (("CM#a", "CM 2#b"), "listed twice"),
+    (("CM#a", "CM 2#zz"), "outside the report's pair space"),
+    (("CM#zz", "CM 2#b"), "outside the report's pair space"),
+    (("CM 2#b", "CM#a"), "does not point from an earlier source to a later one"),
+    (("CM#a", "CM#c"), "does not point from an earlier source to a later one"),
+], ids=["duplicate", "unknown-c2", "unknown-c1", "backward", "same-source"])
+def test_sparse_report_rejects_stray_pairs(pair, message):
+    stray = replace(_TRIVIAL, c1=pair[0], c2=pair[1])
+    report = Report(
+        correspondences=[_TRIVIAL, stray],
+        pair_space=(("CM#a", "CM#c"), ("CM 2#b",)),
+    )
+    for consume in (serialize_report, expand_correspondences):
+        with pytest.raises(SchemaViolation, match=message):
+            consume(report)
 
 
 def test_metadata_survives_ontology_round_trip(tmp_path, cm1):

@@ -11,6 +11,7 @@ re-sorting and the composite re-scoring from coming back.
 
 import sys
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 from hypothesis import example, given, settings
@@ -24,13 +25,18 @@ from ontomerge import (
     Evidence,
     Ontology,
     Relation,
+    Report,
     ScenarioSpec,
     align,
     children_index,
     component_to_ontology,
     enrich,
+    expand_correspondences,
     generate_scenario,
+    integrate,
     lookup_relations,
+    pair_space_of,
+    semantic_similarity,
     serialize_component,
     serialize_ontology,
     syntactic_similarity,
@@ -219,10 +225,34 @@ def test_align_matches_naive_per_pair_path(inputs):
     fast_warnings, naive_warnings = [], []
     fast = align(sources, od, tau, warnings=fast_warnings)
     naive = naive_align(sources, od, tau, naive_warnings)
-    assert fast[0] == naive[0]
+    space = pair_space_of(sources)
+    assert expand_correspondences(Report(fast[0], pair_space=space)) == sorted(
+        naive[0], key=attrgetter("c1", "c2")
+    )
+    scored = {c.pair for c in fast[0]}
+    assert fast[0] == [c for c in naive[0] if c.pair in scored]  # in scoring order
+    trivial = (Fraction(0), "Distinct", Evidence("syntactic"))
+    assert all(
+        (c.score, c.verdict, c.evidence) == trivial for c in naive[0] if c.pair not in scored
+    )
     assert fast[1] == naive[1]
     assert fast[2] == naive[2]
     assert fast_warnings == naive_warnings
+
+
+def _keys(ontology):
+    return {concept.key for concept in ontology.concepts.values()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(alignment_inputs())
+@example(_tied_children_inputs())
+def test_align_adds_no_term_to_the_support_ontology(inputs):
+    # the candidate pairs are drawn from the input's terms, so enrichment
+    # must never add one
+    sources, od, tau = inputs
+    _, enriched, _ = align(sources, od, tau)
+    assert _keys(enriched) == _keys(od)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +342,34 @@ def _count_concept_sorts(monkeypatch):
         if name.startswith("ontomerge"):
             monkeypatch.setattr(module, "sorted", counted, raising=False)
     return calls
+
+
+def _candidate_count(sources, od):
+    """Pairs with equal keys, two support-ontology keys or equal composite arity."""
+    known = _keys(od)
+    ordered = sorted(sources, key=lambda o: o.id)
+    count = 0
+    for i, left in enumerate(ordered):
+        for right in ordered[i + 1:]:
+            for c1 in left.concepts.values():
+                for c2 in right.concepts.values():
+                    count += (
+                        c1.key == c2.key
+                        or (c1.key in known and c2.key in known)
+                        or (bool(c1.children) and len(c1.children) == len(c2.children))
+                    )
+    return count
+
+
+def test_integrate_scores_only_candidate_pairs(monkeypatch):
+    components, od, truth = generate_scenario(ScenarioSpec(200, 4, 2, 1, rng_seed=5))
+    sources = [component_to_ontology(c) for c in components]
+    candidates = _candidate_count(sources, od)
+    calls = _count_calls(monkeypatch, semantic_similarity)
+    _, _, report = integrate(components, od)
+    assert 0 < calls[0] <= candidates
+    assert 50 * candidates < len(truth.verdicts)  # 10,000 pairs
+    assert len(report.correspondences) == calls[0]
 
 
 def test_integrate_sorts_each_child_list_once(tmp_path, monkeypatch):

@@ -26,15 +26,13 @@ from .model import (
     EnrichmentRecord,
     Entity,
     Evidence,
-    MappingEntry,
-    MergeResult,
     Ontology,
     Relation,
     Report,
     expand_correspondences,
     pair_space_of,
 )
-from .enrichment import enrich, find_direct_relation, infer_via_children, infer_via_equivalents
+from .enrichment import enrich, infer_via_children, infer_via_equivalents
 from .evalgen import GroundTruth, ScenarioSpec, evaluate, generate_scenario
 from .integrator import align, build_clusters, integrate, merge
 from .model_io import (
@@ -74,8 +72,6 @@ __all__ = [
     "InfeasibleSpec",
     "IntegrationError",
     "MalformedFile",
-    "MappingEntry",
-    "MergeResult",
     "Ontology",
     "Relation",
     "Report",
@@ -90,7 +86,6 @@ __all__ = [
     "evaluate",
     "expand_correspondences",
     "export_dot",
-    "find_direct_relation",
     "generate_scenario",
     "infer_via_children",
     "infer_via_equivalents",

@@ -1,19 +1,22 @@
 """Infer missing support-ontology relations from the component ontologies.
 
 When the support ontology has no relation for a concept pair, three cases
-are tried in order:
+are tried in order.  Each only looks for evidence and returns it:
 
 * case 1 - some single source ontology already declares a semantic
-  relation between the two terms; it is copied into the support ontology.
-* case 2 - each term has a declared equivalent in the sources and a
-  synonymy or homonymy relation bridges the two equivalents (in the
-  support ontology or any source); the bridge's kind is propagated to
-  the pair.
-* case 3 - both concepts are composites of the same arity whose children
-  can be perfectly paired through known synonymy/equivalence relations or
-  term equality (children read from ``similarity.children_index``); the
-  pair is inferred synonymous.
+  relation between the two terms (``_first_relation`` over the sources);
+  its kind is copied into the support ontology.
+* case 2 (``infer_via_equivalents``) - each term has a declared
+  equivalent in the sources and a synonymy or homonymy relation bridges
+  the two equivalents (in the support ontology or any source); the
+  bridge's kind is propagated to the pair.
+* case 3 (``infer_via_children``) - both concepts are composites of the
+  same arity whose children can be perfectly paired through known
+  synonymy/equivalence relations or term equality (children read from
+  ``similarity.children_index``); the pair is inferred synonymous.
 
+``enrich`` alone commits: it runs the idempotence and contradiction
+guard, resolves the endpoints once, and builds the ``EnrichmentRecord``.
 Enrichment only ever adds relations, never modifies or removes one, and
 refuses any injection that would make a pair carry both synonymy and
 homonymy.
@@ -24,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .matching import max_weight_assignment
-from .model import Concept, EnrichmentRecord, Ontology, Relation
+from .model import SEMANTIC_KINDS, Concept, EnrichmentRecord, Ontology, Relation
 from .similarity import ChildrenIndex, lookup_relations
 
 
@@ -84,17 +87,6 @@ def resolve_endpoints(od: Ontology, t1: str, t2: str) -> ResolvedEndpoints:
     return ResolvedEndpoints(a=a, b=b, create=tuple(create), notes=tuple(notes))
 
 
-def find_direct_relation(
-    t1: str, t2: str, sources: list[Ontology]
-) -> Optional[tuple[Relation, Ontology]]:
-    """First declared semantic relation between the two terms in one source."""
-    for source in sources:
-        relations = lookup_relations(source, t1, t2)
-        if relations:
-            return relations[0], source
-    return None
-
-
 def _equivalence_partners(
     term: str, sources: list[Ontology]
 ) -> list[tuple[str, Relation]]:
@@ -119,35 +111,22 @@ def _first_relation(
 
 
 def infer_via_equivalents(
-    t1: str,
-    t2: str,
-    sources: list[Ontology],
-    od: Ontology,
-    pair: Optional[tuple[str, str]] = None,
-) -> Optional[EnrichmentRecord]:
-    """Case 2: propagate a bridge relation between declared equivalents.
+    t1: str, t2: str, sources: list[Ontology], od: Ontology
+) -> Optional[tuple[str, tuple[Relation, ...]]]:
+    """Case 2: the kind of a bridge between declared equivalents, with evidence.
 
     Candidates are scanned lexicographically by (partner-of-t1 term,
-    partner-of-t2 term); the first pair with a bridge wins and the
-    bridge's kind is what gets injected.
+    partner-of-t2 term); the first pair with a bridge wins.  Returns the
+    bridge's kind, which is what gets injected, and the evidence
+    (equivalence of t1, equivalence of t2, bridge).
     """
     for s1, rel1 in _equivalence_partners(t1, sources):
         for s2, rel2 in _equivalence_partners(t2, sources):
             if rel2 == rel1:
                 continue  # each side needs its own equivalence edge
             bridge = _first_relation([od, *sources], s1, s2, ("synonymy", "homonymy"))
-            if bridge is None:
-                continue
-            resolved = resolve_endpoints(od, t1, t2)
-            injected = Relation(
-                a=resolved.a, b=resolved.b, kind=bridge.kind,
-                provenance="inferred_case2",
-            )
-            return EnrichmentRecord(
-                injected=injected,
-                evidence=(rel1, rel2, bridge),
-                pair=pair if pair is not None else (resolved.a, resolved.b),
-            )
+            if bridge is not None:
+                return bridge.kind, (rel1, rel2, bridge)
     return None
 
 
@@ -157,7 +136,7 @@ def infer_via_children(
     sources: list[Ontology],
     od: Ontology,
     kids: ChildrenIndex,
-) -> Optional[EnrichmentRecord]:
+) -> Optional[tuple[Relation, ...]]:
     """Case 3: composites whose children pair up through known relations.
 
     Children relate when their normalized terms are equal or a synonymy /
@@ -165,16 +144,15 @@ def infer_via_children(
     or any source.  A perfect injective matching over all n children is
     required, found by ``max_weight_assignment`` in O(n^3) at any arity;
     among several perfect matchings its tie rule picks the one whose
-    relations become the evidence.  Only distinct parent terms are
-    inferred (a shared term is already decided syntactically, and a
-    self-synonymy would break pipeline idempotence); the inferred kind is
-    always synonymy.  ``kids`` is the ``children_index`` of the sources.
+    relations are returned as the evidence (empty when every matched pair
+    shares a term).  Only distinct parent terms are inferred (a shared
+    term is already decided syntactically, and a self-synonymy would
+    break pipeline idempotence); the inferred kind is always synonymy.
+    ``kids`` is the ``children_index`` of the sources.
     """
     if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
         return None
-    t1 = c1.key
-    t2 = c2.key
-    if t1 == t2:
+    if c1.key == c2.key:
         return None
     left, right = kids[c1.id], kids[c2.id]
     ontologies = [od, *sources]
@@ -195,14 +173,9 @@ def infer_via_children(
     total, assignment = max_weight_assignment(weights)
     if total != len(left):
         return None
-    evidence = tuple(
+    return tuple(
         support[i][j] for i, j in enumerate(assignment) if support[i][j] is not None
     )
-    resolved = resolve_endpoints(od, t1, t2)
-    injected = Relation(
-        a=resolved.a, b=resolved.b, kind="synonymy", provenance="inferred_case3"
-    )
-    return EnrichmentRecord(injected=injected, evidence=evidence, pair=(c1.id, c2.id))
 
 
 def enrich(
@@ -215,38 +188,31 @@ def enrich(
 ) -> Optional[EnrichmentRecord]:
     """Try case 1, then 2, then 3; commit at most one relation to ``od``.
 
-    On success the support ontology gains exactly one relation (plus any
-    endpoint concepts it needed) and lookups for the pair are nonempty
-    afterwards.  On failure ``od`` is untouched.  An injection that would
-    put synonymy and homonymy on the same pair is refused with a warning.
-    ``kids`` is the ``children_index`` of the sources, read by case 3.
+    The cases only find evidence; this is the one place that checks it
+    against ``od``, resolves the endpoints, builds the record and
+    commits it.  On success the support ontology gains exactly one
+    relation (plus any endpoint concepts it needed) and lookups for the
+    pair are nonempty afterwards.  On failure ``od`` is untouched.  An
+    injection that would put synonymy and homonymy on the same pair is
+    refused with a warning.  ``kids`` is the ``children_index`` of the
+    sources, read by case 3.
     """
     sink = warnings if warnings is not None else []
     t1 = c1.key
     t2 = c2.key
 
-    record = None
-    direct = find_direct_relation(t1, t2, sources)
+    direct = _first_relation(sources, t1, t2, SEMANTIC_KINDS)
     if direct is not None:
-        relation, _ = direct
-        resolved = resolve_endpoints(od, t1, t2)
-        record = EnrichmentRecord(
-            injected=Relation(
-                a=resolved.a, b=resolved.b, kind=relation.kind,
-                provenance="inferred_case1",
-            ),
-            evidence=(relation,),
-            pair=(c1.id, c2.id),
-        )
-    if record is None:
-        record = infer_via_equivalents(t1, t2, sources, od, pair=(c1.id, c2.id))
-    if record is None:
-        record = infer_via_children(c1, c2, sources, od, kids)
-    if record is None:
+        case, kind, evidence = "inferred_case1", direct.kind, (direct,)
+    elif (bridged := infer_via_equivalents(t1, t2, sources, od)) is not None:
+        case = "inferred_case2"
+        kind, evidence = bridged
+    elif (matched := infer_via_children(c1, c2, sources, od, kids)) is not None:
+        case, kind, evidence = "inferred_case3", "synonymy", matched
+    else:
         return None
 
     existing = lookup_relations(od, t1, t2)
-    kind = record.injected.kind
     if any(r.kind == kind for r in existing):
         return None  # already known; keep enrichment idempotent
     opposite = {"synonymy": "homonymy", "homonymy": "synonymy"}.get(kind)
@@ -259,6 +225,11 @@ def enrich(
         return None
 
     resolved = resolve_endpoints(od, t1, t2)
+    record = EnrichmentRecord(
+        injected=Relation(a=resolved.a, b=resolved.b, kind=kind, provenance=case),
+        evidence=evidence,
+        pair=(c1.id, c2.id),
+    )
     for concept in resolved.create:
         od.add_concept(concept)
     sink.extend(resolved.notes)

@@ -11,6 +11,7 @@ serialized outputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from operator import attrgetter
@@ -24,8 +25,6 @@ from .model import (
     Concept,
     Correspondence,
     EnrichmentRecord,
-    MappingEntry,
-    MergeResult,
     Ontology,
     Report,
     as_fraction,
@@ -36,6 +35,8 @@ from .terms import normalize_term
 from .transform import component_to_ontology, concept_id, ontology_to_component
 
 DEFAULT_TAU = Fraction(1)
+MERGED_ID = "CMr"
+MERGED_NAME = "Integrated component"
 ASSUMED_IDENTICAL_WARNING = "assumed identical: no O_d coverage"
 
 
@@ -266,20 +267,22 @@ def merge(
     sources: Sequence[Ontology],
     od: Ontology,
     correspondences: Sequence[Correspondence] = (),
-    enrichment_records: Sequence[EnrichmentRecord] = (),
-    warnings: Sequence[str] = (),
-    merged_id: str = "CMr",
-) -> MergeResult:
+    warnings: Optional[list[str]] = None,
+) -> tuple[Ontology, list[Cluster]]:
     """Collapse each cluster into one concept of the merged ontology.
 
-    The canonical term of a cluster prefers member terms that occur in the
-    support ontology (smallest normalized term wins); clusters touched by
-    a Homonym verdict are instead displayed as "<term> (<source id>)" so
+    Returns the merged ontology (id ``MERGED_ID``) and one ``Cluster`` per
+    part of ``partition``, sorted by (term, members).  Every source
+    concept must lie in exactly one part.  The canonical term of a
+    cluster prefers member terms that occur in the support ontology
+    (smallest normalized term wins); clusters touched by a Homonym
+    verdict are instead displayed as "<term> (<source id>)" so
     same-termed homonyms stay tellable apart.  part_of edges and
     association metadata are re-targeted to cluster representatives and
-    deduplicated.
+    deduplicated.  Warnings are appended to ``warnings``.  Raises
+    HomonymClusterCollision when a Homonym pair shares a cluster.
     """
-    sink = list(warnings)
+    sink = warnings if warnings is not None else []
     homonym_endpoints: set[str] = set()
     for corr in correspondences:
         if corr.verdict == "Homonym":
@@ -287,19 +290,26 @@ def merge(
 
     member_concept = {cid: c for source in sources for cid, c in source.concepts.items()}
     owner_id = {cid: source.id for source in sources for cid in source.concepts}
+    placed = Counter(member for members in partition for member in members)
+    missing = sorted(member_concept.keys() - placed.keys())
+    if missing:
+        raise SchemaViolation(f"concepts missing from clusters: {missing}")
+    doubled = sorted(cid for cid, n in placed.items() if n > 1)
+    if doubled:
+        raise SchemaViolation(f"concepts appear in several clusters: {doubled}")
     displays = [
         _cluster_display(members, member_concept, od, homonym_endpoints, owner_id)
         for members in partition
     ]
     _disambiguate_displays(displays, partition, member_concept, owner_id, sink)
 
-    merged_id_of: dict[str, str] = {}
+    cluster_of: dict[str, str] = {}
     cluster_ids = []
     for members, display in zip(partition, displays):
-        cid = f"{merged_id}#{normalize_term(display)}"
+        cid = f"{MERGED_ID}#{normalize_term(display)}"
         cluster_ids.append(cid)
         for member in members:
-            merged_id_of[member] = cid
+            cluster_of[member] = cid
     if len(set(cluster_ids)) != len(cluster_ids):
         raise SchemaViolation(
             "merged concept terms collide after disambiguation; support ontology "
@@ -307,8 +317,7 @@ def merge(
         )
     display_of = dict(zip(cluster_ids, displays))
 
-    merged = Ontology(merged_id)
-    mapping: dict[str, MappingEntry] = {}
+    merged = Ontology(MERGED_ID)
     clusters: list[Cluster] = []
     for members, display, cid in zip(partition, displays, cluster_ids):
         term_keys: dict[str, str] = {}
@@ -325,7 +334,7 @@ def merge(
             concept = member_concept[member]
             attributes.update(concept.attributes)
             for child in concept.children:
-                child_cid = merged_id_of[child]
+                child_cid = cluster_of[child]
                 if child_cid == cid:
                     sink.append(
                         f"dropping self-composition of {cid!r} introduced by merging "
@@ -334,7 +343,7 @@ def merge(
                     continue
                 children.add(child_cid)
             for assoc in concept.associations:
-                target_cid = merged_id_of[concept_id(owner_id[member], assoc.target)]
+                target_cid = cluster_of[concept_id(owner_id[member], assoc.target)]
                 associations.add((display_of[target_cid], assoc.label))
         merged.add_concept(
             Concept(
@@ -347,25 +356,15 @@ def merge(
             )
         )
         clusters.append(Cluster(term=display, members=tuple(members), aliases=aliases))
-        for member in members:
-            mapping[member] = MappingEntry(cluster_id=cid, term=display, aliases=aliases)
     merged.validate()
 
     for corr in correspondences:
-        if corr.verdict == "Homonym" and merged_id_of[corr.c1] == merged_id_of[corr.c2]:
+        if corr.verdict == "Homonym" and cluster_of[corr.c1] == cluster_of[corr.c2]:
             raise HomonymClusterCollision(
                 f"homonym pair ({corr.c1}, {corr.c2}) ended up in cluster "
-                f"{merged_id_of[corr.c1]!r}"
+                f"{cluster_of[corr.c1]!r}"
             )
-
-    report = Report(
-        correspondences=sorted(correspondences, key=attrgetter("c1", "c2")),
-        enrichments=sorted(enrichment_records, key=lambda r: (r.pair, r.injected)),
-        clusters=sorted(clusters, key=lambda cl: (cl.term, cl.members)),
-        warnings=sorted(sink),
-    )
-    report.validate(member_concept.keys())
-    return MergeResult(merged=merged, mapping=mapping, enriched_od=od, report=report)
+    return merged, sorted(clusters, key=lambda cl: (cl.term, cl.members))
 
 
 def _cluster_display(
@@ -430,17 +429,18 @@ def integrate(
     components: Sequence[BusinessComponent],
     od: Ontology,
     tau: Fraction | float | int = DEFAULT_TAU,
-    merged_id: str = "CMr",
-    merged_name: str = "Integrated component",
 ) -> tuple[BusinessComponent, Ontology, Report]:
     """Full pipeline: components in, merged component + enriched ontology out.
 
     Components with colliding ids are kept by suffixing each later
     duplicate with the smallest free ~2, ~3, ... (free: no input id and no
     earlier rename), so a result component can be re-integrated against a
-    copy of itself.  Outputs are reusable as future inputs.  The report
-    is sparse: it lists the scored pairs, and its ``pair_space`` stands
-    for the Distinct rest.
+    copy of itself.  Outputs are reusable as future inputs.  The merged
+    component has id ``MERGED_ID`` and name ``MERGED_NAME``.  The one
+    ``Report`` is built here from what ``align``, ``build_clusters`` and
+    ``merge`` returned and the warnings they appended.  It is sparse: it
+    lists the scored pairs, and its ``pair_space`` stands for the
+    Distinct rest.
     """
     if len(components) < 2:
         raise SchemaViolation("integration needs at least two components")
@@ -463,15 +463,12 @@ def integrate(
     correspondences, enriched_od, records = align(sources, od, tau, warnings=warnings)
     all_ids = [cid for source in sources for cid in source.concepts]
     partition = build_clusters(correspondences, all_ids)
-    result = merge(
-        partition,
-        sources,
-        enriched_od,
-        correspondences=correspondences,
-        enrichment_records=records,
-        warnings=warnings,
-        merged_id=merged_id,
+    merged, clusters = merge(partition, sources, enriched_od, correspondences, warnings)
+    report = Report(
+        correspondences=sorted(correspondences, key=attrgetter("c1", "c2")),
+        enrichments=sorted(records, key=lambda r: (r.pair, r.injected)),
+        clusters=clusters,
+        warnings=sorted(warnings),
+        pair_space=pair_space_of(sources),
     )
-    merged_component = ontology_to_component(result.merged, name=merged_name)
-    report = replace(result.report, pair_space=pair_space_of(sources))
-    return merged_component, enriched_od, report
+    return ontology_to_component(merged, name=MERGED_NAME), enriched_od, report

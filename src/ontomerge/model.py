@@ -413,14 +413,6 @@ class BusinessComponent:
                 f"component {self.id!r}: composition cycle: " + " -> ".join(cycle)
             )
 
-    def entity(self, name: str) -> Entity:
-        """Look an entity up by (normalized) name."""
-        wanted = normalize_term(name)
-        for entity in self.entities:
-            if normalize_term(entity.name) == wanted:
-                return entity
-        raise KeyError(f"component {self.id!r} has no entity named {name!r}")
-
 
 @dataclass(frozen=True)
 class Evidence:
@@ -534,20 +526,6 @@ class Report:
     warnings: list[str] = field(default_factory=list)
     pair_space: tuple[tuple[str, ...], ...] = ()
 
-    def validate(self, concept_ids: Iterable[str]) -> None:
-        """Every given concept must appear in exactly one cluster."""
-        placed: dict[str, int] = {}
-        for cluster in self.clusters:
-            for member in cluster.members:
-                placed[member] = placed.get(member, 0) + 1
-        expected = set(concept_ids)
-        missing = sorted(expected - placed.keys())
-        if missing:
-            raise SchemaViolation(f"concepts missing from clusters: {missing}")
-        doubled = sorted(cid for cid, n in placed.items() if n > 1)
-        if doubled:
-            raise SchemaViolation(f"concepts appear in several clusters: {doubled}")
-
 
 def pair_space_of(sources: Iterable[Ontology]) -> tuple[tuple[str, ...], ...]:
     """The ``Report.pair_space`` of ``sources``: sorted concept ids, sources by id."""
@@ -640,24 +618,6 @@ def expand_correspondences(report: Report) -> list[Correspondence]:
         for c1, _, partners, cells in pair_rows(report)
         for c2, corr in zip(partners, cells)
     ]
-
-
-class MappingEntry(NamedTuple):
-    """Where a source concept ended up in the merged ontology."""
-
-    cluster_id: str
-    term: str
-    aliases: tuple[str, ...]
-
-
-@dataclass
-class MergeResult:
-    """Output bundle of the merge step."""
-
-    merged: Ontology
-    mapping: dict[str, MappingEntry]
-    enriched_od: Ontology
-    report: Report
 
 
 def as_fraction(value) -> Fraction:

@@ -80,9 +80,38 @@ def _load_document(path) -> Any:
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path}: not valid UTF-8: {exc}") from exc
     try:
-        return json.loads(text)
+        document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedFile(f"{path}: invalid JSON: nested too deeply") from exc
+    # only a \ud800-\udfff escape can put a surrogate in a decoded string
+    if ("\\ud" in text or "\\uD" in text) and _has_lone_surrogate(document):
+        raise MalformedFile(f"{path}: invalid JSON: unpaired surrogate escape in a string")
+    return document
+
+
+def _has_lone_surrogate(document: Any) -> bool:
+    """Whether a key or string anywhere in ``document`` cannot be UTF-8 encoded.
+
+    The JSON decoder joins an escaped surrogate pair into one character,
+    so what fails to encode is an unpaired surrogate.  Iterative, so that
+    any depth the decoder accepted is walked.
+    """
+    pending = [document]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, dict):
+            pending.extend(value)
+            pending.extend(value.values())
+        elif isinstance(value, list):
+            pending.extend(value)
+        elif isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                return True
+    return False
 
 
 def _expect(condition: bool, context: str, message: str) -> None:
@@ -121,6 +150,21 @@ def _string_list(obj: dict, key: str, context: str) -> tuple[str, ...]:
     return tuple(values)
 
 
+def _associations(obj: dict, context: str) -> tuple[Association, ...]:
+    """The optional ``associations`` list of an entity or concept object."""
+    associations = []
+    for index, assoc in enumerate(_get(obj, "associations", list, context, default=[])):
+        actx = f"{context}.associations[{index}]"
+        _expect(isinstance(assoc, dict), actx, "association must be an object")
+        associations.append(
+            Association(
+                target=_get(assoc, "target", str, actx),
+                label=_get(assoc, "label", str, actx),
+            )
+        )
+    return tuple(associations)
+
+
 def _relation(raw: Any, context: str) -> Relation:
     """One relation object of an ontology or report document."""
     _expect(isinstance(raw, dict), context, "relation must be an object")
@@ -154,21 +198,11 @@ def parse_component(path) -> BusinessComponent:
     for index, raw in enumerate(raw_entities):
         ectx = f"{context}: entities[{index}]"
         _expect(isinstance(raw, dict), ectx, "entity must be an object")
-        associations = []
-        for aindex, assoc in enumerate(_get(raw, "associations", list, ectx, default=[])):
-            actx = f"{ectx}.associations[{aindex}]"
-            _expect(isinstance(assoc, dict), actx, "association must be an object")
-            associations.append(
-                Association(
-                    target=_get(assoc, "target", str, actx),
-                    label=_get(assoc, "label", str, actx),
-                )
-            )
         entities.append(
             Entity(
                 name=_get(raw, "name", str, ectx),
                 attributes=_string_list(raw, "attributes", ectx),
-                associations=tuple(associations),
+                associations=_associations(raw, ectx),
                 components=_string_list(raw, "components", ectx),
             )
         )
@@ -232,23 +266,13 @@ def parse_ontology(path) -> Ontology:
     for index, raw in enumerate(_get(doc, "concepts", list, context)):
         cctx = f"{context}: concepts[{index}]"
         _expect(isinstance(raw, dict), cctx, "concept must be an object")
-        associations = []
-        for aindex, assoc in enumerate(_get(raw, "associations", list, cctx, default=[])):
-            actx = f"{cctx}.associations[{aindex}]"
-            _expect(isinstance(assoc, dict), actx, "association must be an object")
-            associations.append(
-                Association(
-                    target=_get(assoc, "target", str, actx),
-                    label=_get(assoc, "label", str, actx),
-                )
-            )
         concepts.append(
             Concept(
                 id=_get(raw, "id", str, cctx),
                 term=_get(raw, "term", str, cctx),
                 children=_string_list(raw, "children", cctx),
                 attributes=_string_list(raw, "attributes", cctx),
-                associations=tuple(associations),
+                associations=_associations(raw, cctx),
                 aliases=_string_list(raw, "aliases", cctx),
             )
         )

@@ -412,3 +412,61 @@ def test_export_dot(tmp_path, scenario_files, capsys):
         "export-dot", "--ontology", str(scenario_files["od"]), "--out", str(dot_path),
     ]) == 0
     assert dot_path.read_text(encoding="utf-8") == payload
+
+
+@pytest.mark.parametrize("command", ["integrate", "eval", "gen", "export-dot"])
+def test_deeply_nested_json_is_schema_error(tmp_path, scenario_files, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    args = {
+        "integrate": _integrate_args({**scenario_files, "cm1": deep}, out),
+        "eval": ["eval", "--report", str(deep), "--truth", str(deep),
+                 "--out", str(out / "metrics.json")],
+        "gen": ["gen", "--out-dir", str(out), "--spec", str(deep)],
+        "export-dot": ["export-dot", "--ontology", str(deep), "--out", str(out / "od.dot")],
+    }[command]
+    assert main(args) == 2  # was 4: RecursionError surfaced as an internal error
+    assert f"{deep}: invalid JSON: nested too deeply" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def _with_string(path, add, escape):
+    """Rewrite a document with one more string, spelled as the JSON ``escape``."""
+    document = json.loads(path.read_bytes())
+    add(document, "PLACEHOLDER")
+    path.write_text(json.dumps(document).replace("PLACEHOLDER", escape), encoding="utf-8")
+
+
+def _add_attribute(document, value):
+    document["entities"][0]["attributes"].append(value)
+
+
+def _add_concept(document, value):
+    document["concepts"].append({"id": "Od#extra", "term": value, "children": []})
+
+
+@pytest.mark.parametrize("command", ["integrate", "export-dot"])
+@pytest.mark.parametrize("escape, code", [("\\ud800", 2), ("\\ud83d\\ude00", 0)],
+                         ids=["lone", "pair"])
+def test_only_a_lone_surrogate_escape_is_rejected(
+    tmp_path, scenario_files, capsys, command, escape, code
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "integrate":
+        edited = scenario_files["cm1"]
+        _with_string(edited, _add_attribute, escape)
+        args = _integrate_args(scenario_files, out)
+    else:
+        edited = scenario_files["od"]
+        _with_string(edited, _add_concept, escape)
+        args = ["export-dot", "--ontology", str(edited), "--out", str(out / "od.dot")]
+    assert main(args) == code  # a lone surrogate was 4: UnicodeEncodeError on write
+    if code:
+        assert f"{edited}: invalid JSON: unpaired surrogate" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+    else:
+        written = b"".join(path.read_bytes() for path in out.iterdir())
+        assert "\U0001f600".encode("utf-8") in written

@@ -7,12 +7,15 @@ from ontomerge import (
     Ontology,
     Relation,
     children_index,
+    ScenarioSpec,
     enrich,
-    find_direct_relation,
+    generate_scenario,
     infer_via_children,
     infer_via_equivalents,
+    integrate,
     serialize_ontology,
 )
+from ontomerge import enrichment
 
 
 def _ontology(oid, *concepts, relations=()):
@@ -46,17 +49,23 @@ def _case1_fixture():
 
 
 def test_find_direct_relation_hits_single_source():
-    source, _ = _case1_fixture()
-    hit = find_direct_relation("facture", "note d'honoraires", [source])
-    assert hit is not None
-    relation, owner = hit
-    assert relation.kind == "synonymy"
-    assert owner is source
+    source, od = _case1_fixture()
+    record = enrich(
+        source.concepts["OCM3#facture"], source.concepts["OCM3#note"], od, [source],
+        children_index([source]),
+    )
+    assert record is not None
+    assert record.injected.provenance == "inferred_case1"
+    assert record.injected.kind == "synonymy"
 
 
 def test_find_direct_relation_misses_when_terms_absent():
-    source, _ = _case1_fixture()
-    assert find_direct_relation("facture", "devis", [source]) is None
+    source, od = _case1_fixture()
+    devis = _ontology("OCM4", ("OCM4#devis", "devis"))
+    assert enrich(
+        source.concepts["OCM3#facture"], devis.concepts["OCM4#devis"], od,
+        [source, devis], children_index([source, devis]),
+    ) is None
 
 
 def test_find_direct_relation_ignores_part_of():
@@ -65,7 +74,11 @@ def test_find_direct_relation_ignores_part_of():
         ("OCM1#dossier", "dossier", ("OCM1#patient",)),
         ("OCM1#patient", "patient"),
     )
-    assert find_direct_relation("dossier", "patient", [source]) is None
+    od = _support("dossier", "patient")
+    assert enrich(
+        source.concepts["OCM1#dossier"], source.concepts["OCM1#patient"], od, [source],
+        children_index([source]),
+    ) is None
 
 
 def test_case1_injects_declared_relation():
@@ -107,20 +120,26 @@ def _case2_fixture(bridge_kind="synonymy"):
 
 def test_case2_propagates_bridge_synonymy():
     left, right, od = _case2_fixture()
-    record = infer_via_equivalents("client", "commande", [left, right], od)
+    found = infer_via_equivalents("client", "commande", [left, right], od)
+    assert found is not None
+    kind, evidence = found
+    assert kind == "synonymy"
+    equivalences = [r for r in evidence if r.kind == "equivalence"]
+    bridges = [r for r in evidence if r.kind != "equivalence"]
+    assert len(equivalences) == 2 and len(bridges) == 1
+    record = enrich(left.concepts["OCM1#client"], right.concepts["OCM2#commande"],
+                    od, [left, right], children_index([left, right]))
     assert record is not None
     assert record.injected.kind == "synonymy"
     assert record.injected.provenance == "inferred_case2"
-    equivalences = [r for r in record.evidence if r.kind == "equivalence"]
-    bridges = [r for r in record.evidence if r.kind != "equivalence"]
-    assert len(equivalences) == 2 and len(bridges) == 1
+    assert record.evidence == evidence
 
 
 def test_case2_propagates_bridge_homonymy():
     left, right, od = _case2_fixture(bridge_kind="homonymy")
-    record = infer_via_equivalents("client", "commande", [left, right], od)
-    assert record is not None
-    assert record.injected.kind == "homonymy"
+    found = infer_via_equivalents("client", "commande", [left, right], od)
+    assert found is not None
+    assert found[0] == "homonymy"
 
 
 def test_case2_without_bridge_gives_none():
@@ -167,16 +186,22 @@ def _case3_fixture():
 
 def test_case3_infers_synonymy_from_children():
     left, right, od = _case3_fixture()
-    record = infer_via_children(
+    evidence = infer_via_children(
         left.concepts["OCM1#dossier"], right.concepts["OCM2#folder"], [left, right], od,
+        children_index([left, right]),
+    )
+    # one child pair matched by term equality, the other through the
+    # declared synonymy, which must be cited
+    assert evidence is not None
+    assert [r.kind for r in evidence] == ["synonymy"]
+    record = enrich(
+        left.concepts["OCM1#dossier"], right.concepts["OCM2#folder"], od, [left, right],
         children_index([left, right]),
     )
     assert record is not None
     assert record.injected.kind == "synonymy"
     assert record.injected.provenance == "inferred_case3"
-    # one child pair matched by term equality, the other through the
-    # declared synonymy, which must be cited
-    assert [r.kind for r in record.evidence] == ["synonymy"]
+    assert record.evidence == evidence
 
 
 def test_case3_fails_on_partial_child_match():
@@ -200,12 +225,11 @@ def test_case3_identical_children_need_no_relations():
         ("OCM2#patient", "patient"),
     )
     od = _support("dossier", "chemise")
-    record = infer_via_children(
+    evidence = infer_via_children(
         left.concepts["OCM1#dossier"], right.concepts["OCM2#chemise"], [left, right], od,
         children_index([left, right]),
     )
-    assert record is not None
-    assert record.evidence == ()
+    assert evidence == ()
 
 
 def test_case3_skips_equal_parent_terms():
@@ -365,3 +389,19 @@ def test_monotonicity_relation_count_never_shrinks():
     enrich(left.concepts["OCM1#client"], right.concepts["OCM2#commande"],
            od, [left, right], children_index([left, right]))
     assert len(od.relations) == before + 1
+
+
+def test_endpoints_are_resolved_once_per_injection(monkeypatch):
+    # the cases only find evidence; enrich resolves and commits once
+    calls = []
+    resolve = enrichment.resolve_endpoints
+
+    def counted(od, t1, t2):
+        calls.append((t1, t2))
+        return resolve(od, t1, t2)
+
+    monkeypatch.setattr(enrichment, "resolve_endpoints", counted)
+    components, od, _ = generate_scenario(ScenarioSpec(40, 8, 2, 0.5, rng_seed=13))
+    _, _, report = integrate(components, od)
+    assert report.enrichments
+    assert len(calls) == len(report.enrichments)

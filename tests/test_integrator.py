@@ -301,8 +301,8 @@ def test_canonical_term_prefers_support_vocabulary():
     partition = build_clusters(
         correspondences, [cid for s in sources for cid in s.concepts]
     )
-    result = merge(partition, sources, enriched, correspondences=correspondences)
-    (concept,) = result.merged.concepts.values()
+    merged, _ = merge(partition, sources, enriched, correspondences=correspondences)
+    (concept,) = merged.concepts.values()
     assert concept.term == "Cabinet"  # both terms known; smallest wins
     assert concept.aliases == ("Compagnie",)
 
@@ -349,9 +349,9 @@ def test_all_singletons_is_disjoint_union():
         ),
     ]
     partition = build_clusters([], [cid for s in sources for cid in s.concepts])
-    result = merge(partition, sources, Ontology("Od"))
-    assert len(result.merged.concepts) == 3
-    assert sorted(c.term for c in result.merged.concepts.values()) == [
+    merged, _ = merge(partition, sources, Ontology("Od"))
+    assert len(merged.concepts) == 3
+    assert sorted(c.term for c in merged.concepts.values()) == [
         "Aube", "Brume", "Crépuscule",
     ]
 
@@ -361,9 +361,9 @@ def test_mapping_covers_every_source_concept(cm1, cm2, support_od):
     correspondences, enriched, _ = align(sources, support_od)
     all_ids = [cid for s in sources for cid in s.concepts]
     partition = build_clusters(correspondences, all_ids)
-    result = merge(partition, sources, enriched, correspondences=correspondences)
-    assert set(result.mapping) == set(all_ids)
-    assert len(result.merged.concepts) == len(partition)
+    merged, clusters = merge(partition, sources, enriched, correspondences=correspondences)
+    assert sorted(m for cluster in clusters for m in cluster.members) == sorted(all_ids)
+    assert len(merged.concepts) == len(partition)
 
 
 # ---------------------------------------------------------------------------

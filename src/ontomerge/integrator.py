@@ -48,17 +48,35 @@ def align(
 ) -> tuple[list[Correspondence], Ontology, list[EnrichmentRecord]]:
     """Score the cross-source concept pairs that can be other than Distinct.
 
-    Returns only the scored pairs: those whose concepts share a key, or
-    whose keys both occur in the support ontology, or which are
-    composites of equal arity.  Every other pair of the sources is
-    exactly (0, syntactic, Distinct), as ``semantic_similarity`` would
-    score it: its flat syntactic score is 0, and with one term absent
-    from the support ontology no lookup or enrichment runs.  Enrichment
-    never adds a term to the support ontology (it runs only on two
-    present terms and at most adds a second endpoint for one of them),
-    so the candidates can be drawn from the input's terms.  The full
-    list is the expansion of the returned one over
-    ``pair_space_of(sources)`` (see ``model.pair_rows``).
+    Returns only the scored pairs.  A pair is scored when its concepts
+    share a key, or are composites of equal arity, or when both keys
+    occur in the support ontology and one of these holds:
+
+    * relation - the support ontology (as enriched so far) or some
+      source has a semantic relation between the two keys: a declared
+      one, an earlier injection, or the evidence of enrichment case 1;
+    * bridge - both keys have an equivalence partner in some source, so
+      enrichment case 2 may find a bridge.
+
+    Every other pair is exactly (0, syntactic, Distinct), as
+    ``semantic_similarity`` would score it, and scoring it has no side
+    effect: with a key absent from the support ontology no lookup or
+    enrichment runs; with both keys present the lookup is empty and
+    ``enrich`` returns None without writing or warning, since case 1
+    finds no source relation, case 2 no partner, and case 3 needs
+    composites of equal arity.  Its flat syntactic score is 0.  Skipping
+    such pairs leaves the scan order of the others, and so the
+    enrichment order, unchanged.  Enrichment never adds a term to the
+    support ontology (it runs only on two present terms and at most adds
+    a second endpoint for one of them), so the known keys are fixed; the
+    relations are not, so each commit adds its key pair to the run's
+    term -> related terms map, and the next row reads it.  Within a row,
+    a commit for (c1, c2) relates c1's key to c2's key, so the later
+    concepts of that row's source sharing c2's key are merged into the
+    rest of the row (a source built from a component holds one concept
+    per key and never needs this).  The full list is the expansion of
+    the returned one over ``pair_space_of(sources)`` (see
+    ``model.pair_rows``).
 
     Pairs are scored in sorted (source id, concept id) order, source
     pair by source pair, as a scan of every pair would meet them.  The
@@ -90,24 +108,46 @@ def align(
     kids = children_index(ordered)
     enriched_od = od.copy()
     records: list[EnrichmentRecord] = []
+    related: dict[str, set[str]] = {}
+    for ontology in (od, *ordered):
+        for t1, t2 in ontology._by_term_pair:
+            _relate(related, t1, t2)
+    bridged = {term for source in ordered for term in source._partners}
 
     def hook(a: Concept, b: Concept):
         record = enrich(a, b, enriched_od, ordered, kids, warnings=sink)
         if record is not None:
             records.append(record)
+            _relate(related, a.key, b.key)
         return record
 
     correspondences: list[Correspondence] = []
     memo: dict[tuple[str, str], Fraction] = {}
     items = [sorted(source.concepts.items()) for source in ordered]
-    blocks = [_Candidates(source_items, od) for source_items in items]
+    blocks = [_Candidates(source_items, od, bridged) for source_items in items]
     for i in range(len(ordered)):
         for later in blocks[i + 1:]:
             for cid1, c1 in items[i]:
-                for cid2, c2 in later.against(c1, od.term_present(c1.key)):
+                known = od.term_present(c1.key)
+                row = later.against(
+                    c1,
+                    related.get(c1.key, ()) if known else (),
+                    known and c1.key in bridged,
+                )
+                position = 0
+                while position < len(row):
+                    cid2, c2 = row[position]
+                    position += 1
+                    committed = len(records)
                     score, evidence = semantic_similarity(
                         c1, c2, enriched_od, kids, enrich=hook, memo=memo
                     )
+                    if len(records) > committed:  # c1's key now relates to c2's
+                        rest = dict(row[position:])
+                        rest.update(
+                            item for item in later.known_by_key[c2.key] if item[0] > cid2
+                        )
+                        row = [*row[:position], *sorted(rest.items())]
                     verdict = _classify(c1, c2, score, evidence.kind, tau)
                     if verdict == "Identical" and c1.key == c2.key:
                         sink.append(
@@ -123,40 +163,60 @@ def align(
     return correspondences, enriched_od, records
 
 
+def _relate(related: dict[str, set[str]], t1: str, t2: str) -> None:
+    related.setdefault(t1, set()).add(t2)
+    related.setdefault(t2, set()).add(t1)
+
+
 class _Candidates:
     """One source's concepts indexed by what makes a pair worth scoring.
 
     ``by_key`` maps a key to its concepts, ``by_arity`` a child count to
-    its composites, and ``known`` lists the concepts whose key the
-    support ontology holds; each list is sorted by concept id.
+    its composites, ``known_by_key`` a key the support ontology holds to
+    its concepts, and ``bridged`` lists the concepts whose key the
+    support ontology holds and some source gives an equivalence partner;
+    each list is sorted by concept id.  See ``align`` for why these are
+    the only pairs that can be other than (0, syntactic, Distinct).
     """
 
-    def __init__(self, items: list[tuple[str, Concept]], od: Ontology):
+    def __init__(
+        self, items: list[tuple[str, Concept]], od: Ontology, bridged: set[str]
+    ):
         self.by_key: dict[str, list[tuple[str, Concept]]] = {}
         self.by_arity: dict[int, list[tuple[str, Concept]]] = {}
-        self.known: list[tuple[str, Concept]] = []
+        self.known_by_key: dict[str, list[tuple[str, Concept]]] = {}
+        self.bridged: list[tuple[str, Concept]] = []
         for item in items:
             concept = item[1]
             self.by_key.setdefault(concept.key, []).append(item)
             if concept.children:
                 self.by_arity.setdefault(len(concept.children), []).append(item)
             if od.term_present(concept.key):
-                self.known.append(item)
+                self.known_by_key.setdefault(concept.key, []).append(item)
+                if concept.key in bridged:
+                    self.bridged.append(item)
 
-    def against(self, concept: Concept, known: bool) -> Sequence[tuple[str, Concept]]:
+    def against(
+        self, concept: Concept, related: Iterable[str], bridged: bool
+    ) -> Sequence[tuple[str, Concept]]:
         """The (id, concept) items to score ``concept`` against, by id.
 
-        ``known`` says whether the support ontology holds its key; then
-        every same-key concept is among ``self.known`` already.
+        ``related`` are the keys related to ``concept``'s key, and
+        ``bridged`` says whether its key may take part in a case-2
+        bridge; both are empty or false when the support ontology does
+        not hold its key.
         """
-        base = self.known if known else self.by_key.get(concept.key, ())
-        composites = self.by_arity.get(len(concept.children), ())  # no key 0
-        if not composites:
-            return base
-        if not base:
-            return composites
-        union = dict(base)
-        union.update(composites)
+        parts = [self.by_key.get(concept.key, ())]
+        parts.extend(self.known_by_key.get(term, ()) for term in related)
+        if bridged:
+            parts.append(self.bridged)
+        parts.append(self.by_arity.get(len(concept.children), ()))  # no key 0
+        parts = [part for part in parts if part]
+        if len(parts) < 2:
+            return parts[0] if parts else ()
+        union: dict[str, Concept] = {}
+        for part in parts:
+            union.update(part)
         return sorted(union.items())
 
 
@@ -294,6 +354,9 @@ def merge(
     missing = sorted(member_concept.keys() - placed.keys())
     if missing:
         raise SchemaViolation(f"concepts missing from clusters: {missing}")
+    unknown = sorted(placed.keys() - member_concept.keys())
+    if unknown:
+        raise SchemaViolation(f"concepts in clusters but in no source: {unknown}")
     doubled = sorted(cid for cid, n in placed.items() if n > 1)
     if doubled:
         raise SchemaViolation(f"concepts appear in several clusters: {doubled}")

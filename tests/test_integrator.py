@@ -55,7 +55,9 @@ def _verdicts(correspondences):
 def test_canonical_scenario_verdicts(cm1, cm2, support_od):
     sources = [component_to_ontology(cm1), component_to_ontology(cm2)]
     correspondences, _, records = align(sources, support_od)
-    verdicts = _verdicts(correspondences)
+    verdicts = _verdicts(expand_correspondences(
+        Report(correspondences, pair_space=pair_space_of(sources))
+    ))
     assert verdicts[("CM1#service", "CM2#prestation")] == "Synonym"
     assert verdicts[("CM1#service", "CM2#service")] == "Homonym"
     assert verdicts[("CM1#compagnie", "CM2#cabinet")] == "Synonym"
@@ -333,6 +335,23 @@ def test_colliding_displays_are_suffixed_by_a_member_bearing_the_display():
     assert sorted(e.name for e in merged.entities) == ["alpha (CM1)", "alpha (CM3)", "delta"]
     assert {cl.term: cl.members for cl in report.clusters}["alpha (CM3)"] == (
         "CM1#bêta", "CM3#alpha",
+    )
+
+
+def test_merge_rejects_a_cluster_member_no_source_holds():
+    sources = [
+        component_to_ontology(
+            BusinessComponent(id="CM1", name="a", entities=(Entity(name="Aube"),))
+        ),
+        component_to_ontology(
+            BusinessComponent(id="CM2", name="b", entities=(Entity(name="Brume"),))
+        ),
+    ]
+    partition = [("CM1#aube",), ("CM2#brume",), ("CM9#y",), ("CM9#x",)]
+    with pytest.raises(SchemaViolation) as caught:
+        merge(partition, sources, Ontology("Od"))
+    assert str(caught.value) == (
+        "concepts in clusters but in no source: ['CM9#x', 'CM9#y']"
     )
 
 

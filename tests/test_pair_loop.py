@@ -217,9 +217,34 @@ def _tied_children_inputs():
     return sources, od, Fraction(1)
 
 
+def _mid_row_injection_inputs():
+    """An injection that makes a later concept of the same row scoreable.
+
+    R holds two concepts keyed beta.  The row of L#p starts with R#q only
+    (equal arity); case 3 on (L#p, R#q) injects synonymy(alpha, beta),
+    after which (L#p, R#r) takes the lookup branch, although R#r was no
+    candidate when the row started.
+    """
+    left = Ontology("L", [
+        Concept(id="L#k", term="kappa"),
+        Concept(id="L#p", term="alpha", children=("L#k",)),
+    ])
+    right = Ontology("R", [
+        Concept(id="R#k", term="kappa"),
+        Concept(id="R#q", term="beta", children=("R#k",)),
+        Concept(id="R#r", term="Beta"),
+    ])
+    od = Ontology("Od", [
+        Concept(id="Od#alpha", term="alpha"),
+        Concept(id="Od#beta", term="beta"),
+    ])
+    return [left, right], od, Fraction(1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(alignment_inputs())
 @example(_tied_children_inputs())
+@example(_mid_row_injection_inputs())
 def test_align_matches_naive_per_pair_path(inputs):
     sources, od, tau = inputs
     fast_warnings, naive_warnings = [], []
@@ -238,6 +263,15 @@ def test_align_matches_naive_per_pair_path(inputs):
     assert fast[1] == naive[1]
     assert fast[2] == naive[2]
     assert fast_warnings == naive_warnings
+
+
+def test_an_injection_mid_row_scores_later_concepts_of_its_key():
+    sources, od, tau = _mid_row_injection_inputs()
+    correspondences, _, records = align(sources, od, tau)
+    found = {c.pair: (c.verdict, c.evidence.kind) for c in correspondences}
+    assert found[("L#p", "R#q")] == ("Synonym", "enriched")
+    assert found[("L#p", "R#r")] == ("Synonym", "enriched")
+    assert [record.pair for record in records] == [("L#p", "R#q")]
 
 
 def _keys(ontology):
@@ -370,6 +404,15 @@ def test_integrate_scores_only_candidate_pairs(monkeypatch):
     assert 0 < calls[0] <= candidates
     assert 50 * candidates < len(truth.verdicts)  # 10,000 pairs
     assert len(report.correspondences) == calls[0]
+
+
+def test_integrate_scores_only_pairs_a_relation_or_a_case_can_reach(monkeypatch):
+    # every term is in the support ontology, so two known keys alone no
+    # longer make a candidate: 5,625 pairs were scored when they did
+    components, od, _ = generate_scenario(ScenarioSpec(150, 60, 15, 1, rng_seed=1))
+    calls = _count_calls(monkeypatch, semantic_similarity)
+    integrate(components, od)
+    assert 0 < calls[0] <= 150
 
 
 def test_integrate_sorts_each_child_list_once(tmp_path, monkeypatch):

@@ -130,7 +130,7 @@ def _write_outputs(outputs: dict[str, bytes]) -> None:
 
 
 def _distinct_outputs(paths: Sequence[str]) -> None:
-    resolved = [str(Path(p)) for p in paths]
+    resolved = [os.path.realpath(p) for p in paths]
     if len(set(resolved)) != len(resolved):
         raise _UsageError(f"output paths must be distinct, got {sorted(resolved)}")
 

@@ -92,10 +92,14 @@ def _equivalence_partners(
 ) -> list[tuple[str, Relation]]:
     """(partner term, equivalence relation) pairs touching ``term``, sorted.
 
-    Read from each source's equivalence-partner index.
+    Read from each source's ``related_terms``, keeping equivalences.
     """
     return sorted(
-        partner for source in sources for partner in source._partners.get(term, ())
+        (partner, relation)
+        for source in sources
+        for partner, relations in source.related_terms(term).items()
+        for relation in relations
+        if relation.kind == "equivalence"
     )
 
 
@@ -120,8 +124,10 @@ def infer_via_equivalents(
     bridge's kind, which is what gets injected, and the evidence
     (equivalence of t1, equivalence of t2, bridge).
     """
-    for s1, rel1 in _equivalence_partners(t1, sources):
-        for s2, rel2 in _equivalence_partners(t2, sources):
+    left = _equivalence_partners(t1, sources)
+    right = _equivalence_partners(t2, sources) if left else []
+    for s1, rel1 in left:
+        for s2, rel2 in right:
             if rel2 == rel1:
                 continue  # each side needs its own equivalence edge
             bridge = _first_relation([od, *sources], s1, s2, ("synonymy", "homonymy"))

@@ -39,7 +39,7 @@ from .model import (
     as_fraction,
     pair_rows,
 )
-from .model_io import _dumps, _load_document
+from .model_io import _check_version, _dumps, _load_document
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -58,7 +58,7 @@ class ScenarioSpec:
     def __post_init__(self):
         for name in ("concept_count", "synonym_pairs", "homonym_pairs"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise InfeasibleSpec(f"{name} must be a nonnegative integer, got {value!r}")
         if 2 * (self.synonym_pairs + self.homonym_pairs) > self.concept_count:
             raise InfeasibleSpec(
@@ -72,7 +72,7 @@ class ScenarioSpec:
             ) from exc
         if not 0 <= coverage <= 1:
             raise InfeasibleSpec(f"od_coverage must be in [0, 1], got {self.od_coverage}")
-        if not isinstance(self.rng_seed, int):
+        if not isinstance(self.rng_seed, int) or isinstance(self.rng_seed, bool):
             raise InfeasibleSpec(f"rng_seed must be an integer, got {self.rng_seed!r}")
 
     @classmethod
@@ -311,8 +311,7 @@ def serialize_truth(truth: GroundTruth) -> bytes:
 
 def parse_truth(path) -> GroundTruth:
     document = _load_document(path)
-    if not isinstance(document, dict) or document.get("format_version") != 1:
-        raise SchemaViolation(f"{path}: expected a ground-truth document, format_version 1")
+    _check_version(document, str(path))
     try:
         verdicts: dict[tuple[str, str], str] = {}
         for entry in document["pairs"]:

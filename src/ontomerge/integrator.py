@@ -68,14 +68,13 @@ def align(
     such pairs leaves the scan order of the others, and so the
     enrichment order, unchanged.  Enrichment never adds a term to the
     support ontology (it runs only on two present terms and at most adds
-    a second endpoint for one of them), so the known keys are fixed; the
-    relations are not, so each commit adds its key pair to the run's
-    term -> related terms map, and the next row reads it.  Within a row,
-    a commit for (c1, c2) relates c1's key to c2's key, so the later
-    concepts of that row's source sharing c2's key are merged into the
-    rest of the row (a source built from a component holds one concept
-    per key and never needs this).  The full list is the expansion of
-    the returned one over ``pair_space_of(sources)`` (see
+    a second endpoint for one of them), so the known keys are fixed.
+    The relations are not: a row reads the keys related to c1's from
+    the enriched copy and the sources when it starts, and a commit for
+    (c1, c2) merges the later concepts of that source with c2's key into
+    the rest of the row (a source built from a component holds one
+    concept per key and never needs this).  The full list is the
+    expansion of the returned one over ``pair_space_of(sources)`` (see
     ``model.pair_rows``).
 
     Pairs are scored in sorted (source id, concept id) order, source
@@ -108,46 +107,40 @@ def align(
     kids = children_index(ordered)
     enriched_od = od.copy()
     records: list[EnrichmentRecord] = []
-    related: dict[str, set[str]] = {}
-    for ontology in (od, *ordered):
-        for t1, t2 in ontology._by_term_pair:
-            _relate(related, t1, t2)
-    bridged = {term for source in ordered for term in source._partners}
+    # keys with an equivalence partner in some source: possible case-2 bridges
+    bridged = {
+        source.concepts[end].key
+        for source in ordered
+        for relation in source.relations
+        if relation.kind == "equivalence"
+        for end in (relation.a, relation.b)
+    }
 
     def hook(a: Concept, b: Concept):
         record = enrich(a, b, enriched_od, ordered, kids, warnings=sink)
         if record is not None:
             records.append(record)
-            _relate(related, a.key, b.key)
         return record
 
     correspondences: list[Correspondence] = []
     memo: dict[tuple[str, str], Fraction] = {}
-    items = [sorted(source.concepts.items()) for source in ordered]
-    blocks = [_Candidates(source_items, od, bridged) for source_items in items]
+    blocks = [_Candidates(source, od, bridged) for source in ordered]
     for i in range(len(ordered)):
         for later in blocks[i + 1:]:
-            for cid1, c1 in items[i]:
-                known = od.term_present(c1.key)
-                row = later.against(
-                    c1,
-                    related.get(c1.key, ()) if known else (),
-                    known and c1.key in bridged,
-                )
+            for c1 in blocks[i].concepts:
+                row = later.against(c1, (enriched_od, *ordered))
                 position = 0
                 while position < len(row):
-                    cid2, c2 = row[position]
+                    c2 = row[position]
                     position += 1
                     committed = len(records)
                     score, evidence = semantic_similarity(
                         c1, c2, enriched_od, kids, enrich=hook, memo=memo
                     )
                     if len(records) > committed:  # c1's key now relates to c2's
-                        rest = dict(row[position:])
-                        rest.update(
-                            item for item in later.known_by_key[c2.key] if item[0] > cid2
-                        )
-                        row = [*row[:position], *sorted(rest.items())]
+                        same = later.source.concepts_by_term(c2.key)
+                        rest = {c.id: c for c in [*row[position:], *same] if c.id > c2.id}
+                        row = [*row[:position], *(rest[cid] for cid in sorted(rest))]
                     verdict = _classify(c1, c2, score, evidence.kind, tau)
                     if verdict == "Identical" and c1.key == c2.key:
                         sink.append(
@@ -156,68 +149,61 @@ def align(
                         )
                     correspondences.append(
                         Correspondence(
-                            c1=cid1, c2=cid2, score=score,
+                            c1=c1.id, c2=c2.id, score=score,
                             verdict=verdict, evidence=evidence,
                         )
                     )
     return correspondences, enriched_od, records
 
 
-def _relate(related: dict[str, set[str]], t1: str, t2: str) -> None:
-    related.setdefault(t1, set()).add(t2)
-    related.setdefault(t2, set()).add(t1)
-
-
 class _Candidates:
-    """One source's concepts indexed by what makes a pair worth scoring.
+    """One source's concepts and the two lists no ``Ontology`` index answers.
 
-    ``by_key`` maps a key to its concepts, ``by_arity`` a child count to
-    its composites, ``known_by_key`` a key the support ontology holds to
-    its concepts, and ``bridged`` lists the concepts whose key the
-    support ontology holds and some source gives an equivalence partner;
-    each list is sorted by concept id.  See ``align`` for why these are
-    the only pairs that can be other than (0, syntactic, Distinct).
+    ``by_arity`` maps a child count to its composites, and ``bridged``
+    lists the concepts whose key the support ontology holds and is in
+    ``bridged_keys``; like ``concepts``, each is sorted by id.  See
+    ``align`` for why ``against`` picks the only pairs that can be other
+    than (0, syntactic, Distinct).
     """
 
-    def __init__(
-        self, items: list[tuple[str, Concept]], od: Ontology, bridged: set[str]
-    ):
-        self.by_key: dict[str, list[tuple[str, Concept]]] = {}
-        self.by_arity: dict[int, list[tuple[str, Concept]]] = {}
-        self.known_by_key: dict[str, list[tuple[str, Concept]]] = {}
-        self.bridged: list[tuple[str, Concept]] = []
-        for item in items:
-            concept = item[1]
-            self.by_key.setdefault(concept.key, []).append(item)
+    def __init__(self, source: Ontology, od: Ontology, bridged_keys: set[str]):
+        self.source = source
+        self.od = od
+        self.bridged_keys = bridged_keys
+        self.concepts = [concept for _, concept in sorted(source.concepts.items())]
+        self.by_arity: dict[int, list[Concept]] = {}
+        self.bridged: list[Concept] = []
+        for concept in self.concepts:
             if concept.children:
-                self.by_arity.setdefault(len(concept.children), []).append(item)
-            if od.term_present(concept.key):
-                self.known_by_key.setdefault(concept.key, []).append(item)
-                if concept.key in bridged:
-                    self.bridged.append(item)
+                self.by_arity.setdefault(len(concept.children), []).append(concept)
+            if concept.key in bridged_keys and od.term_present(concept.key):
+                self.bridged.append(concept)
 
-    def against(
-        self, concept: Concept, related: Iterable[str], bridged: bool
-    ) -> Sequence[tuple[str, Concept]]:
-        """The (id, concept) items to score ``concept`` against, by id.
+    def against(self, concept: Concept, ontologies: Iterable[Ontology]) -> Sequence[Concept]:
+        """The concepts to score ``concept`` against, by id.
 
-        ``related`` are the keys related to ``concept``'s key, and
-        ``bridged`` says whether its key may take part in a case-2
-        bridge; both are empty or false when the support ontology does
-        not hold its key.
+        Those sharing its key and the composites of its arity; when the
+        support ontology holds its key, also those whose key it holds and
+        one of ``ontologies`` relates to ``concept``'s key (read now),
+        and the bridged ones if its key may take part in a bridge.
         """
-        parts = [self.by_key.get(concept.key, ())]
-        parts.extend(self.known_by_key.get(term, ()) for term in related)
-        if bridged:
-            parts.append(self.bridged)
+        key = concept.key
+        parts = [self.source.concepts_by_term(key)]
+        if self.od.term_present(key):
+            related = {term for ontology in ontologies for term in ontology.related_terms(key)}
+            parts.extend(
+                self.source.concepts_by_term(term)
+                for term in related
+                if self.od.term_present(term)
+            )
+            if key in self.bridged_keys:
+                parts.append(self.bridged)
         parts.append(self.by_arity.get(len(concept.children), ()))  # no key 0
         parts = [part for part in parts if part]
         if len(parts) < 2:
             return parts[0] if parts else ()
-        union: dict[str, Concept] = {}
-        for part in parts:
-            union.update(part)
-        return sorted(union.items())
+        union = {c.id: c for part in parts for c in part}
+        return [union[cid] for cid in sorted(union)]
 
 
 def _classify(c1: Concept, c2: Concept, score: Fraction, kind: str, tau: Fraction) -> str:
@@ -360,6 +346,8 @@ def merge(
     doubled = sorted(cid for cid, n in placed.items() if n > 1)
     if doubled:
         raise SchemaViolation(f"concepts appear in several clusters: {doubled}")
+    if not all(partition):
+        raise SchemaViolation("a cluster of the partition is empty")
     displays = [
         _cluster_display(members, member_concept, od, homonym_endpoints, owner_id)
         for members in partition

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SchemaViolation
 from .terms import name_sort_key, normalize_term
@@ -152,16 +152,16 @@ class Ontology:
     unordered endpoint pair and kind) and synonymy/homonymy coexistence
     on one concept pair are rejected as well.
 
-    Three indexes, filled only by ``add_concept`` and ``add_relation``
+    Two indexes, filled only by ``add_concept`` and ``add_relation``
     and rebuilt by ``copy``, answer term questions without a scan:
 
     * normalized term -> sorted concept ids backs ``term_present`` and
       ``concepts_by_term``;
-    * sorted pair of normalized terms -> semantic relations, in sorted
-      order, backs ``similarity.lookup_relations``;
-    * normalized term -> sorted (partner term, equivalence relation)
-      pairs, one per equivalence touching a concept with that term, backs
-      ``enrichment._equivalence_partners``.
+    * normalized term -> related normalized term -> the semantic
+      relations joining concepts with those terms, sorted, backs
+      ``related_terms``.  Both directions of a term pair share one
+      tuple, and a relation between two concepts of one term is filed
+      under that term alone.
     """
 
     def __init__(self, id: str, concepts: Iterable[Concept] = (), relations: Iterable[Relation] = ()):
@@ -171,8 +171,7 @@ class Ontology:
         self.concepts: dict[str, Concept] = {}
         self._relations: dict[tuple[str, str, str], Relation] = {}
         self._ids_by_term: dict[str, list[str]] = {}
-        self._by_term_pair: dict[tuple[str, str], list[Relation]] = {}
-        self._partners: dict[str, list[tuple[str, Relation]]] = {}
+        self._related: dict[str, dict[str, tuple[Relation, ...]]] = {}
         for concept in concepts:
             self.add_concept(concept)
         for relation in relations:
@@ -219,11 +218,9 @@ class Ontology:
             )
         self._relations[relation.key] = relation
         ta, tb = self.concepts[relation.a].key, self.concepts[relation.b].key
-        insort(self._by_term_pair.setdefault((min(ta, tb), max(ta, tb)), []), relation)
-        if relation.kind == "equivalence":
-            insort(self._partners.setdefault(ta, []), (tb, relation))
-            if tb != ta:
-                insort(self._partners.setdefault(tb, []), (ta, relation))
+        joined = self._related.setdefault(ta, {})
+        shared = tuple(sorted((*joined.get(tb, ()), relation)))
+        joined[tb] = self._related.setdefault(tb, {})[ta] = shared
 
     def has_relation(self, relation: Relation) -> bool:
         return relation.key in self._relations
@@ -253,6 +250,14 @@ class Ontology:
 
     def term_present(self, normalized: str) -> bool:
         return normalized in self._ids_by_term
+
+    def related_terms(self, normalized: str) -> Mapping[str, tuple[Relation, ...]]:
+        """Related normalized term -> its relations to ``normalized``; do not modify.
+
+        Relations are semantic (never part_of) and sorted; ``normalized``
+        relates to itself when two of its concepts are related.
+        """
+        return self._related.get(normalized) or {}
 
     def copy(self) -> "Ontology":
         """Independent clone: concepts are copied and indexes rebuilt."""

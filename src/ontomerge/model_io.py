@@ -125,7 +125,7 @@ def _get(obj: dict, key: str, types, context: str, default=_expect):
             return default
         raise SchemaViolation(f"{context}: missing field {key!r}")
     value = obj[key]
-    if not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):  # a bool is an int
         names = types.__name__ if isinstance(types, type) else "/".join(
             t.__name__ for t in types
         )

@@ -15,11 +15,11 @@ hook gets one chance to inject one before the fallback fires.
 All scores are exact Fractions in [0, 1]; atomic pairs score exactly 0
 or 1.
 
-Term questions read the indexes that ``Ontology`` keeps on write: "does
-the support ontology know this term" is ``Ontology.term_present`` (the
-term -> concepts index), and "which semantic relations join these two
-terms" is ``lookup_relations`` (the term-pair index), for the support
-ontology and for each source alike.
+Term questions read the two indexes that ``Ontology`` keeps on write:
+"does the support ontology know this term" is ``Ontology.term_present``,
+and "which semantic relations join these two terms" is
+``lookup_relations`` (a read of ``Ontology.related_terms``), for the
+support ontology and for each source alike.
 """
 
 from __future__ import annotations
@@ -134,11 +134,11 @@ def lookup_relations(ontology: Ontology, t1: str, t2: str) -> tuple[Relation, ..
 
     Matches any pair of concepts bearing the terms; t1 and t2 may be
     equal (homonymy between two concepts sharing one term).  part_of
-    edges never count.  Result is sorted.  Answered from the ontology's
-    term-pair index, so the cost does not grow with the relation count;
-    this is the one query for the support ontology and for each source.
+    edges never count.  Result is sorted.  One ``Ontology.related_terms``
+    read, so the cost does not grow with the relation count; this is the
+    one query for the support ontology and for each source.
     """
-    return tuple(ontology._by_term_pair.get(tuple(sorted((t1, t2))), ()))
+    return ontology.related_terms(t1).get(t2, ())
 
 
 def semantic_similarity(

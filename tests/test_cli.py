@@ -63,17 +63,25 @@ def test_single_component_is_usage_error(tmp_path, scenario_files, capsys):
 
 
 def test_duplicate_output_paths_rejected(tmp_path, scenario_files, capsys):
-    code = main([
-        "integrate",
+    # One file named as is, through "..", and through a symlinked directory.
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    (out / "link").symlink_to(out, target_is_directory=True)
+    inputs = [
         "--component", str(scenario_files["cm1"]),
         "--component", str(scenario_files["cm2"]),
         "--ontology", str(scenario_files["od"]),
-        "--out-component", str(tmp_path / "same.json"),
-        "--out-ontology", str(tmp_path / "same.json"),
-        "--report", str(tmp_path / "c.json"),
-    ])
-    assert code == 1
-    assert not (tmp_path / "same.json").exists()
+    ]
+    same = out / "same.json"
+    for alias in (same, out / "sub" / ".." / "same.json", out / "link" / "same.json"):
+        for command in (
+            ["integrate", "--out-component", str(same),
+             "--out-ontology", str(out / "other.json"), "--report", str(alias)],
+            ["align", "--report", str(same), "--out-ontology", str(alias)],
+        ):
+            assert main(command[:1] + inputs + command[1:]) == 1, (command, alias)
+            assert sorted(path.name for path in out.iterdir()) == ["link", "sub"]
+            assert not any((out / "sub").iterdir())
 
 
 def test_bad_tau_is_usage_error(tmp_path, scenario_files, capsys):
@@ -268,7 +276,10 @@ def test_infeasible_gen_spec_is_schema_error(tmp_path, capsys):
     [1, 2],
     {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "od_coverage": "half"},
     {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "rng_seed": [1]},
-], ids=["root-not-object", "coverage-not-number", "seed-not-integer"])
+    {"concept_count": True, "synonym_pairs": False, "homonym_pairs": False},
+    {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "rng_seed": True},
+], ids=["root-not-object", "coverage-not-number", "seed-not-integer", "counts-boolean",
+        "seed-boolean"])
 def test_malformed_gen_spec_is_schema_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec), encoding="utf-8")

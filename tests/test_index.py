@@ -1,8 +1,9 @@
 """The ontology term indexes against the naive scans they replaced.
 
-``Ontology`` answers term questions from three maps filled on write.  The
-functions below are the scans that answered them before: they re-read
-every concept or relation on every call and serve as oracles here.
+``Ontology`` answers term questions from two maps filled on write: term ->
+concepts, and term -> related term -> relations.  The functions below
+are the scans that answered them before: they re-read every concept or
+relation on every call and serve as oracles here.
 """
 
 import sys
@@ -48,6 +49,21 @@ def naive_lookup(ontology, t1, t2):
         if terms == wanted:
             found.append(relation)
     return tuple(found)
+
+
+def naive_related_terms(ontology, term):
+    """Each term a non-part_of relation joins to ``term``, with those relations sorted."""
+    related = {}
+    for relation in ontology.relations:
+        if relation.kind == "part_of":
+            continue
+        ta = normalize_term(ontology.concepts[relation.a].term)
+        tb = normalize_term(ontology.concepts[relation.b].term)
+        if ta == term:
+            related.setdefault(tb, []).append(relation)
+        elif tb == term:
+            related.setdefault(ta, []).append(relation)
+    return {other: tuple(sorted(found)) for other, found in related.items()}
 
 
 def naive_concepts_by_term(ontology, normalized):
@@ -97,6 +113,7 @@ def answers(ontology):
     return {
         "lookup": {(t1, t2): lookup_relations(ontology, t1, t2)
                    for t1 in TERMS for t2 in TERMS},
+        "related": {t: dict(ontology.related_terms(t)) for t in TERMS},
         "present": {t: ontology.term_present(t) for t in TERMS},
         "by_term": {t: [c.id for c in ontology.concepts_by_term(t)] for t in TERMS},
         "partners": {t: _equivalence_partners(t, [ontology]) for t in TERMS},
@@ -110,6 +127,7 @@ def assert_matches_oracle(ontology):
     for (t1, t2), found in got["lookup"].items():
         assert found == naive_lookup(ontology, t1, t2)
     for term in TERMS:
+        assert got["related"][term] == naive_related_terms(ontology, term)
         assert got["present"][term] == naive_term_present(ontology, term)
         assert got["by_term"][term] == [
             c.id for c in naive_concepts_by_term(ontology, term)
@@ -183,6 +201,9 @@ def test_same_term_homonymy_is_indexed_under_one_term():
     assert lookup_relations(ontology, "service", "service") == (
         Relation("O#a", "O#b", "homonymy"),
     )
+    assert dict(ontology.related_terms("service")) == {
+        "service": (Relation("O#a", "O#b", "homonymy"),)
+    }
     assert [c.id for c in ontology.concepts_by_term("service")] == ["O#a", "O#b"]
 
 
@@ -196,6 +217,7 @@ def test_indexes_match_naive_scans_after_enrichment(seed):
     terms = sorted({normalize_term(c.term) for c in enriched.concepts.values()})
     for t1 in terms:
         assert enriched.term_present(t1)
+        assert dict(enriched.related_terms(t1)) == naive_related_terms(enriched, t1)
         assert _equivalence_partners(t1, [enriched]) == naive_equivalence_partners(
             t1, [enriched]
         )

@@ -338,8 +338,8 @@ def test_colliding_displays_are_suffixed_by_a_member_bearing_the_display():
     )
 
 
-def test_merge_rejects_a_cluster_member_no_source_holds():
-    sources = [
+def _two_one_concept_sources():
+    return [
         component_to_ontology(
             BusinessComponent(id="CM1", name="a", entities=(Entity(name="Aube"),))
         ),
@@ -347,12 +347,21 @@ def test_merge_rejects_a_cluster_member_no_source_holds():
             BusinessComponent(id="CM2", name="b", entities=(Entity(name="Brume"),))
         ),
     ]
+
+
+def test_merge_rejects_a_cluster_member_no_source_holds():
     partition = [("CM1#aube",), ("CM2#brume",), ("CM9#y",), ("CM9#x",)]
     with pytest.raises(SchemaViolation) as caught:
-        merge(partition, sources, Ontology("Od"))
+        merge(partition, _two_one_concept_sources(), Ontology("Od"))
     assert str(caught.value) == (
         "concepts in clusters but in no source: ['CM9#x', 'CM9#y']"
     )
+
+
+def test_merge_rejects_an_empty_cluster():
+    partition = [(), ("CM1#aube",), ("CM2#brume",)]
+    with pytest.raises(SchemaViolation, match="a cluster of the partition is empty"):
+        merge(partition, _two_one_concept_sources(), Ontology("Od"))
 
 
 def test_all_singletons_is_disjoint_union():

@@ -36,6 +36,7 @@ from ontomerge import (
     integrate,
 )
 from ontomerge import model_io
+from ontomerge.evalgen import parse_truth
 from ontomerge.model import PROVENANCES, RELATION_KINDS, SEMANTIC_KINDS
 
 from .conftest import make_cm1, make_support_ontology
@@ -148,6 +149,24 @@ def test_wrong_format_version_rejected(tmp_path):
     )
     with pytest.raises(SchemaViolation, match="format_version"):
         parse_component(path)
+
+
+_MINIMAL_DOCUMENTS = {
+    "component": (parse_component, {"id": "CM1", "name": "x", "entities": []}),
+    "ontology": (parse_ontology, {"id": "Od", "concepts": []}),
+    "report": (parse_report, {"correspondences": []}),
+    "truth": (parse_truth, {"pairs": []}),
+}
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
+@pytest.mark.parametrize("kind", sorted(_MINIMAL_DOCUMENTS))
+def test_format_version_must_be_the_integer_one(tmp_path, kind, version):
+    parse, fields = _MINIMAL_DOCUMENTS[kind]
+    parse(_write(tmp_path, "v1.json", {"format_version": 1, **fields}))
+    path = _write(tmp_path, "other.json", {"format_version": version, **fields})
+    with pytest.raises(SchemaViolation, match="format_version"):
+        parse(path)
 
 
 def test_broken_json_is_malformed(tmp_path):

@@ -110,7 +110,10 @@ def _add_input_flags(cmd: argparse.ArgumentParser) -> None:
 
 
 def _write_outputs(outputs: dict[str, bytes]) -> None:
-    """Write all files, or none: stage temporaries first, then rename."""
+    """Write all files, or none: check the targets, stage temporaries, then rename."""
+    for path in outputs:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path is a directory: {path}")
     staged: list[tuple[str, str]] = []
     try:
         for path, payload in outputs.items():
@@ -118,6 +121,9 @@ def _write_outputs(outputs: dict[str, bytes]) -> None:
             with open(temp, "wb") as handle:
                 handle.write(payload)
             staged.append((temp, path))
+        while staged:
+            os.replace(*staged[-1])
+            staged.pop()  # renamed: no temporary left to remove
     except OSError:
         for temp, _ in staged:
             try:
@@ -125,8 +131,6 @@ def _write_outputs(outputs: dict[str, bytes]) -> None:
             except OSError:
                 pass
         raise
-    for temp, path in staged:
-        os.replace(temp, path)
 
 
 def _distinct_outputs(paths: Sequence[str]) -> None:

@@ -70,8 +70,8 @@ class ScenarioSpec:
             raise InfeasibleSpec(
                 f"od_coverage must be a number, got {self.od_coverage!r}"
             ) from exc
-        if not 0 <= coverage <= 1:
-            raise InfeasibleSpec(f"od_coverage must be in [0, 1], got {self.od_coverage}")
+        if isinstance(self.od_coverage, bool) or not 0 <= coverage <= 1:
+            raise InfeasibleSpec(f"od_coverage must be in [0, 1], got {self.od_coverage!r}")
         if not isinstance(self.rng_seed, int) or isinstance(self.rng_seed, bool):
             raise InfeasibleSpec(f"rng_seed must be an integer, got {self.rng_seed!r}")
 

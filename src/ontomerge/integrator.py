@@ -48,33 +48,21 @@ def align(
 ) -> tuple[list[Correspondence], Ontology, list[EnrichmentRecord]]:
     """Score the cross-source concept pairs that can be other than Distinct.
 
-    Returns only the scored pairs.  A pair is scored when its concepts
-    share a key, or are composites of equal arity, or when both keys
-    occur in the support ontology and one of these holds:
-
-    * relation - the support ontology (as enriched so far) or some
-      source has a semantic relation between the two keys: a declared
-      one, an earlier injection, or the evidence of enrichment case 1;
-    * bridge - both keys have an equivalence partner in some source, so
-      enrichment case 2 may find a bridge.
-
-    Every other pair is exactly (0, syntactic, Distinct), as
-    ``semantic_similarity`` would score it, and scoring it has no side
-    effect: with a key absent from the support ontology no lookup or
-    enrichment runs; with both keys present the lookup is empty and
-    ``enrich`` returns None without writing or warning, since case 1
-    finds no source relation, case 2 no partner, and case 3 needs
-    composites of equal arity.  Its flat syntactic score is 0.  Skipping
-    such pairs leaves the scan order of the others, and so the
-    enrichment order, unchanged.  Enrichment never adds a term to the
-    support ontology (it runs only on two present terms and at most adds
-    a second endpoint for one of them), so the known keys are fixed.
-    The relations are not: a row reads the keys related to c1's from
-    the enriched copy and the sources when it starts, and a commit for
-    (c1, c2) merges the later concepts of that source with c2's key into
-    the rest of the row (a source built from a component holds one
-    concept per key and never needs this).  The full list is the
-    expansion of the returned one over ``pair_space_of(sources)`` (see
+    Returns only the scored pairs.  For each concept c1 and later source,
+    ``candidates`` picks the concepts that share c1's key or score above
+    0 syntactically and, when the support ontology holds c1's key and
+    theirs, those one of these rules reaches: a semantic relation between
+    the keys in the support ontology (as enriched so far) or a source
+    (the lookup and case 1); the case-2 path eq(c1's key, p1), synonymy or
+    homonymy (p1, p2), eq(p2, their key); or, for case 3, a composite of
+    c1's arity with a child whose key equals, or is joined by synonymy or
+    equivalence to, the key of a child of c1.  Every other pair is exactly
+    (0, syntactic, Distinct) and scoring it has no side effect, so
+    skipping it leaves the scan order of the others, and so the
+    enrichment order, unchanged.  Enrichment adds no term to the support
+    ontology, only relations, so after each commit the rest of the row is
+    read again through ``candidates``.  The full list is the expansion
+    of the returned one over ``pair_space_of(sources)`` (see
     ``model.pair_rows``).
 
     Pairs are scored in sorted (source id, concept id) order, source
@@ -90,8 +78,8 @@ def align(
       cannot be excluded);
     * anything else -> Distinct.
 
-    Concept ids must be unique across sources: the children index and the
-    composite-score memo, both built once per run, are keyed by them.
+    Concept ids must be unique across sources: the indexes and memos
+    built once per run are keyed by them.
     """
     tau = as_fraction(tau)
     if not 0 < tau <= 1:
@@ -106,15 +94,64 @@ def align(
     ordered = sorted(sources, key=lambda o: o.id)
     kids = children_index(ordered)
     enriched_od = od.copy()
+    ontologies = (enriched_od, *ordered)
     records: list[EnrichmentRecord] = []
-    # keys with an equivalence partner in some source: possible case-2 bridges
-    bridged = {
-        source.concepts[end].key
-        for source in ordered
-        for relation in source.relations
-        if relation.kind == "equivalence"
-        for end in (relation.a, relation.b)
-    }
+    parents: dict[str, list[Concept]] = {}  # child id -> its parents
+    for source in ordered:
+        for concept in source.concepts.values():
+            for child in set(concept.children):
+                parents.setdefault(child, []).append(concept)
+    positive: dict[tuple[str, str], set[str]] = {}  # syntactic partners memo
+
+    def joined(term: str, kinds: tuple[str, ...], where: Sequence[Ontology]) -> set[str]:
+        related = (ontology.related_terms(term).items() for ontology in where)
+        return {other for pairs in related for other, relations in pairs
+                if any(relation.kind in kinds for relation in relations)}
+
+    def parents_of(child_ids: Iterable[str], arity: int) -> set[str]:
+        return {p.id for cid in child_ids for p in parents.get(cid, ())
+                if len(p.children) == arity}
+
+    def syntactic_partners(concept: Concept, later: Ontology) -> set[str]:
+        # an atomic's partners are the same-key atomics, a composite's the
+        # equal-arity parents of its children's partners: filled bottom-up
+        stack = [concept] if (concept.id, later.id) not in positive else []
+        while stack:
+            top = stack[-1]
+            pending = [x for x in kids[top.id] if (x.id, later.id) not in positive]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if top.is_atomic:
+                found = {c.id for c in later.concepts_by_term(top.key) if c.is_atomic}
+            else:
+                child_partners = (y for x in kids[top.id] for y in positive[x.id, later.id])
+                found = parents_of(child_partners, len(top.children))
+            positive[top.id, later.id] = found
+        return positive[concept.id, later.id]
+
+    def candidates(c1: Concept, later: Ontology) -> list[Concept]:
+        """The concepts of ``later`` that some rule can pair with c1, by id."""
+        key = c1.key
+        reached = set(syntactic_partners(c1, later)) if c1.children else set()
+        if enriched_od.term_present(key):
+            terms = {term for ontology in ontologies for term in ontology.related_terms(key)}
+            for p1 in joined(key, ("equivalence",), ordered):  # case 2
+                for p2 in joined(p1, ("synonymy", "homonymy"), ontologies):
+                    terms |= joined(p2, ("equivalence",), ordered)
+            found = {c.id for term in terms for c in later.concepts_by_term(term)}
+            if c1.children:  # case 3
+                near = {term for x in kids[c1.id] for term in
+                        (x.key, *joined(x.key, ("synonymy", "equivalence"), ontologies))}
+                near_ids = (y.id for term in near for y in later.concepts_by_term(term))
+                found |= parents_of(near_ids, len(c1.children))
+            reached.update(c for c in found if enriched_od.term_present(later.concepts[c].key))
+        same = later.concepts_by_term(key)  # already by id; an atomic's partners are in it
+        if not reached:
+            return same
+        reached.update(c.id for c in same)
+        return [later.concepts[cid] for cid in sorted(reached)]
 
     def hook(a: Concept, b: Concept):
         record = enrich(a, b, enriched_od, ordered, kids, warnings=sink)
@@ -124,23 +161,19 @@ def align(
 
     correspondences: list[Correspondence] = []
     memo: dict[tuple[str, str], Fraction] = {}
-    blocks = [_Candidates(source, od, bridged) for source in ordered]
-    for i in range(len(ordered)):
-        for later in blocks[i + 1:]:
-            for c1 in blocks[i].concepts:
-                row = later.against(c1, (enriched_od, *ordered))
-                position = 0
-                while position < len(row):
-                    c2 = row[position]
-                    position += 1
+    for i, source in enumerate(ordered):
+        for later in ordered[i + 1:]:
+            for cid in sorted(source.concepts):
+                c1 = source.concepts[cid]
+                row = candidates(c1, later)[::-1]  # popped from the end, by id
+                while row:
+                    c2 = row.pop()
                     committed = len(records)
                     score, evidence = semantic_similarity(
                         c1, c2, enriched_od, kids, enrich=hook, memo=memo
                     )
-                    if len(records) > committed:  # c1's key now relates to c2's
-                        same = later.source.concepts_by_term(c2.key)
-                        rest = {c.id: c for c in [*row[position:], *same] if c.id > c2.id}
-                        row = [*row[:position], *(rest[cid] for cid in sorted(rest))]
+                    if len(records) > committed:  # the commit may reach more of the row
+                        row = [c for c in reversed(candidates(c1, later)) if c.id > c2.id]
                     verdict = _classify(c1, c2, score, evidence.kind, tau)
                     if verdict == "Identical" and c1.key == c2.key:
                         sink.append(
@@ -154,56 +187,6 @@ def align(
                         )
                     )
     return correspondences, enriched_od, records
-
-
-class _Candidates:
-    """One source's concepts and the two lists no ``Ontology`` index answers.
-
-    ``by_arity`` maps a child count to its composites, and ``bridged``
-    lists the concepts whose key the support ontology holds and is in
-    ``bridged_keys``; like ``concepts``, each is sorted by id.  See
-    ``align`` for why ``against`` picks the only pairs that can be other
-    than (0, syntactic, Distinct).
-    """
-
-    def __init__(self, source: Ontology, od: Ontology, bridged_keys: set[str]):
-        self.source = source
-        self.od = od
-        self.bridged_keys = bridged_keys
-        self.concepts = [concept for _, concept in sorted(source.concepts.items())]
-        self.by_arity: dict[int, list[Concept]] = {}
-        self.bridged: list[Concept] = []
-        for concept in self.concepts:
-            if concept.children:
-                self.by_arity.setdefault(len(concept.children), []).append(concept)
-            if concept.key in bridged_keys and od.term_present(concept.key):
-                self.bridged.append(concept)
-
-    def against(self, concept: Concept, ontologies: Iterable[Ontology]) -> Sequence[Concept]:
-        """The concepts to score ``concept`` against, by id.
-
-        Those sharing its key and the composites of its arity; when the
-        support ontology holds its key, also those whose key it holds and
-        one of ``ontologies`` relates to ``concept``'s key (read now),
-        and the bridged ones if its key may take part in a bridge.
-        """
-        key = concept.key
-        parts = [self.source.concepts_by_term(key)]
-        if self.od.term_present(key):
-            related = {term for ontology in ontologies for term in ontology.related_terms(key)}
-            parts.extend(
-                self.source.concepts_by_term(term)
-                for term in related
-                if self.od.term_present(term)
-            )
-            if key in self.bridged_keys:
-                parts.append(self.bridged)
-        parts.append(self.by_arity.get(len(concept.children), ()))  # no key 0
-        parts = [part for part in parts if part]
-        if len(parts) < 2:
-            return parts[0] if parts else ()
-        union = {c.id: c for part in parts for c in part}
-        return [union[cid] for cid in sorted(union)]
 
 
 def _classify(c1: Concept, c2: Concept, score: Fraction, kind: str, tau: Fraction) -> str:

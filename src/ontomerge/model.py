@@ -222,9 +222,6 @@ class Ontology:
         shared = tuple(sorted((*joined.get(tb, ()), relation)))
         joined[tb] = self._related.setdefault(tb, {})[ta] = shared
 
-    def has_relation(self, relation: Relation) -> bool:
-        return relation.key in self._relations
-
     def validate(self) -> None:
         """Check cross-concept invariants: child references and acyclicity."""
         for concept in self.concepts.values():

@@ -214,7 +214,7 @@ def test_criterion_3_enrichment_properties():
         assert record.injected.provenance == provenance, name
         assert len(od.relations) == before + 1, name
         # monotonicity: nothing removed or altered
-        assert od.has_relation(record.injected)
+        assert record.injected in od.relations
 
     # case order: 1 beats 2 beats 3 when several could fire
     combined_left = Ontology(
@@ -307,7 +307,7 @@ def test_criterion_3_enrichment_properties():
             assert not {"synonymy", "homonymy"} <= kinds
         # monotonic: every original relation survived
         for relation in support.relations:
-            assert enriched.has_relation(relation)
+            assert relation in enriched.relations
         assert len(enriched.relations) >= len(support.relations)
     _report("criterion 3 (enrichment properties)")
 

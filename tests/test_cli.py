@@ -149,6 +149,27 @@ def test_unwritable_output_leaves_no_partial_files(tmp_path, scenario_files, cap
     assert list(out.iterdir()) == []  # nothing written, not even temporaries
 
 
+@pytest.mark.parametrize("command", ["integrate", "align"])
+def test_directory_target_leaves_no_partial_files(tmp_path, scenario_files, capsys, command):
+    # the report path is an existing directory: only the last rename would fail
+    out = tmp_path / "ok"
+    out.mkdir()
+    (out / "report").mkdir()
+    args = [
+        command,
+        "--component", str(scenario_files["cm1"]),
+        "--component", str(scenario_files["cm2"]),
+        "--ontology", str(scenario_files["od"]),
+        "--out-ontology", str(out / "od2.json"),
+        "--report", str(out / "report"),
+    ]
+    if command == "integrate":
+        args += ["--out-component", str(out / "cmr.json")]
+    assert main(args) == 1
+    assert [path.name for path in out.iterdir()] == ["report"]  # no output, no temporary
+    assert list((out / "report").iterdir()) == []
+
+
 def test_repeated_runs_are_byte_identical(tmp_path, scenario_files):
     first = tmp_path / "first"
     second = tmp_path / "second"
@@ -278,8 +299,9 @@ def test_infeasible_gen_spec_is_schema_error(tmp_path, capsys):
     {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "rng_seed": [1]},
     {"concept_count": True, "synonym_pairs": False, "homonym_pairs": False},
     {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "rng_seed": True},
+    {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "od_coverage": True},
 ], ids=["root-not-object", "coverage-not-number", "seed-not-integer", "counts-boolean",
-        "seed-boolean"])
+        "seed-boolean", "coverage-boolean"])
 def test_malformed_gen_spec_is_schema_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec), encoding="utf-8")

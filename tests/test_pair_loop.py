@@ -27,12 +27,14 @@ from ontomerge import (
     Relation,
     Report,
     ScenarioSpec,
+    SchemaViolation,
     align,
     children_index,
     component_to_ontology,
     enrich,
     expand_correspondences,
     generate_scenario,
+    infer_via_equivalents,
     integrate,
     lookup_relations,
     pair_space_of,
@@ -166,7 +168,8 @@ def alignment_inputs(draw):
     The two extra sources give fractional composite scores (so ``tau``
     below 1 matters) and shared child pairs; pool terms put into the
     support ontology send their pairs through the enrichment hook, where
-    equal-term children can make case 3 fire.
+    equal-term children can make case 3 fire, and drawn relations can
+    make case 1 and case 2 fire and open pairs later in a row.
     """
     synonyms = draw(st.integers(min_value=0, max_value=3))
     homonyms = draw(st.integers(min_value=0, max_value=2))
@@ -191,6 +194,17 @@ def alignment_inputs(draw):
         od.add_concept(Concept(id=f"Od#pool-{term}", term=term))
     if len(known) >= 2 and draw(st.booleans()):
         od.add_relation(Relation(f"Od#pool-{known[0]}", f"Od#pool-{known[1]}", "synonymy"))
+    # relations inside L, inside R and among the pool concepts: case 1 and
+    # case-2 paths the generator never makes, same-key pairs included
+    for ontology in (sources[-2], sources[-1], od):
+        ids = sorted(cid for cid in ontology.concepts if ontology is not od or "#pool-" in cid)
+        for _ in range(draw(st.integers(min_value=0, max_value=4)) if ids else 0):
+            a, b = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+            kind = draw(st.sampled_from(("equivalence", "synonymy", "homonymy")))
+            try:
+                ontology.add_relation(Relation(a, b, kind))
+            except SchemaViolation:
+                pass  # a self-relation, a duplicate, or synonymy beside homonymy
     tau = draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(1, 3)]))
     return sources, od, tau
 
@@ -221,7 +235,7 @@ def _mid_row_injection_inputs():
     """An injection that makes a later concept of the same row scoreable.
 
     R holds two concepts keyed beta.  The row of L#p starts with R#q only
-    (equal arity); case 3 on (L#p, R#q) injects synonymy(alpha, beta),
+    (their children match); case 3 on (L#p, R#q) injects synonymy(alpha, beta),
     after which (L#p, R#r) takes the lookup branch, although R#r was no
     candidate when the row started.
     """
@@ -413,6 +427,17 @@ def test_integrate_scores_only_pairs_a_relation_or_a_case_can_reach(monkeypatch)
     calls = _count_calls(monkeypatch, semantic_similarity)
     integrate(components, od)
     assert 0 < calls[0] <= 150
+
+
+def test_align_scores_only_pairs_a_rule_can_reach(monkeypatch):
+    components, od, _ = generate_scenario(ScenarioSpec(400, 50, 20, 0.5, 1))
+    sources = [component_to_ontology(c) for c in components]
+    calls = _count_calls(monkeypatch, infer_via_equivalents)
+    correspondences, _, records = align(sources, od)
+    trivial = (Fraction(0), "Distinct", Evidence("syntactic"))
+    assert correspondences  # 1,000 were scored, 890 of them trivial, when all bridged pairs were
+    assert all((c.score, c.verdict, c.evidence) != trivial for c in correspondences)
+    assert 0 < calls[0] <= 2 * len(records)  # 925 calls for 35 injections
 
 
 def test_integrate_sorts_each_child_list_once(tmp_path, monkeypatch):

@@ -199,9 +199,12 @@ def enrich(
     commits it.  On success the support ontology gains exactly one
     relation (plus any endpoint concepts it needed) and lookups for the
     pair are nonempty afterwards.  On failure ``od`` is untouched.  An
-    injection that would put synonymy and homonymy on the same pair is
-    refused with a warning.  ``kids`` is the ``children_index`` of the
-    sources, read by case 3.
+    injection of a relation ``od`` already holds is skipped, and one that
+    would put synonymy and homonymy on the same pair is refused with a
+    warning.  These guards protect direct library calls: ``align`` calls
+    only for a pair whose keys ``od`` holds and joins by no relation, so
+    there the first derivation wins, in scan order.  ``kids`` is the
+    ``children_index`` of the sources, read by case 3.
     """
     sink = warnings if warnings is not None else []
     t1 = c1.key

@@ -253,9 +253,9 @@ def evaluate(report: Report, truth: GroundTruth) -> dict:
     report's unlisted pairs count as Distinct.
     """
     predicted = {
-        (c1, c2): "Distinct" if corr is None else corr.verdict
+        (c1, c2): cells[k].verdict if k in cells else "Distinct"
         for c1, _, partners, cells in pair_rows(report)
-        for c2, corr in zip(partners, cells)
+        for k, c2 in enumerate(partners)
     }
     if set(predicted) != set(truth.verdicts):
         missing = sorted(set(truth.verdicts) - set(predicted))[:3]

@@ -335,12 +335,12 @@ def merge(
         _cluster_display(members, member_concept, od, homonym_endpoints, owner_id)
         for members in partition
     ]
-    _disambiguate_displays(displays, partition, member_concept, owner_id, sink)
+    keys = _disambiguate_displays(displays, partition, member_concept, owner_id, sink)
 
     cluster_of: dict[str, str] = {}
     cluster_ids = []
-    for members, display in zip(partition, displays):
-        cid = f"{MERGED_ID}#{normalize_term(display)}"
+    for members, key in zip(partition, keys):
+        cid = f"{MERGED_ID}#{key}"
         cluster_ids.append(cid)
         for member in members:
             cluster_of[member] = cid
@@ -353,14 +353,12 @@ def merge(
 
     merged = Ontology(MERGED_ID)
     clusters: list[Cluster] = []
-    for members, display, cid in zip(partition, displays, cluster_ids):
+    for members, display, key, cid in zip(partition, displays, keys, cluster_ids):
         term_keys: dict[str, str] = {}
         for member in members:
             concept = member_concept[member]
             term_keys.setdefault(concept.key, concept.term)
-        aliases = tuple(
-            raw for key, raw in sorted(term_keys.items()) if key != normalize_term(display)
-        )
+        aliases = tuple(raw for term_key, raw in sorted(term_keys.items()) if term_key != key)
         children = set()
         attributes = set()
         associations = set()
@@ -431,8 +429,8 @@ def _disambiguate_displays(
     member_concept: dict[str, Concept],
     owner_id: dict[str, str],
     sink: list[str],
-) -> None:
-    """Suffix colliding display terms with a source id (in place).
+) -> list[str]:
+    """Suffix colliding display terms with a source id (in place); return their keys.
 
     The suffix is the smallest source id among the cluster's members
     whose key is the display's key.  A source holds one concept per key,
@@ -440,9 +438,10 @@ def _disambiguate_displays(
     no member bears (a homonym's "<term> (<source id>)") falls back to
     the source of the first member.
     """
+    keys = [normalize_term(display) for display in displays]
     groups: dict[str, list[int]] = {}
-    for index, display in enumerate(displays):
-        groups.setdefault(normalize_term(display), []).append(index)
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
     for key, indexes in sorted(groups.items()):
         if len(indexes) < 2:
             continue
@@ -457,6 +456,8 @@ def _disambiguate_displays(
                 f"source id {owner!r}"
             )
             displays[index] = f"{displays[index]} ({owner})"
+            keys[index] = normalize_term(displays[index])
+    return keys
 
 
 def integrate(

@@ -12,8 +12,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import groupby
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SchemaViolation
@@ -299,14 +297,14 @@ class Entity:
     components: tuple[str, ...] = ()
 
     def __post_init__(self):
-        normalize_term(self.name)
+        own_key = normalize_term(self.name)
         self.attributes = tuple(sorted(self.attributes))
         self.associations = tuple(sorted(Association(*a) for a in self.associations))
-        self.components = tuple(sorted(self.components, key=name_sort_key))
+        keyed = sorted(map(name_sort_key, self.components))
+        self.components = tuple(child for _, child in keyed)
         seen = set()
-        for child in self.components:
-            key = normalize_term(child)
-            if key == normalize_term(self.name):
+        for key, child in keyed:
+            if key == own_key:
                 raise SchemaViolation(
                     f"entity {self.name!r} lists itself among its composition children"
                 )
@@ -517,9 +515,9 @@ class Report:
     ``pair_space`` holds the sorted concept ids of each source, sources in
     id order.  When it is set, the report is sparse: a cross-source pair
     of that space (c1 from an earlier source, c2 from a later one) that
-    ``correspondences`` leaves out is (0, syntactic, Distinct).  When it
-    is empty, as in a report read from a file, ``correspondences`` names
-    every pair.  ``pair_rows`` walks both forms in the same order.
+    ``correspondences`` leaves out is (0, syntactic, Distinct); when it is
+    empty, as in a report read from a file, ``correspondences`` names every
+    pair.  Either way no pair is listed twice; ``pair_rows`` reads both.
     """
 
     correspondences: list[Correspondence] = field(default_factory=list)
@@ -535,72 +533,55 @@ def pair_space_of(sources: Iterable[Ontology]) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(sorted(source.concepts)) for source in ordered)
 
 
-_C2 = attrgetter("c2")
-
-
 def pair_rows(
     report: Report,
-) -> Iterator[tuple[str, Optional[int], Sequence[str], Sequence[Optional[Correspondence]]]]:
+) -> Iterator[tuple[str, Optional[int], Sequence[str], Mapping[int, Correspondence]]]:
     """Every pair of ``report``, one row per c1, in global (c1, c2) string order.
 
     A row is (c1, side, partners, cells): ``partners`` are the row's c2 ids
-    in string order and ``cells[k]`` is the listed correspondence of
-    (c1, partners[k]), or None for a pair that a sparse report leaves out
-    as (0, syntactic, Distinct).  In a sparse report ``side`` is the index
-    of c1's source in ``pair_space`` and every row of one side shares one
-    ``partners`` tuple: all concept ids of the later sources, merged.
+    in string order and ``cells`` maps a position k in ``partners`` to the
+    listed correspondence of (c1, partners[k]); a sparse report leaves a
+    position out for an unlisted (0, syntactic, Distinct) pair.  In a
+    sparse report ``side`` is the index of c1's source in ``pair_space``
+    and every row of one side shares one ``partners`` tuple: all concept
+    ids of the later sources, merged (empty when those sources are).
     Concept ids order rows across sources ("CM 2#x" < "CM#x").  In an
-    explicit report ``side`` is None and each row lists its own pairs.
+    explicit report ``side`` is None and ``cells`` holds every position.
 
-    Raises SchemaViolation for a pair listed twice and, in a sparse
-    report, for a pair outside the pair space or one that points from a
-    later source to an earlier one.  Nothing listed is dropped.
+    The listed pairs are indexed once.  Raises SchemaViolation for a pair
+    listed twice and, in a sparse report, for a pair outside the pair
+    space or one that points from a later source to an earlier one.
+    Nothing listed is dropped.
     """
-    scored = sorted(report.correspondences, key=attrgetter("c1", "c2"))
+    listed: dict[str, dict[str, Correspondence]] = {}
+    for corr in report.correspondences:
+        row = listed.setdefault(corr.c1, {})
+        if corr.c2 in row:
+            raise SchemaViolation(f"pair ({corr.c1}, {corr.c2}) is listed twice")
+        row[corr.c2] = corr
     space = report.pair_space
     if not space:
-        for c1, group in groupby(scored, key=attrgetter("c1")):
-            row = list(group)
-            partners = [corr.c2 for corr in row]
-            for c2, following in zip(partners, partners[1:]):
-                if c2 == following:
-                    raise SchemaViolation(f"pair ({c1}, {c2}) is listed twice")
-            yield c1, None, partners, row
+        for c1, row in sorted(listed.items()):
+            partners = sorted(row)
+            yield c1, None, partners, {k: row[c2] for k, c2 in enumerate(partners)}
         return
 
     side_of = {cid: side for side, ids in enumerate(space) for cid in ids}
     partners: list[tuple[str, ...]] = [()] * len(space)
     for side in range(len(space) - 2, -1, -1):
         partners[side] = tuple(sorted(partners[side + 1] + space[side + 1]))
-    blanks = [(None,) * len(ids) for ids in partners]
-    where: dict[int, dict[str, int]] = {}
-    listed_rows = groupby(scored, key=attrgetter("c1"))
-    pending = next(listed_rows, None)
+    position = [{cid: k for k, cid in enumerate(ids)} for ids in partners]
     for c1 in sorted(cid for ids in space[:-1] for cid in ids):
         side = side_of[c1]
-        cells: Sequence[Optional[Correspondence]] = blanks[side]
-        if pending is not None and pending[0] <= c1:
-            if pending[0] != c1:
-                raise _stray_pair(next(pending[1]), side_of)
-            listed = list(pending[1])
-            pending = next(listed_rows, None)
-            if tuple(map(_C2, listed)) == partners[side]:
-                cells = listed  # the row lists every pair
-            else:
-                if side not in where:
-                    where[side] = {cid: k for k, cid in enumerate(partners[side])}
-                index = where[side]
-                cells = list(cells)
-                for corr in listed:
-                    k = index.get(corr.c2)
-                    if k is None:
-                        raise _stray_pair(corr, side_of)
-                    if cells[k] is not None:
-                        raise SchemaViolation(f"pair ({c1}, {corr.c2}) is listed twice")
-                    cells[k] = corr
+        cells: dict[int, Correspondence] = {}
+        for c2, corr in listed.pop(c1, {}).items():
+            k = position[side].get(c2)
+            if k is None:
+                raise _stray_pair(corr, side_of)
+            cells[k] = corr
         yield c1, side, partners[side], cells
-    if pending is not None:
-        raise _stray_pair(next(pending[1]), side_of)
+    for row in listed.values():  # rows whose c1 is in no earlier source
+        raise _stray_pair(next(iter(row.values())), side_of)
 
 
 def _stray_pair(corr: Correspondence, side_of: dict[str, int]) -> SchemaViolation:
@@ -613,12 +594,15 @@ def _stray_pair(corr: Correspondence, side_of: dict[str, int]) -> SchemaViolatio
 
 
 def expand_correspondences(report: Report) -> list[Correspondence]:
-    """Every pair of ``report`` as a Correspondence, in (c1, c2) order."""
+    """Every pair of ``report`` as a Correspondence, in (c1, c2) order.
+
+    A pair that ``pair_rows`` gives no cell is (0, syntactic, Distinct).
+    """
     zero = Fraction(0)
     return [
-        Correspondence(c1, c2, zero, "Distinct", SYNTACTIC) if corr is None else corr
+        cells[k] if k in cells else Correspondence(c1, c2, zero, "Distinct", SYNTACTIC)
         for c1, _, partners, cells in pair_rows(report)
-        for c2, corr in zip(partners, cells)
+        for k, c2 in enumerate(partners)
     ]
 
 

@@ -355,40 +355,29 @@ def _correspondence_tail(evidence: Evidence, score: Fraction, verdict: str) -> s
 def _correspondence_list(report: Report) -> str:
     tails: dict[tuple[Evidence, int, int, str], str] = {}
     trivial_tail = _correspondence_tail(SYNTACTIC, Fraction(0), "Distinct")
-    # per side of a sparse report: each partner's encoded id, and the same
-    # followed by the tail of an unlisted pair (built for the first row
-    # that lists none of its pairs)
-    encoded: dict[int, list[str]] = {}
+    # per side of a sparse report: each partner's entry as an unlisted pair
     unlisted: dict[int, list[str]] = {}
-    items = []
+    rows = []
     for c1, side, partners, cells in pair_rows(report):
-        head = _CORRESPONDENCE_HEAD.format(encode_basestring(c1))
         if side is None:
-            ids = [encode_basestring(c2) for c2 in partners]
-        elif not any(cells):
-            if side not in unlisted:
-                unlisted[side] = [
-                    encode_basestring(c2) + trivial_tail for c2 in partners
-                ]
-            items += [head + entry for entry in unlisted[side]]
-            continue
-        elif side in encoded:
-            ids = encoded[side]
+            entries = [""] * len(partners)  # an explicit row lists every pair
         else:
-            ids = encoded[side] = [encode_basestring(c2) for c2 in partners]
-        for c2, corr in zip(ids, cells):
-            if corr is None:
-                items.append(head + c2 + trivial_tail)
-                continue
+            if side not in unlisted:
+                unlisted[side] = [encode_basestring(c2) + trivial_tail for c2 in partners]
+            entries = unlisted[side].copy() if cells else unlisted[side]
+        for k, corr in cells.items():
             score = corr.score
             key = (corr.evidence, score.numerator, score.denominator, corr.verdict)
             tail = tails.get(key)
             if tail is None:
                 tail = tails[key] = _correspondence_tail(corr.evidence, score, corr.verdict)
-            items.append(head + c2 + tail)
-    if not items:
+            entries[k] = encode_basestring(corr.c2) + tail
+        if entries:  # none when every later source is empty
+            head = _CORRESPONDENCE_HEAD.format(encode_basestring(c1))
+            rows.append(head + (",\n" + head).join(entries))
+    if not rows:
         return "[]"
-    return "[\n" + ",\n".join(items) + "\n  ]"
+    return "[\n" + ",\n".join(rows) + "\n  ]"
 
 
 def serialize_report(report: Report) -> bytes:
@@ -399,13 +388,13 @@ def serialize_report(report: Report) -> bytes:
     one dict whose correspondence list names every pair, in (c1, c2)
     order: a sparse report (``Report.pair_space`` set) gets its unlisted
     pairs written as (0, syntactic, Distinct) entries, so v1 files list
-    every pair either way.  That list is written from a fixed template
-    while ``model.pair_rows`` walks the pairs: strings go through the
-    encoder ``json.dumps(ensure_ascii=False)`` uses, the head of an entry
-    is rendered once per ``c1``, the tail once per distinct (evidence,
-    score, verdict), and each partner id once per source, also joined to
-    the constant tail of an unlisted pair: a row that lists none of its
-    pairs costs one concatenation per pair.
+    every pair either way.  That list is written from a fixed template,
+    one string per row of ``model.pair_rows``: strings go through the
+    encoder ``json.dumps(ensure_ascii=False)`` uses, an entry's head is
+    rendered once per ``c1`` and its tail once per distinct (evidence,
+    score, verdict).  Each side of a sparse report renders its partners
+    once as unlisted entries; a row reuses that list, or patches a copy of
+    it at the positions it lists.
     The other top-level values are rendered by ``json.dumps`` and placed
     by their position among the sorted keys.  ``tests/test_model_io.py``
     keeps the plain ``_dumps`` rendering as the oracle for these bytes.

@@ -132,3 +132,35 @@ def make_conflicting_components() -> tuple[BusinessComponent, BusinessComponent]
         entities=(Entity(name="service"), Entity(name="offre")),
     )
     return left, right
+
+
+def make_interleaved_inputs() -> tuple[list[BusinessComponent], Ontology]:
+    """Three components whose concept ids interleave across sources.
+
+    "CM 2#x" < "CM!#x" < "CM#x", so report rows of the later sources
+    come before those of the first one; "CM" adds a concept no other
+    source names.
+    """
+    od = Ontology("Od", concepts=[
+        Concept(id=f"Od#{term}", term=term) for term in ("service", "prestation", "client")
+    ], relations=[Relation("Od#prestation", "Od#service", "synonymy")])
+    entities = (
+        Entity(name="Service", components=("Client", "Contrat")),
+        Entity(name="Client"),
+        Entity(name="Contrat"),
+    )
+    components = [
+        BusinessComponent(id="CM", name="a", entities=(*entities, Entity(name="Agence"))),
+        BusinessComponent(id="CM 2", name="b", entities=(
+            Entity(name="Prestation", components=("Client", "Dossier")),
+            Entity(name="Client"),
+            Entity(name="Dossier"),
+            Entity(name="Guichet"),
+        )),
+        BusinessComponent(id="CM!", name="c", entities=(
+            Entity(name="Offre", components=("Client", "Contrat")),
+            Entity(name="Client"),
+            Entity(name="Contrat"),
+        )),
+    ]
+    return components, od

@@ -8,8 +8,13 @@ import pytest
 
 from ontomerge import BusinessComponent, Entity, Ontology, model_io
 from ontomerge.cli import main
+from ontomerge.evalgen import ScenarioSpec, generate_scenario
 
-from .conftest import make_conflicting_components, make_contradictory_od
+from .conftest import (
+    make_conflicting_components,
+    make_contradictory_od,
+    make_interleaved_inputs,
+)
 
 
 def _integrate_args(paths, out_dir):
@@ -182,22 +187,62 @@ def test_repeated_runs_are_byte_identical(tmp_path, scenario_files):
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-# sha256 of ``integrate`` outputs on fixtures/; any change is a change of output
-PINNED_FIXTURE_DIGESTS = {
-    "cmr.json": "daf03e7d2a3c9d7b673378a8a293f5fde4e2626acec09879d3f6d4e39fc9d1f1",
-    "od2.json": "250de1daa76d8765d41884746242b506f55a70d062c34ffcc9ecb22be32abe93",
-    "report.json": "1df63b427734f2b1a571afeb71008a0329aef594ce5b1d36966b855d34c01147",
+
+def _pinned_inputs(name, tmp_path):
+    """(component paths, ontology path) of one pinned input."""
+    if name == "fixtures":
+        return [FIXTURES / "cm1.json", FIXTURES / "cm2.json"], FIXTURES / "od.json"
+    if name == "generated":  # cases 1, 2 and 3 all inject at this coverage
+        components, od, _ = generate_scenario(ScenarioSpec(60, 10, 4, 0.5, rng_seed=3))
+    else:
+        components, od = make_interleaved_inputs()
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    paths = []
+    for index, component in enumerate(components):
+        paths.append(inputs / f"cm{index}.json")
+        paths[-1].write_bytes(model_io.serialize_component(component))
+    (inputs / "od.json").write_bytes(model_io.serialize_ontology(od))
+    return paths, inputs / "od.json"
+
+
+# sha256 of ``integrate`` outputs per input; any change is a change of output
+PINNED_DIGESTS = {
+    "fixtures": {
+        "cmr.json": "daf03e7d2a3c9d7b673378a8a293f5fde4e2626acec09879d3f6d4e39fc9d1f1",
+        "od2.json": "250de1daa76d8765d41884746242b506f55a70d062c34ffcc9ecb22be32abe93",
+        "report.json": "1df63b427734f2b1a571afeb71008a0329aef594ce5b1d36966b855d34c01147",
+    },
+    "generated": {
+        "cmr.json": "b3cc6a50ac0724aab270322a72e5d55dc51a7553f109bceb2b38ea2f4c968b40",
+        "od2.json": "5a09e6693de4405eea3801e11536b7ea50c32d354f92509e9242d32ae2da9dbb",
+        "report.json": "aefcd0f7ed370ec1a194f4371ea63195c4087f2508fa2de0df3e3d0784ac4917",
+    },
+    "interleaved": {
+        "cmr.json": "a60a928a502ba8768873f4a4e7c0b8995e5f6e4b566a81bc365d474d9c8f4dbb",
+        "od2.json": "cd30a3ef43a0b6ebff9ce114352096d1fb89c61d3dd274f0c7d40bf6a3e2bc72",
+        "report.json": "5896fd685cfd25d95212496fd8e21fa38e5b81fc789e59a5cef200f994faf8cd",
+    },
 }
 
 
-def test_integrate_outputs_on_fixtures_are_pinned(tmp_path):
-    paths = {name: FIXTURES / f"{name}.json" for name in ("cm1", "cm2", "od")}
-    assert main(_integrate_args(paths, tmp_path)) == 0
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_integrate_outputs_on_fixtures_are_pinned(tmp_path, name):
+    components, od = _pinned_inputs(name, tmp_path)
+    args = [
+        "integrate",
+        *(arg for path in components for arg in ("--component", str(path))),
+        "--ontology", str(od),
+        "--out-component", str(tmp_path / "cmr.json"),
+        "--out-ontology", str(tmp_path / "od2.json"),
+        "--report", str(tmp_path / "report.json"),
+    ]
+    assert main(args) == 0
     digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in PINNED_FIXTURE_DIGESTS
+        output: hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+        for output in PINNED_DIGESTS[name]
     }
-    assert digests == PINNED_FIXTURE_DIGESTS
+    assert digests == PINNED_DIGESTS[name]
 
 
 @pytest.mark.parametrize("second", ["cm2", "cm1"])

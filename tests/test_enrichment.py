@@ -13,9 +13,10 @@ from ontomerge import (
     infer_via_children,
     infer_via_equivalents,
     integrate,
+    lookup_relations,
     serialize_ontology,
 )
-from ontomerge import enrichment
+from ontomerge import enrichment, integrator
 
 
 def _ontology(oid, *concepts, relations=()):
@@ -350,6 +351,29 @@ def test_enrich_is_idempotent():
     second = enrich(c1, c2, od, [source], children_index([source]))
     assert first is not None and second is None
     assert serialize_ontology(od) == after_first
+
+
+def test_align_calls_enrich_only_where_its_guard_cannot_fire(monkeypatch):
+    # align asks for enrichment only when the support ontology holds both
+    # keys and joins them by nothing, so the guard above serves direct calls
+    calls, injected = [], []
+
+    def checked(c1, c2, od, sources, kids, warnings=None):
+        assert od.term_present(c1.key) and od.term_present(c2.key)
+        assert not lookup_relations(od, c1.key, c2.key)
+        calls.append((c1.id, c2.id))
+        record = enrichment.enrich(c1, c2, od, sources, kids, warnings)
+        if record is not None:
+            injected.append(record)
+        return record
+
+    monkeypatch.setattr(integrator, "enrich", checked)
+    for coverage in (0, 0.5, 1):
+        for seed in range(3):
+            components, od, _ = generate_scenario(ScenarioSpec(80, 15, 5, coverage, seed))
+            _, _, report = integrate(components, od)
+            assert not any("refused" in w for w in report.warnings)
+    assert len(calls) > len(injected) > 0
 
 
 def test_same_term_injection_creates_second_endpoint():

@@ -39,7 +39,7 @@ from ontomerge import model_io
 from ontomerge.evalgen import parse_truth
 from ontomerge.model import PROVENANCES, RELATION_KINDS, SEMANTIC_KINDS
 
-from .conftest import make_cm1, make_support_ontology
+from .conftest import make_cm1, make_interleaved_inputs, make_support_ontology
 from .strategies import fractions01
 
 
@@ -536,8 +536,27 @@ def sparse_reports(draw):
     )
 
 
+def _listed(*pairs):
+    return [
+        Correspondence(c1, c2, Fraction(1, k + 2), "Distinct", _SYNTACTIC)
+        for k, (c1, c2) in enumerate(pairs)
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_reports())
+@example(Report(  # the last source has no concepts: the rows of "CM 2" write nothing
+    correspondences=_listed(("CM#a", "CM 2#a")),
+    pair_space=(("CM#a", "CM#b"), ("CM 2#a",), ()),
+))
+@example(Report(  # "CM#a" lists every one of its pairs
+    correspondences=_listed(("CM#a", "CM 2#a"), ("CM#a", "CM 2#b"), ("CM#b", "CM 2#b")),
+    pair_space=(("CM#a", "CM#b"), ("CM 2#a", "CM 2#b")),
+))
+@example(Report(  # "CM#a" lists only its first and its last partner
+    correspondences=_listed(("CM#a", "CM 2#c"), ("CM#a", "CM 2#a")),
+    pair_space=(("CM#a",), ("CM 2#a", "CM 2#b", "CM 2#c")),
+))
 def test_sparse_report_writer_matches_dumps_oracle(report):
     payload = serialize_report(report)
     assert payload == _dumps_report_oracle(report)
@@ -550,28 +569,7 @@ def test_sparse_report_writer_matches_dumps_oracle(report):
 
 
 def test_integrate_report_bytes_with_interleaved_source_ids():
-    od = Ontology("Od", concepts=[
-        Concept(id=f"Od#{term}", term=term) for term in ("service", "prestation", "client")
-    ], relations=[Relation("Od#prestation", "Od#service", "synonymy")])
-    entities = [
-        Entity(name="Service", components=("Client", "Contrat")),
-        Entity(name="Client"),
-        Entity(name="Contrat"),
-    ]
-    components = [
-        BusinessComponent(id="CM", name="a", entities=(*entities, Entity(name="Agence"))),
-        BusinessComponent(id="CM 2", name="b", entities=(
-            Entity(name="Prestation", components=("Client", "Dossier")),
-            Entity(name="Client"),
-            Entity(name="Dossier"),
-            Entity(name="Guichet"),
-        )),
-        BusinessComponent(id="CM!", name="c", entities=(
-            Entity(name="Offre", components=("Client", "Contrat")),
-            Entity(name="Client"),
-            Entity(name="Contrat"),
-        )),
-    ]
+    components, od = make_interleaved_inputs()
     _, _, report = integrate(components, od)
     assert report.pair_space == pair_space_of(
         component_to_ontology(c) for c in components

@@ -147,13 +147,16 @@ def infer_via_children(
 
     Children relate when their normalized terms are equal or a synonymy /
     equivalence relation between the terms exists in the support ontology
-    or any source.  A perfect injective matching over all n children is
-    required, found by ``max_weight_assignment`` in O(n^3) at any arity;
-    among several perfect matchings its tie rule picks the one whose
-    relations are returned as the evidence (empty when every matched pair
-    shares a term).  Only distinct parent terms are inferred (a shared
-    term is already decided syntactically, and a self-synonymy would
-    break pipeline idempotence); the inferred kind is always synonymy.
+    or any source (the first found, support ontology first, from one
+    ``related_terms`` read per ontology and left child).  A perfect
+    injective matching over all n children is required: a child that
+    relates to no child of the other side rules it out at once, else
+    ``max_weight_assignment`` finds one in O(n^3) at any arity; among
+    several perfect matchings its tie rule picks the one whose relations
+    are returned as the evidence (empty when every matched pair shares a
+    term).  Only distinct parent terms are inferred (a shared term is
+    already decided syntactically, and a self-synonymy would break
+    pipeline idempotence); the inferred kind is always synonymy.
     ``kids`` is the ``children_index`` of the sources.
     """
     if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
@@ -165,17 +168,20 @@ def infer_via_children(
     support: list[list[Optional[Relation]]] = []
     weights = []
     for kid1 in left:
+        related = [ontology.related_terms(kid1.key) for ontology in ontologies]
         row_rel: list[Optional[Relation]] = []
         row_w = []
         for kid2 in right:
-            s1, s2 = kid1.key, kid2.key
             relation = None  # term equality needs no relation
-            if s1 != s2:
-                relation = _first_relation(ontologies, s1, s2, ("synonymy", "equivalence"))
+            if kid1.key != kid2.key:
+                relation = next((r for terms in related for r in terms.get(kid2.key, ())
+                                 if r.kind in ("synonymy", "equivalence")), None)
             row_rel.append(relation)
-            row_w.append(1 if s1 == s2 or relation is not None else 0)
+            row_w.append(1 if kid1.key == kid2.key or relation is not None else 0)
         support.append(row_rel)
         weights.append(row_w)
+    if not all(map(any, weights)) or not all(map(any, zip(*weights))):
+        return None  # some child relates to no child of the other side
     total, assignment = max_weight_assignment(weights)
     if total != len(left):
         return None

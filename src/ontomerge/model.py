@@ -222,15 +222,19 @@ class Ontology:
 
     def validate(self) -> None:
         """Check cross-concept invariants: child references and acyclicity."""
+        self.check_children()
+        cycle = self.composition_cycle()
+        if cycle:
+            raise SchemaViolation("composition cycle: " + " -> ".join(cycle))
+
+    def check_children(self) -> None:
+        """Raise SchemaViolation at the first child that is no concept here."""
         for concept in self.concepts.values():
             for child in concept.children:
                 if child not in self.concepts:
                     raise SchemaViolation(
                         f"concept {concept.id!r} references unknown child {child!r}"
                     )
-        cycle = self.composition_cycle()
-        if cycle:
-            raise SchemaViolation("composition cycle: " + " -> ".join(cycle))
 
     def composition_cycle(self) -> Optional[list[str]]:
         """A cycle of composition links between known concepts, or None."""
@@ -287,17 +291,18 @@ class ComponentRelation(NamedTuple):
     kind: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Entity:
-    """A named entity of a business component."""
+    """A named entity of a business component; ``key`` is its normalized ``name``."""
 
     name: str
     attributes: tuple[str, ...] = ()
     associations: tuple[Association, ...] = ()
     components: tuple[str, ...] = ()
+    key: str = field(init=False, repr=False, compare=False)  # derived: never reassign name
 
     def __post_init__(self):
-        own_key = normalize_term(self.name)
+        self.key = own_key = normalize_term(self.name)
         self.attributes = tuple(sorted(self.attributes))
         self.associations = tuple(sorted(Association(*a) for a in self.associations))
         keyed = sorted(map(name_sort_key, self.components))
@@ -337,15 +342,15 @@ class BusinessComponent:
     def __post_init__(self):
         if not self.id:
             raise SchemaViolation("component id must be nonempty")
-        self.entities = tuple(sorted(self.entities, key=lambda e: name_sort_key(e.name)))
+        self.entities = tuple(sorted(self.entities, key=lambda e: (e.key, e.name)))
         by_name: dict[str, Entity] = {}
         for entity in self.entities:
-            key = normalize_term(entity.name)
-            if key in by_name:
+            if entity.key in by_name:
                 raise SchemaViolation(
                     f"component {self.id!r}: duplicate entity name {entity.name!r}"
                 )
-            by_name[key] = entity
+            by_name[entity.key] = entity
+        child_keys: dict[str, list[str]] = {}
         for entity in self.entities:
             for association in entity.associations:
                 if normalize_term(association.target) not in by_name:
@@ -354,11 +359,13 @@ class BusinessComponent:
                         f"undeclared entity {association.target!r}"
                     )
             for child in entity.components:
-                if normalize_term(child) not in by_name:
+                key = normalize_term(child)
+                if key not in by_name:
                     raise SchemaViolation(
                         f"component {self.id!r}: composition child {child!r} of "
                         f"{entity.name!r} is not a declared entity"
                     )
+                child_keys.setdefault(entity.key, []).append(key)
         self.relations = tuple(
             sorted(self._canonical_relation(rel, by_name) for rel in self.relations)
         )
@@ -377,7 +384,11 @@ class BusinessComponent:
                     "cannot carry both synonymy and homonymy"
                 )
             seen_pairs[pair] = rel.kind
-        self._check_composition_acyclic(by_name)
+        cycle = find_cycle(sorted(by_name), lambda key: child_keys.get(key, ()))
+        if cycle:
+            raise SchemaViolation(
+                f"component {self.id!r}: composition cycle: " + " -> ".join(cycle)
+            )
 
     def _canonical_relation(
         self, rel: ComponentRelation, by_name: dict[str, Entity]
@@ -402,16 +413,6 @@ class BusinessComponent:
         if nb < na:
             rel = ComponentRelation(rel.b, rel.a, rel.kind)
         return rel
-
-    def _check_composition_acyclic(self, by_name: dict[str, Entity]) -> None:
-        cycle = find_cycle(
-            sorted(by_name),
-            lambda key: [normalize_term(child) for child in by_name[key].components],
-        )
-        if cycle:
-            raise SchemaViolation(
-                f"component {self.id!r}: composition cycle: " + " -> ".join(cycle)
-            )
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Two measures work together.  The syntactic measure compares terms
 directly: atomic concepts score 1 exactly when their normalized terms are
 equal, and composite concepts of equal arity score the best average
-pairing of their children (maximum-weight bipartite matching), computed
+pairing of their children.  An atomic child scores 0 against a composite
+one, so that pairing splits in two: the atomic children pair by equal
+keys (a multiset intersection, no matcher), and only the composite
+children go through maximum-weight bipartite matching, computed
 bottom-up over the composition graph, reading children from one
 ``children_index`` and memoized per ``align``.  The semantic measure
 consults the support ontology first: a synonymy relation between the two
@@ -24,6 +27,7 @@ support ontology and for each source alike.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -80,6 +84,11 @@ def syntactic_similarity(
     score 0.  Symmetric in its arguments.  ``kids`` is the
     ``children_index`` of the ontologies holding both concepts.
 
+    An atomic child scores 0 against a composite one, so the best total
+    is the size of the multiset intersection of the atomic children's
+    keys plus the best assignment among the composite children alone,
+    padded to a square with 0 cells: all-atomic children need no matcher.
+
     Composite pairs are scored bottom-up from an explicit stack, so no
     composition depth meets the recursion limit, and each composite pair
     is scored once per ``memo``: a dict keyed by (id of c1's side, id of
@@ -97,12 +106,14 @@ def syntactic_similarity(
         if (a.id, b.id) in memo:
             stack.pop()
             continue
-        right = kids[b.id]
+        left, right = kids[a.id], kids[b.id]
+        rows = [x for x in left if x.children]
+        cols = [y for y in right if y.children]
         weights = []
         pending = []
-        for x in kids[a.id]:
+        for x in rows:
             row = []
-            for y in right:
+            for y in cols:
                 weight = _flat_score(x, y)
                 if weight is None:
                     weight = memo.get((x.id, y.id))
@@ -114,8 +125,14 @@ def syntactic_similarity(
             stack.extend(pending)  # score the child pairs first
             continue
         stack.pop()
-        total, _ = max_weight_assignment(weights)
-        memo[a.id, b.id] = total / len(weights)
+        atoms = Counter(x.key for x in left if not x.children)
+        total = (atoms & Counter(y.key for y in right if not y.children)).total()
+        if rows and cols:
+            size = max(len(rows), len(cols))
+            square = [row + [ZERO] * (size - len(cols)) for row in weights]
+            square += [[ZERO] * size] * (size - len(rows))
+            total += max_weight_assignment(square)[0]
+        memo[a.id, b.id] = Fraction(total, len(left))
     return memo[c1.id, c2.id]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import unicodedata
 
 from .errors import EmptyTerm
@@ -13,7 +14,8 @@ def normalize_term(raw: str) -> str:
     NFC-normalizes, case-folds, trims, and collapses internal whitespace
     runs to single spaces.  Accents are preserved ("Préstation" stays
     distinct from "Prestation").  Idempotent: applying it twice gives the
-    same string.
+    same string.  The result is interned, so the keys that concepts and
+    entities keep share one string per distinct term.
 
     Raises EmptyTerm when the input is empty or whitespace-only.
     """
@@ -22,7 +24,7 @@ def normalize_term(raw: str) -> str:
     value = " ".join(folded.split())
     if not value:
         raise EmptyTerm(f"term is empty after normalization: {raw!r}")
-    return value
+    return sys.intern(value)
 
 
 def name_sort_key(raw: str) -> tuple[str, str]:

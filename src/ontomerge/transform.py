@@ -25,13 +25,14 @@ def component_to_ontology(bc: BusinessComponent) -> Ontology:
 
     Deterministic: the ontology id is the component id and concept ids are
     built from normalized entity names.  Associations become no semantic
-    relation; they are kept as concept metadata.
+    relation; they are kept as concept metadata.  No validation walk:
+    ``bc``'s constructor already checked its children and acyclicity.
     """
     ontology = Ontology(bc.id)
     for entity in bc.entities:
         ontology.add_concept(
             Concept(
-                id=concept_id(bc.id, entity.name),
+                id=f"{bc.id}#{entity.key}",
                 term=entity.name,
                 children=tuple(concept_id(bc.id, child) for child in entity.components),
                 attributes=entity.attributes,
@@ -47,7 +48,6 @@ def component_to_ontology(bc: BusinessComponent) -> Ontology:
                 provenance="declared",
             )
         )
-    ontology.validate()
     return ontology
 
 
@@ -61,7 +61,7 @@ def ontology_to_component(ontology: Ontology, name: str) -> BusinessComponent:
     cycle = ontology.composition_cycle()
     if cycle:
         raise CyclicComposition("part_of cycle: " + " -> ".join(cycle))
-    ontology.validate()
+    ontology.check_children()
     entities = []
     for concept in sorted(ontology.concepts.values(), key=lambda c: name_sort_key(c.term)):
         alias_notes = tuple(f"{ALIAS_PREFIX}{alias}" for alias in concept.aliases)

@@ -164,3 +164,45 @@ def make_interleaved_inputs() -> tuple[list[BusinessComponent], Ontology]:
         )),
     ]
     return components, od
+
+
+# Child vocabulary of ``make_composite_inputs``.
+VOCABULARY = (
+    "Nom", "Adresse", "Date", "Montant", "Client", "Agence",
+    "Compte", "Devise", "Statut", "Code", "Libellé", "Taux",
+)
+
+
+def make_composite_inputs() -> tuple[list[BusinessComponent], Ontology]:
+    """Three components of wide composites over one child vocabulary.
+
+    Each component declares every term of ``VOCABULARY`` and one composite
+    per arity 2..12 over it: "Dossier<n>" in CA and "Fichier<n>" in CB
+    hold the first n terms, "Bloc<n>" in CC starts one term later, so its
+    pairings score fractions.  The support ontology knows the even-arity
+    Dossier/Fichier names and relates none of them, so case 3 injects a
+    synonymy for each of those pairs.  CC declares Nom and Libellé
+    equivalent, so Bloc10, also known, pairs up with Dossier10 and
+    Fichier10 through that equivalence.  "Contrat", "Accord" and "Pacte"
+    nest a composite beside atomic children.
+    """
+    def component(cid, prefix, offset, nested, relations=()):
+        words = VOCABULARY[offset:] + VOCABULARY[:offset]
+        entities = [Entity(name=word) for word in VOCABULARY]
+        entities += [
+            Entity(name=f"{prefix}{arity}", components=words[:arity])
+            for arity in range(2, 13)
+        ]
+        entities.append(Entity(name=nested, components=(f"{prefix}3", "Client", "Date")))
+        return BusinessComponent(id=cid, name=cid.lower(), entities=tuple(entities),
+                                 relations=relations)
+
+    components = [
+        component("CA", "Dossier", 0, "Contrat"),
+        component("CB", "Fichier", 0, "Accord"),
+        component("CC", "Bloc", 1, "Pacte", relations=(("Nom", "Libellé", "equivalence"),)),
+    ]
+    terms = ["Contrat", "Accord", "Client", "Bloc10"]
+    terms += [f"{prefix}{arity}" for arity in range(2, 13, 2) for prefix in ("Dossier", "Fichier")]
+    od = Ontology("Od", concepts=[Concept(id=f"Od#{term.lower()}", term=term) for term in terms])
+    return components, od

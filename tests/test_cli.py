@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from ontomerge import BusinessComponent, Entity, Ontology, model_io
+from ontomerge import BusinessComponent, Concept, Entity, Ontology, Relation, model_io
 from ontomerge.cli import main
 from ontomerge.evalgen import ScenarioSpec, generate_scenario
 
 from .conftest import (
+    make_composite_inputs,
     make_conflicting_components,
     make_contradictory_od,
     make_interleaved_inputs,
@@ -118,6 +119,34 @@ def test_collision_is_exit_three(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
+def test_cycle_made_by_merging_is_schema_error(tmp_path, capsys):
+    # each source is acyclic; the synonymies fold Dossier ⊃ Patient and
+    # Malade ⊃ Fichier into two clusters that contain each other
+    left = BusinessComponent(id="CM1", name="left", entities=(
+        Entity(name="Dossier", components=("Patient",)), Entity(name="Patient"),
+    ))
+    right = BusinessComponent(id="CM2", name="right", entities=(
+        Entity(name="Malade", components=("Fichier",)), Entity(name="Fichier"),
+    ))
+    od = Ontology("Od", concepts=[
+        Concept(id=f"Od#{term}", term=term)
+        for term in ("dossier", "fichier", "patient", "malade")
+    ], relations=[
+        Relation("Od#dossier", "Od#fichier", "synonymy"),
+        Relation("Od#patient", "Od#malade", "synonymy"),
+    ])
+    paths = {"cm1": tmp_path / "l.json", "cm2": tmp_path / "r.json", "od": tmp_path / "od.json"}
+    paths["cm1"].write_bytes(model_io.serialize_component(left))
+    paths["cm2"].write_bytes(model_io.serialize_component(right))
+    paths["od"].write_bytes(model_io.serialize_ontology(od))
+    code = main(_integrate_args(paths, tmp_path))
+    assert (code, capsys.readouterr().err) == (
+        2, "error: composition cycle: CMr#dossier -> CMr#malade -> CMr#dossier\n"
+    )
+    for name in ("cmr.json", "od2.json", "report.json"):
+        assert not (tmp_path / name).exists()
+
+
 def test_concept_id_shared_by_two_components_is_schema_error(tmp_path, capsys):
     # entity "b#c" of component A and entity "c" of component A#b both get id A#b#c
     left = BusinessComponent(id="A", name="A", entities=(Entity("b#c", ("x",)),))
@@ -194,6 +223,8 @@ def _pinned_inputs(name, tmp_path):
         return [FIXTURES / "cm1.json", FIXTURES / "cm2.json"], FIXTURES / "od.json"
     if name == "generated":  # cases 1, 2 and 3 all inject at this coverage
         components, od, _ = generate_scenario(ScenarioSpec(60, 10, 4, 0.5, rng_seed=3))
+    elif name == "composite":
+        components, od = make_composite_inputs()
     else:
         components, od = make_interleaved_inputs()
     inputs = tmp_path / "in"
@@ -208,6 +239,11 @@ def _pinned_inputs(name, tmp_path):
 
 # sha256 of ``integrate`` outputs per input; any change is a change of output
 PINNED_DIGESTS = {
+    "composite": {
+        "cmr.json": "0b88c17475bd7f29049facd89494fc505f4ce0fcaac582bb16992394894cca82",
+        "od2.json": "12fb2652af6f4f544f6588e68aac7e1ac1e47997c13aef78d567d6519f5f4c53",
+        "report.json": "a4d35722627a0d4f3573072979fdc5ec531d517dbec279dce5af97b6309c47ff",
+    },
     "fixtures": {
         "cmr.json": "daf03e7d2a3c9d7b673378a8a293f5fde4e2626acec09879d3f6d4e39fc9d1f1",
         "od2.json": "250de1daa76d8765d41884746242b506f55a70d062c34ffcc9ecb22be32abe93",

@@ -6,7 +6,9 @@ children sorted on every expansion (``_children_sorted``), composites
 scored by plain recursion with no memo, a fresh syntactic ``Evidence``
 per pair and ``Fraction`` comparisons in the classifier.  The fast loop
 must agree with it on every output, and count guards keep the child
-re-sorting and the composite re-scoring from coming back.
+re-sorting and the composite re-scoring from coming back.  The split
+syntactic score and case 3 are held to their full-matrix forms too
+(``naive_syntactic``, ``naive_infer_via_children``).
 """
 
 import sys
@@ -44,6 +46,7 @@ from ontomerge import (
     syntactic_similarity,
 )
 from ontomerge.cli import main
+from ontomerge.enrichment import _first_relation, infer_via_children
 from ontomerge.integrator import ASSUMED_IDENTICAL_WARNING
 from ontomerge.matching import max_weight_assignment
 from ontomerge.model import as_fraction
@@ -161,6 +164,17 @@ def _relabel(tree, rename):
     return rename.get(tree, tree)
 
 
+def _draw_relations(draw, ontology, ids, most):
+    """Add up to ``most`` drawn semantic relations among ``ids`` to ``ontology``."""
+    for _ in range(draw(st.integers(min_value=0, max_value=most))):
+        a, b = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        kind = draw(st.sampled_from(("equivalence", "synonymy", "homonymy")))
+        try:
+            ontology.add_relation(Relation(a, b, kind))
+        except SchemaViolation:
+            pass  # a self-relation, a duplicate, or synonymy beside homonymy
+
+
 @st.composite
 def alignment_inputs(draw):
     """A generated scenario plus two composite-rich sources over TERM_POOL.
@@ -198,13 +212,8 @@ def alignment_inputs(draw):
     # case-2 paths the generator never makes, same-key pairs included
     for ontology in (sources[-2], sources[-1], od):
         ids = sorted(cid for cid in ontology.concepts if ontology is not od or "#pool-" in cid)
-        for _ in range(draw(st.integers(min_value=0, max_value=4)) if ids else 0):
-            a, b = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
-            kind = draw(st.sampled_from(("equivalence", "synonymy", "homonymy")))
-            try:
-                ontology.add_relation(Relation(a, b, kind))
-            except SchemaViolation:
-                pass  # a self-relation, a duplicate, or synonymy beside homonymy
+        if ids:
+            _draw_relations(draw, ontology, ids, most=4)
     tau = draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(1, 3)]))
     return sources, od, tau
 
@@ -301,6 +310,155 @@ def test_align_adds_no_term_to_the_support_ontology(inputs):
     sources, od, tau = inputs
     _, enriched, _ = align(sources, od, tau)
     assert _keys(enriched) == _keys(od)
+
+
+# ---------------------------------------------------------------------------
+# the split syntactic score agrees with the full child matrix
+
+WIDE_TERMS = st.sampled_from(TERM_POOL[:4])  # four terms, so keys repeat
+
+
+@st.composite
+def wide_trees(draw, depth=3, max_width=12, width=None):
+    """(term, children) of arity up to ``max_width`` over four terms.
+
+    Each child is a bare term or, while ``depth`` allows, a composite of
+    arity 1 to 3, so atomic and composite children mix down to depth 3.
+    """
+    if width is None:
+        width = draw(st.integers(min_value=1, max_value=max_width))
+    children = [
+        draw(WIDE_TERMS) if depth == 1 or draw(st.booleans())
+        else draw(wide_trees(depth - 1, max_width=3))
+        for _ in range(width)
+    ]
+    return (draw(WIDE_TERMS), children)
+
+
+def _wide_pair(left, right):
+    o1, c1 = build_ontology(left, "L")
+    o2, c2 = build_ontology(right, "R")
+    return c1, c2, o1, o2
+
+
+@st.composite
+def wide_pairs(draw):
+    """Two composites of equal arity; the right one is often a relabelled shuffle."""
+    left = draw(wide_trees())
+    if draw(st.booleans()):
+        term, children = _relabel(left, draw(st.dictionaries(WIDE_TERMS, WIDE_TERMS)))
+        right = (term, draw(st.permutations(children)))
+    else:
+        right = draw(wide_trees(width=len(left[1])))
+    return _wide_pair(left, right)
+
+
+ALL_ATOMIC = _wide_pair(
+    ("alpha", ["alpha", "alpha", "bêta", "gamma", "gamma", "gamma",
+               "delta", "alpha", "bêta", "bêta", "delta", "gamma"]),
+    ("bêta", ["gamma", "gamma", "alpha", "delta", "delta", "delta",
+              "delta", "bêta", "alpha", "gamma", "gamma", "gamma"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_pairs())
+@example(ALL_ATOMIC)
+@example(_wide_pair(  # no atomic children
+    ("alpha", [("bêta", ["alpha"]), ("gamma", ["alpha", "bêta"]), ("alpha", ["delta"])]),
+    ("gamma", [("alpha", ["bêta", "alpha"]), ("bêta", ["delta"]), ("delta", ["gamma"])]),
+))
+@example(_wide_pair(  # three composite children against one
+    ("alpha", [("bêta", ["alpha"]), "gamma", ("gamma", ["alpha", "bêta"]),
+               ("alpha", ["delta", "delta"]), "bêta"]),
+    ("gamma", ["gamma", ("alpha", ["bêta", "alpha"]), "bêta", "delta", "gamma"]),
+))
+def test_split_syntactic_score_equals_full_matrix_and_is_symmetric(pair):
+    c1, c2, o1, o2 = pair
+    kids = children_index([o1, o2])
+    score = syntactic_similarity(c1, c2, kids)
+    assert score == naive_syntactic(c1, c2, o1, o2)
+    assert syntactic_similarity(c2, c1, kids) == score
+
+
+def test_atomic_children_pair_without_the_matcher(monkeypatch):
+    c1, c2, o1, o2 = ALL_ATOMIC
+    kids = children_index([o1, o2])
+    calls = _count_calls(monkeypatch, max_weight_assignment)
+    # shared keys: alpha 2, bêta 1, gamma 4, delta 2
+    assert syntactic_similarity(c1, c2, kids) == Fraction(9, 12)
+    assert calls[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# case 3 agrees with its per-cell matrix
+
+
+def naive_infer_via_children(c1, c2, sources, od, kids):
+    """Case 3 with one ``_first_relation`` call per child cell and no early exit."""
+    if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
+        return None
+    if c1.key == c2.key:
+        return None
+    left, right = kids[c1.id], kids[c2.id]
+    ontologies = [od, *sources]
+    support = []
+    weights = []
+    for kid1 in left:
+        row_rel = []
+        row_w = []
+        for kid2 in right:
+            s1, s2 = kid1.key, kid2.key
+            relation = None  # term equality needs no relation
+            if s1 != s2:
+                relation = _first_relation(ontologies, s1, s2, ("synonymy", "equivalence"))
+            row_rel.append(relation)
+            row_w.append(1 if s1 == s2 or relation is not None else 0)
+        support.append(row_rel)
+        weights.append(row_w)
+    total, assignment = max_weight_assignment(weights)
+    if total != len(left):
+        return None
+    return tuple(
+        support[i][j] for i, j in enumerate(assignment) if support[i][j] is not None
+    )
+
+
+@st.composite
+def case3_inputs(draw):
+    """Composites of equal arity over four child terms in two sources.
+
+    Relations among the children of each source and among the four
+    terms in the support ontology relate some child cells, so some
+    pairs match perfectly, some have a child that relates to nothing
+    and some only fail in the matcher.
+    """
+    width = draw(st.integers(min_value=1, max_value=8))
+    sources = []
+    for sid in ("L", "R"):
+        roots = [(draw(terms), draw(st.lists(WIDE_TERMS, min_size=width, max_size=width)))
+                 for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+        source = build_ontology(("root", roots), sid)[0]
+        _draw_relations(draw, source, sorted(source.concepts), most=6)
+        sources.append(source)
+    od = Ontology("Od", [Concept(id=f"Od#{t}", term=t) for t in TERM_POOL[:4]])
+    _draw_relations(draw, od, sorted(od.concepts), most=6)
+    return sources, od, Fraction(1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case3_inputs())
+@example(_tied_children_inputs())
+@example(_mid_row_injection_inputs())
+def test_case3_equals_per_cell_oracle(inputs):
+    sources, od, _ = inputs
+    kids = children_index(sources)
+    composites = [c for source in sources for c in source.concepts.values() if c.children]
+    for c1 in composites:
+        for c2 in composites:
+            assert infer_via_children(c1, c2, sources, od, kids) == naive_infer_via_children(
+                c1, c2, sources, od, kids
+            )
 
 
 # ---------------------------------------------------------------------------

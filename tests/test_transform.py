@@ -109,6 +109,18 @@ def test_deep_cycles_raise_each_callers_error():
         ontology_to_component(ontology, name="boucle")
 
 
+def test_unknown_child_is_reported_after_a_cycle():
+    ontology = Ontology("X")
+    ontology.add_concept(Concept(id="X#a", term="a", children=("X#b", "X#z")))
+    with pytest.raises(SchemaViolation, match=r"^concept 'X#a' references unknown child 'X#b'$"):
+        ontology_to_component(ontology, name="x")
+    ontology.add_concept(Concept(id="X#b", term="b", children=("X#a",)))
+    with pytest.raises(CyclicComposition, match=r"^part_of cycle: X#a -> X#b -> X#a$"):
+        ontology_to_component(ontology, name="x")
+    with pytest.raises(SchemaViolation, match=r"^concept 'X#a' references unknown child 'X#z'$"):
+        ontology.validate()
+
+
 def test_merged_scenario_yields_one_entity_per_synonym_cluster():
     cm1, cm2 = make_cm1(), make_cm2()
     od = make_support_ontology()

@@ -8,18 +8,18 @@ against ground truth), ``export-dot`` (ontology inspection graph).
 Exit codes: 0 success, 1 usage error, 2 parse/schema error,
 3 homonym-cluster collision, 4 internal invariant violation.  Output
 files are written to temporaries and renamed at the end, so a nonzero
-exit never leaves a partial output behind.
+exit never leaves a partial output behind; the report is streamed into
+its temporary one row at a time.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import evalgen, model_io
 from .errors import HomonymClusterCollision, IntegrationError
@@ -109,22 +109,24 @@ def _add_input_flags(cmd: argparse.ArgumentParser) -> None:
                      help="verdict threshold for composite scores (default 1)")
 
 
-def _write_outputs(outputs: dict[str, bytes]) -> None:
-    """Write all files, or none: check the targets, stage temporaries, then rename."""
+def _write_outputs(outputs: dict[str, Iterable[bytes]]) -> None:
+    """Write all files, or none: check the targets, stream each output's
+    chunks into a temporary, then rename.  Any exception, a chunk
+    iterator's too, removes the temporaries and propagates unchanged."""
     for path in outputs:
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path is a directory: {path}")
     staged: list[tuple[str, str]] = []
     try:
-        for path, payload in outputs.items():
+        for path, chunks in outputs.items():
             temp = f"{path}.tmp.{os.getpid()}"
-            with open(temp, "wb") as handle:
-                handle.write(payload)
             staged.append((temp, path))
+            with open(temp, "wb") as handle:
+                handle.writelines(chunks)
         while staged:
             os.replace(*staged[-1])
             staged.pop()  # renamed: no temporary left to remove
-    except OSError:
+    except BaseException:
         for temp, _ in staged:
             try:
                 os.unlink(temp)
@@ -153,9 +155,9 @@ def _cmd_integrate(args) -> int:
     merged, enriched_od, report = integrate(components, od, tau=args.tau)
     _write_outputs(
         {
-            args.out_component: model_io.serialize_component(merged),
-            args.out_ontology: model_io.serialize_ontology(enriched_od),
-            args.report: model_io.serialize_report(report),
+            args.out_component: [model_io.serialize_component(merged)],
+            args.out_ontology: [model_io.serialize_ontology(enriched_od)],
+            args.report: model_io.report_chunks(report),
         }
     )
     return EXIT_OK
@@ -166,9 +168,9 @@ def _cmd_align(args) -> int:
     _distinct_outputs(outputs)
     components, od = _load_inputs(args)
     _, enriched_od, report = integrate(components, od, tau=args.tau)
-    payloads = {args.report: model_io.serialize_report(report)}
+    payloads = {args.report: model_io.report_chunks(report)}
     if args.out_ontology:
-        payloads[args.out_ontology] = model_io.serialize_ontology(enriched_od)
+        payloads[args.out_ontology] = [model_io.serialize_ontology(enriched_od)]
     _write_outputs(payloads)
     return EXIT_OK
 
@@ -189,10 +191,10 @@ def _cmd_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_outputs(
         {
-            str(out / "cm1.json"): model_io.serialize_component(components[0]),
-            str(out / "cm2.json"): model_io.serialize_component(components[1]),
-            str(out / "od.json"): model_io.serialize_ontology(od),
-            str(out / "truth.json"): evalgen.serialize_truth(truth),
+            str(out / "cm1.json"): [model_io.serialize_component(components[0])],
+            str(out / "cm2.json"): [model_io.serialize_component(components[1])],
+            str(out / "od.json"): [model_io.serialize_ontology(od)],
+            str(out / "truth.json"): [evalgen.serialize_truth(truth)],
         }
     )
     print(f"wrote cm1.json, cm2.json, od.json, truth.json to {out}")
@@ -203,9 +205,9 @@ def _cmd_eval(args) -> int:
     report: Report = model_io.parse_report(args.report)
     truth = evalgen.parse_truth(args.truth)
     metrics = evalgen.evaluate(report, truth)
-    payload = (json.dumps(metrics, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    payload = model_io._dumps(metrics)
     if args.out:
-        _write_outputs({args.out: payload})
+        _write_outputs({args.out: [payload]})
     else:
         sys.stdout.write(payload.decode("utf-8"))
     return EXIT_OK
@@ -215,7 +217,7 @@ def _cmd_export_dot(args) -> int:
     ontology = model_io.parse_ontology(args.ontology)
     payload = model_io.export_dot(ontology)
     if args.out:
-        _write_outputs({args.out: payload})
+        _write_outputs({args.out: [payload]})
     else:
         sys.stdout.write(payload.decode("utf-8"))
     return EXIT_OK

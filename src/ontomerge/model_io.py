@@ -34,6 +34,9 @@ rejected.  Concepts accept optional ``attributes``, ``associations`` and
 
 Report documents mirror the Report type; scores are exact fraction
 strings such as "1", "0" or "1/2".
+
+One function, ``_render``, renders every document; ``report_chunks``
+streams a report one row of correspondences at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import MalformedFile, SchemaViolation
 from .model import (
@@ -176,10 +179,28 @@ def _relation(raw: Any, context: str) -> Relation:
         raise SchemaViolation(f"{context}: {exc}") from exc
 
 
+def _render(value: Any, indent: str) -> str:
+    """``json.dumps`` of ``value`` with ``ensure_ascii=False``, two-space
+    indentation and sorted keys, ``indent`` put before every line but the
+    first; only scalars other than strings go through ``json.dumps``."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring(k)}: {_render(value[k], inner)}" for k in sorted(value)]
+    elif isinstance(value, list):
+        brackets = "[]"
+        items = [_render(item, inner) for item in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _dumps(document: dict) -> bytes:
-    return (
-        json.dumps(document, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
+    return (_render(document, "") + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -333,31 +354,24 @@ _CORRESPONDENCE_TAIL = (
 )
 
 
-def _dumps_nested(value: Any, depth: int) -> str:
-    """``_dumps`` rendering of ``value`` as it appears ``depth`` levels deep."""
-    text = json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)
-    # JSON strings escape their newlines, so every newline here is layout.
-    return text.replace("\n", "\n" + "  " * depth)
-
-
 def _correspondence_tail(evidence: Evidence, score: Fraction, verdict: str) -> str:
     rendered = {
         "kind": evidence.kind,
         "relations_used": [r.to_dict() for r in evidence.relations_used],
     }
     return _CORRESPONDENCE_TAIL.format(
-        _dumps_nested(rendered, 3),
+        _render(rendered, "      "),
         encode_basestring(str(score)),
         encode_basestring(verdict),
     )
 
 
-def _correspondence_list(report: Report) -> str:
+def _correspondence_list(report: Report) -> Iterator[str]:
+    """The correspondence entries, one string per row of ``pair_rows``."""
     tails: dict[tuple[Evidence, int, int, str], str] = {}
     trivial_tail = _correspondence_tail(SYNTACTIC, Fraction(0), "Distinct")
     # per side of a sparse report: each partner's entry as an unlisted pair
     unlisted: dict[int, list[str]] = {}
-    rows = []
     for c1, side, partners, cells in pair_rows(report):
         if side is None:
             entries = [""] * len(partners)  # an explicit row lists every pair
@@ -374,32 +388,14 @@ def _correspondence_list(report: Report) -> str:
             entries[k] = encode_basestring(corr.c2) + tail
         if entries:  # none when every later source is empty
             head = _CORRESPONDENCE_HEAD.format(encode_basestring(c1))
-            rows.append(head + (",\n" + head).join(entries))
-    if not rows:
-        return "[]"
-    return "[\n" + ",\n".join(rows) + "\n  ]"
+            yield head + (",\n" + head).join(entries)
 
 
-def serialize_report(report: Report) -> bytes:
-    """Canonical bytes for a report document.
-
-    Scores are exact fraction strings; every list is sorted by its
-    primary key.  The bytes are those ``_dumps`` gives for the report as
-    one dict whose correspondence list names every pair, in (c1, c2)
-    order: a sparse report (``Report.pair_space`` set) gets its unlisted
-    pairs written as (0, syntactic, Distinct) entries, so v1 files list
-    every pair either way.  That list is written from a fixed template,
-    one string per row of ``model.pair_rows``: strings go through the
-    encoder ``json.dumps(ensure_ascii=False)`` uses, an entry's head is
-    rendered once per ``c1`` and its tail once per distinct (evidence,
-    score, verdict).  Each side of a sparse report renders its partners
-    once as unlisted entries; a row reuses that list, or patches a copy of
-    it at the positions it lists.
-    The other top-level values are rendered by ``json.dumps`` and placed
-    by their position among the sorted keys.  ``tests/test_model_io.py``
-    keeps the plain ``_dumps`` rendering as the oracle for these bytes.
-    Raises SchemaViolation where ``pair_rows`` does.
-    """
+def report_chunks(report: Report) -> Iterator[bytes]:
+    """The bytes of ``serialize_report`` in order, never held whole: the
+    opening brace, each top-level member by sorted key, and the
+    correspondence rows with their separators.  Raises SchemaViolation
+    where ``pair_rows`` does, possibly after some chunks."""
     fields: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "enrichments": [
@@ -424,14 +420,42 @@ def serialize_report(report: Report) -> bytes:
         ],
         "warnings": sorted(report.warnings),
     }
-    members = []
+    separator = "{\n"
     for key in sorted([*fields, "correspondences"]):
-        if key == "correspondences":
-            value = _correspondence_list(report)
-        else:
-            value = _dumps_nested(fields[key], 1)
-        members.append(f"  {encode_basestring(key)}: {value}")
-    return ("{\n" + ",\n".join(members) + "\n}\n").encode("utf-8")
+        member = f"{separator}  {encode_basestring(key)}: "
+        separator = ",\n"
+        if key != "correspondences":
+            yield (member + _render(fields[key], "  ")).encode("utf-8")
+            continue
+        empty = True
+        for row in _correspondence_list(report):
+            yield (member + "[\n").encode("utf-8") if empty else b",\n"
+            yield row.encode("utf-8")
+            empty = False
+        yield (member + "[]").encode("utf-8") if empty else b"\n  ]"
+    yield b"\n}\n"
+
+
+def serialize_report(report: Report) -> bytes:
+    """Canonical bytes for a report document: the join of ``report_chunks``.
+
+    Scores are exact fraction strings; every list is sorted by its
+    primary key.  The bytes are those ``_dumps`` gives for the report as
+    one dict whose correspondence list names every pair, in (c1, c2)
+    order: a sparse report (``Report.pair_space`` set) gets its unlisted
+    pairs written as (0, syntactic, Distinct) entries, so v1 files list
+    every pair either way.  That list is written from a fixed template,
+    one string per row of ``model.pair_rows``: strings go through the
+    encoder ``json.dumps(ensure_ascii=False)`` uses, an entry's head is
+    rendered once per ``c1`` and its tail once per distinct (evidence,
+    score, verdict).  Each side of a sparse report renders its partners
+    once as unlisted entries; a row reuses that list, or patches a copy of
+    it at the positions it lists.  The other top-level values go through
+    ``_render``.  ``tests/test_model_io.py`` keeps a plain ``json.dumps``
+    rendering as the oracle for these bytes.
+    Raises SchemaViolation where ``pair_rows`` does.
+    """
+    return b"".join(report_chunks(report))
 
 
 def parse_report(path) -> Report:

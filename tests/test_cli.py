@@ -2,12 +2,27 @@
 
 import hashlib
 import json
+import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ontomerge import BusinessComponent, Concept, Entity, Ontology, Relation, model_io
-from ontomerge.cli import main
+from ontomerge import (
+    BusinessComponent,
+    Concept,
+    Correspondence,
+    Entity,
+    Evidence,
+    Ontology,
+    Relation,
+    Report,
+    SchemaViolation,
+    integrate,
+    model_io,
+)
+from ontomerge.cli import _write_outputs, main
 from ontomerge.evalgen import ScenarioSpec, generate_scenario
 
 from .conftest import (
@@ -204,6 +219,55 @@ def test_directory_target_leaves_no_partial_files(tmp_path, scenario_files, caps
     assert list((out / "report").iterdir()) == []
 
 
+_DISTINCT = Correspondence("CM#a", "CM 2#b", Fraction(0), "Distinct", Evidence("syntactic"))
+
+
+@pytest.mark.parametrize("report, error", [
+    (Report(correspondences=[_DISTINCT, _DISTINCT], pair_space=(("CM#a",), ("CM 2#b",))),
+     SchemaViolation),  # pair_rows rejects the pair listed twice
+    (Report(correspondences=[replace(_DISTINCT, c1="CM#\ud800")]), UnicodeEncodeError),
+], ids=["doubled-pair", "lone-surrogate"])
+def test_failing_chunk_iterator_leaves_no_partial_files(tmp_path, report, error):
+    written = []
+
+    def chunks():
+        for chunk in model_io.report_chunks(report):
+            written.append(chunk)
+            yield chunk
+
+    outputs = {
+        str(tmp_path / "a.json"): [b"{}\n"],
+        str(tmp_path / "b.json"): chunks(),
+        str(tmp_path / "c.json"): [b"{}\n"],
+    }
+    with pytest.raises(error):
+        _write_outputs(outputs)
+    assert written  # the second output failed after its first chunk
+    assert list(tmp_path.iterdir()) == []  # no output, no temporary
+
+
+def test_integrate_peak_memory_is_below_half_the_report(tmp_path):
+    # a sparse scenario: a 2.8 MiB report of mostly unlisted Distinct pairs
+    components, od, _ = generate_scenario(ScenarioSpec(240, 4, 2, 1, rng_seed=5))
+    paths = {"cm1": tmp_path / "cm1.json", "cm2": tmp_path / "cm2.json",
+             "od": tmp_path / "od.json"}
+    paths["cm1"].write_bytes(model_io.serialize_component(components[0]))
+    paths["cm2"].write_bytes(model_io.serialize_component(components[1]))
+    paths["od"].write_bytes(model_io.serialize_ontology(od))
+    out = tmp_path / "out"
+    out.mkdir()
+    tracemalloc.start()
+    try:
+        code = main(_integrate_args(paths, out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report_size = (out / "report.json").stat().st_size
+    assert report_size >= 2 * 2**20
+    assert peak < report_size / 2
+
+
 def test_repeated_runs_are_byte_identical(tmp_path, scenario_files):
     first = tmp_path / "first"
     second = tmp_path / "second"
@@ -279,6 +343,13 @@ def test_integrate_outputs_on_fixtures_are_pinned(tmp_path, name):
         for output in PINNED_DIGESTS[name]
     }
     assert digests == PINNED_DIGESTS[name]
+    # the report the CLI streams equals the library's serialize_report
+    _, _, report = integrate(
+        [model_io.parse_component(path) for path in components], model_io.parse_ontology(od)
+    )
+    payload = model_io.serialize_report(report)
+    assert payload == b"".join(model_io.report_chunks(report))
+    assert (tmp_path / "report.json").read_bytes() == payload
 
 
 @pytest.mark.parametrize("second", ["cm2", "cm1"])

@@ -1,5 +1,6 @@
 """Parsing, canonical serialization, and DOT export."""
 
+import gc
 import json
 import tempfile
 from dataclasses import replace
@@ -39,7 +40,12 @@ from ontomerge import model_io
 from ontomerge.evalgen import parse_truth
 from ontomerge.model import PROVENANCES, RELATION_KINDS, SEMANTIC_KINDS
 
-from .conftest import make_cm1, make_interleaved_inputs, make_support_ontology
+from .conftest import (
+    make_cm1,
+    make_composite_inputs,
+    make_interleaved_inputs,
+    make_support_ontology,
+)
 from .strategies import fractions01
 
 
@@ -302,6 +308,51 @@ def test_dangling_child_rejected(tmp_path):
 # determinism and round trips
 
 
+def _dumps_oracle(value):
+    return json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)
+
+
+# Strings mix what JSON escapes, a line separator it leaves raw, and
+# non-ASCII and astral characters.
+_json_text = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u2028", "é", "中", "\U0001f600", "a"]),
+    max_size=5,
+)
+
+
+def _json_values(depth):
+    scalars = st.none() | st.booleans() | st.integers() | _json_text
+    if not depth:
+        return scalars
+    inner = _json_values(depth - 1)
+    return scalars | st.lists(inner, max_size=3) | st.dictionaries(_json_text, inner, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values(4), st.integers(0, 3))
+@example({}, 0)
+@example({"a": [], "b": {}, "c": [[{}]]}, 2)
+def test_render_matches_json_dumps(value, depth):
+    text = _dumps_oracle(value)
+    assert model_io._render(value, "") == text
+    # the re-indent that placed a nested value before the renderer existed
+    assert model_io._render(value, "  " * depth) == text.replace("\n", "\n" + "  " * depth)
+
+
+def test_integrate_and_serializers_leave_no_cyclic_garbage():
+    components, od = make_composite_inputs()
+    gc.collect()
+    gc.disable()
+    try:
+        merged, enriched, report = integrate(components, od)
+        serialize_component(merged)
+        serialize_ontology(enriched)
+        serialize_report(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_serializers_are_deterministic(cm1, support_od):
     assert serialize_component(cm1) == serialize_component(make_cm1())
     assert serialize_ontology(support_od) == serialize_ontology(make_support_ontology())
@@ -358,48 +409,47 @@ def naive_full_list(report):
 
 
 def _dumps_report_oracle(report):
-    """The report as one dict rendered by ``_dumps``: what the writer must equal."""
-    return model_io._dumps(
-        {
-            "format_version": model_io.FORMAT_VERSION,
-            "correspondences": [
-                {
-                    "c1": corr.c1,
-                    "c2": corr.c2,
-                    "score": str(corr.score),
-                    "verdict": corr.verdict,
-                    "evidence": {
-                        "kind": corr.evidence.kind,
-                        "relations_used": [
-                            r.to_dict() for r in corr.evidence.relations_used
-                        ],
-                    },
-                }
-                for corr in naive_full_list(report)
-            ],
-            "enrichments": [
-                {
-                    "pair": list(record.pair),
-                    "injected": record.injected.to_dict(),
-                    "evidence": [r.to_dict() for r in record.evidence],
-                }
-                for record in sorted(
-                    report.enrichments, key=lambda r: (r.pair, r.injected)
-                )
-            ],
-            "clusters": [
-                {
-                    "term": cluster.term,
-                    "members": list(cluster.members),
-                    "aliases": list(cluster.aliases),
-                }
-                for cluster in sorted(
-                    report.clusters, key=lambda cl: (cl.term, cl.members)
-                )
-            ],
-            "warnings": sorted(report.warnings),
-        }
-    )
+    """The report as one dict rendered by ``json.dumps``: what the writer must equal."""
+    document = {
+        "format_version": model_io.FORMAT_VERSION,
+        "correspondences": [
+            {
+                "c1": corr.c1,
+                "c2": corr.c2,
+                "score": str(corr.score),
+                "verdict": corr.verdict,
+                "evidence": {
+                    "kind": corr.evidence.kind,
+                    "relations_used": [
+                        r.to_dict() for r in corr.evidence.relations_used
+                    ],
+                },
+            }
+            for corr in naive_full_list(report)
+        ],
+        "enrichments": [
+            {
+                "pair": list(record.pair),
+                "injected": record.injected.to_dict(),
+                "evidence": [r.to_dict() for r in record.evidence],
+            }
+            for record in sorted(
+                report.enrichments, key=lambda r: (r.pair, r.injected)
+            )
+        ],
+        "clusters": [
+            {
+                "term": cluster.term,
+                "members": list(cluster.members),
+                "aliases": list(cluster.aliases),
+            }
+            for cluster in sorted(
+                report.clusters, key=lambda cl: (cl.term, cl.members)
+            )
+        ],
+        "warnings": sorted(report.warnings),
+    }
+    return (_dumps_oracle(document) + "\n").encode("utf-8")
 
 
 # Ids mix the characters JSON escapes, a line separator it leaves raw and

@@ -148,7 +148,7 @@ def infer_via_children(
     Children relate when their normalized terms are equal or a synonymy /
     equivalence relation between the terms exists in the support ontology
     or any source (the first found, support ontology first, from one
-    ``related_terms`` read per ontology and left child).  A perfect
+    ``related_terms`` read per ontology and left child, empty ones dropped).  A perfect
     injective matching over all n children is required: a child that
     relates to no child of the other side rules it out at once, else
     ``max_weight_assignment`` finds one in O(n^3) at any arity; among
@@ -168,14 +168,19 @@ def infer_via_children(
     support: list[list[Optional[Relation]]] = []
     weights = []
     for kid1 in left:
-        related = [ontology.related_terms(kid1.key) for ontology in ontologies]
+        related = [terms for ontology in ontologies if (terms := ontology.related_terms(kid1.key))]
         row_rel: list[Optional[Relation]] = []
         row_w = []
         for kid2 in right:
             relation = None  # term equality needs no relation
-            if kid1.key != kid2.key:
-                relation = next((r for terms in related for r in terms.get(kid2.key, ())
-                                 if r.kind in ("synonymy", "equivalence")), None)
+            if related and kid1.key != kid2.key:
+                for terms in related:
+                    for candidate in terms.get(kid2.key, ()):
+                        if candidate.kind in ("synonymy", "equivalence"):
+                            relation = candidate
+                            break
+                    if relation is not None:
+                        break
             row_rel.append(relation)
             row_w.append(1 if kid1.key == kid2.key or relation is not None else 0)
         support.append(row_rel)

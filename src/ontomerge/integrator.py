@@ -32,7 +32,7 @@ from .model import (
 )
 from .similarity import children_index, semantic_similarity
 from .terms import normalize_term
-from .transform import component_to_ontology, concept_id, ontology_to_component
+from .transform import component_to_ontology, ontology_to_component
 
 DEFAULT_TAU = Fraction(1)
 MERGED_ID = "CMr"
@@ -331,11 +331,13 @@ def merge(
         raise SchemaViolation(f"concepts appear in several clusters: {doubled}")
     if not all(partition):
         raise SchemaViolation("a cluster of the partition is empty")
-    displays = [
-        _cluster_display(members, member_concept, od, homonym_endpoints, owner_id)
-        for members in partition
-    ]
-    keys = _disambiguate_displays(displays, partition, member_concept, owner_id, sink)
+    displays: list[str] = []
+    keys: list[str] = []  # filled pair by pair: a list of pairs would raise the tracemalloc peak
+    for members in partition:
+        display, key = _cluster_display(members, member_concept, od, homonym_endpoints, owner_id)
+        displays.append(display)
+        keys.append(key)
+    _disambiguate_displays(displays, keys, partition, member_concept, owner_id, sink)
 
     cluster_of: dict[str, str] = {}
     cluster_ids = []
@@ -350,21 +352,21 @@ def merge(
             "or inputs are contradictory"
         )
     display_of = dict(zip(cluster_ids, displays))
+    key_of: dict[str, str] = {}  # member term -> key, filled at the first association
 
     merged = Ontology(MERGED_ID)
     clusters: list[Cluster] = []
     for members, display, key, cid in zip(partition, displays, keys, cluster_ids):
-        term_keys: dict[str, str] = {}
-        for member in members:
-            concept = member_concept[member]
-            term_keys.setdefault(concept.key, concept.term)
-        aliases = tuple(raw for term_key, raw in sorted(term_keys.items()) if term_key != key)
-        children = set()
-        attributes = set()
-        associations = set()
-        for member in members:
-            concept = member_concept[member]
-            attributes.update(concept.attributes)
+        concepts = [member_concept[member] for member in members]
+        if len(concepts) == 1:
+            aliases = (concepts[0].term,) if concepts[0].key != key else ()
+        else:
+            first_term = {c.key: c.term for c in reversed(concepts)}  # the first member's wins
+            aliases = tuple(raw for k, raw in sorted(first_term.items()) if k != key)
+        children, attributes, associations = (), (), ()  # () for a field no member has
+        for member, concept in zip(members, concepts):
+            if concept.children and not children:
+                children = set()
             for child in concept.children:
                 child_cid = cluster_of[child]
                 if child_cid == cid:
@@ -374,16 +376,24 @@ def merge(
                     )
                     continue
                 children.add(child_cid)
-            for assoc in concept.associations:
-                target_cid = cluster_of[concept_id(owner_id[member], assoc.target)]
-                associations.add((display_of[target_cid], assoc.label))
+            if concept.attributes:
+                attributes = {*attributes, *concept.attributes}
+            if concept.associations:
+                key_of = key_of or {c.term: c.key for c in member_concept.values()}
+                targets = (
+                    (f"{owner_id[member]}#{key_of.get(t) or normalize_term(t)}", label)
+                    for t, label in concept.associations
+                )
+                associations = {*associations, *(
+                    (display_of[cluster_of[target]], label) for target, label in targets
+                )}
         merged.add_concept(
             Concept(
                 id=cid,
                 term=display,
-                children=tuple(sorted(children)),
-                attributes=tuple(sorted(attributes)),
-                associations=tuple(sorted(associations)),
+                children=tuple(children),
+                attributes=tuple(attributes),
+                associations=tuple(associations),
                 aliases=aliases,
             )
         )
@@ -405,32 +415,33 @@ def _cluster_display(
     od: Ontology,
     homonym_endpoints: set[str],
     owner_id: dict[str, str],
-) -> str:
-    flagged = sorted(
-        (member_concept[m].key, m)
-        for m in members
-        if m in homonym_endpoints
-    )
+) -> tuple[str, str]:
+    """A cluster's display term and its key, which only a homonym's
+    "<term> (<source id>)" display normalizes; a singleton's is its member's."""
+    flagged = [m for m in members if m in homonym_endpoints]
     if flagged:
-        _, member = flagged[0]
-        return f"{member_concept[member].term} ({owner_id[member]})"
-    by_term: dict[str, str] = {}
-    for member in sorted(members):
-        concept = member_concept[member]
-        by_term.setdefault(concept.key, concept.term)
-    in_od = sorted(key for key in by_term if od.term_present(key))
-    chosen = in_od[0] if in_od else sorted(by_term)[0]
-    return by_term[chosen]
+        _, member = min((member_concept[m].key, m) for m in flagged)
+        display = f"{member_concept[member].term} ({owner_id[member]})"
+        return display, normalize_term(display)
+    if len(members) == 1:
+        concept = member_concept[members[0]]
+        return concept.term, concept.key
+    descending = [member_concept[member] for member in sorted(members, reverse=True)]
+    by_term = {concept.key: concept.term for concept in descending}  # smallest id's term wins
+    in_od = [key for key in by_term if od.term_present(key)]
+    chosen = min(in_od or by_term)
+    return by_term[chosen], chosen
 
 
 def _disambiguate_displays(
     displays: list[str],
+    keys: list[str],
     partition: Sequence[tuple[str, ...]],
     member_concept: dict[str, Concept],
     owner_id: dict[str, str],
     sink: list[str],
-) -> list[str]:
-    """Suffix colliding display terms with a source id (in place); return their keys.
+) -> None:
+    """Suffix colliding display terms with a source id; re-key only those, in place.
 
     The suffix is the smallest source id among the cluster's members
     whose key is the display's key.  A source holds one concept per key,
@@ -438,7 +449,6 @@ def _disambiguate_displays(
     no member bears (a homonym's "<term> (<source id>)") falls back to
     the source of the first member.
     """
-    keys = [normalize_term(display) for display in displays]
     groups: dict[str, list[int]] = {}
     for index, key in enumerate(keys):
         groups.setdefault(key, []).append(index)
@@ -457,7 +467,6 @@ def _disambiguate_displays(
             )
             displays[index] = f"{displays[index]} ({owner})"
             keys[index] = normalize_term(displays[index])
-    return keys
 
 
 def integrate(

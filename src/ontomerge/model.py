@@ -66,6 +66,10 @@ class Association(NamedTuple):
     label: str
 
 
+def _sorted_associations(associations: Iterable) -> tuple[Association, ...]:
+    return tuple(sorted(Association(*a) for a in associations)) if associations else ()
+
+
 @dataclass
 class Concept:
     """A node in an ontology: a term plus optional composition children.
@@ -77,7 +81,8 @@ class Concept:
     ``key`` is derived: the normalized ``term``, computed once on
     construction and read wherever two terms are compared.  ``term`` must
     therefore not be reassigned after construction; build a new concept
-    (``dataclasses.replace``) to change it.
+    (``dataclasses.replace``) to change it.  Only nonempty collection
+    fields are sorted and checked; an empty one becomes ().
     """
 
     id: str
@@ -92,14 +97,14 @@ class Concept:
         if not self.id:
             raise SchemaViolation("concept id must be nonempty")
         self.key = normalize_term(self.term)  # raises EmptyTerm on blank terms
-        self.children = tuple(sorted(self.children))
-        if len(set(self.children)) != len(self.children):
+        self.children = tuple(sorted(self.children)) if self.children else ()
+        if self.children and len(set(self.children)) != len(self.children):
             raise SchemaViolation(f"concept {self.id!r} lists a duplicate child")
         if self.id in self.children:
             raise SchemaViolation(f"concept {self.id!r} lists itself as a child")
-        self.attributes = tuple(sorted(self.attributes))
-        self.associations = tuple(sorted(Association(*a) for a in self.associations))
-        self.aliases = tuple(sorted(self.aliases, key=name_sort_key))
+        self.attributes = tuple(sorted(self.attributes)) if self.attributes else ()
+        self.associations = _sorted_associations(self.associations)
+        self.aliases = tuple(sorted(self.aliases, key=name_sort_key)) if self.aliases else ()
 
     @property
     def is_atomic(self) -> bool:
@@ -237,9 +242,10 @@ class Ontology:
                     )
 
     def composition_cycle(self) -> Optional[list[str]]:
-        """A cycle of composition links between known concepts, or None."""
+        """A cycle of composition links between known concepts, or None; walked
+        from composites only, in id order, as a childless concept is on no cycle."""
         return find_cycle(
-            sorted(self.concepts),
+            sorted(cid for cid, concept in self.concepts.items() if concept.children),
             lambda node: [c for c in self.concepts[node].children if c in self.concepts],
         )
 
@@ -293,7 +299,8 @@ class ComponentRelation(NamedTuple):
 
 @dataclass(slots=True)
 class Entity:
-    """A named entity of a business component; ``key`` is its normalized ``name``."""
+    """A named entity of a business component; ``key`` is its normalized ``name``.
+    As in ``Concept``, only nonempty collection fields are sorted and checked."""
 
     name: str
     attributes: tuple[str, ...] = ()
@@ -303,8 +310,11 @@ class Entity:
 
     def __post_init__(self):
         self.key = own_key = normalize_term(self.name)
-        self.attributes = tuple(sorted(self.attributes))
-        self.associations = tuple(sorted(Association(*a) for a in self.associations))
+        self.attributes = tuple(sorted(self.attributes)) if self.attributes else ()
+        self.associations = _sorted_associations(self.associations)
+        if not self.components:
+            self.components = ()
+            return
         keyed = sorted(map(name_sort_key, self.components))
         self.components = tuple(child for _, child in keyed)
         seen = set()
@@ -332,6 +342,9 @@ class BusinessComponent:
     * the composition graph is acyclic;
     * declared relation kinds are semantic (synonymy/homonymy/equivalence)
       and no entity pair carries both synonymy and homonymy.
+
+    References resolve through a transient map from entity name to key; only
+    one spelled otherwise is normalized again.  The cycle walk starts at composites.
     """
 
     id: str
@@ -343,35 +356,47 @@ class BusinessComponent:
         if not self.id:
             raise SchemaViolation("component id must be nonempty")
         self.entities = tuple(sorted(self.entities, key=lambda e: (e.key, e.name)))
-        by_name: dict[str, Entity] = {}
-        for entity in self.entities:
-            if entity.key in by_name:
+        key_of: dict[str, str] = {}  # entity name -> key
+        previous = None
+        for entity in self.entities:  # sorted, so a repeated key follows the first
+            if entity.key == previous:
                 raise SchemaViolation(
                     f"component {self.id!r}: duplicate entity name {entity.name!r}"
                 )
-            by_name[entity.key] = entity
-        child_keys: dict[str, list[str]] = {}
+            key_of[entity.name] = previous = entity.key
+        keys: set[str] = set()  # filled at the first reference spelled otherwise
+
+        def key(reference: str) -> Optional[str]:
+            """The key of the entity that ``reference`` names, or None."""
+            if reference in key_of:
+                return key_of[reference]
+            if not keys:
+                keys.update(key_of.values())
+            found = normalize_term(reference)
+            return found if found in keys else None
+
+        child_keys: dict[str, list[str]] = {}  # composite key -> child keys
         for entity in self.entities:
             for association in entity.associations:
-                if normalize_term(association.target) not in by_name:
+                if key(association.target) is None:
                     raise SchemaViolation(
                         f"component {self.id!r}: association of {entity.name!r} targets "
                         f"undeclared entity {association.target!r}"
                     )
             for child in entity.components:
-                key = normalize_term(child)
-                if key not in by_name:
+                child_key = key(child)
+                if child_key is None:
                     raise SchemaViolation(
                         f"component {self.id!r}: composition child {child!r} of "
                         f"{entity.name!r} is not a declared entity"
                     )
-                child_keys.setdefault(entity.key, []).append(key)
+                child_keys.setdefault(entity.key, []).append(child_key)
         self.relations = tuple(
-            sorted(self._canonical_relation(rel, by_name) for rel in self.relations)
+            sorted(self._canonical_relation(rel, key) for rel in self.relations)
         )
         seen_pairs: dict[tuple[str, str], str] = {}
         for rel in self.relations:
-            pair = (normalize_term(rel.a), normalize_term(rel.b))
+            pair = (key(rel.a), key(rel.b))
             prev = seen_pairs.get(pair)
             if prev == rel.kind:
                 raise SchemaViolation(
@@ -384,14 +409,16 @@ class BusinessComponent:
                     "cannot carry both synonymy and homonymy"
                 )
             seen_pairs[pair] = rel.kind
-        cycle = find_cycle(sorted(by_name), lambda key: child_keys.get(key, ()))
+        cycle = None
+        if child_keys:  # composites only: a childless entity is on no cycle
+            cycle = find_cycle(sorted(child_keys), lambda k: child_keys.get(k, ()))
         if cycle:
             raise SchemaViolation(
                 f"component {self.id!r}: composition cycle: " + " -> ".join(cycle)
             )
 
     def _canonical_relation(
-        self, rel: ComponentRelation, by_name: dict[str, Entity]
+        self, rel: ComponentRelation, key: Callable[[str], Optional[str]]
     ) -> ComponentRelation:
         rel = ComponentRelation(*rel)
         if rel.kind not in SEMANTIC_KINDS:
@@ -399,9 +426,9 @@ class BusinessComponent:
                 f"component {self.id!r}: relation kind {rel.kind!r} is not one of "
                 f"{SEMANTIC_KINDS}"
             )
-        na, nb = normalize_term(rel.a), normalize_term(rel.b)
+        na, nb = key(rel.a), key(rel.b)
         for endpoint, raw in ((na, rel.a), (nb, rel.b)):
-            if endpoint not in by_name:
+            if endpoint is None:
                 raise SchemaViolation(
                     f"component {self.id!r}: relation endpoint {raw!r} is not a "
                     "declared entity"
@@ -504,7 +531,8 @@ class Cluster:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(sorted(self.members)))
-        object.__setattr__(self, "aliases", tuple(sorted(self.aliases, key=name_sort_key)))
+        aliases = tuple(sorted(self.aliases, key=name_sort_key)) if self.aliases else ()
+        object.__setattr__(self, "aliases", aliases)
         if not self.members:
             raise SchemaViolation("cluster must have at least one member")
 

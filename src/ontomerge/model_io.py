@@ -182,21 +182,26 @@ def _relation(raw: Any, context: str) -> Relation:
 def _render(value: Any, indent: str) -> str:
     """``json.dumps`` of ``value`` with ``ensure_ascii=False``, two-space
     indentation and sorted keys, ``indent`` put before every line but the
-    first; only scalars other than strings go through ``json.dumps``."""
+    first; only scalars other than strings go through ``json.dumps``.  An
+    exact ``str`` item is encoded in place, an empty dict or list at once."""
     if isinstance(value, str):
         return encode_basestring(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        brackets = "{}"
-        items = [f"{encode_basestring(k)}: {_render(value[k], inner)}" for k in sorted(value)]
-    elif isinstance(value, list):
-        brackets = "[]"
-        items = [_render(item, inner) for item in value]
-    else:
-        return json.dumps(value)
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring(k)}: "
+            f"{encode_basestring(v) if type(v) is str else _render(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [encode_basestring(v) if type(v) is str else _render(v, inner) for v in value]
+        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{indent}]"
+    return json.dumps(value)
 
 
 def _dumps(document: dict) -> bytes:

@@ -11,43 +11,40 @@ from __future__ import annotations
 
 from .errors import CyclicComposition
 from .model import BusinessComponent, ComponentRelation, Concept, Entity, Ontology, Relation
-from .terms import name_sort_key, normalize_term
+from .terms import normalize_term
 
 ALIAS_PREFIX = "alias: "
-
-
-def concept_id(component_id: str, entity_name: str) -> str:
-    return f"{component_id}#{normalize_term(entity_name)}"
 
 
 def component_to_ontology(bc: BusinessComponent) -> Ontology:
     """Derive the ontology of one component.
 
     Deterministic: the ontology id is the component id and concept ids are
-    built from normalized entity names.  Associations become no semantic
-    relation; they are kept as concept metadata.  No validation walk:
-    ``bc``'s constructor already checked its children and acyclicity.
+    ``<component id>#<entity key>``; a reference spelled other than its
+    entity's name is the only one normalized again.  Associations become
+    no semantic relation; they are kept as concept metadata.  No
+    validation walk: ``bc``'s constructor already checked its children
+    and acyclicity.
     """
+    key_of = {entity.name: entity.key for entity in bc.entities}
+
+    def concept_id(reference: str) -> str:
+        return f"{bc.id}#{key_of.get(reference) or normalize_term(reference)}"
+
     ontology = Ontology(bc.id)
     for entity in bc.entities:
         ontology.add_concept(
             Concept(
                 id=f"{bc.id}#{entity.key}",
                 term=entity.name,
-                children=tuple(concept_id(bc.id, child) for child in entity.components),
+                children=tuple(map(concept_id, entity.components)),
                 attributes=entity.attributes,
                 associations=entity.associations,
             )
         )
-    for relation in bc.relations:
-        ontology.add_relation(
-            Relation(
-                a=concept_id(bc.id, relation.a),
-                b=concept_id(bc.id, relation.b),
-                kind=relation.kind,
-                provenance="declared",
-            )
-        )
+    for relation in bc.relations:  # declared, the default provenance
+        a, b = concept_id(relation.a), concept_id(relation.b)
+        ontology.add_relation(Relation(a, b, relation.kind))
     return ontology
 
 
@@ -55,7 +52,8 @@ def ontology_to_component(ontology: Ontology, name: str) -> BusinessComponent:
     """Rebuild a component from an ontology.
 
     Inverse of component_to_ontology on its image.  Concept aliases (from
-    merging) surface as ``alias: <term>`` attribute annotations.  Raises
+    merging) surface as ``alias: <term>`` attribute annotations.  Entities
+    are sorted by (key, term), i.e. ``name_sort_key`` of the term.  Raises
     CyclicComposition when part_of links form a cycle.
     """
     cycle = ontology.composition_cycle()
@@ -63,26 +61,19 @@ def ontology_to_component(ontology: Ontology, name: str) -> BusinessComponent:
         raise CyclicComposition("part_of cycle: " + " -> ".join(cycle))
     ontology.check_children()
     entities = []
-    for concept in sorted(ontology.concepts.values(), key=lambda c: name_sort_key(c.term)):
-        alias_notes = tuple(f"{ALIAS_PREFIX}{alias}" for alias in concept.aliases)
+    for concept in sorted(ontology.concepts.values(), key=lambda c: (c.key, c.term)):
+        notes = tuple(ALIAS_PREFIX + alias for alias in concept.aliases) if concept.aliases else ()
         entities.append(
             Entity(
                 name=concept.term,
-                attributes=concept.attributes + alias_notes,
+                attributes=concept.attributes + notes,
                 associations=concept.associations,
-                components=tuple(
-                    ontology.concepts[child].term for child in concept.children
-                ),
+                components=tuple(ontology.concepts[child].term for child in concept.children),
             )
         )
     relations = tuple(
-        ComponentRelation(
-            a=ontology.concepts[rel.a].term,
-            b=ontology.concepts[rel.b].term,
-            kind=rel.kind,
-        )
-        for rel in ontology.relations
-        if rel.kind != "part_of"
+        ComponentRelation(ontology.concepts[rel.a].term, ontology.concepts[rel.b].term, rel.kind)
+        for rel in ontology.relations if rel.kind != "part_of"
     )
     return BusinessComponent(
         id=ontology.id, name=name, entities=tuple(entities), relations=relations

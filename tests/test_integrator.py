@@ -442,6 +442,29 @@ def test_rerun_on_own_outputs_is_a_fixpoint(cm1, cm2, support_od):
     assert _structure(merged2) == _structure(merged)
 
 
+def _equivalent_composites(cid, term, composite):
+    """{term, composite ⊃ (k1, k2)} with equivalence(term, composite)."""
+    return BusinessComponent(
+        id=cid, name=cid.lower(),
+        entities=(Entity(term), Entity(composite, components=("k1", "k2")),
+                  Entity("k1"), Entity("k2")),
+        relations=((term, composite, "equivalence"),),
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_case3_commit_reaches_an_earlier_case2_pair_in_one_run():
+    # case 3 makes s1 ~ s2 only when (CM1#s1, CM2#s2) is scored, after
+    # (CM1#a, CM2#b), whose case-2 bridge needs that synonymy
+    components = [_equivalent_composites("CM1", "a", "s1"),
+                  _equivalent_composites("CM2", "b", "s2")]
+    od = Ontology("Od", [Concept(id=f"Od#{t}", term=t) for t in ("a", "b", "s1", "s2")])
+    _, enriched, report = integrate(components, od)
+    assert _verdicts(report.correspondences).get(("CM1#a", "CM2#b")) == "Synonym"
+    _, _, again = integrate(components, enriched)
+    assert again.enrichments == []
+
+
 def _structure(component):
     return sorted(
         (e.name, tuple(e.components), tuple(e.associations)) for e in component.entities

@@ -1,6 +1,10 @@
 """Component <-> ontology conversion."""
 
+import unicodedata
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontomerge import (
     BusinessComponent,
@@ -8,13 +12,16 @@ from ontomerge import (
     CyclicComposition,
     Entity,
     Ontology,
+    Relation,
     SchemaViolation,
     build_clusters,
     align,
     component_to_ontology,
     merge,
+    normalize_term,
     ontology_to_component,
 )
+from ontomerge import model
 
 from .conftest import make_cm1, make_cm2, make_support_ontology
 
@@ -137,3 +144,136 @@ def test_merged_scenario_yields_one_entity_per_synonym_cluster():
     ]
     assert len(groups) == 1
     assert any(e.name == groups[0].term for e in component.entities)
+
+
+# --- references spelled other than their entity's name -----------------------
+
+NAMES = ("Dossier", "Prénom", "Libellé", "Agence bancaire", "Taux", "Éclair")
+
+
+def _respell(name: str, how: int) -> str:
+    """``name`` as a reference may spell it: same key, other characters."""
+    return (
+        name,
+        name.upper(),
+        name.swapcase(),
+        f"  {name.replace(' ', '   ')} ",
+        unicodedata.normalize("NFD", name),
+        unicodedata.normalize("NFD", f" {name.lower()}\t"),
+    )[how]
+
+
+spellings = st.integers(min_value=0, max_value=5)
+
+
+@st.composite
+def respelled_components(draw):
+    """A valid component whose references respell the entity names."""
+    count = draw(st.integers(min_value=1, max_value=len(NAMES)))
+    names = NAMES[:count]
+    entities = []
+    for i, name in enumerate(names):
+        later = draw(st.sets(st.sampled_from(names[i + 1:]))) if i + 1 < count else set()
+        targets = draw(st.lists(st.sampled_from(names), max_size=2))
+        entities.append(Entity(
+            name=name,
+            components=tuple(_respell(child, draw(spellings)) for child in sorted(later)),
+            associations=tuple(
+                (_respell(target, draw(spellings)), f"lien{k}")
+                for k, target in enumerate(targets)
+            ),
+        ))
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    kinds = draw(st.lists(st.sampled_from(("synonymy", "homonymy", "equivalence")),
+                          min_size=len(pairs), max_size=len(pairs)))
+    relations = [
+        (_respell(a, draw(spellings)), _respell(b, draw(spellings)), kind)
+        for (a, b), kind, keep in zip(pairs, kinds, draw(st.lists(
+            st.booleans(), min_size=len(pairs), max_size=len(pairs))))
+        if keep
+    ]
+    return BusinessComponent(id="CMx", name="respelled", entities=tuple(entities),
+                             relations=tuple(relations))
+
+
+def _naive_ontology(bc: BusinessComponent) -> Ontology:
+    """The oracle: every reference normalized on its own, no name map."""
+    def cid(reference: str) -> str:
+        return f"{bc.id}#{normalize_term(reference)}"
+
+    ontology = Ontology(bc.id)
+    for entity in bc.entities:
+        ontology.add_concept(Concept(
+            id=cid(entity.name), term=entity.name,
+            children=tuple(cid(child) for child in entity.components),
+            attributes=entity.attributes, associations=entity.associations,
+        ))
+    for relation in bc.relations:
+        ontology.add_relation(Relation(cid(relation.a), cid(relation.b), relation.kind))
+    return ontology
+
+
+@settings(max_examples=80, deadline=None)
+@given(respelled_components())
+def test_respelled_references_convert_like_the_naive_builder(component):
+    assert component_to_ontology(component) == _naive_ontology(component)
+
+
+# --- cycle walks rooted at composites ---------------------------------------
+
+
+@st.composite
+def digraphs(draw):
+    """Node ids X#0..X#n-1 and, per node, children among them or unknown ids."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    ids = [f"X#{i}" for i in range(n)]
+    edges = {}
+    for node in ids:
+        others = [other for other in ids if other != node] + ["X#unknown"]
+        edges[node] = draw(st.sets(st.sampled_from(others), max_size=3)) if draw(
+            st.booleans()) else set()
+    return edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs())
+def test_composite_rooted_walks_find_the_all_roots_cycle(edges):
+    ontology = Ontology("X", [Concept(id=node, term=node[2:] or "t", children=tuple(kids))
+                              for node, kids in edges.items()])
+
+    def children(node):
+        return [c for c in ontology.concepts[node].children if c in ontology.concepts]
+
+    oracle = model.find_cycle(sorted(ontology.concepts), children)
+    assert ontology.composition_cycle() == oracle
+
+    entities = tuple(  # the same graph as a component, unknown children dropped
+        Entity(name=f"e{node[2:]}", components=tuple(
+            f"e{kid[2:]}" for kid in sorted(kids) if kid in edges))
+        for node, kids in edges.items()
+    )
+    keys = {f"e{node[2:]}": [f"e{kid[2:]}" for kid in sorted(kids) if kid in edges]
+            for node, kids in edges.items()}
+    expected = model.find_cycle(sorted(keys), keys.__getitem__)
+    if expected is None:
+        BusinessComponent(id="CM", name="graphe", entities=entities)
+    else:
+        with pytest.raises(SchemaViolation) as caught:
+            BusinessComponent(id="CM", name="graphe", entities=entities)
+        assert str(caught.value) == "component 'CM': composition cycle: " + " -> ".join(expected)
+
+
+def test_all_atomic_walks_call_no_children_function(monkeypatch):
+    calls = []
+    walk = model.find_cycle
+
+    def spy(roots, children):
+        calls.append("walk")
+        return walk(roots, lambda node: calls.append(node) or children(node))
+
+    monkeypatch.setattr(model, "find_cycle", spy)
+    ontology = Ontology("X", [Concept(id=f"X#{i}", term=f"t{i}") for i in range(40)])
+    assert ontology.composition_cycle() is None
+    assert calls == ["walk"]  # walked from no root, so no children were listed
+    BusinessComponent(id="CM", name="plat", entities=tuple(Entity(f"t{i}") for i in range(40)))
+    assert calls == ["walk"]  # a component without composites is not walked

@@ -4,7 +4,7 @@ When the support ontology has no relation for a concept pair, three cases
 are tried in order.  Each only looks for evidence and returns it:
 
 * case 1 - some single source ontology already declares a semantic
-  relation between the two terms (``_first_relation`` over the sources);
+  relation between the two terms (``first_relations`` over the sources);
   its kind is copied into the support ontology.
 * case 2 (``infer_via_equivalents``) - each term has a declared
   equivalent in the sources and a synonymy or homonymy relation bridges
@@ -15,8 +15,10 @@ are tried in order.  Each only looks for evidence and returns it:
   synonymy/equivalence relations or term equality (children read from
   ``similarity.children_index``); the pair is inferred synonymous.
 
-``enrich`` alone commits: it runs the idempotence and contradiction
-guard, resolves the endpoints once, and builds the ``EnrichmentRecord``.
+``reach`` reads the lookup and the three cases forwards, beside their
+checks.  ``enrich`` alone commits: it runs the idempotence and
+contradiction guard, resolves the endpoints once, and builds the
+``EnrichmentRecord``.
 Enrichment only ever adds relations, never modifies or removes one, and
 refuses any injection that would make a pair carry both synonymy and
 homonymy.
@@ -24,11 +26,13 @@ homonymy.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .matching import max_weight_assignment
 from .model import SEMANTIC_KINDS, Concept, EnrichmentRecord, Ontology, Relation
 from .similarity import ChildrenIndex, lookup_relations
+
+_CELL_KINDS = ("synonymy", "equivalence")  # what relates two case-3 children
 
 
 class ResolvedEndpoints(NamedTuple):
@@ -58,10 +62,8 @@ def resolve_endpoints(od: Ontology, t1: str, t2: str) -> ResolvedEndpoints:
 
     def fresh_id(term: str) -> str:
         base = f"{od.id}#{term}"
-        candidate = base
-        suffix = 2
-        taken = set(od.concepts) | {c.id for c in create}
-        while candidate in taken:
+        candidate, suffix = base, 2
+        while candidate in od.concepts or any(c.id == candidate for c in create):
             candidate = f"{base}~{suffix}"
             suffix += 1
         return candidate
@@ -103,15 +105,33 @@ def _equivalence_partners(
     )
 
 
-def _first_relation(
-    ontologies: list[Ontology], s1: str, s2: str, kinds: tuple[str, ...]
-) -> Optional[Relation]:
-    """First relation of one of ``kinds`` between two terms, ontologies in order."""
+def first_relations(
+    ontologies: Sequence[Ontology], term: str, kinds: tuple[str, ...]
+) -> dict[str, Relation]:
+    """Related term -> first relation of one of ``kinds`` joining it to ``term``,
+    ontologies in order: the one relation query of the cases and ``reach``."""
+    first: dict[str, Relation] = {}
     for ontology in ontologies:
-        for relation in lookup_relations(ontology, s1, s2):
-            if relation.kind in kinds:
-                return relation
-    return None
+        for other, relations in ontology.related_terms(term).items():
+            if other not in first:
+                found = next((r for r in relations if r.kind in kinds), None)
+                if found is not None:
+                    first[other] = found
+    return first
+
+
+def _equivalence_paths(
+    t1: str, sources: list[Ontology], od: Ontology
+) -> Iterator[tuple[str, tuple[Relation, Relation, Relation]]]:
+    """Case 2's paths eq(t1, s1), bridge(s1, s2), eq(s2, end) from t1, as
+    (end, evidence), sorted by s1, s2, end; each side needs its own
+    equivalence, and the bridge is the first synonymy or homonymy."""
+    for s1, rel1 in _equivalence_partners(t1, sources):
+        bridges = first_relations([od, *sources], s1, ("synonymy", "homonymy"))
+        for s2 in sorted(bridges):
+            for end, rel2 in _equivalence_partners(s2, sources):
+                if rel2 != rel1:
+                    yield end, (rel1, rel2, bridges[s2])
 
 
 def infer_via_equivalents(
@@ -119,20 +139,13 @@ def infer_via_equivalents(
 ) -> Optional[tuple[str, tuple[Relation, ...]]]:
     """Case 2: the kind of a bridge between declared equivalents, with evidence.
 
-    Candidates are scanned lexicographically by (partner-of-t1 term,
-    partner-of-t2 term); the first pair with a bridge wins.  Returns the
-    bridge's kind, which is what gets injected, and the evidence
-    (equivalence of t1, equivalence of t2, bridge).
+    The first path of ``_equivalence_paths`` from t1 that ends at t2
+    wins.  Returns the bridge's kind, which is what gets injected, and
+    the evidence (equivalence of t1, equivalence of t2, bridge).
     """
-    left = _equivalence_partners(t1, sources)
-    right = _equivalence_partners(t2, sources) if left else []
-    for s1, rel1 in left:
-        for s2, rel2 in right:
-            if rel2 == rel1:
-                continue  # each side needs its own equivalence edge
-            bridge = _first_relation([od, *sources], s1, s2, ("synonymy", "homonymy"))
-            if bridge is not None:
-                return bridge.kind, (rel1, rel2, bridge)
+    for end, evidence in _equivalence_paths(t1, sources, od):
+        if end == t2:
+            return evidence[2].kind, evidence
     return None
 
 
@@ -147,10 +160,10 @@ def infer_via_children(
 
     Children relate when their normalized terms are equal or a synonymy /
     equivalence relation between the terms exists in the support ontology
-    or any source (the first found, support ontology first, from one
-    ``related_terms`` read per ontology and left child, empty ones dropped).  A perfect
-    injective matching over all n children is required: a child that
-    relates to no child of the other side rules it out at once, else
+    or any source (the first in ``first_relations``, support ontology
+    first, read once per left child).  A perfect injective matching over
+    all n children is required: a child that relates to no child of the
+    other side rules it out at once, else
     ``max_weight_assignment`` finds one in O(n^3) at any arity; among
     several perfect matchings its tie rule picks the one whose relations
     are returned as the evidence (empty when every matched pair shares a
@@ -164,27 +177,11 @@ def infer_via_children(
     if c1.key == c2.key:
         return None
     left, right = kids[c1.id], kids[c2.id]
-    ontologies = [od, *sources]
-    support: list[list[Optional[Relation]]] = []
-    weights = []
-    for kid1 in left:
-        related = [terms for ontology in ontologies if (terms := ontology.related_terms(kid1.key))]
-        row_rel: list[Optional[Relation]] = []
-        row_w = []
-        for kid2 in right:
-            relation = None  # term equality needs no relation
-            if related and kid1.key != kid2.key:
-                for terms in related:
-                    for candidate in terms.get(kid2.key, ()):
-                        if candidate.kind in ("synonymy", "equivalence"):
-                            relation = candidate
-                            break
-                    if relation is not None:
-                        break
-            row_rel.append(relation)
-            row_w.append(1 if kid1.key == kid2.key or relation is not None else 0)
-        support.append(row_rel)
-        weights.append(row_w)
+    related = (first_relations([od, *sources], x.key, _CELL_KINDS) for x in left)
+    support = [[None if x.key == y.key else terms.get(y.key) for y in right]  # equal: no relation
+               for x, terms in zip(left, related)]
+    weights = [[int(x.key == y.key or relation is not None) for y, relation in zip(right, row)]
+               for x, row in zip(left, support)]
     if not all(map(any, weights)) or not all(map(any, zip(*weights))):
         return None  # some child relates to no child of the other side
     total, assignment = max_weight_assignment(weights)
@@ -193,6 +190,22 @@ def infer_via_children(
     return tuple(
         support[i][j] for i, j in enumerate(assignment) if support[i][j] is not None
     )
+
+
+def reach(
+    c1: Concept, od: Ontology, sources: list[Ontology], kids: ChildrenIndex
+) -> tuple[set[str], set[str]]:
+    """The lookup and the three cases read forwards from c1: the keys that
+    a relation in ``od`` or a source, or a case-2 path, joins to c1's key,
+    and the child keys a case-3 partner (a composite of c1's arity) must
+    hold one of: c1's child keys and those its case-3 cells relate them to.
+    """
+    ontologies = [od, *sources]
+    keys = set(first_relations(ontologies, c1.key, SEMANTIC_KINDS))
+    keys.update(end for end, _ in _equivalence_paths(c1.key, sources, od))
+    linked = {key for x in kids[c1.id] for key in
+              (x.key, *first_relations(ontologies, x.key, _CELL_KINDS))}
+    return keys, linked
 
 
 def enrich(
@@ -218,10 +231,8 @@ def enrich(
     ``children_index`` of the sources, read by case 3.
     """
     sink = warnings if warnings is not None else []
-    t1 = c1.key
-    t2 = c2.key
-
-    direct = _first_relation(sources, t1, t2, SEMANTIC_KINDS)
+    t1, t2 = c1.key, c2.key
+    direct = first_relations(sources, t1, SEMANTIC_KINDS).get(t2)
     if direct is not None:
         case, kind, evidence = "inferred_case1", direct.kind, (direct,)
     elif (bridged := infer_via_equivalents(t1, t2, sources, od)) is not None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
-from .enrichment import enrich
+from .enrichment import enrich, reach
 from .errors import HomonymClusterCollision, SchemaViolation
 from .model import (
     BusinessComponent,
@@ -51,12 +51,10 @@ def align(
     Returns only the scored pairs.  For each concept c1 and later source,
     ``candidates`` picks the concepts that share c1's key or score above
     0 syntactically and, when the support ontology holds c1's key and
-    theirs, those one of these rules reaches: a semantic relation between
-    the keys in the support ontology (as enriched so far) or a source
-    (the lookup and case 1); the case-2 path eq(c1's key, p1), synonymy or
-    homonymy (p1, p2), eq(p2, their key); or, for case 3, a composite of
-    c1's arity with a child whose key equals, or is joined by synonymy or
-    equivalence to, the key of a child of c1.  Every other pair is exactly
+    theirs, those that ``enrichment.reach`` gives for c1 against the
+    support ontology as enriched so far: a concept whose key it reaches,
+    or a composite of c1's arity with a child whose key it links to a
+    child of c1.  Every other pair is exactly
     (0, syntactic, Distinct) and scoring it has no side effect, so
     skipping it leaves the scan order of the others, and so the
     enrichment order, unchanged.  Enrichment adds no term to the support
@@ -94,7 +92,6 @@ def align(
     ordered = sorted(sources, key=lambda o: o.id)
     kids = children_index(ordered)
     enriched_od = od.copy()
-    ontologies = (enriched_od, *ordered)
     records: list[EnrichmentRecord] = []
     parents: dict[str, list[Concept]] = {}  # child id -> its parents
     for source in ordered:
@@ -102,11 +99,6 @@ def align(
             for child in set(concept.children):
                 parents.setdefault(child, []).append(concept)
     positive: dict[tuple[str, str], set[str]] = {}  # syntactic partners memo
-
-    def joined(term: str, kinds: tuple[str, ...], where: Sequence[Ontology]) -> set[str]:
-        related = (ontology.related_terms(term).items() for ontology in where)
-        return {other for pairs in related for other, relations in pairs
-                if any(relation.kind in kinds for relation in relations)}
 
     def parents_of(child_ids: Iterable[str], arity: int) -> set[str]:
         return {p.id for cid in child_ids for p in parents.get(cid, ())
@@ -133,21 +125,14 @@ def align(
 
     def candidates(c1: Concept, later: Ontology) -> list[Concept]:
         """The concepts of ``later`` that some rule can pair with c1, by id."""
-        key = c1.key
         reached = set(syntactic_partners(c1, later)) if c1.children else set()
-        if enriched_od.term_present(key):
-            terms = {term for ontology in ontologies for term in ontology.related_terms(key)}
-            for p1 in joined(key, ("equivalence",), ordered):  # case 2
-                for p2 in joined(p1, ("synonymy", "homonymy"), ontologies):
-                    terms |= joined(p2, ("equivalence",), ordered)
-            found = {c.id for term in terms for c in later.concepts_by_term(term)}
-            if c1.children:  # case 3
-                near = {term for x in kids[c1.id] for term in
-                        (x.key, *joined(x.key, ("synonymy", "equivalence"), ontologies))}
-                near_ids = (y.id for term in near for y in later.concepts_by_term(term))
-                found |= parents_of(near_ids, len(c1.children))
+        if enriched_od.term_present(c1.key):
+            keys, linked = reach(c1, enriched_od, ordered, kids)
+            found = {c.id for term in keys for c in later.concepts_by_term(term)}
+            near_ids = (y.id for term in linked for y in later.concepts_by_term(term))
+            found |= parents_of(near_ids, len(c1.children))
             reached.update(c for c in found if enriched_od.term_present(later.concepts[c].key))
-        same = later.concepts_by_term(key)  # already by id; an atomic's partners are in it
+        same = later.concepts_by_term(c1.key)  # already by id; an atomic's partners are in it
         if not reached:
             return same
         reached.update(c.id for c in same)

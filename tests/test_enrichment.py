@@ -429,3 +429,16 @@ def test_endpoints_are_resolved_once_per_injection(monkeypatch):
     _, _, report = integrate(components, od)
     assert report.enrichments
     assert len(calls) == len(report.enrichments)
+
+
+def test_fresh_endpoint_skips_every_taken_suffix():
+    # ids Od#x and Od#x~2 are taken by concepts of other terms
+    od = _ontology("Od", ("Od#x", "y"), ("Od#x~2", "z"))
+    resolved = enrichment.resolve_endpoints(od, "x", "y")
+    assert (resolved.a, resolved.b) == ("Od#x~3", "Od#x")
+    assert resolved.create == (Concept(id="Od#x~3", term="x"),)
+    # a same-term pair needs two endpoints; the second skips the first's id
+    resolved = enrichment.resolve_endpoints(od, "x", "x")
+    assert (resolved.a, resolved.b) == ("Od#x~3", "Od#x~4")
+    assert [c.id for c in resolved.create] == ["Od#x~3", "Od#x~4"]
+    assert set(od.concepts) == {"Od#x", "Od#x~2"}  # resolving creates nothing yet

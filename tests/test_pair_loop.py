@@ -46,7 +46,7 @@ from ontomerge import (
     syntactic_similarity,
 )
 from ontomerge.cli import main
-from ontomerge.enrichment import _first_relation, infer_via_children
+from ontomerge.enrichment import infer_via_children, reach
 from ontomerge.integrator import ASSUMED_IDENTICAL_WARNING
 from ontomerge.matching import max_weight_assignment
 from ontomerge.model import as_fraction
@@ -312,6 +312,63 @@ def test_align_adds_no_term_to_the_support_ontology(inputs):
     assert _keys(enriched) == _keys(od)
 
 
+def _case2_path_inputs():
+    """(L#a, R#b) joined only by case 2's path a -eq- s1 -synonymy- s2 -eq- b."""
+    left = Ontology("L", [Concept(id="L#a", term="a"), Concept(id="L#s1", term="s1")],
+                    [Relation("L#a", "L#s1", "equivalence")])
+    right = Ontology("R", [Concept(id="R#b", term="b"), Concept(id="R#s2", term="s2")],
+                     [Relation("R#b", "R#s2", "equivalence")])
+    od = Ontology("Od", [Concept(id=f"Od#{t}", term=t) for t in ("a", "b", "s1", "s2")],
+                  [Relation("Od#s1", "Od#s2", "synonymy")])
+    return [left, right], od, Fraction(1)
+
+
+def _related_children_inputs():
+    """(L#p, R#q) share no child key; case 3 pairs their children by a synonymy."""
+    left = Ontology("L", [Concept(id="L#k", term="kappa"),
+                          Concept(id="L#p", term="alpha", children=("L#k",))])
+    right = Ontology("R", [Concept(id="R#m", term="mu"),
+                           Concept(id="R#q", term="beta", children=("R#m",))])
+    od = Ontology("Od", [Concept(id=f"Od#{t}", term=t) for t in ("alpha", "beta", "kappa", "mu")],
+                  [Relation("Od#kappa", "Od#mu", "synonymy")])
+    return [left, right], od, Fraction(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alignment_inputs())
+@example(_tied_children_inputs())
+@example(_mid_row_injection_inputs())
+@example(_case2_path_inputs())
+@example(_related_children_inputs())
+def test_reach_holds_every_pair_the_lookup_or_enrich_joins(inputs):
+    # ``candidates`` scores only what ``reach`` gives, so a pair it misses
+    # would keep a relation out of the report; checked against the input
+    # support ontology and the one ``align`` enriched
+    sources, od, tau = inputs
+    ordered = sorted(sources, key=lambda o: o.id)
+    kids = children_index(ordered)
+    for support in (od, align(sources, od, tau)[1]):
+        scratch = support.copy()  # ``enrich`` leaves it untouched when it fails
+        for source in ordered:
+            c1s = [c for c in source.concepts.values() if support.term_present(c.key)]
+            for c1 in c1s:
+                keys, linked = reach(c1, support, ordered, kids)
+                for later in ordered:
+                    if later is source:
+                        continue
+                    for c2 in later.concepts.values():
+                        if not support.term_present(c2.key):
+                            continue
+                        joined = bool(lookup_relations(support, c1.key, c2.key))
+                        if not joined and enrich(c1, c2, scratch, ordered, kids):
+                            joined, scratch = True, support.copy()
+                        if joined:
+                            assert c2.key in keys or (
+                                len(c2.children) == len(c1.children)
+                                and any(x.key in linked for x in kids[c2.id])
+                            ), (c1.id, c2.id)
+
+
 # ---------------------------------------------------------------------------
 # the split syntactic score agrees with the full child matrix
 
@@ -394,8 +451,17 @@ def test_atomic_children_pair_without_the_matcher(monkeypatch):
 # case 3 agrees with its per-cell matrix
 
 
+def first_relation(ontologies, s1, s2, kinds):
+    """First relation of one of ``kinds`` between two terms, ontologies in order."""
+    for ontology in ontologies:
+        for relation in lookup_relations(ontology, s1, s2):
+            if relation.kind in kinds:
+                return relation
+    return None
+
+
 def naive_infer_via_children(c1, c2, sources, od, kids):
-    """Case 3 with one ``_first_relation`` call per child cell and no early exit."""
+    """Case 3 with one ``first_relation`` call per child cell and no early exit."""
     if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
         return None
     if c1.key == c2.key:
@@ -411,7 +477,7 @@ def naive_infer_via_children(c1, c2, sources, od, kids):
             s1, s2 = kid1.key, kid2.key
             relation = None  # term equality needs no relation
             if s1 != s2:
-                relation = _first_relation(ontologies, s1, s2, ("synonymy", "equivalence"))
+                relation = first_relation(ontologies, s1, s2, ("synonymy", "equivalence"))
             row_rel.append(relation)
             row_w.append(1 if s1 == s2 or relation is not None else 0)
         support.append(row_rel)

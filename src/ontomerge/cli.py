@@ -15,7 +15,6 @@ its temporary one row at a time.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from fractions import Fraction
@@ -55,7 +54,6 @@ def _tau(text: str) -> Fraction:
     return value
 
 
-@functools.cache  # once per process, on the first ``main``: not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ontomerge", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)

@@ -4,8 +4,8 @@ When the support ontology has no relation for a concept pair, three cases
 are tried in order.  Each only looks for evidence and returns it:
 
 * case 1 - some single source ontology already declares a semantic
-  relation between the two terms (``first_relations`` over the sources);
-  its kind is copied into the support ontology.
+  relation between the two terms (the first, sources in order); its kind
+  is copied into the support ontology.
 * case 2 (``infer_via_equivalents``) - each term has a declared
   equivalent in the sources and a synonymy or homonymy relation bridges
   the two equivalents (in the support ontology or any source); the
@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .matching import max_weight_assignment
-from .model import SEMANTIC_KINDS, Concept, EnrichmentRecord, Ontology, Relation
+from .model import Concept, EnrichmentRecord, Ontology, Relation
 from .similarity import ChildrenIndex, lookup_relations
 
 _CELL_KINDS = ("synonymy", "equivalence")  # what relates two case-3 children
@@ -109,7 +109,7 @@ def first_relations(
     ontologies: Sequence[Ontology], term: str, kinds: tuple[str, ...]
 ) -> dict[str, Relation]:
     """Related term -> first relation of one of ``kinds`` joining it to ``term``,
-    ontologies in order: the one relation query of the cases and ``reach``."""
+    ontologies in order: the case-2 bridges and the case-3 cells."""
     first: dict[str, Relation] = {}
     for ontology in ontologies:
         for other, relations in ontology.related_terms(term).items():
@@ -140,9 +140,12 @@ def infer_via_equivalents(
     """Case 2: the kind of a bridge between declared equivalents, with evidence.
 
     The first path of ``_equivalence_paths`` from t1 that ends at t2
-    wins.  Returns the bridge's kind, which is what gets injected, and
-    the evidence (equivalence of t1, equivalence of t2, bridge).
+    wins; t1's paths are walked only when t2 has an equivalence partner.
+    Returns the bridge's kind, which is what gets injected, and the
+    evidence (equivalence of t1, equivalence of t2, bridge).
     """
+    if not _equivalence_partners(t2, sources):
+        return None  # no path ends at t2
     for end, evidence in _equivalence_paths(t1, sources, od):
         if end == t2:
             return evidence[2].kind, evidence
@@ -201,7 +204,7 @@ def reach(
     hold one of: c1's child keys and those its case-3 cells relate them to.
     """
     ontologies = [od, *sources]
-    keys = set(first_relations(ontologies, c1.key, SEMANTIC_KINDS))
+    keys = {term for ontology in ontologies for term in ontology.related_terms(c1.key)}
     keys.update(end for end, _ in _equivalence_paths(c1.key, sources, od))
     linked = {key for x in kids[c1.id] for key in
               (x.key, *first_relations(ontologies, x.key, _CELL_KINDS))}
@@ -232,7 +235,7 @@ def enrich(
     """
     sink = warnings if warnings is not None else []
     t1, t2 = c1.key, c2.key
-    direct = first_relations(sources, t1, SEMANTIC_KINDS).get(t2)
+    direct = next((r for source in sources for r in lookup_relations(source, t1, t2)), None)
     if direct is not None:
         case, kind, evidence = "inferred_case1", direct.kind, (direct,)
     elif (bridged := infer_via_equivalents(t1, t2, sources, od)) is not None:

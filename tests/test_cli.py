@@ -22,7 +22,6 @@ from ontomerge import (
     integrate,
     model_io,
 )
-from ontomerge import cli
 from ontomerge.cli import _write_outputs, main
 from ontomerge.evalgen import ScenarioSpec, generate_scenario
 
@@ -70,28 +69,6 @@ def test_missing_ontology_flag_is_usage_error(tmp_path, scenario_files, capsys):
     ])
     assert code == 1
     assert "usage" in capsys.readouterr().err
-
-
-def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
-    built = []
-
-    class Counted(cli._Parser):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "_Parser", Counted)
-    cli.build_parser.cache_clear()
-    try:
-        assert main(["integrate", "--tau", "2"]) == cli.EXIT_USAGE
-        first = capsys.readouterr().err
-        assert built[0] == "ontomerge" and len(built) == 6  # the parser and 5 subparsers
-        assert main(["integrate", "--tau", "2"]) == cli.EXIT_USAGE
-        assert capsys.readouterr().err == first
-        assert len(built) == 6
-        assert first.startswith("error: argument --tau: ") and "usage: ontomerge [-h]" in first
-    finally:
-        cli.build_parser.cache_clear()  # later calls build from the real class
 
 
 def test_single_component_is_usage_error(tmp_path, scenario_files, capsys):

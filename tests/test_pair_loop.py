@@ -52,6 +52,7 @@ from ontomerge.matching import max_weight_assignment
 from ontomerge.model import as_fraction
 
 from .strategies import TERM_POOL, build_ontology, concept_trees, terms
+from .test_index import naive_first_relation
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +452,8 @@ def test_atomic_children_pair_without_the_matcher(monkeypatch):
 # case 3 agrees with its per-cell matrix
 
 
-def first_relation(ontologies, s1, s2, kinds):
-    """First relation of one of ``kinds`` between two terms, ontologies in order."""
-    for ontology in ontologies:
-        for relation in lookup_relations(ontology, s1, s2):
-            if relation.kind in kinds:
-                return relation
-    return None
-
-
 def naive_infer_via_children(c1, c2, sources, od, kids):
-    """Case 3 with one ``first_relation`` call per child cell and no early exit."""
+    """Case 3 with one ``naive_first_relation`` scan per child cell and no early exit."""
     if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
         return None
     if c1.key == c2.key:
@@ -477,7 +469,7 @@ def naive_infer_via_children(c1, c2, sources, od, kids):
             s1, s2 = kid1.key, kid2.key
             relation = None  # term equality needs no relation
             if s1 != s2:
-                relation = first_relation(ontologies, s1, s2, ("synonymy", "equivalence"))
+                relation = naive_first_relation(ontologies, s1, s2, ("synonymy", "equivalence"))
             row_rel.append(relation)
             row_w.append(1 if s1 == s2 or relation is not None else 0)
         support.append(row_rel)

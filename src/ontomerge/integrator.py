@@ -1,12 +1,12 @@
 """Drive the integration pipeline.
 
-Steps: derive one ontology per component, score every cross-component
-concept pair that can be other than Distinct against the support
-ontology (triggering enrichment where it helps), classify verdicts,
-cluster synonym/identical concepts with union-find, merge clusters into
-one result ontology, and convert that back into a component.  Everything
-is sequential and deterministic: fixed inputs give byte-identical
-serialized outputs.
+Steps: derive one ontology per component, take every cross-component
+concept pair that can be other than Distinct, enrich the support
+ontology where it knows both terms but joins them by nothing, score the
+pair against it, classify verdicts, cluster synonym/identical concepts
+with union-find, merge clusters into one result ontology, and convert
+that back into a component.  Everything is sequential and
+deterministic: fixed inputs give byte-identical serialized outputs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .model import (
     as_fraction,
     pair_space_of,
 )
-from .similarity import children_index, semantic_similarity
+from .similarity import children_index, lookup_relations, semantic_similarity
 from .terms import normalize_term
 from .transform import component_to_ontology, ontology_to_component
 
@@ -54,19 +54,21 @@ def align(
     theirs, those that ``enrichment.reach`` gives for c1 against the
     support ontology as enriched so far: a concept whose key it reaches,
     or a composite of c1's arity with a child whose key it links to a
-    child of c1.  Every other pair is exactly
-    (0, syntactic, Distinct) and scoring it has no side effect, so
-    skipping it leaves the scan order of the others, and so the
-    enrichment order, unchanged.  Enrichment adds no term to the support
-    ontology, only relations, so after each commit the rest of the row is
-    read again through ``candidates``.  The full list is the expansion
-    of the returned one over ``pair_space_of(sources)`` (see
-    ``model.pair_rows``).
+    child of c1.  Every other pair is exactly (0, syntactic, Distinct)
+    and would not be enriched, so skipping it leaves the scan order of
+    the others, and so the enrichment order, unchanged.  The full list
+    is the expansion of the returned one over ``pair_space_of(sources)``
+    (see ``model.pair_rows``).
 
-    Pairs are scored in sorted (source id, concept id) order, source
-    pair by source pair, as a scan of every pair would meet them.  The
-    given support ontology is copied; enrichment commits land on the
-    copy, which is returned.  Verdicts:
+    Pairs are taken in sorted (source id, concept id) order, source
+    pair by source pair, as a scan of every pair would meet them.  Each
+    pair is enriched, then scored: ``enrich`` is tried once, when the
+    support ontology holds both keys and ``lookup_relations`` joins them
+    by nothing, and ``semantic_similarity`` then only reads.  A commit
+    adds no term to the support ontology, only relations, so after it
+    the rest of the row is read again through ``candidates``.  The given
+    support ontology is copied; enrichment commits land on the copy,
+    which is returned with the records.  Verdicts:
 
     * score 1 via a support-ontology or enriched synonymy -> Synonym;
     * score 0 via homonymy with equal terms -> Homonym (unequal terms are
@@ -123,10 +125,11 @@ def align(
             positive[top.id, later.id] = found
         return positive[concept.id, later.id]
 
-    def candidates(c1: Concept, later: Ontology) -> list[Concept]:
-        """The concepts of ``later`` that some rule can pair with c1, by id."""
+    def candidates(c1: Concept, later: Ontology, known: bool) -> list[Concept]:
+        """The concepts of ``later`` that some rule can pair with c1, by id;
+        ``known`` says whether the support ontology holds c1's key."""
         reached = set(syntactic_partners(c1, later)) if c1.children else set()
-        if enriched_od.term_present(c1.key):
+        if known:
             keys, linked = reach(c1, enriched_od, ordered, kids)
             found = {c.id for term in keys for c in later.concepts_by_term(term)}
             near_ids = (y.id for term in linked for y in later.concepts_by_term(term))
@@ -138,27 +141,24 @@ def align(
         reached.update(c.id for c in same)
         return [later.concepts[cid] for cid in sorted(reached)]
 
-    def hook(a: Concept, b: Concept):
-        record = enrich(a, b, enriched_od, ordered, kids, warnings=sink)
-        if record is not None:
-            records.append(record)
-        return record
-
     correspondences: list[Correspondence] = []
     memo: dict[tuple[str, str], Fraction] = {}
     for i, source in enumerate(ordered):
         for later in ordered[i + 1:]:
             for cid in sorted(source.concepts):
                 c1 = source.concepts[cid]
-                row = candidates(c1, later)[::-1]  # popped from the end, by id
+                known = enriched_od.term_present(c1.key)  # enrichment adds no term
+                row = candidates(c1, later, known)[::-1]  # popped from the end, by id
                 while row:
                     c2 = row.pop()
-                    committed = len(records)
-                    score, evidence = semantic_similarity(
-                        c1, c2, enriched_od, kids, enrich=hook, memo=memo
-                    )
-                    if len(records) > committed:  # the commit may reach more of the row
-                        row = [c for c in reversed(candidates(c1, later)) if c.id > c2.id]
+                    if (known and enriched_od.term_present(c2.key)
+                            and not lookup_relations(enriched_od, c1.key, c2.key)):
+                        record = enrich(c1, c2, enriched_od, ordered, kids, warnings=sink)
+                        if record is not None:  # the commit may reach more of the row
+                            records.append(record)
+                            row = [c for c in reversed(candidates(c1, later, known))
+                                   if c.id > c2.id]
+                    score, evidence = semantic_similarity(c1, c2, enriched_od, kids, memo=memo)
                     verdict = _classify(c1, c2, score, evidence.kind, tau)
                     if verdict == "Identical" and c1.key == c2.key:
                         sink.append(

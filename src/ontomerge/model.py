@@ -10,7 +10,7 @@ valid.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -109,9 +109,6 @@ class Concept:
     @property
     def is_atomic(self) -> bool:
         return not self.children
-
-    def copy(self) -> "Concept":
-        return replace(self)
 
 
 def find_cycle(
@@ -265,13 +262,9 @@ class Ontology:
         return self._related.get(normalized) or {}
 
     def copy(self) -> "Ontology":
-        """Independent clone: concepts are copied and indexes rebuilt."""
-        clone = Ontology(self.id)
-        for concept in self.concepts.values():
-            clone.add_concept(concept.copy())
-        for relation in self._relations.values():
-            clone.add_relation(relation)
-        return clone
+        """Independent clone with rebuilt indexes; concept values are shared,
+        as no code writes a ``Concept`` after construction."""
+        return Ontology(self.id, self.concepts.values(), self._relations.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ontology):

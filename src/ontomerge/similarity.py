@@ -10,10 +10,9 @@ children go through maximum-weight bipartite matching, computed
 bottom-up over the composition graph, reading children from one
 ``children_index`` and memoized per ``align``.  The semantic measure
 consults the support ontology first: a synonymy relation between the two
-terms forces 1, a homonymy relation forces 0, and only when the ontology
-is silent does the syntactic measure decide.  When both terms occur in
-the support ontology but no relation links them, an optional enrichment
-hook gets one chance to inject one before the fallback fires.
+terms forces 1, else a homonymy relation forces 0, else the syntactic
+measure decides.  Both measures only read; enrichment, the one write to
+the support ontology, is a step of ``integrator.align``'s pair loop.
 
 All scores are exact Fractions in [0, 1]; atomic pairs score exactly 0
 or 1.
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import SchemaViolation
 from .matching import max_weight_assignment
@@ -44,9 +43,6 @@ __all__ = [
     "syntactic_similarity",
 ]
 
-# An enrichment hook takes the two concepts and returns some truthy record
-# when it committed a new relation to the support ontology.
-EnrichHook = Callable[[Concept, Concept], Optional[object]]
 ChildrenIndex = dict[str, tuple[Concept, ...]]
 
 ZERO = Fraction(0)
@@ -163,41 +159,31 @@ def semantic_similarity(
     c2: Concept,
     od: Ontology,
     kids: ChildrenIndex,
-    enrich: EnrichHook | None = None,
     *,
     memo: Optional[dict[tuple[str, str], Fraction]] = None,
 ) -> tuple[Fraction, Evidence]:
-    """Support-ontology-driven score with syntactic fallback.
+    """Support-ontology-driven score with syntactic fallback; only reads.
 
-    Branches, in order:
+    Branches, in order, over the relations ``od`` holds between the two
+    terms (none when either term is absent):
 
-    1. either term absent from the support ontology -> syntactic score;
-    2. no relation between the terms -> invoke the enrichment hook once;
-       if it injected something, re-read the relations (single re-entry,
-       no loop), otherwise fall back to the syntactic score;
-    3. synonymy present -> (1, od_synonymy);
-    4. homonymy present -> (0, od_homonymy);
-    5. other relations only (equivalence) -> syntactic score.
+    1. synonymy present -> (1, od_synonymy);
+    2. homonymy present -> (0, od_homonymy);
+    3. otherwise (no relation, or equivalence only) -> syntactic score.
 
     Evidence kind is "enriched" when any decisive relation was inferred
     rather than declared.  Symmetric in (c1, c2).  ``kids`` and ``memo``
     are passed on to ``syntactic_similarity``.
     """
-    t1 = c1.key
-    t2 = c2.key
-    if od.term_present(t1) and od.term_present(t2):
-        relations = lookup_relations(od, t1, t2)
-        if not relations and enrich is not None and enrich(c1, c2) is not None:
-            relations = lookup_relations(od, t1, t2)
-        if relations:
-            synonymies = tuple(r for r in relations if r.kind == "synonymy")
-            if synonymies:
-                return ONE, Evidence(kind=_evidence_kind(synonymies, "od_synonymy"),
-                                     relations_used=synonymies)
-            homonymies = tuple(r for r in relations if r.kind == "homonymy")
-            if homonymies:
-                return ZERO, Evidence(kind=_evidence_kind(homonymies, "od_homonymy"),
-                                      relations_used=homonymies)
+    relations = lookup_relations(od, c1.key, c2.key)
+    synonymies = tuple(r for r in relations if r.kind == "synonymy")
+    if synonymies:
+        return ONE, Evidence(kind=_evidence_kind(synonymies, "od_synonymy"),
+                             relations_used=synonymies)
+    homonymies = tuple(r for r in relations if r.kind == "homonymy")
+    if homonymies:
+        return ZERO, Evidence(kind=_evidence_kind(homonymies, "od_homonymy"),
+                              relations_used=homonymies)
     score = _flat_score(c1, c2)
     if score is None:  # only a composite pair pays for a syntactic call
         score = syntactic_similarity(c1, c2, kids, memo=memo)

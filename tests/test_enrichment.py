@@ -1,13 +1,17 @@
 """The three enrichment cases, their order, and the safety guards."""
 
+from fractions import Fraction
+
 import pytest
 
 from ontomerge import (
     Concept,
+    EnrichmentRecord,
     Ontology,
     Relation,
     children_index,
     ScenarioSpec,
+    align,
     enrich,
     generate_scenario,
     infer_via_children,
@@ -15,6 +19,7 @@ from ontomerge import (
     integrate,
     lookup_relations,
     serialize_ontology,
+    syntactic_similarity,
 )
 from ontomerge import enrichment, integrator
 
@@ -354,26 +359,82 @@ def test_enrich_is_idempotent():
 
 
 def test_align_calls_enrich_only_where_its_guard_cannot_fire(monkeypatch):
-    # align asks for enrichment only when the support ontology holds both
-    # keys and joins them by nothing, so the guard above serves direct calls
-    calls, injected = [], []
+    # align asks for enrichment at most once per pair, and only when the
+    # support ontology holds both keys and joins them by nothing, so the
+    # guard above serves direct calls; a commit decides its own pair, and
+    # a failed attempt leaves the pair to the syntactic score
+    runs, injected = [], []
 
     def checked(c1, c2, od, sources, kids, warnings=None):
         assert od.term_present(c1.key) and od.term_present(c2.key)
         assert not lookup_relations(od, c1.key, c2.key)
-        calls.append((c1.id, c2.id))
+        assert (c1.id, c2.id) not in runs[-1]  # no pair is attempted twice
         record = enrichment.enrich(c1, c2, od, sources, kids, warnings)
         if record is not None:
             injected.append(record)
+        runs[-1][c1.id, c2.id] = record or syntactic_similarity(c1, c2, kids)
         return record
 
     monkeypatch.setattr(integrator, "enrich", checked)
     for coverage in (0, 0.5, 1):
         for seed in range(3):
+            attempts = {}
+            runs.append(attempts)
             components, od, _ = generate_scenario(ScenarioSpec(80, 15, 5, coverage, seed))
             _, _, report = integrate(components, od)
             assert not any("refused" in w for w in report.warnings)
-    assert len(calls) > len(injected) > 0
+            scored = {c.pair: c for c in report.correspondences}
+            for pair, outcome in attempts.items():
+                got = scored[pair]
+                if isinstance(outcome, EnrichmentRecord):
+                    assert got.evidence.kind == "enriched"
+                    if outcome.injected.kind == "synonymy":
+                        assert (got.score, got.verdict) == (1, "Synonym")
+                else:
+                    assert (got.score, got.evidence.kind) == (outcome, "syntactic")
+    assert sum(map(len, runs)) > len(injected) > 0
+
+
+def test_align_enriches_each_pair_once_before_scoring_it(monkeypatch):
+    # a term outside the support ontology is never tried; a commit decides
+    # its own pair as an enriched synonymy; a failed attempt, whether
+    # case 3 finds an unrelated child or no case applies, leaves the pair
+    # to the syntactic score
+    left = _ontology(
+        "OCM1",
+        ("OCM1#devis", "devis"),
+        ("OCM1#facture", "facture"),
+        ("OCM1#lot", "lot", ("OCM1#devis", "OCM1#facture")),
+        ("OCM1#note", "note"),
+        relations=[Relation("OCM1#facture", "OCM1#note", "synonymy")],
+    )
+    right = _ontology(
+        "OCM2",
+        ("OCM2#article", "article"),
+        ("OCM2#colis", "colis", ("OCM2#article", "OCM2#devis")),
+        ("OCM2#devis", "devis"),
+        ("OCM2#note", "note"),
+    )
+    od = _support("colis", "facture", "lot", "note")
+    calls = []
+
+    def counted(c1, c2, *args, **kwargs):
+        calls.append((c1.id, c2.id))
+        return enrichment.enrich(c1, c2, *args, **kwargs)
+
+    monkeypatch.setattr(integrator, "enrich", counted)
+    correspondences, enriched, records = align([left, right], od)
+    assert calls == [
+        ("OCM1#facture", "OCM2#note"), ("OCM1#lot", "OCM2#colis"), ("OCM1#note", "OCM2#note"),
+    ]
+    assert [record.pair for record in records] == [("OCM1#facture", "OCM2#note")]
+    assert lookup_relations(enriched, "facture", "note") == (records[0].injected,)
+    assert {c.pair: (c.score, c.verdict, c.evidence.kind) for c in correspondences} == {
+        ("OCM1#devis", "OCM2#devis"): (1, "Identical", "syntactic"),
+        ("OCM1#facture", "OCM2#note"): (1, "Synonym", "enriched"),
+        ("OCM1#lot", "OCM2#colis"): (Fraction(1, 2), "Distinct", "syntactic"),
+        ("OCM1#note", "OCM2#note"): (1, "Identical", "syntactic"),
+    }
 
 
 def test_same_term_injection_creates_second_endpoint():

@@ -39,6 +39,7 @@ from ontomerge import (
     infer_via_equivalents,
     integrate,
     lookup_relations,
+    normalize_term,
     pair_space_of,
     semantic_similarity,
     serialize_component,
@@ -176,15 +177,39 @@ def _draw_relations(draw, ontology, ids, most):
             pass  # a self-relation, a duplicate, or synonymy beside homonymy
 
 
+def _terms_below(tree):
+    """The terms of every node under the root of ``tree``."""
+    for sub in tree[1]:
+        if isinstance(sub, tuple):
+            yield sub[0]
+            yield from _terms_below(sub)
+        else:
+            yield sub
+
+
+def _concept_of(ontology, term, prefix):
+    """The id of a concept of ``ontology`` with ``term``, added atomic if none has it."""
+    found = ontology.concepts_by_term(normalize_term(term))
+    if found:
+        return found[0].id
+    cid = f"{ontology.id}#{prefix}-{term}"
+    ontology.add_concept(Concept(id=cid, term=term))
+    return cid
+
+
 @st.composite
 def alignment_inputs(draw):
     """A generated scenario plus two composite-rich sources over TERM_POOL.
 
     The two extra sources give fractional composite scores (so ``tau``
     below 1 matters) and shared child pairs; pool terms put into the
-    support ontology send their pairs through the enrichment hook, where
+    support ontology send their pairs through enrichment, where
     equal-term children can make case 3 fire, and drawn relations can
-    make case 1 and case 2 fire and open pairs later in a row.
+    make case 1 and case 2 fire and open pairs later in a row.  A right
+    side relabelled apart (every term gets a new name) declares some or
+    all of its old child terms synonymous or equivalent to their new
+    names, in the support ontology, L or R, and puts both root terms in
+    the support ontology, so case 3 also pairs children that share no key.
     """
     synonyms = draw(st.integers(min_value=0, max_value=3))
     homonyms = draw(st.integers(min_value=0, max_value=2))
@@ -199,8 +224,16 @@ def alignment_inputs(draw):
     components, od, _ = generate_scenario(spec)
     sources = [component_to_ontology(c) for c in components]
     left = (draw(terms), draw(st.lists(concept_trees(2, 3), min_size=1, max_size=3)))
+    declared = []  # old child terms declared related to their new names
     if draw(st.booleans()):  # same shape, some terms renamed
-        right = _relabel(left, draw(st.dictionaries(terms, terms)))
+        if draw(st.booleans()):
+            rename = draw(st.dictionaries(terms, terms))
+        else:  # every term renamed apart, so only declared relations join children
+            rename = {term: f"{term} bis" for term in TERM_POOL}
+            below = sorted(set(_terms_below(left)))
+            declared = below if draw(st.booleans()) else draw(
+                st.lists(st.sampled_from(below), unique=True, min_size=1))
+        right = _relabel(left, rename)
     else:
         right = (draw(terms), draw(st.lists(concept_trees(2, 3), min_size=1, max_size=3)))
     sources += [build_ontology(left, "L")[0], build_ontology(right, "R")[0]]
@@ -209,6 +242,14 @@ def alignment_inputs(draw):
         od.add_concept(Concept(id=f"Od#pool-{term}", term=term))
     if len(known) >= 2 and draw(st.booleans()):
         od.add_relation(Relation(f"Od#pool-{known[0]}", f"Od#pool-{known[1]}", "synonymy"))
+    for term in (left[0], right[0]) if declared else ():
+        _concept_of(od, term, "pool")  # the roots' pair reaches enrichment
+    for old in declared:
+        holder, prefix = draw(st.sampled_from(((od, "pool"), (sources[-2], "named"),
+                                               (sources[-1], "named"))))
+        kind = draw(st.sampled_from(("synonymy", "equivalence")))
+        a, b = (_concept_of(holder, term, prefix) for term in (old, rename[old]))
+        holder.add_relation(Relation(a, b, kind))
     # relations inside L, inside R and among the pool concepts: case 1 and
     # case-2 paths the generator never makes, same-key pairs included
     for ontology in (sources[-2], sources[-1], od):

@@ -287,68 +287,6 @@ def test_equivalence_only_falls_back_to_syntactic():
     assert evidence.kind == "syntactic"
 
 
-def test_enrichment_hook_called_once_and_result_reread():
-    # the hook injects a synonymy; the measure must re-read it exactly once
-    sources = _sources_for(
-        _single_entity_component("CM1", "Facture"),
-        _single_entity_component("CM2", "Note"),
-    )
-    od = _support(concepts=[("Od#facture", "Facture"), ("Od#note", "Note")])
-    calls = []
-
-    def hook(c1, c2):
-        calls.append((c1.id, c2.id))
-        od.add_relation(Relation("Od#facture", "Od#note", "synonymy",
-                                 provenance="inferred_case1"))
-        return object()
-
-    score, evidence = semantic_similarity(
-        sources[0].concepts["CM1#facture"], sources[1].concepts["CM2#note"],
-        od, children_index(sources), enrich=hook,
-    )
-    assert calls == [("CM1#facture", "CM2#note")]
-    assert score == 1
-    assert evidence.kind == "enriched"
-
-
-def test_failed_enrichment_degrades_to_syntactic():
-    sources = _sources_for(
-        _single_entity_component("CM1", "Facture"),
-        _single_entity_component("CM2", "Note"),
-    )
-    od = _support(concepts=[("Od#facture", "Facture"), ("Od#note", "Note")])
-    calls = []
-
-    def hook(c1, c2):
-        calls.append(1)
-        return None
-
-    score, evidence = semantic_similarity(
-        sources[0].concepts["CM1#facture"], sources[1].concepts["CM2#note"],
-        od, children_index(sources), enrich=hook,
-    )
-    assert calls == [1]
-    assert score == 0
-    assert evidence.kind == "syntactic"
-
-
-def test_hook_not_called_when_terms_absent():
-    sources = _sources_for(
-        _single_entity_component("CM1", "Facture"),
-        _single_entity_component("CM2", "Note"),
-    )
-    od = _support(concepts=[("Od#service", "Service")])
-
-    def hook(c1, c2):  # pragma: no cover - must never run
-        raise AssertionError("hook fired for terms outside the support ontology")
-
-    score, evidence = semantic_similarity(
-        sources[0].concepts["CM1#facture"], sources[1].concepts["CM2#note"],
-        od, children_index(sources), enrich=hook,
-    )
-    assert evidence.kind == "syntactic"
-
-
 @settings(max_examples=300, deadline=None)
 @given(terms, terms, st.sampled_from(["synonymy", "homonymy"]))
 def test_od_relation_precedence_over_any_syntactic_score(t1, t2, kind):

@@ -14,6 +14,7 @@ from ontomerge import (
     BusinessComponent,
     Ontology,
     Relation,
+    align,
     children_index,
     component_to_ontology,
     lookup_relations,
@@ -21,6 +22,7 @@ from ontomerge import (
     semantic_similarity,
     syntactic_similarity,
 )
+from ontomerge import integrator
 
 from .strategies import concept_pairs, terms
 
@@ -284,6 +286,79 @@ def test_equivalence_only_falls_back_to_syntactic():
         od, children_index(sources),
     )
     assert score == 0
+    assert evidence.kind == "syntactic"
+
+
+# align runs the enrichment hook, then scores the pair on what it left
+
+
+def _hook_sources():
+    # the declared Facture~Note synonymy lets align reach CM2#note from CM1#facture
+    left = Ontology("CM1")
+    left.add_concept(Concept(id="CM1#facture", term="Facture"))
+    left.add_concept(Concept(id="CM1#note", term="Note"))
+    left.add_relation(Relation("CM1#facture", "CM1#note", "synonymy"))
+    right = Ontology("CM2")
+    right.add_concept(Concept(id="CM2#note", term="Note"))
+    return [left, right]
+
+
+def _verdicts(correspondences):
+    return {c.pair: (c.score, c.verdict, c.evidence.kind) for c in correspondences}
+
+
+def test_enrichment_hook_called_once_and_result_reread(monkeypatch):
+    # the hook injects a synonymy; align must try the pair exactly once
+    # and score it on the relation the hook committed
+    od = _support(concepts=[("Od#facture", "Facture"), ("Od#note", "Note")])
+    calls = []
+
+    def hook(c1, c2, enriched_od, *args, **kwargs):
+        calls.append((c1.id, c2.id))
+        if c1.key == c2.key:
+            return None
+        enriched_od.add_relation(Relation("Od#facture", "Od#note", "synonymy",
+                                          provenance="inferred_case1"))
+        return "record"
+
+    monkeypatch.setattr(integrator, "enrich", hook)
+    correspondences, _, records = align(_hook_sources(), od)
+    assert calls.count(("CM1#facture", "CM2#note")) == 1
+    assert records == ["record"]
+    assert _verdicts(correspondences)[("CM1#facture", "CM2#note")] == (1, "Synonym", "enriched")
+
+
+def test_failed_enrichment_degrades_to_syntactic(monkeypatch):
+    od = _support(concepts=[("Od#facture", "Facture"), ("Od#note", "Note")])
+    calls = []
+
+    def hook(c1, c2, *args, **kwargs):
+        calls.append((c1.id, c2.id))
+        return None
+
+    monkeypatch.setattr(integrator, "enrich", hook)
+    correspondences, enriched, records = align(_hook_sources(), od)
+    assert calls.count(("CM1#facture", "CM2#note")) == 1
+    assert records == []
+    assert lookup_relations(enriched, "Facture", "Note") == ()
+    assert _verdicts(correspondences)[("CM1#facture", "CM2#note")] == (0, "Distinct", "syntactic")
+
+
+def test_hook_not_called_when_terms_absent(monkeypatch):
+    od = _support(concepts=[("Od#service", "Service")])
+
+    def hook(c1, c2, *args, **kwargs):  # pragma: no cover - must never run
+        raise AssertionError("hook fired for terms outside the support ontology")
+
+    monkeypatch.setattr(integrator, "enrich", hook)
+    sources = _hook_sources()
+    correspondences, enriched, records = align(sources, od)
+    assert records == []
+    assert _verdicts(correspondences) == {("CM1#note", "CM2#note"): (1, "Identical", "syntactic")}
+    score, evidence = semantic_similarity(
+        sources[0].concepts["CM1#facture"], sources[1].concepts["CM2#note"],
+        enriched, children_index(sources),
+    )
     assert evidence.kind == "syntactic"
 
 

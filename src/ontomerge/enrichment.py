@@ -16,17 +16,17 @@ are tried in order.  Each only looks for evidence and returns it:
   ``similarity.children_index``); the pair is inferred synonymous.
 
 ``reach`` reads the lookup and the three cases forwards, beside their
-checks.  ``enrich`` alone commits: it runs the idempotence and
-contradiction guard, resolves the endpoints once, and builds the
-``EnrichmentRecord``.
-Enrichment only ever adds relations, never modifies or removes one, and
-refuses any injection that would make a pair carry both synonymy and
-homonymy.
+checks.  ``enrich`` alone decides whether a pair may be enriched (both
+terms in the support ontology, joined there by no relation) and alone
+commits: it resolves the endpoints once and builds the
+``EnrichmentRecord``.  Enrichment only ever adds relations, never
+modifies or removes one; as a related pair is never tried, no pair
+comes to carry both synonymy and homonymy.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .matching import max_weight_assignment
 from .model import Concept, EnrichmentRecord, Ontology, Relation
@@ -35,58 +35,35 @@ from .similarity import ChildrenIndex, lookup_relations
 _CELL_KINDS = ("synonymy", "equivalence")  # what relates two case-3 children
 
 
-class ResolvedEndpoints(NamedTuple):
-    """Support-ontology endpoints for an injected relation.
+def resolve_endpoints(od: Ontology, t1: str, t2: str) -> tuple[str, str, list[str]]:
+    """The support-ontology concepts an injected relation joins, and notes.
 
-    ``create`` lists concepts that must be added first (a second
-    same-termed concept when a homonymy needs two distinct endpoints, or
-    a fresh concept when the term has no explicit one yet).  ``notes``
-    carries ambiguity warnings.
+    ``enrich`` tries only terms that ``od`` holds, so each endpoint is the
+    concept of smallest id bearing its term, with a note when the term
+    names several.  A same-term pair needs two distinct endpoints; when
+    its term names one concept, the second is a fresh id, ``<od id>#<term>``
+    or its first free ``~n`` suffix, which ``enrich`` adds as a concept.
     """
-
-    a: str
-    b: str
-    create: tuple[Concept, ...]
-    notes: tuple[str, ...]
-
-
-def resolve_endpoints(od: Ontology, t1: str, t2: str) -> ResolvedEndpoints:
-    """Pick the support-ontology concepts an injected relation should join.
-
-    Existing concepts bearing the terms are reused, preferring the
-    lexicographically smallest ids; missing endpoints are materialized
-    with deterministic ids derived from the ontology id and the term.
-    """
-    create: list[Concept] = []
     notes: list[str] = []
-
-    def fresh_id(term: str) -> str:
-        base = f"{od.id}#{term}"
-        candidate, suffix = base, 2
-        while candidate in od.concepts or any(c.id == candidate for c in create):
-            candidate = f"{base}~{suffix}"
-            suffix += 1
-        return candidate
 
     def endpoint(term: str, skip: Optional[str] = None) -> str:
         existing = [c.id for c in od.concepts_by_term(term) if c.id != skip]
+        if len(existing) > 1:
+            notes.append(
+                f"term {term!r} names several support-ontology concepts "
+                f"({', '.join(existing)}); attaching to {existing[0]!r}"
+            )
         if existing:
-            if len(existing) > 1:
-                notes.append(
-                    f"term {term!r} names several support-ontology concepts "
-                    f"({', '.join(existing)}); attaching to {existing[0]!r}"
-                )
             return existing[0]
-        cid = fresh_id(term)
-        create.append(Concept(id=cid, term=term))
-        return cid
+        base = f"{od.id}#{term}"
+        candidate, suffix = base, 2
+        while candidate in od.concepts:
+            candidate, suffix = f"{base}~{suffix}", suffix + 1
+        return candidate
 
     a = endpoint(t1)
-    if t1 == t2:
-        b = endpoint(t2, skip=a)  # same term needs two distinct endpoints
-    else:
-        b = endpoint(t2)
-    return ResolvedEndpoints(a=a, b=b, create=tuple(create), notes=tuple(notes))
+    b = endpoint(t2, skip=a)  # a bears t2 only in a same-term pair
+    return a, b, notes
 
 
 def _equivalence_partners(
@@ -221,20 +198,20 @@ def enrich(
 ) -> Optional[EnrichmentRecord]:
     """Try case 1, then 2, then 3; commit at most one relation to ``od``.
 
-    The cases only find evidence; this is the one place that checks it
-    against ``od``, resolves the endpoints, builds the record and
-    commits it.  On success the support ontology gains exactly one
-    relation (plus any endpoint concepts it needed) and lookups for the
-    pair are nonempty afterwards.  On failure ``od`` is untouched.  An
-    injection of a relation ``od`` already holds is skipped, and one that
-    would put synonymy and homonymy on the same pair is refused with a
-    warning.  These guards protect direct library calls: ``align`` calls
-    only for a pair whose keys ``od`` holds and joins by no relation, so
-    there the first derivation wins, in scan order.  ``kids`` is the
-    ``children_index`` of the sources, read by case 3.
+    Only a pair whose terms ``od`` holds and joins by no relation is
+    tried; for any other ``enrich`` returns None at once, so the first
+    derivation for a pair wins, and no pair gains both synonymy and
+    homonymy.  The cases only find evidence; this is the one place that
+    resolves the endpoints, builds the record and commits it.  On
+    success the support ontology gains exactly one relation (plus the
+    second endpoint of a same-term pair, when it needed one) and lookups
+    for the pair are nonempty afterwards.  On failure ``od`` is
+    untouched.  ``kids`` is the ``children_index`` of the sources, read
+    by case 3.
     """
-    sink = warnings if warnings is not None else []
     t1, t2 = c1.key, c2.key
+    if not (od.term_present(t1) and od.term_present(t2)) or lookup_relations(od, t1, t2):
+        return None
     direct = next((r for source in sources for r in lookup_relations(source, t1, t2)), None)
     if direct is not None:
         case, kind, evidence = "inferred_case1", direct.kind, (direct,)
@@ -246,26 +223,15 @@ def enrich(
     else:
         return None
 
-    existing = lookup_relations(od, t1, t2)
-    if any(r.kind == kind for r in existing):
-        return None  # already known; keep enrichment idempotent
-    opposite = {"synonymy": "homonymy", "homonymy": "synonymy"}.get(kind)
-    if opposite and any(r.kind == opposite for r in existing):
-        sink.append(
-            f"enrichment refused for ({c1.id}, {c2.id}): injecting {kind} would "
-            f"contradict an existing {opposite} relation between "
-            f"{t1!r} and {t2!r}"
-        )
-        return None
-
-    resolved = resolve_endpoints(od, t1, t2)
+    a, b, notes = resolve_endpoints(od, t1, t2)
     record = EnrichmentRecord(
-        injected=Relation(a=resolved.a, b=resolved.b, kind=kind, provenance=case),
+        injected=Relation(a=a, b=b, kind=kind, provenance=case),
         evidence=evidence,
         pair=(c1.id, c2.id),
     )
-    for concept in resolved.create:
-        od.add_concept(concept)
-    sink.extend(resolved.notes)
+    if b not in od.concepts:  # the second meaning of a same-term pair
+        od.add_concept(Concept(id=b, term=t2))
+    if warnings is not None:
+        warnings.extend(notes)
     od.add_relation(record.injected)
     return record

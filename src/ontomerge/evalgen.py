@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
-from .errors import InfeasibleSpec, ScenarioMismatch, SchemaViolation
+from .errors import InfeasibleSpec, ScenarioMismatch
 from .model import (
     VERDICTS,
     BusinessComponent,
@@ -39,7 +39,7 @@ from .model import (
     as_fraction,
     pair_rows,
 )
-from .model_io import _check_version, _dumps, _load_document
+from .model_io import _check_version, _dumps, _expect, _get, _load_document
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -65,6 +65,8 @@ class ScenarioSpec:
                 "synonym_pairs + homonym_pairs may not exceed half of concept_count"
             )
         try:
+            if isinstance(self.od_coverage, str):  # Fraction would parse "1/2"
+                raise TypeError("od_coverage is a string")
             coverage = as_fraction(self.od_coverage)
         except (TypeError, ValueError) as exc:
             raise InfeasibleSpec(
@@ -79,6 +81,9 @@ class ScenarioSpec:
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         if not isinstance(data, dict):
             raise InfeasibleSpec("scenario spec must be a JSON object")
+        unknown = sorted(set(data) - {spec_field.name for spec_field in fields(cls)})
+        if unknown:
+            raise InfeasibleSpec(f"scenario spec has unknown field {unknown[0]!r}")
         try:
             return cls(
                 concept_count=data["concept_count"],
@@ -310,27 +315,34 @@ def serialize_truth(truth: GroundTruth) -> bytes:
 
 
 def parse_truth(path) -> GroundTruth:
+    """Read and validate one ground-truth document; as in ``model_io``'s
+    parsers, an error names the path, the entry and the field."""
     document = _load_document(path)
-    _check_version(document, str(path))
-    try:
-        verdicts: dict[tuple[str, str], str] = {}
-        for entry in document["pairs"]:
-            pair, verdict = (entry["c1"], entry["c2"]), entry["verdict"]
-            if verdict not in VERDICTS:
-                raise SchemaViolation(f"{path}: unknown ground-truth verdict {verdict!r}")
-            if pair in verdicts:
-                raise SchemaViolation(f"{path}: ground-truth pair {pair} is listed twice")
-            verdicts[pair] = verdict
-        planted = tuple(
-            PlantedRelation(
-                t1=entry["t1"],
-                t2=entry["t2"],
-                kind=entry["kind"],
-                in_od=entry["in_od"],
-                case=entry.get("case"),
-            )
-            for entry in document.get("planted", [])
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaViolation(f"{path}: malformed ground-truth entry: {exc}") from exc
-    return GroundTruth(verdicts=verdicts, planted=planted)
+    context = str(path)
+    _check_version(document, context)
+    verdicts: dict[tuple[str, str], str] = {}
+    for index, entry in enumerate(_get(document, "pairs", list, context)):
+        ectx = f"{context}: pairs[{index}]"
+        _expect(isinstance(entry, dict), ectx, "pair must be an object")
+        pair = (_get(entry, "c1", str, ectx), _get(entry, "c2", str, ectx))
+        _expect("verdict" in entry, ectx, "missing field 'verdict'")
+        verdict = entry["verdict"]
+        _expect(verdict in VERDICTS, ectx, f"unknown ground-truth verdict {verdict!r}")
+        _expect(pair not in verdicts, ectx, f"ground-truth pair {pair} is listed twice")
+        verdicts[pair] = verdict
+    planted = []
+    for index, entry in enumerate(_get(document, "planted", list, context, default=[])):
+        ectx = f"{context}: planted[{index}]"
+        _expect(isinstance(entry, dict), ectx, "planted relation must be an object")
+        kind = _get(entry, "kind", str, ectx)
+        _expect(kind in ("synonymy", "homonymy"), ectx, f"unknown planted kind {kind!r}")
+        _expect("in_od" in entry, ectx, "missing field 'in_od'")
+        _expect(isinstance(entry["in_od"], bool), ectx, "field 'in_od' must be bool")
+        planted.append(PlantedRelation(
+            t1=_get(entry, "t1", str, ectx),
+            t2=_get(entry, "t2", str, ectx),
+            kind=kind,
+            in_od=entry["in_od"],
+            case=None if entry.get("case") is None else _get(entry, "case", int, ectx),
+        ))
+    return GroundTruth(verdicts=verdicts, planted=tuple(planted))

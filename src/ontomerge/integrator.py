@@ -30,7 +30,7 @@ from .model import (
     as_fraction,
     pair_space_of,
 )
-from .similarity import children_index, lookup_relations, semantic_similarity
+from .similarity import children_index, semantic_similarity
 from .terms import normalize_term
 from .transform import component_to_ontology, ontology_to_component
 
@@ -62,10 +62,10 @@ def align(
 
     Pairs are taken in sorted (source id, concept id) order, source
     pair by source pair, as a scan of every pair would meet them.  Each
-    pair is enriched, then scored: ``enrich`` is tried once, when the
-    support ontology holds both keys and ``lookup_relations`` joins them
-    by nothing, and ``semantic_similarity`` then only reads.  A commit
-    adds no term to the support ontology, only relations, so after it
+    pair is enriched, then scored: ``enrich`` is called once for each
+    pair of a row whose key the support ontology holds, and itself
+    declines a pair it may not enrich; ``semantic_similarity`` then only
+    reads.  A commit adds no term to the support ontology, so after it
     the rest of the row is read again through ``candidates``.  The given
     support ontology is copied; enrichment commits land on the copy,
     which is returned with the records.  Verdicts:
@@ -151,8 +151,7 @@ def align(
                 row = candidates(c1, later, known)[::-1]  # popped from the end, by id
                 while row:
                     c2 = row.pop()
-                    if (known and enriched_od.term_present(c2.key)
-                            and not lookup_relations(enriched_od, c1.key, c2.key)):
+                    if known:
                         record = enrich(c1, c2, enriched_od, ordered, kids, warnings=sink)
                         if record is not None:  # the commit may reach more of the row
                             records.append(record)

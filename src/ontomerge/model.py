@@ -146,11 +146,12 @@ def find_cycle(
 class Ontology:
     """A concept graph with typed semantic relations.
 
-    part_of edges are derived from concept children and kept in sync
-    automatically; adding a part_of relation that does not match a
-    composition link is rejected.  Duplicate semantic relations (same
-    unordered endpoint pair and kind) and synonymy/homonymy coexistence
-    on one concept pair are rejected as well.
+    part_of edges are not stored: ``relations`` derives them from concept
+    children, and adding a part_of relation accepts only one that matches
+    a composition link.  Only semantic relations are stored, so
+    ``copy`` and ``__eq__`` carry those alone.  Duplicate semantic
+    relations (same unordered endpoint pair and kind) and
+    synonymy/homonymy coexistence on one concept pair are rejected.
 
     Two indexes, filled only by ``add_concept`` and ``add_relation``
     and rebuilt by ``copy``, answer term questions without a scan:
@@ -180,22 +181,20 @@ class Ontology:
     @property
     def relations(self) -> tuple[Relation, ...]:
         """All relations, including derived part_of edges, in sorted order."""
-        return tuple(sorted(self._relations.values()))
+        part_of = (Relation(concept.id, child, "part_of")
+                   for concept in self.concepts.values() for child in concept.children)
+        return tuple(sorted((*self._relations.values(), *part_of)))
 
     def add_concept(self, concept: Concept) -> None:
         if concept.id in self.concepts:
             raise SchemaViolation(f"duplicate concept id {concept.id!r} in ontology {self.id!r}")
         self.concepts[concept.id] = concept
         insort(self._ids_by_term.setdefault(concept.key, []), concept.id)
-        for child in concept.children:
-            self._relations[(concept.id, child, "part_of")] = Relation(
-                concept.id, child, "part_of"
-            )
 
     def add_relation(self, relation: Relation) -> None:
         if relation.kind == "part_of":
             # part_of is owned by concept children; accept only matching edges.
-            if relation.key in self._relations:
+            if relation.a in self.concepts and relation.b in self.concepts[relation.a].children:
                 return
             raise SchemaViolation(
                 f"part_of relation {relation.a!r} -> {relation.b!r} does not match "
@@ -278,7 +277,7 @@ class Ontology:
     def __repr__(self) -> str:
         return (
             f"Ontology(id={self.id!r}, concepts={len(self.concepts)}, "
-            f"relations={len(self._relations)})"
+            f"relations={len(self.relations)})"
         )
 
 

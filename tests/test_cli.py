@@ -452,8 +452,10 @@ def test_infeasible_gen_spec_is_schema_error(tmp_path, capsys):
     {"concept_count": True, "synonym_pairs": False, "homonym_pairs": False},
     {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "rng_seed": True},
     {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "od_coverage": True},
+    {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "od_coverage": "1/2"},
+    {"concept_count": 10, "synonym_pairs": 2, "homonym_pairs": 1, "od_coverge": 0.5},
 ], ids=["root-not-object", "coverage-not-number", "seed-not-integer", "counts-boolean",
-        "seed-boolean", "coverage-boolean"])
+        "seed-boolean", "coverage-boolean", "coverage-fraction-string", "unknown-field"])
 def test_malformed_gen_spec_is_schema_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec), encoding="utf-8")
@@ -496,8 +498,8 @@ def test_malformed_report_relation_is_schema_error(
     assert path in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verdict", ["Bogus", ["Synonym"]], ids=["unknown", "not-string"])
-def test_bad_truth_verdict_is_schema_error(tmp_path, capsys, verdict):
+def _eval_one_pair(tmp_path, truth):
+    """Run ``eval`` on a report of the one pair (A#x, B#y) against ``truth``."""
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps({
         "format_version": 1,
@@ -510,14 +512,41 @@ def test_bad_truth_verdict_is_schema_error(tmp_path, capsys, verdict):
         "warnings": [],
     }), encoding="utf-8")
     truth_path = tmp_path / "truth.json"
-    truth_path.write_text(json.dumps({
-        "format_version": 1,
-        "pairs": [{"c1": "A#x", "c2": "B#y", "verdict": verdict}],
-    }), encoding="utf-8")
-    code = main(["eval", "--report", str(report_path), "--truth", str(truth_path)])
+    truth_path.write_text(json.dumps({"format_version": 1, **truth}), encoding="utf-8")
+    return main(["eval", "--report", str(report_path), "--truth", str(truth_path)])
+
+
+@pytest.mark.parametrize("verdict", ["Bogus", ["Synonym"]], ids=["unknown", "not-string"])
+def test_bad_truth_verdict_is_schema_error(tmp_path, capsys, verdict):
+    code = _eval_one_pair(tmp_path, {"pairs": [{"c1": "A#x", "c2": "B#y", "verdict": verdict}]})
     assert code == 2
     err = capsys.readouterr().err
     assert "unknown ground-truth verdict" in err
+    assert "internal error" not in err
+
+
+_PAIR = {"c1": "A#x", "c2": "B#y", "verdict": "Identical"}
+_PLANTED = {"t1": "x", "t2": "y", "kind": "synonymy", "in_od": False, "case": 1}
+
+
+@pytest.mark.parametrize("truth, message", [
+    ({"pairs": [{"c1": "A#x", "verdict": "Identical"}]}, "pairs[0]: missing field 'c2'"),
+    ({"pairs": [_PAIR], "planted": [{"t1": "x", "kind": "synonymy", "in_od": False}]},
+     "planted[0]: missing field 't2'"),
+    ({"pairs": [_PAIR], "planted": [{**_PLANTED, "in_od": "yes"}]},
+     "planted[0]: field 'in_od' must be bool"),
+    ({"pairs": [_PAIR], "planted": [{**_PLANTED, "kind": "part_of"}]},
+     "planted[0]: unknown planted kind 'part_of'"),
+    ({"pairs": [_PAIR], "planted": [{**_PLANTED, "case": "1"}]},
+     "planted[0]: field 'case' must be int"),
+    ({"pairs": [_PAIR], "planted": [_PLANTED, [1]]},
+     "planted[1]: planted relation must be an object"),
+], ids=["pair-missing-c2", "planted-missing-t2", "in_od-not-bool", "unknown-kind",
+        "case-not-int", "planted-not-object"])
+def test_malformed_truth_names_the_entry_and_field(tmp_path, capsys, truth, message):
+    assert _eval_one_pair(tmp_path, truth) == 2
+    err = capsys.readouterr().err
+    assert f"truth.json: {message}" in err
     assert "internal error" not in err
 
 

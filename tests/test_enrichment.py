@@ -1,4 +1,4 @@
-"""The three enrichment cases, their order, and the safety guards."""
+"""The three enrichment cases, their order, and the gate that `enrich` applies first."""
 
 from fractions import Fraction
 
@@ -324,7 +324,8 @@ def test_case_order_prefers_direct_relation():
 
 
 def test_consistency_guard_refuses_contradiction():
-    # adversarial direct call: the support ontology already says homonymy
+    # the support ontology already relates the pair, so enrich declines it
+    # at its gate, before any case could derive the contradicting synonymy
     source = _ontology(
         "OCM1",
         ("OCM1#tarif", "tarif"),
@@ -345,7 +346,25 @@ def test_consistency_guard_refuses_contradiction():
     )
     assert record is None
     assert serialize_ontology(od) == before
-    assert any("refused" in w for w in warnings)
+    assert warnings == []
+
+
+def test_enrich_declines_a_term_the_support_ontology_lacks():
+    # a source declares synonymy(a, b), but the support ontology does not
+    # hold b: enrich tries only known terms, so it creates no concept for b
+    source = _ontology(
+        "OCM1",
+        ("OCM1#a", "a"),
+        ("OCM1#b", "b"),
+        relations=[Relation("OCM1#a", "OCM1#b", "synonymy")],
+    )
+    od = _support("a")
+    before = serialize_ontology(od)
+    assert enrich(
+        source.concepts["OCM1#a"], source.concepts["OCM1#b"], od, [source],
+        children_index([source]),
+    ) is None
+    assert serialize_ontology(od) == before
 
 
 def test_enrich_is_idempotent():
@@ -359,20 +378,23 @@ def test_enrich_is_idempotent():
 
 
 def test_align_calls_enrich_only_where_its_guard_cannot_fire(monkeypatch):
-    # align asks for enrichment at most once per pair, and only when the
-    # support ontology holds both keys and joins them by nothing, so the
-    # guard above serves direct calls; a commit decides its own pair, and
-    # a failed attempt leaves the pair to the syntactic score
+    # align leaves the gate to enrich and asks at most once per pair; a
+    # pair outside the gate is declined with no write, a commit decides its
+    # own pair, and a pair that passed the gate but was not committed
+    # keeps the syntactic score
     runs, injected = [], []
 
     def checked(c1, c2, od, sources, kids, warnings=None):
-        assert od.term_present(c1.key) and od.term_present(c2.key)
-        assert not lookup_relations(od, c1.key, c2.key)
         assert (c1.id, c2.id) not in runs[-1]  # no pair is attempted twice
+        gated = (od.term_present(c1.key) and od.term_present(c2.key)
+                 and not lookup_relations(od, c1.key, c2.key))
+        size = len(od.relations)
         record = enrichment.enrich(c1, c2, od, sources, kids, warnings)
-        if record is not None:
+        if not gated:
+            assert record is None and len(od.relations) == size
+        elif record is not None:
             injected.append(record)
-        runs[-1][c1.id, c2.id] = record or syntactic_similarity(c1, c2, kids)
+        runs[-1][c1.id, c2.id] = record or (syntactic_similarity(c1, c2, kids) if gated else None)
         return record
 
     monkeypatch.setattr(integrator, "enrich", checked)
@@ -382,7 +404,6 @@ def test_align_calls_enrich_only_where_its_guard_cannot_fire(monkeypatch):
             runs.append(attempts)
             components, od, _ = generate_scenario(ScenarioSpec(80, 15, 5, coverage, seed))
             _, _, report = integrate(components, od)
-            assert not any("refused" in w for w in report.warnings)
             scored = {c.pair: c for c in report.correspondences}
             for pair, outcome in attempts.items():
                 got = scored[pair]
@@ -390,9 +411,10 @@ def test_align_calls_enrich_only_where_its_guard_cannot_fire(monkeypatch):
                     assert got.evidence.kind == "enriched"
                     if outcome.injected.kind == "synonymy":
                         assert (got.score, got.verdict) == (1, "Synonym")
-                else:
+                elif outcome is not None:
                     assert (got.score, got.evidence.kind) == (outcome, "syntactic")
     assert sum(map(len, runs)) > len(injected) > 0
+    assert any(None in attempts.values() for attempts in runs)  # the gate declined some
 
 
 def test_align_enriches_each_pair_once_before_scoring_it(monkeypatch):
@@ -493,13 +515,8 @@ def test_endpoints_are_resolved_once_per_injection(monkeypatch):
 
 
 def test_fresh_endpoint_skips_every_taken_suffix():
-    # ids Od#x and Od#x~2 are taken by concepts of other terms
-    od = _ontology("Od", ("Od#x", "y"), ("Od#x~2", "z"))
-    resolved = enrichment.resolve_endpoints(od, "x", "y")
-    assert (resolved.a, resolved.b) == ("Od#x~3", "Od#x")
-    assert resolved.create == (Concept(id="Od#x~3", term="x"),)
-    # a same-term pair needs two endpoints; the second skips the first's id
-    resolved = enrichment.resolve_endpoints(od, "x", "x")
-    assert (resolved.a, resolved.b) == ("Od#x~3", "Od#x~4")
-    assert [c.id for c in resolved.create] == ["Od#x~3", "Od#x~4"]
+    # a same-term pair needs two endpoints; the term names one concept,
+    # Od#x, and Od#x~2 is taken by a concept of another term
+    od = _ontology("Od", ("Od#x", "x"), ("Od#x~2", "z"))
+    assert enrichment.resolve_endpoints(od, "x", "x") == ("Od#x", "Od#x~3", [])
     assert set(od.concepts) == {"Od#x", "Od#x~2"}  # resolving creates nothing yet

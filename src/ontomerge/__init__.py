@@ -33,7 +33,6 @@ from .model import (
     pair_space_of,
 )
 from .enrichment import enrich, infer_via_children, infer_via_equivalents
-from .evalgen import GroundTruth, ScenarioSpec, evaluate, generate_scenario
 from .integrator import align, build_clusters, integrate, merge
 from .model_io import (
     export_dot,
@@ -54,6 +53,17 @@ from .similarity import (
 from .transform import component_to_ontology, ontology_to_component
 
 __version__ = "0.1.0"
+
+_SCENARIO_NAMES = ("GroundTruth", "ScenarioSpec", "evaluate", "generate_scenario")
+
+
+def __getattr__(name: str):
+    """Import the scenario generator (``evalgen``) on first use of its names."""
+    if name in _SCENARIO_NAMES:
+        from . import evalgen
+
+        return getattr(evalgen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Association",

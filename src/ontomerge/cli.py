@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from . import evalgen, model_io
+from . import model_io
 from .errors import HomonymClusterCollision, IntegrationError
 from .integrator import integrate
 from .model import Report
@@ -176,6 +176,8 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import evalgen  # imported here, so that integrate never loads it
+
     if args.spec:
         spec = evalgen.ScenarioSpec.from_dict(model_io._load_document(args.spec))
     else:
@@ -202,6 +204,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import evalgen
+
     report: Report = model_io.parse_report(args.report)
     truth = evalgen.parse_truth(args.truth)
     metrics = evalgen.evaluate(report, truth)

@@ -12,7 +12,6 @@ deterministic: fixed inputs give byte-identical serialized outputs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
@@ -484,7 +483,8 @@ def integrate(
             new_id = f"{component.id}~{suffix}"
             taken.add(new_id)
             warnings.append(f"duplicate component id {component.id!r} renamed to {new_id!r}")
-            component = replace(component, id=new_id)
+            component = BusinessComponent(new_id, component.name, component.entities,
+                                          component.relations)
         kept.add(component.id)
         deduped.append(component)
     sources = [component_to_ontology(component) for component in deduped]

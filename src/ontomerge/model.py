@@ -10,8 +10,8 @@ valid.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SchemaViolation
@@ -24,31 +24,64 @@ VERDICTS = ("Distinct", "Homonym", "Identical", "Synonym")
 EVIDENCE_KINDS = ("enriched", "od_homonymy", "od_synonymy", "syntactic")
 
 
-@dataclass(frozen=True, order=True)
-class Relation:
-    """A typed semantic edge between two concepts.
+class _Value:
+    """Base of the immutable model values, each a NamedTuple whose ``__new__``
+    checks and canonicalises its fields; ``_make`` and ``_replace`` construct
+    through it too.  Equal means same type and fields; the hash is the tuple's."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _Record:
+    """Base of the mutable model classes: ``==`` and ``repr`` read the fields
+    named by ``_fields``, which leaves out a derived ``key``.  Unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = attrgetter(*self._fields)
+        return fields(self) == fields(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Relation(_Value, NamedTuple("Relation", [
+        ("a", str), ("b", str), ("kind", str), ("provenance", str)])):
+    """A typed semantic edge between two concepts, ordered by its fields.
 
     Semantic kinds (synonymy, homonymy, equivalence) are symmetric and
     stored once per unordered pair: endpoints are swapped into sorted
     order on construction.  part_of is directed composite -> child.
     """
 
-    a: str
-    b: str
-    kind: str
-    provenance: str = "declared"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in RELATION_KINDS:
-            raise SchemaViolation(f"unknown relation kind {self.kind!r}")
-        if self.provenance not in PROVENANCES:
-            raise SchemaViolation(f"unknown relation provenance {self.provenance!r}")
-        if self.a == self.b:
-            raise SchemaViolation(f"relation may not join a concept to itself: {self.a!r}")
-        if self.kind in SEMANTIC_KINDS and self.b < self.a:
-            low, high = self.b, self.a
-            object.__setattr__(self, "a", low)
-            object.__setattr__(self, "b", high)
+    def __new__(cls, a: str, b: str, kind: str, provenance: str = "declared"):
+        if kind not in RELATION_KINDS:
+            raise SchemaViolation(f"unknown relation kind {kind!r}")
+        if provenance not in PROVENANCES:
+            raise SchemaViolation(f"unknown relation provenance {provenance!r}")
+        if a == b:
+            raise SchemaViolation(f"relation may not join a concept to itself: {a!r}")
+        if kind in SEMANTIC_KINDS and b < a:
+            a, b = b, a
+        return tuple.__new__(cls, (a, b, kind, provenance))
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -70,8 +103,7 @@ def _sorted_associations(associations: Iterable) -> tuple[Association, ...]:
     return tuple(sorted(Association(*a) for a in associations)) if associations else ()
 
 
-@dataclass
-class Concept:
+class Concept(_Record):
     """A node in an ontology: a term plus optional composition children.
 
     A concept with no children is atomic.  ``attributes``, ``associations``
@@ -80,31 +112,30 @@ class Concept:
 
     ``key`` is derived: the normalized ``term``, computed once on
     construction and read wherever two terms are compared.  ``term`` must
-    therefore not be reassigned after construction; build a new concept
-    (``dataclasses.replace``) to change it.  Only nonempty collection
-    fields are sorted and checked; an empty one becomes ().
+    therefore not be reassigned after construction; construct a new
+    concept to change it.  Only nonempty collection fields are sorted and
+    checked; an empty one becomes ().
     """
 
-    id: str
-    term: str
-    children: tuple[str, ...] = ()
-    attributes: tuple[str, ...] = ()
-    associations: tuple[Association, ...] = ()
-    aliases: tuple[str, ...] = ()
-    key: str = field(init=False, repr=False, compare=False)
+    _fields = ("id", "term", "children", "attributes", "associations", "aliases")
+    __slots__ = (*_fields, "key")
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, term: str, children: Iterable[str] = (),
+                 attributes: Iterable[str] = (), associations: Iterable = (),
+                 aliases: Iterable[str] = ()):
+        if not id:
             raise SchemaViolation("concept id must be nonempty")
-        self.key = normalize_term(self.term)  # raises EmptyTerm on blank terms
-        self.children = tuple(sorted(self.children)) if self.children else ()
+        self.id = id
+        self.term = term
+        self.key = normalize_term(term)  # raises EmptyTerm on blank terms
+        self.children = tuple(sorted(children)) if children else ()
         if self.children and len(set(self.children)) != len(self.children):
-            raise SchemaViolation(f"concept {self.id!r} lists a duplicate child")
-        if self.id in self.children:
-            raise SchemaViolation(f"concept {self.id!r} lists itself as a child")
-        self.attributes = tuple(sorted(self.attributes)) if self.attributes else ()
-        self.associations = _sorted_associations(self.associations)
-        self.aliases = tuple(sorted(self.aliases, key=name_sort_key)) if self.aliases else ()
+            raise SchemaViolation(f"concept {id!r} lists a duplicate child")
+        if id in self.children:
+            raise SchemaViolation(f"concept {id!r} lists itself as a child")
+        self.attributes = tuple(sorted(attributes)) if attributes else ()
+        self.associations = _sorted_associations(associations)
+        self.aliases = tuple(sorted(aliases, key=name_sort_key)) if aliases else ()
 
     @property
     def is_atomic(self) -> bool:
@@ -183,7 +214,11 @@ class Ontology:
         """All relations, including derived part_of edges, in sorted order."""
         part_of = (Relation(concept.id, child, "part_of")
                    for concept in self.concepts.values() for child in concept.children)
-        return tuple(sorted((*self._relations.values(), *part_of)))
+        return tuple(sorted((*self.semantic_relations(), *part_of)))
+
+    def semantic_relations(self) -> list[Relation]:
+        """The stored relations, every one semantic, in sorted order."""
+        return sorted(self._relations.values())
 
     def add_concept(self, concept: Concept) -> None:
         if concept.id in self.concepts:
@@ -289,25 +324,23 @@ class ComponentRelation(NamedTuple):
     kind: str
 
 
-@dataclass(slots=True)
-class Entity:
+class Entity(_Record):
     """A named entity of a business component; ``key`` is its normalized ``name``.
     As in ``Concept``, only nonempty collection fields are sorted and checked."""
 
-    name: str
-    attributes: tuple[str, ...] = ()
-    associations: tuple[Association, ...] = ()
-    components: tuple[str, ...] = ()
-    key: str = field(init=False, repr=False, compare=False)  # derived: never reassign name
+    _fields = ("name", "attributes", "associations", "components")
+    __slots__ = (*_fields, "key")  # key is derived: never reassign name
 
-    def __post_init__(self):
-        self.key = own_key = normalize_term(self.name)
-        self.attributes = tuple(sorted(self.attributes)) if self.attributes else ()
-        self.associations = _sorted_associations(self.associations)
-        if not self.components:
+    def __init__(self, name: str, attributes: Iterable[str] = (),
+                 associations: Iterable = (), components: Iterable[str] = ()):
+        self.name = name
+        self.key = own_key = normalize_term(name)
+        self.attributes = tuple(sorted(attributes)) if attributes else ()
+        self.associations = _sorted_associations(associations)
+        if not components:
             self.components = ()
             return
-        keyed = sorted(map(name_sort_key, self.components))
+        keyed = sorted(map(name_sort_key, components))
         self.components = tuple(child for _, child in keyed)
         seen = set()
         for key, child in keyed:
@@ -322,8 +355,7 @@ class Entity:
             seen.add(key)
 
 
-@dataclass
-class BusinessComponent:
+class BusinessComponent(_Record):
     """One source model: a set of entities plus declared semantic relations.
 
     Invariants checked on construction:
@@ -339,15 +371,15 @@ class BusinessComponent:
     one spelled otherwise is normalized again.  The cycle walk starts at composites.
     """
 
-    id: str
-    name: str
-    entities: tuple[Entity, ...] = ()
-    relations: tuple[ComponentRelation, ...] = ()
+    _fields = __slots__ = ("id", "name", "entities", "relations")
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, name: str, entities: Iterable[Entity] = (),
+                 relations: Iterable[ComponentRelation] = ()):
+        self.id = id
+        self.name = name
+        if not id:
             raise SchemaViolation("component id must be nonempty")
-        self.entities = tuple(sorted(self.entities, key=lambda e: (e.key, e.name)))
+        self.entities = tuple(sorted(entities, key=lambda e: (e.key, e.name)))
         key_of: dict[str, str] = {}  # entity name -> key
         previous = None
         for entity in self.entities:  # sorted, so a repeated key follows the first
@@ -384,7 +416,7 @@ class BusinessComponent:
                     )
                 child_keys.setdefault(entity.key, []).append(child_key)
         self.relations = tuple(
-            sorted(self._canonical_relation(rel, key) for rel in self.relations)
+            sorted(self._canonical_relation(rel, key) for rel in relations)
         )
         seen_pairs: dict[tuple[str, str], str] = {}
         for rel in self.relations:
@@ -434,103 +466,98 @@ class BusinessComponent:
         return rel
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(_Value, NamedTuple("Evidence", [
+        ("kind", str), ("relations_used", tuple[Relation, ...])])):
     """Why a similarity score came out the way it did."""
 
-    kind: str
-    relations_used: tuple[Relation, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in EVIDENCE_KINDS:
-            raise SchemaViolation(f"unknown evidence kind {self.kind!r}")
-        if self.kind in ("od_synonymy", "od_homonymy") and not self.relations_used:
+    def __new__(cls, kind: str, relations_used: tuple[Relation, ...] = ()):
+        if kind not in EVIDENCE_KINDS:
+            raise SchemaViolation(f"unknown evidence kind {kind!r}")
+        if kind in ("od_synonymy", "od_homonymy") and not relations_used:
             raise SchemaViolation(
-                f"evidence of kind {self.kind!r} must reference at least one relation"
+                f"evidence of kind {kind!r} must reference at least one relation"
             )
+        return tuple.__new__(cls, (kind, relations_used))
 
 
 # The evidence of every syntactic score; it carries no relations.
 SYNTACTIC = Evidence(kind="syntactic")
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(_Value, NamedTuple("Correspondence", [
+        ("c1", str), ("c2", str), ("score", Fraction), ("verdict", str),
+        ("evidence", Evidence)])):
     """The verdict on one cross-component concept pair."""
 
-    c1: str
-    c2: str
-    score: Fraction
-    verdict: str
-    evidence: Evidence
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise SchemaViolation(f"unknown verdict {self.verdict!r}")
-        if not isinstance(self.score, (Fraction, int)):
-            raise SchemaViolation(f"similarity score {self.score!r} is not exact")
+    def __new__(cls, c1: str, c2: str, score: Fraction, verdict: str, evidence: Evidence):
+        if verdict not in VERDICTS:
+            raise SchemaViolation(f"unknown verdict {verdict!r}")
+        if not isinstance(score, (Fraction, int)):
+            raise SchemaViolation(f"similarity score {score!r} is not exact")
         # integer comparisons (the denominator is positive)
-        num, den = self.score.numerator, self.score.denominator
+        num, den = score.numerator, score.denominator
         if not 0 <= num <= den:
-            raise SchemaViolation(f"similarity score {self.score} out of [0, 1]")
-        if self.verdict == "Synonym" and (
-            num != den or self.evidence.kind not in ("od_synonymy", "enriched")
+            raise SchemaViolation(f"similarity score {score} out of [0, 1]")
+        if verdict == "Synonym" and (
+            num != den or evidence.kind not in ("od_synonymy", "enriched")
         ):
             raise SchemaViolation("Synonym verdict requires score 1 and ontology evidence")
-        if self.verdict == "Homonym" and (
-            num != 0 or self.evidence.kind not in ("od_homonymy", "enriched")
+        if verdict == "Homonym" and (
+            num != 0 or evidence.kind not in ("od_homonymy", "enriched")
         ):
             raise SchemaViolation("Homonym verdict requires score 0 and ontology evidence")
-        if self.verdict == "Identical" and self.evidence.kind != "syntactic":
+        if verdict == "Identical" and evidence.kind != "syntactic":
             raise SchemaViolation("Identical verdict requires syntactic evidence")
+        return tuple.__new__(cls, (c1, c2, score, verdict, evidence))
 
     @property
     def pair(self) -> tuple[str, str]:
         return (self.c1, self.c2)
 
 
-@dataclass(frozen=True)
-class EnrichmentRecord:
+class EnrichmentRecord(_Value, NamedTuple("EnrichmentRecord", [
+        ("injected", Relation), ("evidence", tuple[Relation, ...]),
+        ("pair", tuple[str, str])])):
     """A relation injected into the support ontology, with its justification."""
 
-    injected: Relation
-    evidence: tuple[Relation, ...]
-    pair: tuple[str, str]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.injected.kind not in SEMANTIC_KINDS:
+    def __new__(cls, injected: Relation, evidence: tuple[Relation, ...], pair: tuple[str, str]):
+        if injected.kind not in SEMANTIC_KINDS:
             raise SchemaViolation(
-                f"only semantic relations can be injected, not {self.injected.kind!r}"
+                f"only semantic relations can be injected, not {injected.kind!r}"
             )
-        if not self.injected.provenance.startswith("inferred_case"):
+        if not injected.provenance.startswith("inferred_case"):
             raise SchemaViolation(
                 f"injected relation must carry inferred provenance, "
-                f"got {self.injected.provenance!r}"
+                f"got {injected.provenance!r}"
             )
+        return tuple.__new__(cls, (injected, evidence, pair))
 
     @property
     def case(self) -> str:
         return self.injected.provenance
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(_Value, NamedTuple("Cluster", [
+        ("term", str), ("members", tuple[str, ...]), ("aliases", tuple[str, ...])])):
     """A group of concepts realized as a single merged concept."""
 
-    term: str
-    members: tuple[str, ...]
-    aliases: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
-        aliases = tuple(sorted(self.aliases, key=name_sort_key)) if self.aliases else ()
-        object.__setattr__(self, "aliases", aliases)
-        if not self.members:
+    def __new__(cls, term: str, members: Iterable[str], aliases: Iterable[str] = ()):
+        members = tuple(sorted(members))
+        aliases = tuple(sorted(aliases, key=name_sort_key)) if aliases else ()
+        if not members:
             raise SchemaViolation("cluster must have at least one member")
+        return tuple.__new__(cls, (term, members, aliases))
 
 
-@dataclass
-class Report:
+class Report(_Record):
     """Everything the pipeline found: verdicts, injections, clusters, warnings.
 
     ``pair_space`` holds the sorted concept ids of each source, sources in
@@ -539,13 +566,20 @@ class Report:
     ``correspondences`` leaves out is (0, syntactic, Distinct); when it is
     empty, as in a report read from a file, ``correspondences`` names every
     pair.  Either way no pair is listed twice; ``pair_rows`` reads both.
+    A list field left out starts as a new empty list.
     """
 
-    correspondences: list[Correspondence] = field(default_factory=list)
-    enrichments: list[EnrichmentRecord] = field(default_factory=list)
-    clusters: list[Cluster] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    pair_space: tuple[tuple[str, ...], ...] = ()
+    _fields = __slots__ = ("correspondences", "enrichments", "clusters", "warnings", "pair_space")
+
+    def __init__(self, correspondences: Optional[list[Correspondence]] = None,
+                 enrichments: Optional[list[EnrichmentRecord]] = None,
+                 clusters: Optional[list[Cluster]] = None, warnings: Optional[list[str]] = None,
+                 pair_space: tuple[tuple[str, ...], ...] = ()):
+        self.correspondences = [] if correspondences is None else correspondences
+        self.enrichments = [] if enrichments is None else enrichments
+        self.clusters = [] if clusters is None else clusters
+        self.warnings = [] if warnings is None else warnings
+        self.pair_space = pair_space
 
 
 def pair_space_of(sources: Iterable[Ontology]) -> tuple[tuple[str, ...], ...]:

@@ -73,7 +73,7 @@ def ontology_to_component(ontology: Ontology, name: str) -> BusinessComponent:
         )
     relations = tuple(
         ComponentRelation(ontology.concepts[rel.a].term, ontology.concepts[rel.b].term, rel.kind)
-        for rel in ontology.relations if rel.kind != "part_of"
+        for rel in ontology.semantic_relations()
     )
     return BusinessComponent(
         id=ontology.id, name=name, entities=tuple(entities), relations=relations

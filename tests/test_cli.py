@@ -3,7 +3,6 @@
 import hashlib
 import json
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,7 +224,9 @@ _DISTINCT = Correspondence("CM#a", "CM 2#b", Fraction(0), "Distinct", Evidence("
 @pytest.mark.parametrize("report, error", [
     (Report(correspondences=[_DISTINCT, _DISTINCT], pair_space=(("CM#a",), ("CM 2#b",))),
      SchemaViolation),  # pair_rows rejects the pair listed twice
-    (Report(correspondences=[replace(_DISTINCT, c1="CM#\ud800")]), UnicodeEncodeError),
+    (Report(correspondences=[Correspondence("CM#\ud800", _DISTINCT.c2, _DISTINCT.score,
+                                            _DISTINCT.verdict, _DISTINCT.evidence)]),
+     UnicodeEncodeError),
 ], ids=["doubled-pair", "lone-surrogate"])
 def test_failing_chunk_iterator_leaves_no_partial_files(tmp_path, report, error):
     written = []

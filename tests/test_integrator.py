@@ -1,7 +1,6 @@
 """Alignment verdicts, union-find clustering, merging, and the full pipeline."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -418,7 +417,8 @@ def test_self_integration_is_identity_up_to_ordering(cm1):
 
 def test_duplicate_id_is_renamed_past_ids_already_in_use(cm1):
     # A, A, A~2: the second A may not take A~2, which the third input holds
-    a, a2 = replace(cm1, id="A"), replace(cm1, id="A~2")
+    a, a2 = (BusinessComponent(cid, cm1.name, cm1.entities, cm1.relations)
+             for cid in ("A", "A~2"))
     _, _, report = integrate([a, a, a2], Ontology("Od"))
     assert "duplicate component id 'A' renamed to 'A~3'" in report.warnings
     owners = {member.split("#")[0] for cl in report.clusters for member in cl.members}

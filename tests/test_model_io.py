@@ -3,7 +3,6 @@
 import gc
 import json
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -383,7 +382,8 @@ def test_report_clusters_round_trip_in_memory_order(tmp_path):
     _, _, report = integrate(components, Ontology("Od"))
     assert [cl.term for cl in report.clusters] == ["Banana", "apple", "cherry"]
     path = _write(tmp_path, "report.json", serialize_report(report))
-    explicit = replace(report, correspondences=expand_correspondences(report), pair_space=())
+    explicit = Report(expand_correspondences(report), report.enrichments, report.clusters,
+                      report.warnings, pair_space=())
     assert parse_report(path) == explicit
 
 
@@ -615,7 +615,8 @@ def test_sparse_report_writer_matches_dumps_oracle(report):
         path = Path(tmp) / "report.json"
         path.write_bytes(payload)
         parsed = parse_report(path)
-    assert parsed == replace(report, correspondences=naive_full_list(report), pair_space=())
+    assert parsed == Report(naive_full_list(report), report.enrichments, report.clusters,
+                            report.warnings, pair_space=())
 
 
 def test_integrate_report_bytes_with_interleaved_source_ids():
@@ -642,7 +643,7 @@ _TRIVIAL = Correspondence("CM#a", "CM 2#b", Fraction(0), "Distinct", Evidence("s
     (("CM#a", "CM#c"), "does not point from an earlier source to a later one"),
 ], ids=["duplicate", "unknown-c2", "unknown-c1", "backward", "same-source"])
 def test_sparse_report_rejects_stray_pairs(pair, message):
-    stray = replace(_TRIVIAL, c1=pair[0], c2=pair[1])
+    stray = Correspondence(*pair, _TRIVIAL.score, _TRIVIAL.verdict, _TRIVIAL.evidence)
     report = Report(
         correspondences=[_TRIVIAL, stray],
         pair_space=(("CM#a", "CM#c"), ("CM 2#b",)),

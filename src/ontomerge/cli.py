@@ -76,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     align_cmd.add_argument("--report", required=True, metavar="PATH")
     align_cmd.add_argument("--out-ontology", metavar="PATH",
                            help="optionally write the enriched support ontology")
+    align_cmd.set_defaults(out_component=None)
 
     gen_cmd = commands.add_parser("gen", help="generate a synthetic scenario")
     gen_cmd.add_argument("--out-dir", required=True, metavar="DIR")
@@ -150,28 +151,17 @@ def _load_inputs(args):
 
 
 def _cmd_integrate(args) -> int:
-    _distinct_outputs([args.out_component, args.out_ontology, args.report])
+    """Run ``integrate``, or ``align``: no --out-component, optional --out-ontology."""
+    _distinct_outputs([p for p in (args.out_component, args.out_ontology, args.report) if p])
     components, od = _load_inputs(args)
     merged, enriched_od, report = integrate(components, od, tau=args.tau)
-    _write_outputs(
-        {
-            args.out_component: [model_io.serialize_component(merged)],
-            args.out_ontology: [model_io.serialize_ontology(enriched_od)],
-            args.report: model_io.report_chunks(report),
-        }
-    )
-    return EXIT_OK
-
-
-def _cmd_align(args) -> int:
-    outputs = [args.report] + ([args.out_ontology] if args.out_ontology else [])
-    _distinct_outputs(outputs)
-    components, od = _load_inputs(args)
-    _, enriched_od, report = integrate(components, od, tau=args.tau)
-    payloads = {args.report: model_io.report_chunks(report)}
+    outputs = {}
+    if args.out_component:
+        outputs[args.out_component] = [model_io.serialize_component(merged)]
     if args.out_ontology:
-        payloads[args.out_ontology] = [model_io.serialize_ontology(enriched_od)]
-    _write_outputs(payloads)
+        outputs[args.out_ontology] = [model_io.serialize_ontology(enriched_od)]
+    outputs[args.report] = model_io.report_chunks(report)
+    _write_outputs(outputs)
     return EXIT_OK
 
 
@@ -229,7 +219,7 @@ def _cmd_export_dot(args) -> int:
 
 _HANDLERS = {
     "integrate": _cmd_integrate,
-    "align": _cmd_align,
+    "align": _cmd_integrate,
     "gen": _cmd_gen,
     "eval": _cmd_eval,
     "export-dot": _cmd_export_dot,

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from .matching import max_weight_assignment
-from .model import Concept, EnrichmentRecord, Ontology, Relation
+from .model import Concept, EnrichmentRecord, Ontology, Relation, first_free
 from .similarity import ChildrenIndex, lookup_relations
 
 _CELL_KINDS = ("synonymy", "equivalence")  # what relates two case-3 children
@@ -55,11 +55,7 @@ def resolve_endpoints(od: Ontology, t1: str, t2: str) -> tuple[str, str, list[st
             )
         if existing:
             return existing[0]
-        base = f"{od.id}#{term}"
-        candidate, suffix = base, 2
-        while candidate in od.concepts:
-            candidate, suffix = f"{base}~{suffix}", suffix + 1
-        return candidate
+        return first_free(f"{od.id}#{term}", od.concepts)
 
     a = endpoint(t1)
     b = endpoint(t2, skip=a)  # a bears t2 only in a same-term pair

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -268,18 +269,13 @@ def evaluate(report: Report, truth: GroundTruth) -> dict:
         raise ScenarioMismatch(
             f"report and truth cover different pairs (missing={missing}, extra={extra})"
         )
+    outcomes = Counter((v, predicted[pair]) for pair, v in truth.verdicts.items())
     metrics: dict = {}
     f1_values = []
     for verdict in ("Synonym", "Homonym"):
-        tp = sum(
-            1 for pair, v in truth.verdicts.items() if v == verdict and predicted[pair] == verdict
-        )
-        fp = sum(
-            1 for pair, v in predicted.items() if v == verdict and truth.verdicts[pair] != verdict
-        )
-        fn = sum(
-            1 for pair, v in truth.verdicts.items() if v == verdict and predicted[pair] != verdict
-        )
+        tp = outcomes[verdict, verdict]
+        fp = sum(n for (v, p), n in outcomes.items() if p == verdict != v)
+        fn = sum(n for (v, p), n in outcomes.items() if v == verdict != p)
         precision = tp / (tp + fp) if tp + fp else 1.0
         recall = tp / (tp + fn) if tp + fn else 1.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

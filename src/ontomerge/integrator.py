@@ -4,8 +4,8 @@ Steps: derive one ontology per component, take every cross-component
 concept pair that can be other than Distinct, enrich the support
 ontology where it knows both terms but joins them by nothing, score the
 pair against it, classify verdicts, cluster synonym/identical concepts
-with union-find, merge clusters into one result ontology, and convert
-that back into a component.  Everything is sequential and
+by connected parts, merge clusters into one result ontology, and
+convert that back into a component.  Everything is sequential and
 deterministic: fixed inputs give byte-identical serialized outputs.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .enrichment import enrich, reach
@@ -27,6 +27,7 @@ from .model import (
     Ontology,
     Report,
     as_fraction,
+    first_free,
     pair_space_of,
 )
 from .similarity import children_index, semantic_similarity
@@ -187,91 +188,71 @@ def _classify(c1: Concept, c2: Concept, score: Fraction, kind: str, tau: Fractio
     return "Distinct"
 
 
-class _UnionFind:
-    """Plain disjoint-set with path compression and union by size."""
-
-    def __init__(self, items: Iterable[str]):
-        self.parent = {item: item for item in items}
-        self.size = {item: 1 for item in self.parent}
-
-    def find(self, item: str) -> str:
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def build_clusters(
     correspondences: Sequence[Correspondence], concept_ids: Iterable[str]
 ) -> list[tuple[str, ...]]:
-    """Partition concepts by union-find over Synonym/Identical edges.
+    """Partition concepts into the connected parts of the Synonym/Identical edges.
 
-    Unmatched concepts stay singletons.  Raises HomonymClusterCollision
-    when the transitive closure would pull a Homonym-verdict pair into one
-    cluster; the error carries the connecting chain of edges.
+    Each part is walked from its smallest id; unmatched concepts stay
+    singletons.  Raises SchemaViolation when a merge edge or a Homonym
+    pair names a concept outside ``concept_ids``, and
+    HomonymClusterCollision when a Homonym pair lands in one part; the
+    error carries the connecting chain of edges.
     """
-    ids = sorted(set(concept_ids))
-    uf = _UnionFind(ids)
-    merging = [c for c in correspondences if c.verdict in ("Synonym", "Identical")]
-    for corr in merging:
-        uf.union(corr.c1, corr.c2)
+    adjacency: dict[str, list[tuple[str, str]]] = {cid: [] for cid in sorted(set(concept_ids))}
     for corr in correspondences:
-        if corr.verdict != "Homonym":
+        if corr.verdict == "Distinct":
             continue
-        if uf.find(corr.c1) == uf.find(corr.c2):
-            chain = _edge_chain(merging, corr.c1, corr.c2)
+        if corr.c1 not in adjacency or corr.c2 not in adjacency:
+            raise SchemaViolation(
+                f"{corr.verdict} pair {corr.pair} names a concept outside the clustered ids"
+            )
+        if corr.verdict != "Homonym":
+            adjacency[corr.c1].append((corr.c2, corr.verdict))
+            adjacency[corr.c2].append((corr.c1, corr.verdict))
+    part: dict[str, list[str]] = {}  # concept id -> the members of its part
+    groups = []
+    for root in adjacency:  # by id
+        if root in part:
+            continue
+        members = part[root] = [root]
+        for node in members:  # the walk appends what it reaches
+            for neighbor, _ in adjacency[node]:
+                if neighbor not in part:
+                    part[neighbor] = members
+                    members.append(neighbor)
+        groups.append(tuple(sorted(members)))
+    for corr in correspondences:
+        if corr.verdict == "Homonym" and part[corr.c1] is part[corr.c2]:
+            chain = _edge_chain(adjacency, corr.c1, corr.c2)
             path = " ; ".join(f"{a} -[{v}]- {b}" for a, b, v in chain)
             raise HomonymClusterCollision(
                 f"homonym pair ({corr.c1}, {corr.c2}) would land in one cluster "
                 f"via: {path}",
                 chain=chain,
             )
-    groups: dict[str, list[str]] = {}
-    for cid in ids:
-        groups.setdefault(uf.find(cid), []).append(cid)
-    return sorted(tuple(sorted(members)) for members in groups.values())
+    return groups  # sorted: each starts with its part's smallest id
 
 
 def _edge_chain(
-    edges: Sequence[Correspondence], start: str, goal: str
+    adjacency: dict[str, list[tuple[str, str]]], start: str, goal: str
 ) -> list[tuple[str, str, str]]:
-    """Shortest path from start to goal through merge edges, as edge triples."""
-    adjacency: dict[str, list[tuple[str, Correspondence]]] = {}
-    for corr in edges:
-        adjacency.setdefault(corr.c1, []).append((corr.c2, corr))
-        adjacency.setdefault(corr.c2, []).append((corr.c1, corr))
-    previous: dict[str, tuple[str, Correspondence]] = {}
-    frontier = [start]
-    seen = {start}
-    while frontier and goal not in seen:
-        nxt = []
-        for node in frontier:
-            for neighbor, corr in sorted(adjacency.get(node, []), key=lambda t: t[0]):
-                if neighbor in seen:
-                    continue
-                seen.add(neighbor)
-                previous[neighbor] = (node, corr)
-                nxt.append(neighbor)
-        frontier = nxt
-    chain: list[tuple[str, str, str]] = []
-    node = goal
-    while node != start:
-        node_prev, corr = previous[node]
-        chain.append((node_prev, node, corr.verdict))
-        node = node_prev
-    chain.reverse()
-    return chain
+    """Shortest path from start to goal through the merge edges of
+    ``adjacency``, as edge triples.  The walk is breadth first and takes
+    each node's neighbours by id, so of several shortest paths it gives
+    the one it reaches first."""
+    previous = {start: (start, start, "")}  # node -> the edge that reached it
+    queue = [start]
+    for node in queue:
+        for neighbor, verdict in sorted(adjacency[node], key=itemgetter(0)):
+            if neighbor not in previous:
+                previous[neighbor] = (node, neighbor, verdict)
+                queue.append(neighbor)
+    chain = []
+    while goal != start:
+        chain.append(previous[goal])
+        goal = previous[goal][0]
+    return chain[::-1]
 
 
 def merge(
@@ -335,7 +316,6 @@ def merge(
             "or inputs are contradictory"
         )
     display_of = dict(zip(cluster_ids, displays))
-    key_of: dict[str, str] = {}  # member term -> key, filled at the first association
 
     merged = Ontology(MERGED_ID)
     clusters: list[Cluster] = []
@@ -362,13 +342,10 @@ def merge(
             if concept.attributes:
                 attributes = {*attributes, *concept.attributes}
             if concept.associations:
-                key_of = key_of or {c.term: c.key for c in member_concept.values()}
-                targets = (
-                    (f"{owner_id[member]}#{key_of.get(t) or normalize_term(t)}", label)
-                    for t, label in concept.associations
-                )
+                owner = owner_id[member]
                 associations = {*associations, *(
-                    (display_of[cluster_of[target]], label) for target, label in targets
+                    (display_of[cluster_of[f"{owner}#{normalize_term(t)}"]], label)
+                    for t, label in concept.associations
                 )}
         merged.add_concept(
             Concept(
@@ -477,10 +454,7 @@ def integrate(
     deduped = []
     for component in components:
         if component.id in kept:
-            suffix = 2
-            while f"{component.id}~{suffix}" in taken:
-                suffix += 1
-            new_id = f"{component.id}~{suffix}"
+            new_id = first_free(component.id, taken)
             taken.add(new_id)
             warnings.append(f"duplicate component id {component.id!r} renamed to {new_id!r}")
             component = BusinessComponent(new_id, component.name, component.entities,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SchemaViolation
 from .terms import name_sort_key, normalize_term
@@ -667,10 +667,14 @@ def as_fraction(value) -> Fraction:
     Floats go through their decimal string form so that a CLI value such
     as 0.75 means exactly 3/4.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
+
+
+def first_free(base: str, taken: Container[str]) -> str:
+    """``base``, or the first of ``base~2``, ``base~3``, ... not in ``taken``."""
+    candidate, suffix = base, 2
+    while candidate in taken:
+        candidate, suffix = f"{base}~{suffix}", suffix + 1
+    return candidate

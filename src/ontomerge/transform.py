@@ -3,8 +3,9 @@
 Each entity becomes one concept whose id is ``<component id>#<normalized
 entity name>``.  Composition children become concept children (and hence
 part_of edges); declared component relations become semantic relations;
-associations and attributes ride along as concept metadata so the round
-trip is lossless.
+associations and attributes ride along as concept metadata.  The round
+trip respells a composition child or relation endpoint as the name of
+its entity; an association target keeps its spelling.
 """
 
 from __future__ import annotations
@@ -51,17 +52,18 @@ def component_to_ontology(bc: BusinessComponent) -> Ontology:
 def ontology_to_component(ontology: Ontology, name: str) -> BusinessComponent:
     """Rebuild a component from an ontology.
 
-    Inverse of component_to_ontology on its image.  Concept aliases (from
-    merging) surface as ``alias: <term>`` attribute annotations.  Entities
-    are sorted by (key, term), i.e. ``name_sort_key`` of the term.  Raises
-    CyclicComposition when part_of links form a cycle.
+    Inverse of component_to_ontology on its image, up to the respelling
+    that the module docstring states.  Concept aliases (from merging)
+    surface as ``alias: <term>`` attribute annotations.  Entities are in
+    ``BusinessComponent``'s (key, name) order.  Raises CyclicComposition
+    when part_of links form a cycle.
     """
     cycle = ontology.composition_cycle()
     if cycle:
         raise CyclicComposition("part_of cycle: " + " -> ".join(cycle))
     ontology.check_children()
     entities = []
-    for concept in sorted(ontology.concepts.values(), key=lambda c: (c.key, c.term)):
+    for concept in ontology.concepts.values():
         notes = tuple(ALIAS_PREFIX + alias for alias in concept.aliases) if concept.aliases else ()
         entities.append(
             Entity(

@@ -358,16 +358,18 @@ def test_align_report_equals_integrate_report(tmp_path, second, capsys):
     paths = {"cm1": FIXTURES / "cm1.json", "cm2": FIXTURES / f"{second}.json",
              "od": FIXTURES / "od.json"}
     assert main(_integrate_args(paths, tmp_path)) == 0
-    aligned = tmp_path / "aligned.json"
+    aligned, aligned_od = tmp_path / "aligned.json", tmp_path / "aligned_od.json"
     code = main([
         "align",
         "--component", str(paths["cm1"]),
         "--component", str(paths["cm2"]),
         "--ontology", str(paths["od"]),
         "--report", str(aligned),
+        "--out-ontology", str(aligned_od),
     ])
     assert code == 0
     assert aligned.read_bytes() == (tmp_path / "report.json").read_bytes()
+    assert aligned_od.read_bytes() == (tmp_path / "od2.json").read_bytes()
 
 
 def test_align_writes_report_only(tmp_path, scenario_files, capsys):

@@ -1,4 +1,4 @@
-"""Alignment verdicts, union-find clustering, merging, and the full pipeline."""
+"""Alignment verdicts, clustering, merging, and the full pipeline."""
 
 import random
 from fractions import Fraction
@@ -250,6 +250,27 @@ def test_homonym_chain_collision_reports_path():
     chain = excinfo.value.chain
     assert chain  # the offending connecting path is reported
     assert chain[0][0] == "a" and chain[-1][1] == "c"
+
+
+def test_collision_chain_takes_the_smallest_ids_level_by_level():
+    edges = [_edge(a, b, "Synonym") for a, b in (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))]
+    edges.append(_edge("a", "d", "Homonym"))
+    with pytest.raises(HomonymClusterCollision) as excinfo:
+        build_clusters(edges, ["a", "b", "c", "d"])
+    assert excinfo.value.chain == (("a", "b", "Synonym"), ("b", "d", "Synonym"))
+    assert str(excinfo.value) == (
+        "homonym pair (a, d) would land in one cluster via: "
+        "a -[Synonym]- b ; b -[Synonym]- d"
+    )
+
+
+@pytest.mark.parametrize("verdict", ["Identical", "Homonym"])
+def test_pair_outside_the_clustered_ids_is_schema_error(verdict):
+    edges = [_edge("a", "b", "Synonym"), _edge("b", "z", verdict)]
+    with pytest.raises(SchemaViolation, match=(
+        rf"^{verdict} pair \('b', 'z'\) names a concept outside the clustered ids$"
+    )):
+        build_clusters(edges, ["a", "b", "c"])
 
 
 def brute_force_closure(ids, edges):

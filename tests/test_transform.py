@@ -3,7 +3,7 @@
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontomerge import (
@@ -217,6 +217,37 @@ def _naive_ontology(bc: BusinessComponent) -> Ontology:
 @given(respelled_components())
 def test_respelled_references_convert_like_the_naive_builder(component):
     assert component_to_ontology(component) == _naive_ontology(component)
+
+
+def _spelled_as_entities(bc: BusinessComponent) -> BusinessComponent:
+    """``bc`` with each child and relation endpoint spelled as the entity it
+    names; association targets as they are."""
+    name_of = {entity.key: entity.name for entity in bc.entities}
+
+    def name(reference: str) -> str:
+        return name_of[normalize_term(reference)]
+
+    return BusinessComponent(
+        id=bc.id, name=bc.name,
+        entities=tuple(Entity(name=e.name, attributes=e.attributes,
+                              associations=e.associations,
+                              components=tuple(map(name, e.components)))
+                       for e in bc.entities),
+        relations=tuple((name(r.a), name(r.b), r.kind) for r in bc.relations),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(respelled_components())
+@example(BusinessComponent(
+    id="CMx", name="respelled",
+    entities=(Entity(name="Dossier", associations=(("TAUX ", "lien0"),)),
+              Entity(name="Taux", components=("DOSSIER",))),
+    relations=(("DOSSIER", "taux", "synonymy"),),
+))
+def test_round_trip_respells_children_and_endpoints_only(component):
+    back = ontology_to_component(component_to_ontology(component), name=component.name)
+    assert back == _spelled_as_entities(component)
 
 
 # --- cycle walks rooted at composites ---------------------------------------

@@ -198,20 +198,17 @@ def _cmd_eval(args) -> int:
 
     report: Report = model_io.parse_report(args.report)
     truth = evalgen.parse_truth(args.truth)
-    metrics = evalgen.evaluate(report, truth)
-    payload = model_io._dumps(metrics)
-    if args.out:
-        _write_outputs({args.out: [payload]})
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
-    return EXIT_OK
+    return _write_or_print(args.out, model_io._dumps(evalgen.evaluate(report, truth)))
 
 
 def _cmd_export_dot(args) -> int:
-    ontology = model_io.parse_ontology(args.ontology)
-    payload = model_io.export_dot(ontology)
-    if args.out:
-        _write_outputs({args.out: [payload]})
+    return _write_or_print(args.out, model_io.export_dot(model_io.parse_ontology(args.ontology)))
+
+
+def _write_or_print(path: Optional[str], payload: bytes) -> int:
+    """Write ``payload`` to ``path``, or to standard output when it is None."""
+    if path:
+        _write_outputs({path: [payload]})
     else:
         sys.stdout.write(payload.decode("utf-8"))
     return EXIT_OK

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 from .errors import InfeasibleSpec, ScenarioMismatch
@@ -38,9 +38,9 @@ from .model import (
     Relation,
     Report,
     as_fraction,
-    pair_rows,
+    expand_correspondences,
 )
-from .model_io import _check_version, _dumps, _expect, _get, _load_document
+from .model_io import FORMAT_VERSION, _check_version, _dumps, _expect, _get, _load_document
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -85,16 +85,10 @@ class ScenarioSpec:
         unknown = sorted(set(data) - {spec_field.name for spec_field in fields(cls)})
         if unknown:
             raise InfeasibleSpec(f"scenario spec has unknown field {unknown[0]!r}")
-        try:
-            return cls(
-                concept_count=data["concept_count"],
-                synonym_pairs=data["synonym_pairs"],
-                homonym_pairs=data["homonym_pairs"],
-                od_coverage=data.get("od_coverage", 1.0),
-                rng_seed=data.get("rng_seed", 0),
-            )
-        except KeyError as exc:
-            raise InfeasibleSpec(f"scenario spec is missing field {exc}") from exc
+        for spec_field in fields(cls):
+            if spec_field.default is MISSING and spec_field.name not in data:
+                raise InfeasibleSpec(f"scenario spec is missing field {spec_field.name!r}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -255,14 +249,10 @@ def generate_scenario(
 def evaluate(report: Report, truth: GroundTruth) -> dict:
     """Per-class precision/recall/F1 for Synonym and Homonym, plus macro F1.
 
-    Reads every pair of the report through ``pair_rows``, so a sparse
-    report's unlisted pairs count as Distinct.
+    Reads every pair of the report through ``expand_correspondences``, so
+    a sparse report's unlisted pairs count as Distinct.
     """
-    predicted = {
-        (c1, c2): cells[k].verdict if k in cells else "Distinct"
-        for c1, _, partners, cells in pair_rows(report)
-        for k, c2 in enumerate(partners)
-    }
+    predicted = {corr.pair: corr.verdict for corr in expand_correspondences(report)}
     if set(predicted) != set(truth.verdicts):
         missing = sorted(set(truth.verdicts) - set(predicted))[:3]
         extra = sorted(set(predicted) - set(truth.verdicts))[:3]
@@ -291,7 +281,7 @@ def evaluate(report: Report, truth: GroundTruth) -> dict:
 
 def serialize_truth(truth: GroundTruth) -> bytes:
     document = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "pairs": [
             {"c1": c1, "c2": c2, "verdict": verdict}
             for (c1, c2), verdict in sorted(truth.verdicts.items())

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -48,13 +49,16 @@ def align(
 ) -> tuple[list[Correspondence], Ontology, list[EnrichmentRecord]]:
     """Score the cross-source concept pairs that can be other than Distinct.
 
-    Returns only the scored pairs.  For each concept c1 and later source,
-    ``candidates`` picks the concepts that share c1's key or score above
-    0 syntactically and, when the support ontology holds c1's key and
-    theirs, those that ``enrichment.reach`` gives for c1 against the
-    support ontology as enriched so far: a concept whose key it reaches,
-    or a composite of c1's arity with a child whose key it links to a
-    child of c1.  Every other pair is exactly (0, syntactic, Distinct)
+    Returns only the scored pairs.  A row pairs c1 with two sets of
+    concepts of a later source.  The fixed part, found once per source
+    pair by one join, is what no commit can change: the concepts that
+    share c1's key or score above 0 syntactically (equal-key atomic pairs
+    lifted bottom-up to the equal-arity pairs of their parents).  When
+    the support ontology holds c1's key, ``candidates`` adds the concepts
+    whose keys it holds and that ``enrichment.reach`` gives for c1 against
+    the support ontology as enriched so far: a concept whose key it
+    reaches, or a composite of c1's arity with a child whose key it links
+    to a child of c1.  Every other pair is exactly (0, syntactic, Distinct)
     and would not be enriched, so skipping it leaves the scan order of
     the others, and so the enrichment order, unchanged.  The full list
     is the expansion of the returned one over ``pair_space_of(sources)``
@@ -100,63 +104,52 @@ def align(
         for concept in source.concepts.values():
             for child in set(concept.children):
                 parents.setdefault(child, []).append(concept)
-    positive: dict[tuple[str, str], set[str]] = {}  # syntactic partners memo
 
-    def parents_of(child_ids: Iterable[str], arity: int) -> set[str]:
-        return {p.id for cid in child_ids for p in parents.get(cid, ())
-                if len(p.children) == arity}
+    def fixed_partners(source: Ontology, later: Ontology) -> dict[str, set[str]]:
+        """c1 id -> the ids of its row's fixed part in ``later`` (see above)."""
+        partners: dict[str, set[str]] = {}
+        lifted = []
+        for c1 in source.concepts.values():
+            for c2 in later.concepts_by_term(c1.key):
+                partners.setdefault(c1.id, set()).add(c2.id)
+                if c1.is_atomic and c2.is_atomic:
+                    lifted.append((c1.id, c2.id))
+        seen = set(lifted)
+        for x, y in lifted:  # grows as it is read: each pair lifts once
+            for p, q in product(parents.get(x, ()), parents.get(y, ())):
+                if len(p.children) == len(q.children) and (p.id, q.id) not in seen:
+                    seen.add((p.id, q.id))
+                    lifted.append((p.id, q.id))
+                    partners.setdefault(p.id, set()).add(q.id)
+        return partners
 
-    def syntactic_partners(concept: Concept, later: Ontology) -> set[str]:
-        # an atomic's partners are the same-key atomics, a composite's the
-        # equal-arity parents of its children's partners: filled bottom-up
-        stack = [concept] if (concept.id, later.id) not in positive else []
-        while stack:
-            top = stack[-1]
-            pending = [x for x in kids[top.id] if (x.id, later.id) not in positive]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            if top.is_atomic:
-                found = {c.id for c in later.concepts_by_term(top.key) if c.is_atomic}
-            else:
-                child_partners = (y for x in kids[top.id] for y in positive[x.id, later.id])
-                found = parents_of(child_partners, len(top.children))
-            positive[top.id, later.id] = found
-        return positive[concept.id, later.id]
-
-    def candidates(c1: Concept, later: Ontology, known: bool) -> list[Concept]:
-        """The concepts of ``later`` that some rule can pair with c1, by id;
-        ``known`` says whether the support ontology holds c1's key."""
-        reached = set(syntactic_partners(c1, later)) if c1.children else set()
-        if known:
-            keys, linked = reach(c1, enriched_od, ordered, kids)
-            found = {c.id for term in keys for c in later.concepts_by_term(term)}
-            near_ids = (y.id for term in linked for y in later.concepts_by_term(term))
-            found |= parents_of(near_ids, len(c1.children))
-            reached.update(c for c in found if enriched_od.term_present(later.concepts[c].key))
-        same = later.concepts_by_term(c1.key)  # already by id; an atomic's partners are in it
-        if not reached:
-            return same
-        reached.update(c.id for c in same)
-        return [later.concepts[cid] for cid in sorted(reached)]
+    def candidates(c1: Concept, later: Ontology) -> set[str]:
+        """The ids of the part of c1's row in ``later`` that a commit can change."""
+        keys, linked = reach(c1, enriched_od, ordered, kids)
+        found = {c.id for term in keys for c in later.concepts_by_term(term)}
+        found.update(p.id for term in linked for y in later.concepts_by_term(term)
+                     for p in parents.get(y.id, ()) if len(p.children) == len(c1.children))
+        return {c for c in found if enriched_od.term_present(later.concepts[c].key)}
 
     correspondences: list[Correspondence] = []
     memo: dict[tuple[str, str], Fraction] = {}
     for i, source in enumerate(ordered):
         for later in ordered[i + 1:]:
+            fixed = fixed_partners(source, later)
             for cid in sorted(source.concepts):
                 c1 = source.concepts[cid]
                 known = enriched_od.term_present(c1.key)  # enrichment adds no term
-                row = candidates(c1, later, known)[::-1]  # popped from the end, by id
+                partners = fixed.get(cid, ())
+                row = sorted({*partners, *candidates(c1, later)} if known else partners,
+                             reverse=True)  # popped from the end, by id
                 while row:
-                    c2 = row.pop()
+                    c2 = later.concepts[row.pop()]
                     if known:
                         record = enrich(c1, c2, enriched_od, ordered, kids, warnings=sink)
                         if record is not None:  # the commit may reach more of the row
                             records.append(record)
-                            row = [c for c in reversed(candidates(c1, later, known))
-                                   if c.id > c2.id]
+                            row = sorted((c for c in {*partners, *candidates(c1, later)}
+                                          if c > c2.id), reverse=True)
                     score, evidence = semantic_similarity(c1, c2, enriched_od, kids, memo=memo)
                     verdict = _classify(c1, c2, score, evidence.kind, tau)
                     if verdict == "Identical" and c1.key == c2.key:
@@ -270,7 +263,9 @@ def merge(
     cluster prefers member terms that occur in the support ontology
     (smallest normalized term wins); clusters touched by a Homonym
     verdict are instead displayed as "<term> (<source id>)" so
-    same-termed homonyms stay tellable apart.  part_of edges and
+    same-termed homonyms stay tellable apart.  A key's term, for the
+    display and the aliases alike, is that of the member of smallest id,
+    so the order of a part's members changes nothing.  part_of edges and
     association metadata are re-targeted to cluster representatives and
     deduplicated.  Warnings are appended to ``warnings``.  Raises
     HomonymClusterCollision when a Homonym pair shares a cluster.
@@ -324,8 +319,8 @@ def merge(
         if len(concepts) == 1:
             aliases = (concepts[0].term,) if concepts[0].key != key else ()
         else:
-            first_term = {c.key: c.term for c in reversed(concepts)}  # the first member's wins
-            aliases = tuple(raw for k, raw in sorted(first_term.items()) if k != key)
+            term_of = _key_terms(members, member_concept)
+            aliases = tuple(raw for k, raw in sorted(term_of.items()) if k != key)
         children, attributes, associations = (), (), ()  # () for a field no member has
         for member, concept in zip(members, concepts):
             if concept.children and not children:
@@ -386,11 +381,15 @@ def _cluster_display(
     if len(members) == 1:
         concept = member_concept[members[0]]
         return concept.term, concept.key
-    descending = [member_concept[member] for member in sorted(members, reverse=True)]
-    by_term = {concept.key: concept.term for concept in descending}  # smallest id's term wins
-    in_od = [key for key in by_term if od.term_present(key)]
-    chosen = min(in_od or by_term)
-    return by_term[chosen], chosen
+    term_of = _key_terms(members, member_concept)
+    in_od = [key for key in term_of if od.term_present(key)]
+    chosen = min(in_od or term_of)
+    return term_of[chosen], chosen
+
+
+def _key_terms(members: Iterable[str], member_concept: dict[str, Concept]) -> dict[str, str]:
+    """Each key of a part's members -> its term on the member of smallest id."""
+    return {member_concept[m].key: member_concept[m].term for m in sorted(members, reverse=True)}
 
 
 def _disambiguate_displays(
@@ -407,7 +406,7 @@ def _disambiguate_displays(
     whose key is the display's key.  A source holds one concept per key,
     so two clusters sharing a display get different suffixes.  A display
     no member bears (a homonym's "<term> (<source id>)") falls back to
-    the source of the first member.
+    the source of the member of smallest id.
     """
     groups: dict[str, list[int]] = {}
     for index, key in enumerate(keys):
@@ -419,7 +418,7 @@ def _disambiguate_displays(
             members = partition[index]
             owner = min(
                 (owner_id[m] for m in members if member_concept[m].key == key),
-                default=owner_id[members[0]],
+                default=owner_id[min(members)],
             )
             sink.append(
                 f"display term {key!r} used by several clusters; suffixing with "

@@ -35,8 +35,10 @@ rejected.  Concepts accept optional ``attributes``, ``associations`` and
 Report documents mirror the Report type; scores are exact fraction
 strings such as "1", "0" or "1/2".
 
-One function, ``_render``, renders every document; ``report_chunks``
-streams a report one row of correspondences at a time.
+One function, ``_render``, renders every document, each report
+correspondence included: its head and tail are cut from ``_render``'s
+output.  ``report_chunks`` streams a report one top-level member, and
+one row of correspondences, at a time.
 """
 
 from __future__ import annotations
@@ -347,34 +349,22 @@ def serialize_ontology(ontology: Ontology) -> bytes:
 # reports
 
 
-# One correspondence of the report, as ``_dumps`` lays it out at depth 2:
-# a head per c1, then c2, then a tail per (evidence, score, verdict).
-_CORRESPONDENCE_HEAD = '    {{\n      "c1": {},\n      "c2": '
-_CORRESPONDENCE_TAIL = (
-    ",\n"
-    '      "evidence": {},\n'
-    '      "score": {},\n'
-    '      "verdict": {}\n'
-    "    }}"
-)
-
-
-def _correspondence_tail(evidence: Evidence, score: Fraction, verdict: str) -> str:
-    rendered = {
-        "kind": evidence.kind,
-        "relations_used": [r.to_dict() for r in evidence.relations_used],
+def _correspondence_parts(evidence: Evidence, score: Fraction, verdict: str) -> list[str]:
+    """One correspondence as ``_dumps`` lays it out at depth 2, with empty
+    ids, cut at them: the text before c1, between c1 and c2, and after c2.
+    Sorted keys put the ids first, so the first two ``""`` are theirs."""
+    entry = {
+        "c1": "", "c2": "", "score": str(score), "verdict": verdict,
+        "evidence": {"kind": evidence.kind,
+                     "relations_used": [r.to_dict() for r in evidence.relations_used]},
     }
-    return _CORRESPONDENCE_TAIL.format(
-        _render(rendered, "      "),
-        encode_basestring(str(score)),
-        encode_basestring(verdict),
-    )
+    return ("    " + _render(entry, "    ")).split('""', 2)
 
 
 def _correspondence_list(report: Report) -> Iterator[str]:
     """The correspondence entries, one string per row of ``pair_rows``."""
+    head, middle, trivial_tail = _correspondence_parts(SYNTACTIC, Fraction(0), "Distinct")
     tails: dict[tuple[Evidence, int, int, str], str] = {}
-    trivial_tail = _correspondence_tail(SYNTACTIC, Fraction(0), "Distinct")
     # per side of a sparse report: each partner's entry as an unlisted pair
     unlisted: dict[int, list[str]] = {}
     for c1, side, partners, cells in pair_rows(report):
@@ -389,11 +379,11 @@ def _correspondence_list(report: Report) -> Iterator[str]:
             key = (corr.evidence, score.numerator, score.denominator, corr.verdict)
             tail = tails.get(key)
             if tail is None:
-                tail = tails[key] = _correspondence_tail(corr.evidence, score, corr.verdict)
+                tail = tails[key] = _correspondence_parts(corr.evidence, score, corr.verdict)[2]
             entries[k] = encode_basestring(corr.c2) + tail
         if entries:  # none when every later source is empty
-            head = _CORRESPONDENCE_HEAD.format(encode_basestring(c1))
-            yield head + (",\n" + head).join(entries)
+            row_head = head + encode_basestring(c1) + middle
+            yield row_head + (",\n" + row_head).join(entries)
 
 
 def report_chunks(report: Report) -> Iterator[bytes]:
@@ -449,16 +439,17 @@ def serialize_report(report: Report) -> bytes:
     one dict whose correspondence list names every pair, in (c1, c2)
     order: a sparse report (``Report.pair_space`` set) gets its unlisted
     pairs written as (0, syntactic, Distinct) entries, so v1 files list
-    every pair either way.  That list is written from a fixed template,
-    one string per row of ``model.pair_rows``: strings go through the
-    encoder ``json.dumps(ensure_ascii=False)`` uses, an entry's head is
-    rendered once per ``c1`` and its tail once per distinct (evidence,
-    score, verdict).  Each side of a sparse report renders its partners
-    once as unlisted entries; a row reuses that list, or patches a copy of
-    it at the positions it lists.  The other top-level values go through
+    every pair either way.  That list is written one string per row of
+    ``model.pair_rows``, from the parts ``_render`` gives an entry with
+    empty ids: the ids go between them through the encoder
+    ``json.dumps(ensure_ascii=False)`` uses, the head is cut once per
+    report and the tail once per distinct (evidence, score, verdict).
+    Each side of a sparse report renders its partners once as unlisted
+    entries; a row reuses that list, or patches a copy of it at the
+    positions it lists.  The other top-level values go through
     ``_render``.  ``tests/test_model_io.py`` keeps a plain ``json.dumps``
-    rendering as the oracle for these bytes.
-    Raises SchemaViolation where ``pair_rows`` does.
+    rendering as the oracle for these bytes.  Raises SchemaViolation
+    where ``pair_rows`` does.
     """
     return b"".join(report_chunks(report))
 

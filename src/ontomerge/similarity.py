@@ -184,10 +184,7 @@ def semantic_similarity(
     if homonymies:
         return ZERO, Evidence(kind=_evidence_kind(homonymies, "od_homonymy"),
                               relations_used=homonymies)
-    score = _flat_score(c1, c2)
-    if score is None:  # only a composite pair pays for a syntactic call
-        score = syntactic_similarity(c1, c2, kids, memo=memo)
-    return score, SYNTACTIC
+    return syntactic_similarity(c1, c2, kids, memo=memo), SYNTACTIC
 
 
 def _evidence_kind(relations: tuple[Relation, ...], declared_kind: str) -> str:

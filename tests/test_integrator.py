@@ -358,6 +358,39 @@ def test_colliding_displays_are_suffixed_by_a_member_bearing_the_display():
     )
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_aliases_take_the_term_of_the_smallest_id_whatever_the_member_order(order):
+    sources = [
+        Ontology("A", [Concept(id="A#k", term="Kay"), Concept(id="A#d", term="Dee")]),
+        Ontology("B", [Concept(id="B#k", term="KAY")]),
+    ]
+    od = Ontology("Od", [Concept(id="Od#dee", term="dee")])
+    part = ("A#d", "A#k", "B#k")[::order]
+    _, clusters = merge([part], sources, od)
+    assert [(cl.term, cl.aliases) for cl in clusters] == [("Dee", ("Kay",))]
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_suffix_fallback_takes_the_source_of_the_smallest_id_whatever_the_member_order(order):
+    # "Service (A)" is the homonym display of A#service and the term of a
+    # concept of B; the part that no member bearing it names is suffixed
+    # with the source of its smallest id, A, not of its first member
+    sources = [
+        Ontology("A", [Concept(id="A#service", term="Service")]),
+        Ontology("B", [Concept(id="B#service", term="Service"),
+                       Concept(id="B#service (a)", term="Service (A)")]),
+        Ontology("C", [Concept(id="C#prestation", term="Prestation")]),
+    ]
+    partition = [("A#service", "C#prestation")[::order], ("B#service",), ("B#service (a)",)]
+    homonymy = _edge("A#service", "B#service", "Homonym")
+    _, clusters = merge(partition, sources, Ontology("Od"), correspondences=[homonymy])
+    assert {cl.term: tuple(sorted(cl.members)) for cl in clusters} == {
+        "Service (A) (A)": ("A#service", "C#prestation"),
+        "Service (A) (B)": ("B#service (a)",),
+        "Service (B)": ("B#service",),
+    }
+
+
 def _two_one_concept_sources():
     return [
         component_to_ontology(

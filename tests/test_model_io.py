@@ -543,6 +543,14 @@ _SYNTACTIC = Evidence("syntactic")
     Correspondence("a", "c", Fraction(1), "Distinct", _SYNTACTIC),
     Correspondence("a", "d", Fraction(1, 2), "Distinct", _SYNTACTIC),
 ]))
+@example(Report(  # ids that end in a quote or hold an empty JSON string's text
+    correspondences=[
+        Correspondence('""', 'a"', Fraction(1), "Synonym", Evidence(
+            "od_synonymy", (Relation('x""', '"', "synonymy"),))),
+        Correspondence('""', 'b""c', Fraction(1, 2), "Distinct", _SYNTACTIC),
+    ],
+    warnings=[""],
+))
 def test_report_writer_matches_dumps_oracle(report):
     payload = serialize_report(report)
     assert payload == _dumps_report_oracle(report)
@@ -606,6 +614,12 @@ def _listed(*pairs):
 @example(Report(  # "CM#a" lists only its first and its last partner
     correspondences=_listed(("CM#a", "CM 2#c"), ("CM#a", "CM 2#a")),
     pair_space=(("CM#a",), ("CM 2#a", "CM 2#b", "CM 2#c")),
+))
+@example(Report(  # ids that end in a quote or hold an empty JSON string's text
+    correspondences=[Correspondence('CM#""', 'CM 2#a"', Fraction(0), "Homonym", Evidence(
+        "enriched", (Relation('""', 'a"', "homonymy", "inferred_case2"),)))],
+    warnings=[""],
+    pair_space=(('CM#""', 'CM#x"'), ('CM 2#""', 'CM 2#a"')),
 ))
 def test_sparse_report_writer_matches_dumps_oracle(report):
     payload = serialize_report(report)

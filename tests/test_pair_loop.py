@@ -306,10 +306,31 @@ def _mid_row_injection_inputs():
     return [left, right], od, Fraction(1)
 
 
+def _two_levels_up_inputs():
+    """A composite pair that scores above 0 only through a grandchild pair.
+
+    The shared atomic "a" makes (mid, middle) score 1/2 and so
+    (top, summit) 1/4; no other pair of these two sides shares a key, so a
+    join that lifts equal-key pairs only one level misses the top pair.
+    """
+    left = Ontology("L", [
+        Concept(id="L#a", term="a"), Concept(id="L#b", term="b"), Concept(id="L#c", term="c"),
+        Concept(id="L#mid", term="mid", children=("L#a", "L#b")),
+        Concept(id="L#top", term="top", children=("L#mid", "L#c")),
+    ])
+    right = Ontology("R", [
+        Concept(id="R#a", term="a"), Concept(id="R#z", term="z"), Concept(id="R#d", term="d"),
+        Concept(id="R#middle", term="middle", children=("R#a", "R#z")),
+        Concept(id="R#summit", term="summit", children=("R#middle", "R#d")),
+    ])
+    return [left, right], Ontology("Od"), Fraction(1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(alignment_inputs())
 @example(_tied_children_inputs())
 @example(_mid_row_injection_inputs())
+@example(_two_levels_up_inputs())
 def test_align_matches_naive_per_pair_path(inputs):
     sources, od, tau = inputs
     fast_warnings, naive_warnings = [], []
@@ -337,6 +358,24 @@ def test_an_injection_mid_row_scores_later_concepts_of_its_key():
     assert found[("L#p", "R#q")] == ("Synonym", "enriched")
     assert found[("L#p", "R#r")] == ("Synonym", "enriched")
     assert [record.pair for record in records] == [("L#p", "R#q")]
+
+
+def test_a_same_key_atomic_and_composite_pair_lifts_no_parents():
+    # L#a and R#a share a key, but an atomic scores 0 against a composite,
+    # so the equal-arity parents (L#p, R#q) score 0 and are not listed
+    left = Ontology("L", [
+        Concept(id="L#a", term="a"), Concept(id="L#b", term="b"),
+        Concept(id="L#p", term="P", children=("L#a", "L#b")),
+    ])
+    right = Ontology("R", [
+        Concept(id="R#z", term="z"), Concept(id="R#a", term="a", children=("R#z",)),
+        Concept(id="R#c", term="c"),
+        Concept(id="R#q", term="Q", children=("R#a", "R#c")),
+    ])
+    correspondences, _, _ = align([left, right], Ontology("Od"))
+    assert [(c.pair, c.score, c.verdict) for c in correspondences] == [
+        (("L#a", "R#a"), 0, "Distinct"),
+    ]
 
 
 def _keys(ontology):

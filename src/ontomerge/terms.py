@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 import unicodedata
 
 from .errors import EmptyTerm
@@ -14,8 +13,10 @@ def normalize_term(raw: str) -> str:
     NFC-normalizes, case-folds, trims, and collapses internal whitespace
     runs to single spaces.  Accents are preserved ("Préstation" stays
     distinct from "Prestation").  Idempotent: applying it twice gives the
-    same string.  The result is interned, so the keys that concepts and
-    entities keep share one string per distinct term.
+    same string.  A term already in canonical form is returned itself, so
+    a concept's or entity's key shares the string of its term.  Keys are
+    not interned: CPython's interned-string table would gain and lose a
+    run's keys each time, and rebuild itself every few dozen runs.
 
     Raises EmptyTerm when the input is empty or whitespace-only.
     """
@@ -24,7 +25,7 @@ def normalize_term(raw: str) -> str:
     value = " ".join(folded.split())
     if not value:
         raise EmptyTerm(f"term is empty after normalization: {raw!r}")
-    return sys.intern(value)
+    return raw if value == raw else value
 
 
 def name_sort_key(raw: str) -> tuple[str, str]:

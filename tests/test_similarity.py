@@ -67,6 +67,12 @@ def test_normalization_is_idempotent(raw):
     assert normalize_term(once) == once
 
 
+def test_canonical_term_is_its_own_key():
+    raw = "".join(["note d'", "honoraires"])  # built at run time: not a constant
+    assert normalize_term(raw) is raw
+    assert normalize_term(raw.title()) == raw
+
+
 # ---------------------------------------------------------------------------
 # syntactic measure
 

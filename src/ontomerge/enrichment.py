@@ -16,9 +16,14 @@ are tried in order.  Each only looks for evidence and returns it:
   ``similarity.children_index``); the pair is inferred synonymous.
 
 ``reach`` reads the lookup and the three cases forwards, beside their
-checks.  ``enrich`` alone decides whether a pair may be enriched (both
-terms in the support ontology, joined there by no relation) and alone
-commits: it resolves the endpoints once and builds the
+checks.  Both read one ``RunMaps`` per ``align`` run (each term's
+equivalence partners, bridge ends and case-3 cells, each concept's
+reach), whose entries a commit drops only where it changes them, so a
+term with D equivalence partners costs O(D) per run, not per concept.
+Case 3 asks ``perfect_assignment`` whether its 0/1 child matrix has a
+perfect matching.  ``enrich`` alone decides whether a pair may be
+enriched (both terms in the support ontology, joined there by no
+relation) and alone commits: it resolves the endpoints once and builds the
 ``EnrichmentRecord``.  Enrichment only ever adds relations, never
 modifies or removes one; as a related pair is never tried, no pair
 comes to carry both synonymy and homonymy.
@@ -26,13 +31,16 @@ comes to carry both synonymy and homonymy.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .matching import max_weight_assignment
+from .matching import perfect_assignment
 from .model import Concept, EnrichmentRecord, Ontology, Relation, first_free
 from .similarity import ChildrenIndex, lookup_relations
 
 _CELL_KINDS = ("synonymy", "equivalence")  # what relates two case-3 children
+_BRIDGE_KINDS = ("synonymy", "homonymy")  # what bridges two case-2 equivalents
 
 
 def resolve_endpoints(od: Ontology, t1: str, t2: str) -> tuple[str, str, list[str]]:
@@ -62,20 +70,20 @@ def resolve_endpoints(od: Ontology, t1: str, t2: str) -> tuple[str, str, list[st
     return a, b, notes
 
 
-def _equivalence_partners(
-    term: str, sources: list[Ontology]
-) -> list[tuple[str, Relation]]:
-    """(partner term, equivalence relation) pairs touching ``term``, sorted.
-
-    Read from each source's ``related_terms``, keeping equivalences.
-    """
-    return sorted(
-        (partner, relation)
-        for source in sources
-        for partner, relations in source.related_terms(term).items()
-        for relation in relations
-        if relation.kind == "equivalence"
-    )
+def _equivalence_partners(sources: Sequence[Ontology]) -> dict[str, list[tuple[str, Relation]]]:
+    """Term -> its (partner term, equivalence relation) pairs in the
+    sources, sorted; a term with none is left out."""
+    partners: dict[str, list[tuple[str, Relation]]] = {}
+    for source in sources:
+        for relation in source.semantic_relations():
+            if relation.kind == "equivalence":
+                ta, tb = source.concepts[relation.a].key, source.concepts[relation.b].key
+                partners.setdefault(ta, []).append((tb, relation))
+                if ta != tb:
+                    partners.setdefault(tb, []).append((ta, relation))
+    for found in partners.values():
+        found.sort()
+    return partners
 
 
 def first_relations(
@@ -93,33 +101,110 @@ def first_relations(
     return first
 
 
-def _equivalence_paths(
-    t1: str, sources: list[Ontology], od: Ontology
-) -> Iterator[tuple[str, tuple[Relation, Relation, Relation]]]:
-    """Case 2's paths eq(t1, s1), bridge(s1, s2), eq(s2, end) from t1, as
-    (end, evidence), sorted by s1, s2, end; each side needs its own
-    equivalence, and the bridge is the first synonymy or homonymy."""
-    for s1, rel1 in _equivalence_partners(t1, sources):
-        bridges = first_relations([od, *sources], s1, ("synonymy", "homonymy"))
-        for s2 in sorted(bridges):
-            for end, rel2 in _equivalence_partners(s2, sources):
-                if rel2 != rel1:
-                    yield end, (rel1, rel2, bridges[s2])
+class _Lazy(dict):
+    """A dict that builds a missing entry with ``build(key)`` and keeps it."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class RunMaps:
+    """What the cases and ``reach`` read in one ``align`` run.
+
+    ``partners`` (term -> equivalence partners), ``parents`` (child id ->
+    arity -> parent ids) and ``atoms`` (concept id -> atomic child keys,
+    filled by ``syntactic_similarity``) read only the sources, which no
+    commit writes.  The rest is filled on first use from the support
+    ontology as enriched so far: ``bridges`` (s1 -> (s2, first synonymy
+    or homonymy) for each s2 with a partner, by s2), ``cells`` (case 3's
+    term -> related term -> first synonymy or equivalence) and each
+    concept's reach.  ``forget`` drops what a commit between two terms
+    changes: their bridges and cells, and the reach of each concept whose
+    key, key's partner or child key is one of them.  A direct call of
+    ``reach``, ``enrich`` or a case check without one builds its own.
+    """
+
+    def __init__(self, od: Ontology, sources: Sequence[Ontology], kids: ChildrenIndex):
+        # the builders close over locals, not ``self``: a cycle would keep
+        # the maps alive after ``align`` returns, until the collector runs
+        self.ontologies = ontologies = [od, *sources]
+        self.sources, self.kids = sources, kids
+        self.atoms: dict[str, Counter[str]] = {}
+        self._partners = partners = _equivalence_partners(sources)
+        self.cells = _Lazy(lambda term: first_relations(ontologies, term, _CELL_KINDS))
+        self.bridges = _Lazy(lambda s1: sorted(
+            (s2, bridge) for s2, bridge in first_relations(ontologies, s1, _BRIDGE_KINDS).items()
+            if s2 in partners))
+        self._reach: dict[str, tuple[set[str], set[str]]] = {}
+        # term -> the ids of the concepts whose reach read it
+        self._readers: defaultdict[str, set[str]] = defaultdict(set)
+
+    @cached_property
+    def parents(self) -> dict[str, dict[int, list[str]]]:
+        found: dict[str, dict[int, list[str]]] = {}
+        for source in self.sources:
+            for concept in source.concepts.values():
+                arity = len(concept.children)
+                for child in set(concept.children):
+                    found.setdefault(child, {}).setdefault(arity, []).append(concept.id)
+        return found
+
+    def partners(self, term: str) -> Sequence[tuple[str, Relation]]:
+        return self._partners.get(term, ())
+
+    def paths(self, t1: str) -> Iterator[tuple[str, tuple[Relation, Relation, Relation]]]:
+        """Case 2's paths eq(t1, s1), bridge(s1, s2), eq(s2, end) from t1, as
+        (end, evidence), sorted by s1, s2, end; each side needs its own
+        equivalence, and the bridge is the first synonymy or homonymy."""
+        for s1, rel1 in self.partners(t1):
+            for s2, bridge in self.bridges[s1]:
+                for end, rel2 in self.partners(s2):
+                    if rel2 != rel1:
+                        yield end, (rel1, rel2, bridge)
+
+    def reach(self, c1: Concept) -> tuple[set[str], set[str]]:
+        """``enrichment.reach`` of c1, kept until a commit drops it."""
+        found = self._reach.get(c1.id)
+        if found is None:
+            children = [x.key for x in self.kids[c1.id]]
+            partners = [s1 for s1, _ in self.partners(c1.key)]
+            keys = {term for o in self.ontologies for term in o.related_terms(c1.key)}
+            if partners:
+                keys.update(end for end, _ in self.paths(c1.key))
+            linked = {key for x in children for key in (x, *self.cells[x])}
+            found = self._reach[c1.id] = keys, linked
+            for term in (c1.key, *partners, *children):
+                self._readers[term].add(c1.id)
+        return found
+
+    def forget(self, *terms: str) -> None:
+        """Drop the entries that a commit between ``terms`` changes."""
+        for term in terms:
+            self.bridges.pop(term, None)
+            self.cells.pop(term, None)
+            for cid in self._readers.get(term, ()):
+                self._reach.pop(cid, None)
 
 
 def infer_via_equivalents(
-    t1: str, t2: str, sources: list[Ontology], od: Ontology
+    t1: str, t2: str, sources: list[Ontology], od: Ontology, *, maps: Optional[RunMaps] = None
 ) -> Optional[tuple[str, tuple[Relation, ...]]]:
     """Case 2: the kind of a bridge between declared equivalents, with evidence.
 
-    The first path of ``_equivalence_paths`` from t1 that ends at t2
-    wins; t1's paths are walked only when t2 has an equivalence partner.
-    Returns the bridge's kind, which is what gets injected, and the
-    evidence (equivalence of t1, equivalence of t2, bridge).
+    The first of ``RunMaps.paths`` from t1 that ends at t2 wins; t1's
+    paths are walked only when t2 has an equivalence partner.  Returns
+    the bridge's kind, which is what gets injected, and the evidence
+    (equivalence of t1, equivalence of t2, bridge).
     """
-    if not _equivalence_partners(t2, sources):
+    maps = maps or RunMaps(od, sources, {})
+    if not maps.partners(t2):
         return None  # no path ends at t2
-    for end, evidence in _equivalence_paths(t1, sources, od):
+    for end, evidence in maps.paths(t1):
         if end == t2:
             return evidence[2].kind, evidence
     return None
@@ -131,57 +216,58 @@ def infer_via_children(
     sources: list[Ontology],
     od: Ontology,
     kids: ChildrenIndex,
+    *,
+    maps: Optional[RunMaps] = None,
 ) -> Optional[tuple[Relation, ...]]:
     """Case 3: composites whose children pair up through known relations.
 
     Children relate when their normalized terms are equal or a synonymy /
     equivalence relation between the terms exists in the support ontology
     or any source (the first in ``first_relations``, support ontology
-    first, read once per left child).  A perfect injective matching over
-    all n children is required: a child that relates to no child of the
-    other side rules it out at once, else
-    ``max_weight_assignment`` finds one in O(n^3) at any arity; among
-    several perfect matchings its tie rule picks the one whose relations
-    are returned as the evidence (empty when every matched pair shares a
-    term).  Only distinct parent terms are inferred (a shared term is
-    already decided syntactically, and a self-synonymy would break
-    pipeline idempotence); the inferred kind is always synonymy.
-    ``kids`` is the ``children_index`` of the sources.
+    first, read once per child term and run from ``RunMaps.cells``).  A
+    perfect injective matching over all n children is required, and
+    ``perfect_assignment`` finds one by augmenting paths in O(n * cells);
+    among several perfect matchings it picks the one
+    ``max_weight_assignment`` would, whose relations are returned as the
+    evidence (empty when every matched pair shares a term).  Only
+    distinct parent terms are inferred (a shared term is already decided
+    syntactically, and a self-synonymy would break pipeline idempotence);
+    the inferred kind is always synonymy.  ``kids`` is the
+    ``children_index`` of the sources.
     """
     if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
         return None
     if c1.key == c2.key:
         return None
-    left, right = kids[c1.id], kids[c2.id]
-    related = (first_relations([od, *sources], x.key, _CELL_KINDS) for x in left)
-    support = [[None if x.key == y.key else terms.get(y.key) for y in right]  # equal: no relation
-               for x, terms in zip(left, related)]
-    weights = [[int(x.key == y.key or relation is not None) for y, relation in zip(right, row)]
-               for x, row in zip(left, support)]
-    if not all(map(any, weights)) or not all(map(any, zip(*weights))):
-        return None  # some child relates to no child of the other side
-    total, assignment = max_weight_assignment(weights)
-    if total != len(left):
+    maps = maps or RunMaps(od, sources, kids)
+    support = [[True if x.key == y.key else maps.cells[x.key].get(y.key)  # True: equal terms
+                for y in kids[c2.id]] for x in kids[c1.id]]
+    assignment = perfect_assignment(support)
+    if assignment is None:
         return None
     return tuple(
-        support[i][j] for i, j in enumerate(assignment) if support[i][j] is not None
+        support[i][j] for i, j in enumerate(assignment) if support[i][j] is not True
     )
 
 
 def reach(
-    c1: Concept, od: Ontology, sources: list[Ontology], kids: ChildrenIndex
+    c1: Concept,
+    od: Ontology,
+    sources: list[Ontology],
+    kids: ChildrenIndex,
+    *,
+    maps: Optional[RunMaps] = None,
 ) -> tuple[set[str], set[str]]:
     """The lookup and the three cases read forwards from c1: the keys that
     a relation in ``od`` or a source, or a case-2 path, joins to c1's key,
     and the child keys a case-3 partner (a composite of c1's arity) must
     hold one of: c1's child keys and those its case-3 cells relate them to.
+
+    Read from ``maps`` (``align``'s ``RunMaps``), which computes it once
+    per concept until a commit touches one of the terms it read; do not
+    modify the sets.
     """
-    ontologies = [od, *sources]
-    keys = {term for ontology in ontologies for term in ontology.related_terms(c1.key)}
-    keys.update(end for end, _ in _equivalence_paths(c1.key, sources, od))
-    linked = {key for x in kids[c1.id] for key in
-              (x.key, *first_relations(ontologies, x.key, _CELL_KINDS))}
-    return keys, linked
+    return (maps or RunMaps(od, sources, kids)).reach(c1)
 
 
 def enrich(
@@ -191,6 +277,8 @@ def enrich(
     sources: list[Ontology],
     kids: ChildrenIndex,
     warnings: Optional[list[str]] = None,
+    *,
+    maps: Optional[RunMaps] = None,
 ) -> Optional[EnrichmentRecord]:
     """Try case 1, then 2, then 3; commit at most one relation to ``od``.
 
@@ -203,18 +291,20 @@ def enrich(
     second endpoint of a same-term pair, when it needed one) and lookups
     for the pair are nonempty afterwards.  On failure ``od`` is
     untouched.  ``kids`` is the ``children_index`` of the sources, read
-    by case 3.
+    by case 3.  ``maps``, a ``RunMaps`` over ``od`` and ``sources``, is
+    what the cases read; a commit drops the entries it changes.
     """
     t1, t2 = c1.key, c2.key
     if not (od.term_present(t1) and od.term_present(t2)) or lookup_relations(od, t1, t2):
         return None
+    maps = maps or RunMaps(od, sources, kids)
     direct = next((r for source in sources for r in lookup_relations(source, t1, t2)), None)
     if direct is not None:
         case, kind, evidence = "inferred_case1", direct.kind, (direct,)
-    elif (bridged := infer_via_equivalents(t1, t2, sources, od)) is not None:
+    elif (bridged := infer_via_equivalents(t1, t2, sources, od, maps=maps)) is not None:
         case = "inferred_case2"
         kind, evidence = bridged
-    elif (matched := infer_via_children(c1, c2, sources, od, kids)) is not None:
+    elif (matched := infer_via_children(c1, c2, sources, od, kids, maps=maps)) is not None:
         case, kind, evidence = "inferred_case3", "synonymy", matched
     else:
         return None
@@ -230,4 +320,5 @@ def enrich(
     if warnings is not None:
         warnings.extend(notes)
     od.add_relation(record.injected)
+    maps.forget(t1, t2)
     return record

@@ -17,7 +17,7 @@ from itertools import product
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .enrichment import enrich, reach
+from .enrichment import RunMaps, enrich
 from .errors import HomonymClusterCollision, SchemaViolation
 from .model import (
     BusinessComponent,
@@ -70,9 +70,13 @@ def align(
     pair of a row whose key the support ontology holds, and itself
     declines a pair it may not enrich; ``semantic_similarity`` then only
     reads.  A commit adds no term to the support ontology, so after it
-    the rest of the row is read again through ``candidates``.  The given
-    support ontology is copied; enrichment commits land on the copy,
-    which is returned with the records.  Verdicts:
+    the rest of the row is read again through ``candidates``.  ``reach``,
+    ``enrich`` and the case checks read one ``enrichment.RunMaps``,
+    built here and dropped on return: each concept's reach is computed
+    once and again only after a commit touches a term it read, so a
+    concept costs one ``reach`` per run, not one per later source.  The
+    given support ontology is copied; enrichment commits land on the
+    copy, which is returned with the records.  Verdicts:
 
     * score 1 via a support-ontology or enriched synonymy -> Synonym;
     * score 0 via homonymy with equal terms -> Homonym (unequal terms are
@@ -82,8 +86,8 @@ def align(
       cannot be excluded);
     * anything else -> Distinct.
 
-    Concept ids must be unique across sources: the indexes and memos
-    built once per run are keyed by them.
+    Concept ids must be unique across sources: the indexes, maps and
+    memos built once per run are keyed by them.
     """
     tau = as_fraction(tau)
     if not 0 < tau <= 1:
@@ -99,11 +103,8 @@ def align(
     kids = children_index(ordered)
     enriched_od = od.copy()
     records: list[EnrichmentRecord] = []
-    parents: dict[str, list[Concept]] = {}  # child id -> its parents
-    for source in ordered:
-        for concept in source.concepts.values():
-            for child in set(concept.children):
-                parents.setdefault(child, []).append(concept)
+    maps = RunMaps(enriched_od, ordered, kids)
+    parents = maps.parents  # child id -> arity -> parent ids
 
     def fixed_partners(source: Ontology, later: Ontology) -> dict[str, set[str]]:
         """c1 id -> the ids of its row's fixed part in ``later`` (see above)."""
@@ -116,19 +117,22 @@ def align(
                     lifted.append((c1.id, c2.id))
         seen = set(lifted)
         for x, y in lifted:  # grows as it is read: each pair lifts once
-            for p, q in product(parents.get(x, ()), parents.get(y, ())):
-                if len(p.children) == len(q.children) and (p.id, q.id) not in seen:
-                    seen.add((p.id, q.id))
-                    lifted.append((p.id, q.id))
-                    partners.setdefault(p.id, set()).add(q.id)
+            above = parents.get(y, {})
+            for arity, ps in parents.get(x, {}).items():
+                for p, q in product(ps, above.get(arity, ())):
+                    if (p, q) not in seen:
+                        seen.add((p, q))
+                        lifted.append((p, q))
+                        partners.setdefault(p, set()).add(q)
         return partners
 
     def candidates(c1: Concept, later: Ontology) -> set[str]:
         """The ids of the part of c1's row in ``later`` that a commit can change."""
-        keys, linked = reach(c1, enriched_od, ordered, kids)
+        keys, linked = maps.reach(c1)
         found = {c.id for term in keys for c in later.concepts_by_term(term)}
-        found.update(p.id for term in linked for y in later.concepts_by_term(term)
-                     for p in parents.get(y.id, ()) if len(p.children) == len(c1.children))
+        arity = len(c1.children)
+        found.update(p for term in linked for y in later.concepts_by_term(term)
+                     for p in parents.get(y.id, {}).get(arity, ()))
         return {c for c in found if enriched_od.term_present(later.concepts[c].key)}
 
     correspondences: list[Correspondence] = []
@@ -145,12 +149,14 @@ def align(
                 while row:
                     c2 = later.concepts[row.pop()]
                     if known:
-                        record = enrich(c1, c2, enriched_od, ordered, kids, warnings=sink)
+                        record = enrich(c1, c2, enriched_od, ordered, kids, warnings=sink,
+                                        maps=maps)
                         if record is not None:  # the commit may reach more of the row
                             records.append(record)
                             row = sorted((c for c in {*partners, *candidates(c1, later)}
                                           if c > c2.id), reverse=True)
-                    score, evidence = semantic_similarity(c1, c2, enriched_od, kids, memo=memo)
+                    score, evidence = semantic_similarity(c1, c2, enriched_od, kids, memo=memo,
+                                                          atoms=maps.atoms)
                     verdict = _classify(c1, c2, score, evidence.kind, tau)
                     if verdict == "Identical" and c1.key == c2.key:
                         sink.append(

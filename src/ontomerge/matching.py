@@ -1,20 +1,26 @@
-"""Exact maximum-weight assignment between two equal-size concept lists.
+"""Assignments between two equal-size concept lists.
 
-Kuhn-Munkres (Hungarian method with row and column potentials, O(n^3))
-on integers.  Each weight is scaled by ``lcm(denominators) * n**n`` and
-cell (r, c) gains ``c * n**r``.  The added terms sum to less than one
-scaled unit, so they only order the optimal assignments, and the one
-returned is the lexicographically largest read from the last row
-backwards: the largest column the last row takes in any optimal
-assignment, then the largest left for the row before it, and so on.
-The total is summed from the original cells, so it stays exact.
+``max_weight_assignment`` is exact Kuhn-Munkres (Hungarian method with
+row and column potentials, O(n^3)) on integers.  Each weight is scaled
+by ``lcm(denominators) * n**n`` and cell (r, c) gains ``c * n**r``.  The
+added terms sum to less than one scaled unit, so they only order the
+optimal assignments, and the one returned is the lexicographically
+largest read from the last row backwards: the largest column the last
+row takes in any optimal assignment, then the largest left for the row
+before it, and so on.  The total is summed from the original cells, so
+it stays exact.
+
+``perfect_assignment`` answers the 0/1 question of case 3, whether the
+nonzero cells hold a perfect matching, by augmenting paths, one per row
+(the plain form of Hopcroft & Karp, SIAM J. Comput. 1973), in
+O(n * cells), and keeps the same tie rule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 def max_weight_assignment(
@@ -77,3 +83,55 @@ def max_weight_assignment(
         assignment[owner[j] - 1] = j - 1
     total = sum((weights[r][c] for r, c in enumerate(assignment)), Fraction(0))
     return total, tuple(assignment)
+
+
+def perfect_assignment(weights: Sequence[Sequence[object]]) -> Optional[tuple[int, ...]]:
+    """The assignment ``max_weight_assignment`` picks for a 0/1 matrix when
+    its nonzero cells hold a perfect matching, else None.  Cells are read
+    as truth values.
+
+    Rows are matched first to last, each along an alternating path to a
+    free column.  Then each row, from the last one back, lets go of its
+    column and takes the largest column from which an alternating path
+    through the rows before it leads back there.
+    """
+    n = len(weights)
+    if any(len(row) != n for row in weights):
+        raise ValueError("weight matrix must be square")
+    cols = [[c for c, w in enumerate(row) if w] for row in weights]
+    rows: list[list[int]] = [[] for _ in range(n)]  # column -> rows with a 1 there
+    for r, row in enumerate(cols):
+        for c in row:
+            rows[c].append(r)
+    match = [-1] * n  # row -> column
+    owner = [-1] * n  # column -> row
+    if not all(cols) or not all(rows):
+        return None
+
+    def reroute(r: int, free: list[int]) -> bool:
+        """Match row r to its largest column that leads to a free one; only
+        the rows before it may move."""
+        via = dict.fromkeys(free, -1)  # column -> where its owner moves to
+        best = cols[r][-1]
+        for x in free:  # grows as it is read; stops once the best column is reached
+            if best in via:
+                break
+            for y in rows[x]:
+                if y < r and match[y] not in via:
+                    via[match[y]] = x
+                    free.append(match[y])
+        col = best if best in via else max((c for c in cols[r] if c in via), default=-1)
+        if col == -1:
+            return False
+        while col != -1:  # r takes col, and each row it displaces moves on
+            match[r], owner[col], r, col = col, r, owner[col], via[col]
+        return True
+
+    for r in range(n):
+        if not reroute(r, [c for c in range(n) if owner[c] == -1]):
+            return None
+    for r in reversed(range(n)):
+        free = match[r]
+        owner[free] = match[r] = -1
+        reroute(r, [free])
+    return tuple(match)

@@ -70,6 +70,7 @@ def syntactic_similarity(
     kids: ChildrenIndex,
     *,
     memo: Optional[dict[tuple[str, str], Fraction]] = None,
+    atoms: Optional[dict[str, Counter[str]]] = None,
 ) -> Fraction:
     """Term-equality score, averaged bottom-up over the best child pairing.
 
@@ -89,13 +90,17 @@ def syntactic_similarity(
     composition depth meets the recursion limit, and each composite pair
     is scored once per ``memo``: a dict keyed by (id of c1's side, id of
     c2's side).  ``align`` keeps one memo per run; the scores read only
-    the component ontologies, which enrichment never writes.
+    the component ontologies, which enrichment never writes.  So does
+    ``atoms``: concept id -> the keys of its atomic children, counted once
+    per concept.
     """
     score = _flat_score(c1, c2)
     if score is not None:
         return score
     if memo is None:
         memo = {}
+    if atoms is None:
+        atoms = {}
     stack = [(c1, c2)]
     while stack:
         a, b = stack[-1]
@@ -121,8 +126,10 @@ def syntactic_similarity(
             stack.extend(pending)  # score the child pairs first
             continue
         stack.pop()
-        atoms = Counter(x.key for x in left if not x.children)
-        total = (atoms & Counter(y.key for y in right if not y.children)).total()
+        for concept, children in ((a, left), (b, right)):
+            if concept.id not in atoms:
+                atoms[concept.id] = Counter(x.key for x in children if not x.children)
+        total = (atoms[a.id] & atoms[b.id]).total()
         if rows and cols:
             size = max(len(rows), len(cols))
             square = [row + [ZERO] * (size - len(cols)) for row in weights]
@@ -161,6 +168,7 @@ def semantic_similarity(
     kids: ChildrenIndex,
     *,
     memo: Optional[dict[tuple[str, str], Fraction]] = None,
+    atoms: Optional[dict[str, Counter[str]]] = None,
 ) -> tuple[Fraction, Evidence]:
     """Support-ontology-driven score with syntactic fallback; only reads.
 
@@ -172,8 +180,8 @@ def semantic_similarity(
     3. otherwise (no relation, or equivalence only) -> syntactic score.
 
     Evidence kind is "enriched" when any decisive relation was inferred
-    rather than declared.  Symmetric in (c1, c2).  ``kids`` and ``memo``
-    are passed on to ``syntactic_similarity``.
+    rather than declared.  Symmetric in (c1, c2).  ``kids``, ``memo`` and
+    ``atoms`` are passed on to ``syntactic_similarity``.
     """
     relations = lookup_relations(od, c1.key, c2.key)
     synonymies = tuple(r for r in relations if r.kind == "synonymy")
@@ -184,7 +192,7 @@ def semantic_similarity(
     if homonymies:
         return ZERO, Evidence(kind=_evidence_kind(homonymies, "od_homonymy"),
                               relations_used=homonymies)
-    return syntactic_similarity(c1, c2, kids, memo=memo), SYNTACTIC
+    return syntactic_similarity(c1, c2, kids, memo=memo, atoms=atoms), SYNTACTIC
 
 
 def _evidence_kind(relations: tuple[Relation, ...], declared_kind: str) -> str:

@@ -18,6 +18,7 @@ from ontomerge import (
     Ontology,
     Relation,
     model_io,
+    normalize_term,
 )
 
 
@@ -206,3 +207,58 @@ def make_composite_inputs() -> tuple[list[BusinessComponent], Ontology]:
     terms += [f"{prefix}{arity}" for arity in range(2, 13, 2) for prefix in ("Dossier", "Fichier")]
     od = Ontology("Od", concepts=[Concept(id=f"Od#{term.lower()}", term=term) for term in terms])
     return components, od
+
+
+# Right-hand child terms of ``make_wide_tied_inputs``, one per VOCABULARY term.
+RIGHT_VOCABULARY = (
+    "Titulaire", "Domicile", "Echéance", "Somme", "Usager", "Bureau",
+    "Livret", "Monnaie", "Etat", "Référence", "Intitulé", "Pourcentage",
+)
+
+# Row i, column j: the i-th VOCABULARY and the j-th RIGHT_VOCABULARY term,
+# each in sorted order, are related.  Blocks of 2, 3, 2 and 5 terms on the
+# diagonal have 2, 2, 2 and 4 perfect pairings.
+WIDE_TIES = (
+    "110000000000",
+    "110000000000",
+    "001100000000",
+    "000110000000",
+    "001010000000",
+    "000001100000",
+    "000001100000",
+    "000000001001",
+    "000000011110",
+    "000000010111",
+    "000000000001",
+    "000000011101",
+)
+
+
+def make_wide_tied_inputs() -> tuple[list[BusinessComponent], Ontology]:
+    """Two 12-child composites whose children pair up in 32 ways.
+
+    "Dossier" in CL holds the twelve ``VOCABULARY`` terms and "Registre"
+    in CR the twelve ``RIGHT_VOCABULARY`` terms.  The support ontology
+    relates them as ``WIDE_TIES`` says, alternating synonymy and
+    equivalence, so each pairing cites different relations; in the
+    block of 5, matching rows first to last, or by plain augmenting
+    paths with columns in either order, picks another pairing than the
+    tie rule.  The support ontology knows both parent terms and relates
+    them by nothing, so case 3 injects their synonymy with the evidence
+    of the one pairing its tie rule picks.
+    """
+    def component(cid, name, words):
+        entities = [Entity(name=word) for word in words]
+        entities.append(Entity(name=name, components=words))
+        return BusinessComponent(id=cid, name=cid.lower(), entities=tuple(entities))
+
+    words = [*VOCABULARY, *RIGHT_VOCABULARY, "Dossier", "Registre"]
+    od = Ontology("Od", concepts=[Concept(id=f"Od#{word.lower()}", term=word) for word in words])
+    left, right = (sorted(terms, key=normalize_term) for terms in (VOCABULARY, RIGHT_VOCABULARY))
+    for i, row in enumerate(WIDE_TIES):
+        for j, cell in enumerate(row):
+            if cell == "1":
+                od.add_relation(Relation(f"Od#{left[i].lower()}", f"Od#{right[j].lower()}",
+                                         ("synonymy", "equivalence")[(i + j) % 2]))
+    return [component("CL", "Dossier", VOCABULARY), component("CR", "Registre",
+                                                               RIGHT_VOCABULARY)], od

@@ -29,6 +29,7 @@ from .conftest import (
     make_conflicting_components,
     make_contradictory_od,
     make_interleaved_inputs,
+    make_wide_tied_inputs,
 )
 
 
@@ -290,6 +291,8 @@ def _pinned_inputs(name, tmp_path):
         components, od, _ = generate_scenario(ScenarioSpec(60, 10, 4, 0.5, rng_seed=3))
     elif name == "composite":
         components, od = make_composite_inputs()
+    elif name == "wide_tied":  # case 3 at width 12 with 32 tied pairings
+        components, od = make_wide_tied_inputs()
     else:
         components, od = make_interleaved_inputs()
     inputs = tmp_path / "in"
@@ -323,6 +326,11 @@ PINNED_DIGESTS = {
         "cmr.json": "a60a928a502ba8768873f4a4e7c0b8995e5f6e4b566a81bc365d474d9c8f4dbb",
         "od2.json": "cd30a3ef43a0b6ebff9ce114352096d1fb89c61d3dd274f0c7d40bf6a3e2bc72",
         "report.json": "5896fd685cfd25d95212496fd8e21fa38e5b81fc789e59a5cef200f994faf8cd",
+    },
+    "wide_tied": {
+        "cmr.json": "fb12b5cb9c90610c0fcc1abee18ec3846300b803f9d010dc4532bf851ca07f87",
+        "od2.json": "6af385ebd77eb5f8bdd2e265c80407f5b74839778d57e0dcdafa185b9f6a622f",
+        "report.json": "84c3fb9a53400db95acd42f137438dd5aa4283223812113b7282a2b4b7f1b66d",
     },
 }
 

@@ -384,12 +384,12 @@ def test_align_calls_enrich_only_where_its_guard_cannot_fire(monkeypatch):
     # keeps the syntactic score
     runs, injected = [], []
 
-    def checked(c1, c2, od, sources, kids, warnings=None):
+    def checked(c1, c2, od, sources, kids, warnings=None, **kwargs):
         assert (c1.id, c2.id) not in runs[-1]  # no pair is attempted twice
         gated = (od.term_present(c1.key) and od.term_present(c2.key)
                  and not lookup_relations(od, c1.key, c2.key))
         size = len(od.relations)
-        record = enrichment.enrich(c1, c2, od, sources, kids, warnings)
+        record = enrichment.enrich(c1, c2, od, sources, kids, warnings, **kwargs)
         if not gated:
             assert record is None and len(od.relations) == size
         elif record is not None:

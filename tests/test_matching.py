@@ -1,4 +1,5 @@
-"""Kuhn-Munkres assignment against a permutation brute force and the subset DP."""
+"""Kuhn-Munkres assignment against a permutation brute force and the subset DP,
+and the 0/1 perfect matcher against both."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontomerge.matching import max_weight_assignment
+from ontomerge.matching import max_weight_assignment, perfect_assignment
 
 
 def brute_force_total(weights):
@@ -144,3 +145,58 @@ def test_wide_matrix_with_known_optimum():
     total, assignment = max_weight_assignment(weights)
     assert assignment == tuple(perm)
     assert total == n
+
+
+@st.composite
+def zero_one_matrices(draw):
+    """Square 0/1 matrices, n <= 8, at a drawn density of ones."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    density = draw(st.sampled_from([0.2, 0.35, 0.5, 0.65, 0.8, 0.9]))
+    bits = draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=n * n, max_size=n * n))
+    return [[int(bit < density) for bit in bits[r * n:(r + 1) * n]] for r in range(n)]
+
+
+def perfect_oracle(weights):
+    """Kuhn-Munkres's assignment when it is perfect over the ones, else None."""
+    total, assignment = max_weight_assignment(weights)
+    return assignment if total == len(weights) else None
+
+
+@settings(max_examples=500, deadline=None)
+@given(zero_one_matrices())
+def test_perfect_assignment_matches_kuhn_munkres_and_subset_dp(weights):
+    expected = perfect_oracle(weights)
+    assert perfect_assignment(weights) == expected
+    if len(weights) <= 7:
+        total, assignment = subset_dp_assignment(weights)
+        assert expected == (assignment if total == len(weights) else None)
+
+
+def _banded(n, rng, extra):
+    """A hidden permutation of ones plus ``extra`` random ones per row."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    weights = [[0] * n for _ in range(n)]
+    for r in range(n):
+        weights[r][perm[r]] = 1
+        for c in rng.sample(range(n), extra):
+            weights[r][c] = 1
+    return weights
+
+
+@pytest.mark.parametrize("n", [12, 40])
+@pytest.mark.parametrize("extra", [0, 1, 3])
+def test_wide_perfect_assignment_keeps_the_tie_rule(n, extra):
+    rng = random.Random(n * 10 + extra)
+    weights = _banded(n, rng, extra)
+    assert perfect_assignment(weights) == perfect_oracle(weights) is not None
+    weights[rng.randrange(n)] = [0] * n  # a row with no one: no perfect matching
+    assert perfect_assignment(weights) is None
+    weights = _banded(n, rng, extra)
+    weights[0] = weights[1] = [1] + [0] * (n - 1)  # two rows share their only column
+    assert perfect_assignment(weights) is None
+
+
+def test_perfect_assignment_rejects_non_square():
+    with pytest.raises(ValueError):
+        perfect_assignment([[1], [0]])

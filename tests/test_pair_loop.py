@@ -11,11 +11,15 @@ syntactic score and case 3 are held to their full-matrix forms too
 (``naive_syntactic``, ``naive_infer_via_children``).
 """
 
+import gc
 import sys
+import weakref
+from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -46,8 +50,9 @@ from ontomerge import (
     serialize_ontology,
     syntactic_similarity,
 )
+from ontomerge import enrichment, integrator
 from ontomerge.cli import main
-from ontomerge.enrichment import infer_via_children, reach
+from ontomerge.enrichment import RunMaps, infer_via_children, reach
 from ontomerge.integrator import ASSUMED_IDENTICAL_WARNING
 from ontomerge.matching import max_weight_assignment
 from ontomerge.model import as_fraction
@@ -326,11 +331,52 @@ def _two_levels_up_inputs():
     return [left, right], Ontology("Od"), Fraction(1)
 
 
+def _bridged_partner_inputs():
+    """A case-3 commit that opens a case-2 path for a concept whose reach was
+    read before it.
+
+    In L, a is equivalent to s1, and in M, b to s2.  The row of L#a against
+    M reads its reach first; then case 3 joins the composites s1 and s2
+    (child k) by synonymy, which bridges a's partner s1 to s2, so the row
+    of L#a against R must reach R#b through the new path.
+    """
+    left = Ontology("L", [Concept(id="L#a", term="a"), Concept(id="L#k", term="k"),
+                          Concept(id="L#s1", term="s1", children=("L#k",))],
+                    [Relation("L#a", "L#s1", "equivalence")])
+    middle = Ontology("M", [Concept(id="M#b", term="b"), Concept(id="M#k", term="k"),
+                            Concept(id="M#s2", term="s2", children=("M#k",))],
+                      [Relation("M#b", "M#s2", "equivalence")])
+    right = Ontology("R", [Concept(id="R#b", term="b")])
+    od = Ontology("Od", [Concept(id=f"Od#{t}", term=t) for t in ("a", "b", "s1", "s2")])
+    return [left, middle, right], od, Fraction(1)
+
+
+def _relinked_child_inputs():
+    """A case-3 commit on the child term of a concept whose reach was read
+    before it.
+
+    The row of L#alpha against M reads its reach (child kappa); then case 3
+    joins kappa and M's mu (child z), so the row of L#alpha against R must
+    reach R#beta, whose child is mu.
+    """
+    left = Ontology("L", [Concept(id="L#z", term="z"),
+                          Concept(id="L#kappa", term="kappa", children=("L#z",)),
+                          Concept(id="L#alpha", term="alpha", children=("L#kappa",))])
+    middle = Ontology("M", [Concept(id="M#z", term="z"),
+                            Concept(id="M#mu", term="mu", children=("M#z",))])
+    right = Ontology("R", [Concept(id="R#mu", term="mu"),
+                           Concept(id="R#beta", term="beta", children=("R#mu",))])
+    od = Ontology("Od", [Concept(id=f"Od#{t}", term=t) for t in ("alpha", "beta", "kappa", "mu")])
+    return [left, middle, right], od, Fraction(1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(alignment_inputs())
 @example(_tied_children_inputs())
 @example(_mid_row_injection_inputs())
 @example(_two_levels_up_inputs())
+@example(_bridged_partner_inputs())
+@example(_relinked_child_inputs())
 def test_align_matches_naive_per_pair_path(inputs):
     sources, od, tau = inputs
     fast_warnings, naive_warnings = [], []
@@ -743,3 +789,118 @@ def test_integrate_sorts_each_child_list_once(tmp_path, monkeypatch):
     assert main(args) == 0
     concepts = 2 * depth
     assert 0 < calls[0] <= concepts  # 55,977 when each expansion re-sorted the children
+
+
+# ---------------------------------------------------------------------------
+# the per-run maps of ``align``
+
+
+def hub_inputs(d):
+    """A case-2 hub: L holds x1..xD and h with equivalence(xi, h), R two
+    unrelated entities, and the support ontology every term plus
+    synonymy(h, zk) for D terms zk.  No pair is scored."""
+    left = BusinessComponent(
+        id="L", name="l",
+        entities=(*(Entity(name=f"x{i}") for i in range(1, d + 1)), Entity(name="h")),
+        relations=tuple((f"x{i}", "h", "equivalence") for i in range(1, d + 1)),
+    )
+    right = BusinessComponent(id="R", name="r", entities=(Entity(name="r1"), Entity(name="r2")))
+    terms = ["h", "r1", "r2", *(f"x{i}" for i in range(1, d + 1)),
+             *(f"z{k}" for k in range(1, d + 1))]
+    od = Ontology("Od", [Concept(id=f"Od#{t}", term=t) for t in terms],
+                  [Relation("Od#h", f"Od#z{k}", "synonymy") for k in range(1, d + 1)])
+    return [left, right], od
+
+
+def test_hub_partner_and_bridge_reads_grow_linearly(monkeypatch):
+    # reading each concept's case-2 paths afresh read equivalence partners
+    # (D+1)**2 - D times: 10,101 at D = 100 and 160,401 at D = 400
+    for d in (100, 400):
+        components, od = hub_inputs(d)
+        builds = _count_calls(monkeypatch, enrichment.first_relations)
+        reads = [0]
+        partners = RunMaps.partners
+
+        def counted(self, term):
+            reads[0] += 1
+            return partners(self, term)
+
+        monkeypatch.setattr(RunMaps, "partners", counted)
+        _, _, report = integrate(components, od)
+        assert report.correspondences == [] and report.enrichments == []
+        assert reads[0] + builds[0] <= 4 * (d + 1)
+        monkeypatch.undo()
+
+
+def _state_inputs(declared):
+    """S1#alpha and T1#beta, with synonymy(alpha, beta) in the support
+    ontology when ``declared``; ids no other test uses."""
+    od = Ontology("Od", [Concept(id="Od#alpha", term="alpha"), Concept(id="Od#beta", term="beta")],
+                  [Relation("Od#alpha", "Od#beta", "synonymy")] if declared else [])
+    return [Ontology("S1", [Concept(id="S1#alpha", term="alpha")]),
+            Ontology("T1", [Concept(id="T1#beta", term="beta")])], od
+
+
+def test_two_align_runs_keep_their_maps_apart(monkeypatch):
+    # the maps live and die with one run: a run after another one on
+    # inputs that reuse its concept ids and terms equals that run alone,
+    # and nothing holds a run's maps once ``align`` has returned
+    runs = {declared: align(*_state_inputs(declared)) for declared in (True, False)}
+    assert [(c.pair, c.verdict) for c in runs[True][0]] == [(("S1#alpha", "T1#beta"), "Synonym")]
+    assert runs[False][0] == []  # reach of S1#alpha was empty in this run
+    for declared in (True, False, True):
+        assert align(*_state_inputs(declared)) == runs[declared]
+    built = []
+
+    def kept(*args):
+        maps = RunMaps(*args)
+        built.append(weakref.ref(maps))
+        return maps
+
+    monkeypatch.setattr(integrator, "RunMaps", kept)
+    gc.disable()
+    try:
+        align(*_state_inputs(True))
+        assert len(built) == 1 and built[0]() is None  # freed without the collector
+    finally:
+        gc.enable()
+
+
+def _fresh_entries(maps, od, sources, kids):
+    """Each entry ``maps`` holds, beside the same entry built from scratch."""
+    fresh = RunMaps(od, sources, kids)
+    yield ("partners",), maps._partners, fresh._partners
+    for name in ("bridges", "cells"):
+        for key, value in getattr(maps, name).items():
+            yield (name, key), value, getattr(fresh, name)[key]
+    for cid, value in maps._reach.items():
+        concept = next(s.concepts[cid] for s in sources if cid in s.concepts)
+        yield ("reach", cid), value, fresh.reach(concept)
+    for cid, value in maps.atoms.items():
+        yield ("atoms", cid), value, Counter(x.key for x in kids[cid] if not x.children)
+    yield ("parents",), maps.parents, fresh.parents
+
+
+@settings(max_examples=100, deadline=None)
+@given(alignment_inputs())
+@example(_mid_row_injection_inputs())
+@example(_case2_path_inputs())
+@example(_related_children_inputs())
+@example(_bridged_partner_inputs())
+@example(_relinked_child_inputs())
+def test_run_maps_equal_a_fresh_build_after_every_commit(inputs):
+    sources, od, tau = inputs
+    checked = []
+
+    def enrich(c1, c2, enriched, ordered, kids, warnings=None, *, maps):
+        record = enrichment.enrich(c1, c2, enriched, ordered, kids, warnings, maps=maps)
+        if record is not None:
+            for key, held, fresh in _fresh_entries(maps, enriched, ordered, kids):
+                assert held == fresh, key
+            checked.append(record)
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrator, "enrich", enrich)
+        _, _, records = align(sources, od, tau)
+    assert checked == records

@@ -4,6 +4,9 @@ Subcommands: ``integrate`` (full pipeline), ``align`` (the same pipeline,
 writing the report and optionally the enriched ontology but no merged
 component), ``gen`` (synthetic scenario), ``eval`` (score a report
 against ground truth), ``export-dot`` (ontology inspection graph).
+Each ``main`` call builds its parser anew, with the arguments of the
+command that ``argv`` names first and of no other; help texts, usage
+errors and exit codes are those of the parser of every command.
 
 Exit codes: 0 success, 1 usage error, 2 parse/schema error,
 3 homonym-cluster collision, 4 internal invariant violation.  Output
@@ -54,50 +57,21 @@ def _tau(text: str) -> Fraction:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The ``ontomerge`` parser.  When ``argv`` starts with a command name,
+    argparse hands all that follows to that command's parser, so the other
+    commands are left out; otherwise every command is built."""
     parser = _Parser(prog="ontomerge", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    integrate_cmd = commands.add_parser(
-        "integrate", help="integrate components into one, resolving naming conflicts"
+    named = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    commands = parser.add_subparsers(
+        dest="command", required=True,
+        # keeps every command in the usage line; only errors about the command
+        # argument, which need all commands built, would show the metavar
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(named) == 1 else None,
     )
-    _add_input_flags(integrate_cmd)
-    integrate_cmd.add_argument("--out-component", required=True, metavar="PATH",
-                               help="where to write the merged component")
-    integrate_cmd.add_argument("--out-ontology", required=True, metavar="PATH",
-                               help="where to write the enriched support ontology")
-    integrate_cmd.add_argument("--report", required=True, metavar="PATH",
-                               help="where to write the conflict report")
-
-    align_cmd = commands.add_parser(
-        "align", help="run the pipeline but write no merged component"
-    )
-    _add_input_flags(align_cmd)
-    align_cmd.add_argument("--report", required=True, metavar="PATH")
-    align_cmd.add_argument("--out-ontology", metavar="PATH",
-                           help="optionally write the enriched support ontology")
-    align_cmd.set_defaults(out_component=None)
-
-    gen_cmd = commands.add_parser("gen", help="generate a synthetic scenario")
-    gen_cmd.add_argument("--out-dir", required=True, metavar="DIR")
-    gen_cmd.add_argument("--spec", metavar="PATH",
-                         help="scenario spec as JSON (overrides the count flags)")
-    gen_cmd.add_argument("--concepts", type=int, default=20)
-    gen_cmd.add_argument("--synonym-pairs", type=int, default=4)
-    gen_cmd.add_argument("--homonym-pairs", type=int, default=2)
-    gen_cmd.add_argument("--od-coverage", type=float, default=1.0)
-    gen_cmd.add_argument("--seed", type=int, default=0)
-
-    eval_cmd = commands.add_parser("eval", help="score a report against ground truth")
-    eval_cmd.add_argument("--report", required=True, metavar="PATH")
-    eval_cmd.add_argument("--truth", required=True, metavar="PATH")
-    eval_cmd.add_argument("--out", metavar="PATH", help="write metrics JSON here "
-                          "instead of stdout")
-
-    dot_cmd = commands.add_parser("export-dot", help="render an ontology as DOT")
-    dot_cmd.add_argument("--ontology", required=True, metavar="PATH")
-    dot_cmd.add_argument("--out", metavar="PATH", help="write the graph here "
-                         "instead of stdout")
+    for name in named:
+        summary, add_arguments, _ = _COMMANDS[name]
+        add_arguments(commands.add_parser(name, help=summary))
     return parser
 
 
@@ -108,6 +82,48 @@ def _add_input_flags(cmd: argparse.ArgumentParser) -> None:
                      help="support (domain) ontology document")
     cmd.add_argument("--tau", type=_tau, default=Fraction(1),
                      help="verdict threshold for composite scores (default 1)")
+
+
+def _integrate_arguments(cmd: argparse.ArgumentParser) -> None:
+    _add_input_flags(cmd)
+    cmd.add_argument("--out-component", required=True, metavar="PATH",
+                     help="where to write the merged component")
+    cmd.add_argument("--out-ontology", required=True, metavar="PATH",
+                     help="where to write the enriched support ontology")
+    cmd.add_argument("--report", required=True, metavar="PATH",
+                     help="where to write the conflict report")
+
+
+def _align_arguments(cmd: argparse.ArgumentParser) -> None:
+    _add_input_flags(cmd)
+    cmd.add_argument("--report", required=True, metavar="PATH")
+    cmd.add_argument("--out-ontology", metavar="PATH",
+                     help="optionally write the enriched support ontology")
+    cmd.set_defaults(out_component=None)
+
+
+def _gen_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--out-dir", required=True, metavar="DIR")
+    cmd.add_argument("--spec", metavar="PATH",
+                     help="scenario spec as JSON (overrides the count flags)")
+    cmd.add_argument("--concepts", type=int, default=20)
+    cmd.add_argument("--synonym-pairs", type=int, default=4)
+    cmd.add_argument("--homonym-pairs", type=int, default=2)
+    cmd.add_argument("--od-coverage", type=float, default=1.0)
+    cmd.add_argument("--seed", type=int, default=0)
+
+
+def _eval_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--report", required=True, metavar="PATH")
+    cmd.add_argument("--truth", required=True, metavar="PATH")
+    cmd.add_argument("--out", metavar="PATH", help="write metrics JSON here "
+                     "instead of stdout")
+
+
+def _export_dot_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--ontology", required=True, metavar="PATH")
+    cmd.add_argument("--out", metavar="PATH", help="write the graph here "
+                     "instead of stdout")
 
 
 def _write_outputs(outputs: dict[str, Iterable[bytes]]) -> None:
@@ -214,17 +230,21 @@ def _write_or_print(path: Optional[str], payload: bytes) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "integrate": _cmd_integrate,
-    "align": _cmd_integrate,
-    "gen": _cmd_gen,
-    "eval": _cmd_eval,
-    "export-dot": _cmd_export_dot,
+# name -> (help, what adds its arguments, handler), in the order --help lists them
+_COMMANDS = {
+    "integrate": ("integrate components into one, resolving naming conflicts",
+                  _integrate_arguments, _cmd_integrate),
+    "align": ("run the pipeline but write no merged component",
+              _align_arguments, _cmd_integrate),
+    "gen": ("generate a synthetic scenario", _gen_arguments, _cmd_gen),
+    "eval": ("score a report against ground truth", _eval_arguments, _cmd_eval),
+    "export-dot": ("render an ontology as DOT", _export_dot_arguments, _cmd_export_dot),
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -232,7 +252,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -40,7 +40,7 @@ from .model import (
     as_fraction,
     expand_correspondences,
 )
-from .model_io import FORMAT_VERSION, _check_version, _dumps, _expect, _get, _load_document
+from .model_io import FORMAT_VERSION, _check_version, _dumps, _expect, _field, _load_document
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -307,28 +307,28 @@ def parse_truth(path) -> GroundTruth:
     context = str(path)
     _check_version(document, context)
     verdicts: dict[tuple[str, str], str] = {}
-    for index, entry in enumerate(_get(document, "pairs", list, context)):
+    for index, entry in enumerate(_field(document, "pairs", list, context)):
         ectx = f"{context}: pairs[{index}]"
         _expect(isinstance(entry, dict), ectx, "pair must be an object")
-        pair = (_get(entry, "c1", str, ectx), _get(entry, "c2", str, ectx))
+        pair = (_field(entry, "c1", str, ectx), _field(entry, "c2", str, ectx))
         _expect("verdict" in entry, ectx, "missing field 'verdict'")
         verdict = entry["verdict"]
         _expect(verdict in VERDICTS, ectx, f"unknown ground-truth verdict {verdict!r}")
         _expect(pair not in verdicts, ectx, f"ground-truth pair {pair} is listed twice")
         verdicts[pair] = verdict
     planted = []
-    for index, entry in enumerate(_get(document, "planted", list, context, default=[])):
+    for index, entry in enumerate(_field(document, "planted", list, context, ())):
         ectx = f"{context}: planted[{index}]"
         _expect(isinstance(entry, dict), ectx, "planted relation must be an object")
-        kind = _get(entry, "kind", str, ectx)
+        kind = _field(entry, "kind", str, ectx)
         _expect(kind in ("synonymy", "homonymy"), ectx, f"unknown planted kind {kind!r}")
         _expect("in_od" in entry, ectx, "missing field 'in_od'")
         _expect(isinstance(entry["in_od"], bool), ectx, "field 'in_od' must be bool")
         planted.append(PlantedRelation(
-            t1=_get(entry, "t1", str, ectx),
-            t2=_get(entry, "t2", str, ectx),
+            t1=_field(entry, "t1", str, ectx),
+            t2=_field(entry, "t2", str, ectx),
             kind=kind,
             in_od=entry["in_od"],
-            case=None if entry.get("case") is None else _get(entry, "case", int, ectx),
+            case=None if entry.get("case") is None else _field(entry, "case", int, ectx),
         ))
     return GroundTruth(verdicts=verdicts, planted=tuple(planted))

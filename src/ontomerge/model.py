@@ -185,7 +185,7 @@ class Ontology:
     synonymy/homonymy coexistence on one concept pair are rejected.
 
     Two indexes, filled only by ``add_concept`` and ``add_relation``
-    and rebuilt by ``copy``, answer term questions without a scan:
+    and copied by ``copy``, answer term questions without a scan:
 
     * normalized term -> sorted concept ids backs ``term_present`` and
       ``concepts_by_term``;
@@ -296,9 +296,15 @@ class Ontology:
         return self._related.get(normalized) or {}
 
     def copy(self) -> "Ontology":
-        """Independent clone with rebuilt indexes; concept values are shared,
-        as no code writes a ``Concept`` after construction."""
-        return Ontology(self.id, self.concepts.values(), self._relations.values())
+        """Independent clone: the maps and the index lists and inner dicts are
+        copied, nothing is checked again.  Concepts, relations and the index's
+        relation tuples are shared, as no code writes them after construction."""
+        clone = Ontology(self.id)
+        clone.concepts = dict(self.concepts)
+        clone._relations = dict(self._relations)
+        clone._ids_by_term = {term: ids.copy() for term, ids in self._ids_by_term.items()}
+        clone._related = {term: dict(joined) for term, joined in self._related.items()}
+        return clone
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ontology):

@@ -5,7 +5,10 @@ Serializers emit keys and list elements in sorted order, so equal values
 produce byte-identical output; ``parse(serialize(v))`` is the identity.
 Every invariant violation is detected at parse time and reported as a
 SchemaViolation naming the offending path or field; broken JSON or
-encodings raise MalformedFile.
+encodings raise MalformedFile.  The readers check each entry in one pass
+with exact type tests (JSON gives exact types, and a bool is no int); the
+component and ontology readers format an entry's context, such as
+``"<path>: entities[3]"``, only when an error names it.
 
 Component document::
 
@@ -37,8 +40,10 @@ strings such as "1", "0" or "1/2".
 
 One function, ``_render``, renders every document, each report
 correspondence included: its head and tail are cut from ``_render``'s
-output.  ``report_chunks`` streams a report one top-level member, and
-one row of correspondences, at a time.
+output.  For a list of several dicts on one key set (entities, concepts,
+relations, clusters, enrichments) it sorts the keys and encodes their
+``"key": `` heads once per list.  ``report_chunks`` streams a report one
+top-level member, and one row of correspondences, at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from .errors import MalformedFile, SchemaViolation
 from .model import (
@@ -119,28 +124,36 @@ def _has_lone_surrogate(document: Any) -> bool:
     return False
 
 
-def _expect(condition: bool, context: str, message: str) -> None:
+def _context(where) -> str:
+    """An error context: a string, or (context, list name, index) for an item
+    of a list, which is formatted only when an error names it."""
+    if type(where) is str:
+        return where
+    context, name, index = where
+    return f"{_context(context)}{name}[{index}]"
+
+
+def _expect(condition: bool, where, message: str) -> None:
     if not condition:
-        raise SchemaViolation(f"{context}: {message}")
+        raise SchemaViolation(f"{_context(where)}: {message}")
 
 
-def _get(obj: dict, key: str, types, context: str, default=_expect):
-    if key not in obj:
-        if default is not _expect:
-            return default
-        raise SchemaViolation(f"{context}: missing field {key!r}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, types):  # a bool is an int
-        names = types.__name__ if isinstance(types, type) else "/".join(
-            t.__name__ for t in types
-        )
-        raise SchemaViolation(f"{context}: field {key!r} must be {names}")
-    return value
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, kind: type, where, default=_REQUIRED):
+    """``obj[key]``, of exactly type ``kind`` (so no bool passes as an int),
+    or ``default`` when ``key`` is absent and a default is given."""
+    value = obj.get(key, default)
+    if type(value) is kind or (value is default and default is not _REQUIRED):
+        return value
+    _expect(key in obj, where, f"missing field {key!r}")
+    raise SchemaViolation(f"{_context(where)}: field {key!r} must be {kind.__name__}")
 
 
 def _check_version(doc: Any, context: str) -> None:
     _expect(isinstance(doc, dict), context, "document root must be an object")
-    version = _get(doc, "format_version", int, context)
+    version = _field(doc, "format_version", int, context)
     _expect(
         version == FORMAT_VERSION,
         context,
@@ -148,44 +161,47 @@ def _check_version(doc: Any, context: str) -> None:
     )
 
 
-def _string_list(obj: dict, key: str, context: str) -> tuple[str, ...]:
-    values = _get(obj, key, list, context, default=[])
+def _strings(obj: dict, key: str, where) -> Sequence[str]:
+    """The optional list of strings ``obj[key]``; () when absent."""
+    values = obj.get(key, ())
+    if type(values) is not list:
+        return _field(obj, key, list, where, ())  # () when absent, else raises
     for index, value in enumerate(values):
-        _expect(isinstance(value, str), context, f"{key}[{index}] must be a string")
-    return tuple(values)
+        if type(value) is not str:
+            raise SchemaViolation(f"{_context(where)}: {key}[{index}] must be a string")
+    return values
 
 
-def _associations(obj: dict, context: str) -> tuple[Association, ...]:
+def _associations(obj: dict, where) -> list[Association]:
     """The optional ``associations`` list of an entity or concept object."""
     associations = []
-    for index, assoc in enumerate(_get(obj, "associations", list, context, default=[])):
-        actx = f"{context}.associations[{index}]"
-        _expect(isinstance(assoc, dict), actx, "association must be an object")
+    for index, assoc in enumerate(_field(obj, "associations", list, where, ())):
+        at = (where, ".associations", index)
+        _expect(type(assoc) is dict, at, "association must be an object")
         associations.append(
-            Association(
-                target=_get(assoc, "target", str, actx),
-                label=_get(assoc, "label", str, actx),
-            )
+            Association(_field(assoc, "target", str, at), _field(assoc, "label", str, at))
         )
-    return tuple(associations)
+    return associations
 
 
-def _relation(raw: Any, context: str) -> Relation:
+def _relation(raw: Any, where) -> Relation:
     """One relation object of an ontology or report document."""
-    _expect(isinstance(raw, dict), context, "relation must be an object")
-    a, b, kind = (_get(raw, key, str, context) for key in ("a", "b", "kind"))
-    provenance = _get(raw, "provenance", str, context, default="declared")
+    _expect(type(raw) is dict, where, "relation must be an object")
+    a, b, kind = [_field(raw, key, str, where) for key in ("a", "b", "kind")]
+    provenance = _field(raw, "provenance", str, where, "declared")
     try:
         return Relation(a, b, kind, provenance)
     except SchemaViolation as exc:
-        raise SchemaViolation(f"{context}: {exc}") from exc
+        raise SchemaViolation(f"{_context(where)}: {exc}") from exc
 
 
-def _render(value: Any, indent: str) -> str:
+def _render(value: Any, indent: str, heads=None) -> str:
     """``json.dumps`` of ``value`` with ``ensure_ascii=False``, two-space
     indentation and sorted keys, ``indent`` put before every line but the
     first; only scalars other than strings go through ``json.dumps``.  An
-    exact ``str`` item is encoded in place, an empty dict or list at once."""
+    exact ``str`` item is encoded in place, an empty dict or list at once.
+    A list of several dicts with one key set sorts their keys once and
+    hands each dict ``heads``: its keys in order, each with its ``"key": ``."""
     if isinstance(value, str):
         return encode_basestring(value)
     inner = indent + "  "
@@ -193,6 +209,10 @@ def _render(value: Any, indent: str) -> str:
         if not value:
             return "{}"
         items = [
+            head + (encode_basestring(value[k]) if type(value[k]) is str
+                    else _render(value[k], inner))
+            for k, head in heads
+        ] if heads else [
             f"{encode_basestring(k)}: "
             f"{encode_basestring(v) if type(v) is str else _render(v, inner)}"
             for k, v in sorted(value.items())
@@ -201,7 +221,12 @@ def _render(value: Any, indent: str) -> str:
     if isinstance(value, list):
         if not value:
             return "[]"
-        items = [encode_basestring(v) if type(v) is str else _render(v, inner) for v in value]
+        first, shared = value[0], None
+        if len(value) > 1 and type(first) is dict and all(
+                type(v) is dict and v.keys() == first.keys() for v in value):
+            shared = [(key, encode_basestring(key) + ": ") for key in sorted(first)]
+        items = [encode_basestring(v) if type(v) is str else _render(v, inner, shared)
+                 for v in value]
         return "[\n" + inner + f",\n{inner}".join(items) + f"\n{indent}]"
     return json.dumps(value)
 
@@ -219,31 +244,22 @@ def parse_component(path) -> BusinessComponent:
     doc = _load_document(path)
     context = str(path)
     _check_version(doc, context)
-    component_id = _get(doc, "id", str, context)
-    name = _get(doc, "name", str, context)
+    component_id = _field(doc, "id", str, context)
+    name = _field(doc, "name", str, context)
     entities = []
-    raw_entities = _get(doc, "entities", list, context)
-    for index, raw in enumerate(raw_entities):
-        ectx = f"{context}: entities[{index}]"
-        _expect(isinstance(raw, dict), ectx, "entity must be an object")
-        entities.append(
-            Entity(
-                name=_get(raw, "name", str, ectx),
-                attributes=_string_list(raw, "attributes", ectx),
-                associations=_associations(raw, ectx),
-                components=_string_list(raw, "components", ectx),
-            )
-        )
+    for index, raw in enumerate(_field(doc, "entities", list, context)):
+        at = (context, ": entities", index)
+        _expect(type(raw) is dict, at, "entity must be an object")
+        entities.append(Entity(
+            _field(raw, "name", str, at), _strings(raw, "attributes", at),
+            _associations(raw, at), _strings(raw, "components", at),
+        ))
     relations = []
-    for index, raw in enumerate(_get(doc, "relations", list, context, default=[])):
-        rctx = f"{context}: relations[{index}]"
-        _expect(isinstance(raw, dict), rctx, "relation must be an object")
+    for index, raw in enumerate(_field(doc, "relations", list, context, ())):
+        at = (context, ": relations", index)
+        _expect(type(raw) is dict, at, "relation must be an object")
         relations.append(
-            ComponentRelation(
-                a=_get(raw, "a", str, rctx),
-                b=_get(raw, "b", str, rctx),
-                kind=_get(raw, "kind", str, rctx),
-            )
+            ComponentRelation(*[_field(raw, key, str, at) for key in ("a", "b", "kind")])
         )
     try:
         return BusinessComponent(
@@ -289,24 +305,19 @@ def parse_ontology(path) -> Ontology:
     doc = _load_document(path)
     context = str(path)
     _check_version(doc, context)
-    ontology_id = _get(doc, "id", str, context)
+    ontology_id = _field(doc, "id", str, context)
     concepts = []
-    for index, raw in enumerate(_get(doc, "concepts", list, context)):
-        cctx = f"{context}: concepts[{index}]"
-        _expect(isinstance(raw, dict), cctx, "concept must be an object")
-        concepts.append(
-            Concept(
-                id=_get(raw, "id", str, cctx),
-                term=_get(raw, "term", str, cctx),
-                children=_string_list(raw, "children", cctx),
-                attributes=_string_list(raw, "attributes", cctx),
-                associations=_associations(raw, cctx),
-                aliases=_string_list(raw, "aliases", cctx),
-            )
-        )
+    for index, raw in enumerate(_field(doc, "concepts", list, context)):
+        at = (context, ": concepts", index)
+        _expect(type(raw) is dict, at, "concept must be an object")
+        concepts.append(Concept(
+            _field(raw, "id", str, at), _field(raw, "term", str, at),
+            _strings(raw, "children", at), _strings(raw, "attributes", at),
+            _associations(raw, at), _strings(raw, "aliases", at),
+        ))
     relations = [
-        _relation(raw, f"{context}: relations[{index}]")
-        for index, raw in enumerate(_get(doc, "relations", list, context, default=[]))
+        _relation(raw, (context, ": relations", index))
+        for index, raw in enumerate(_field(doc, "relations", list, context, ()))
     ]
     try:
         ontology = Ontology(ontology_id, concepts=concepts, relations=relations)
@@ -465,26 +476,26 @@ def parse_report(path) -> Report:
     _check_version(doc, context)
     correspondences = []
     pairs: set[tuple[str, str]] = set()
-    for index, raw in enumerate(_get(doc, "correspondences", list, context)):
+    for index, raw in enumerate(_field(doc, "correspondences", list, context)):
         cctx = f"{context}: correspondences[{index}]"
         _expect(isinstance(raw, dict), cctx, "correspondence must be an object")
-        evidence_raw = _get(raw, "evidence", dict, cctx)
+        evidence_raw = _field(raw, "evidence", dict, cctx)
         try:
-            score = Fraction(_get(raw, "score", str, cctx))
+            score = Fraction(_field(raw, "score", str, cctx))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaViolation(f"{cctx}: bad score: {exc}") from exc
         correspondences.append(
             Correspondence(
-                c1=_get(raw, "c1", str, cctx),
-                c2=_get(raw, "c2", str, cctx),
+                c1=_field(raw, "c1", str, cctx),
+                c2=_field(raw, "c2", str, cctx),
                 score=score,
-                verdict=_get(raw, "verdict", str, cctx),
+                verdict=_field(raw, "verdict", str, cctx),
                 evidence=Evidence(
-                    kind=_get(evidence_raw, "kind", str, cctx),
+                    kind=_field(evidence_raw, "kind", str, cctx),
                     relations_used=tuple(
                         _relation(r, f"{cctx}.evidence.relations_used[{rindex}]")
                         for rindex, r in enumerate(
-                            _get(evidence_raw, "relations_used", list, cctx, default=[])
+                            _field(evidence_raw, "relations_used", list, cctx, ())
                         )
                     ),
                 ),
@@ -494,10 +505,10 @@ def parse_report(path) -> Report:
         _expect(pair not in pairs, cctx, f"pair {pair} is listed twice")
         pairs.add(pair)
     enrichments = []
-    for index, raw in enumerate(_get(doc, "enrichments", list, context, default=[])):
+    for index, raw in enumerate(_field(doc, "enrichments", list, context, ())):
         ectx = f"{context}: enrichments[{index}]"
         _expect(isinstance(raw, dict), ectx, "enrichment must be an object")
-        pair = _get(raw, "pair", list, ectx)
+        pair = _field(raw, "pair", list, ectx)
         _expect(
             len(pair) == 2 and all(isinstance(p, str) for p in pair),
             ectx,
@@ -505,30 +516,30 @@ def parse_report(path) -> Report:
         )
         enrichments.append(
             EnrichmentRecord(
-                injected=_relation(_get(raw, "injected", dict, ectx), f"{ectx}.injected"),
+                injected=_relation(_field(raw, "injected", dict, ectx), f"{ectx}.injected"),
                 evidence=tuple(
                     _relation(r, f"{ectx}.evidence[{rindex}]")
-                    for rindex, r in enumerate(_get(raw, "evidence", list, ectx, default=[]))
+                    for rindex, r in enumerate(_field(raw, "evidence", list, ectx, ()))
                 ),
                 pair=(pair[0], pair[1]),
             )
         )
     clusters = []
-    for index, raw in enumerate(_get(doc, "clusters", list, context, default=[])):
+    for index, raw in enumerate(_field(doc, "clusters", list, context, ())):
         clctx = f"{context}: clusters[{index}]"
         _expect(isinstance(raw, dict), clctx, "cluster must be an object")
         clusters.append(
             Cluster(
-                term=_get(raw, "term", str, clctx),
-                members=_string_list(raw, "members", clctx),
-                aliases=_string_list(raw, "aliases", clctx),
+                term=_field(raw, "term", str, clctx),
+                members=_strings(raw, "members", clctx),
+                aliases=_strings(raw, "aliases", clctx),
             )
         )
     return Report(
         correspondences=correspondences,
         enrichments=enrichments,
         clusters=clusters,
-        warnings=list(_string_list(doc, "warnings", context)),
+        warnings=list(_strings(doc, "warnings", context)),
     )
 
 

@@ -1,5 +1,6 @@
 """Exit codes, output files, and the no-partial-output guarantee."""
 
+import argparse
 import hashlib
 import json
 import tracemalloc
@@ -21,6 +22,7 @@ from ontomerge import (
     integrate,
     model_io,
 )
+from ontomerge import cli
 from ontomerge.cli import _write_outputs, main
 from ontomerge.evalgen import ScenarioSpec, generate_scenario
 
@@ -108,6 +110,52 @@ def test_duplicate_output_paths_rejected(tmp_path, scenario_files, capsys):
 def test_bad_tau_is_usage_error(tmp_path, scenario_files, capsys):
     args = _integrate_args(scenario_files, tmp_path) + ["--tau", "0"]
     assert main(args) == 1
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call; --help exits by SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["bogus"], ["--bogus", "gen"],
+    *[[command, "--help"] for command in ("integrate", "align", "gen", "eval", "export-dot")],
+    ["integrate", "--component", "a.json", "--ontology", "od.json"],
+    ["align", "--component", "a.json"], ["gen"], ["eval", "--report", "r.json"], ["export-dot"],
+    ["integrate", "--tau", "2"], ["gen", "--out-dir", "out", "--concepts", "many"],
+    ["integrate", "--unknown"],
+])
+def test_cli_matches_the_parser_of_every_command(argv, capsys, monkeypatch):
+    # The parser main builds for argv against the one built for no command,
+    # which carries every command's arguments.
+    got = _outcome(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full(()))
+    assert _outcome(argv, capsys) == got
+    assert got[0] in (0, 1)
+
+
+def test_integrate_builds_no_other_command(tmp_path, scenario_files, monkeypatch):
+    built = []
+    full = cli.build_parser
+
+    def spy(argv):
+        built.append(full(argv))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(_integrate_args(scenario_files, tmp_path)) == 0
+    [parser] = built
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == ["integrate"]
+    options = {o for a in commands.choices["integrate"]._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--component", "--ontology", "--tau",
+                       "--out-component", "--out-ontology", "--report"}
 
 
 def test_broken_input_is_schema_error(tmp_path, scenario_files, capsys):

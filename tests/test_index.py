@@ -165,8 +165,8 @@ def apply_ops(ontology, ops, prefix):
 
 
 @settings(max_examples=200, deadline=None)
-@given(op_lists, op_lists)
-def test_indexes_match_naive_scans_through_writes_and_copies(ops, more_ops):
+@given(op_lists, op_lists, op_lists)
+def test_indexes_match_naive_scans_through_writes_and_copies(ops, more_ops, original_ops):
     ontology = Ontology("O")
     apply_ops(ontology, ops, "O#")
     assert_matches_oracle(ontology)
@@ -174,9 +174,16 @@ def test_indexes_match_naive_scans_through_writes_and_copies(ops, more_ops):
 
     clone = ontology.copy()
     assert clone == ontology
+    # writes to the original stay there: the clone shares no index list or dict
+    apply_ops(ontology, original_ops, "P#")
+    assert_matches_oracle(ontology)
+    assert answers(clone) == before
+    assert_matches_oracle(clone)
+    after = answers(ontology)
+
     apply_ops(clone, more_ops, "C#")
     assert_matches_oracle(clone)
-    assert answers(ontology) == before  # writes to the clone stay there
+    assert answers(ontology) == after  # writes to the clone stay there
     assert_matches_oracle(ontology)
 
     sources = [ontology, clone]

@@ -327,10 +327,26 @@ def _json_values(depth):
     return scalars | st.lists(inner, max_size=3) | st.dictionaries(_json_text, inner, max_size=3)
 
 
+@st.composite
+def _record_lists(draw):
+    """Several dicts on one key set, as the serializers write them, and at
+    times one dict on another key set among them."""
+    keys = draw(st.lists(_json_text, max_size=4, unique=True))
+    records = draw(st.lists(
+        st.fixed_dictionaries({key: _json_values(2) for key in keys}), min_size=2, max_size=4))
+    if draw(st.booleans()):
+        odd = draw(st.dictionaries(_json_text, _json_values(1), max_size=3))
+        records.insert(draw(st.integers(0, len(records))), odd)
+    return records
+
+
 @settings(max_examples=300, deadline=None)
-@given(_json_values(4), st.integers(0, 3))
+@given(_json_values(4) | _record_lists() | st.lists(_record_lists(), max_size=2),
+       st.integers(0, 3))
 @example({}, 0)
 @example({"a": [], "b": {}, "c": [[{}]]}, 2)
+@example([{"b": 1, "a": [{"y": "1", "x": None}, {"x": 2, "y": "3"}]}, {"a": [], "b": 2}], 1)
+@example([{"a": 1, "b": 2}, {"a": 1, "c": 2}], 0)
 def test_render_matches_json_dumps(value, depth):
     text = _dumps_oracle(value)
     assert model_io._render(value, "") == text

@@ -11,8 +11,10 @@ errors and exit codes are those of the parser of every command.
 Exit codes: 0 success, 1 usage error, 2 parse/schema error,
 3 homonym-cluster collision, 4 internal invariant violation.  Output
 files are written to temporaries and renamed at the end, so a nonzero
-exit never leaves a partial output behind; the report is streamed into
-its temporary one row at a time.
+exit never leaves a partial output behind.  Each output is rendered when
+its temporary is written and released after: ``integrate`` keeps neither
+its inputs nor its results past the output that needs them, and the
+report is streamed into its temporary one row at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import model_io
 from .errors import HomonymClusterCollision, IntegrationError
@@ -128,18 +130,21 @@ def _export_dot_arguments(cmd: argparse.ArgumentParser) -> None:
 
 def _write_outputs(outputs: dict[str, Iterable[bytes]]) -> None:
     """Write all files, or none: check the targets, stream each output's
-    chunks into a temporary, then rename.  Any exception, a chunk
-    iterator's too, removes the temporaries and propagates unchanged."""
+    chunks into a temporary, then rename.  Each iterable is taken out of
+    ``outputs`` when its turn comes and dropped once its temporary is
+    written, so a lazy one holds what it renders no longer than that.  Any
+    exception, a chunk iterator's too, removes the temporaries and
+    propagates unchanged."""
     for path in outputs:
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path is a directory: {path}")
     staged: list[tuple[str, str]] = []
     try:
-        for path, chunks in outputs.items():
+        for path in list(outputs):
             temp = f"{path}.tmp.{os.getpid()}"
             staged.append((temp, path))
             with open(temp, "wb") as handle:
-                handle.writelines(chunks)
+                handle.writelines(outputs.pop(path))
         while staged:
             os.replace(*staged[-1])
             staged.pop()  # renamed: no temporary left to remove
@@ -166,18 +171,29 @@ def _load_inputs(args):
     return components, od
 
 
+def _rendered(serialize, value) -> Iterator[bytes]:
+    """``serialize(value)`` as one chunk, rendered when the writer asks for it."""
+    yield serialize(value)
+
+
+def _integrated(args) -> dict[str, Iterable[bytes]]:
+    """``integrate``'s outputs by path, each rendered when it is written.
+    Returning drops the inputs and results: each lives on only in the
+    iterable of the output that renders it."""
+    merged, enriched_od, report = integrate(*_load_inputs(args), tau=args.tau)
+    outputs = {}
+    if args.out_component:
+        outputs[args.out_component] = _rendered(model_io.serialize_component, merged)
+    if args.out_ontology:
+        outputs[args.out_ontology] = _rendered(model_io.serialize_ontology, enriched_od)
+    outputs[args.report] = model_io.report_chunks(report)
+    return outputs
+
+
 def _cmd_integrate(args) -> int:
     """Run ``integrate``, or ``align``: no --out-component, optional --out-ontology."""
     _distinct_outputs([p for p in (args.out_component, args.out_ontology, args.report) if p])
-    components, od = _load_inputs(args)
-    merged, enriched_od, report = integrate(components, od, tau=args.tau)
-    outputs = {}
-    if args.out_component:
-        outputs[args.out_component] = [model_io.serialize_component(merged)]
-    if args.out_ontology:
-        outputs[args.out_ontology] = [model_io.serialize_ontology(enriched_od)]
-    outputs[args.report] = model_io.report_chunks(report)
-    _write_outputs(outputs)
+    _write_outputs(_integrated(args))
     return EXIT_OK
 
 

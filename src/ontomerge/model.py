@@ -100,7 +100,12 @@ class Association(NamedTuple):
 
 
 def _sorted_associations(associations: Iterable) -> tuple[Association, ...]:
-    return tuple(sorted(Association(*a) for a in associations)) if associations else ()
+    """The associations sorted, each pair that is not yet an ``Association``
+    made one."""
+    if not associations:
+        return ()
+    return tuple(sorted(a if type(a) is Association else Association(*a)
+                        for a in associations))
 
 
 class Concept(_Record):

@@ -39,11 +39,13 @@ Report documents mirror the Report type; scores are exact fraction
 strings such as "1", "0" or "1/2".
 
 One function, ``_render``, renders every document, each report
-correspondence included: its head and tail are cut from ``_render``'s
-output.  For a list of several dicts on one key set (entities, concepts,
-relations, clusters, enrichments) it sorts the keys and encodes their
-``"key": `` heads once per list.  ``report_chunks`` streams a report one
-top-level member, and one row of correspondences, at a time.
+correspondence included: its frame is cut from ``_render``'s output at
+the ids and at its relations list.  A list of several non-empty dicts on
+one key set (entities, concepts, relations, clusters, enrichments) is
+rendered column-wise: one ``%`` template from the sorted keys, filled
+with each key's values rendered together, a column of strings or of
+string lists without a call per value.  ``report_chunks`` streams a
+report one top-level member, and one row of correspondences, at a time.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import MalformedFile, SchemaViolation
 from .model import (
@@ -68,7 +70,6 @@ from .model import (
     Ontology,
     Relation,
     Report,
-    SYNTACTIC,
     pair_rows,
 )
 
@@ -195,13 +196,13 @@ def _relation(raw: Any, where) -> Relation:
         raise SchemaViolation(f"{_context(where)}: {exc}") from exc
 
 
-def _render(value: Any, indent: str, heads=None) -> str:
+def _render(value: Any, indent: str) -> str:
     """``json.dumps`` of ``value`` with ``ensure_ascii=False``, two-space
     indentation and sorted keys, ``indent`` put before every line but the
     first; only scalars other than strings go through ``json.dumps``.  An
-    exact ``str`` item is encoded in place, an empty dict or list at once.
-    A list of several dicts with one key set sorts their keys once and
-    hands each dict ``heads``: its keys in order, each with its ``"key": ``."""
+    exact ``str`` item is encoded in place, an empty dict or list at once,
+    a list of several non-empty dicts on one key set by ``_records`` and
+    any other list by ``_column``."""
     if isinstance(value, str):
         return encode_basestring(value)
     inner = indent + "  "
@@ -209,10 +210,6 @@ def _render(value: Any, indent: str, heads=None) -> str:
         if not value:
             return "{}"
         items = [
-            head + (encode_basestring(value[k]) if type(value[k]) is str
-                    else _render(value[k], inner))
-            for k, head in heads
-        ] if heads else [
             f"{encode_basestring(k)}: "
             f"{encode_basestring(v) if type(v) is str else _render(v, inner)}"
             for k, v in sorted(value.items())
@@ -221,14 +218,43 @@ def _render(value: Any, indent: str, heads=None) -> str:
     if isinstance(value, list):
         if not value:
             return "[]"
-        first, shared = value[0], None
-        if len(value) > 1 and type(first) is dict and all(
+        first = value[0]
+        if len(value) > 1 and type(first) is dict and first and all(
                 type(v) is dict and v.keys() == first.keys() for v in value):
-            shared = [(key, encode_basestring(key) + ": ") for key in sorted(first)]
-        items = [encode_basestring(v) if type(v) is str else _render(v, inner, shared)
-                 for v in value]
+            items = _records(value, inner)
+        else:
+            items = _column(value, inner)
         return "[\n" + inner + f",\n{inner}".join(items) + f"\n{indent}]"
     return json.dumps(value)
+
+
+def _records(records: list[dict], indent: str) -> list[str]:
+    """``_render`` of each of several non-empty dicts on one key set at
+    ``indent``: one ``%`` template from the sorted keys, filled a column
+    of values at a time."""
+    inner = indent + "  "
+    keys = sorted(records[0])
+    template = "{\n" + inner + f",\n{inner}".join(
+        encode_basestring(key).replace("%", "%%") + ": %s" for key in keys
+    ) + f"\n{indent}}}"
+    columns = [_column([record[key] for record in records], inner) for key in keys]
+    return [template % row for row in zip(*columns)]
+
+
+def _column(values: list, indent: str) -> Iterable[str]:
+    """``_render`` of each value at ``indent``.  A column of strings, or of
+    lists of strings, is encoded without recursing into each value."""
+    if all(type(v) is str for v in values):
+        return map(encode_basestring, values)
+    inner = indent + "  "
+    if all(type(v) is list for v in values) and all(
+            type(item) is str for v in values for item in v):
+        separator = f",\n{inner}"
+        return [
+            f"[\n{inner}{separator.join(map(encode_basestring, v))}\n{indent}]" if v else "[]"
+            for v in values
+        ]
+    return [encode_basestring(v) if type(v) is str else _render(v, indent) for v in values]
 
 
 def _dumps(document: dict) -> bytes:
@@ -360,83 +386,94 @@ def serialize_ontology(ontology: Ontology) -> bytes:
 # reports
 
 
-def _correspondence_parts(evidence: Evidence, score: Fraction, verdict: str) -> list[str]:
+def _correspondence_frame(kind: str, score: Fraction, verdict: str) -> list[str]:
     """One correspondence as ``_dumps`` lays it out at depth 2, with empty
-    ids, cut at them: the text before c1, between c1 and c2, and after c2.
-    Sorted keys put the ids first, so the first two ``""`` are theirs."""
+    ids and ``""`` for its relations list, cut at those three: the text
+    before c1, between c1 and c2, between c2 and the relations, and after
+    them.  Sorted keys put c1, c2, the evidence kind and its relations in
+    this order, and no kind, score or verdict is empty, so the first three
+    ``""`` are theirs."""
     entry = {
         "c1": "", "c2": "", "score": str(score), "verdict": verdict,
-        "evidence": {"kind": evidence.kind,
-                     "relations_used": [r.to_dict() for r in evidence.relations_used]},
+        "evidence": {"kind": kind, "relations_used": ""},
     }
-    return ("    " + _render(entry, "    ")).split('""', 2)
+    return ("    " + _render(entry, "    ")).split('""', 3)
 
 
-def _correspondence_list(report: Report) -> Iterator[str]:
-    """The correspondence entries, one string per row of ``pair_rows``."""
-    head, middle, trivial_tail = _correspondence_parts(SYNTACTIC, Fraction(0), "Distinct")
-    tails: dict[tuple[Evidence, int, int, str], str] = {}
+def _correspondence_rows(report: Report) -> Iterator[tuple[bytes, bytes]]:
+    """The correspondence entries of each row of ``pair_rows`` as two
+    chunks: the row's head, which holds c1, and its entries, each after
+    the first preceded by the separator and the head."""
+    head, middle, before, after = _correspondence_frame("syntactic", Fraction(0), "Distinct")
+    trivial_tail = before + "[]" + after
+    frames: dict[tuple[str, int, int, str], list[str]] = {}
+    tails: dict[tuple[tuple[Relation, ...], tuple[str, int, int, str]], str] = {}
     # per side of a sparse report: each partner's entry as an unlisted pair
-    unlisted: dict[int, list[str]] = {}
+    unlisted: dict[int, list[bytes]] = {}
     for c1, side, partners, cells in pair_rows(report):
         if side is None:
-            entries = [""] * len(partners)  # an explicit row lists every pair
+            entries = [b""] * len(partners)  # an explicit row lists every pair
         else:
             if side not in unlisted:
-                unlisted[side] = [encode_basestring(c2) + trivial_tail for c2 in partners]
+                unlisted[side] = [(encode_basestring(c2) + trivial_tail).encode("utf-8")
+                                  for c2 in partners]
             entries = unlisted[side].copy() if cells else unlisted[side]
         for k, corr in cells.items():
-            score = corr.score
-            key = (corr.evidence, score.numerator, score.denominator, corr.verdict)
-            tail = tails.get(key)
+            score, (kind, relations) = corr.score, corr.evidence
+            frame = (kind, score.numerator, score.denominator, corr.verdict)
+            tail = tails.get((relations, frame))
             if tail is None:
-                tail = tails[key] = _correspondence_parts(corr.evidence, score, corr.verdict)[2]
-            entries[k] = encode_basestring(corr.c2) + tail
+                if frame not in frames:
+                    frames[frame] = _correspondence_frame(kind, score, corr.verdict)[2:]
+                # relations_used sits four levels deep in the report
+                rendered = _render([r.to_dict() for r in relations], " " * 8)
+                tail = tails[relations, frame] = rendered.join(frames[frame])
+            entries[k] = (encode_basestring(corr.c2) + tail).encode("utf-8")
         if entries:  # none when every later source is empty
-            row_head = head + encode_basestring(c1) + middle
-            yield row_head + (",\n" + row_head).join(entries)
+            row_head = (head + encode_basestring(c1) + middle).encode("utf-8")
+            yield row_head, (b",\n" + row_head).join(entries)
 
 
 def report_chunks(report: Report) -> Iterator[bytes]:
     """The bytes of ``serialize_report`` in order, never held whole: the
     opening brace, each top-level member by sorted key, and the
-    correspondence rows with their separators.  Raises SchemaViolation
-    where ``pair_rows`` does, possibly after some chunks."""
-    fields: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "enrichments": [
+    correspondence rows with their separators.  A member other than the
+    correspondences is built only when it is rendered and dropped after;
+    each row is two chunks of bytes, its head and its joined entries.
+    Raises SchemaViolation where ``pair_rows`` does, possibly after some
+    chunks."""
+    members = {
+        "format_version": lambda: FORMAT_VERSION,
+        "enrichments": lambda: [
             {
                 "pair": list(record.pair),
                 "injected": record.injected.to_dict(),
                 "evidence": [r.to_dict() for r in record.evidence],
             }
-            for record in sorted(
-                report.enrichments, key=lambda r: (r.pair, r.injected)
-            )
+            for record in sorted(report.enrichments, key=lambda r: (r.pair, r.injected))
         ],
-        "clusters": [
+        "clusters": lambda: [
             {
                 "term": cluster.term,
                 "members": list(cluster.members),
                 "aliases": list(cluster.aliases),
             }
-            for cluster in sorted(
-                report.clusters, key=lambda cl: (cl.term, cl.members)
-            )
+            for cluster in sorted(report.clusters, key=lambda cl: (cl.term, cl.members))
         ],
-        "warnings": sorted(report.warnings),
+        "warnings": lambda: sorted(report.warnings),
+        "correspondences": None,
     }
     separator = "{\n"
-    for key in sorted([*fields, "correspondences"]):
+    for key in sorted(members):
         member = f"{separator}  {encode_basestring(key)}: "
         separator = ",\n"
-        if key != "correspondences":
-            yield (member + _render(fields[key], "  ")).encode("utf-8")
+        if members[key]:
+            yield (member + _render(members[key](), "  ")).encode("utf-8")
             continue
         empty = True
-        for row in _correspondence_list(report):
-            yield (member + "[\n").encode("utf-8") if empty else b",\n"
-            yield row.encode("utf-8")
+        for row_head, entries in _correspondence_rows(report):
+            yield (member + "[\n").encode("utf-8") + row_head if empty else b",\n" + row_head
+            yield entries
             empty = False
         yield (member + "[]").encode("utf-8") if empty else b"\n  ]"
     yield b"\n}\n"
@@ -452,10 +489,12 @@ def serialize_report(report: Report) -> bytes:
     pairs written as (0, syntactic, Distinct) entries, so v1 files list
     every pair either way.  That list is written one string per row of
     ``model.pair_rows``, from the parts ``_render`` gives an entry with
-    empty ids: the ids go between them through the encoder
+    empty ids and relations: the ids go between them through the encoder
     ``json.dumps(ensure_ascii=False)`` uses, the head is cut once per
-    report and the tail once per distinct (evidence, score, verdict).
-    Each side of a sparse report renders its partners once as unlisted
+    report, the frame of the tail once per distinct (evidence kind,
+    score, verdict), and only the relations list is rendered per
+    distinct (evidence, score, verdict).
+    Each side of a sparse report encodes its partners once as unlisted
     entries; a row reuses that list, or patches a copy of it at the
     positions it lists.  The other top-level values go through
     ``_render``.  ``tests/test_model_io.py`` keeps a plain ``json.dumps``

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -294,6 +295,41 @@ def test_failing_chunk_iterator_leaves_no_partial_files(tmp_path, report, error)
         _write_outputs(outputs)
     assert written  # the second output failed after its first chunk
     assert list(tmp_path.iterdir()) == []  # no output, no temporary
+
+
+def test_written_output_is_dropped_before_the_next_renders(tmp_path):
+    def first():
+        yield b"{}\n"
+
+    def second():
+        alive.append(first_ref() is not None)
+        yield b"{}\n"
+
+    alive = []
+    outputs = {str(tmp_path / "a.json"): first(), str(tmp_path / "b.json"): second()}
+    first_ref = weakref.ref(outputs[str(tmp_path / "a.json")])
+    _write_outputs(outputs)
+    assert alive == [False]
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes() == b"{}\n"
+
+
+def test_integrate_frees_the_enriched_ontology_before_the_report(
+        tmp_path, scenario_files, monkeypatch):
+    refs, alive = [], []
+    serialize_ontology, report_chunks = model_io.serialize_ontology, model_io.report_chunks
+
+    def spy_ontology(ontology):
+        refs.append(weakref.ref(ontology))
+        return serialize_ontology(ontology)
+
+    def spy_report(report):
+        alive.append([ref() is not None for ref in refs])
+        yield from report_chunks(report)
+
+    monkeypatch.setattr(model_io, "serialize_ontology", spy_ontology)
+    monkeypatch.setattr(model_io, "report_chunks", spy_report)
+    assert main(_integrate_args(scenario_files, tmp_path)) == 0
+    assert alive == [[False]]
 
 
 def test_integrate_peak_memory_is_below_half_the_report(tmp_path):

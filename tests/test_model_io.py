@@ -311,10 +311,11 @@ def _dumps_oracle(value):
     return json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)
 
 
-# Strings mix what JSON escapes, a line separator it leaves raw, and
-# non-ASCII and astral characters.
+# Strings mix what JSON escapes, a line separator it leaves raw, a
+# formatting character, and non-ASCII and astral characters.
 _json_text = st.text(
-    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u2028", "é", "中", "\U0001f600", "a"]),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u2028", "%", "é", "中", "\U0001f600",
+                     "a"]),
     max_size=5,
 )
 
@@ -330,10 +331,12 @@ def _json_values(depth):
 @st.composite
 def _record_lists(draw):
     """Several dicts on one key set, as the serializers write them, and at
-    times one dict on another key set among them."""
+    times one dict on another key set among them.  A key's values are
+    strings, lists of strings or any JSON values."""
     keys = draw(st.lists(_json_text, max_size=4, unique=True))
+    columns = st.sampled_from([_json_values(2), _json_text, st.lists(_json_text, max_size=3)])
     records = draw(st.lists(
-        st.fixed_dictionaries({key: _json_values(2) for key in keys}), min_size=2, max_size=4))
+        st.fixed_dictionaries({key: draw(columns) for key in keys}), min_size=2, max_size=4))
     if draw(st.booleans()):
         odd = draw(st.dictionaries(_json_text, _json_values(1), max_size=3))
         records.insert(draw(st.integers(0, len(records))), odd)
@@ -347,6 +350,8 @@ def _record_lists(draw):
 @example({"a": [], "b": {}, "c": [[{}]]}, 2)
 @example([{"b": 1, "a": [{"y": "1", "x": None}, {"x": 2, "y": "3"}]}, {"a": [], "b": 2}], 1)
 @example([{"a": 1, "b": 2}, {"a": 1, "c": 2}], 0)
+@example([[{}, {}]], 1)
+@example([{"%s": ["x", "%"], "%%": "y"}, {"%s": [], "%%": "%d"}], 1)
 def test_render_matches_json_dumps(value, depth):
     text = _dumps_oracle(value)
     assert model_io._render(value, "") == text

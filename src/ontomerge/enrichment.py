@@ -12,32 +12,32 @@ are tried in order.  Each only looks for evidence and returns it:
   bridge's kind is propagated to the pair.
 * case 3 (``infer_via_children``) - both concepts are composites of the
   same arity whose children can be perfectly paired through known
-  synonymy/equivalence relations or term equality (children read from
-  ``similarity.children_index``); the pair is inferred synonymous.
+  synonymy/equivalence relations or term equality; the pair is
+  inferred synonymous.
 
-``reach`` reads the lookup and the three cases forwards, beside their
-checks.  Both read one ``RunMaps`` per ``align`` run (each term's
-equivalence partners, bridge ends and case-3 cells, each concept's
-reach), whose entries a commit drops only where it changes them, so a
-term with D equivalence partners costs O(D) per run, not per concept.
-Case 3 asks ``perfect_assignment`` whether its 0/1 child matrix has a
-perfect matching.  ``enrich`` alone decides whether a pair may be
-enriched (both terms in the support ontology, joined there by no
-relation) and alone commits: it resolves the endpoints once and builds the
-``EnrichmentRecord``.  Enrichment only ever adds relations, never
-modifies or removes one; as a related pair is never tried, no pair
-comes to carry both synonymy and homonymy.
+The cases and ``enrich`` take one ``RunMaps`` as their only context:
+the support ontology, the sources, their children index, and maps that
+``align`` keeps for one run (each term's equivalence partners, bridge
+ends and case-3 cells, and ``RunMaps.reach``, the lookup and the three
+cases read forwards beside their checks).  A commit drops only the
+entries it changes, so a term with D equivalence partners costs O(D)
+per run, not per concept.  Case 3 asks ``perfect_assignment`` whether
+its 0/1 child matrix has a perfect matching.  ``enrich`` alone decides
+whether a pair may be enriched (both terms in the support ontology,
+joined there by no relation) and alone commits: it resolves the
+endpoints once and builds the ``EnrichmentRecord``.  Enrichment only
+ever adds relations, never modifies or removes one; as a related pair
+is never tried, no pair comes to carry both synonymy and homonymy.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from functools import cached_property
+from collections import defaultdict
 from typing import Iterator, Optional, Sequence
 
 from .matching import perfect_assignment
 from .model import Concept, EnrichmentRecord, Ontology, Relation, first_free
-from .similarity import ChildrenIndex, lookup_relations
+from .similarity import children_index, lookup_relations
 
 _CELL_KINDS = ("synonymy", "equivalence")  # what relates two case-3 children
 _BRIDGE_KINDS = ("synonymy", "homonymy")  # what bridges two case-2 equivalents
@@ -114,27 +114,27 @@ class _Lazy(dict):
 
 
 class RunMaps:
-    """What the cases and ``reach`` read in one ``align`` run.
+    """The one context of enrichment: a support ontology and its sources.
 
-    ``partners`` (term -> equivalence partners), ``parents`` (child id ->
-    arity -> parent ids) and ``atoms`` (concept id -> atomic child keys,
-    filled by ``syntactic_similarity``) read only the sources, which no
-    commit writes.  The rest is filled on first use from the support
-    ontology as enriched so far: ``bridges`` (s1 -> (s2, first synonymy
-    or homonymy) for each s2 with a partner, by s2), ``cells`` (case 3's
-    term -> related term -> first synonymy or equivalence) and each
-    concept's reach.  ``forget`` drops what a commit between two terms
-    changes: their bridges and cells, and the reach of each concept whose
-    key, key's partner or child key is one of them.  A direct call of
-    ``reach``, ``enrich`` or a case check without one builds its own.
+    ``od`` is the support ontology ``enrich`` gates on and commits to,
+    ``sources`` the component ontologies and ``kids`` their
+    ``children_index``.  ``partners`` (term -> equivalence partners)
+    reads only the sources, which no commit writes.  The rest is filled
+    on first use from ``od`` as enriched so far: ``bridges`` (s1 -> (s2,
+    first synonymy or homonymy) for each s2 with a partner, by s2),
+    ``cells`` (case 3's term -> related term -> first synonymy or
+    equivalence) and each concept's reach.  After its commit ``enrich``
+    calls ``forget``, which drops their entries for the two terms and the
+    reach of each concept whose key, key's partner or child key is one
+    of them.  Build new maps after changing ``od`` any other way.
     """
 
-    def __init__(self, od: Ontology, sources: Sequence[Ontology], kids: ChildrenIndex):
+    def __init__(self, od: Ontology, sources: Sequence[Ontology]):
         # the builders close over locals, not ``self``: a cycle would keep
         # the maps alive after ``align`` returns, until the collector runs
-        self.ontologies = ontologies = [od, *sources]
-        self.sources, self.kids = sources, kids
-        self.atoms: dict[str, Counter[str]] = {}
+        self.od, self.sources = od, sources
+        self.kids = children_index(sources)
+        self._ontologies = ontologies = [od, *sources]
         self._partners = partners = _equivalence_partners(sources)
         self.cells = _Lazy(lambda term: first_relations(ontologies, term, _CELL_KINDS))
         self.bridges = _Lazy(lambda s1: sorted(
@@ -143,16 +143,6 @@ class RunMaps:
         self._reach: dict[str, tuple[set[str], set[str]]] = {}
         # term -> the ids of the concepts whose reach read it
         self._readers: defaultdict[str, set[str]] = defaultdict(set)
-
-    @cached_property
-    def parents(self) -> dict[str, dict[int, list[str]]]:
-        found: dict[str, dict[int, list[str]]] = {}
-        for source in self.sources:
-            for concept in source.concepts.values():
-                arity = len(concept.children)
-                for child in set(concept.children):
-                    found.setdefault(child, {}).setdefault(arity, []).append(concept.id)
-        return found
 
     def partners(self, term: str) -> Sequence[tuple[str, Relation]]:
         return self._partners.get(term, ())
@@ -168,12 +158,20 @@ class RunMaps:
                         yield end, (rel1, rel2, bridge)
 
     def reach(self, c1: Concept) -> tuple[set[str], set[str]]:
-        """``enrichment.reach`` of c1, kept until a commit drops it."""
+        """The lookup and the three cases read forwards from c1: the keys that
+        a relation in ``od`` or a source, or a case-2 path, joins to c1's
+        key, and the child keys a case-3 partner (a composite of c1's
+        arity) must hold one of: c1's child keys and those its case-3
+        cells relate them to.
+
+        Computed once per concept and kept until a commit touches one of
+        the terms it read; do not modify the sets.
+        """
         found = self._reach.get(c1.id)
         if found is None:
             children = [x.key for x in self.kids[c1.id]]
             partners = [s1 for s1, _ in self.partners(c1.key)]
-            keys = {term for o in self.ontologies for term in o.related_terms(c1.key)}
+            keys = {term for o in self._ontologies for term in o.related_terms(c1.key)}
             if partners:
                 keys.update(end for end, _ in self.paths(c1.key))
             linked = {key for x in children for key in (x, *self.cells[x])}
@@ -192,7 +190,7 @@ class RunMaps:
 
 
 def infer_via_equivalents(
-    t1: str, t2: str, sources: list[Ontology], od: Ontology, *, maps: Optional[RunMaps] = None
+    t1: str, t2: str, maps: RunMaps
 ) -> Optional[tuple[str, tuple[Relation, ...]]]:
     """Case 2: the kind of a bridge between declared equivalents, with evidence.
 
@@ -201,7 +199,6 @@ def infer_via_equivalents(
     the bridge's kind, which is what gets injected, and the evidence
     (equivalence of t1, equivalence of t2, bridge).
     """
-    maps = maps or RunMaps(od, sources, {})
     if not maps.partners(t2):
         return None  # no path ends at t2
     for end, evidence in maps.paths(t1):
@@ -210,37 +207,28 @@ def infer_via_equivalents(
     return None
 
 
-def infer_via_children(
-    c1: Concept,
-    c2: Concept,
-    sources: list[Ontology],
-    od: Ontology,
-    kids: ChildrenIndex,
-    *,
-    maps: Optional[RunMaps] = None,
-) -> Optional[tuple[Relation, ...]]:
+def infer_via_children(c1: Concept, c2: Concept, maps: RunMaps) -> Optional[tuple[Relation, ...]]:
     """Case 3: composites whose children pair up through known relations.
 
-    Children relate when their normalized terms are equal or a synonymy /
-    equivalence relation between the terms exists in the support ontology
-    or any source (the first in ``first_relations``, support ontology
-    first, read once per child term and run from ``RunMaps.cells``).  A
-    perfect injective matching over all n children is required, and
-    ``perfect_assignment`` finds one by augmenting paths in O(n * cells);
-    among several perfect matchings it picks the one
-    ``max_weight_assignment`` would, whose relations are returned as the
-    evidence (empty when every matched pair shares a term).  Only
-    distinct parent terms are inferred (a shared term is already decided
-    syntactically, and a self-synonymy would break pipeline idempotence);
-    the inferred kind is always synonymy.  ``kids`` is the
-    ``children_index`` of the sources.
+    Children (read from ``maps.kids``) relate when their normalized terms
+    are equal or a synonymy / equivalence relation between the terms
+    exists in the support ontology or any source (the first in
+    ``first_relations``, support ontology first, read once per child term
+    and run from ``RunMaps.cells``).  A perfect injective matching over
+    all n children is required, and ``perfect_assignment`` finds one by
+    augmenting paths in O(n * cells); among several perfect matchings it
+    picks the one ``max_weight_assignment`` would, whose relations are
+    returned as the evidence (empty when every matched pair shares a
+    term).  Only distinct parent terms are inferred (a shared term is
+    already decided syntactically, and a self-synonymy would break
+    pipeline idempotence); the inferred kind is always synonymy.
     """
     if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
         return None
     if c1.key == c2.key:
         return None
-    maps = maps or RunMaps(od, sources, kids)
-    support = [[True if x.key == y.key else maps.cells[x.key].get(y.key)  # True: equal terms
+    kids, cells = maps.kids, maps.cells
+    support = [[True if x.key == y.key else cells[x.key].get(y.key)  # True: equal terms
                 for y in kids[c2.id]] for x in kids[c1.id]]
     assignment = perfect_assignment(support)
     if assignment is None:
@@ -250,61 +238,33 @@ def infer_via_children(
     )
 
 
-def reach(
-    c1: Concept,
-    od: Ontology,
-    sources: list[Ontology],
-    kids: ChildrenIndex,
-    *,
-    maps: Optional[RunMaps] = None,
-) -> tuple[set[str], set[str]]:
-    """The lookup and the three cases read forwards from c1: the keys that
-    a relation in ``od`` or a source, or a case-2 path, joins to c1's key,
-    and the child keys a case-3 partner (a composite of c1's arity) must
-    hold one of: c1's child keys and those its case-3 cells relate them to.
-
-    Read from ``maps`` (``align``'s ``RunMaps``), which computes it once
-    per concept until a commit touches one of the terms it read; do not
-    modify the sets.
-    """
-    return (maps or RunMaps(od, sources, kids)).reach(c1)
-
-
 def enrich(
-    c1: Concept,
-    c2: Concept,
-    od: Ontology,
-    sources: list[Ontology],
-    kids: ChildrenIndex,
-    warnings: Optional[list[str]] = None,
-    *,
-    maps: Optional[RunMaps] = None,
+    c1: Concept, c2: Concept, maps: RunMaps, warnings: Optional[list[str]] = None
 ) -> Optional[EnrichmentRecord]:
-    """Try case 1, then 2, then 3; commit at most one relation to ``od``.
+    """Try case 1, then 2, then 3; commit at most one relation to ``maps.od``.
 
-    Only a pair whose terms ``od`` holds and joins by no relation is
-    tried; for any other ``enrich`` returns None at once, so the first
-    derivation for a pair wins, and no pair gains both synonymy and
-    homonymy.  The cases only find evidence; this is the one place that
-    resolves the endpoints, builds the record and commits it.  On
-    success the support ontology gains exactly one relation (plus the
-    second endpoint of a same-term pair, when it needed one) and lookups
-    for the pair are nonempty afterwards.  On failure ``od`` is
-    untouched.  ``kids`` is the ``children_index`` of the sources, read
-    by case 3.  ``maps``, a ``RunMaps`` over ``od`` and ``sources``, is
-    what the cases read; a commit drops the entries it changes.
+    Only a pair whose terms the support ontology ``maps.od`` holds and
+    joins by no relation is tried; for any other ``enrich`` returns None
+    at once, so the first derivation for a pair wins, and no pair gains
+    both synonymy and homonymy.  The cases only find evidence, in
+    ``maps``; this is the one place that resolves the endpoints, builds
+    the record and commits it.  On success the support ontology gains
+    exactly one relation (plus the second endpoint of a same-term pair,
+    when it needed one), lookups for the pair are nonempty afterwards,
+    and ``maps`` drops the entries the commit changes.  On failure the
+    support ontology is untouched.
     """
+    od = maps.od
     t1, t2 = c1.key, c2.key
     if not (od.term_present(t1) and od.term_present(t2)) or lookup_relations(od, t1, t2):
         return None
-    maps = maps or RunMaps(od, sources, kids)
-    direct = next((r for source in sources for r in lookup_relations(source, t1, t2)), None)
+    direct = next((r for source in maps.sources for r in lookup_relations(source, t1, t2)), None)
     if direct is not None:
         case, kind, evidence = "inferred_case1", direct.kind, (direct,)
-    elif (bridged := infer_via_equivalents(t1, t2, sources, od, maps=maps)) is not None:
+    elif (bridged := infer_via_equivalents(t1, t2, maps)) is not None:
         case = "inferred_case2"
         kind, evidence = bridged
-    elif (matched := infer_via_children(c1, c2, sources, od, kids, maps=maps)) is not None:
+    elif (matched := infer_via_children(c1, c2, maps)) is not None:
         case, kind, evidence = "inferred_case3", "synonymy", matched
     else:
         return None

@@ -31,7 +31,7 @@ from .model import (
     first_free,
     pair_space_of,
 )
-from .similarity import children_index, semantic_similarity
+from .similarity import semantic_similarity
 from .terms import normalize_term
 from .transform import component_to_ontology, ontology_to_component
 
@@ -55,7 +55,7 @@ def align(
     share c1's key or score above 0 syntactically (equal-key atomic pairs
     lifted bottom-up to the equal-arity pairs of their parents).  When
     the support ontology holds c1's key, ``candidates`` adds the concepts
-    whose keys it holds and that ``enrichment.reach`` gives for c1 against
+    whose keys it holds and that ``RunMaps.reach`` gives for c1 against
     the support ontology as enriched so far: a concept whose key it
     reaches, or a composite of c1's arity with a child whose key it links
     to a child of c1.  Every other pair is exactly (0, syntactic, Distinct)
@@ -70,13 +70,13 @@ def align(
     pair of a row whose key the support ontology holds, and itself
     declines a pair it may not enrich; ``semantic_similarity`` then only
     reads.  A commit adds no term to the support ontology, so after it
-    the rest of the row is read again through ``candidates``.  ``reach``,
-    ``enrich`` and the case checks read one ``enrichment.RunMaps``,
-    built here and dropped on return: each concept's reach is computed
-    once and again only after a commit touches a term it read, so a
-    concept costs one ``reach`` per run, not one per later source.  The
-    given support ontology is copied; enrichment commits land on the
-    copy, which is returned with the records.  Verdicts:
+    the rest of the row is read again through ``candidates``.  ``enrich``
+    and ``reach`` read one ``enrichment.RunMaps``, and the scorer its
+    children index; it is built here over a copy of the support ontology
+    and dropped on return.  Each concept's reach is computed once and
+    again only after a commit touches a term it read, so a concept costs
+    one ``reach`` per run, not one per later source.  Enrichment commits
+    land on the copy, which is returned with the records.  Verdicts:
 
     * score 1 via a support-ontology or enriched synonymy -> Synonym;
     * score 0 via homonymy with equal terms -> Homonym (unequal terms are
@@ -100,11 +100,16 @@ def align(
 
     sink = warnings if warnings is not None else []
     ordered = sorted(sources, key=lambda o: o.id)
-    kids = children_index(ordered)
     enriched_od = od.copy()
     records: list[EnrichmentRecord] = []
-    maps = RunMaps(enriched_od, ordered, kids)
-    parents = maps.parents  # child id -> arity -> parent ids
+    maps = RunMaps(enriched_od, ordered)
+    kids = maps.kids
+    parents: dict[str, dict[int, list[str]]] = {}  # child id -> arity -> parent ids
+    for source in ordered:
+        for concept in source.concepts.values():
+            arity = len(concept.children)
+            for child in set(concept.children):
+                parents.setdefault(child, {}).setdefault(arity, []).append(concept.id)
 
     def fixed_partners(source: Ontology, later: Ontology) -> dict[str, set[str]]:
         """c1 id -> the ids of its row's fixed part in ``later`` (see above)."""
@@ -137,6 +142,7 @@ def align(
 
     correspondences: list[Correspondence] = []
     memo: dict[tuple[str, str], Fraction] = {}
+    atoms: dict[str, Counter[str]] = {}
     for i, source in enumerate(ordered):
         for later in ordered[i + 1:]:
             fixed = fixed_partners(source, later)
@@ -149,14 +155,13 @@ def align(
                 while row:
                     c2 = later.concepts[row.pop()]
                     if known:
-                        record = enrich(c1, c2, enriched_od, ordered, kids, warnings=sink,
-                                        maps=maps)
+                        record = enrich(c1, c2, maps, sink)
                         if record is not None:  # the commit may reach more of the row
                             records.append(record)
                             row = sorted((c for c in {*partners, *candidates(c1, later)}
                                           if c > c2.id), reverse=True)
                     score, evidence = semantic_similarity(c1, c2, enriched_od, kids, memo=memo,
-                                                          atoms=maps.atoms)
+                                                          atoms=atoms)
                     verdict = _classify(c1, c2, score, evidence.kind, tau)
                     if verdict == "Identical" and c1.key == c2.key:
                         sink.append(

@@ -6,9 +6,10 @@ produce byte-identical output; ``parse(serialize(v))`` is the identity.
 Every invariant violation is detected at parse time and reported as a
 SchemaViolation naming the offending path or field; broken JSON or
 encodings raise MalformedFile.  The readers check each entry in one pass
-with exact type tests (JSON gives exact types, and a bool is no int); the
-component and ontology readers format an entry's context, such as
-``"<path>: entities[3]"``, only when an error names it.
+with exact type tests (JSON gives exact types, and a bool is no int) and
+format an entry's context, such as ``"<path>: entities[3]"``, only when
+an error names it; an error a value's constructor raises gets that
+context too, and keeps its class.
 
 Component document::
 
@@ -127,11 +128,17 @@ def _has_lone_surrogate(document: Any) -> bool:
 
 def _context(where) -> str:
     """An error context: a string, or (context, list name, index) for an item
-    of a list, which is formatted only when an error names it."""
+    of a list (index None: for the field itself), which is formatted only
+    when an error names it."""
     if type(where) is str:
         return where
     context, name, index = where
-    return f"{_context(context)}{name}[{index}]"
+    return f"{_context(context)}{name}" + ("" if index is None else f"[{index}]")
+
+
+def _in_context(exc: SchemaViolation, where) -> SchemaViolation:
+    """``exc`` again, of its own class, its message led by the context ``where``."""
+    return type(exc)(f"{_context(where)}: {exc}")
 
 
 def _expect(condition: bool, where, message: str) -> None:
@@ -193,7 +200,7 @@ def _relation(raw: Any, where) -> Relation:
     try:
         return Relation(a, b, kind, provenance)
     except SchemaViolation as exc:
-        raise SchemaViolation(f"{_context(where)}: {exc}") from exc
+        raise _in_context(exc, where) from exc
 
 
 def _render(value: Any, indent: str) -> str:
@@ -276,10 +283,12 @@ def parse_component(path) -> BusinessComponent:
     for index, raw in enumerate(_field(doc, "entities", list, context)):
         at = (context, ": entities", index)
         _expect(type(raw) is dict, at, "entity must be an object")
-        entities.append(Entity(
-            _field(raw, "name", str, at), _strings(raw, "attributes", at),
-            _associations(raw, at), _strings(raw, "components", at),
-        ))
+        fields = (_field(raw, "name", str, at), _strings(raw, "attributes", at),
+                  _associations(raw, at), _strings(raw, "components", at))
+        try:
+            entities.append(Entity(*fields))
+        except SchemaViolation as exc:
+            raise _in_context(exc, at) from exc
     relations = []
     for index, raw in enumerate(_field(doc, "relations", list, context, ())):
         at = (context, ": relations", index)
@@ -293,7 +302,7 @@ def parse_component(path) -> BusinessComponent:
             entities=tuple(entities), relations=tuple(relations),
         )
     except SchemaViolation as exc:
-        raise SchemaViolation(f"{context}: {exc}") from exc
+        raise _in_context(exc, context) from exc
 
 
 def serialize_component(bc: BusinessComponent) -> bytes:
@@ -336,11 +345,13 @@ def parse_ontology(path) -> Ontology:
     for index, raw in enumerate(_field(doc, "concepts", list, context)):
         at = (context, ": concepts", index)
         _expect(type(raw) is dict, at, "concept must be an object")
-        concepts.append(Concept(
-            _field(raw, "id", str, at), _field(raw, "term", str, at),
-            _strings(raw, "children", at), _strings(raw, "attributes", at),
-            _associations(raw, at), _strings(raw, "aliases", at),
-        ))
+        fields = (_field(raw, "id", str, at), _field(raw, "term", str, at),
+                  _strings(raw, "children", at), _strings(raw, "attributes", at),
+                  _associations(raw, at), _strings(raw, "aliases", at))
+        try:
+            concepts.append(Concept(*fields))
+        except SchemaViolation as exc:
+            raise _in_context(exc, at) from exc
     relations = [
         _relation(raw, (context, ": relations", index))
         for index, raw in enumerate(_field(doc, "relations", list, context, ()))
@@ -349,7 +360,7 @@ def parse_ontology(path) -> Ontology:
         ontology = Ontology(ontology_id, concepts=concepts, relations=relations)
         ontology.validate()
     except SchemaViolation as exc:
-        raise SchemaViolation(f"{context}: {exc}") from exc
+        raise _in_context(exc, context) from exc
     return ontology
 
 
@@ -516,64 +527,53 @@ def parse_report(path) -> Report:
     correspondences = []
     pairs: set[tuple[str, str]] = set()
     for index, raw in enumerate(_field(doc, "correspondences", list, context)):
-        cctx = f"{context}: correspondences[{index}]"
-        _expect(isinstance(raw, dict), cctx, "correspondence must be an object")
-        evidence_raw = _field(raw, "evidence", dict, cctx)
+        at = (context, ": correspondences", index)
+        _expect(type(raw) is dict, at, "correspondence must be an object")
+        evidence = _field(raw, "evidence", dict, at)
         try:
-            score = Fraction(_field(raw, "score", str, cctx))
+            score = Fraction(_field(raw, "score", str, at))
         except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaViolation(f"{cctx}: bad score: {exc}") from exc
-        correspondences.append(
-            Correspondence(
-                c1=_field(raw, "c1", str, cctx),
-                c2=_field(raw, "c2", str, cctx),
-                score=score,
-                verdict=_field(raw, "verdict", str, cctx),
-                evidence=Evidence(
-                    kind=_field(evidence_raw, "kind", str, cctx),
-                    relations_used=tuple(
-                        _relation(r, f"{cctx}.evidence.relations_used[{rindex}]")
-                        for rindex, r in enumerate(
-                            _field(evidence_raw, "relations_used", list, cctx, ())
-                        )
-                    ),
-                ),
-            )
+            raise SchemaViolation(f"{_context(at)}: bad score: {exc}") from exc
+        c1, c2 = _field(raw, "c1", str, at), _field(raw, "c2", str, at)
+        verdict, kind = _field(raw, "verdict", str, at), _field(evidence, "kind", str, at)
+        relations = tuple(
+            _relation(r, (at, ".evidence.relations_used", rindex))
+            for rindex, r in enumerate(_field(evidence, "relations_used", list, at, ()))
         )
-        pair = correspondences[-1].pair
-        _expect(pair not in pairs, cctx, f"pair {pair} is listed twice")
+        try:
+            correspondences.append(
+                Correspondence(c1, c2, score, verdict, Evidence(kind, relations)))
+        except SchemaViolation as exc:
+            raise _in_context(exc, at) from exc
+        pair = c1, c2
+        _expect(pair not in pairs, at, f"pair {pair} is listed twice")
         pairs.add(pair)
     enrichments = []
     for index, raw in enumerate(_field(doc, "enrichments", list, context, ())):
-        ectx = f"{context}: enrichments[{index}]"
-        _expect(isinstance(raw, dict), ectx, "enrichment must be an object")
-        pair = _field(raw, "pair", list, ectx)
-        _expect(
-            len(pair) == 2 and all(isinstance(p, str) for p in pair),
-            ectx,
-            "pair must hold two concept ids",
+        at = (context, ": enrichments", index)
+        _expect(type(raw) is dict, at, "enrichment must be an object")
+        pair = _field(raw, "pair", list, at)
+        _expect(len(pair) == 2 and all(type(p) is str for p in pair), at,
+                "pair must hold two concept ids")
+        injected = _relation(_field(raw, "injected", dict, at), (at, ".injected", None))
+        evidence = tuple(
+            _relation(r, (at, ".evidence", rindex))
+            for rindex, r in enumerate(_field(raw, "evidence", list, at, ()))
         )
-        enrichments.append(
-            EnrichmentRecord(
-                injected=_relation(_field(raw, "injected", dict, ectx), f"{ectx}.injected"),
-                evidence=tuple(
-                    _relation(r, f"{ectx}.evidence[{rindex}]")
-                    for rindex, r in enumerate(_field(raw, "evidence", list, ectx, ()))
-                ),
-                pair=(pair[0], pair[1]),
-            )
-        )
+        try:
+            enrichments.append(EnrichmentRecord(injected, evidence, (pair[0], pair[1])))
+        except SchemaViolation as exc:
+            raise _in_context(exc, at) from exc
     clusters = []
     for index, raw in enumerate(_field(doc, "clusters", list, context, ())):
-        clctx = f"{context}: clusters[{index}]"
-        _expect(isinstance(raw, dict), clctx, "cluster must be an object")
-        clusters.append(
-            Cluster(
-                term=_field(raw, "term", str, clctx),
-                members=_strings(raw, "members", clctx),
-                aliases=_strings(raw, "aliases", clctx),
-            )
-        )
+        at = (context, ": clusters", index)
+        _expect(type(raw) is dict, at, "cluster must be an object")
+        fields = (_field(raw, "term", str, at), _strings(raw, "members", at),
+                  _strings(raw, "aliases", at))
+        try:
+            clusters.append(Cluster(*fields))
+        except SchemaViolation as exc:
+            raise _in_context(exc, at) from exc
     return Report(
         correspondences=correspondences,
         enrichments=enrichments,

@@ -34,6 +34,7 @@ from ontomerge import (
     syntactic_similarity,
 )
 from ontomerge.cli import main
+from ontomerge.enrichment import RunMaps
 
 from .conftest import make_cm1, make_cm2, make_support_ontology
 from .strategies import concept_pairs, terms
@@ -206,8 +207,7 @@ def test_criterion_3_enrichment_properties():
         owner2 = next(s for s in sources if cid2 in s.concepts)
         before = len(od.relations)
         record = enrich(
-            owner1.concepts[cid1], owner2.concepts[cid2], od, sources,
-            children_index(sources),
+            owner1.concepts[cid1], owner2.concepts[cid2], RunMaps(od, sources),
         )
         assert record is not None, name
         assert record.injected.kind == kind, name
@@ -249,7 +249,7 @@ def test_criterion_3_enrichment_properties():
     )
     record = enrich(
         combined_left.concepts["O1#a"], combined_right.concepts["O2#b"],
-        od, [combined_left, combined_right], children_index([combined_left, combined_right]),
+        RunMaps(od, [combined_left, combined_right]),
     )
     assert record is not None
     assert record.injected.provenance == "inferred_case2"  # case 3 also possible
@@ -286,7 +286,7 @@ def test_criterion_3_enrichment_properties():
     )
     record = enrich(
         direct_left.concepts["O1#tarif"], direct_right.concepts["O2#taux"],
-        od, [direct_left, direct_right], children_index([direct_left, direct_right]),
+        RunMaps(od, [direct_left, direct_right]),
     )
     assert record is not None
     assert record.injected.provenance == "inferred_case1"  # case 2 also possible

@@ -9,7 +9,6 @@ from ontomerge import (
     EnrichmentRecord,
     Ontology,
     Relation,
-    children_index,
     ScenarioSpec,
     align,
     enrich,
@@ -22,6 +21,7 @@ from ontomerge import (
     syntactic_similarity,
 )
 from ontomerge import enrichment, integrator
+from ontomerge.enrichment import RunMaps
 
 
 def _ontology(oid, *concepts, relations=()):
@@ -57,8 +57,7 @@ def _case1_fixture():
 def test_find_direct_relation_hits_single_source():
     source, od = _case1_fixture()
     record = enrich(
-        source.concepts["OCM3#facture"], source.concepts["OCM3#note"], od, [source],
-        children_index([source]),
+        source.concepts["OCM3#facture"], source.concepts["OCM3#note"], RunMaps(od, [source]),
     )
     assert record is not None
     assert record.injected.provenance == "inferred_case1"
@@ -69,8 +68,8 @@ def test_find_direct_relation_misses_when_terms_absent():
     source, od = _case1_fixture()
     devis = _ontology("OCM4", ("OCM4#devis", "devis"))
     assert enrich(
-        source.concepts["OCM3#facture"], devis.concepts["OCM4#devis"], od,
-        [source, devis], children_index([source, devis]),
+        source.concepts["OCM3#facture"], devis.concepts["OCM4#devis"],
+        RunMaps(od, [source, devis]),
     ) is None
 
 
@@ -82,16 +81,14 @@ def test_find_direct_relation_ignores_part_of():
     )
     od = _support("dossier", "patient")
     assert enrich(
-        source.concepts["OCM1#dossier"], source.concepts["OCM1#patient"], od, [source],
-        children_index([source]),
+        source.concepts["OCM1#dossier"], source.concepts["OCM1#patient"], RunMaps(od, [source]),
     ) is None
 
 
 def test_case1_injects_declared_relation():
     source, od = _case1_fixture()
     record = enrich(
-        source.concepts["OCM3#facture"], source.concepts["OCM3#note"], od, [source],
-        children_index([source]),
+        source.concepts["OCM3#facture"], source.concepts["OCM3#note"], RunMaps(od, [source]),
     )
     assert record is not None
     assert record.injected.provenance == "inferred_case1"
@@ -126,15 +123,15 @@ def _case2_fixture(bridge_kind="synonymy"):
 
 def test_case2_propagates_bridge_synonymy():
     left, right, od = _case2_fixture()
-    found = infer_via_equivalents("client", "commande", [left, right], od)
+    maps = RunMaps(od, [left, right])
+    found = infer_via_equivalents("client", "commande", maps)
     assert found is not None
     kind, evidence = found
     assert kind == "synonymy"
     equivalences = [r for r in evidence if r.kind == "equivalence"]
     bridges = [r for r in evidence if r.kind != "equivalence"]
     assert len(equivalences) == 2 and len(bridges) == 1
-    record = enrich(left.concepts["OCM1#client"], right.concepts["OCM2#commande"],
-                    od, [left, right], children_index([left, right]))
+    record = enrich(left.concepts["OCM1#client"], right.concepts["OCM2#commande"], maps)
     assert record is not None
     assert record.injected.kind == "synonymy"
     assert record.injected.provenance == "inferred_case2"
@@ -143,7 +140,7 @@ def test_case2_propagates_bridge_synonymy():
 
 def test_case2_propagates_bridge_homonymy():
     left, right, od = _case2_fixture(bridge_kind="homonymy")
-    found = infer_via_equivalents("client", "commande", [left, right], od)
+    found = infer_via_equivalents("client", "commande", RunMaps(od, [left, right]))
     assert found is not None
     assert found[0] == "homonymy"
 
@@ -151,7 +148,7 @@ def test_case2_propagates_bridge_homonymy():
 def test_case2_without_bridge_gives_none():
     left, right, _ = _case2_fixture()
     od = _support("client", "commande", "acheteur", "ordre")
-    assert infer_via_equivalents("client", "commande", [left, right], od) is None
+    assert infer_via_equivalents("client", "commande", RunMaps(od, [left, right])) is None
 
 
 def test_case2_requires_two_distinct_equivalences():
@@ -163,7 +160,7 @@ def test_case2_requires_two_distinct_equivalences():
         relations=[Relation("OCM1#acheteur", "OCM1#client", "equivalence")],
     )
     od = _support("client", "acheteur")
-    assert infer_via_equivalents("client", "acheteur", [only], od) is None
+    assert infer_via_equivalents("client", "acheteur", RunMaps(od, [only])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +189,14 @@ def _case3_fixture():
 
 def test_case3_infers_synonymy_from_children():
     left, right, od = _case3_fixture()
-    evidence = infer_via_children(
-        left.concepts["OCM1#dossier"], right.concepts["OCM2#folder"], [left, right], od,
-        children_index([left, right]),
-    )
+    c1, c2 = left.concepts["OCM1#dossier"], right.concepts["OCM2#folder"]
+    maps = RunMaps(od, [left, right])
+    evidence = infer_via_children(c1, c2, maps)
     # one child pair matched by term equality, the other through the
     # declared synonymy, which must be cited
     assert evidence is not None
     assert [r.kind for r in evidence] == ["synonymy"]
-    record = enrich(
-        left.concepts["OCM1#dossier"], right.concepts["OCM2#folder"], od, [left, right],
-        children_index([left, right]),
-    )
+    record = enrich(c1, c2, maps)
     assert record is not None
     assert record.injected.kind == "synonymy"
     assert record.injected.provenance == "inferred_case3"
@@ -214,8 +207,7 @@ def test_case3_fails_on_partial_child_match():
     left, right, _ = _case3_fixture()
     od = _support("dossier", "folder", "traitement", "cure")  # no cure/traitement link
     assert infer_via_children(
-        left.concepts["OCM1#dossier"], right.concepts["OCM2#folder"], [left, right], od,
-        children_index([left, right]),
+        left.concepts["OCM1#dossier"], right.concepts["OCM2#folder"], RunMaps(od, [left, right]),
     ) is None
 
 
@@ -232,8 +224,7 @@ def test_case3_identical_children_need_no_relations():
     )
     od = _support("dossier", "chemise")
     evidence = infer_via_children(
-        left.concepts["OCM1#dossier"], right.concepts["OCM2#chemise"], [left, right], od,
-        children_index([left, right]),
+        left.concepts["OCM1#dossier"], right.concepts["OCM2#chemise"], RunMaps(od, [left, right]),
     )
     assert evidence == ()
 
@@ -252,8 +243,7 @@ def test_case3_skips_equal_parent_terms():
     )
     od = _support("dossier")
     assert infer_via_children(
-        left.concepts["OCM1#dossier"], right.concepts["OCM2#dossier"], [left, right], od,
-        children_index([left, right]),
+        left.concepts["OCM1#dossier"], right.concepts["OCM2#dossier"], RunMaps(od, [left, right]),
     ) is None
 
 
@@ -272,8 +262,7 @@ def test_case3_has_no_arity_limit(n):
     od = _support("big", "large")
     warnings = []
     record = enrich(
-        left.concepts["OCM1#big"], right.concepts["OCM2#large"], od, [left, right],
-        children_index([left, right]),
+        left.concepts["OCM1#big"], right.concepts["OCM2#large"], RunMaps(od, [left, right]),
         warnings=warnings,
     )
     assert record is not None
@@ -293,8 +282,7 @@ def test_no_evidence_leaves_support_ontology_untouched():
     od = _support("aube", "brume")
     before = serialize_ontology(od)
     record = enrich(
-        left.concepts["OCM1#a"], right.concepts["OCM2#b"], od, [left, right],
-        children_index([left, right]),
+        left.concepts["OCM1#a"], right.concepts["OCM2#b"], RunMaps(od, [left, right]),
     )
     assert record is None
     assert serialize_ontology(od) == before
@@ -317,7 +305,7 @@ def test_case_order_prefers_direct_relation():
     od = _support("dossier", "classeur")
     record = enrich(
         left.concepts["OCM1#dossier"], right.concepts["OCM2#classeur"],
-        od, [left, right], children_index([left, right]),
+        RunMaps(od, [left, right]),
     )
     assert record is not None
     assert record.injected.provenance == "inferred_case1"
@@ -342,7 +330,7 @@ def test_consistency_guard_refuses_contradiction():
     warnings = []
     record = enrich(
         source.concepts["OCM1#tarif"], source.concepts["OCM1#taux"],
-        od, [source], children_index([source]), warnings=warnings,
+        RunMaps(od, [source]), warnings=warnings,
     )
     assert record is None
     assert serialize_ontology(od) == before
@@ -361,8 +349,7 @@ def test_enrich_declines_a_term_the_support_ontology_lacks():
     od = _support("a")
     before = serialize_ontology(od)
     assert enrich(
-        source.concepts["OCM1#a"], source.concepts["OCM1#b"], od, [source],
-        children_index([source]),
+        source.concepts["OCM1#a"], source.concepts["OCM1#b"], RunMaps(od, [source]),
     ) is None
     assert serialize_ontology(od) == before
 
@@ -370,9 +357,10 @@ def test_enrich_declines_a_term_the_support_ontology_lacks():
 def test_enrich_is_idempotent():
     source, od = _case1_fixture()
     c1, c2 = source.concepts["OCM3#facture"], source.concepts["OCM3#note"]
-    first = enrich(c1, c2, od, [source], children_index([source]))
+    maps = RunMaps(od, [source])
+    first = enrich(c1, c2, maps)
     after_first = serialize_ontology(od)
-    second = enrich(c1, c2, od, [source], children_index([source]))
+    second = enrich(c1, c2, maps)
     assert first is not None and second is None
     assert serialize_ontology(od) == after_first
 
@@ -384,17 +372,19 @@ def test_align_calls_enrich_only_where_its_guard_cannot_fire(monkeypatch):
     # keeps the syntactic score
     runs, injected = [], []
 
-    def checked(c1, c2, od, sources, kids, warnings=None, **kwargs):
+    def checked(c1, c2, maps, warnings=None):
+        od = maps.od
         assert (c1.id, c2.id) not in runs[-1]  # no pair is attempted twice
         gated = (od.term_present(c1.key) and od.term_present(c2.key)
                  and not lookup_relations(od, c1.key, c2.key))
         size = len(od.relations)
-        record = enrichment.enrich(c1, c2, od, sources, kids, warnings, **kwargs)
+        record = enrichment.enrich(c1, c2, maps, warnings)
         if not gated:
             assert record is None and len(od.relations) == size
         elif record is not None:
             injected.append(record)
-        runs[-1][c1.id, c2.id] = record or (syntactic_similarity(c1, c2, kids) if gated else None)
+        runs[-1][c1.id, c2.id] = record or (
+            syntactic_similarity(c1, c2, maps.kids) if gated else None)
         return record
 
     monkeypatch.setattr(integrator, "enrich", checked)
@@ -482,7 +472,7 @@ def test_same_term_injection_creates_second_endpoint():
     od = _support("poste")
     record = enrich(
         left.concepts["OCM1#poste"], right.concepts["OCM2#poste"],
-        od, [left, right, bridge_holder], children_index([left, right, bridge_holder]),
+        RunMaps(od, [left, right, bridge_holder]),
     )
     assert record is not None
     assert record.injected.kind == "homonymy"
@@ -494,7 +484,7 @@ def test_monotonicity_relation_count_never_shrinks():
     left, right, od = _case2_fixture()
     before = len(od.relations)
     enrich(left.concepts["OCM1#client"], right.concepts["OCM2#commande"],
-           od, [left, right], children_index([left, right]))
+           RunMaps(od, [left, right]))
     assert len(od.relations) == before + 1
 
 

@@ -15,6 +15,7 @@ from ontomerge import (
     Cluster,
     Concept,
     Correspondence,
+    EmptyTerm,
     EnrichmentRecord,
     Entity,
     Evidence,
@@ -172,6 +173,40 @@ def test_format_version_must_be_the_integer_one(tmp_path, kind, version):
     path = _write(tmp_path, "other.json", {"format_version": version, **fields})
     with pytest.raises(SchemaViolation, match="format_version"):
         parse(path)
+
+
+_ROW = {"c1": "A#a", "c2": "B#b", "score": "0", "verdict": "Distinct",
+        "evidence": {"kind": "syntactic"}}
+_INJECTED = {"a": "Od#a", "b": "Od#b", "kind": "synonymy", "provenance": "inferred_case1"}
+
+
+@pytest.mark.parametrize("kind, fields, error, message", [
+    ("component", {"entities": [{"name": "  "}]}, EmptyTerm,
+     "entities[0]: term is empty after normalization: '  '"),
+    ("component", {"entities": [{"name": "b"}, {"name": "a", "components": ["a"]}]},
+     SchemaViolation, "entities[1]: entity 'a' lists itself among its composition children"),
+    ("ontology", {"concepts": [{"id": "", "term": "a"}]}, SchemaViolation,
+     "concepts[0]: concept id must be nonempty"),
+    ("report", {"correspondences": [_ROW, {**_ROW, "c2": "B#c", "verdict": "Bogus"}]},
+     SchemaViolation, "correspondences[1]: unknown verdict 'Bogus'"),
+    ("report", {"correspondences": [{**_ROW, "score": "3/2"}]}, SchemaViolation,
+     "correspondences[0]: similarity score 3/2 out of [0, 1]"),
+    ("report", {"correspondences": [{**_ROW, "evidence": {"kind": "magic"}}]}, SchemaViolation,
+     "correspondences[0]: unknown evidence kind 'magic'"),
+    ("report", {"correspondences": [], "enrichments": [
+        {"pair": ["A#a", "B#b"], "injected": {**_INJECTED, "kind": "part_of"}}]},
+     SchemaViolation, "enrichments[0]: only semantic relations can be injected, not 'part_of'"),
+    ("report", {"correspondences": [], "clusters": [{"term": "t", "members": []}]},
+     SchemaViolation, "clusters[0]: cluster must have at least one member"),
+], ids=["blank-name", "self-child", "empty-concept-id", "verdict", "score", "evidence-kind",
+        "injected-kind", "empty-cluster"])
+def test_reader_errors_name_the_file_and_the_entry(tmp_path, kind, fields, error, message):
+    parse, minimal = _MINIMAL_DOCUMENTS[kind]
+    path = _write(tmp_path, "doc.json", {"format_version": 1, **minimal, **fields})
+    with pytest.raises(error) as raised:
+        parse(path)
+    assert type(raised.value) is error
+    assert str(raised.value) == f"{path}: {message}"
 
 
 def test_broken_json_is_malformed(tmp_path):

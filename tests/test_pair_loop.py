@@ -8,13 +8,15 @@ per pair and ``Fraction`` comparisons in the classifier.  The fast loop
 must agree with it on every output, and count guards keep the child
 re-sorting and the composite re-scoring from coming back.  The split
 syntactic score and case 3 are held to their full-matrix forms too
-(``naive_syntactic``, ``naive_infer_via_children``).
+(``naive_syntactic``, ``naive_infer_via_children``).  ``naive_align``'s
+enrichment hook calls ``enrich`` with one ``RunMaps`` per state of the
+support ontology, built again after each commit, so it does not rest on
+the entries a commit drops (``RunMaps.forget``).
 """
 
 import gc
 import sys
 import weakref
-from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable
@@ -52,7 +54,7 @@ from ontomerge import (
 )
 from ontomerge import enrichment, integrator
 from ontomerge.cli import main
-from ontomerge.enrichment import RunMaps, infer_via_children, reach
+from ontomerge.enrichment import RunMaps, infer_via_children
 from ontomerge.integrator import ASSUMED_IDENTICAL_WARNING
 from ontomerge.matching import max_weight_assignment
 from ontomerge.model import as_fraction
@@ -130,13 +132,14 @@ def naive_align(sources, od, tau, warnings):
     ordered = sorted(sources, key=lambda o: o.id)
     enriched_od = od.copy()
     records = []
+    maps = RunMaps(enriched_od, ordered)  # one per state of the support ontology
 
     def hook(a, b):
-        # the children of the pair, looked up and sorted again on every attempt
-        kids = {c.id: _children_sorted(c, find_owner(ordered, c.id)) for c in (a, b)}
-        record = enrich(a, b, enriched_od, list(ordered), kids, warnings=warnings)
+        nonlocal maps
+        record = enrich(a, b, maps, warnings=warnings)
         if record is not None:
             records.append(record)
+            maps = RunMaps(enriched_od, ordered)
         return record
 
     correspondences = []
@@ -473,13 +476,15 @@ def test_reach_holds_every_pair_the_lookup_or_enrich_joins(inputs):
     # support ontology and the one ``align`` enriched
     sources, od, tau = inputs
     ordered = sorted(sources, key=lambda o: o.id)
-    kids = children_index(ordered)
     for support in (od, align(sources, od, tau)[1]):
-        scratch = support.copy()  # ``enrich`` leaves it untouched when it fails
+        maps = RunMaps(support, ordered)
+        kids = maps.kids
+        # ``enrich`` leaves the scratch copy untouched when it fails
+        scratch = RunMaps(support.copy(), ordered)
         for source in ordered:
             c1s = [c for c in source.concepts.values() if support.term_present(c.key)]
             for c1 in c1s:
-                keys, linked = reach(c1, support, ordered, kids)
+                keys, linked = maps.reach(c1)
                 for later in ordered:
                     if later is source:
                         continue
@@ -487,8 +492,8 @@ def test_reach_holds_every_pair_the_lookup_or_enrich_joins(inputs):
                         if not support.term_present(c2.key):
                             continue
                         joined = bool(lookup_relations(support, c1.key, c2.key))
-                        if not joined and enrich(c1, c2, scratch, ordered, kids):
-                            joined, scratch = True, support.copy()
+                        if not joined and enrich(c1, c2, scratch):
+                            joined, scratch = True, RunMaps(support.copy(), ordered)
                         if joined:
                             assert c2.key in keys or (
                                 len(c2.children) == len(c1.children)
@@ -636,12 +641,12 @@ def case3_inputs(draw):
 @example(_mid_row_injection_inputs())
 def test_case3_equals_per_cell_oracle(inputs):
     sources, od, _ = inputs
-    kids = children_index(sources)
+    maps = RunMaps(od, sources)
     composites = [c for source in sources for c in source.concepts.values() if c.children]
     for c1 in composites:
         for c2 in composites:
-            assert infer_via_children(c1, c2, sources, od, kids) == naive_infer_via_children(
-                c1, c2, sources, od, kids
+            assert infer_via_children(c1, c2, maps) == naive_infer_via_children(
+                c1, c2, sources, od, maps.kids
             )
 
 
@@ -866,9 +871,10 @@ def test_two_align_runs_keep_their_maps_apart(monkeypatch):
         gc.enable()
 
 
-def _fresh_entries(maps, od, sources, kids):
+def _fresh_entries(maps):
     """Each entry ``maps`` holds, beside the same entry built from scratch."""
-    fresh = RunMaps(od, sources, kids)
+    sources = maps.sources
+    fresh = RunMaps(maps.od, sources)
     yield ("partners",), maps._partners, fresh._partners
     for name in ("bridges", "cells"):
         for key, value in getattr(maps, name).items():
@@ -876,9 +882,6 @@ def _fresh_entries(maps, od, sources, kids):
     for cid, value in maps._reach.items():
         concept = next(s.concepts[cid] for s in sources if cid in s.concepts)
         yield ("reach", cid), value, fresh.reach(concept)
-    for cid, value in maps.atoms.items():
-        yield ("atoms", cid), value, Counter(x.key for x in kids[cid] if not x.children)
-    yield ("parents",), maps.parents, fresh.parents
 
 
 @settings(max_examples=100, deadline=None)
@@ -892,10 +895,10 @@ def test_run_maps_equal_a_fresh_build_after_every_commit(inputs):
     sources, od, tau = inputs
     checked = []
 
-    def enrich(c1, c2, enriched, ordered, kids, warnings=None, *, maps):
-        record = enrichment.enrich(c1, c2, enriched, ordered, kids, warnings, maps=maps)
+    def enrich(c1, c2, maps, warnings=None):
+        record = enrichment.enrich(c1, c2, maps, warnings)
         if record is not None:
-            for key, held, fresh in _fresh_entries(maps, enriched, ordered, kids):
+            for key, held, fresh in _fresh_entries(maps):
                 assert held == fresh, key
             checked.append(record)
         return record

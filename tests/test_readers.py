@@ -5,7 +5,9 @@ they replaced.
 call and build every entry's error context up front, as ``model_io`` did
 before its readers checked types inline.  They serve as the oracle here:
 on any mutation of a valid document the readers must raise the same
-SchemaViolation text, and on a valid document return equal values.
+SchemaViolation text, and on a valid document return equal values.  An
+error that a value's constructor raises is led by the entry's context, or
+the document's, and keeps its class (``EmptyTerm`` stays ``EmptyTerm``).
 """
 
 import json
@@ -83,7 +85,7 @@ def _relation(raw, context):
     try:
         return Relation(a, b, kind, provenance)
     except SchemaViolation as exc:
-        raise SchemaViolation(f"{context}: {exc}") from exc
+        raise type(exc)(f"{context}: {exc}") from exc
 
 
 def naive_parse_component(path):
@@ -96,14 +98,16 @@ def naive_parse_component(path):
     for index, raw in enumerate(_get(doc, "entities", list, context)):
         ectx = f"{context}: entities[{index}]"
         _expect(isinstance(raw, dict), ectx, "entity must be an object")
-        entities.append(
-            Entity(
-                name=_get(raw, "name", str, ectx),
-                attributes=_string_list(raw, "attributes", ectx),
-                associations=_associations(raw, ectx),
-                components=_string_list(raw, "components", ectx),
-            )
+        fields = dict(
+            name=_get(raw, "name", str, ectx),
+            attributes=_string_list(raw, "attributes", ectx),
+            associations=_associations(raw, ectx),
+            components=_string_list(raw, "components", ectx),
         )
+        try:
+            entities.append(Entity(**fields))
+        except SchemaViolation as exc:
+            raise type(exc)(f"{ectx}: {exc}") from exc
     relations = []
     for index, raw in enumerate(_get(doc, "relations", list, context, default=[])):
         rctx = f"{context}: relations[{index}]"
@@ -120,7 +124,7 @@ def naive_parse_component(path):
             id=component_id, name=name, entities=tuple(entities), relations=tuple(relations),
         )
     except SchemaViolation as exc:
-        raise SchemaViolation(f"{context}: {exc}") from exc
+        raise type(exc)(f"{context}: {exc}") from exc
 
 
 def naive_parse_ontology(path):
@@ -132,16 +136,18 @@ def naive_parse_ontology(path):
     for index, raw in enumerate(_get(doc, "concepts", list, context)):
         cctx = f"{context}: concepts[{index}]"
         _expect(isinstance(raw, dict), cctx, "concept must be an object")
-        concepts.append(
-            Concept(
-                id=_get(raw, "id", str, cctx),
-                term=_get(raw, "term", str, cctx),
-                children=_string_list(raw, "children", cctx),
-                attributes=_string_list(raw, "attributes", cctx),
-                associations=_associations(raw, cctx),
-                aliases=_string_list(raw, "aliases", cctx),
-            )
+        fields = dict(
+            id=_get(raw, "id", str, cctx),
+            term=_get(raw, "term", str, cctx),
+            children=_string_list(raw, "children", cctx),
+            attributes=_string_list(raw, "attributes", cctx),
+            associations=_associations(raw, cctx),
+            aliases=_string_list(raw, "aliases", cctx),
         )
+        try:
+            concepts.append(Concept(**fields))
+        except SchemaViolation as exc:
+            raise type(exc)(f"{cctx}: {exc}") from exc
     relations = [
         _relation(raw, f"{context}: relations[{index}]")
         for index, raw in enumerate(_get(doc, "relations", list, context, default=[]))
@@ -150,7 +156,7 @@ def naive_parse_ontology(path):
         ontology = Ontology(ontology_id, concepts=concepts, relations=relations)
         ontology.validate()
     except SchemaViolation as exc:
-        raise SchemaViolation(f"{context}: {exc}") from exc
+        raise type(exc)(f"{context}: {exc}") from exc
     return ontology
 
 
@@ -279,6 +285,7 @@ def _assert_same_outcome(doc, reader, oracle):
     {"name": "A", "associations": [{"target": "A"}]}]})
 @example({"format_version": 1, "id": "CM1", "name": "n", "entities": [{"name": "A"}, {"name": "B"}],
           "relations": [{"a": "A", "b": "B", "kind": "part_of"}]})
+@example({"format_version": 1, "id": "CM1", "name": "n", "entities": [{"name": "  "}]})
 def test_component_reader_matches_per_field_oracle(doc):
     _assert_same_outcome(doc, parse_component, naive_parse_component)
 
@@ -294,5 +301,6 @@ def test_component_reader_matches_per_field_oracle(doc):
 @example({"format_version": 1, "id": "Od", "concepts": [
     {"id": "a", "term": "A"}, {"id": "b", "term": "B"}],
     "relations": [{"a": "a", "b": "b", "kind": "bogus"}]})
+@example({"format_version": 1, "id": "Od", "concepts": [{"id": "", "term": "A"}]})
 def test_ontology_reader_matches_per_field_oracle(doc):
     _assert_same_outcome(doc, parse_ontology, naive_parse_ontology)

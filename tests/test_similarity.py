@@ -319,12 +319,12 @@ def test_enrichment_hook_called_once_and_result_reread(monkeypatch):
     od = _support(concepts=[("Od#facture", "Facture"), ("Od#note", "Note")])
     calls = []
 
-    def hook(c1, c2, enriched_od, *args, **kwargs):
+    def hook(c1, c2, maps, *args, **kwargs):
         calls.append((c1.id, c2.id))
         if c1.key == c2.key:
             return None
-        enriched_od.add_relation(Relation("Od#facture", "Od#note", "synonymy",
-                                          provenance="inferred_case1"))
+        maps.od.add_relation(Relation("Od#facture", "Od#note", "synonymy",
+                                      provenance="inferred_case1"))
         return "record"
 
     monkeypatch.setattr(integrator, "enrich", hook)

@@ -4,16 +4,17 @@ Steps: derive one ontology per component, take every cross-component
 concept pair that can be other than Distinct, enrich the support
 ontology where it knows both terms but joins them by nothing, score the
 pair against it, classify verdicts, cluster synonym/identical concepts
-by connected parts, merge clusters into one result ontology, and
-convert that back into a component.  Everything is sequential and
-deterministic: fixed inputs give byte-identical serialized outputs.
+by connected parts, and write each cluster as one entity of the merged
+component.  The merged component carries none of the relations that the
+sources declare.  Everything is sequential and deterministic: fixed
+inputs give byte-identical serialized outputs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -25,15 +26,17 @@ from .model import (
     Concept,
     Correspondence,
     EnrichmentRecord,
+    Entity,
     Ontology,
     Report,
     as_fraction,
+    find_cycle,
     first_free,
     pair_space_of,
 )
 from .similarity import semantic_similarity
 from .terms import normalize_term
-from .transform import component_to_ontology, ontology_to_component
+from .transform import ALIAS_PREFIX, component_to_ontology
 
 DEFAULT_TAU = Fraction(1)
 MERGED_ID = "CMr"
@@ -265,40 +268,40 @@ def merge(
     od: Ontology,
     correspondences: Sequence[Correspondence] = (),
     warnings: Optional[list[str]] = None,
-) -> tuple[Ontology, list[Cluster]]:
-    """Collapse each cluster into one concept of the merged ontology.
+) -> tuple[BusinessComponent, list[Cluster]]:
+    """Collapse each cluster into one entity of the merged component.
 
-    Returns the merged ontology (id ``MERGED_ID``) and one ``Cluster`` per
-    part of ``partition``, sorted by (term, members).  Every source
-    concept must lie in exactly one part.  The canonical term of a
-    cluster prefers member terms that occur in the support ontology
-    (smallest normalized term wins); clusters touched by a Homonym
-    verdict are instead displayed as "<term> (<source id>)" so
+    Returns the merged component (id ``MERGED_ID``, name ``MERGED_NAME``)
+    and one ``Cluster`` per part of ``partition``, sorted by (term,
+    members).  Every source concept must lie in exactly one part.  The
+    canonical term of a cluster prefers member terms that occur in the
+    support ontology (smallest normalized term wins); clusters touched by
+    a Homonym verdict are instead displayed as "<term> (<source id>)" so
     same-termed homonyms stay tellable apart.  A key's term, for the
     display and the aliases alike, is that of the member of smallest id,
-    so the order of a part's members changes nothing.  part_of edges and
-    association metadata are re-targeted to cluster representatives and
-    deduplicated.  Warnings are appended to ``warnings``.  Raises
-    HomonymClusterCollision when a Homonym pair shares a cluster.
+    so the order of a part's members changes nothing.  Composition
+    children and associations are re-targeted to clusters and
+    deduplicated; the other keys' terms become ``alias: <term>``
+    attributes.  No relation is carried over: the merged component has
+    none.  Warnings are appended to ``warnings``.  Raises SchemaViolation
+    ("composition cycle: CMr#a -> ... -> CMr#a") when merged composition
+    links form a cycle, HomonymClusterCollision when a Homonym pair
+    shares a cluster.
     """
     sink = warnings if warnings is not None else []
-    homonym_endpoints: set[str] = set()
-    for corr in correspondences:
-        if corr.verdict == "Homonym":
-            homonym_endpoints.update(corr.pair)
+    homonyms = [corr.pair for corr in correspondences if corr.verdict == "Homonym"]
+    homonym_endpoints = {member for pair in homonyms for member in pair}
 
     member_concept = {cid: c for source in sources for cid, c in source.concepts.items()}
     owner_id = {cid: source.id for source in sources for cid in source.concepts}
-    placed = Counter(member for members in partition for member in members)
-    missing = sorted(member_concept.keys() - placed.keys())
-    if missing:
-        raise SchemaViolation(f"concepts missing from clusters: {missing}")
-    unknown = sorted(placed.keys() - member_concept.keys())
-    if unknown:
-        raise SchemaViolation(f"concepts in clusters but in no source: {unknown}")
-    doubled = sorted(cid for cid, n in placed.items() if n > 1)
-    if doubled:
-        raise SchemaViolation(f"concepts appear in several clusters: {doubled}")
+    placed = Counter(chain.from_iterable(partition))
+    for problem, ids in (
+        ("concepts missing from clusters", member_concept.keys() - placed.keys()),
+        ("concepts in clusters but in no source", placed.keys() - member_concept.keys()),
+        ("concepts appear in several clusters", [cid for cid, n in placed.items() if n > 1]),
+    ):
+        if ids:
+            raise SchemaViolation(f"{problem}: {sorted(ids)}")
     if not all(partition):
         raise SchemaViolation("a cluster of the partition is empty")
     displays: list[str] = []
@@ -309,69 +312,64 @@ def merge(
         keys.append(key)
     _disambiguate_displays(displays, keys, partition, member_concept, owner_id, sink)
 
-    cluster_of: dict[str, str] = {}
-    cluster_ids = []
-    for members, key in zip(partition, keys):
-        cid = f"{MERGED_ID}#{key}"
-        cluster_ids.append(cid)
-        for member in members:
-            cluster_of[member] = cid
-    if len(set(cluster_ids)) != len(cluster_ids):
+    if len(set(keys)) != len(keys):
         raise SchemaViolation(
             "merged concept terms collide after disambiguation; support ontology "
             "or inputs are contradictory"
         )
-    display_of = dict(zip(cluster_ids, displays))
+    cluster_of = {member: key for members, key in zip(partition, keys) for member in members}
+    display_of = dict(zip(keys, displays))
 
-    merged = Ontology(MERGED_ID)
+    children_of: dict[str, list[str]] = {}  # composite's key -> its children's keys, sorted
+    entities = []
     clusters: list[Cluster] = []
-    for members, display, key, cid in zip(partition, displays, keys, cluster_ids):
-        concepts = [member_concept[member] for member in members]
-        if len(concepts) == 1:
-            aliases = (concepts[0].term,) if concepts[0].key != key else ()
+    for members, display, key in zip(partition, displays, keys):
+        if len(members) == 1:
+            concept = member_concept[members[0]]
+            aliases = (concept.term,) if concept.key != key else ()
         else:
             term_of = _key_terms(members, member_concept)
             aliases = tuple(raw for k, raw in sorted(term_of.items()) if k != key)
-        children, attributes, associations = (), (), ()  # () for a field no member has
-        for member, concept in zip(members, concepts):
-            if concept.children and not children:
-                children = set()
+        children, attributes, associations = set(), set(), set()
+        for member in members:
+            concept = member_concept[member]
             for child in concept.children:
-                child_cid = cluster_of[child]
-                if child_cid == cid:
+                child_key = cluster_of[child]
+                if child_key == key:
                     sink.append(
-                        f"dropping self-composition of {cid!r} introduced by merging "
-                        f"{member!r}"
+                        f"dropping self-composition of {MERGED_ID + '#' + key!r} "
+                        f"introduced by merging {member!r}"
                     )
                     continue
-                children.add(child_cid)
-            if concept.attributes:
-                attributes = {*attributes, *concept.attributes}
+                children.add(child_key)
+            attributes.update(concept.attributes)
             if concept.associations:
                 owner = owner_id[member]
-                associations = {*associations, *(
+                associations.update(
                     (display_of[cluster_of[f"{owner}#{normalize_term(t)}"]], label)
                     for t, label in concept.associations
-                )}
-        merged.add_concept(
-            Concept(
-                id=cid,
-                term=display,
-                children=tuple(children),
-                attributes=tuple(attributes),
-                associations=tuple(associations),
-                aliases=aliases,
-            )
+                )
+        if aliases:
+            attributes = [*attributes, *(ALIAS_PREFIX + alias for alias in aliases)]
+        if children:
+            children_of[key] = sorted(children)
+            children = [(child, display_of[child]) for child in children]  # as Entity takes them
+        entities.append(Entity._assembled(key, display, attributes, associations, children))
+        clusters.append(Cluster(display, members, aliases))
+    # keys sort as the merged ids "CMr#<key>" do, so the walk meets cycles in id order
+    cycle = find_cycle(sorted(children_of), lambda k: children_of.get(k, ()))
+    if cycle:
+        raise SchemaViolation(
+            "composition cycle: " + " -> ".join(f"{MERGED_ID}#{k}" for k in cycle)
         )
-        clusters.append(Cluster(term=display, members=tuple(members), aliases=aliases))
-    merged.validate()
 
-    for corr in correspondences:
-        if corr.verdict == "Homonym" and cluster_of[corr.c1] == cluster_of[corr.c2]:
+    for c1, c2 in homonyms:
+        if cluster_of[c1] == cluster_of[c2]:
             raise HomonymClusterCollision(
-                f"homonym pair ({corr.c1}, {corr.c2}) ended up in cluster "
-                f"{cluster_of[corr.c1]!r}"
+                f"homonym pair ({c1}, {c2}) ended up in cluster "
+                f"{MERGED_ID + '#' + cluster_of[c1]!r}"
             )
+    merged = BusinessComponent._assembled(MERGED_ID, MERGED_NAME, entities)
     return merged, sorted(clusters, key=lambda cl: (cl.term, cl.members))
 
 
@@ -384,9 +382,8 @@ def _cluster_display(
 ) -> tuple[str, str]:
     """A cluster's display term and its key, which only a homonym's
     "<term> (<source id>)" display normalizes; a singleton's is its member's."""
-    flagged = [m for m in members if m in homonym_endpoints]
-    if flagged:
-        _, member = min((member_concept[m].key, m) for m in flagged)
+    if not homonym_endpoints.isdisjoint(members):
+        _, member = min((member_concept[m].key, m) for m in members if m in homonym_endpoints)
         display = f"{member_concept[member].term} ({owner_id[member]})"
         return display, normalize_term(display)
     if len(members) == 1:
@@ -422,9 +419,7 @@ def _disambiguate_displays(
     groups: dict[str, list[int]] = {}
     for index, key in enumerate(keys):
         groups.setdefault(key, []).append(index)
-    for key, indexes in sorted(groups.items()):
-        if len(indexes) < 2:
-            continue
+    for key, indexes in sorted(item for item in groups.items() if len(item[1]) > 1):
         for index in indexes:
             members = partition[index]
             owner = min(
@@ -483,4 +478,4 @@ def integrate(
         warnings=sorted(warnings),
         pair_space=pair_space_of(sources),
     )
-    return ontology_to_component(merged, name=MERGED_NAME), enriched_od, report
+    return merged, enriched_od, report

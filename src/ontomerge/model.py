@@ -60,6 +60,13 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
+    @classmethod
+    def _assembled(cls, *fields):
+        """An instance set by ``_set`` alone, from fields the caller derived or checked."""
+        record = cls.__new__(cls)
+        record._set(*fields)
+        return record
+
 
 class Relation(_Value, NamedTuple("Relation", [
         ("a", str), ("b", str), ("kind", str), ("provenance", str)])):
@@ -128,11 +135,15 @@ class Concept(_Record):
     def __init__(self, id: str, term: str, children: Iterable[str] = (),
                  attributes: Iterable[str] = (), associations: Iterable = (),
                  aliases: Iterable[str] = ()):
+        self._set(None, id, term, children, attributes, associations, aliases)
+
+    def _set(self, key: Optional[str], id: str, term: str, children: Iterable[str],
+             attributes: Iterable[str], associations: Iterable, aliases: Iterable[str]) -> None:
         if not id:
             raise SchemaViolation("concept id must be nonempty")
         self.id = id
         self.term = term
-        self.key = normalize_term(term)  # raises EmptyTerm on blank terms
+        self.key = key or normalize_term(term)  # raises EmptyTerm on blank terms
         self.children = tuple(sorted(children)) if children else ()
         if self.children and len(set(self.children)) != len(self.children):
             raise SchemaViolation(f"concept {id!r} lists a duplicate child")
@@ -344,14 +355,20 @@ class Entity(_Record):
 
     def __init__(self, name: str, attributes: Iterable[str] = (),
                  associations: Iterable = (), components: Iterable[str] = ()):
+        self._set(normalize_term(name), name, attributes, associations,
+                  components and map(name_sort_key, components))
+
+    def _set(self, own_key: str, name: str, attributes: Iterable[str], associations: Iterable,
+             keyed_components: Iterable[tuple[str, str]]) -> None:
+        """``keyed_components`` holds each child's (key, name)."""
         self.name = name
-        self.key = own_key = normalize_term(name)
+        self.key = own_key
         self.attributes = tuple(sorted(attributes)) if attributes else ()
         self.associations = _sorted_associations(associations)
-        if not components:
+        if not keyed_components:
             self.components = ()
             return
-        keyed = sorted(map(name_sort_key, components))
+        keyed = sorted(keyed_components)
         self.components = tuple(child for _, child in keyed)
         seen = set()
         for key, child in keyed:
@@ -386,11 +403,9 @@ class BusinessComponent(_Record):
 
     def __init__(self, id: str, name: str, entities: Iterable[Entity] = (),
                  relations: Iterable[ComponentRelation] = ()):
-        self.id = id
-        self.name = name
         if not id:
             raise SchemaViolation("component id must be nonempty")
-        self.entities = tuple(sorted(entities, key=lambda e: (e.key, e.name)))
+        self._set(id, name, entities)
         key_of: dict[str, str] = {}  # entity name -> key
         previous = None
         for entity in self.entities:  # sorted, so a repeated key follows the first
@@ -451,6 +466,11 @@ class BusinessComponent(_Record):
             raise SchemaViolation(
                 f"component {self.id!r}: composition cycle: " + " -> ".join(cycle)
             )
+
+    def _set(self, id: str, name: str, entities: Iterable[Entity]) -> None:
+        """No relations yet; ``_assembled`` takes entities checked as ``__init__`` would."""
+        self.id, self.name, self.relations = id, name, ()
+        self.entities = tuple(sorted(entities, key=attrgetter("key", "name")))
 
     def _canonical_relation(
         self, rel: ComponentRelation, key: Callable[[str], Optional[str]]

@@ -21,11 +21,11 @@ def component_to_ontology(bc: BusinessComponent) -> Ontology:
     """Derive the ontology of one component.
 
     Deterministic: the ontology id is the component id and concept ids are
-    ``<component id>#<entity key>``; a reference spelled other than its
-    entity's name is the only one normalized again.  Associations become
-    no semantic relation; they are kept as concept metadata.  No
-    validation walk: ``bc``'s constructor already checked its children
-    and acyclicity.
+    ``<component id>#<entity key>``.  Each concept takes its entity's key;
+    a reference spelled other than its entity's name is the only term
+    normalized again.  Associations become no semantic relation; they are
+    kept as concept metadata.  No validation walk: ``bc``'s constructor
+    already checked its children and acyclicity.
     """
     key_of = {entity.name: entity.key for entity in bc.entities}
 
@@ -34,15 +34,11 @@ def component_to_ontology(bc: BusinessComponent) -> Ontology:
 
     ontology = Ontology(bc.id)
     for entity in bc.entities:
-        ontology.add_concept(
-            Concept(
-                id=f"{bc.id}#{entity.key}",
-                term=entity.name,
-                children=tuple(map(concept_id, entity.components)),
-                attributes=entity.attributes,
-                associations=entity.associations,
-            )
-        )
+        ontology.add_concept(Concept._assembled(
+            entity.key, f"{bc.id}#{entity.key}", entity.name,
+            tuple(map(concept_id, entity.components)), entity.attributes,
+            entity.associations, (),
+        ))
     for relation in bc.relations:  # declared, the default provenance
         a, b = concept_id(relation.a), concept_id(relation.b)
         ontology.add_relation(Relation(a, b, relation.kind))
@@ -53,8 +49,8 @@ def ontology_to_component(ontology: Ontology, name: str) -> BusinessComponent:
     """Rebuild a component from an ontology.
 
     Inverse of component_to_ontology on its image, up to the respelling
-    that the module docstring states.  Concept aliases (from merging)
-    surface as ``alias: <term>`` attribute annotations.  Entities are in
+    that the module docstring states.  Concept aliases surface as
+    ``alias: <term>`` attribute annotations.  Entities are in
     ``BusinessComponent``'s (key, name) order.  Raises CyclicComposition
     when part_of links form a cycle.
     """

@@ -1,0 +1,256 @@
+"""Reference implementations that tests compare the fast paths against.
+
+``reference_integrate`` is ``integrator.integrate`` as it was before
+``merge`` wrote the merged component itself: each component becomes an
+ontology through the public ``Concept`` constructor (every term
+normalized again), ``reference_merge`` collapses the clusters into a
+validated merged ``Ontology``, and ``ontology_to_component`` converts
+that back.  Alignment and clustering are the package's own; only the
+construction of the merged result is independent.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Iterable, Optional, Sequence
+
+from ontomerge import (
+    BusinessComponent,
+    Cluster,
+    Concept,
+    Correspondence,
+    HomonymClusterCollision,
+    Ontology,
+    Relation,
+    SchemaViolation,
+    align,
+    build_clusters,
+    normalize_term,
+    ontology_to_component,
+)
+from ontomerge.integrator import DEFAULT_TAU, MERGED_ID, MERGED_NAME
+from ontomerge.model import first_free
+
+
+def reference_sources(components: Sequence[BusinessComponent]) -> tuple[list[Ontology], list[str]]:
+    """The source ontologies of ``components``, later duplicate ids renamed,
+    with the rename warnings."""
+    taken = {component.id for component in components}
+    kept: set[str] = set()
+    warnings: list[str] = []
+    sources = []
+    for component in components:
+        cid = component.id
+        if cid in kept:
+            cid = first_free(cid, taken)
+            taken.add(cid)
+            warnings.append(f"duplicate component id {component.id!r} renamed to {cid!r}")
+        kept.add(cid)
+        ontology = Ontology(cid)
+        for entity in component.entities:
+            ontology.add_concept(Concept(
+                id=f"{cid}#{normalize_term(entity.name)}",
+                term=entity.name,
+                children=[f"{cid}#{normalize_term(child)}" for child in entity.components],
+                attributes=entity.attributes,
+                associations=entity.associations,
+            ))
+        for relation in component.relations:
+            ontology.add_relation(Relation(f"{cid}#{normalize_term(relation.a)}",
+                                           f"{cid}#{normalize_term(relation.b)}", relation.kind))
+        sources.append(ontology)
+    return sources, warnings
+
+
+def reference_integrate(
+    components: Sequence[BusinessComponent], od: Ontology, tau=DEFAULT_TAU
+) -> tuple[BusinessComponent, list[Cluster], list[str]]:
+    """The merged component, the clusters and the sorted warnings of one run."""
+    if len(components) < 2:
+        raise SchemaViolation("integration needs at least two components")
+    sources, warnings = reference_sources(components)
+    correspondences, enriched_od, _ = align(sources, od, tau, warnings=warnings)
+    partition = build_clusters(correspondences, [cid for s in sources for cid in s.concepts])
+    merged, clusters = reference_merge(partition, sources, enriched_od, correspondences,
+                                       warnings)
+    return ontology_to_component(merged, name=MERGED_NAME), clusters, sorted(warnings)
+
+
+def reference_merge(
+    partition: Sequence[tuple[str, ...]],
+    sources: Sequence[Ontology],
+    od: Ontology,
+    correspondences: Sequence[Correspondence] = (),
+    warnings: Optional[list[str]] = None,
+) -> tuple[Ontology, list[Cluster]]:
+    """Collapse each cluster into one concept of the merged ontology.
+
+    Returns the merged ontology (id ``MERGED_ID``) and one ``Cluster`` per
+    part of ``partition``, sorted by (term, members).  Every source
+    concept must lie in exactly one part.  The canonical term of a
+    cluster prefers member terms that occur in the support ontology
+    (smallest normalized term wins); clusters touched by a Homonym
+    verdict are instead displayed as "<term> (<source id>)" so
+    same-termed homonyms stay tellable apart.  A key's term, for the
+    display and the aliases alike, is that of the member of smallest id,
+    so the order of a part's members changes nothing.  part_of edges and
+    association metadata are re-targeted to cluster representatives and
+    deduplicated.  Warnings are appended to ``warnings``.  Raises
+    HomonymClusterCollision when a Homonym pair shares a cluster.
+    """
+    sink = warnings if warnings is not None else []
+    homonym_endpoints: set[str] = set()
+    for corr in correspondences:
+        if corr.verdict == "Homonym":
+            homonym_endpoints.update(corr.pair)
+
+    member_concept = {cid: c for source in sources for cid, c in source.concepts.items()}
+    owner_id = {cid: source.id for source in sources for cid in source.concepts}
+    placed = Counter(member for members in partition for member in members)
+    missing = sorted(member_concept.keys() - placed.keys())
+    if missing:
+        raise SchemaViolation(f"concepts missing from clusters: {missing}")
+    unknown = sorted(placed.keys() - member_concept.keys())
+    if unknown:
+        raise SchemaViolation(f"concepts in clusters but in no source: {unknown}")
+    doubled = sorted(cid for cid, n in placed.items() if n > 1)
+    if doubled:
+        raise SchemaViolation(f"concepts appear in several clusters: {doubled}")
+    if not all(partition):
+        raise SchemaViolation("a cluster of the partition is empty")
+    displays: list[str] = []
+    keys: list[str] = []  # filled pair by pair: a list of pairs would raise the tracemalloc peak
+    for members in partition:
+        display, key = _cluster_display(members, member_concept, od, homonym_endpoints, owner_id)
+        displays.append(display)
+        keys.append(key)
+    _disambiguate_displays(displays, keys, partition, member_concept, owner_id, sink)
+
+    cluster_of: dict[str, str] = {}
+    cluster_ids = []
+    for members, key in zip(partition, keys):
+        cid = f"{MERGED_ID}#{key}"
+        cluster_ids.append(cid)
+        for member in members:
+            cluster_of[member] = cid
+    if len(set(cluster_ids)) != len(cluster_ids):
+        raise SchemaViolation(
+            "merged concept terms collide after disambiguation; support ontology "
+            "or inputs are contradictory"
+        )
+    display_of = dict(zip(cluster_ids, displays))
+
+    merged = Ontology(MERGED_ID)
+    clusters: list[Cluster] = []
+    for members, display, key, cid in zip(partition, displays, keys, cluster_ids):
+        concepts = [member_concept[member] for member in members]
+        if len(concepts) == 1:
+            aliases = (concepts[0].term,) if concepts[0].key != key else ()
+        else:
+            term_of = _key_terms(members, member_concept)
+            aliases = tuple(raw for k, raw in sorted(term_of.items()) if k != key)
+        children, attributes, associations = (), (), ()  # () for a field no member has
+        for member, concept in zip(members, concepts):
+            if concept.children and not children:
+                children = set()
+            for child in concept.children:
+                child_cid = cluster_of[child]
+                if child_cid == cid:
+                    sink.append(
+                        f"dropping self-composition of {cid!r} introduced by merging "
+                        f"{member!r}"
+                    )
+                    continue
+                children.add(child_cid)
+            if concept.attributes:
+                attributes = {*attributes, *concept.attributes}
+            if concept.associations:
+                owner = owner_id[member]
+                associations = {*associations, *(
+                    (display_of[cluster_of[f"{owner}#{normalize_term(t)}"]], label)
+                    for t, label in concept.associations
+                )}
+        merged.add_concept(
+            Concept(
+                id=cid,
+                term=display,
+                children=tuple(children),
+                attributes=tuple(attributes),
+                associations=tuple(associations),
+                aliases=aliases,
+            )
+        )
+        clusters.append(Cluster(term=display, members=tuple(members), aliases=aliases))
+    merged.validate()
+
+    for corr in correspondences:
+        if corr.verdict == "Homonym" and cluster_of[corr.c1] == cluster_of[corr.c2]:
+            raise HomonymClusterCollision(
+                f"homonym pair ({corr.c1}, {corr.c2}) ended up in cluster "
+                f"{cluster_of[corr.c1]!r}"
+            )
+    return merged, sorted(clusters, key=lambda cl: (cl.term, cl.members))
+
+
+def _cluster_display(
+    members: tuple[str, ...],
+    member_concept: dict[str, Concept],
+    od: Ontology,
+    homonym_endpoints: set[str],
+    owner_id: dict[str, str],
+) -> tuple[str, str]:
+    """A cluster's display term and its key, which only a homonym's
+    "<term> (<source id>)" display normalizes; a singleton's is its member's."""
+    flagged = [m for m in members if m in homonym_endpoints]
+    if flagged:
+        _, member = min((member_concept[m].key, m) for m in flagged)
+        display = f"{member_concept[member].term} ({owner_id[member]})"
+        return display, normalize_term(display)
+    if len(members) == 1:
+        concept = member_concept[members[0]]
+        return concept.term, concept.key
+    term_of = _key_terms(members, member_concept)
+    in_od = [key for key in term_of if od.term_present(key)]
+    chosen = min(in_od or term_of)
+    return term_of[chosen], chosen
+
+
+def _key_terms(members: Iterable[str], member_concept: dict[str, Concept]) -> dict[str, str]:
+    """Each key of a part's members -> its term on the member of smallest id."""
+    return {member_concept[m].key: member_concept[m].term for m in sorted(members, reverse=True)}
+
+
+def _disambiguate_displays(
+    displays: list[str],
+    keys: list[str],
+    partition: Sequence[tuple[str, ...]],
+    member_concept: dict[str, Concept],
+    owner_id: dict[str, str],
+    sink: list[str],
+) -> None:
+    """Suffix colliding display terms with a source id; re-key only those, in place.
+
+    The suffix is the smallest source id among the cluster's members
+    whose key is the display's key.  A source holds one concept per key,
+    so two clusters sharing a display get different suffixes.  A display
+    no member bears (a homonym's "<term> (<source id>)") falls back to
+    the source of the member of smallest id.
+    """
+    groups: dict[str, list[int]] = {}
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
+    for key, indexes in sorted(groups.items()):
+        if len(indexes) < 2:
+            continue
+        for index in indexes:
+            members = partition[index]
+            owner = min(
+                (owner_id[m] for m in members if member_concept[m].key == key),
+                default=owner_id[min(members)],
+            )
+            sink.append(
+                f"display term {key!r} used by several clusters; suffixing with "
+                f"source id {owner!r}"
+            )
+            displays[index] = f"{displays[index]} ({owner})"
+            keys[index] = normalize_term(displays[index])

@@ -323,10 +323,11 @@ def test_canonical_term_prefers_support_vocabulary():
     partition = build_clusters(
         correspondences, [cid for s in sources for cid in s.concepts]
     )
-    merged, _ = merge(partition, sources, enriched, correspondences=correspondences)
-    (concept,) = merged.concepts.values()
-    assert concept.term == "Cabinet"  # both terms known; smallest wins
-    assert concept.aliases == ("Compagnie",)
+    merged, clusters = merge(partition, sources, enriched, correspondences=correspondences)
+    (entity,) = merged.entities
+    assert entity.name == "Cabinet"  # both terms known; smallest wins
+    assert entity.attributes == ("alias: Compagnie",)
+    assert [(cl.term, cl.aliases) for cl in clusters] == [("Cabinet", ("Compagnie",))]
 
 
 def test_homonym_clusters_get_source_suffixes(cm1, cm2, support_od):
@@ -431,8 +432,8 @@ def test_all_singletons_is_disjoint_union():
     ]
     partition = build_clusters([], [cid for s in sources for cid in s.concepts])
     merged, _ = merge(partition, sources, Ontology("Od"))
-    assert len(merged.concepts) == 3
-    assert sorted(c.term for c in merged.concepts.values()) == [
+    assert len(merged.entities) == 3
+    assert sorted(e.name for e in merged.entities) == [
         "Aube", "Brume", "Crépuscule",
     ]
 
@@ -444,7 +445,7 @@ def test_mapping_covers_every_source_concept(cm1, cm2, support_od):
     partition = build_clusters(correspondences, all_ids)
     merged, clusters = merge(partition, sources, enriched, correspondences=correspondences)
     assert sorted(m for cluster in clusters for m in cluster.members) == sorted(all_ids)
-    assert len(merged.concepts) == len(partition)
+    assert len(merged.entities) == len(partition)
 
 
 # ---------------------------------------------------------------------------

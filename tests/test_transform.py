@@ -136,8 +136,7 @@ def test_merged_scenario_yields_one_entity_per_synonym_cluster():
     partition = build_clusters(
         correspondences, [cid for s in sources for cid in s.concepts]
     )
-    merged, clusters = merge(partition, sources, enriched, correspondences=correspondences)
-    component = ontology_to_component(merged, name="résultat")
+    component, clusters = merge(partition, sources, enriched, correspondences=correspondences)
     groups = [
         cluster for cluster in clusters
         if {"CM1#compagnie", "CM2#cabinet"} == set(cluster.members)

@@ -38,7 +38,7 @@ from .model import (
     Relation,
     Report,
     as_fraction,
-    expand_correspondences,
+    pair_rows,
 )
 from .model_io import FORMAT_VERSION, _check_version, _dumps, _expect, _field, _load_document
 
@@ -249,17 +249,21 @@ def generate_scenario(
 def evaluate(report: Report, truth: GroundTruth) -> dict:
     """Per-class precision/recall/F1 for Synonym and Homonym, plus macro F1.
 
-    Reads every pair of the report through ``expand_correspondences``, so
-    a sparse report's unlisted pairs count as Distinct.
+    Reads every pair of the report through ``model.pair_rows``, so a
+    sparse report's unlisted pairs count as Distinct.
     """
-    predicted = {corr.pair: corr.verdict for corr in expand_correspondences(report)}
-    if set(predicted) != set(truth.verdicts):
-        missing = sorted(set(truth.verdicts) - set(predicted))[:3]
-        extra = sorted(set(predicted) - set(truth.verdicts))[:3]
+    verdicts = truth.verdicts
+    outcomes: Counter = Counter()  # (truth verdict or None, predicted) -> pairs, each once
+    for c1, _, partners, cells in pair_rows(report):
+        outcomes.update((verdicts.get((c1, c2)), cells[k].verdict if k in cells else "Distinct")
+                        for k, c2 in enumerate(partners))
+    if outcomes.total() != len(verdicts) or any(v is None for v, _ in outcomes):
+        predicted = {(c1, c2) for c1, _, partners, _ in pair_rows(report) for c2 in partners}
+        missing = sorted(verdicts.keys() - predicted)[:3]
+        extra = sorted(predicted - verdicts.keys())[:3]
         raise ScenarioMismatch(
             f"report and truth cover different pairs (missing={missing}, extra={extra})"
         )
-    outcomes = Counter((v, predicted[pair]) for pair, v in truth.verdicts.items())
     metrics: dict = {}
     f1_values = []
     for verdict in ("Synonym", "Homonym"):
@@ -308,27 +312,26 @@ def parse_truth(path) -> GroundTruth:
     _check_version(document, context)
     verdicts: dict[tuple[str, str], str] = {}
     for index, entry in enumerate(_field(document, "pairs", list, context)):
-        ectx = f"{context}: pairs[{index}]"
-        _expect(isinstance(entry, dict), ectx, "pair must be an object")
-        pair = (_field(entry, "c1", str, ectx), _field(entry, "c2", str, ectx))
-        _expect("verdict" in entry, ectx, "missing field 'verdict'")
+        at = (context, ": pairs", index)
+        _expect(isinstance(entry, dict), at, "pair must be an object")
+        pair = (_field(entry, "c1", str, at), _field(entry, "c2", str, at))
+        _expect("verdict" in entry, at, "missing field 'verdict'")
         verdict = entry["verdict"]
-        _expect(verdict in VERDICTS, ectx, f"unknown ground-truth verdict {verdict!r}")
-        _expect(pair not in verdicts, ectx, f"ground-truth pair {pair} is listed twice")
+        _expect(verdict in VERDICTS, at, f"unknown ground-truth verdict {verdict!r}")
+        _expect(pair not in verdicts, at, f"ground-truth pair {pair} is listed twice")
         verdicts[pair] = verdict
     planted = []
     for index, entry in enumerate(_field(document, "planted", list, context, ())):
-        ectx = f"{context}: planted[{index}]"
-        _expect(isinstance(entry, dict), ectx, "planted relation must be an object")
-        kind = _field(entry, "kind", str, ectx)
-        _expect(kind in ("synonymy", "homonymy"), ectx, f"unknown planted kind {kind!r}")
-        _expect("in_od" in entry, ectx, "missing field 'in_od'")
-        _expect(isinstance(entry["in_od"], bool), ectx, "field 'in_od' must be bool")
+        at = (context, ": planted", index)
+        _expect(isinstance(entry, dict), at, "planted relation must be an object")
+        kind = _field(entry, "kind", str, at)
+        _expect(kind in ("synonymy", "homonymy"), at, f"unknown planted kind {kind!r}")
+        in_od = _field(entry, "in_od", bool, at)  # so errors come in order kind, in_od, t1, t2
         planted.append(PlantedRelation(
-            t1=_field(entry, "t1", str, ectx),
-            t2=_field(entry, "t2", str, ectx),
+            t1=_field(entry, "t1", str, at),
+            t2=_field(entry, "t2", str, at),
             kind=kind,
-            in_od=entry["in_od"],
-            case=None if entry.get("case") is None else _field(entry, "case", int, ectx),
+            in_od=in_od,
+            case=None if entry.get("case") is None else _field(entry, "case", int, at),
         ))
     return GroundTruth(verdicts=verdicts, planted=tuple(planted))

@@ -74,9 +74,9 @@ def align(
     declines a pair it may not enrich; ``semantic_similarity`` then only
     reads.  A commit adds no term to the support ontology, so after it
     the rest of the row is read again through ``candidates``.  ``enrich``
-    and ``reach`` read one ``enrichment.RunMaps``, and the scorer its
-    children index; it is built here over a copy of the support ontology
-    and dropped on return.  Each concept's reach is computed once and
+    and ``reach`` read one ``enrichment.RunMaps``, the scorer and the joins
+    its ``children_index``; it is built here over a copy of the support
+    ontology and dropped on return.  Each concept's reach is computed once and
     again only after a commit touches a term it read, so a concept costs
     one ``reach`` per run, not one per later source.  Enrichment commits
     land on the copy, which is returned with the records.  Verdicts:
@@ -89,8 +89,8 @@ def align(
       cannot be excluded);
     * anything else -> Distinct.
 
-    Concept ids must be unique across sources: the indexes, maps and
-    memos built once per run are keyed by them.
+    Concept ids must be unique across sources: the indexes and maps
+    built once per run are keyed by them.
     """
     tau = as_fraction(tau)
     if not 0 < tau <= 1:
@@ -107,12 +107,6 @@ def align(
     records: list[EnrichmentRecord] = []
     maps = RunMaps(enriched_od, ordered)
     kids = maps.kids
-    parents: dict[str, dict[int, list[str]]] = {}  # child id -> arity -> parent ids
-    for source in ordered:
-        for concept in source.concepts.values():
-            arity = len(concept.children)
-            for child in set(concept.children):
-                parents.setdefault(child, {}).setdefault(arity, []).append(concept.id)
 
     def fixed_partners(source: Ontology, later: Ontology) -> dict[str, set[str]]:
         """c1 id -> the ids of its row's fixed part in ``later`` (see above)."""
@@ -125,8 +119,8 @@ def align(
                     lifted.append((c1.id, c2.id))
         seen = set(lifted)
         for x, y in lifted:  # grows as it is read: each pair lifts once
-            above = parents.get(y, {})
-            for arity, ps in parents.get(x, {}).items():
+            above = kids.parents.get(y, {})
+            for arity, ps in kids.parents.get(x, {}).items():
                 for p, q in product(ps, above.get(arity, ())):
                     if (p, q) not in seen:
                         seen.add((p, q))
@@ -140,12 +134,10 @@ def align(
         found = {c.id for term in keys for c in later.concepts_by_term(term)}
         arity = len(c1.children)
         found.update(p for term in linked for y in later.concepts_by_term(term)
-                     for p in parents.get(y.id, {}).get(arity, ()))
+                     for p in kids.parents.get(y.id, {}).get(arity, ()))
         return {c for c in found if enriched_od.term_present(later.concepts[c].key)}
 
     correspondences: list[Correspondence] = []
-    memo: dict[tuple[str, str], Fraction] = {}
-    atoms: dict[str, Counter[str]] = {}
     for i, source in enumerate(ordered):
         for later in ordered[i + 1:]:
             fixed = fixed_partners(source, later)
@@ -163,8 +155,7 @@ def align(
                             records.append(record)
                             row = sorted((c for c in {*partners, *candidates(c1, later)}
                                           if c > c2.id), reverse=True)
-                    score, evidence = semantic_similarity(c1, c2, enriched_od, kids, memo=memo,
-                                                          atoms=atoms)
+                    score, evidence = semantic_similarity(c1, c2, enriched_od, kids)
                     verdict = _classify(c1, c2, score, evidence.kind, tau)
                     if verdict == "Identical" and c1.key == c2.key:
                         sink.append(
@@ -462,8 +453,9 @@ def integrate(
             new_id = first_free(component.id, taken)
             taken.add(new_id)
             warnings.append(f"duplicate component id {component.id!r} renamed to {new_id!r}")
-            component = BusinessComponent(new_id, component.name, component.entities,
-                                          component.relations)
+            relations = component.relations  # checked when the component was built
+            component = BusinessComponent._assembled(new_id, component.name, component.entities)
+            component.relations = relations
         kept.add(component.id)
         deduped.append(component)
     sources = [component_to_ontology(component) for component in deduped]

@@ -8,7 +8,10 @@ optimal assignments, and the one returned is the lexicographically
 largest read from the last row backwards: the largest column the last
 row takes in any optimal assignment, then the largest left for the row
 before it, and so on.  The total is summed from the original cells, so
-it stays exact.
+it stays exact.  The syntactic score reads only the total but keeps the
+tie terms, which pay where cells tie: a copy without them took 0.76 s
+against 0.13 s on the mostly-0 child matrix of two 200-wide composites
+sharing one key in two, and 0.12 s against 0.35 s on a random dense one.
 
 ``perfect_assignment`` answers the 0/1 question of case 3, whether the
 nonzero cells hold a perfect matching, by augmenting paths, one per row

@@ -8,7 +8,7 @@ one, so that pairing splits in two: the atomic children pair by equal
 keys (a multiset intersection, no matcher), and only the composite
 children go through maximum-weight bipartite matching, computed
 bottom-up over the composition graph, reading children from one
-``children_index`` and memoized per ``align``.  The semantic measure
+``children_index`` and memoized in it.  The semantic measure
 consults the support ontology first: a synonymy relation between the two
 terms forces 1, else a homonymy relation forces 0, else the syntactic
 measure decides.  Both measures only read; enrichment, the one write to
@@ -43,35 +43,44 @@ __all__ = [
     "syntactic_similarity",
 ]
 
-ChildrenIndex = dict[str, tuple[Concept, ...]]
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class ChildrenIndex(dict):
+    """Concept id -> its children, sorted by (key, id), as ``children_index``
+    builds it; ``parents``: child id -> arity -> the ids of its parents.
+    ``syntactic_similarity`` fills ``memo`` (a composite pair's score, by
+    the pair's ids) and ``atoms`` (a concept's atomic child keys, counted):
+    every call on one index shares them, valid exactly as long as the index is.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.parents: dict[str, dict[int, list[str]]] = {}
+        self.memo: dict[tuple[str, str], Fraction] = {}
+        self.atoms: dict[str, Counter[str]] = {}
+
+
 def children_index(ontologies: list[Ontology]) -> ChildrenIndex:
-    """Map each concept id of ``ontologies`` to its children, sorted by (key, id).
+    """The ``ChildrenIndex`` of ``ontologies``, in one pass over their concepts.
 
     Raises SchemaViolation when two ontologies share a concept id.
     """
-    kids: ChildrenIndex = {}
+    kids = ChildrenIndex()
     for ontology in ontologies:
         for cid, concept in ontology.concepts.items():
             if cid in kids:
                 raise SchemaViolation(f"concept id {cid!r} occurs in several sources")
             children = (ontology.concepts[child] for child in concept.children)
             kids[cid] = tuple(sorted(children, key=lambda c: (c.key, c.id)))
+            arity = len(concept.children)
+            for child in set(concept.children):
+                kids.parents.setdefault(child, {}).setdefault(arity, []).append(cid)
     return kids
 
 
-def syntactic_similarity(
-    c1: Concept,
-    c2: Concept,
-    kids: ChildrenIndex,
-    *,
-    memo: Optional[dict[tuple[str, str], Fraction]] = None,
-    atoms: Optional[dict[str, Counter[str]]] = None,
-) -> Fraction:
+def syntactic_similarity(c1: Concept, c2: Concept, kids: ChildrenIndex) -> Fraction:
     """Term-equality score, averaged bottom-up over the best child pairing.
 
     Atomic vs atomic: 1 if the normalized terms are equal, else 0.
@@ -88,19 +97,15 @@ def syntactic_similarity(
 
     Composite pairs are scored bottom-up from an explicit stack, so no
     composition depth meets the recursion limit, and each composite pair
-    is scored once per ``memo``: a dict keyed by (id of c1's side, id of
-    c2's side).  ``align`` keeps one memo per run; the scores read only
-    the component ontologies, which enrichment never writes.  So does
-    ``atoms``: concept id -> the keys of its atomic children, counted once
-    per concept.
+    is scored once per index, into ``kids.memo`` by (id of c1's side, id
+    of c2's side); each concept's atomic child keys are counted once, into
+    ``kids.atoms``.  The scores read only the component ontologies, which
+    enrichment never writes.
     """
     score = _flat_score(c1, c2)
     if score is not None:
         return score
-    if memo is None:
-        memo = {}
-    if atoms is None:
-        atoms = {}
+    memo, atoms = kids.memo, kids.atoms
     stack = [(c1, c2)]
     while stack:
         a, b = stack[-1]
@@ -162,13 +167,7 @@ def lookup_relations(ontology: Ontology, t1: str, t2: str) -> tuple[Relation, ..
 
 
 def semantic_similarity(
-    c1: Concept,
-    c2: Concept,
-    od: Ontology,
-    kids: ChildrenIndex,
-    *,
-    memo: Optional[dict[tuple[str, str], Fraction]] = None,
-    atoms: Optional[dict[str, Counter[str]]] = None,
+    c1: Concept, c2: Concept, od: Ontology, kids: ChildrenIndex
 ) -> tuple[Fraction, Evidence]:
     """Support-ontology-driven score with syntactic fallback; only reads.
 
@@ -180,8 +179,8 @@ def semantic_similarity(
     3. otherwise (no relation, or equivalence only) -> syntactic score.
 
     Evidence kind is "enriched" when any decisive relation was inferred
-    rather than declared.  Symmetric in (c1, c2).  ``kids``, ``memo`` and
-    ``atoms`` are passed on to ``syntactic_similarity``.
+    rather than declared.  Symmetric in (c1, c2).  ``kids`` is passed on
+    to ``syntactic_similarity``.
     """
     relations = lookup_relations(od, c1.key, c2.key)
     synonymies = tuple(r for r in relations if r.kind == "synonymy")
@@ -192,7 +191,7 @@ def semantic_similarity(
     if homonymies:
         return ZERO, Evidence(kind=_evidence_kind(homonymies, "od_homonymy"),
                               relations_used=homonymies)
-    return syntactic_similarity(c1, c2, kids, memo=memo, atoms=atoms), SYNTACTIC
+    return syntactic_similarity(c1, c2, kids), SYNTACTIC
 
 
 def _evidence_kind(relations: tuple[Relation, ...], declared_kind: str) -> str:

@@ -7,6 +7,10 @@ normalized again), ``reference_merge`` collapses the clusters into a
 validated merged ``Ontology``, and ``ontology_to_component`` converts
 that back.  Alignment and clustering are the package's own; only the
 construction of the merged result is independent.
+
+``reference_evaluate`` is ``evalgen.evaluate`` as it was before it read
+``pair_rows``: it builds a validated ``Correspondence`` for every pair
+through ``expand_correspondences`` and compares the pair sets whole.
 """
 
 from __future__ import annotations
@@ -22,12 +26,16 @@ from ontomerge import (
     HomonymClusterCollision,
     Ontology,
     Relation,
+    Report,
+    ScenarioMismatch,
     SchemaViolation,
     align,
     build_clusters,
+    expand_correspondences,
     normalize_term,
     ontology_to_component,
 )
+from ontomerge.evalgen import GroundTruth
 from ontomerge.integrator import DEFAULT_TAU, MERGED_ID, MERGED_NAME
 from ontomerge.model import first_free
 
@@ -254,3 +262,29 @@ def _disambiguate_displays(
             )
             displays[index] = f"{displays[index]} ({owner})"
             keys[index] = normalize_term(displays[index])
+
+
+def reference_evaluate(report: Report, truth: GroundTruth) -> dict:
+    """Per-class precision/recall/F1 for Synonym and Homonym, plus macro F1,
+    over every pair of ``report`` expanded into a ``Correspondence``."""
+    predicted = {corr.pair: corr.verdict for corr in expand_correspondences(report)}
+    if set(predicted) != set(truth.verdicts):
+        missing = sorted(set(truth.verdicts) - set(predicted))[:3]
+        extra = sorted(set(predicted) - set(truth.verdicts))[:3]
+        raise ScenarioMismatch(
+            f"report and truth cover different pairs (missing={missing}, extra={extra})"
+        )
+    outcomes = Counter((v, predicted[pair]) for pair, v in truth.verdicts.items())
+    metrics: dict = {}
+    f1_values = []
+    for verdict in ("Synonym", "Homonym"):
+        tp = outcomes[verdict, verdict]
+        fp = sum(n for (v, p), n in outcomes.items() if p == verdict != v)
+        fn = sum(n for (v, p), n in outcomes.items() if v == verdict != p)
+        precision = tp / (tp + fp) if tp + fp else 1.0
+        recall = tp / (tp + fn) if tp + fn else 1.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        metrics[verdict.lower()] = {"precision": precision, "recall": recall, "f1": f1}
+        f1_values.append(f1)
+    metrics["macro_f1"] = sum(f1_values) / len(f1_values)
+    return metrics

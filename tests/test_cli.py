@@ -636,8 +636,14 @@ _PLANTED = {"t1": "x", "t2": "y", "kind": "synonymy", "in_od": False, "case": 1}
      "planted[0]: field 'case' must be int"),
     ({"pairs": [_PAIR], "planted": [_PLANTED, [1]]},
      "planted[1]: planted relation must be an object"),
+    ({"pairs": [_PAIR], "planted": [{k: v for k, v in _PLANTED.items() if k != "in_od"}]},
+     "planted[0]: missing field 'in_od'"),
+    ({"pairs": [{"c1": "A#x", "c2": "B#y"}]}, "pairs[0]: missing field 'verdict'"),
+    ({"pairs": [_PAIR, {**_PAIR, "verdict": "Synonym"}]},
+     "pairs[1]: ground-truth pair ('A#x', 'B#y') is listed twice"),
 ], ids=["pair-missing-c2", "planted-missing-t2", "in_od-not-bool", "unknown-kind",
-        "case-not-int", "planted-not-object"])
+        "case-not-int", "planted-not-object", "in_od-missing", "verdict-missing",
+        "pair-listed-twice"])
 def test_malformed_truth_names_the_entry_and_field(tmp_path, capsys, truth, message):
     assert _eval_one_pair(tmp_path, truth) == 2
     err = capsys.readouterr().err

@@ -1,12 +1,17 @@
 """Scenario generation determinism, coverage accounting, and scoring."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontomerge import (
     GroundTruth,
     InfeasibleSpec,
+    IntegrationError,
     Report,
     ScenarioMismatch,
     ScenarioSpec,
@@ -14,11 +19,16 @@ from ontomerge import (
     expand_correspondences,
     generate_scenario,
     integrate,
+    parse_report,
     serialize_component,
     serialize_ontology,
+    serialize_report,
 )
 from ontomerge.evalgen import parse_truth, serialize_truth
+from ontomerge.model import VERDICTS
 from ontomerge.similarity import normalize_term
+
+from .reference import reference_evaluate
 
 
 def test_generation_is_deterministic():
@@ -148,3 +158,58 @@ def test_withheld_relations_recovered_via_enrichment():
     assert len(report.enrichments) == len(withheld)
     metrics = evaluate(report, truth)
     assert metrics["macro_f1"] == 1.0
+
+
+rarely = st.sampled_from([False, False, False, False, False, True])
+
+
+@st.composite
+def evaluated_runs(draw):
+    """(report, truth) of a small generated scenario, the report sparse as
+    ``integrate`` returns it or explicit as ``parse_report`` reads it back,
+    each maybe damaged: listed pairs dropped or repeated, truth verdicts
+    changed, truth pairs dropped or added."""
+    concepts = draw(st.integers(2, 14))
+    synonyms = draw(st.integers(0, concepts // 2))
+    homonyms = draw(st.integers(0, concepts // 2 - synonyms))
+    coverage = draw(st.sampled_from([0, 0.5, 1]))
+    spec = ScenarioSpec(concepts, synonyms, homonyms, coverage, draw(st.integers(0, 99)))
+    components, od, truth = generate_scenario(spec)
+    _, _, report = integrate(components, od)
+    if draw(st.booleans()):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "report.json"
+            path.write_bytes(serialize_report(report))
+            report = parse_report(path)
+    listed = report.correspondences
+    if listed and draw(rarely):
+        dropped = draw(st.sets(st.sampled_from(range(len(listed))), min_size=1, max_size=2))
+        listed = [corr for index, corr in enumerate(listed) if index not in dropped]
+    if listed and draw(rarely):
+        listed.append(listed[0])
+    verdicts = dict(truth.verdicts)
+    pairs = sorted(verdicts)
+    if pairs:
+        for pair in draw(st.lists(st.sampled_from(pairs), max_size=3)):
+            verdicts[pair] = draw(st.sampled_from(VERDICTS))
+        if draw(rarely):
+            del verdicts[draw(st.sampled_from(pairs))]
+    if draw(rarely):
+        verdicts["CM1#zz", "CM2#zz"] = "Distinct"
+    return Report(listed, pair_space=report.pair_space), GroundTruth(verdicts, truth.planted)
+
+
+def _evaluated(evaluator, report, truth):
+    try:
+        return evaluator(report, truth)
+    except IntegrationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluated_runs())
+def test_evaluate_matches_the_expanding_reference(run):
+    # reading verdicts through pair_rows gives the metrics and the errors,
+    # messages included, of building a Correspondence for every pair
+    report, truth = run
+    assert _evaluated(evaluate, report, truth) == _evaluated(reference_evaluate, report, truth)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from ontomerge import (
     BusinessComponent,
+    ComponentRelation,
     Concept,
     Correspondence,
     Entity,
@@ -32,7 +33,7 @@ from ontomerge import (
     ontology_to_component,
     serialize_component,
 )
-from ontomerge import terms
+from ontomerge import integrator, model, terms
 from ontomerge.integrator import MERGED_NAME
 
 from .conftest import make_cm1, make_cm2, make_support_ontology
@@ -213,6 +214,30 @@ def test_integrate_raises_the_reference_error_on_a_cycle_made_by_merging():
     assert assert_matches_reference(*_cycle_inputs()) == (
         SchemaViolation, "composition cycle: CMr#dossier -> CMr#malade -> CMr#dossier"
     )
+
+
+def test_a_repeated_component_is_renamed_without_a_second_cycle_walk(monkeypatch):
+    # the renamed copy keeps the entities and relations checked when the
+    # component was built: the one walk left is the merged component's
+    walks = []
+    walk = model.find_cycle
+
+    def spy(roots, children):
+        walks.append(sorted(roots))
+        return walk(roots, children)
+
+    monkeypatch.setattr(model, "find_cycle", spy)
+    monkeypatch.setattr(integrator, "find_cycle", spy)
+    entities = [Entity("Dossier", components=("Patient", "acte")), Entity("Patient"),
+                Entity("acte")]
+    component = BusinessComponent("CM1", "CM1", entities,
+                                  [ComponentRelation("Patient", "acte", "equivalence")])
+    walks.clear()
+    _, _, report = integrate([component, component], Ontology("Od"))
+    assert walks == [["dossier"]]
+    assert "duplicate component id 'CM1' renamed to 'CM1~2'" in report.warnings
+    assert report.pair_space == (("CM1#acte", "CM1#dossier", "CM1#patient"),
+                                 ("CM1~2#acte", "CM1~2#dossier", "CM1~2#patient"))
 
 
 def test_normalize_calls_in_integrate_are_bounded_by_new_displays_and_aliases(monkeypatch):

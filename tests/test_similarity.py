@@ -22,7 +22,8 @@ from ontomerge import (
     semantic_similarity,
     syntactic_similarity,
 )
-from ontomerge import integrator
+from ontomerge import integrator, similarity
+from ontomerge.model import SYNTACTIC
 
 from .strategies import concept_pairs, terms
 
@@ -166,6 +167,71 @@ def test_syntactic_equals_brute_force_and_is_symmetric(pair):
 def test_syntactic_self_similarity_is_one(pair):
     c1, _, o1, _ = pair
     assert syntactic_similarity(c1, c1, children_index([o1])) == 1
+
+
+def _shared_child_sources():
+    """Two sources whose composites P ⊃ {K} and R ⊃ {K, x} both hold the
+    composite K ⊃ {L}, L ⊃ {x}: the pairs (P, P') and (R, R') both score
+    the child pair (K, K')."""
+    def source(name):
+        return _atoms(
+            (f"{name}#x", "x", ()),
+            (f"{name}#l", "l", (f"{name}#x",)),
+            (f"{name}#k", "k", (f"{name}#l",)),
+            (f"{name}#p", "p", (f"{name}#k",)),
+            (f"{name}#r", "r", (f"{name}#k", f"{name}#x")),
+        )
+    return source("A"), source("B")
+
+
+def test_composite_pair_scores_are_shared_by_the_calls_on_one_index(monkeypatch):
+    # each score written to an index's memo is a composite pair scored; the
+    # calls on one index share the memo, so a second call scores only the
+    # pairs the first did not
+    scored = []
+
+    class CountingMemo(dict):
+        def __setitem__(self, pair, score):
+            scored.append(pair)
+            super().__setitem__(pair, score)
+
+    class CountingIndex(similarity.ChildrenIndex):
+        def __init__(self):
+            super().__init__()
+            self.memo = CountingMemo()
+
+    monkeypatch.setattr(similarity, "ChildrenIndex", CountingIndex)
+    o1, o2 = _shared_child_sources()
+    p1, p2, r1, r2 = (o.concepts[f"{o.id}#{t}"] for t in "pr" for o in (o1, o2))
+    kids = children_index([o1, o2])
+    assert syntactic_similarity(p1, p2, kids) == 1
+    assert scored == [("A#l", "B#l"), ("A#k", "B#k"), ("A#p", "B#p")]
+    assert syntactic_similarity(r1, r2, kids) == 1
+    assert scored[3:] == [("A#r", "B#r")]  # (K, K') came from the memo
+    assert semantic_similarity(r1, r2, Ontology("Od"), kids) == (1, SYNTACTIC)
+    assert len(scored) == 4  # and so did (R, R')
+    assert kids.atoms["A#r"] == {"x": 1}
+    fresh = children_index([o1, o2])
+    assert fresh.memo == {} and fresh.atoms == {}
+    assert syntactic_similarity(r1, r2, fresh) == 1
+    assert scored[4:] == [("A#l", "B#l"), ("A#k", "B#k"), ("A#r", "B#r")]  # scored again
+
+
+@settings(max_examples=200, deadline=None)
+@given(concept_pairs(max_depth=2, max_children=4))
+def test_children_index_holds_the_parents_by_arity(pair):
+    _, _, o1, o2 = pair
+    kids = children_index([o1, o2])
+    expected: dict = {}
+    for source in (o1, o2):
+        for concept in source.concepts.values():
+            for child in set(concept.children):
+                expected.setdefault(child, {}).setdefault(len(concept.children), []).append(
+                    concept.id)
+    assert kids.parents == expected
+    assert all(kids[cid] == tuple(sorted((o.concepts[c] for c in concept.children),
+                                         key=lambda c: (c.key, c.id)))
+               for o in (o1, o2) for cid, concept in o.concepts.items())
 
 
 # ---------------------------------------------------------------------------

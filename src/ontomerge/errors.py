@@ -17,7 +17,7 @@ class EmptyTerm(SchemaViolation):
     """A term is empty or normalizes to the empty string."""
 
 
-class CyclicComposition(IntegrationError):
+class CyclicComposition(SchemaViolation):
     """Composition (part_of) links form a cycle."""
 
 

@@ -19,7 +19,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .enrichment import RunMaps, enrich
-from .errors import HomonymClusterCollision, SchemaViolation
+from .errors import CyclicComposition, HomonymClusterCollision, SchemaViolation
 from .model import (
     BusinessComponent,
     Cluster,
@@ -36,8 +36,9 @@ from .model import (
 )
 from .similarity import semantic_similarity
 from .terms import normalize_term
-from .transform import ALIAS_PREFIX, component_to_ontology
+from .transform import component_to_ontology
 
+ALIAS_PREFIX = "alias: "
 DEFAULT_TAU = Fraction(1)
 MERGED_ID = "CMr"
 MERGED_NAME = "Integrated component"
@@ -274,7 +275,7 @@ def merge(
     children and associations are re-targeted to clusters and
     deduplicated; the other keys' terms become ``alias: <term>``
     attributes.  No relation is carried over: the merged component has
-    none.  Warnings are appended to ``warnings``.  Raises SchemaViolation
+    none.  Warnings are appended to ``warnings``.  Raises CyclicComposition
     ("composition cycle: CMr#a -> ... -> CMr#a") when merged composition
     links form a cycle, HomonymClusterCollision when a Homonym pair
     shares a cluster.
@@ -350,7 +351,7 @@ def merge(
     # keys sort as the merged ids "CMr#<key>" do, so the walk meets cycles in id order
     cycle = find_cycle(sorted(children_of), lambda k: children_of.get(k, ()))
     if cycle:
-        raise SchemaViolation(
+        raise CyclicComposition(
             "composition cycle: " + " -> ".join(f"{MERGED_ID}#{k}" for k in cycle)
         )
 
@@ -360,7 +361,7 @@ def merge(
                 f"homonym pair ({c1}, {c2}) ended up in cluster "
                 f"{MERGED_ID + '#' + cluster_of[c1]!r}"
             )
-    merged = BusinessComponent._assembled(MERGED_ID, MERGED_NAME, entities)
+    merged = BusinessComponent._assembled(MERGED_ID, MERGED_NAME, entities, ())
     return merged, sorted(clusters, key=lambda cl: (cl.term, cl.members))
 
 
@@ -453,9 +454,8 @@ def integrate(
             new_id = first_free(component.id, taken)
             taken.add(new_id)
             warnings.append(f"duplicate component id {component.id!r} renamed to {new_id!r}")
-            relations = component.relations  # checked when the component was built
-            component = BusinessComponent._assembled(new_id, component.name, component.entities)
-            component.relations = relations
+            component = BusinessComponent._assembled(
+                new_id, component.name, component.entities, component.relations)
         kept.add(component.id)
         deduped.append(component)
     sources = [component_to_ontology(component) for component in deduped]

@@ -3,8 +3,8 @@
 All collection-valued fields are kept in a canonical sorted order at
 construction time so that structural equality, serialization determinism,
 and round-trips line up without per-call sorting.  Every structural
-invariant is checked eagerly; a value that constructs successfully is
-valid.
+invariant is checked eagerly, except where ``_assembled`` takes fields
+its caller checked.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import SchemaViolation
+from .errors import CyclicComposition, SchemaViolation
 from .terms import name_sort_key, normalize_term
 
 RELATION_KINDS = ("equivalence", "homonymy", "part_of", "synonymy")
@@ -118,8 +118,8 @@ def _sorted_associations(associations: Iterable) -> tuple[Association, ...]:
 class Concept(_Record):
     """A node in an ontology: a term plus optional composition children.
 
-    A concept with no children is atomic.  ``attributes``, ``associations``
-    and ``aliases`` carry component metadata through transformation and
+    A concept with no children is atomic.  ``attributes`` and
+    ``associations`` carry component metadata through transformation and
     merging; they play no role in similarity.
 
     ``key`` is derived: the normalized ``term``, computed once on
@@ -129,16 +129,15 @@ class Concept(_Record):
     checked; an empty one becomes ().
     """
 
-    _fields = ("id", "term", "children", "attributes", "associations", "aliases")
+    _fields = ("id", "term", "children", "attributes", "associations")
     __slots__ = (*_fields, "key")
 
     def __init__(self, id: str, term: str, children: Iterable[str] = (),
-                 attributes: Iterable[str] = (), associations: Iterable = (),
-                 aliases: Iterable[str] = ()):
-        self._set(None, id, term, children, attributes, associations, aliases)
+                 attributes: Iterable[str] = (), associations: Iterable = ()):
+        self._set(None, id, term, children, attributes, associations)
 
     def _set(self, key: Optional[str], id: str, term: str, children: Iterable[str],
-             attributes: Iterable[str], associations: Iterable, aliases: Iterable[str]) -> None:
+             attributes: Iterable[str], associations: Iterable) -> None:
         if not id:
             raise SchemaViolation("concept id must be nonempty")
         self.id = id
@@ -151,7 +150,6 @@ class Concept(_Record):
             raise SchemaViolation(f"concept {id!r} lists itself as a child")
         self.attributes = tuple(sorted(attributes)) if attributes else ()
         self.associations = _sorted_associations(associations)
-        self.aliases = tuple(sorted(aliases, key=name_sort_key)) if aliases else ()
 
     @property
     def is_atomic(self) -> bool:
@@ -277,7 +275,7 @@ class Ontology:
         self.check_children()
         cycle = self.composition_cycle()
         if cycle:
-            raise SchemaViolation("composition cycle: " + " -> ".join(cycle))
+            raise CyclicComposition("composition cycle: " + " -> ".join(cycle))
 
     def check_children(self) -> None:
         """Raise SchemaViolation at the first child that is no concept here."""
@@ -405,7 +403,7 @@ class BusinessComponent(_Record):
                  relations: Iterable[ComponentRelation] = ()):
         if not id:
             raise SchemaViolation("component id must be nonempty")
-        self._set(id, name, entities)
+        self._set(id, name, entities, ())
         key_of: dict[str, str] = {}  # entity name -> key
         previous = None
         for entity in self.entities:  # sorted, so a repeated key follows the first
@@ -463,13 +461,14 @@ class BusinessComponent(_Record):
         if child_keys:  # composites only: a childless entity is on no cycle
             cycle = find_cycle(sorted(child_keys), lambda k: child_keys.get(k, ()))
         if cycle:
-            raise SchemaViolation(
+            raise CyclicComposition(
                 f"component {self.id!r}: composition cycle: " + " -> ".join(cycle)
             )
 
-    def _set(self, id: str, name: str, entities: Iterable[Entity]) -> None:
-        """No relations yet; ``_assembled`` takes entities checked as ``__init__`` would."""
-        self.id, self.name, self.relations = id, name, ()
+    def _set(self, id: str, name: str, entities: Iterable[Entity],
+             relations: tuple[ComponentRelation, ...]) -> None:
+        """``_assembled`` takes entities and sorted relations checked as ``__init__`` would."""
+        self.id, self.name, self.relations = id, name, relations
         self.entities = tuple(sorted(entities, key=attrgetter("key", "name")))
 
     def _canonical_relation(

@@ -33,8 +33,8 @@ Ontology document::
 Relation kinds are synonymy, homonymy, equivalence, part_of; provenance
 defaults to "declared".  part_of edges may be omitted (they are derived
 from concept children); a part_of edge that contradicts the children is
-rejected.  Concepts accept optional ``attributes``, ``associations`` and
-``aliases`` keys, which carry component metadata through round trips.
+rejected.  Concepts accept optional ``attributes`` and ``associations``
+keys, which carry component metadata through round trips; other keys are ignored.
 
 Report documents mirror the Report type; scores are exact fraction
 strings such as "1", "0" or "1/2".
@@ -347,7 +347,7 @@ def parse_ontology(path) -> Ontology:
         _expect(type(raw) is dict, at, "concept must be an object")
         fields = (_field(raw, "id", str, at), _field(raw, "term", str, at),
                   _strings(raw, "children", at), _strings(raw, "attributes", at),
-                  _associations(raw, at), _strings(raw, "aliases", at))
+                  _associations(raw, at))
         try:
             concepts.append(Concept(*fields))
         except SchemaViolation as exc:
@@ -380,8 +380,6 @@ def serialize_ontology(ontology: Ontology) -> bytes:
             entry["associations"] = [
                 {"target": a.target, "label": a.label} for a in concept.associations
             ]
-        if concept.aliases:
-            entry["aliases"] = list(concept.aliases)
         concepts.append(entry)
     return _dumps(
         {

@@ -10,11 +10,8 @@ its entity; an association target keeps its spelling.
 
 from __future__ import annotations
 
-from .errors import CyclicComposition
 from .model import BusinessComponent, ComponentRelation, Concept, Entity, Ontology, Relation
 from .terms import normalize_term
-
-ALIAS_PREFIX = "alias: "
 
 
 def component_to_ontology(bc: BusinessComponent) -> Ontology:
@@ -37,7 +34,7 @@ def component_to_ontology(bc: BusinessComponent) -> Ontology:
         ontology.add_concept(Concept._assembled(
             entity.key, f"{bc.id}#{entity.key}", entity.name,
             tuple(map(concept_id, entity.components)), entity.attributes,
-            entity.associations, (),
+            entity.associations,
         ))
     for relation in bc.relations:  # declared, the default provenance
         a, b = concept_id(relation.a), concept_id(relation.b)
@@ -49,26 +46,21 @@ def ontology_to_component(ontology: Ontology, name: str) -> BusinessComponent:
     """Rebuild a component from an ontology.
 
     Inverse of component_to_ontology on its image, up to the respelling
-    that the module docstring states.  Concept aliases surface as
-    ``alias: <term>`` attribute annotations.  Entities are in
-    ``BusinessComponent``'s (key, name) order.  Raises CyclicComposition
-    when part_of links form a cycle.
+    that the module docstring states.  Entities are in
+    ``BusinessComponent``'s (key, name) order.  Raises SchemaViolation at
+    an unknown child, then whatever ``BusinessComponent`` raises:
+    CyclicComposition when part_of links form a cycle.
     """
-    cycle = ontology.composition_cycle()
-    if cycle:
-        raise CyclicComposition("part_of cycle: " + " -> ".join(cycle))
     ontology.check_children()
-    entities = []
-    for concept in ontology.concepts.values():
-        notes = tuple(ALIAS_PREFIX + alias for alias in concept.aliases) if concept.aliases else ()
-        entities.append(
-            Entity(
-                name=concept.term,
-                attributes=concept.attributes + notes,
-                associations=concept.associations,
-                components=tuple(ontology.concepts[child].term for child in concept.children),
-            )
+    entities = [
+        Entity(
+            name=concept.term,
+            attributes=concept.attributes,
+            associations=concept.associations,
+            components=tuple(ontology.concepts[child].term for child in concept.children),
         )
+        for concept in ontology.concepts.values()
+    ]
     relations = tuple(
         ComponentRelation(ontology.concepts[rel.a].term, ontology.concepts[rel.b].term, rel.kind)
         for rel in ontology.semantic_relations()

@@ -14,7 +14,9 @@ from ontomerge import (
     Association,
     BusinessComponent,
     Concept,
+    Correspondence,
     Entity,
+    Evidence,
     Ontology,
     Relation,
     model_io,
@@ -100,6 +102,17 @@ def scenario_files(tmp_path, cm1, cm2, support_od):
     paths["cm2"].write_bytes(model_io.serialize_component(cm2))
     paths["od"].write_bytes(model_io.serialize_ontology(support_od))
     return paths
+
+
+def make_edge(c1: str, c2: str, verdict: str) -> Correspondence:
+    """A correspondence of ``verdict`` with the score and evidence it requires."""
+    support = (Relation("Od#x", "Od#y", "synonymy"),)
+    if verdict == "Synonym":
+        return Correspondence(c1, c2, 1, verdict, Evidence("od_synonymy", support))
+    if verdict == "Homonym":
+        return Correspondence(c1, c2, 0, verdict, Evidence("od_homonymy", support))
+    score = 1 if verdict == "Identical" else 0
+    return Correspondence(c1, c2, score, verdict, Evidence("syntactic"))
 
 
 def make_contradictory_od() -> Ontology:

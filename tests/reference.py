@@ -11,11 +11,17 @@ construction of the merged result is independent.
 ``reference_evaluate`` is ``evalgen.evaluate`` as it was before it read
 ``pair_rows``: it builds a validated ``Correspondence`` for every pair
 through ``expand_correspondences`` and compares the pair sets whole.
+
+``brute_force_closure`` is ``build_clusters`` without union-find, and
+``brute_force_syntactic`` is ``syntactic_similarity`` without matching:
+it tries every permutation of the children.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
+from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
 from ontomerge import (
@@ -103,7 +109,8 @@ def reference_merge(
     display and the aliases alike, is that of the member of smallest id,
     so the order of a part's members changes nothing.  part_of edges and
     association metadata are re-targeted to cluster representatives and
-    deduplicated.  Warnings are appended to ``warnings``.  Raises
+    deduplicated; the other keys' terms become ``alias: <term>``
+    attributes.  Warnings are appended to ``warnings``.  Raises
     HomonymClusterCollision when a Homonym pair shares a cluster.
     """
     sink = warnings if warnings is not None else []
@@ -183,9 +190,8 @@ def reference_merge(
                 id=cid,
                 term=display,
                 children=tuple(children),
-                attributes=tuple(attributes),
+                attributes=(*attributes, *(f"alias: {alias}" for alias in aliases)),
                 associations=tuple(associations),
-                aliases=aliases,
             )
         )
         clusters.append(Cluster(term=display, members=tuple(members), aliases=aliases))
@@ -288,3 +294,38 @@ def reference_evaluate(report: Report, truth: GroundTruth) -> dict:
         f1_values.append(f1)
     metrics["macro_f1"] = sum(f1_values) / len(f1_values)
     return metrics
+
+
+def brute_force_closure(ids, edges):
+    """Oracle: repeatedly merge clusters that share a merging edge."""
+    clusters = [{cid} for cid in ids]
+    changed = True
+    while changed:
+        changed = False
+        for c1, c2 in edges:
+            left = next(cl for cl in clusters if c1 in cl)
+            right = next(cl for cl in clusters if c2 in cl)
+            if left is not right:
+                clusters.remove(right)
+                left |= right
+                changed = True
+    return sorted(tuple(sorted(cl)) for cl in clusters)
+
+
+def brute_force_syntactic(c1, c2, o1, o2) -> Fraction:
+    """Independent oracle: explicit maximum over all child permutations."""
+    if c1.is_atomic and c2.is_atomic:
+        return Fraction(int(normalize_term(c1.term) == normalize_term(c2.term)))
+    if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
+        return Fraction(0)
+    left = [o1.concepts[k] for k in c1.children]
+    right = [o2.concepts[k] for k in c2.children]
+    n = len(left)
+    best = max(
+        sum(
+            (brute_force_syntactic(left[i], right[p[i]], o1, o2) for i in range(n)),
+            Fraction(0),
+        )
+        for p in permutations(range(n))
+    )
+    return best / n

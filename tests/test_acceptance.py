@@ -36,10 +36,9 @@ from ontomerge import (
 from ontomerge.cli import main
 from ontomerge.enrichment import RunMaps
 
-from .conftest import make_cm1, make_cm2, make_support_ontology
+from .conftest import make_cm1, make_cm2, make_edge, make_support_ontology
+from .reference import brute_force_closure, brute_force_syntactic
 from .strategies import concept_pairs, terms
-from .test_integrator import brute_force_closure, _edge
-from .test_similarity import brute_force_syntactic
 
 
 def _report(criterion: str) -> None:
@@ -325,7 +324,7 @@ def test_criterion_4_cluster_oracle():
             c1, c2 = rng.sample(ids, 2) if len(ids) > 1 else (ids[0], ids[0])
             if c1 == c2:
                 continue
-            edges.append(_edge(c1, c2, rng.choice(["Synonym", "Identical", "Distinct"])))
+            edges.append(make_edge(c1, c2, rng.choice(["Synonym", "Identical", "Distinct"])))
         merging = [(e.c1, e.c2) for e in edges if e.verdict in ("Synonym", "Identical")]
         assert build_clusters(edges, ids) == brute_force_closure(ids, merging)
     _report("criterion 4 (cluster oracle, 200 instances)")

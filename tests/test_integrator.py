@@ -12,9 +12,7 @@ from ontomerge import (
     Association,
     BusinessComponent,
     Concept,
-    Correspondence,
     Entity,
-    Evidence,
     HomonymClusterCollision,
     IntegrationError,
     Ontology,
@@ -38,8 +36,10 @@ from .conftest import (
     make_cm2,
     make_conflicting_components,
     make_contradictory_od,
+    make_edge,
     make_support_ontology,
 )
+from .reference import brute_force_closure
 from .strategies import TERM_POOL, terms
 
 
@@ -202,36 +202,8 @@ def test_align_does_not_mutate_its_input_ontology(cm1, cm2):
 # clustering
 
 
-def _edge(c1, c2, verdict):
-    if verdict in ("Synonym",):
-        return Correspondence(
-            c1=c1, c2=c2, score=1, verdict=verdict,
-            evidence=Evidence(kind="od_synonymy",
-                              relations_used=(dummy_relation(),)),
-        )
-    if verdict == "Homonym":
-        return Correspondence(
-            c1=c1, c2=c2, score=0, verdict=verdict,
-            evidence=Evidence(kind="od_homonymy",
-                              relations_used=(dummy_relation(),)),
-        )
-    if verdict == "Identical":
-        return Correspondence(
-            c1=c1, c2=c2, score=1, verdict=verdict, evidence=Evidence(kind="syntactic")
-        )
-    return Correspondence(
-        c1=c1, c2=c2, score=0, verdict=verdict, evidence=Evidence(kind="syntactic")
-    )
-
-
-def dummy_relation():
-    from ontomerge import Relation
-
-    return Relation("Od#x", "Od#y", "synonymy")
-
-
 def test_clusters_are_transitive():
-    edges = [_edge("a", "b", "Synonym"), _edge("b", "c", "Synonym")]
+    edges = [make_edge("a", "b", "Synonym"), make_edge("b", "c", "Synonym")]
     assert build_clusters(edges, ["a", "b", "c"]) == [("a", "b", "c")]
 
 
@@ -241,9 +213,9 @@ def test_no_edges_gives_singletons():
 
 def test_homonym_chain_collision_reports_path():
     edges = [
-        _edge("a", "b", "Synonym"),
-        _edge("b", "c", "Synonym"),
-        _edge("a", "c", "Homonym"),
+        make_edge("a", "b", "Synonym"),
+        make_edge("b", "c", "Synonym"),
+        make_edge("a", "c", "Homonym"),
     ]
     with pytest.raises(HomonymClusterCollision) as excinfo:
         build_clusters(edges, ["a", "b", "c"])
@@ -253,8 +225,9 @@ def test_homonym_chain_collision_reports_path():
 
 
 def test_collision_chain_takes_the_smallest_ids_level_by_level():
-    edges = [_edge(a, b, "Synonym") for a, b in (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))]
-    edges.append(_edge("a", "d", "Homonym"))
+    edges = [make_edge(a, b, "Synonym")
+             for a, b in (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))]
+    edges.append(make_edge("a", "d", "Homonym"))
     with pytest.raises(HomonymClusterCollision) as excinfo:
         build_clusters(edges, ["a", "b", "c", "d"])
     assert excinfo.value.chain == (("a", "b", "Synonym"), ("b", "d", "Synonym"))
@@ -266,27 +239,11 @@ def test_collision_chain_takes_the_smallest_ids_level_by_level():
 
 @pytest.mark.parametrize("verdict", ["Identical", "Homonym"])
 def test_pair_outside_the_clustered_ids_is_schema_error(verdict):
-    edges = [_edge("a", "b", "Synonym"), _edge("b", "z", verdict)]
+    edges = [make_edge("a", "b", "Synonym"), make_edge("b", "z", verdict)]
     with pytest.raises(SchemaViolation, match=(
         rf"^{verdict} pair \('b', 'z'\) names a concept outside the clustered ids$"
     )):
         build_clusters(edges, ["a", "b", "c"])
-
-
-def brute_force_closure(ids, edges):
-    """Oracle: repeatedly merge clusters that share a merging edge."""
-    clusters = [{cid} for cid in ids]
-    changed = True
-    while changed:
-        changed = False
-        for c1, c2 in edges:
-            left = next(cl for cl in clusters if c1 in cl)
-            right = next(cl for cl in clusters if c2 in cl)
-            if left is not right:
-                clusters.remove(right)
-                left |= right
-                changed = True
-    return sorted(tuple(sorted(cl)) for cl in clusters)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -298,7 +255,7 @@ def test_union_find_matches_closure_oracle(seed):
         c1, c2 = rng.choice(ids), rng.choice(ids)
         if c1 != c2:
             verdict = rng.choice(["Synonym", "Identical", "Distinct"])
-            edges.append(_edge(c1, c2, verdict))
+            edges.append(make_edge(c1, c2, verdict))
     merging = [
         (e.c1, e.c2) for e in edges if e.verdict in ("Synonym", "Identical")
     ]
@@ -383,7 +340,7 @@ def test_suffix_fallback_takes_the_source_of_the_smallest_id_whatever_the_member
         Ontology("C", [Concept(id="C#prestation", term="Prestation")]),
     ]
     partition = [("A#service", "C#prestation")[::order], ("B#service",), ("B#service (a)",)]
-    homonymy = _edge("A#service", "B#service", "Homonym")
+    homonymy = make_edge("A#service", "B#service", "Homonym")
     _, clusters = merge(partition, sources, Ontology("Od"), correspondences=[homonymy])
     assert {cl.term: tuple(sorted(cl.members)) for cl in clusters} == {
         "Service (A) (A)": ("A#service", "C#prestation"),

@@ -248,6 +248,17 @@ def test_ontology_round_trip(tmp_path, support_od):
     assert parse_ontology(path) == support_od
 
 
+def test_concept_aliases_key_is_ignored_and_never_written(tmp_path):
+    path = _write(tmp_path, "od.json", {
+        "format_version": 1, "id": "Od",
+        "concepts": [{"id": "Od#a", "term": "a", "aliases": ["b", "c"]}],
+    })
+    ontology = parse_ontology(path)
+    assert ontology == Ontology("Od", [Concept("Od#a", "a")])
+    document = json.loads(serialize_ontology(ontology))
+    assert document["concepts"] == [{"id": "Od#a", "term": "a", "children": []}]
+
+
 def test_ontology_unknown_relation_endpoint(tmp_path):
     path = _write(
         tmp_path, "bad-od.json",

@@ -150,15 +150,13 @@ def test_cluster_value():
 
 def test_concept_value():
     kwargs = {"id": "C#s", "term": " Service ", "children": ("C#b", "C#a"),
-              "attributes": ("z", "y"), "associations": (("C#b", "uses"), ("C#a", "uses")),
-              "aliases": ("b", "A")}
+              "attributes": ("z", "y"), "associations": (("C#b", "uses"), ("C#a", "uses"))}
     concept = check_value(Concept, kwargs, Concept("C#s", "Service"), frozen=False)
     assert concept.key == "service"
     assert (concept.children, concept.attributes) == (("C#a", "C#b"), ("y", "z"))
     assert concept.associations == (Association("C#a", "uses"), Association("C#b", "uses"))
-    assert concept.aliases == ("A", "b")
     assert repr(Concept("C#a", "A")) == (
-        "Concept(id='C#a', term='A', children=(), attributes=(), associations=(), aliases=())"
+        "Concept(id='C#a', term='A', children=(), attributes=(), associations=())"
     )
     with raises("concept id must be nonempty"):
         Concept("", "Service")

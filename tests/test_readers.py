@@ -142,7 +142,6 @@ def naive_parse_ontology(path):
             children=_string_list(raw, "children", cctx),
             attributes=_string_list(raw, "attributes", cctx),
             associations=_associations(raw, cctx),
-            aliases=_string_list(raw, "aliases", cctx),
         )
         try:
             concepts.append(Concept(**fields))
@@ -212,8 +211,6 @@ def ontology_documents(draw):
         _optional(draw, concept, "associations", st.lists(
             st.fixed_dictionaries({"target": st.sampled_from(NAMES), "label": WORDS}),
             max_size=1))
-        _optional(draw, concept, "aliases", st.lists(st.sampled_from(NAMES), unique=True,
-                                                     max_size=2))
         concepts.append(concept)
     doc = {"format_version": 1, "id": "Od", "concepts": concepts}
     if count > 1:
@@ -296,7 +293,7 @@ def test_component_reader_matches_per_field_oracle(doc):
     {"id": "a", "term": "A"}, {"id": "b", "term": "B"}],
     "relations": [{"a": "a", "b": "b", "kind": "synonymy", "provenance": "bogus"}]})
 @example({"format_version": 1, "id": "Od", "concepts": [
-    {"id": "a", "term": "A", "aliases": [None]}]})
+    {"id": "a", "term": "A", "attributes": [None]}]})
 @example({"format_version": 1, "id": "Od", "concepts": ["a"]})
 @example({"format_version": 1, "id": "Od", "concepts": [
     {"id": "a", "term": "A"}, {"id": "b", "term": "B"}],

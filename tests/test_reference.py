@@ -20,13 +20,13 @@ from ontomerge import (
     ComponentRelation,
     Concept,
     Correspondence,
+    CyclicComposition,
     Entity,
     Evidence,
     IntegrationError,
     Ontology,
     Relation,
     ScenarioSpec,
-    SchemaViolation,
     generate_scenario,
     integrate,
     merge,
@@ -212,7 +212,7 @@ def test_integrate_equals_reference_on_suffixed_aliased_and_composite_merges(inp
 
 def test_integrate_raises_the_reference_error_on_a_cycle_made_by_merging():
     assert assert_matches_reference(*_cycle_inputs()) == (
-        SchemaViolation, "composition cycle: CMr#dossier -> CMr#malade -> CMr#dossier"
+        CyclicComposition, "composition cycle: CMr#dossier -> CMr#malade -> CMr#dossier"
     )
 
 

@@ -1,7 +1,6 @@
 """Term normalization, the syntactic measure, and the semantic measure."""
 
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +24,7 @@ from ontomerge import (
 from ontomerge import integrator, similarity
 from ontomerge.model import SYNTACTIC
 
+from .reference import brute_force_syntactic
 from .strategies import concept_pairs, terms
 
 
@@ -76,25 +76,6 @@ def test_canonical_term_is_its_own_key():
 
 # ---------------------------------------------------------------------------
 # syntactic measure
-
-
-def brute_force_syntactic(c1, c2, o1, o2) -> Fraction:
-    """Independent oracle: explicit maximum over all child permutations."""
-    if c1.is_atomic and c2.is_atomic:
-        return Fraction(int(normalize_term(c1.term) == normalize_term(c2.term)))
-    if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
-        return Fraction(0)
-    left = [o1.concepts[k] for k in c1.children]
-    right = [o2.concepts[k] for k in c2.children]
-    n = len(left)
-    best = max(
-        sum(
-            (brute_force_syntactic(left[i], right[p[i]], o1, o2) for i in range(n)),
-            Fraction(0),
-        )
-        for p in permutations(range(n))
-    )
-    return best / n
 
 
 def _atoms(*specs):

@@ -12,7 +12,6 @@ from ontomerge import (
     CyclicComposition,
     Entity,
     Ontology,
-    Relation,
     SchemaViolation,
     build_clusters,
     align,
@@ -24,6 +23,7 @@ from ontomerge import (
 from ontomerge import model
 
 from .conftest import make_cm1, make_cm2, make_support_ontology
+from .reference import reference_sources
 
 
 def test_entities_become_prefixed_concepts(cm1):
@@ -112,20 +112,61 @@ def test_deep_cycles_raise_each_callers_error():
                                      children=(f"X#{(i + 1) % 3000:04}",)))
     with pytest.raises(SchemaViolation, match=r"^composition cycle: X#0000 -> X#0001 -> "):
         ontology.validate()
-    with pytest.raises(CyclicComposition, match=r"^part_of cycle: X#0000 -> .* -> X#0000$"):
+    with pytest.raises(CyclicComposition,
+                       match=r"^component 'X': composition cycle: t0 -> t1 -> .* -> t0$"):
         ontology_to_component(ontology, name="boucle")
 
 
-def test_unknown_child_is_reported_after_a_cycle():
+def test_unknown_child_is_reported_before_a_cycle():
     ontology = Ontology("X")
     ontology.add_concept(Concept(id="X#a", term="a", children=("X#b", "X#z")))
     with pytest.raises(SchemaViolation, match=r"^concept 'X#a' references unknown child 'X#b'$"):
         ontology_to_component(ontology, name="x")
     ontology.add_concept(Concept(id="X#b", term="b", children=("X#a",)))
-    with pytest.raises(CyclicComposition, match=r"^part_of cycle: X#a -> X#b -> X#a$"):
+    with pytest.raises(SchemaViolation, match=r"^concept 'X#a' references unknown child 'X#z'$"):
         ontology_to_component(ontology, name="x")
     with pytest.raises(SchemaViolation, match=r"^concept 'X#a' references unknown child 'X#z'$"):
         ontology.validate()
+
+
+def _two_cycle() -> Ontology:
+    return Ontology("X", [Concept(id="X#a", term="a", children=("X#b",)),
+                          Concept(id="X#b", term="b", children=("X#a",))])
+
+
+def _merge_into_a_cycle():
+    # A#a ⊃ A#b and B#c ⊃ B#d, clustered as {a, d} and {b, c}: each contains the other
+    sources = [Ontology("A", [Concept("A#a", "a", ("A#b",)), Concept("A#b", "b")]),
+               Ontology("B", [Concept("B#c", "c", ("B#d",)), Concept("B#d", "d")])]
+    merge([("A#a", "B#d"), ("A#b", "B#c")], sources, Ontology("Od"))
+
+
+@pytest.mark.parametrize("close_a_cycle", [
+    lambda: BusinessComponent(id="CM", name="boucle", entities=_chain(2, closed=True)),
+    lambda: _two_cycle().validate(),
+    _merge_into_a_cycle,
+    lambda: ontology_to_component(_two_cycle(), name="boucle"),
+], ids=["BusinessComponent", "Ontology.validate", "merge", "ontology_to_component"])
+def test_every_cycle_check_raises_cyclic_composition(close_a_cycle):
+    with pytest.raises(CyclicComposition, match="composition cycle: ") as caught:
+        close_a_cycle()
+    assert isinstance(caught.value, SchemaViolation)
+
+
+def test_ontology_to_component_walks_the_composition_once(monkeypatch):
+    walks = []
+    walk = model.find_cycle
+
+    def spy(roots, children):
+        walks.append(sorted(roots))
+        return walk(roots, children)
+
+    monkeypatch.setattr(model, "find_cycle", spy)
+    ontology = component_to_ontology(BusinessComponent(id="CM", name="arbre",
+                                                       entities=_chain(3)))
+    walks.clear()
+    ontology_to_component(ontology, name="arbre")
+    assert walks == [["e0", "e1"]]
 
 
 def test_merged_scenario_yields_one_entity_per_synonym_cluster():
@@ -195,27 +236,11 @@ def respelled_components(draw):
                              relations=tuple(relations))
 
 
-def _naive_ontology(bc: BusinessComponent) -> Ontology:
-    """The oracle: every reference normalized on its own, no name map."""
-    def cid(reference: str) -> str:
-        return f"{bc.id}#{normalize_term(reference)}"
-
-    ontology = Ontology(bc.id)
-    for entity in bc.entities:
-        ontology.add_concept(Concept(
-            id=cid(entity.name), term=entity.name,
-            children=tuple(cid(child) for child in entity.components),
-            attributes=entity.attributes, associations=entity.associations,
-        ))
-    for relation in bc.relations:
-        ontology.add_relation(Relation(cid(relation.a), cid(relation.b), relation.kind))
-    return ontology
-
-
 @settings(max_examples=80, deadline=None)
 @given(respelled_components())
 def test_respelled_references_convert_like_the_naive_builder(component):
-    assert component_to_ontology(component) == _naive_ontology(component)
+    (naive,), _ = reference_sources([component])
+    assert component_to_ontology(component) == naive
 
 
 def _spelled_as_entities(bc: BusinessComponent) -> BusinessComponent:

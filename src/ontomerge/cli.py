@@ -11,10 +11,9 @@ errors and exit codes are those of the parser of every command.
 Exit codes: 0 success, 1 usage error, 2 parse/schema error,
 3 homonym-cluster collision, 4 internal invariant violation.  Output
 files are written to temporaries and renamed at the end, so a nonzero
-exit never leaves a partial output behind.  Each output is rendered when
-its temporary is written and released after: ``integrate`` keeps neither
-its inputs nor its results past the output that needs them, and the
-report is streamed into its temporary one row at a time.
+exit never leaves a partial output behind.  Each output is streamed into
+its temporary record by record and released after: ``integrate`` keeps
+neither its inputs nor its results past the output that needs them.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import model_io
 from .errors import HomonymClusterCollision, IntegrationError
@@ -171,21 +170,16 @@ def _load_inputs(args):
     return components, od
 
 
-def _rendered(serialize, value) -> Iterator[bytes]:
-    """``serialize(value)`` as one chunk, rendered when the writer asks for it."""
-    yield serialize(value)
-
-
 def _integrated(args) -> dict[str, Iterable[bytes]]:
-    """``integrate``'s outputs by path, each rendered when it is written.
-    Returning drops the inputs and results: each lives on only in the
-    iterable of the output that renders it."""
+    """``integrate``'s outputs by path, each streamed record by record when
+    it is written.  Returning drops the inputs and results: each lives on
+    only in the chunk iterator of the output that renders it."""
     merged, enriched_od, report = integrate(*_load_inputs(args), tau=args.tau)
     outputs = {}
     if args.out_component:
-        outputs[args.out_component] = _rendered(model_io.serialize_component, merged)
+        outputs[args.out_component] = model_io.component_chunks(merged)
     if args.out_ontology:
-        outputs[args.out_ontology] = _rendered(model_io.serialize_ontology, enriched_od)
+        outputs[args.out_ontology] = model_io.ontology_chunks(enriched_od)
     outputs[args.report] = model_io.report_chunks(report)
     return outputs
 

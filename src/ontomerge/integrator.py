@@ -347,7 +347,8 @@ def merge(
             children_of[key] = sorted(children)
             children = [(child, display_of[child]) for child in children]  # as Entity takes them
         entities.append(Entity._assembled(key, display, attributes, associations, children))
-        clusters.append(Cluster(display, members, aliases))
+        # aliases are in key order, which is name_sort_key order within a cluster
+        clusters.append(tuple.__new__(Cluster, (display, tuple(sorted(members)), aliases)))
     # keys sort as the merged ids "CMr#<key>" do, so the walk meets cycles in id order
     cycle = find_cycle(sorted(children_of), lambda k: children_of.get(k, ()))
     if cycle:

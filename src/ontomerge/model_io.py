@@ -39,14 +39,15 @@ keys, which carry component metadata through round trips; other keys are ignored
 Report documents mirror the Report type; scores are exact fraction
 strings such as "1", "0" or "1/2".
 
-One function, ``_render``, renders every document, each report
-correspondence included: its frame is cut from ``_render``'s output at
-the ids and at its relations list.  A list of several non-empty dicts on
-one key set (entities, concepts, relations, clusters, enrichments) is
-rendered column-wise: one ``%`` template from the sorted keys, filled
-with each key's values rendered together, a column of strings or of
-string lists without a call per value.  ``report_chunks`` streams a
-report one top-level member, and one row of correspondences, at a time.
+One row writer renders every record: ``_template`` gives the ``%``
+template of its sorted keys, and its field values fill it straight from
+the model value, a string or a list of strings encoded directly, a list
+of relations or associations by ``_rows`` and anything else through
+``_render``.  ``component_chunks``,
+``ontology_chunks`` and ``report_chunks`` stream a document one record
+(entity, concept, relation, cluster, enrichment) or one row of report
+correspondences at a time; a correspondence's frame is cut from
+``_render``'s output at the ids and at its relations list.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -207,9 +209,8 @@ def _render(value: Any, indent: str) -> str:
     """``json.dumps`` of ``value`` with ``ensure_ascii=False``, two-space
     indentation and sorted keys, ``indent`` put before every line but the
     first; only scalars other than strings go through ``json.dumps``.  An
-    exact ``str`` item is encoded in place, an empty dict or list at once,
-    a list of several non-empty dicts on one key set by ``_records`` and
-    any other list by ``_column``."""
+    exact ``str`` item is encoded in place, an empty dict at once, and a
+    list of several non-empty dicts on one key set by ``_records``."""
     if isinstance(value, str):
         return encode_basestring(value)
     inner = indent + "  "
@@ -223,45 +224,92 @@ def _render(value: Any, indent: str) -> str:
         ]
         return "{\n" + inner + f",\n{inner}".join(items) + f"\n{indent}}}"
     if isinstance(value, list):
-        if not value:
-            return "[]"
-        first = value[0]
+        first = value[0] if value else None
         if len(value) > 1 and type(first) is dict and first and all(
                 type(v) is dict and v.keys() == first.keys() for v in value):
-            items = _records(value, inner)
-        else:
-            items = _column(value, inner)
-        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{indent}]"
+            return _items(_records(value, inner), indent)
+        return _items(_column(value, inner), indent)
     return json.dumps(value)
 
 
-def _records(records: list[dict], indent: str) -> list[str]:
+def _records(records: list[dict], indent: str) -> Iterable[str]:
     """``_render`` of each of several non-empty dicts on one key set at
-    ``indent``: one ``%`` template from the sorted keys, filled a column
-    of values at a time."""
-    inner = indent + "  "
+    ``indent``: the row writer's template, filled a column of values at a
+    time, which encodes a column of strings without a call per value."""
     keys = sorted(records[0])
-    template = "{\n" + inner + f",\n{inner}".join(
-        encode_basestring(key).replace("%", "%%") + ": %s" for key in keys
-    ) + f"\n{indent}}}"
-    columns = [_column([record[key] for record in records], inner) for key in keys]
-    return [template % row for row in zip(*columns)]
+    columns = [_column([record[key] for record in records], indent + "  ") for key in keys]
+    return map(_template(keys, indent).__mod__, zip(*columns))
 
 
 def _column(values: list, indent: str) -> Iterable[str]:
-    """``_render`` of each value at ``indent``.  A column of strings, or of
-    lists of strings, is encoded without recursing into each value."""
+    """``_render`` of each value at ``indent``."""
     if all(type(v) is str for v in values):
         return map(encode_basestring, values)
-    inner = indent + "  "
-    if all(type(v) is list for v in values) and all(
-            type(item) is str for v in values for item in v):
-        separator = f",\n{inner}"
-        return [
-            f"[\n{inner}{separator.join(map(encode_basestring, v))}\n{indent}]" if v else "[]"
-            for v in values
-        ]
     return [encode_basestring(v) if type(v) is str else _render(v, indent) for v in values]
+
+
+def _template(keys: Iterable[str], indent: str) -> str:
+    """The row writer's ``%`` template of a record on the sorted ``keys``
+    at ``indent``: one ``%s`` per key, for its value rendered at ``indent``
+    plus two spaces."""
+    inner = indent + "  "
+    return "{\n" + inner + f",\n{inner}".join(
+        encode_basestring(key).replace("%", "%%") + ": %s" for key in keys
+    ) + f"\n{indent}}}"
+
+
+def _items(items: Iterable[str], indent: str) -> str:
+    """A list at ``indent`` of items rendered at ``indent`` plus two spaces
+    (no JSON value renders empty)."""
+    inner = indent + "  "
+    text = f",\n{inner}".join(items)
+    return f"[\n{inner}{text}\n{indent}]" if text else "[]"
+
+
+def _texts(values: Sequence[str], indent: str) -> str:
+    """A list of strings at ``indent``."""
+    return _items(map(encode_basestring, values), indent) if values else "[]"
+
+
+def _rows(rows: Sequence[tuple], indent: str) -> Iterator[str]:
+    """Each of ``rows`` at ``indent``: named tuples of strings (relations,
+    associations), each a record keyed by its field names."""
+    if rows:
+        fields = rows[0]._fields
+        keys = sorted(fields)
+        template, order = _template(keys, indent), itemgetter(*map(fields.index, keys))
+        for row in rows:
+            yield template % tuple(map(encode_basestring, order(row)))
+
+
+def _table(rows: Sequence[tuple], indent: str) -> str:
+    """A list of ``_rows`` at ``indent``."""
+    return _items(_rows(rows, indent + "  "), indent) if rows else "[]"
+
+
+def _streamed(rows: Iterable[str]) -> Iterator[bytes]:
+    """A top-level list, one item rendered at depth 2 at a time."""
+    separator = "[\n    "
+    for row in rows:
+        yield (separator + row).encode("utf-8")
+        separator = ",\n    "
+    yield b"[]" if separator == "[\n    " else b"\n  ]"
+
+
+def _document(members: dict[str, Any]) -> Iterator[bytes]:
+    """A document's bytes, one top-level member by sorted key at a time: a
+    member given as an iterator is streamed, any other goes through ``_render``."""
+    separator = "{\n"
+    for key in sorted(members):
+        head = f"{separator}  {encode_basestring(key)}: "
+        separator = ",\n"
+        value = members[key]
+        if isinstance(value, Iterator):
+            yield head.encode("utf-8")
+            yield from value
+        else:
+            yield (head + _render(value, "  ")).encode("utf-8")
+    yield b"\n}\n"
 
 
 def _dumps(document: dict) -> bytes:
@@ -305,30 +353,24 @@ def parse_component(path) -> BusinessComponent:
         raise _in_context(exc, context) from exc
 
 
+def component_chunks(bc: BusinessComponent) -> Iterator[bytes]:
+    """The bytes of ``serialize_component`` in order, one entity at a time."""
+    inner = " " * 6
+    template = _template(("associations", "attributes", "components", "name"), "    ")
+    entities = (
+        template % (_table(entity.associations, inner), _texts(entity.attributes, inner),
+                    _texts(entity.components, inner), encode_basestring(entity.name))
+        for entity in bc.entities
+    )
+    yield from _document({
+        "format_version": FORMAT_VERSION, "id": bc.id, "name": bc.name,
+        "entities": _streamed(entities), "relations": _streamed(_rows(bc.relations, "    ")),
+    })
+
+
 def serialize_component(bc: BusinessComponent) -> bytes:
     """Canonical bytes for a component document."""
-    return _dumps(
-        {
-            "format_version": FORMAT_VERSION,
-            "id": bc.id,
-            "name": bc.name,
-            "entities": [
-                {
-                    "name": entity.name,
-                    "attributes": list(entity.attributes),
-                    "associations": [
-                        {"target": a.target, "label": a.label}
-                        for a in entity.associations
-                    ],
-                    "components": list(entity.components),
-                }
-                for entity in bc.entities
-            ],
-            "relations": [
-                {"a": r.a, "b": r.b, "kind": r.kind} for r in bc.relations
-            ],
-        }
-    )
+    return b"".join(component_chunks(bc))
 
 
 # ---------------------------------------------------------------------------
@@ -364,31 +406,39 @@ def parse_ontology(path) -> Ontology:
     return ontology
 
 
-def serialize_ontology(ontology: Ontology) -> bytes:
-    """Canonical bytes for an ontology document (part_of edges included)."""
-    concepts = []
+def _concept_rows(ontology: Ontology) -> Iterator[str]:
+    """Each concept at depth 2, by id; ``associations`` and ``attributes``
+    are written only when not empty, so each of their four cases has a template."""
+    inner = " " * 6
+    templates = {
+        (assoc, attr): _template(("associations",) * assoc + ("attributes",) * attr
+                                 + ("children", "id", "term"), "    ")
+        for assoc in (False, True) for attr in (False, True)
+    }
     for cid in sorted(ontology.concepts):
         concept = ontology.concepts[cid]
-        entry: dict[str, Any] = {
-            "id": concept.id,
-            "term": concept.term,
-            "children": list(concept.children),
-        }
+        values = (_texts(concept.children, inner), encode_basestring(cid),
+                  encode_basestring(concept.term))
         if concept.attributes:
-            entry["attributes"] = list(concept.attributes)
+            values = (_texts(concept.attributes, inner), *values)
         if concept.associations:
-            entry["associations"] = [
-                {"target": a.target, "label": a.label} for a in concept.associations
-            ]
-        concepts.append(entry)
-    return _dumps(
-        {
-            "format_version": FORMAT_VERSION,
-            "id": ontology.id,
-            "concepts": concepts,
-            "relations": [r.to_dict() for r in ontology.relations],
-        }
-    )
+            values = (_table(concept.associations, inner), *values)
+        yield templates[bool(concept.associations), bool(concept.attributes)] % values
+
+
+def ontology_chunks(ontology: Ontology) -> Iterator[bytes]:
+    """The bytes of ``serialize_ontology`` in order, one concept and one
+    relation at a time."""
+    yield from _document({
+        "format_version": FORMAT_VERSION, "id": ontology.id,
+        "concepts": _streamed(_concept_rows(ontology)),
+        "relations": _streamed(_rows(ontology.relations, "    ")),
+    })
+
+
+def serialize_ontology(ontology: Ontology) -> bytes:
+    """Canonical bytes for an ontology document (part_of edges included)."""
+    return b"".join(ontology_chunks(ontology))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +459,8 @@ def _correspondence_frame(kind: str, score: Fraction, verdict: str) -> list[str]
     return ("    " + _render(entry, "    ")).split('""', 3)
 
 
-def _correspondence_rows(report: Report) -> Iterator[tuple[bytes, bytes]]:
-    """The correspondence entries of each row of ``pair_rows`` as two
+def _correspondence_list(report: Report) -> Iterator[bytes]:
+    """The report's correspondence list, each row of ``pair_rows`` as two
     chunks: the row's head, which holds c1, and its entries, each after
     the first preceded by the separator and the head."""
     head, middle, before, after = _correspondence_frame("syntactic", Fraction(0), "Distinct")
@@ -419,6 +469,7 @@ def _correspondence_rows(report: Report) -> Iterator[tuple[bytes, bytes]]:
     tails: dict[tuple[tuple[Relation, ...], tuple[str, int, int, str]], str] = {}
     # per side of a sparse report: each partner's entry as an unlisted pair
     unlisted: dict[int, list[bytes]] = {}
+    opener = b"[\n"
     for c1, side, partners, cells in pair_rows(report):
         if side is None:
             entries = [b""] * len(partners)  # an explicit row lists every pair
@@ -435,57 +486,44 @@ def _correspondence_rows(report: Report) -> Iterator[tuple[bytes, bytes]]:
                 if frame not in frames:
                     frames[frame] = _correspondence_frame(kind, score, corr.verdict)[2:]
                 # relations_used sits four levels deep in the report
-                rendered = _render([r.to_dict() for r in relations], " " * 8)
+                rendered = _table(relations, " " * 8)
                 tail = tails[relations, frame] = rendered.join(frames[frame])
             entries[k] = (encode_basestring(corr.c2) + tail).encode("utf-8")
         if entries:  # none when every later source is empty
             row_head = (head + encode_basestring(c1) + middle).encode("utf-8")
-            yield row_head, (b",\n" + row_head).join(entries)
+            yield opener + row_head
+            yield (b",\n" + row_head).join(entries)
+            opener = b",\n"
+    yield b"[]" if opener == b"[\n" else b"\n  ]"
+
+
+def _cluster_rows(clusters: Iterable[Cluster]) -> Iterator[str]:
+    """Each cluster at depth 2, by (term, members)."""
+    template, inner = _template(("aliases", "members", "term"), "    "), " " * 6
+    for cluster in sorted(clusters, key=lambda cl: (cl.term, cl.members)):
+        yield template % (_texts(cluster.aliases, inner), _texts(cluster.members, inner),
+                          encode_basestring(cluster.term))
+
+
+def _enrichment_rows(enrichments: Iterable[EnrichmentRecord]) -> Iterator[str]:
+    """Each enrichment record at depth 2, by (pair, injected relation)."""
+    template, inner = _template(("evidence", "injected", "pair"), "    "), " " * 6
+    for record in sorted(enrichments, key=lambda r: (r.pair, r.injected)):
+        injected, = _rows((record.injected,), inner)
+        yield template % (_table(record.evidence, inner), injected, _texts(record.pair, inner))
 
 
 def report_chunks(report: Report) -> Iterator[bytes]:
-    """The bytes of ``serialize_report`` in order, never held whole: the
-    opening brace, each top-level member by sorted key, and the
-    correspondence rows with their separators.  A member other than the
-    correspondences is built only when it is rendered and dropped after;
-    each row is two chunks of bytes, its head and its joined entries.
-    Raises SchemaViolation where ``pair_rows`` does, possibly after some
-    chunks."""
-    members = {
-        "format_version": lambda: FORMAT_VERSION,
-        "enrichments": lambda: [
-            {
-                "pair": list(record.pair),
-                "injected": record.injected.to_dict(),
-                "evidence": [r.to_dict() for r in record.evidence],
-            }
-            for record in sorted(report.enrichments, key=lambda r: (r.pair, r.injected))
-        ],
-        "clusters": lambda: [
-            {
-                "term": cluster.term,
-                "members": list(cluster.members),
-                "aliases": list(cluster.aliases),
-            }
-            for cluster in sorted(report.clusters, key=lambda cl: (cl.term, cl.members))
-        ],
-        "warnings": lambda: sorted(report.warnings),
-        "correspondences": None,
-    }
-    separator = "{\n"
-    for key in sorted(members):
-        member = f"{separator}  {encode_basestring(key)}: "
-        separator = ",\n"
-        if members[key]:
-            yield (member + _render(members[key](), "  ")).encode("utf-8")
-            continue
-        empty = True
-        for row_head, entries in _correspondence_rows(report):
-            yield (member + "[\n").encode("utf-8") + row_head if empty else b",\n" + row_head
-            yield entries
-            empty = False
-        yield (member + "[]").encode("utf-8") if empty else b"\n  ]"
-    yield b"\n}\n"
+    """The bytes of ``serialize_report`` in order, never held whole: each
+    top-level member by sorted key, each cluster and enrichment record on
+    its own and each row of correspondences as two chunks.  Raises
+    SchemaViolation where ``pair_rows`` does, possibly after some chunks."""
+    yield from _document({
+        "format_version": FORMAT_VERSION, "warnings": sorted(report.warnings),
+        "clusters": _streamed(_cluster_rows(report.clusters)),
+        "correspondences": _correspondence_list(report),
+        "enrichments": _streamed(_enrichment_rows(report.enrichments)),
+    })
 
 
 def serialize_report(report: Report) -> bytes:
@@ -497,18 +535,14 @@ def serialize_report(report: Report) -> bytes:
     order: a sparse report (``Report.pair_space`` set) gets its unlisted
     pairs written as (0, syntactic, Distinct) entries, so v1 files list
     every pair either way.  That list is written one string per row of
-    ``model.pair_rows``, from the parts ``_render`` gives an entry with
-    empty ids and relations: the ids go between them through the encoder
-    ``json.dumps(ensure_ascii=False)`` uses, the head is cut once per
-    report, the frame of the tail once per distinct (evidence kind,
-    score, verdict), and only the relations list is rendered per
-    distinct (evidence, score, verdict).
-    Each side of a sparse report encodes its partners once as unlisted
-    entries; a row reuses that list, or patches a copy of it at the
-    positions it lists.  The other top-level values go through
-    ``_render``.  ``tests/test_model_io.py`` keeps a plain ``json.dumps``
-    rendering as the oracle for these bytes.  Raises SchemaViolation
-    where ``pair_rows`` does.
+    ``model.pair_rows``: the head is cut once per report, the frame of
+    the tail once per distinct (evidence kind, score, verdict), the
+    relations list once per distinct (evidence, score, verdict), and each
+    side of a sparse report encodes its partners once as unlisted
+    entries, which a row reuses or patches a copy of.
+    ``tests/test_model_io.py`` keeps a plain ``json.dumps`` rendering as
+    the oracle for these bytes.  Raises SchemaViolation where
+    ``pair_rows`` does.
     """
     return b"".join(report_chunks(report))
 

@@ -14,11 +14,17 @@ through ``expand_correspondences`` and compares the pair sets whole.
 
 ``brute_force_closure`` is ``build_clusters`` without union-find, and
 ``brute_force_syntactic`` is ``syntactic_similarity`` without matching:
-it tries every permutation of the children.
+it tries every permutation of the children.  ``naive_first_relation``
+scans every relation of every ontology for the first that joins two
+terms.
+
+``random_component`` draws a component over the words of ``_WORDS``,
+acyclic by construction, for the tests that need many varied inputs.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -29,6 +35,7 @@ from ontomerge import (
     Cluster,
     Concept,
     Correspondence,
+    Entity,
     HomonymClusterCollision,
     Ontology,
     Relation,
@@ -329,3 +336,66 @@ def brute_force_syntactic(c1, c2, o1, o2) -> Fraction:
         for p in permutations(range(n))
     )
     return best / n
+
+
+def naive_first_relation(ontologies, s1, s2, kinds):
+    wanted = {s1, s2}
+    for ontology in ontologies:
+        for relation in ontology.relations:
+            if relation.kind not in kinds:
+                continue
+            terms = {
+                normalize_term(ontology.concepts[relation.a].term),
+                normalize_term(ontology.concepts[relation.b].term),
+            }
+            if terms == wanted:
+                return relation
+    return None
+
+
+_WORDS = (
+    "aube", "brume", "cédrat", "dune", "érable", "fougère", "grès", "houle",
+    "iris", "jonc", "karst", "lande", "mélèze", "nacre", "ocre", "pluie",
+)
+
+
+def random_component(rng: random.Random, component_id: str) -> BusinessComponent:
+    count = rng.randint(1, 8)
+    names = rng.sample(_WORDS, count)
+    entities = []
+    for index, name in enumerate(names):
+        attributes = tuple(
+            f"champ{rng.randint(0, 9)}" for _ in range(rng.randint(0, 2))
+        )
+        associations = tuple(
+            (rng.choice(names), f"lien{rng.randint(0, 9)}")
+            for _ in range(rng.randint(0, 2))
+        )
+        # children only among later names keeps compositions acyclic
+        later = names[index + 1:]
+        children = tuple(
+            rng.sample(later, rng.randint(0, min(2, len(later))))
+        )
+        entities.append(
+            Entity(
+                name=name,
+                attributes=attributes,
+                associations=associations,
+                components=children,
+            )
+        )
+    relations = []
+    taken = set()
+    for _ in range(rng.randint(0, 2)):
+        if count < 2:
+            break
+        a, b = rng.sample(names, 2)
+        pair = frozenset((a, b))
+        if pair in taken:
+            continue
+        taken.add(pair)
+        relations.append((a, b, rng.choice(["synonymy", "equivalence"])))
+    return BusinessComponent(
+        id=component_id, name=f"aléatoire {component_id}",
+        entities=tuple(entities), relations=tuple(relations),
+    )

@@ -1,4 +1,5 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies shared by the property tests: concept trees, and
+the components, ontologies and reports that the document writers take."""
 
 from __future__ import annotations
 
@@ -6,7 +7,22 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from ontomerge import Concept, Ontology
+from ontomerge import (
+    Association,
+    BusinessComponent,
+    Cluster,
+    ComponentRelation,
+    Concept,
+    Correspondence,
+    EnrichmentRecord,
+    Entity,
+    Evidence,
+    Ontology,
+    Relation,
+    Report,
+)
+from ontomerge.model import PROVENANCES, RELATION_KINDS, SEMANTIC_KINDS
+from ontomerge.terms import normalize_term
 
 # Small pool so generated concepts collide on terms often.
 TERM_POOL = ("alpha", "bêta", "gamma", "delta", "oméga", "sigma")
@@ -62,3 +78,133 @@ def concept_pairs(draw, max_depth: int = 2, max_children: int = 4):
     o1, c1 = build_ontology(left_tree, "L")
     o2, c2 = build_ontology(right_tree, "R")
     return c1, c2, o1, o2
+
+
+# Ids mix the characters JSON escapes, a line separator it leaves raw, a
+# formatting character and non-ASCII text; names (entity names, aliases)
+# must also stay nonblank after normalization.
+ids = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\u2028", "%", "é", "中", "a",
+                     "#", " "]),
+    min_size=1, max_size=6,
+)
+names = ids.filter(lambda s: s.strip())
+
+
+def _relations(kinds, provenances):
+    return st.tuples(ids, ids, st.sampled_from(kinds), st.sampled_from(provenances)).filter(
+        lambda t: t[0] != t[1]
+    ).map(lambda t: Relation(*t))
+
+
+relations = _relations(RELATION_KINDS, PROVENANCES)
+
+
+# (verdict, score) pairs each evidence kind admits; None draws any score.
+VERDICTS_OF_KIND = {
+    "syntactic": [("Distinct", None), ("Distinct", 1), ("Identical", None), ("Identical", 1)],
+    "od_synonymy": [("Synonym", 1), ("Distinct", 1)],
+    "enriched": [("Synonym", 1), ("Homonym", 0), ("Distinct", 1), ("Distinct", 0)],
+    "od_homonymy": [("Homonym", 0), ("Distinct", 0)],
+}
+evidences = st.sampled_from(sorted(VERDICTS_OF_KIND)).flatmap(
+    lambda kind: st.lists(
+        relations, min_size=1 if kind.startswith("od_") else 0, max_size=3
+    ).map(lambda used: Evidence(kind, tuple(used)))
+)
+
+
+@st.composite
+def correspondences(draw, c1s, evidence, c2s=ids):
+    chosen = draw(evidence)
+    verdict, score = draw(st.sampled_from(VERDICTS_OF_KIND[chosen.kind]))
+    return Correspondence(
+        c1=draw(c1s), c2=draw(c2s),
+        score=draw(fractions01) if score is None else Fraction(score),
+        verdict=verdict, evidence=chosen,
+    )
+
+
+records = st.builds(
+    EnrichmentRecord,
+    injected=_relations(SEMANTIC_KINDS, PROVENANCES[1:]),
+    evidence=st.lists(relations, max_size=3).map(tuple),
+    pair=st.tuples(ids, ids),
+)
+clusters = st.builds(
+    Cluster,
+    term=ids,
+    members=st.lists(ids, min_size=1, max_size=3).map(tuple),
+    aliases=st.lists(names, max_size=2).map(tuple),
+)
+
+
+@st.composite
+def reports(draw):
+    """A report whose lists are already in the order the serializer writes."""
+    # small pools, so one c1 and one evidence recur with other scores and verdicts
+    c1s = st.sampled_from(draw(st.lists(ids, min_size=1, max_size=3)))
+    shared = st.sampled_from(draw(st.lists(evidences, min_size=1, max_size=3)))
+    return Report(
+        correspondences=sorted(
+            draw(st.lists(
+                correspondences(c1s, shared), max_size=8, unique_by=lambda c: c.pair
+            )),
+            key=lambda c: c.pair,
+        ),
+        enrichments=sorted(
+            draw(st.lists(records, max_size=3)), key=lambda r: (r.pair, r.injected)
+        ),
+        clusters=sorted(
+            draw(st.lists(clusters, max_size=3)), key=lambda cl: (cl.term, cl.members)
+        ),
+        warnings=sorted(draw(st.lists(ids, max_size=3))),
+    )
+
+
+def _pairs(draw, items, max_size):
+    """Distinct unordered pairs of ``items``."""
+    pairs = [(a, b) for index, a in enumerate(items) for b in items[index + 1:]]
+    return draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_size)) if pairs else []
+
+
+@st.composite
+def components(draw):
+    """A valid component of up to five entities: associations within it,
+    composition children among later entities, so none is cyclic, and
+    declared relations on distinct pairs."""
+    entity_names = draw(st.lists(names, max_size=5, unique_by=normalize_term))
+    entities = []
+    for index, name in enumerate(entity_names):
+        later = entity_names[index + 1:]
+        entities.append(Entity(
+            name,
+            attributes=draw(st.lists(ids, max_size=2)),
+            associations=draw(st.lists(
+                st.tuples(st.sampled_from(entity_names), ids), max_size=2)),
+            components=draw(st.lists(st.sampled_from(later), unique=True, max_size=2))
+            if later else (),
+        ))
+    relations = [ComponentRelation(a, b, draw(st.sampled_from(SEMANTIC_KINDS)))
+                 for a, b in _pairs(draw, entity_names, 3)]
+    return BusinessComponent(draw(ids), draw(ids), entities, relations)
+
+
+@st.composite
+def ontologies(draw):
+    """A valid ontology of up to five concepts, children among later
+    concepts, attributes and associations present or not, and semantic
+    relations on distinct pairs."""
+    concept_ids = draw(st.lists(ids, max_size=5, unique=True))
+    concepts = [
+        Concept(cid, draw(names),
+                children=draw(st.lists(st.sampled_from(concept_ids[index + 1:]), unique=True,
+                                       max_size=2)) if index + 1 < len(concept_ids) else (),
+                attributes=draw(st.lists(ids, max_size=2)),
+                associations=draw(st.lists(st.builds(Association, ids, ids), max_size=2)))
+        for index, cid in enumerate(concept_ids)
+    ]
+    relations = [Relation(a, b, draw(st.sampled_from(SEMANTIC_KINDS)),
+                          draw(st.sampled_from(PROVENANCES)))
+                 for a, b in _pairs(draw, concept_ids, 3)]
+    return Ontology(draw(ids), concepts, relations)

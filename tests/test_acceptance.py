@@ -12,9 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomerge import (
-    BusinessComponent,
     Concept,
-    Entity,
     Ontology,
     Relation,
     ScenarioSpec,
@@ -37,7 +35,7 @@ from ontomerge.cli import main
 from ontomerge.enrichment import RunMaps
 
 from .conftest import make_cm1, make_cm2, make_edge, make_support_ontology
-from .reference import brute_force_closure, brute_force_syntactic
+from .reference import brute_force_closure, brute_force_syntactic, random_component
 from .strategies import concept_pairs, terms
 
 
@@ -387,54 +385,6 @@ def test_criterion_6_synthetic_evaluation():
 
 # ---------------------------------------------------------------------------
 # criterion 7: round trips, determinism, atomic outputs
-
-
-_WORDS = (
-    "aube", "brume", "cédrat", "dune", "érable", "fougère", "grès", "houle",
-    "iris", "jonc", "karst", "lande", "mélèze", "nacre", "ocre", "pluie",
-)
-
-
-def random_component(rng: random.Random, component_id: str) -> BusinessComponent:
-    count = rng.randint(1, 8)
-    names = rng.sample(_WORDS, count)
-    entities = []
-    for index, name in enumerate(names):
-        attributes = tuple(
-            f"champ{rng.randint(0, 9)}" for _ in range(rng.randint(0, 2))
-        )
-        associations = tuple(
-            (rng.choice(names), f"lien{rng.randint(0, 9)}")
-            for _ in range(rng.randint(0, 2))
-        )
-        # children only among later names keeps compositions acyclic
-        later = names[index + 1:]
-        children = tuple(
-            rng.sample(later, rng.randint(0, min(2, len(later))))
-        )
-        entities.append(
-            Entity(
-                name=name,
-                attributes=attributes,
-                associations=associations,
-                components=children,
-            )
-        )
-    relations = []
-    taken = set()
-    for _ in range(rng.randint(0, 2)):
-        if count < 2:
-            break
-        a, b = rng.sample(names, 2)
-        pair = frozenset((a, b))
-        if pair in taken:
-            continue
-        taken.add(pair)
-        relations.append((a, b, rng.choice(["synonymy", "equivalence"])))
-    return BusinessComponent(
-        id=component_id, name=f"aléatoire {component_id}",
-        entities=tuple(entities), relations=tuple(relations),
-    )
 
 
 def test_criterion_7_round_trip_determinism_atomicity(tmp_path):

@@ -29,6 +29,8 @@ from ontomerge.enrichment import _equivalence_partners, first_relations
 from ontomerge.model import SEMANTIC_KINDS
 from ontomerge.terms import normalize_term
 
+from .reference import naive_first_relation
+
 # Spellings that normalize onto a few shared terms, so that concepts
 # collide on terms and homonymies can join two same-termed concepts.
 SPELLINGS = ("Alpha", "alpha", " ALPHA ", "bêta", "Bêta", "gamma", "Delta  x", "delta x")
@@ -75,21 +77,6 @@ def naive_concepts_by_term(ontology, normalized):
 
 def naive_term_present(ontology, normalized):
     return any(normalize_term(c.term) == normalized for c in ontology.concepts.values())
-
-
-def naive_first_relation(ontologies, s1, s2, kinds):
-    wanted = {s1, s2}
-    for ontology in ontologies:
-        for relation in ontology.relations:
-            if relation.kind not in kinds:
-                continue
-            terms = {
-                normalize_term(ontology.concepts[relation.a].term),
-                normalize_term(ontology.concepts[relation.b].term),
-            }
-            if terms == wanted:
-                return relation
-    return None
 
 
 def naive_equivalence_partners(term, sources):

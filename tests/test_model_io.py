@@ -3,6 +3,7 @@
 import gc
 import json
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,7 +39,6 @@ from ontomerge import (
 )
 from ontomerge import model_io
 from ontomerge.evalgen import parse_truth
-from ontomerge.model import PROVENANCES, RELATION_KINDS, SEMANTIC_KINDS
 
 from .conftest import (
     make_cm1,
@@ -46,7 +46,7 @@ from .conftest import (
     make_interleaved_inputs,
     make_support_ontology,
 )
-from .strategies import fractions01
+from .strategies import components, correspondences, evidences, ids, names, ontologies, reports
 
 
 def _write(tmp_path, name, payload):
@@ -519,86 +519,6 @@ def _dumps_report_oracle(report):
     return (_dumps_oracle(document) + "\n").encode("utf-8")
 
 
-# Ids mix the characters JSON escapes, a line separator it leaves raw and
-# non-ASCII text; aliases must also stay nonblank after normalization.
-ids = st.text(
-    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\u2028", "é", "中", "a", "#", " "]),
-    min_size=1, max_size=6,
-)
-names = ids.filter(lambda s: s.strip())
-
-
-def _relations(kinds, provenances):
-    return st.tuples(ids, ids, st.sampled_from(kinds), st.sampled_from(provenances)).filter(
-        lambda t: t[0] != t[1]
-    ).map(lambda t: Relation(*t))
-
-
-relations = _relations(RELATION_KINDS, PROVENANCES)
-
-
-# (verdict, score) pairs each evidence kind admits; None draws any score.
-VERDICTS_OF_KIND = {
-    "syntactic": [("Distinct", None), ("Distinct", 1), ("Identical", None), ("Identical", 1)],
-    "od_synonymy": [("Synonym", 1), ("Distinct", 1)],
-    "enriched": [("Synonym", 1), ("Homonym", 0), ("Distinct", 1), ("Distinct", 0)],
-    "od_homonymy": [("Homonym", 0), ("Distinct", 0)],
-}
-evidences = st.sampled_from(sorted(VERDICTS_OF_KIND)).flatmap(
-    lambda kind: st.lists(
-        relations, min_size=1 if kind.startswith("od_") else 0, max_size=3
-    ).map(lambda used: Evidence(kind, tuple(used)))
-)
-
-
-@st.composite
-def correspondences(draw, c1s, evidence, c2s=ids):
-    chosen = draw(evidence)
-    verdict, score = draw(st.sampled_from(VERDICTS_OF_KIND[chosen.kind]))
-    return Correspondence(
-        c1=draw(c1s), c2=draw(c2s),
-        score=draw(fractions01) if score is None else Fraction(score),
-        verdict=verdict, evidence=chosen,
-    )
-
-
-records = st.builds(
-    EnrichmentRecord,
-    injected=_relations(SEMANTIC_KINDS, PROVENANCES[1:]),
-    evidence=st.lists(relations, max_size=3).map(tuple),
-    pair=st.tuples(ids, ids),
-)
-clusters = st.builds(
-    Cluster,
-    term=ids,
-    members=st.lists(ids, min_size=1, max_size=3).map(tuple),
-    aliases=st.lists(names, max_size=2).map(tuple),
-)
-
-
-@st.composite
-def reports(draw):
-    """A report whose lists are already in the order the serializer writes."""
-    # small pools, so one c1 and one evidence recur with other scores and verdicts
-    c1s = st.sampled_from(draw(st.lists(ids, min_size=1, max_size=3)))
-    shared = st.sampled_from(draw(st.lists(evidences, min_size=1, max_size=3)))
-    return Report(
-        correspondences=sorted(
-            draw(st.lists(
-                correspondences(c1s, shared), max_size=8, unique_by=lambda c: c.pair
-            )),
-            key=lambda c: c.pair,
-        ),
-        enrichments=sorted(
-            draw(st.lists(records, max_size=3)), key=lambda r: (r.pair, r.injected)
-        ),
-        clusters=sorted(
-            draw(st.lists(clusters, max_size=3)), key=lambda cl: (cl.term, cl.members)
-        ),
-        warnings=sorted(draw(st.lists(ids, max_size=3))),
-    )
-
-
 _SYNTACTIC = Evidence("syntactic")
 
 
@@ -625,6 +545,108 @@ def test_report_writer_matches_dumps_oracle(report):
         path = Path(tmp) / "report.json"
         path.write_bytes(payload)
         assert parse_report(path) == report
+
+
+def _component_oracle(component):
+    return _dumps_oracle({
+        "format_version": model_io.FORMAT_VERSION,
+        "id": component.id,
+        "name": component.name,
+        "entities": [
+            {
+                "name": entity.name,
+                "attributes": list(entity.attributes),
+                "associations": [{"target": a.target, "label": a.label}
+                                 for a in entity.associations],
+                "components": list(entity.components),
+            }
+            for entity in component.entities
+        ],
+        "relations": [{"a": r.a, "b": r.b, "kind": r.kind} for r in component.relations],
+    })
+
+
+def _ontology_oracle(ontology):
+    concepts = []
+    for cid in sorted(ontology.concepts):
+        concept = ontology.concepts[cid]
+        entry = {"id": cid, "term": concept.term, "children": list(concept.children)}
+        if concept.attributes:
+            entry["attributes"] = list(concept.attributes)
+        if concept.associations:
+            entry["associations"] = [{"target": a.target, "label": a.label}
+                                     for a in concept.associations]
+        concepts.append(entry)
+    return _dumps_oracle({
+        "format_version": model_io.FORMAT_VERSION,
+        "id": ontology.id,
+        "concepts": concepts,
+        "relations": [r.to_dict() for r in ontology.relations],
+    })
+
+
+# names with a formatting character, a quote and non-ASCII text
+_ODD = ('%s "q"', "é%%", '中"')
+
+
+@settings(max_examples=200, deadline=None)
+@given(components(), ontologies(), reports())
+@example(BusinessComponent("C", "c"), Ontology("O"), Report())
+@example(
+    BusinessComponent("C%", '"n"', [
+        Entity(_ODD[0], ["a%d"], [(_ODD[1], "l%")], [_ODD[1]]),
+        Entity(_ODD[1]),
+        Entity(_ODD[2], components=[_ODD[1]]),
+    ], [(_ODD[0], _ODD[2], "synonymy")]),
+    Ontology('O"', [
+        Concept("O#%s", _ODD[0], children=["O#é"], attributes=["%"], associations=[("é", "%s")]),
+        Concept("O#é", _ODD[1], associations=[("中", '"')]),
+        Concept("O#中", _ODD[2], attributes=["x"]),
+        Concept("O#z", "z"),
+    ], [Relation("O#%s", "O#中", "homonymy", "inferred_case1")]),
+    Report(
+        enrichments=[EnrichmentRecord(Relation("%a", 'b"', "synonymy", "inferred_case2"),
+                                      (Relation("%a", "é", "equivalence"),), ("%a", 'b"'))],
+        clusters=[Cluster(_ODD[0], ["CM#%d", 'CM2#"'], [_ODD[1], _ODD[2]])],
+    ),
+)
+def test_chunk_writers_match_dumps_oracle(component, ontology, report):
+    def joined(chunks):
+        return b"".join(chunks).decode("utf-8")
+
+    assert joined(model_io.component_chunks(component)) == _component_oracle(component) + "\n"
+    assert joined(model_io.ontology_chunks(ontology)) == _ontology_oracle(ontology) + "\n"
+    assert joined(model_io.report_chunks(report)).encode("utf-8") == _dumps_report_oracle(report)
+
+
+def _writer_peak(chunks, value):
+    """The ``tracemalloc`` peak while ``chunks(value)`` is written, above
+    what was live before, and the size of what it wrote.  One untraced
+    write comes first: it fills CPython's tuple free lists, which would
+    otherwise count as the traced write's."""
+    sum(map(len, chunks(value)))
+    tracemalloc.start()
+    try:
+        size = sum(map(len, chunks(value)))
+        return tracemalloc.get_traced_memory()[1], size
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunk_writers_peak_below_their_output():
+    # 0.01 and 0.2 times the output when this test was written; rendered
+    # whole, the component and the ontology peaked at about 5 times it
+    entities = [
+        Entity(f"entité {index}", ["code", "libellé"],
+               [(f"entité {index - 1}", "suit")] if index else (),
+               [f"entité {index - 1}"] if index else ())
+        for index in range(2000)
+    ]
+    component = BusinessComponent("CM1", "grand", entities)
+    peak, size = _writer_peak(model_io.component_chunks, component)
+    assert peak < size
+    peak, size = _writer_peak(model_io.ontology_chunks, component_to_ontology(component))
+    assert peak < size
 
 
 # Source ids whose concept ids interleave: "CM 2#x" < "CM!#x" < "CM#x".

@@ -59,8 +59,8 @@ from ontomerge.integrator import ASSUMED_IDENTICAL_WARNING
 from ontomerge.matching import max_weight_assignment
 from ontomerge.model import as_fraction
 
+from .reference import naive_first_relation
 from .strategies import TERM_POOL, build_ontology, concept_trees, terms
-from .test_index import naive_first_relation
 
 
 # ---------------------------------------------------------------------------

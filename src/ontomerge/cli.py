@@ -207,14 +207,12 @@ def _cmd_gen(args) -> int:
     components, od, truth = evalgen.generate_scenario(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_outputs(
-        {
-            str(out / "cm1.json"): [model_io.serialize_component(components[0])],
-            str(out / "cm2.json"): [model_io.serialize_component(components[1])],
-            str(out / "od.json"): [model_io.serialize_ontology(od)],
-            str(out / "truth.json"): [evalgen.serialize_truth(truth)],
-        }
-    )
+    _write_outputs({
+        str(out / "cm1.json"): model_io.component_chunks(components[0]),
+        str(out / "cm2.json"): model_io.component_chunks(components[1]),
+        str(out / "od.json"): model_io.ontology_chunks(od),
+        str(out / "truth.json"): evalgen.truth_chunks(truth),
+    })
     print(f"wrote cm1.json, cm2.json, od.json, truth.json to {out}")
     return EXIT_OK
 

@@ -25,7 +25,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional
+from json.encoder import encode_basestring
+from typing import Iterator, Optional
 
 from .errors import InfeasibleSpec, ScenarioMismatch
 from .model import (
@@ -40,7 +41,8 @@ from .model import (
     as_fraction,
     pair_rows,
 )
-from .model_io import FORMAT_VERSION, _check_version, _dumps, _expect, _field, _load_document
+from .model_io import (FORMAT_VERSION, _check_version, _document, _expect, _field,
+                       _load_document, _render, _streamed, _template)
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -283,25 +285,25 @@ def evaluate(report: Report, truth: GroundTruth) -> dict:
 # ground-truth documents
 
 
-def serialize_truth(truth: GroundTruth) -> bytes:
-    document = {
+def truth_chunks(truth: GroundTruth) -> Iterator[bytes]:
+    """The bytes of ``serialize_truth`` in order, one pair (by c1, c2) and
+    one planted relation at a time, each filled into its ``_template``."""
+    pair = _template(("c1", "c2", "verdict"), "    ")
+    planted = _template(("case", "in_od", "kind", "t1", "t2"), "    ")
+    yield from _document({
         "format_version": FORMAT_VERSION,
-        "pairs": [
-            {"c1": c1, "c2": c2, "verdict": verdict}
-            for (c1, c2), verdict in sorted(truth.verdicts.items())
-        ],
-        "planted": [
-            {
-                "t1": planted.t1,
-                "t2": planted.t2,
-                "kind": planted.kind,
-                "in_od": planted.in_od,
-                "case": planted.case,
-            }
-            for planted in truth.planted
-        ],
-    }
-    return _dumps(document)
+        "pairs": _streamed(
+            pair % (encode_basestring(c1), encode_basestring(c2), encode_basestring(verdict))
+            for (c1, c2), verdict in sorted(truth.verdicts.items())),
+        "planted": _streamed(
+            planted % (_render(p.case, ""), _render(p.in_od, ""), encode_basestring(p.kind),
+                       encode_basestring(p.t1), encode_basestring(p.t2))
+            for p in truth.planted),
+    })
+
+
+def serialize_truth(truth: GroundTruth) -> bytes:
+    return b"".join(truth_chunks(truth))
 
 
 def parse_truth(path) -> GroundTruth:

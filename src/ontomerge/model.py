@@ -95,9 +95,6 @@ class Relation(_Value, NamedTuple("Relation", [
         """Identity of the edge: canonical endpoints plus kind."""
         return (self.a, self.b, self.kind)
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "kind": self.kind, "provenance": self.provenance}
-
 
 class Association(NamedTuple):
     """An entity association carried through as opaque metadata."""

@@ -39,14 +39,14 @@ keys, which carry component metadata through round trips; other keys are ignored
 Report documents mirror the Report type; scores are exact fraction
 strings such as "1", "0" or "1/2".
 
-One row writer renders every record: ``_template`` gives the ``%``
-template of its sorted keys, and its field values fill it straight from
-the model value, a string or a list of strings encoded directly, a list
-of relations or associations by ``_rows`` and anything else through
-``_render``.  ``component_chunks``,
-``ontology_chunks`` and ``report_chunks`` stream a document one record
-(entity, concept, relation, cluster, enrichment) or one row of report
-correspondences at a time; a correspondence's frame is cut from
+One writer lays out every JSON object and list: ``_template`` gives the
+``%`` template of an object's sorted keys, ``_items`` joins a list's
+rendered items.  A record fills its template straight from the model
+value (its relations or associations through ``_rows``), and ``_render``
+a plain value's: document scalars, warnings, ``eval``'s metrics.
+``component_chunks``, ``ontology_chunks``, ``report_chunks`` and
+``evalgen.truth_chunks`` stream a document one record or one row of
+report correspondences at a time; a correspondence's frame is cut from
 ``_render``'s output at the ids and at its relations list.
 """
 
@@ -208,44 +208,20 @@ def _relation(raw: Any, where) -> Relation:
 def _render(value: Any, indent: str) -> str:
     """``json.dumps`` of ``value`` with ``ensure_ascii=False``, two-space
     indentation and sorted keys, ``indent`` put before every line but the
-    first; only scalars other than strings go through ``json.dumps``.  An
-    exact ``str`` item is encoded in place, an empty dict at once, and a
-    list of several non-empty dicts on one key set by ``_records``."""
+    first: a string is encoded in place, a dict fills the ``_template`` of
+    its sorted keys, a list goes through ``_items`` and any other scalar
+    through ``json.dumps``."""
     if isinstance(value, str):
         return encode_basestring(value)
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [
-            f"{encode_basestring(k)}: "
-            f"{encode_basestring(v) if type(v) is str else _render(v, inner)}"
-            for k, v in sorted(value.items())
-        ]
-        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{indent}}}"
+        keys = sorted(value)
+        return _template(keys, indent) % tuple(_render(value[k], inner) for k in keys)
     if isinstance(value, list):
-        first = value[0] if value else None
-        if len(value) > 1 and type(first) is dict and first and all(
-                type(v) is dict and v.keys() == first.keys() for v in value):
-            return _items(_records(value, inner), indent)
-        return _items(_column(value, inner), indent)
+        return _items([_render(v, inner) for v in value], indent)
     return json.dumps(value)
-
-
-def _records(records: list[dict], indent: str) -> Iterable[str]:
-    """``_render`` of each of several non-empty dicts on one key set at
-    ``indent``: the row writer's template, filled a column of values at a
-    time, which encodes a column of strings without a call per value."""
-    keys = sorted(records[0])
-    columns = [_column([record[key] for record in records], indent + "  ") for key in keys]
-    return map(_template(keys, indent).__mod__, zip(*columns))
-
-
-def _column(values: list, indent: str) -> Iterable[str]:
-    """``_render`` of each value at ``indent``."""
-    if all(type(v) is str for v in values):
-        return map(encode_basestring, values)
-    return [encode_basestring(v) if type(v) is str else _render(v, indent) for v in values]
 
 
 def _template(keys: Iterable[str], indent: str) -> str:

@@ -12,6 +12,9 @@ construction of the merged result is independent.
 ``pair_rows``: it builds a validated ``Correspondence`` for every pair
 through ``expand_correspondences`` and compares the pair sets whole.
 
+``reference_truth_document`` is the dict that ``evalgen.serialize_truth``
+handed ``json.dumps`` before it wrote its rows one at a time.
+
 ``brute_force_closure`` is ``build_clusters`` without union-find, and
 ``brute_force_syntactic`` is ``syntactic_similarity`` without matching:
 it tries every permutation of the children.  ``naive_first_relation``
@@ -51,6 +54,7 @@ from ontomerge import (
 from ontomerge.evalgen import GroundTruth
 from ontomerge.integrator import DEFAULT_TAU, MERGED_ID, MERGED_NAME
 from ontomerge.model import first_free
+from ontomerge.model_io import FORMAT_VERSION
 
 
 def reference_sources(components: Sequence[BusinessComponent]) -> tuple[list[Ontology], list[str]]:
@@ -301,6 +305,22 @@ def reference_evaluate(report: Report, truth: GroundTruth) -> dict:
         f1_values.append(f1)
     metrics["macro_f1"] = sum(f1_values) / len(f1_values)
     return metrics
+
+
+def reference_truth_document(truth: GroundTruth) -> dict:
+    """The ground-truth document as one dict: pairs by (c1, c2), planted
+    relations in planting order."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "pairs": [
+            {"c1": c1, "c2": c2, "verdict": verdict}
+            for (c1, c2), verdict in sorted(truth.verdicts.items())
+        ],
+        "planted": [
+            {"t1": p.t1, "t2": p.t2, "kind": p.kind, "in_od": p.in_od, "case": p.case}
+            for p in truth.planted
+        ],
+    }
 
 
 def brute_force_closure(ids, edges):

@@ -21,6 +21,7 @@ from ontomerge import (
     Relation,
     Report,
 )
+from ontomerge.evalgen import GroundTruth, PlantedRelation
 from ontomerge.model import PROVENANCES, RELATION_KINDS, SEMANTIC_KINDS
 from ontomerge.terms import normalize_term
 
@@ -208,3 +209,24 @@ def ontologies(draw):
                           draw(st.sampled_from(PROVENANCES)))
                  for a, b in _pairs(draw, concept_ids, 3)]
     return Ontology(draw(ids), concepts, relations)
+
+
+# Ground-truth strings mix what JSON escapes, a line separator it leaves
+# raw, a formatting character, and non-ASCII and astral characters; the
+# writer takes any string, the empty one too.
+_truth_text = st.text(
+    st.sampled_from(['"', "\\", "\n", "\u2028", "%", "é", "中", "\U0001f600", "a"]),
+    max_size=4,
+)
+
+
+def truths():
+    """Ground truths of up to four pairs and three planted relations, each
+    list possibly empty; ``case`` is None or any int."""
+    planted = st.builds(PlantedRelation, _truth_text, _truth_text, _truth_text,
+                        st.booleans(), st.none() | st.integers())
+    return st.builds(
+        GroundTruth,
+        st.dictionaries(st.tuples(_truth_text, _truth_text), _truth_text, max_size=4),
+        st.lists(planted, max_size=3).map(tuple),
+    )

@@ -550,6 +550,39 @@ def test_gen_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+# sha256 of ``gen``'s files: the default flags, and a half-covered spec
+# whose withheld pairs plant cases 1, 2 and 3
+GEN_DIGESTS = {
+    "defaults": ([], {
+        "cm1.json": "fb81bff74a5a45e691f8ebdd6eaace1059a78cc35bb59759fa4025b856113333",
+        "cm2.json": "f5b05cfec8b434d6e8cae1e19428bd2bf0beb445a3990fc58a733c5f097ce2f1",
+        "od.json": "419affe08d314b1c468a56099273d2759b5738c5b53a26b2f53185cfa9639998",
+        "truth.json": "e621492e21b902bd5c1f4a4f4453ba884dfe581a63f53716e9ac88bf486095e5",
+    }),
+    "half_covered": (["--concepts", "24", "--synonym-pairs", "8", "--homonym-pairs", "2",
+                      "--od-coverage", "0.5", "--seed", "1"], {
+        "cm1.json": "0eaf9d29fe415416bd5e6edd1733f9f3d3faa1ec9b51b4d87b978c89d600d812",
+        "cm2.json": "b1bf701e5f879b5524c5bb2391065199933df3c6a0cc6a14295576492923e48e",
+        "od.json": "67bed39506b12d5edead8bb4589507eddc2fcc8396ddbf7abdffc0ffeb38125b",
+        "truth.json": "0a2bdedfe4a2ab9c4ef175c254643dc08c666434229a98baab8010ec1f365ec2",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEN_DIGESTS))
+def test_gen_outputs_are_pinned(tmp_path, name, capsys):
+    flags, pinned = GEN_DIGESTS[name]
+    assert main(["gen", "--out-dir", str(tmp_path), *flags]) == 0
+    digests = {
+        output: hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+        for output in pinned
+    }
+    assert digests == pinned
+    if name == "half_covered":
+        truth = json.loads((tmp_path / "truth.json").read_bytes())
+        assert {p["case"] for p in truth["planted"]} == {None, 1, 2, 3}
+
+
 def test_gen_from_spec_file(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({

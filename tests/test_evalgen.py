@@ -1,11 +1,12 @@
 """Scenario generation determinism, coverage accounting, and scoring."""
 
+import json
 import math
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontomerge import (
@@ -24,11 +25,12 @@ from ontomerge import (
     serialize_ontology,
     serialize_report,
 )
-from ontomerge.evalgen import parse_truth, serialize_truth
+from ontomerge.evalgen import PlantedRelation, parse_truth, serialize_truth
 from ontomerge.model import VERDICTS
 from ontomerge.similarity import normalize_term
 
-from .reference import reference_evaluate
+from .reference import reference_evaluate, reference_truth_document
+from .strategies import truths
 
 
 def test_generation_is_deterministic():
@@ -146,6 +148,17 @@ def test_truth_round_trip(tmp_path):
     parsed = parse_truth(path)
     assert parsed.verdicts == truth.verdicts
     assert parsed.planted == truth.planted
+
+
+@settings(max_examples=200, deadline=None)
+@given(truths())
+@example(GroundTruth({}))
+@example(GroundTruth({("%s", "\u2028"): "Synonym"},
+                    (PlantedRelation("é", "\U0001f600", "%", False),)))
+def test_serialize_truth_matches_dumps_oracle(truth):
+    document = reference_truth_document(truth)
+    expected = json.dumps(document, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert serialize_truth(truth) == expected.encode("utf-8")
 
 
 def test_withheld_relations_recovered_via_enrichment():

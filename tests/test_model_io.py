@@ -38,7 +38,13 @@ from ontomerge import (
     integrate,
 )
 from ontomerge import model_io
-from ontomerge.evalgen import parse_truth
+from ontomerge.evalgen import (
+    ScenarioSpec,
+    evaluate,
+    generate_scenario,
+    parse_truth,
+    serialize_truth,
+)
 
 from .conftest import (
     make_cm1,
@@ -407,6 +413,8 @@ def test_render_matches_json_dumps(value, depth):
 
 def test_integrate_and_serializers_leave_no_cyclic_garbage():
     components, od = make_composite_inputs()
+    scenario, scenario_od, truth = generate_scenario(ScenarioSpec(20, 4, 2, 0.5, rng_seed=3))
+    _, _, scenario_report = integrate(scenario, scenario_od)
     gc.collect()
     gc.disable()
     try:
@@ -414,6 +422,8 @@ def test_integrate_and_serializers_leave_no_cyclic_garbage():
         serialize_component(merged)
         serialize_ontology(enriched)
         serialize_report(report)
+        serialize_truth(truth)
+        model_io._dumps(evaluate(scenario_report, truth))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -488,7 +498,7 @@ def _dumps_report_oracle(report):
                 "evidence": {
                     "kind": corr.evidence.kind,
                     "relations_used": [
-                        r.to_dict() for r in corr.evidence.relations_used
+                        r._asdict() for r in corr.evidence.relations_used
                     ],
                 },
             }
@@ -497,8 +507,8 @@ def _dumps_report_oracle(report):
         "enrichments": [
             {
                 "pair": list(record.pair),
-                "injected": record.injected.to_dict(),
-                "evidence": [r.to_dict() for r in record.evidence],
+                "injected": record.injected._asdict(),
+                "evidence": [r._asdict() for r in record.evidence],
             }
             for record in sorted(
                 report.enrichments, key=lambda r: (r.pair, r.injected)
@@ -581,7 +591,7 @@ def _ontology_oracle(ontology):
         "format_version": model_io.FORMAT_VERSION,
         "id": ontology.id,
         "concepts": concepts,
-        "relations": [r.to_dict() for r in ontology.relations],
+        "relations": [r._asdict() for r in ontology.relations],
     })
 
 

@@ -1,6 +1,6 @@
 """ontomerge: integrate business-component models through ontology alignment.
 
-Component models are turned into small ontologies, aligned pairwise
+Each component model is read as a small ontology, aligned pairwise
 against a support (domain) ontology to detect synonym and homonym naming
 conflicts, merged into one result component, and the support ontology is
 enriched with the relations inferred along the way.
@@ -29,7 +29,6 @@ from .model import (
     Ontology,
     Relation,
     Report,
-    expand_correspondences,
     pair_space_of,
 )
 from .enrichment import enrich, infer_via_children, infer_via_equivalents
@@ -50,7 +49,6 @@ from .similarity import (
     semantic_similarity,
     syntactic_similarity,
 )
-from .transform import component_to_ontology, ontology_to_component
 
 __version__ = "0.1.0"
 
@@ -91,10 +89,8 @@ __all__ = [
     "align",
     "build_clusters",
     "children_index",
-    "component_to_ontology",
     "enrich",
     "evaluate",
-    "expand_correspondences",
     "export_dot",
     "generate_scenario",
     "infer_via_children",
@@ -103,7 +99,6 @@ __all__ = [
     "lookup_relations",
     "merge",
     "normalize_term",
-    "ontology_to_component",
     "pair_space_of",
     "parse_component",
     "parse_ontology",

@@ -236,12 +236,12 @@ def generate_scenario(
     od.validate()
 
     verdicts: dict[tuple[str, str], str] = {}
-    for e1 in components[0].entities:
-        for e2 in components[1].entities:
-            pair = (f"CM1#{e1.name}", f"CM2#{e2.name}")
+    for c1 in components[0].concepts.values():
+        for c2 in components[1].concepts.values():
+            pair = (c1.id, c2.id)
             if pair in overrides:
                 verdicts[pair] = overrides[pair]
-            elif e1.name == e2.name:
+            elif c1.term == c2.term:
                 verdicts[pair] = "Identical"
             else:
                 verdicts[pair] = "Distinct"

@@ -1,10 +1,10 @@
 """Drive the integration pipeline.
 
-Steps: derive one ontology per component, take every cross-component
-concept pair that can be other than Distinct, enrich the support
+Steps: take every cross-component concept pair (each component is its
+own source ontology) that can be other than Distinct, enrich the support
 ontology where it knows both terms but joins them by nothing, score the
 pair against it, classify verdicts, cluster synonym/identical concepts
-by connected parts, and write each cluster as one entity of the merged
+by connected parts, and write each cluster as one concept of the merged
 component.  The merged component carries none of the relations that the
 sources declare.  Everything is sequential and deterministic: fixed
 inputs give byte-identical serialized outputs.
@@ -26,7 +26,6 @@ from .model import (
     Concept,
     Correspondence,
     EnrichmentRecord,
-    Entity,
     Ontology,
     Report,
     as_fraction,
@@ -36,7 +35,6 @@ from .model import (
 )
 from .similarity import semantic_similarity
 from .terms import normalize_term
-from .transform import component_to_ontology
 
 ALIAS_PREFIX = "alias: "
 DEFAULT_TAU = Fraction(1)
@@ -261,24 +259,24 @@ def merge(
     correspondences: Sequence[Correspondence] = (),
     warnings: Optional[list[str]] = None,
 ) -> tuple[BusinessComponent, list[Cluster]]:
-    """Collapse each cluster into one entity of the merged component.
+    """Collapse each cluster into one concept ``CMr#<key>`` of the merged component.
 
-    Returns the merged component (id ``MERGED_ID``, name ``MERGED_NAME``)
-    and one ``Cluster`` per part of ``partition``, sorted by (term,
-    members).  Every source concept must lie in exactly one part.  The
-    canonical term of a cluster prefers member terms that occur in the
-    support ontology (smallest normalized term wins); clusters touched by
-    a Homonym verdict are instead displayed as "<term> (<source id>)" so
-    same-termed homonyms stay tellable apart.  A key's term, for the
-    display and the aliases alike, is that of the member of smallest id,
-    so the order of a part's members changes nothing.  Composition
-    children and associations are re-targeted to clusters and
-    deduplicated; the other keys' terms become ``alias: <term>``
-    attributes.  No relation is carried over: the merged component has
-    none.  Warnings are appended to ``warnings``.  Raises CyclicComposition
-    ("composition cycle: CMr#a -> ... -> CMr#a") when merged composition
-    links form a cycle, HomonymClusterCollision when a Homonym pair
-    shares a cluster.
+    ``sources`` are the components (any ontologies do).  Returns the merged
+    component (id ``MERGED_ID``, name ``MERGED_NAME``) and one ``Cluster``
+    per part of ``partition``, sorted by (term, members).  Every source
+    concept must lie in exactly one part.  The canonical term of a cluster
+    prefers member terms that occur in the support ontology (smallest
+    normalized term wins); clusters touched by a Homonym verdict are instead
+    displayed as "<term> (<source id>)" so same-termed homonyms stay
+    tellable apart.  A key's term, for the display and the aliases alike, is
+    that of the member of smallest id, so the order of a part's members
+    changes nothing.  Composition children and associations are re-targeted
+    to clusters and deduplicated; the other keys' terms become
+    ``alias: <term>`` attributes.  No declared relation is carried over:
+    the merged component's ``relations`` are its part_of edges alone.
+    Warnings are appended to ``warnings``.  Raises CyclicComposition ("composition cycle:
+    CMr#a -> ... -> CMr#a") when merged composition links form a cycle,
+    HomonymClusterCollision when a Homonym pair shares a cluster.
     """
     sink = warnings if warnings is not None else []
     homonyms = [corr.pair for corr in correspondences if corr.verdict == "Homonym"]
@@ -313,7 +311,7 @@ def merge(
     display_of = dict(zip(keys, displays))
 
     children_of: dict[str, list[str]] = {}  # composite's key -> its children's keys, sorted
-    entities = []
+    merged = BusinessComponent(MERGED_ID, MERGED_NAME)
     clusters: list[Cluster] = []
     for members, display, key in zip(partition, displays, keys):
         if len(members) == 1:
@@ -345,8 +343,9 @@ def merge(
             attributes = [*attributes, *(ALIAS_PREFIX + alias for alias in aliases)]
         if children:
             children_of[key] = sorted(children)
-            children = [(child, display_of[child]) for child in children]  # as Entity takes them
-        entities.append(Entity._assembled(key, display, attributes, associations, children))
+        merged.add_concept(Concept._assembled(
+            key, f"{MERGED_ID}#{key}", display, [f"{MERGED_ID}#{child}" for child in children],
+            attributes, associations))
         # aliases are in key order, which is name_sort_key order within a cluster
         clusters.append(tuple.__new__(Cluster, (display, tuple(sorted(members)), aliases)))
     # keys sort as the merged ids "CMr#<key>" do, so the walk meets cycles in id order
@@ -362,7 +361,6 @@ def merge(
                 f"homonym pair ({c1}, {c2}) ended up in cluster "
                 f"{MERGED_ID + '#' + cluster_of[c1]!r}"
             )
-    merged = BusinessComponent._assembled(MERGED_ID, MERGED_NAME, entities, ())
     return merged, sorted(clusters, key=lambda cl: (cl.term, cl.members))
 
 
@@ -449,17 +447,15 @@ def integrate(
     taken = {component.id for component in components}
     kept: set[str] = set()
     warnings: list[str] = []
-    deduped = []
+    sources = []
     for component in components:
         if component.id in kept:
             new_id = first_free(component.id, taken)
             taken.add(new_id)
             warnings.append(f"duplicate component id {component.id!r} renamed to {new_id!r}")
-            component = BusinessComponent._assembled(
-                new_id, component.name, component.entities, component.relations)
+            component = _renamed(component, new_id)
         kept.add(component.id)
-        deduped.append(component)
-    sources = [component_to_ontology(component) for component in deduped]
+        sources.append(component)
     correspondences, enriched_od, records = align(sources, od, tau, warnings=warnings)
     all_ids = [cid for source in sources for cid in source.concepts]
     partition = build_clusters(correspondences, all_ids)
@@ -472,3 +468,19 @@ def integrate(
         pair_space=pair_space_of(sources),
     )
     return merged, enriched_od, report
+
+
+def _renamed(component: BusinessComponent, new_id: str) -> BusinessComponent:
+    """``component`` under ``new_id``, each concept id re-prefixed."""
+
+    def moved(cid: str) -> str:
+        return f"{new_id}#{component.concepts[cid].key}"
+
+    renamed = BusinessComponent(new_id, component.name)
+    for concept in component.concepts.values():
+        renamed.add_concept(Concept._assembled(
+            concept.key, moved(concept.id), concept.term, map(moved, concept.children),
+            concept.attributes, concept.associations))
+    for relation in component.semantic_relations():
+        renamed.add_relation(relation._replace(a=moved(relation.a), b=moved(relation.b)))
+    return renamed

@@ -1,16 +1,21 @@
-"""Core data model: business components, ontologies, and alignment artifacts.
+"""Core data model: ontologies, business components, and alignment artifacts.
 
-All collection-valued fields are kept in a canonical sorted order at
-construction time so that structural equality, serialization determinism,
-and round-trips line up without per-call sorting.  Every structural
-invariant is checked eagerly, except where ``_assembled`` takes fields
-its caller checked.
+A business component is an ontology: its constructor reads ``Entity``
+and ``ComponentRelation`` input values straight into concepts and
+relations, and the pipeline reads nothing else.  All collection-valued
+fields are kept in a canonical sorted order at construction time so that
+structural equality, serialization determinism, and round-trips line up
+without per-call sorting.  Every structural invariant is checked
+eagerly, except where ``Concept._assembled`` takes fields its caller
+checked.
 """
 
 from __future__ import annotations
 
+import heapq
 from bisect import insort
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -59,13 +64,6 @@ class _Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
-
-    @classmethod
-    def _assembled(cls, *fields):
-        """An instance set by ``_set`` alone, from fields the caller derived or checked."""
-        record = cls.__new__(cls)
-        record._set(*fields)
-        return record
 
 
 class Relation(_Value, NamedTuple("Relation", [
@@ -116,8 +114,8 @@ class Concept(_Record):
     """A node in an ontology: a term plus optional composition children.
 
     A concept with no children is atomic.  ``attributes`` and
-    ``associations`` carry component metadata through transformation and
-    merging; they play no role in similarity.
+    ``associations`` carry component metadata through merging; they play
+    no role in similarity.
 
     ``key`` is derived: the normalized ``term``, computed once on
     construction and read wherever two terms are compared.  ``term`` must
@@ -132,6 +130,14 @@ class Concept(_Record):
     def __init__(self, id: str, term: str, children: Iterable[str] = (),
                  attributes: Iterable[str] = (), associations: Iterable = ()):
         self._set(None, id, term, children, attributes, associations)
+
+    @classmethod
+    def _assembled(cls, key: str, id: str, term: str, children: Iterable[str],
+                   attributes: Iterable[str], associations: Iterable) -> "Concept":
+        """A concept whose ``key`` the caller already derived from ``term``."""
+        concept = cls.__new__(cls)
+        concept._set(key, id, term, children, attributes, associations)
+        return concept
 
     def _set(self, key: Optional[str], id: str, term: str, children: Iterable[str],
              attributes: Iterable[str], associations: Iterable) -> None:
@@ -188,18 +194,19 @@ def find_cycle(
 class Ontology:
     """A concept graph with typed semantic relations.
 
-    part_of edges are not stored: ``relations`` derives them from concept
-    children, and adding a part_of relation accepts only one that matches
-    a composition link.  Only semantic relations are stored, so
+    part_of edges are not stored: ``ordered_relations`` derives them from
+    concept children, and adding a part_of relation accepts only one that
+    matches a composition link.  Only semantic relations are stored, so
     ``copy`` and ``__eq__`` carry those alone.  Duplicate semantic
     relations (same unordered endpoint pair and kind) and
     synonymy/homonymy coexistence on one concept pair are rejected.
 
-    Two indexes, filled only by ``add_concept`` and ``add_relation``
+    Two indexes, kept up to date by ``add_concept`` and ``add_relation``
     and copied by ``copy``, answer term questions without a scan:
 
     * normalized term -> sorted concept ids backs ``term_present`` and
-      ``concepts_by_term``;
+      ``concepts_by_term``.  It is built at the first term query (or
+      ``copy``), so an ontology that is only written never holds it;
     * normalized term -> related normalized term -> the semantic
       relations joining concepts with those terms, sorted, backs
       ``related_terms``.  Both directions of a term pair share one
@@ -213,19 +220,30 @@ class Ontology:
         self.id = id
         self.concepts: dict[str, Concept] = {}
         self._relations: dict[tuple[str, str, str], Relation] = {}
-        self._ids_by_term: dict[str, list[str]] = {}
         self._related: dict[str, dict[str, tuple[Relation, ...]]] = {}
         for concept in concepts:
             self.add_concept(concept)
         for relation in relations:
             self.add_relation(relation)
 
+    @cached_property
+    def _ids_by_term(self) -> dict[str, list[str]]:
+        index: dict[str, list[str]] = {}
+        for cid in sorted(self.concepts):
+            index.setdefault(self.concepts[cid].key, []).append(cid)
+        return index
+
     @property
     def relations(self) -> tuple[Relation, ...]:
         """All relations, including derived part_of edges, in sorted order."""
-        part_of = (Relation(concept.id, child, "part_of")
-                   for concept in self.concepts.values() for child in concept.children)
-        return tuple(sorted((*self.semantic_relations(), *part_of)))
+        return tuple(self.ordered_relations())
+
+    def ordered_relations(self) -> Iterator[Relation]:
+        """The relations of ``relations``, one at a time: the stored ones
+        merged with the part_of edges, which are made in concept-id order."""
+        part_of = (Relation(cid, child, "part_of")
+                   for cid in sorted(self.concepts) for child in self.concepts[cid].children)
+        return heapq.merge(self.semantic_relations(), part_of)
 
     def semantic_relations(self) -> list[Relation]:
         """The stored relations, every one semantic, in sorted order."""
@@ -235,7 +253,9 @@ class Ontology:
         if concept.id in self.concepts:
             raise SchemaViolation(f"duplicate concept id {concept.id!r} in ontology {self.id!r}")
         self.concepts[concept.id] = concept
-        insort(self._ids_by_term.setdefault(concept.key, []), concept.id)
+        index = self.__dict__.get("_ids_by_term")
+        if index is not None:
+            insort(index.setdefault(concept.key, []), concept.id)
 
     def add_relation(self, relation: Relation) -> None:
         if relation.kind == "part_of":
@@ -318,7 +338,7 @@ class Ontology:
         return clone
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Ontology):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.id == other.id
@@ -328,7 +348,7 @@ class Ontology:
 
     def __repr__(self) -> str:
         return (
-            f"Ontology(id={self.id!r}, concepts={len(self.concepts)}, "
+            f"{type(self).__name__}(id={self.id!r}, concepts={len(self.concepts)}, "
             f"relations={len(self.relations)})"
         )
 
@@ -342,32 +362,27 @@ class ComponentRelation(NamedTuple):
 
 
 class Entity(_Record):
-    """A named entity of a business component; ``key`` is its normalized ``name``.
-    As in ``Concept``, only nonempty collection fields are sorted and checked."""
+    """A named entity of a business component, the input value of one concept:
+    ``key`` is its normalized ``name``.  As in ``Concept``, only nonempty
+    collection fields are sorted and checked; ``components`` are sorted by key."""
 
     _fields = ("name", "attributes", "associations", "components")
     __slots__ = (*_fields, "key")  # key is derived: never reassign name
 
     def __init__(self, name: str, attributes: Iterable[str] = (),
                  associations: Iterable = (), components: Iterable[str] = ()):
-        self._set(normalize_term(name), name, attributes, associations,
-                  components and map(name_sort_key, components))
-
-    def _set(self, own_key: str, name: str, attributes: Iterable[str], associations: Iterable,
-             keyed_components: Iterable[tuple[str, str]]) -> None:
-        """``keyed_components`` holds each child's (key, name)."""
         self.name = name
-        self.key = own_key
+        self.key = normalize_term(name)
         self.attributes = tuple(sorted(attributes)) if attributes else ()
         self.associations = _sorted_associations(associations)
-        if not keyed_components:
+        if not components:
             self.components = ()
             return
-        keyed = sorted(keyed_components)
+        keyed = sorted(map(name_sort_key, components))
         self.components = tuple(child for _, child in keyed)
         seen = set()
         for key, child in keyed:
-            if key == own_key:
+            if key == self.key:
                 raise SchemaViolation(
                     f"entity {self.name!r} lists itself among its composition children"
                 )
@@ -378,8 +393,14 @@ class Entity(_Record):
             seen.add(key)
 
 
-class BusinessComponent(_Record):
-    """One source model: a set of entities plus declared semantic relations.
+class BusinessComponent(Ontology):
+    """One source model: the ontology that ``align`` reads, plus a name.
+
+    Each entity becomes the concept ``<component id>#<key>``, its term the
+    entity's name, its children the ids of its composition children, its
+    attributes and associations the entity's (targets spelled as given).
+    Each declared relation becomes a ``declared`` ``Relation`` between two
+    such ids, so ``relations`` lists the part_of edges too.
 
     Invariants checked on construction:
 
@@ -390,23 +411,24 @@ class BusinessComponent(_Record):
     * declared relation kinds are semantic (synonymy/homonymy/equivalence)
       and no entity pair carries both synonymy and homonymy.
 
-    References resolve through a transient map from entity name to key; only
-    one spelled otherwise is normalized again.  The cycle walk starts at composites.
+    References resolve through one transient map from entity name to key;
+    only one spelled otherwise is normalized again.  The cycle walk starts
+    at composites.  Equal means same type, name and ontology.
     """
-
-    _fields = __slots__ = ("id", "name", "entities", "relations")
 
     def __init__(self, id: str, name: str, entities: Iterable[Entity] = (),
                  relations: Iterable[ComponentRelation] = ()):
         if not id:
             raise SchemaViolation("component id must be nonempty")
-        self._set(id, name, entities, ())
+        super().__init__(id)
+        self.name = name
+        entities = sorted(entities, key=attrgetter("key", "name"))
         key_of: dict[str, str] = {}  # entity name -> key
         previous = None
-        for entity in self.entities:  # sorted, so a repeated key follows the first
+        for entity in entities:  # sorted, so a repeated key follows the first
             if entity.key == previous:
                 raise SchemaViolation(
-                    f"component {self.id!r}: duplicate entity name {entity.name!r}"
+                    f"component {id!r}: duplicate entity name {entity.name!r}"
                 )
             key_of[entity.name] = previous = entity.key
         keys: set[str] = set()  # filled at the first reference spelled otherwise
@@ -421,56 +443,52 @@ class BusinessComponent(_Record):
             return found if found in keys else None
 
         child_keys: dict[str, list[str]] = {}  # composite key -> child keys
-        for entity in self.entities:
+        for entity in entities:
             for association in entity.associations:
                 if key(association.target) is None:
                     raise SchemaViolation(
-                        f"component {self.id!r}: association of {entity.name!r} targets "
+                        f"component {id!r}: association of {entity.name!r} targets "
                         f"undeclared entity {association.target!r}"
                     )
+            children = []  # their ids, in key order
             for child in entity.components:
                 child_key = key(child)
                 if child_key is None:
                     raise SchemaViolation(
-                        f"component {self.id!r}: composition child {child!r} of "
+                        f"component {id!r}: composition child {child!r} of "
                         f"{entity.name!r} is not a declared entity"
                     )
+                children.append(f"{id}#{child_key}")
                 child_keys.setdefault(entity.key, []).append(child_key)
-        self.relations = tuple(
-            sorted(self._canonical_relation(rel, key) for rel in relations)
-        )
+            self.add_concept(Concept._assembled(
+                entity.key, f"{id}#{entity.key}", entity.name, children,
+                entity.attributes, entity.associations))
         seen_pairs: dict[tuple[str, str], str] = {}
-        for rel in self.relations:
-            pair = (key(rel.a), key(rel.b))
+        for rel, pair in sorted(self._canonical_relation(rel, key) for rel in relations):
             prev = seen_pairs.get(pair)
             if prev == rel.kind:
                 raise SchemaViolation(
-                    f"component {self.id!r}: duplicate {rel.kind} relation "
+                    f"component {id!r}: duplicate {rel.kind} relation "
                     f"between {rel.a!r} and {rel.b!r}"
                 )
             if {prev, rel.kind} == {"synonymy", "homonymy"}:
                 raise SchemaViolation(
-                    f"component {self.id!r}: entity pair ({rel.a!r}, {rel.b!r}) "
+                    f"component {id!r}: entity pair ({rel.a!r}, {rel.b!r}) "
                     "cannot carry both synonymy and homonymy"
                 )
             seen_pairs[pair] = rel.kind
-        cycle = None
-        if child_keys:  # composites only: a childless entity is on no cycle
-            cycle = find_cycle(sorted(child_keys), lambda k: child_keys.get(k, ()))
+            self.add_relation(Relation(f"{id}#{pair[0]}", f"{id}#{pair[1]}", rel.kind))
+        # composites only: a childless entity is on no cycle
+        cycle = child_keys and find_cycle(sorted(child_keys), lambda k: child_keys.get(k, ()))
         if cycle:
             raise CyclicComposition(
-                f"component {self.id!r}: composition cycle: " + " -> ".join(cycle)
+                f"component {id!r}: composition cycle: " + " -> ".join(cycle)
             )
-
-    def _set(self, id: str, name: str, entities: Iterable[Entity],
-             relations: tuple[ComponentRelation, ...]) -> None:
-        """``_assembled`` takes entities and sorted relations checked as ``__init__`` would."""
-        self.id, self.name, self.relations = id, name, relations
-        self.entities = tuple(sorted(entities, key=attrgetter("key", "name")))
 
     def _canonical_relation(
         self, rel: ComponentRelation, key: Callable[[str], Optional[str]]
-    ) -> ComponentRelation:
+    ) -> tuple[ComponentRelation, tuple[str, str]]:
+        """``rel`` with its ends in key order, and their keys."""
         rel = ComponentRelation(*rel)
         if rel.kind not in SEMANTIC_KINDS:
             raise SchemaViolation(
@@ -489,8 +507,11 @@ class BusinessComponent(_Record):
                 f"component {self.id!r}: relation may not join entity {rel.a!r} to itself"
             )
         if nb < na:
-            rel = ComponentRelation(rel.b, rel.a, rel.kind)
-        return rel
+            return ComponentRelation(rel.b, rel.a, rel.kind), (nb, na)
+        return rel, (na, nb)
+
+    def __eq__(self, other) -> bool:
+        return Ontology.__eq__(self, other) is True and self.name == other.name
 
 
 class Evidence(_Value, NamedTuple("Evidence", [
@@ -673,19 +694,6 @@ def _stray_pair(corr: Correspondence, side_of: dict[str, int]) -> SchemaViolatio
     return SchemaViolation(
         f"pair {corr.pair} does not point from an earlier source to a later one"
     )
-
-
-def expand_correspondences(report: Report) -> list[Correspondence]:
-    """Every pair of ``report`` as a Correspondence, in (c1, c2) order.
-
-    A pair that ``pair_rows`` gives no cell is (0, syntactic, Distinct).
-    """
-    zero = Fraction(0)
-    return [
-        cells[k] if k in cells else Correspondence(c1, c2, zero, "Distinct", SYNTACTIC)
-        for c1, _, partners, cells in pair_rows(report)
-        for k, c2 in enumerate(partners)
-    ]
 
 
 def as_fraction(value) -> Fraction:

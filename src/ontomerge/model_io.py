@@ -21,7 +21,8 @@ Component document::
 
 ``relations`` declares optional semantic relations (synonymy / homonymy /
 equivalence) between entities; ``associations`` and ``components`` name
-entities of the same document.
+entities of the same document.  The writer spells a composition child or
+relation endpoint as the entity it names; an association target as given.
 
 Ontology document::
 
@@ -247,15 +248,16 @@ def _texts(values: Sequence[str], indent: str) -> str:
     return _items(map(encode_basestring, values), indent) if values else "[]"
 
 
-def _rows(rows: Sequence[tuple], indent: str) -> Iterator[str]:
+def _rows(rows: Iterable[tuple], indent: str) -> Iterator[str]:
     """Each of ``rows`` at ``indent``: named tuples of strings (relations,
     associations), each a record keyed by its field names."""
-    if rows:
-        fields = rows[0]._fields
-        keys = sorted(fields)
-        template, order = _template(keys, indent), itemgetter(*map(fields.index, keys))
-        for row in rows:
-            yield template % tuple(map(encode_basestring, order(row)))
+    template = None
+    for row in rows:
+        if template is None:
+            fields = row._fields
+            keys = sorted(fields)
+            template, order = _template(keys, indent), itemgetter(*map(fields.index, keys))
+        yield template % tuple(map(encode_basestring, order(row)))
 
 
 def _table(rows: Sequence[tuple], indent: str) -> str:
@@ -330,17 +332,24 @@ def parse_component(path) -> BusinessComponent:
 
 
 def component_chunks(bc: BusinessComponent) -> Iterator[bytes]:
-    """The bytes of ``serialize_component`` in order, one entity at a time."""
+    """The bytes of ``serialize_component`` in order, one concept at a time by
+    id, as an entity: ``name`` is its term, ``components`` its children's
+    terms, and a relation's ends are their terms."""
     inner = " " * 6
     template = _template(("associations", "attributes", "components", "name"), "    ")
+    concepts = bc.concepts
     entities = (
-        template % (_table(entity.associations, inner), _texts(entity.attributes, inner),
-                    _texts(entity.components, inner), encode_basestring(entity.name))
-        for entity in bc.entities
+        template % (_table(concept.associations, inner), _texts(concept.attributes, inner),
+                    _texts(concept.children and [concepts[c].term for c in concept.children],
+                           inner),
+                    encode_basestring(concept.term))
+        for concept in map(concepts.__getitem__, sorted(concepts))
     )
+    relations = sorted(ComponentRelation(concepts[r.a].term, concepts[r.b].term, r.kind)
+                       for r in bc.semantic_relations())
     yield from _document({
         "format_version": FORMAT_VERSION, "id": bc.id, "name": bc.name,
-        "entities": _streamed(entities), "relations": _streamed(_rows(bc.relations, "    ")),
+        "entities": _streamed(entities), "relations": _streamed(_rows(relations, "    ")),
     })
 
 
@@ -408,7 +417,7 @@ def ontology_chunks(ontology: Ontology) -> Iterator[bytes]:
     yield from _document({
         "format_version": FORMAT_VERSION, "id": ontology.id,
         "concepts": _streamed(_concept_rows(ontology)),
-        "relations": _streamed(_rows(ontology.relations, "    ")),
+        "relations": _streamed(_rows(ontology.ordered_relations(), "    ")),
     })
 
 
@@ -608,7 +617,7 @@ def export_dot(ontology: Ontology) -> bytes:
     for cid in sorted(ontology.concepts):
         concept = ontology.concepts[cid]
         lines.append(f'  "{_dot_escape(cid)}" [label="{_dot_escape(concept.term)}"];')
-    for relation in ontology.relations:
+    for relation in ontology.ordered_relations():
         arrow = (
             f'  "{_dot_escape(relation.a)}" -> "{_dot_escape(relation.b)}"'
             f' [label="{relation.kind}"'

@@ -1,12 +1,21 @@
 """Reference implementations that tests compare the fast paths against.
 
 ``reference_integrate`` is ``integrator.integrate`` as it was before
-``merge`` wrote the merged component itself: each component becomes an
-ontology through the public ``Concept`` constructor (every term
-normalized again), ``reference_merge`` collapses the clusters into a
-validated merged ``Ontology``, and ``ontology_to_component`` converts
-that back.  Alignment and clustering are the package's own; only the
-construction of the merged result is independent.
+``merge`` wrote the merged component itself and before a component was
+its own ontology: ``reference_sources`` builds each source ontology
+from the component's ``Entity`` inputs through the public ``Concept``
+constructor (every term normalized again), ``reference_merge`` collapses
+the clusters into a validated merged ``Ontology``, and
+``ontology_to_component`` converts that back.  Alignment and clustering
+are the package's own; only the construction of the sources and of the
+merged result is independent.  ``component_inputs`` reads a component
+(or any ontology) back into the constructor's arguments, each reference
+spelled as the term of the concept it names.
+
+``reference_component_document`` is the component document that
+``model_io.component_chunks`` must write for a component built from
+given inputs, computed from those inputs alone and rendered by
+``json.dumps``.
 
 ``reference_evaluate`` is ``evalgen.evaluate`` as it was before it read
 ``pair_rows``: it builds a validated ``Correspondence`` for every pair
@@ -27,15 +36,17 @@ acyclic by construction, for the tests that need many varied inputs.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ontomerge import (
     BusinessComponent,
     Cluster,
+    ComponentRelation,
     Concept,
     Correspondence,
     Entity,
@@ -47,24 +58,60 @@ from ontomerge import (
     SchemaViolation,
     align,
     build_clusters,
-    expand_correspondences,
     normalize_term,
-    ontology_to_component,
 )
 from ontomerge.evalgen import GroundTruth
 from ontomerge.integrator import DEFAULT_TAU, MERGED_ID, MERGED_NAME
-from ontomerge.model import first_free
+from ontomerge.model import SYNTACTIC, first_free, pair_rows
 from ontomerge.model_io import FORMAT_VERSION
 
 
-def reference_sources(components: Sequence[BusinessComponent]) -> tuple[list[Ontology], list[str]]:
-    """The source ontologies of ``components``, later duplicate ids renamed,
-    with the rename warnings."""
-    taken = {component.id for component in components}
+class ComponentInput(NamedTuple):
+    """The arguments of ``BusinessComponent(id, name, entities, relations)``."""
+
+    id: str
+    name: str
+    entities: tuple[Entity, ...] = ()
+    relations: tuple[ComponentRelation, ...] = ()
+
+
+def component_inputs(ontology: Ontology, name: Optional[str] = None) -> ComponentInput:
+    """The constructor arguments that give ``ontology`` as a component, named
+    ``name`` (by default the component's own): one entity per concept, named
+    by its term, each reference spelled as the term of the concept it names."""
+    concepts = ontology.concepts
+    entities = tuple(
+        Entity(concept.term, concept.attributes, concept.associations,
+               [concepts[child].term for child in concept.children])
+        for concept in concepts.values()
+    )
+    relations = tuple(
+        ComponentRelation(concepts[rel.a].term, concepts[rel.b].term, rel.kind)
+        for rel in ontology.semantic_relations()
+    )
+    return ComponentInput(ontology.id, ontology.name if name is None else name,
+                          entities, relations)
+
+
+def ontology_to_component(ontology: Ontology, name: str) -> BusinessComponent:
+    """Rebuild a component from an ontology through the public constructor.
+
+    Raises SchemaViolation at an unknown child, then whatever
+    ``BusinessComponent`` raises: CyclicComposition when part_of links
+    form a cycle.
+    """
+    ontology.check_children()
+    return BusinessComponent(*component_inputs(ontology, name))
+
+
+def reference_sources(inputs: Sequence[ComponentInput]) -> tuple[list[Ontology], list[str]]:
+    """The source ontologies of the components that ``inputs`` describe,
+    later duplicate ids renamed, with the rename warnings."""
+    taken = {component.id for component in inputs}
     kept: set[str] = set()
     warnings: list[str] = []
     sources = []
-    for component in components:
+    for component in inputs:
         cid = component.id
         if cid in kept:
             cid = first_free(cid, taken)
@@ -80,11 +127,43 @@ def reference_sources(components: Sequence[BusinessComponent]) -> tuple[list[Ont
                 attributes=entity.attributes,
                 associations=entity.associations,
             ))
-        for relation in component.relations:
-            ontology.add_relation(Relation(f"{cid}#{normalize_term(relation.a)}",
-                                           f"{cid}#{normalize_term(relation.b)}", relation.kind))
+        for a, b, kind in component.relations:
+            ontology.add_relation(Relation(f"{cid}#{normalize_term(a)}",
+                                           f"{cid}#{normalize_term(b)}", kind))
         sources.append(ontology)
     return sources, warnings
+
+
+def reference_component_document(inputs: ComponentInput) -> str:
+    """The component document of ``BusinessComponent(*inputs)``: entities by
+    key, each child and relation end spelled as the entity it names,
+    association targets as given, relation ends in key order."""
+    name_of = {normalize_term(entity.name): entity.name for entity in inputs.entities}
+
+    def spelled(reference: str) -> str:
+        return name_of[normalize_term(reference)]
+
+    relations = []
+    for a, b, kind in inputs.relations:
+        a, b = sorted((spelled(a), spelled(b)), key=normalize_term)
+        relations.append((a, b, kind))
+    document = {
+        "format_version": FORMAT_VERSION,
+        "id": inputs.id,
+        "name": inputs.name,
+        "entities": [
+            {
+                "name": entity.name,
+                "attributes": sorted(entity.attributes),
+                "associations": [{"target": target, "label": label}
+                                 for target, label in sorted(entity.associations)],
+                "components": sorted(map(spelled, entity.components), key=normalize_term),
+            }
+            for entity in sorted(inputs.entities, key=lambda e: normalize_term(e.name))
+        ],
+        "relations": [{"a": a, "b": b, "kind": kind} for a, b, kind in sorted(relations)],
+    }
+    return json.dumps(document, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
 def reference_integrate(
@@ -93,7 +172,7 @@ def reference_integrate(
     """The merged component, the clusters and the sorted warnings of one run."""
     if len(components) < 2:
         raise SchemaViolation("integration needs at least two components")
-    sources, warnings = reference_sources(components)
+    sources, warnings = reference_sources(list(map(component_inputs, components)))
     correspondences, enriched_od, _ = align(sources, od, tau, warnings=warnings)
     partition = build_clusters(correspondences, [cid for s in sources for cid in s.concepts])
     merged, clusters = reference_merge(partition, sources, enriched_od, correspondences,
@@ -279,6 +358,19 @@ def _disambiguate_displays(
             )
             displays[index] = f"{displays[index]} ({owner})"
             keys[index] = normalize_term(displays[index])
+
+
+def expand_correspondences(report: Report) -> list[Correspondence]:
+    """Every pair of ``report`` as a Correspondence, in (c1, c2) order.
+
+    A pair that ``pair_rows`` gives no cell is (0, syntactic, Distinct).
+    """
+    zero = Fraction(0)
+    return [
+        cells[k] if k in cells else Correspondence(c1, c2, zero, "Distinct", SYNTACTIC)
+        for c1, _, partners, cells in pair_rows(report)
+        for k, c2 in enumerate(partners)
+    ]
 
 
 def reference_evaluate(report: Report, truth: GroundTruth) -> dict:

@@ -25,6 +25,8 @@ from ontomerge.evalgen import GroundTruth, PlantedRelation
 from ontomerge.model import PROVENANCES, RELATION_KINDS, SEMANTIC_KINDS
 from ontomerge.terms import normalize_term
 
+from .reference import ComponentInput
+
 # Small pool so generated concepts collide on terms often.
 TERM_POOL = ("alpha", "bêta", "gamma", "delta", "oméga", "sigma")
 
@@ -170,10 +172,10 @@ def _pairs(draw, items, max_size):
 
 
 @st.composite
-def components(draw):
-    """A valid component of up to five entities: associations within it,
-    composition children among later entities, so none is cyclic, and
-    declared relations on distinct pairs."""
+def component_arguments(draw):
+    """The ``ComponentInput`` of a valid component of up to five entities:
+    associations within it, composition children among later entities, so
+    none is cyclic, and declared relations on distinct pairs."""
     entity_names = draw(st.lists(names, max_size=5, unique_by=normalize_term))
     entities = []
     for index, name in enumerate(entity_names):
@@ -188,7 +190,12 @@ def components(draw):
         ))
     relations = [ComponentRelation(a, b, draw(st.sampled_from(SEMANTIC_KINDS)))
                  for a, b in _pairs(draw, entity_names, 3)]
-    return BusinessComponent(draw(ids), draw(ids), entities, relations)
+    return ComponentInput(draw(ids), draw(ids), tuple(entities), tuple(relations))
+
+
+def components():
+    """A valid component built from ``component_arguments``."""
+    return component_arguments().map(lambda inputs: BusinessComponent(*inputs))
 
 
 @st.composite

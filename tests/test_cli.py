@@ -54,7 +54,7 @@ def test_integrate_writes_three_files(tmp_path, scenario_files, capsys):
     for name in ("cmr.json", "od2.json", "report.json"):
         assert (tmp_path / name).exists()
     merged = model_io.parse_component(tmp_path / "cmr.json")
-    assert len(merged.entities) == 3
+    assert len(merged.concepts) == 3
     report = model_io.parse_report(tmp_path / "report.json")
     assert {c.verdict for c in report.correspondences} == {
         "Synonym", "Homonym", "Distinct",

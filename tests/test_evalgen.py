@@ -17,7 +17,6 @@ from ontomerge import (
     ScenarioMismatch,
     ScenarioSpec,
     evaluate,
-    expand_correspondences,
     generate_scenario,
     integrate,
     parse_report,
@@ -29,7 +28,7 @@ from ontomerge.evalgen import PlantedRelation, parse_truth, serialize_truth
 from ontomerge.model import VERDICTS
 from ontomerge.similarity import normalize_term
 
-from .reference import reference_evaluate, reference_truth_document
+from .reference import expand_correspondences, reference_evaluate, reference_truth_document
 from .strategies import truths
 
 
@@ -92,7 +91,7 @@ def test_concept_count_bounds_pairs():
 
 def test_truth_covers_every_cross_pair():
     components, od, truth = generate_scenario(ScenarioSpec(16, 3, 1, 0.5, rng_seed=5))
-    expected = len(components[0].entities) * len(components[1].entities)
+    expected = len(components[0].concepts) * len(components[1].concepts)
     assert len(truth.verdicts) == expected
 
 

@@ -2,7 +2,9 @@
 
 ``integrate`` needs neither ``dataclasses`` (nor the ``inspect`` it pulls
 in) nor the scenario generator ``evalgen``; the package resolves the
-generator's public names on first use.
+generator's public names on first use.  The package modules it loads are
+pinned: without a bytecode cache every cold start compiles each of them,
+so a module added to this path costs every run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ inputs = ["--component", f"{fixtures}/cm1.json", "--component", f"{fixtures}/cm2
           "--ontology", f"{fixtures}/od.json"]
 facts = {"integrate": main(["integrate", *inputs, "--out-component", f"{out}/cm.json",
                             "--out-ontology", f"{out}/od.json", "--report", f"{out}/r.json"])}
-facts["loaded"] = sorted({"dataclasses", "inspect", "ontomerge.evalgen"} & (set(sys.modules) - before))
+loaded = set(sys.modules) - before
+facts["loaded"] = sorted({"dataclasses", "inspect", "ontomerge.evalgen"} & loaded)
+facts["modules"] = sorted(name for name in loaded if name.startswith("ontomerge"))
 import ontomerge
 names = ["GroundTruth", "ScenarioSpec", "evaluate", "generate_scenario"]
 facts["lazy"] = [getattr(ontomerge, name) is getattr(sys.modules["ontomerge.evalgen"], name)
@@ -55,5 +59,8 @@ def test_integrate_loads_no_dataclasses_and_no_scenario_generator(tmp_path):
     assert facts == {
         "integrate": 0, "loaded": [], "lazy": [True] * 4, "unbound": [],
         "gen": 0, "align": 0, "eval": 0,
+        "modules": ["ontomerge", "ontomerge.cli", "ontomerge.enrichment", "ontomerge.errors",
+                    "ontomerge.integrator", "ontomerge.matching", "ontomerge.model",
+                    "ontomerge.model_io", "ontomerge.similarity", "ontomerge.terms"],
     }
     assert json.loads((tmp_path / "metrics.json").read_text())["macro_f1"] == 1.0

@@ -19,8 +19,6 @@ from ontomerge import (
     ScenarioSpec,
     SchemaViolation,
     align,
-    component_to_ontology,
-    expand_correspondences,
     generate_scenario,
     lookup_relations,
     pair_space_of,
@@ -29,7 +27,7 @@ from ontomerge.enrichment import _equivalence_partners, first_relations
 from ontomerge.model import SEMANTIC_KINDS
 from ontomerge.terms import normalize_term
 
-from .reference import naive_first_relation
+from .reference import expand_correspondences, naive_first_relation
 
 # Spellings that normalize onto a few shared terms, so that concepts
 # collide on terms and homonymies can join two same-termed concepts.
@@ -206,7 +204,7 @@ def test_same_term_homonymy_is_indexed_under_one_term():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_indexes_match_naive_scans_after_enrichment(seed):
     components, od, _ = generate_scenario(ScenarioSpec(16, 5, 1, 0.0, rng_seed=seed))
-    sources = [component_to_ontology(c) for c in components]
+    sources = list(components)
     _, enriched, records = align(sources, od)
     assert records  # withheld relations were injected into the copy
     terms = sorted({normalize_term(c.term) for c in enriched.concepts.values()})
@@ -226,7 +224,7 @@ def test_align_normalizes_per_concept_not_per_pair(monkeypatch):
     # Terms are normalized once, when a concept is built; scoring a pair
     # reads ``Concept.key``.  A count, not a timing, so it cannot flake.
     components, od, _ = generate_scenario(ScenarioSpec(60, 8, 3, 0, rng_seed=1))
-    sources = [component_to_ontology(c) for c in components]
+    sources = list(components)
     calls = [0]
 
     def counted(raw):

@@ -21,8 +21,6 @@ from ontomerge import (
     SchemaViolation,
     align,
     build_clusters,
-    component_to_ontology,
-    expand_correspondences,
     integrate,
     merge,
     pair_space_of,
@@ -39,7 +37,7 @@ from .conftest import (
     make_edge,
     make_support_ontology,
 )
-from .reference import brute_force_closure
+from .reference import brute_force_closure, component_inputs, expand_correspondences
 from .strategies import TERM_POOL, terms
 
 
@@ -52,7 +50,7 @@ def _verdicts(correspondences):
 
 
 def test_canonical_scenario_verdicts(cm1, cm2, support_od):
-    sources = [component_to_ontology(cm1), component_to_ontology(cm2)]
+    sources = [cm1, cm2]
     correspondences, _, records = align(sources, support_od)
     verdicts = _verdicts(expand_correspondences(
         Report(correspondences, pair_space=pair_space_of(sources))
@@ -66,12 +64,8 @@ def test_canonical_scenario_verdicts(cm1, cm2, support_od):
 
 def test_two_lonely_concepts_are_distinct():
     sources = [
-        component_to_ontology(
-            BusinessComponent(id="A", name="a", entities=(Entity(name="Aube"),))
-        ),
-        component_to_ontology(
-            BusinessComponent(id="B", name="b", entities=(Entity(name="Brume"),))
-        ),
+        BusinessComponent(id="A", name="a", entities=(Entity(name="Aube"),)),
+        BusinessComponent(id="B", name="b", entities=(Entity(name="Brume"),)),
     ]
     correspondences, _, _ = align(sources, Ontology("Od"))
     correspondences = expand_correspondences(
@@ -82,12 +76,8 @@ def test_two_lonely_concepts_are_distinct():
 
 def test_same_term_without_coverage_is_identical_with_warning():
     sources = [
-        component_to_ontology(
-            BusinessComponent(id="A", name="a", entities=(Entity(name="Stock"),))
-        ),
-        component_to_ontology(
-            BusinessComponent(id="B", name="b", entities=(Entity(name="Stock"),))
-        ),
+        BusinessComponent(id="A", name="a", entities=(Entity(name="Stock"),)),
+        BusinessComponent(id="B", name="b", entities=(Entity(name="Stock"),)),
     ]
     warnings = []
     correspondences, _, _ = align(sources, Ontology("Od"), warnings=warnings)
@@ -97,11 +87,11 @@ def test_same_term_without_coverage_is_identical_with_warning():
 
 def test_align_requires_two_sources(support_od):
     with pytest.raises(SchemaViolation):
-        align([component_to_ontology(make_cm1())], support_od)
+        align([make_cm1()], support_od)
 
 
 def test_align_rejects_bad_threshold(cm1, cm2, support_od):
-    sources = [component_to_ontology(cm1), component_to_ontology(cm2)]
+    sources = [cm1, cm2]
     with pytest.raises(SchemaViolation):
         align(sources, support_od, tau=0)
     with pytest.raises(SchemaViolation):
@@ -124,7 +114,7 @@ def test_fractional_threshold_admits_partial_composites():
             Entity(name="Patient"), Entity(name="Facture"),
         ),
     )
-    sources = [component_to_ontology(left), component_to_ontology(right)]
+    sources = [left, right]
     od = Ontology("Od")
 
     strict, _, _ = align(sources, od)
@@ -191,7 +181,7 @@ def test_align_does_not_mutate_its_input_ontology(cm1, cm2):
     )
     before = serialize_ontology(od)
     _, enriched, records = align(
-        [component_to_ontology(source_a), component_to_ontology(source_b)], od
+        [source_a, source_b], od
     )
     assert records  # the declared synonymy was injected...
     assert serialize_ontology(od) == before  # ...but only into the copy
@@ -268,12 +258,8 @@ def test_union_find_matches_closure_oracle(seed):
 
 def test_canonical_term_prefers_support_vocabulary():
     sources = [
-        component_to_ontology(
-            BusinessComponent(id="CM1", name="a", entities=(Entity(name="Compagnie"),))
-        ),
-        component_to_ontology(
-            BusinessComponent(id="CM2", name="b", entities=(Entity(name="Cabinet"),))
-        ),
+        BusinessComponent(id="CM1", name="a", entities=(Entity(name="Compagnie"),)),
+        BusinessComponent(id="CM2", name="b", entities=(Entity(name="Cabinet"),)),
     ]
     od = make_support_ontology()
     correspondences, enriched, _ = align(sources, od)
@@ -281,15 +267,15 @@ def test_canonical_term_prefers_support_vocabulary():
         correspondences, [cid for s in sources for cid in s.concepts]
     )
     merged, clusters = merge(partition, sources, enriched, correspondences=correspondences)
-    (entity,) = merged.entities
-    assert entity.name == "Cabinet"  # both terms known; smallest wins
-    assert entity.attributes == ("alias: Compagnie",)
+    (concept,) = merged.concepts.values()
+    assert concept.term == "Cabinet"  # both terms known; smallest wins
+    assert concept.attributes == ("alias: Compagnie",)
     assert [(cl.term, cl.aliases) for cl in clusters] == [("Cabinet", ("Compagnie",))]
 
 
 def test_homonym_clusters_get_source_suffixes(cm1, cm2, support_od):
     merged, _, report = integrate([cm1, cm2], support_od)
-    names = {e.name for e in merged.entities}
+    names = {c.term for c in merged.concepts.values()}
     assert "Service (CM1)" in names
     assert "Service (CM2)" in names
 
@@ -310,7 +296,7 @@ def test_colliding_displays_are_suffixed_by_a_member_bearing_the_display():
     ]
     od = Ontology("Od", concepts=[Concept(id=f"Od#{t}", term=t) for t in ("alpha", "bêta")])
     merged, _, report = integrate(components, od)
-    assert sorted(e.name for e in merged.entities) == ["alpha (CM1)", "alpha (CM3)", "delta"]
+    assert sorted(c.term for c in merged.concepts.values()) == ["alpha (CM1)", "alpha (CM3)", "delta"]
     assert {cl.term: cl.members for cl in report.clusters}["alpha (CM3)"] == (
         "CM1#bêta", "CM3#alpha",
     )
@@ -351,12 +337,8 @@ def test_suffix_fallback_takes_the_source_of_the_smallest_id_whatever_the_member
 
 def _two_one_concept_sources():
     return [
-        component_to_ontology(
-            BusinessComponent(id="CM1", name="a", entities=(Entity(name="Aube"),))
-        ),
-        component_to_ontology(
-            BusinessComponent(id="CM2", name="b", entities=(Entity(name="Brume"),))
-        ),
+        BusinessComponent(id="CM1", name="a", entities=(Entity(name="Aube"),)),
+        BusinessComponent(id="CM2", name="b", entities=(Entity(name="Brume"),)),
     ]
 
 
@@ -377,32 +359,28 @@ def test_merge_rejects_an_empty_cluster():
 
 def test_all_singletons_is_disjoint_union():
     sources = [
-        component_to_ontology(
-            BusinessComponent(
-                id="CM1", name="a",
-                entities=(Entity(name="Aube"), Entity(name="Crépuscule")),
-            )
+        BusinessComponent(
+            id="CM1", name="a",
+            entities=(Entity(name="Aube"), Entity(name="Crépuscule")),
         ),
-        component_to_ontology(
-            BusinessComponent(id="CM2", name="b", entities=(Entity(name="Brume"),))
-        ),
+        BusinessComponent(id="CM2", name="b", entities=(Entity(name="Brume"),)),
     ]
     partition = build_clusters([], [cid for s in sources for cid in s.concepts])
     merged, _ = merge(partition, sources, Ontology("Od"))
-    assert len(merged.entities) == 3
-    assert sorted(e.name for e in merged.entities) == [
+    assert len(merged.concepts) == 3
+    assert sorted(c.term for c in merged.concepts.values()) == [
         "Aube", "Brume", "Crépuscule",
     ]
 
 
 def test_mapping_covers_every_source_concept(cm1, cm2, support_od):
-    sources = [component_to_ontology(cm1), component_to_ontology(cm2)]
+    sources = [cm1, cm2]
     correspondences, enriched, _ = align(sources, support_od)
     all_ids = [cid for s in sources for cid in s.concepts]
     partition = build_clusters(correspondences, all_ids)
     merged, clusters = merge(partition, sources, enriched, correspondences=correspondences)
     assert sorted(m for cluster in clusters for m in cluster.members) == sorted(all_ids)
-    assert len(merged.entities) == len(partition)
+    assert len(merged.concepts) == len(partition)
 
 
 # ---------------------------------------------------------------------------
@@ -413,24 +391,23 @@ def test_entity_count_after_integration(cm1, cm2, support_od):
     merged, _, report = integrate([cm1, cm2], support_od)
     synonym_clusters = sum(1 for cl in report.clusters if len(cl.members) == 2)
     assert synonym_clusters == 2
-    assert len(merged.entities) == len(cm1.entities) + len(cm2.entities) - synonym_clusters
+    assert len(merged.concepts) == len(cm1.concepts) + len(cm2.concepts) - synonym_clusters
 
 
 def test_self_integration_is_identity_up_to_ordering(cm1):
     # an empty support ontology has no opinion, so every same-term pair
     # is assumed identical and the component maps onto itself
     merged, _, report = integrate([cm1, cm1], Ontology("Od"))
-    assert sorted(e.name for e in merged.entities) == sorted(
-        e.name for e in cm1.entities
+    assert sorted(c.term for c in merged.concepts.values()) == sorted(
+        c.term for c in cm1.concepts.values()
     )
     same_term = [c for c in report.correspondences if c.verdict == "Identical"]
-    assert len(same_term) == len(cm1.entities)
+    assert len(same_term) == len(cm1.concepts)
 
 
 def test_duplicate_id_is_renamed_past_ids_already_in_use(cm1):
     # A, A, A~2: the second A may not take A~2, which the third input holds
-    a, a2 = (BusinessComponent(cid, cm1.name, cm1.entities, cm1.relations)
-             for cid in ("A", "A~2"))
+    a, a2 = (BusinessComponent(*component_inputs(cm1)._replace(id=cid)) for cid in ("A", "A~2"))
     _, _, report = integrate([a, a, a2], Ontology("Od"))
     assert "duplicate component id 'A' renamed to 'A~3'" in report.warnings
     owners = {member.split("#")[0] for cl in report.clusters for member in cl.members}
@@ -443,7 +420,7 @@ def test_self_integration_honors_declared_homonymy(cm1, support_od):
     merged, _, report = integrate([cm1, cm1], support_od)
     verdicts = _verdicts(report.correspondences)
     assert verdicts[("CM1#service", "CM1~2#service")] == "Homonym"
-    assert {"Service (CM1)", "Service (CM1~2)"} <= {e.name for e in merged.entities}
+    assert {"Service (CM1)", "Service (CM1~2)"} <= {c.term for c in merged.concepts.values()}
 
 
 def test_rerun_on_own_outputs_is_a_fixpoint(cm1, cm2, support_od):
@@ -478,8 +455,10 @@ def test_case3_commit_reaches_an_earlier_case2_pair_in_one_run():
 
 
 def _structure(component):
+    concepts = component.concepts
     return sorted(
-        (e.name, tuple(e.components), tuple(e.associations)) for e in component.entities
+        (c.term, tuple(concepts[child].term for child in c.children), c.associations)
+        for c in concepts.values()
     )
 
 

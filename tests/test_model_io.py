@@ -25,8 +25,6 @@ from ontomerge import (
     Relation,
     Report,
     SchemaViolation,
-    expand_correspondences,
-    component_to_ontology,
     export_dot,
     pair_space_of,
     parse_component,
@@ -52,6 +50,7 @@ from .conftest import (
     make_interleaved_inputs,
     make_support_ontology,
 )
+from .reference import component_inputs, expand_correspondences, reference_component_document
 from .strategies import components, correspondences, evidences, ids, names, ontologies, reports
 
 
@@ -73,7 +72,7 @@ def test_parse_component_with_entities_and_associations(tmp_path, cm2):
     path = _write(tmp_path, "cm2.json", serialize_component(cm2).decode())
     parsed = parse_component(path)
     assert parsed == cm2
-    assert len(parsed.entities) >= 3
+    assert len(parsed.concepts) >= 3
 
 
 def test_parse_component_empty_entities(tmp_path):
@@ -82,7 +81,7 @@ def test_parse_component_empty_entities(tmp_path):
         {"format_version": 1, "id": "CM0", "name": "vide", "entities": []},
     )
     parsed = parse_component(path)
-    assert parsed.entities == ()
+    assert parsed.concepts == {}
 
 
 def test_dangling_association_target_names_the_culprit(tmp_path):
@@ -557,25 +556,6 @@ def test_report_writer_matches_dumps_oracle(report):
         assert parse_report(path) == report
 
 
-def _component_oracle(component):
-    return _dumps_oracle({
-        "format_version": model_io.FORMAT_VERSION,
-        "id": component.id,
-        "name": component.name,
-        "entities": [
-            {
-                "name": entity.name,
-                "attributes": list(entity.attributes),
-                "associations": [{"target": a.target, "label": a.label}
-                                 for a in entity.associations],
-                "components": list(entity.components),
-            }
-            for entity in component.entities
-        ],
-        "relations": [{"a": r.a, "b": r.b, "kind": r.kind} for r in component.relations],
-    })
-
-
 def _ontology_oracle(ontology):
     concepts = []
     for cid in sorted(ontology.concepts):
@@ -624,7 +604,8 @@ def test_chunk_writers_match_dumps_oracle(component, ontology, report):
     def joined(chunks):
         return b"".join(chunks).decode("utf-8")
 
-    assert joined(model_io.component_chunks(component)) == _component_oracle(component) + "\n"
+    assert joined(model_io.component_chunks(component)) == reference_component_document(
+        component_inputs(component))
     assert joined(model_io.ontology_chunks(ontology)) == _ontology_oracle(ontology) + "\n"
     assert joined(model_io.report_chunks(report)).encode("utf-8") == _dumps_report_oracle(report)
 
@@ -644,8 +625,9 @@ def _writer_peak(chunks, value):
 
 
 def test_chunk_writers_peak_below_their_output():
-    # 0.01 and 0.2 times the output when this test was written; rendered
-    # whole, the component and the ontology peaked at about 5 times it
+    # about 0.04 times the output each when this test was written; rendered
+    # whole, the component and the ontology peaked at about 5 times it, and
+    # with its relations sorted whole the ontology writer at 0.22 times it
     entities = [
         Entity(f"entité {index}", ["code", "libellé"],
                [(f"entité {index - 1}", "suit")] if index else (),
@@ -653,10 +635,9 @@ def test_chunk_writers_peak_below_their_output():
         for index in range(2000)
     ]
     component = BusinessComponent("CM1", "grand", entities)
-    peak, size = _writer_peak(model_io.component_chunks, component)
-    assert peak < size
-    peak, size = _writer_peak(model_io.ontology_chunks, component_to_ontology(component))
-    assert peak < size
+    for chunks in (model_io.component_chunks, model_io.ontology_chunks):
+        peak, size = _writer_peak(chunks, component)
+        assert peak < size / 10
 
 
 # Source ids whose concept ids interleave: "CM 2#x" < "CM!#x" < "CM#x".
@@ -735,9 +716,7 @@ def test_sparse_report_writer_matches_dumps_oracle(report):
 def test_integrate_report_bytes_with_interleaved_source_ids():
     components, od = make_interleaved_inputs()
     _, _, report = integrate(components, od)
-    assert report.pair_space == pair_space_of(
-        component_to_ontology(c) for c in components
-    )
+    assert report.pair_space == pair_space_of(components)
     full = naive_full_list(report)
     assert len(report.correspondences) < len(full) == 4 * 4 + 4 * 3 + 4 * 3
     assert [c.pair for c in full][:2] == [("CM 2#client", "CM!#client"),
@@ -768,11 +747,8 @@ def test_sparse_report_rejects_stray_pairs(pair, message):
 
 def test_metadata_survives_ontology_round_trip(tmp_path, cm1):
     # concepts carry attributes/associations through files untouched
-    from ontomerge import component_to_ontology
-
-    ontology = component_to_ontology(cm1)
-    path = _write(tmp_path, "ocm1.json", serialize_ontology(ontology))
-    assert parse_ontology(path) == ontology
+    path = _write(tmp_path, "ocm1.json", serialize_ontology(cm1))
+    assert parse_ontology(path).concepts == cm1.concepts
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from ontomerge import (
     EnrichmentRecord,
     Entity,
     Evidence,
+    Ontology,
     Relation,
     Report,
     SchemaViolation,
@@ -186,8 +187,11 @@ def test_business_component_value():
               "relations": (ComponentRelation("Service", "Cabinet", "synonymy"),)}
     component = check_value(BusinessComponent, kwargs, BusinessComponent("CM", "Clinic"),
                             frozen=False)
-    assert [e.name for e in component.entities] == ["Cabinet", "Service"]
-    assert component.relations == (ComponentRelation("Cabinet", "Service", "synonymy"),)
+    assert [c.term for c in component.concepts.values()] == ["Cabinet", "Service"]
+    assert component.semantic_relations() == [Relation("CM#cabinet", "CM#service", "synonymy")]
+    plain = Ontology("CM", component.concepts.values(), component.semantic_relations())
+    assert component != plain and plain != component  # a component is no plain ontology
+    assert repr(component) == "BusinessComponent(id='CM', concepts=2, relations=1)"
     with raises("component id must be nonempty"):
         BusinessComponent("", "Clinic")
     with raises("component 'CM': duplicate entity name 'service'"):

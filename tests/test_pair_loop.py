@@ -38,9 +38,7 @@ from ontomerge import (
     SchemaViolation,
     align,
     children_index,
-    component_to_ontology,
     enrich,
-    expand_correspondences,
     generate_scenario,
     infer_via_equivalents,
     integrate,
@@ -59,7 +57,7 @@ from ontomerge.integrator import ASSUMED_IDENTICAL_WARNING
 from ontomerge.matching import max_weight_assignment
 from ontomerge.model import as_fraction
 
-from .reference import naive_first_relation
+from .reference import expand_correspondences, naive_first_relation
 from .strategies import TERM_POOL, build_ontology, concept_trees, terms
 
 
@@ -230,7 +228,7 @@ def alignment_inputs(draw):
         rng_seed=draw(st.integers(min_value=0, max_value=10_000)),
     )
     components, od, _ = generate_scenario(spec)
-    sources = [component_to_ontology(c) for c in components]
+    sources = list(components)
     left = (draw(terms), draw(st.lists(concept_trees(2, 3), min_size=1, max_size=3)))
     declared = []  # old child terms declared related to their new names
     if draw(st.booleans()):  # same shape, some terms renamed
@@ -279,7 +277,7 @@ def _tied_children_inputs():
     picks the other one.
     """
     components, od, _ = generate_scenario(ScenarioSpec(4, 1, 0, 0, rng_seed=1))
-    sources = [component_to_ontology(c) for c in components]
+    sources = list(components)
     sources += [
         build_ontology(("gamma", ["bêta", "alpha"]), "L")[0],
         build_ontology(("delta", ["alpha", "bêta"]), "R")[0],
@@ -758,7 +756,7 @@ def _candidate_count(sources, od):
 
 def test_integrate_scores_only_candidate_pairs(monkeypatch):
     components, od, truth = generate_scenario(ScenarioSpec(200, 4, 2, 1, rng_seed=5))
-    sources = [component_to_ontology(c) for c in components]
+    sources = list(components)
     candidates = _candidate_count(sources, od)
     calls = _count_calls(monkeypatch, semantic_similarity)
     _, _, report = integrate(components, od)
@@ -778,7 +776,7 @@ def test_integrate_scores_only_pairs_a_relation_or_a_case_can_reach(monkeypatch)
 
 def test_align_scores_only_pairs_a_rule_can_reach(monkeypatch):
     components, od, _ = generate_scenario(ScenarioSpec(400, 50, 20, 0.5, 1))
-    sources = [component_to_ontology(c) for c in components]
+    sources = list(components)
     calls = _count_calls(monkeypatch, infer_via_equivalents)
     correspondences, _, records = align(sources, od)
     trivial = (Fraction(0), "Distinct", Evidence("syntactic"))

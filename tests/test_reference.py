@@ -30,7 +30,6 @@ from ontomerge import (
     generate_scenario,
     integrate,
     merge,
-    ontology_to_component,
     serialize_component,
 )
 from ontomerge import integrator, model, terms
@@ -39,6 +38,8 @@ from ontomerge.integrator import MERGED_NAME
 from .conftest import make_cm1, make_cm2, make_support_ontology
 from .reference import (
     _WORDS,
+    component_inputs,
+    ontology_to_component,
     random_component,
     reference_integrate,
     reference_merge,
@@ -84,11 +85,12 @@ words = st.sampled_from(_WORDS)
 def _capitalize(component: BusinessComponent, names) -> BusinessComponent:
     """``component`` with the entities of ``names`` capitalized; references
     keep their spelling and resolve by key."""
-    return BusinessComponent(component.id, component.name, [
+    inputs = component_inputs(component)
+    return BusinessComponent(inputs.id, inputs.name, [
         Entity(e.name.capitalize() if e.name in names else e.name, e.attributes,
                e.associations, e.components)
-        for e in component.entities
-    ], component.relations)
+        for e in inputs.entities
+    ], inputs.relations)
 
 
 @st.composite
@@ -117,7 +119,7 @@ def test_merge_equals_reference_on_any_partition(inputs, data):
     # a library caller's partition: any grouping of the concepts, and
     # Homonym verdicts on any pairs, even pairs that share a part
     components, od = inputs
-    sources, _ = reference_sources(components)
+    sources, _ = reference_sources(list(map(component_inputs, components)))
     ids = sorted(cid for source in sources for cid in source.concepts)
     part_of = data.draw(st.lists(st.integers(0, 4), min_size=len(ids), max_size=len(ids)))
     partition = [tuple(c for c, p in zip(ids, part_of) if p == part) for part in range(5)]

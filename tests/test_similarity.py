@@ -15,7 +15,6 @@ from ontomerge import (
     Relation,
     align,
     children_index,
-    component_to_ontology,
     lookup_relations,
     normalize_term,
     semantic_similarity,
@@ -267,7 +266,7 @@ def test_lookup_ignores_part_of():
 
 
 def _sources_for(*components):
-    return [component_to_ontology(c) for c in components]
+    return list(components)
 
 
 def _single_entity_component(component_id, name):

@@ -1,5 +1,7 @@
-"""Component <-> ontology conversion."""
+"""A component as the source ontology its constructor builds, and the
+component document written from it."""
 
+import json
 import unicodedata
 
 import pytest
@@ -7,84 +9,93 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontomerge import (
+    Association,
     BusinessComponent,
     Concept,
     CyclicComposition,
     Entity,
     Ontology,
+    Relation,
     SchemaViolation,
-    build_clusters,
     align,
-    component_to_ontology,
+    build_clusters,
     merge,
     normalize_term,
-    ontology_to_component,
+    serialize_component,
 )
 from ontomerge import model
 
 from .conftest import make_cm1, make_cm2, make_support_ontology
-from .reference import reference_sources
+from .reference import (
+    ComponentInput,
+    ontology_to_component,
+    reference_component_document,
+    reference_sources,
+)
+from .strategies import component_arguments
 
 
 def test_entities_become_prefixed_concepts(cm1):
-    ontology = component_to_ontology(cm1)
-    assert set(ontology.concepts) == {"CM1#service", "CM1#compagnie"}
-    assert ontology.id == "CM1"
+    assert set(cm1.concepts) == {"CM1#service", "CM1#compagnie"}
+    assert cm1.id == "CM1"
+    service = cm1.concepts["CM1#service"]
+    assert (service.term, service.attributes) == ("Service", ("code", "tarif"))
+    assert service.associations == (Association("Compagnie", "propose"),)
 
 
 def test_composition_children_become_part_of_edges():
     component = BusinessComponent(
         id="CM3", name="dossier médical",
         entities=(
-            Entity(name="Dossier", components=("Patient", "Traitement")),
+            Entity(name="Dossier", components=("PATIENT", "Traitement")),
             Entity(name="Patient"),
             Entity(name="Traitement"),
         ),
     )
-    ontology = component_to_ontology(component)
-    dossier = ontology.concepts["CM3#dossier"]
+    dossier = component.concepts["CM3#dossier"]
     assert dossier.children == ("CM3#patient", "CM3#traitement")
-    part_of = [r for r in ontology.relations if r.kind == "part_of"]
-    assert len(part_of) == 2
+    assert [r for r in component.relations if r.kind == "part_of"] == [
+        Relation("CM3#dossier", "CM3#patient", "part_of"),
+        Relation("CM3#dossier", "CM3#traitement", "part_of"),
+    ]
+    assert component.semantic_relations() == []
 
 
 def test_empty_component_gives_empty_ontology():
-    ontology = component_to_ontology(BusinessComponent(id="CM0", name="vide"))
-    assert not ontology.concepts
-    assert not ontology.relations
+    component = BusinessComponent(id="CM0", name="vide")
+    assert not component.concepts
+    assert not component.relations
 
 
 def test_concept_and_edge_counts_match(cm1, cm2):
     for component in (cm1, cm2):
-        ontology = component_to_ontology(component)
-        assert len(ontology.concepts) == len(component.entities)
-        part_of = [r for r in ontology.relations if r.kind == "part_of"]
-        assert len(part_of) == sum(len(e.components) for e in component.entities)
+        document = json.loads(serialize_component(component))
+        assert len(component.concepts) == len(document["entities"])
+        part_of = [r for r in component.relations if r.kind == "part_of"]
+        assert len(part_of) == sum(len(e["components"]) for e in document["entities"])
 
 
 def test_round_trip_preserves_component(cm1, cm2):
     for component in (cm1, cm2):
-        ontology = component_to_ontology(component)
-        assert ontology_to_component(ontology, name=component.name) == component
+        assert ontology_to_component(component, name=component.name) == component
 
 
 def test_round_trip_preserves_declared_relations():
     component = BusinessComponent(
         id="CM4", name="factures",
-        entities=(Entity(name="Facture"), Entity(name="Note d'honoraires")),
-        relations=(("Facture", "Note d'honoraires", "synonymy"),),
+        entities=(Entity(name="Note d'honoraires"), Entity(name="Facture")),
+        relations=(("NOTE D'HONORAIRES", "Facture", "synonymy"),),
     )
-    ontology = component_to_ontology(component)
-    assert any(r.kind == "synonymy" for r in ontology.relations)
-    assert ontology_to_component(ontology, name=component.name) == component
+    assert component.semantic_relations() == [
+        Relation("CM4#facture", "CM4#note d'honoraires", "synonymy", "declared")]
+    assert ontology_to_component(component, name=component.name) == component
 
 
 def test_part_of_cycle_raises_cyclic_composition():
-    ontology = Ontology("X")
-    ontology.add_concept(Concept(id="X#a", term="a", children=("X#b",)))
-    ontology.add_concept(Concept(id="X#b", term="b", children=("X#a",)))
-    with pytest.raises(CyclicComposition):
-        ontology_to_component(ontology, name="boucle")
+    with pytest.raises(CyclicComposition,
+                       match=r"^component 'X': composition cycle: a -> b -> a$"):
+        BusinessComponent("X", "boucle", (Entity("a", components=("B",)),
+                                          Entity("b", components=("a",))))
 
 
 def _chain(depth: int, closed: bool = False) -> tuple[Entity, ...]:
@@ -98,9 +109,8 @@ def _chain(depth: int, closed: bool = False) -> tuple[Entity, ...]:
 
 def test_deep_composition_chain_round_trips():
     component = BusinessComponent(id="CM9", name="chaîne", entities=_chain(3000))
-    ontology = component_to_ontology(component)
-    assert ontology.concepts["CM9#e0"].children == ("CM9#e1",)
-    assert ontology_to_component(ontology, name=component.name) == component
+    assert component.concepts["CM9#e0"].children == ("CM9#e1",)
+    assert ontology_to_component(component, name=component.name) == component
 
 
 def test_deep_cycles_raise_each_callers_error():
@@ -153,7 +163,7 @@ def test_every_cycle_check_raises_cyclic_composition(close_a_cycle):
     assert isinstance(caught.value, SchemaViolation)
 
 
-def test_ontology_to_component_walks_the_composition_once(monkeypatch):
+def test_component_constructor_walks_the_composition_once(monkeypatch):
     walks = []
     walk = model.find_cycle
 
@@ -162,18 +172,13 @@ def test_ontology_to_component_walks_the_composition_once(monkeypatch):
         return walk(roots, children)
 
     monkeypatch.setattr(model, "find_cycle", spy)
-    ontology = component_to_ontology(BusinessComponent(id="CM", name="arbre",
-                                                       entities=_chain(3)))
-    walks.clear()
-    ontology_to_component(ontology, name="arbre")
+    BusinessComponent(id="CM", name="arbre", entities=_chain(3))
     assert walks == [["e0", "e1"]]
 
 
 def test_merged_scenario_yields_one_entity_per_synonym_cluster():
-    cm1, cm2 = make_cm1(), make_cm2()
-    od = make_support_ontology()
-    sources = [component_to_ontology(cm1), component_to_ontology(cm2)]
-    correspondences, enriched, _ = align(sources, od)
+    sources = [make_cm1(), make_cm2()]
+    correspondences, enriched, _ = align(sources, make_support_ontology())
     partition = build_clusters(
         correspondences, [cid for s in sources for cid in s.concepts]
     )
@@ -183,7 +188,7 @@ def test_merged_scenario_yields_one_entity_per_synonym_cluster():
         if {"CM1#compagnie", "CM2#cabinet"} == set(cluster.members)
     ]
     assert len(groups) == 1
-    assert any(e.name == groups[0].term for e in component.entities)
+    assert any(c.term == groups[0].term for c in component.concepts.values())
 
 
 # --- references spelled other than their entity's name -----------------------
@@ -208,7 +213,8 @@ spellings = st.integers(min_value=0, max_value=5)
 
 @st.composite
 def respelled_components(draw):
-    """A valid component whose references respell the entity names."""
+    """The ``ComponentInput`` of a valid component whose references respell
+    the entity names."""
     count = draw(st.integers(min_value=1, max_value=len(NAMES)))
     names = NAMES[:count]
     entities = []
@@ -232,46 +238,69 @@ def respelled_components(draw):
             st.booleans(), min_size=len(pairs), max_size=len(pairs))))
         if keep
     ]
-    return BusinessComponent(id="CMx", name="respelled", entities=tuple(entities),
-                             relations=tuple(relations))
+    return ComponentInput("CMx", "respelled", tuple(entities), tuple(relations))
 
 
 @settings(max_examples=80, deadline=None)
 @given(respelled_components())
-def test_respelled_references_convert_like_the_naive_builder(component):
-    (naive,), _ = reference_sources([component])
-    assert component_to_ontology(component) == naive
+def test_respelled_references_convert_like_the_naive_builder(inputs):
+    (naive,), _ = reference_sources([inputs])
+    component = BusinessComponent(*inputs)
+    assert component.concepts == naive.concepts
+    assert component.semantic_relations() == naive.semantic_relations()
 
 
-def _spelled_as_entities(bc: BusinessComponent) -> BusinessComponent:
-    """``bc`` with each child and relation endpoint spelled as the entity it
-    names; association targets as they are."""
-    name_of = {entity.key: entity.name for entity in bc.entities}
+def _spelled_as_entities(inputs: ComponentInput) -> ComponentInput:
+    """``inputs`` with each child and relation endpoint spelled as the entity
+    it names; association targets as they are."""
+    name_of = {entity.key: entity.name for entity in inputs.entities}
 
     def name(reference: str) -> str:
         return name_of[normalize_term(reference)]
 
-    return BusinessComponent(
-        id=bc.id, name=bc.name,
+    return inputs._replace(
         entities=tuple(Entity(name=e.name, attributes=e.attributes,
                               associations=e.associations,
                               components=tuple(map(name, e.components)))
-                       for e in bc.entities),
-        relations=tuple((name(r.a), name(r.b), r.kind) for r in bc.relations),
+                       for e in inputs.entities),
+        relations=tuple((name(a), name(b), kind) for a, b, kind in inputs.relations),
     )
+
+
+_RESPELLED = ComponentInput(
+    "CMx", "respelled",
+    (Entity(name="Dossier", associations=(("TAUX ", "lien0"),)),
+     Entity(name="Taux", components=("DOSSIER",))),
+    (("taux", "DOSSIER", "synonymy"),),
+)
 
 
 @settings(max_examples=80, deadline=None)
 @given(respelled_components())
-@example(BusinessComponent(
-    id="CMx", name="respelled",
-    entities=(Entity(name="Dossier", associations=(("TAUX ", "lien0"),)),
-              Entity(name="Taux", components=("DOSSIER",))),
-    relations=(("DOSSIER", "taux", "synonymy"),),
-))
-def test_round_trip_respells_children_and_endpoints_only(component):
-    back = ontology_to_component(component_to_ontology(component), name=component.name)
-    assert back == _spelled_as_entities(component)
+@example(_RESPELLED)
+def test_round_trip_respells_children_and_endpoints_only(inputs):
+    component = BusinessComponent(*inputs)
+    assert component == BusinessComponent(*_spelled_as_entities(inputs))
+    assert ontology_to_component(component, name=inputs.name) == component
+
+
+@settings(max_examples=150, deadline=None)
+@given(respelled_components() | component_arguments())
+@example(_RESPELLED)
+@example(ComponentInput("C", "c"))
+def test_component_chunks_match_the_entity_layout_oracle(inputs):
+    written = serialize_component(BusinessComponent(*inputs)).decode("utf-8")
+    assert written == reference_component_document(inputs)
+
+
+def test_respelled_references_are_written_as_their_entities():
+    document = json.loads(serialize_component(BusinessComponent(*_RESPELLED)))
+    assert document["entities"] == [
+        {"name": "Dossier", "attributes": [], "components": [],
+         "associations": [{"target": "TAUX ", "label": "lien0"}]},
+        {"name": "Taux", "attributes": [], "components": ["Dossier"], "associations": []},
+    ]
+    assert document["relations"] == [{"a": "Dossier", "b": "Taux", "kind": "synonymy"}]
 
 
 # --- cycle walks rooted at composites ---------------------------------------

@@ -18,21 +18,21 @@ are tried in order.  Each only looks for evidence and returns it:
 The cases and ``enrich`` take one ``RunMaps`` as their only context:
 the support ontology, the sources, their children index, and maps that
 ``align`` keeps for one run (each term's equivalence partners, bridge
-ends and case-3 cells, and ``RunMaps.reach``, the lookup and the three
-cases read forwards beside their checks).  A commit drops only the
-entries it changes, so a term with D equivalence partners costs O(D)
-per run, not per concept.  Case 3 asks ``perfect_assignment`` whether
-its 0/1 child matrix has a perfect matching.  ``enrich`` alone decides
-whether a pair may be enriched (both terms in the support ontology,
-joined there by no relation) and alone commits: it resolves the
-endpoints once and builds the ``EnrichmentRecord``.  Enrichment only
-ever adds relations, never modifies or removes one; as a related pair
-is never tried, no pair comes to carry both synonymy and homonymy.
+ends and case-3 cells), from which ``RunMaps.reach`` reads what the
+lookup and the three cases join forwards, beside their checks.  A
+commit drops only the entries it changes, so a term with D equivalence
+partners costs O(D) per run, not per concept.  Case 3 asks
+``perfect_assignment`` whether its 0/1 child matrix has a perfect
+matching.  ``enrich`` alone decides whether a pair may be enriched
+(both terms in the support ontology, joined there by no relation) and
+alone commits: it resolves the endpoints once and builds the
+``EnrichmentRecord``.  Enrichment only ever adds relations, never
+modifies or removes one; as a related pair is never tried, no pair
+comes to carry both synonymy and homonymy.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterator, Optional, Sequence
 
 from .matching import perfect_assignment
@@ -121,12 +121,11 @@ class RunMaps:
     ``children_index``.  ``partners`` (term -> equivalence partners)
     reads only the sources, which no commit writes.  The rest is filled
     on first use from ``od`` as enriched so far: ``bridges`` (s1 -> (s2,
-    first synonymy or homonymy) for each s2 with a partner, by s2),
+    first synonymy or homonymy) for each s2 with a partner, by s2) and
     ``cells`` (case 3's term -> related term -> first synonymy or
-    equivalence) and each concept's reach.  After its commit ``enrich``
-    calls ``forget``, which drops their entries for the two terms and the
-    reach of each concept whose key, key's partner or child key is one
-    of them.  Build new maps after changing ``od`` any other way.
+    equivalence).  After its commit ``enrich`` calls ``forget``, which
+    drops their entries for the two terms.  Build new maps after changing
+    ``od`` any other way.
     """
 
     def __init__(self, od: Ontology, sources: Sequence[Ontology]):
@@ -140,9 +139,6 @@ class RunMaps:
         self.bridges = _Lazy(lambda s1: sorted(
             (s2, bridge) for s2, bridge in first_relations(ontologies, s1, _BRIDGE_KINDS).items()
             if s2 in partners))
-        self._reach: dict[str, tuple[set[str], set[str]]] = {}
-        # term -> the ids of the concepts whose reach read it
-        self._readers: defaultdict[str, set[str]] = defaultdict(set)
 
     def partners(self, term: str) -> Sequence[tuple[str, Relation]]:
         return self._partners.get(term, ())
@@ -164,29 +160,22 @@ class RunMaps:
         arity) must hold one of: c1's child keys and those its case-3
         cells relate them to.
 
-        Computed once per concept and kept until a commit touches one of
-        the terms it read; do not modify the sets.
+        Computed on each call and not kept: c1 heads one row per later
+        source, and a commit in its row involves c1's key, so a kept reach
+        could be read again only when a third source gives c1 a second row.
         """
-        found = self._reach.get(c1.id)
-        if found is None:
-            children = [x.key for x in self.kids[c1.id]]
-            partners = [s1 for s1, _ in self.partners(c1.key)]
-            keys = {term for o in self._ontologies for term in o.related_terms(c1.key)}
-            if partners:
-                keys.update(end for end, _ in self.paths(c1.key))
-            linked = {key for x in children for key in (x, *self.cells[x])}
-            found = self._reach[c1.id] = keys, linked
-            for term in (c1.key, *partners, *children):
-                self._readers[term].add(c1.id)
-        return found
+        keys = {term for o in self._ontologies for term in o.related_terms(c1.key)}
+        if self.partners(c1.key):
+            keys.update(end for end, _ in self.paths(c1.key))
+        linked = {key for x in self.kids[c1.id] for key in (x.key, *self.cells[x.key])}
+        return keys, linked
 
     def forget(self, *terms: str) -> None:
-        """Drop the entries that a commit between ``terms`` changes."""
+        """Drop the ``bridges`` and ``cells`` entries of ``terms``, which a
+        commit between them changes."""
         for term in terms:
             self.bridges.pop(term, None)
             self.cells.pop(term, None)
-            for cid in self._readers.get(term, ()):
-                self._reach.pop(cid, None)
 
 
 def infer_via_equivalents(

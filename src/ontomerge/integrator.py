@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 from .enrichment import RunMaps, enrich
 from .errors import CyclicComposition, HomonymClusterCollision, SchemaViolation
 from .model import (
+    Association,
     BusinessComponent,
     Cluster,
     Concept,
@@ -29,7 +30,6 @@ from .model import (
     Ontology,
     Report,
     as_fraction,
-    find_cycle,
     first_free,
     pair_space_of,
 )
@@ -75,10 +75,10 @@ def align(
     the rest of the row is read again through ``candidates``.  ``enrich``
     and ``reach`` read one ``enrichment.RunMaps``, the scorer and the joins
     its ``children_index``; it is built here over a copy of the support
-    ontology and dropped on return.  Each concept's reach is computed once and
-    again only after a commit touches a term it read, so a concept costs
-    one ``reach`` per run, not one per later source.  Enrichment commits
-    land on the copy, which is returned with the records.  Verdicts:
+    ontology and dropped on return.  ``reach`` is computed once per row
+    whose c1 key the support ontology holds, and again after each commit
+    in the row.  Enrichment commits land on the copy, which is returned
+    with the records.  Verdicts:
 
     * score 1 via a support-ontology or enriched synonymy -> Synonym;
     * score 0 via homonymy with equal terms -> Homonym (unequal terms are
@@ -310,7 +310,6 @@ def merge(
     cluster_of = {member: key for members, key in zip(partition, keys) for member in members}
     display_of = dict(zip(keys, displays))
 
-    children_of: dict[str, list[str]] = {}  # composite's key -> its children's keys, sorted
     merged = BusinessComponent(MERGED_ID, MERGED_NAME)
     clusters: list[Cluster] = []
     for members, display, key in zip(partition, displays, keys):
@@ -336,24 +335,21 @@ def merge(
             if concept.associations:
                 owner = owner_id[member]
                 associations.update(
-                    (display_of[cluster_of[f"{owner}#{normalize_term(t)}"]], label)
+                    Association(display_of[cluster_of[f"{owner}#{normalize_term(t)}"]], label)
                     for t, label in concept.associations
                 )
-        if aliases:
+        if aliases:  # listed beside an equal attribute, not folded into it
             attributes = [*attributes, *(ALIAS_PREFIX + alias for alias in aliases)]
-        if children:
-            children_of[key] = sorted(children)
         merged.add_concept(Concept._assembled(
-            key, f"{MERGED_ID}#{key}", display, [f"{MERGED_ID}#{child}" for child in children],
-            attributes, associations))
+            key, f"{MERGED_ID}#{key}", display,
+            tuple(sorted(f"{MERGED_ID}#{child}" for child in children)) if children else (),
+            tuple(sorted(attributes)) if attributes else (),
+            tuple(sorted(associations)) if associations else ()))
         # aliases are in key order, which is name_sort_key order within a cluster
         clusters.append(tuple.__new__(Cluster, (display, tuple(sorted(members)), aliases)))
-    # keys sort as the merged ids "CMr#<key>" do, so the walk meets cycles in id order
-    cycle = find_cycle(sorted(children_of), lambda k: children_of.get(k, ()))
+    cycle = merged.composition_cycle()
     if cycle:
-        raise CyclicComposition(
-            "composition cycle: " + " -> ".join(f"{MERGED_ID}#{k}" for k in cycle)
-        )
+        raise CyclicComposition("composition cycle: " + " -> ".join(cycle))
 
     for c1, c2 in homonyms:
         if cluster_of[c1] == cluster_of[c2]:
@@ -479,7 +475,7 @@ def _renamed(component: BusinessComponent, new_id: str) -> BusinessComponent:
     renamed = BusinessComponent(new_id, component.name)
     for concept in component.concepts.values():
         renamed.add_concept(Concept._assembled(
-            concept.key, moved(concept.id), concept.term, map(moved, concept.children),
+            concept.key, moved(concept.id), concept.term, tuple(map(moved, concept.children)),
             concept.attributes, concept.associations))
     for relation in component.semantic_relations():
         renamed.add_relation(relation._replace(a=moved(relation.a), b=moved(relation.b)))

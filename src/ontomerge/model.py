@@ -129,23 +129,11 @@ class Concept(_Record):
 
     def __init__(self, id: str, term: str, children: Iterable[str] = (),
                  attributes: Iterable[str] = (), associations: Iterable = ()):
-        self._set(None, id, term, children, attributes, associations)
-
-    @classmethod
-    def _assembled(cls, key: str, id: str, term: str, children: Iterable[str],
-                   attributes: Iterable[str], associations: Iterable) -> "Concept":
-        """A concept whose ``key`` the caller already derived from ``term``."""
-        concept = cls.__new__(cls)
-        concept._set(key, id, term, children, attributes, associations)
-        return concept
-
-    def _set(self, key: Optional[str], id: str, term: str, children: Iterable[str],
-             attributes: Iterable[str], associations: Iterable) -> None:
         if not id:
             raise SchemaViolation("concept id must be nonempty")
         self.id = id
         self.term = term
-        self.key = key or normalize_term(term)  # raises EmptyTerm on blank terms
+        self.key = normalize_term(term)  # raises EmptyTerm on blank terms
         self.children = tuple(sorted(children)) if children else ()
         if self.children and len(set(self.children)) != len(self.children):
             raise SchemaViolation(f"concept {id!r} lists a duplicate child")
@@ -153,6 +141,18 @@ class Concept(_Record):
             raise SchemaViolation(f"concept {id!r} lists itself as a child")
         self.attributes = tuple(sorted(attributes)) if attributes else ()
         self.associations = _sorted_associations(associations)
+
+    @classmethod
+    def _assembled(cls, key: str, id: str, term: str, children: tuple[str, ...],
+                   attributes: tuple[str, ...],
+                   associations: tuple[Association, ...]) -> "Concept":
+        """A concept from fields its caller made canonical: ``key`` derived
+        from ``term`` and the sorted tuples.  Nothing is sorted or checked."""
+        concept = cls.__new__(cls)
+        concept.id, concept.term, concept.key = id, term, key
+        concept.children, concept.attributes, concept.associations = (
+            children, attributes, associations)
+        return concept
 
     @property
     def is_atomic(self) -> bool:
@@ -442,7 +442,6 @@ class BusinessComponent(Ontology):
             found = normalize_term(reference)
             return found if found in keys else None
 
-        child_keys: dict[str, list[str]] = {}  # composite key -> child keys
         for entity in entities:
             for association in entity.associations:
                 if key(association.target) is None:
@@ -450,7 +449,7 @@ class BusinessComponent(Ontology):
                         f"component {id!r}: association of {entity.name!r} targets "
                         f"undeclared entity {association.target!r}"
                     )
-            children = []  # their ids, in key order
+            children = []  # their ids, in key order, which is id order
             for child in entity.components:
                 child_key = key(child)
                 if child_key is None:
@@ -459,9 +458,8 @@ class BusinessComponent(Ontology):
                         f"{entity.name!r} is not a declared entity"
                     )
                 children.append(f"{id}#{child_key}")
-                child_keys.setdefault(entity.key, []).append(child_key)
             self.add_concept(Concept._assembled(
-                entity.key, f"{id}#{entity.key}", entity.name, children,
+                entity.key, f"{id}#{entity.key}", entity.name, tuple(children),
                 entity.attributes, entity.associations))
         seen_pairs: dict[tuple[str, str], str] = {}
         for rel, pair in sorted(self._canonical_relation(rel, key) for rel in relations):
@@ -478,12 +476,10 @@ class BusinessComponent(Ontology):
                 )
             seen_pairs[pair] = rel.kind
             self.add_relation(Relation(f"{id}#{pair[0]}", f"{id}#{pair[1]}", rel.kind))
-        # composites only: a childless entity is on no cycle
-        cycle = child_keys and find_cycle(sorted(child_keys), lambda k: child_keys.get(k, ()))
-        if cycle:
-            raise CyclicComposition(
-                f"component {id!r}: composition cycle: " + " -> ".join(cycle)
-            )
+        cycle = self.composition_cycle()
+        if cycle:  # named by key: each id is "<id>#<key>"
+            raise CyclicComposition(f"component {id!r}: composition cycle: "
+                                    + " -> ".join(cid[len(id) + 1:] for cid in cycle))
 
     def _canonical_relation(
         self, rel: ComponentRelation, key: Callable[[str], Optional[str]]

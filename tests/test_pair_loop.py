@@ -333,11 +333,11 @@ def _two_levels_up_inputs():
 
 
 def _bridged_partner_inputs():
-    """A case-3 commit that opens a case-2 path for a concept whose reach was
-    read before it.
+    """A case-3 commit that opens a case-2 path for a concept whose earlier
+    row was read before it.
 
     In L, a is equivalent to s1, and in M, b to s2.  The row of L#a against
-    M reads its reach first; then case 3 joins the composites s1 and s2
+    M is read first; then case 3 joins the composites s1 and s2
     (child k) by synonymy, which bridges a's partner s1 to s2, so the row
     of L#a against R must reach R#b through the new path.
     """
@@ -353,10 +353,10 @@ def _bridged_partner_inputs():
 
 
 def _relinked_child_inputs():
-    """A case-3 commit on the child term of a concept whose reach was read
-    before it.
+    """A case-3 commit on the child term of a concept whose earlier row was
+    read before it.
 
-    The row of L#alpha against M reads its reach (child kappa); then case 3
+    The row of L#alpha against M is read (child kappa); then case 3
     joins kappa and M's mu (child z), so the row of L#alpha against R must
     reach R#beta, whose child is mu.
     """
@@ -870,16 +870,17 @@ def test_two_align_runs_keep_their_maps_apart(monkeypatch):
 
 
 def _fresh_entries(maps):
-    """Each entry ``maps`` holds, beside the same entry built from scratch."""
+    """Each entry ``maps`` holds and the reach of every source concept,
+    beside the same read from maps built from scratch."""
     sources = maps.sources
     fresh = RunMaps(maps.od, sources)
     yield ("partners",), maps._partners, fresh._partners
     for name in ("bridges", "cells"):
         for key, value in getattr(maps, name).items():
             yield (name, key), value, getattr(fresh, name)[key]
-    for cid, value in maps._reach.items():
-        concept = next(s.concepts[cid] for s in sources if cid in s.concepts)
-        yield ("reach", cid), value, fresh.reach(concept)
+    for source in sources:
+        for concept in source.concepts.values():
+            yield ("reach", concept.id), maps.reach(concept), fresh.reach(concept)
 
 
 @settings(max_examples=100, deadline=None)
@@ -905,3 +906,27 @@ def test_run_maps_equal_a_fresh_build_after_every_commit(inputs):
         patch.setattr(integrator, "enrich", enrich)
         _, _, records = align(sources, od, tau)
     assert checked == records
+
+
+@settings(max_examples=100, deadline=None)
+@given(alignment_inputs())
+@example(_bridged_partner_inputs())
+@example(_relinked_child_inputs())
+def test_align_computes_reach_once_per_known_row_and_commit(inputs):
+    # a row's candidates read reach once, and once more after each commit
+    # in the row; a row whose c1 key the support ontology lacks reads none
+    sources, od, tau = inputs
+    ordered = sorted(sources, key=attrgetter("id"))
+    rows = sum(len(ordered) - 1 - i for i, source in enumerate(ordered)
+               for concept in source.concepts.values() if od.term_present(concept.key))
+    calls = [0]
+    reach = RunMaps.reach
+
+    def counted(self, c1):
+        calls[0] += 1
+        return reach(self, c1)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RunMaps, "reach", counted)
+        _, _, records = align(sources, od, tau)
+    assert calls[0] == rows + len(records)

@@ -173,7 +173,7 @@ def test_component_constructor_walks_the_composition_once(monkeypatch):
 
     monkeypatch.setattr(model, "find_cycle", spy)
     BusinessComponent(id="CM", name="arbre", entities=_chain(3))
-    assert walks == [["e0", "e1"]]
+    assert walks == [["CM#e0", "CM#e1"]]
 
 
 def test_merged_scenario_yields_one_entity_per_synonym_cluster():
@@ -360,4 +360,4 @@ def test_all_atomic_walks_call_no_children_function(monkeypatch):
     assert ontology.composition_cycle() is None
     assert calls == ["walk"]  # walked from no root, so no children were listed
     BusinessComponent(id="CM", name="plat", entities=tuple(Entity(f"t{i}") for i in range(40)))
-    assert calls == ["walk"]  # a component without composites is not walked
+    assert calls == ["walk", "walk"]  # nor for a component without composites

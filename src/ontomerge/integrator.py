@@ -118,9 +118,8 @@ def align(
                     lifted.append((c1.id, c2.id))
         seen = set(lifted)
         for x, y in lifted:  # grows as it is read: each pair lifts once
-            above = kids.parents.get(y, {})
-            for arity, ps in kids.parents.get(x, {}).items():
-                for p, q in product(ps, above.get(arity, ())):
+            for by_child in kids.parents.values():
+                for p, q in product(by_child.get(x, ()), by_child.get(y, ())):
                     if (p, q) not in seen:
                         seen.add((p, q))
                         lifted.append((p, q))
@@ -131,9 +130,9 @@ def align(
         """The ids of the part of c1's row in ``later`` that a commit can change."""
         keys, linked = maps.reach(c1)
         found = {c.id for term in keys for c in later.concepts_by_term(term)}
-        arity = len(c1.children)
+        by_child = kids.parents.get(len(c1.children), {})
         found.update(p for term in linked for y in later.concepts_by_term(term)
-                     for p in kids.parents.get(y.id, {}).get(arity, ()))
+                     for p in by_child.get(y.id, ()))
         return {c for c in found if enriched_od.term_present(later.concepts[c].key)}
 
     correspondences: list[Correspondence] = []
@@ -261,34 +260,34 @@ def merge(
 ) -> tuple[BusinessComponent, list[Cluster]]:
     """Collapse each cluster into one concept ``CMr#<key>`` of the merged component.
 
-    ``sources`` are the components (any ontologies do).  Returns the merged
-    component (id ``MERGED_ID``, name ``MERGED_NAME``) and one ``Cluster``
-    per part of ``partition``, sorted by (term, members).  Every source
-    concept must lie in exactly one part.  The canonical term of a cluster
-    prefers member terms that occur in the support ontology (smallest
-    normalized term wins); clusters touched by a Homonym verdict are instead
-    displayed as "<term> (<source id>)" so same-termed homonyms stay
-    tellable apart.  A key's term, for the display and the aliases alike, is
-    that of the member of smallest id, so the order of a part's members
-    changes nothing.  Composition children and associations are re-targeted
-    to clusters and deduplicated; the other keys' terms become
-    ``alias: <term>`` attributes.  No declared relation is carried over:
-    the merged component's ``relations`` are its part_of edges alone.
-    Warnings are appended to ``warnings``.  Raises CyclicComposition ("composition cycle:
-    CMr#a -> ... -> CMr#a") when merged composition links form a cycle,
-    HomonymClusterCollision when a Homonym pair shares a cluster.
+    ``sources`` are the components (any ontologies do).  Returns the merged component
+    (id ``MERGED_ID``, name ``MERGED_NAME``) and one ``Cluster`` per part of
+    ``partition``, sorted by (term, members); a part that is a sorted tuple is its
+    cluster's ``members``.  Every source concept must lie in exactly one part,
+    recorded in one map (member -> part index); a member's source is looked up among
+    ``sources`` for homonym displays, display collisions and associations alone.  A
+    cluster's canonical term prefers member terms that occur in the support ontology
+    (smallest normalized term wins); clusters touched by a Homonym verdict are
+    instead displayed as "<term> (<source id>)".  A key's term, for the display and
+    the aliases alike, is that of the member of smallest id, so the order of a
+    part's members changes nothing.  Children and associations are re-targeted to
+    clusters and deduplicated; the other keys' terms become ``alias: <term>``
+    attributes.  No declared relation is carried over.  Warnings are appended to
+    ``warnings``.  Raises CyclicComposition ("composition cycle: CMr#a -> ... ->
+    CMr#a") when merged composition links form a cycle, HomonymClusterCollision when
+    a Homonym pair shares a cluster.
     """
     sink = warnings if warnings is not None else []
     homonyms = [corr.pair for corr in correspondences if corr.verdict == "Homonym"]
     homonym_endpoints = {member for pair in homonyms for member in pair}
 
     member_concept = {cid: c for source in sources for cid, c in source.concepts.items()}
-    owner_id = {cid: source.id for source in sources for cid in source.concepts}
-    placed = Counter(chain.from_iterable(partition))
+    part_of = {member: index for index, members in enumerate(partition) for member in members}
     for problem, ids in (
-        ("concepts missing from clusters", member_concept.keys() - placed.keys()),
-        ("concepts in clusters but in no source", placed.keys() - member_concept.keys()),
-        ("concepts appear in several clusters", [cid for cid, n in placed.items() if n > 1]),
+        ("concepts missing from clusters", member_concept.keys() - part_of.keys()),
+        ("concepts in clusters but in no source", part_of.keys() - member_concept.keys()),
+        ("concepts appear in several clusters", () if len(part_of) == sum(map(len, partition))
+         else [cid for cid, n in Counter(chain.from_iterable(partition)).items() if n > 1]),
     ):
         if ids:
             raise SchemaViolation(f"{problem}: {sorted(ids)}")
@@ -297,18 +296,16 @@ def merge(
     displays: list[str] = []
     keys: list[str] = []  # filled pair by pair: a list of pairs would raise the tracemalloc peak
     for members in partition:
-        display, key = _cluster_display(members, member_concept, od, homonym_endpoints, owner_id)
+        display, key = _cluster_display(members, member_concept, od, homonym_endpoints, sources)
         displays.append(display)
         keys.append(key)
-    _disambiguate_displays(displays, keys, partition, member_concept, owner_id, sink)
+    _disambiguate_displays(displays, keys, partition, member_concept, sources, sink)
 
     if len(set(keys)) != len(keys):
         raise SchemaViolation(
             "merged concept terms collide after disambiguation; support ontology "
             "or inputs are contradictory"
         )
-    cluster_of = {member: key for members, key in zip(partition, keys) for member in members}
-    display_of = dict(zip(keys, displays))
 
     merged = BusinessComponent(MERGED_ID, MERGED_NAME)
     clusters: list[Cluster] = []
@@ -323,7 +320,7 @@ def merge(
         for member in members:
             concept = member_concept[member]
             for child in concept.children:
-                child_key = cluster_of[child]
+                child_key = keys[part_of[child]]
                 if child_key == key:
                     sink.append(
                         f"dropping self-composition of {MERGED_ID + '#' + key!r} "
@@ -333,9 +330,9 @@ def merge(
                 children.add(child_key)
             attributes.update(concept.attributes)
             if concept.associations:
-                owner = owner_id[member]
+                owner = _owner(member, sources).id
                 associations.update(
-                    Association(display_of[cluster_of[f"{owner}#{normalize_term(t)}"]], label)
+                    Association(displays[part_of[f"{owner}#{normalize_term(t)}"]], label)
                     for t, label in concept.associations
                 )
         if aliases:  # listed beside an equal attribute, not folded into it
@@ -345,19 +342,26 @@ def merge(
             tuple(sorted(f"{MERGED_ID}#{child}" for child in children)) if children else (),
             tuple(sorted(attributes)) if attributes else (),
             tuple(sorted(associations)) if associations else ()))
+        members = members if tuple(sorted(members)) == members else tuple(sorted(members))
         # aliases are in key order, which is name_sort_key order within a cluster
-        clusters.append(tuple.__new__(Cluster, (display, tuple(sorted(members)), aliases)))
+        clusters.append(tuple.__new__(Cluster, (display, members, aliases)))
     cycle = merged.composition_cycle()
     if cycle:
         raise CyclicComposition("composition cycle: " + " -> ".join(cycle))
 
     for c1, c2 in homonyms:
-        if cluster_of[c1] == cluster_of[c2]:
+        if part_of[c1] == part_of[c2]:
             raise HomonymClusterCollision(
                 f"homonym pair ({c1}, {c2}) ended up in cluster "
-                f"{MERGED_ID + '#' + cluster_of[c1]!r}"
+                f"{MERGED_ID + '#' + keys[part_of[c1]]!r}"
             )
-    return merged, sorted(clusters, key=lambda cl: (cl.term, cl.members))
+    clusters.sort()  # by (term, members): members of two parts never tie
+    return merged, clusters
+
+
+def _owner(cid: str, sources: Sequence[Ontology]) -> Ontology:
+    """The last of ``sources`` that holds concept ``cid``, as in ``member_concept``."""
+    return next(source for source in reversed(sources) if cid in source.concepts)
 
 
 def _cluster_display(
@@ -365,13 +369,13 @@ def _cluster_display(
     member_concept: dict[str, Concept],
     od: Ontology,
     homonym_endpoints: set[str],
-    owner_id: dict[str, str],
+    sources: Sequence[Ontology],
 ) -> tuple[str, str]:
     """A cluster's display term and its key, which only a homonym's
     "<term> (<source id>)" display normalizes; a singleton's is its member's."""
     if not homonym_endpoints.isdisjoint(members):
         _, member = min((member_concept[m].key, m) for m in members if m in homonym_endpoints)
-        display = f"{member_concept[member].term} ({owner_id[member]})"
+        display = f"{member_concept[member].term} ({_owner(member, sources).id})"
         return display, normalize_term(display)
     if len(members) == 1:
         concept = member_concept[members[0]]
@@ -392,7 +396,7 @@ def _disambiguate_displays(
     keys: list[str],
     partition: Sequence[tuple[str, ...]],
     member_concept: dict[str, Concept],
-    owner_id: dict[str, str],
+    sources: Sequence[Ontology],
     sink: list[str],
 ) -> None:
     """Suffix colliding display terms with a source id; re-key only those, in place.
@@ -410,8 +414,8 @@ def _disambiguate_displays(
         for index in indexes:
             members = partition[index]
             owner = min(
-                (owner_id[m] for m in members if member_concept[m].key == key),
-                default=owner_id[min(members)],
+                (_owner(m, sources).id for m in members if member_concept[m].key == key),
+                default=_owner(min(members), sources).id,
             )
             sink.append(
                 f"display term {key!r} used by several clusters; suffixing with "

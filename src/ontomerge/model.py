@@ -202,7 +202,7 @@ class Ontology:
     synonymy/homonymy coexistence on one concept pair are rejected.
 
     Two indexes, kept up to date by ``add_concept`` and ``add_relation``
-    and copied by ``copy``, answer term questions without a scan:
+    and shared copy-on-write by ``copy``, answer term questions without a scan:
 
     * normalized term -> sorted concept ids backs ``term_present`` and
       ``concepts_by_term``.  It is built at the first term query (or
@@ -221,6 +221,7 @@ class Ontology:
         self.concepts: dict[str, Concept] = {}
         self._relations: dict[tuple[str, str, str], Relation] = {}
         self._related: dict[str, dict[str, tuple[Relation, ...]]] = {}
+        self._own_ids = self._own_related = None  # terms whose entry is this side's; None: all
         for concept in concepts:
             self.add_concept(concept)
         for relation in relations:
@@ -255,7 +256,7 @@ class Ontology:
         self.concepts[concept.id] = concept
         index = self.__dict__.get("_ids_by_term")
         if index is not None:
-            insort(index.setdefault(concept.key, []), concept.id)
+            insort(self._entry(index, self._own_ids, concept.key, list), concept.id)
 
     def add_relation(self, relation: Relation) -> None:
         if relation.kind == "part_of":
@@ -283,9 +284,17 @@ class Ontology:
             )
         self._relations[relation.key] = relation
         ta, tb = self.concepts[relation.a].key, self.concepts[relation.b].key
-        joined = self._related.setdefault(ta, {})
+        joined = self._entry(self._related, self._own_related, ta, dict)
         shared = tuple(sorted((*joined.get(tb, ()), relation)))
-        joined[tb] = self._related.setdefault(tb, {})[ta] = shared
+        joined[tb] = self._entry(self._related, self._own_related, tb, dict)[ta] = shared
+
+    @staticmethod
+    def _entry(index: dict, owned: Optional[set[str]], term: str, kind: type):
+        """``index[term]`` to write in place, copied once at its first write since a ``copy``."""
+        if owned is not None and term not in owned:
+            owned.add(term)
+            index[term] = kind(index.get(term, ()))
+        return index.setdefault(term, kind())
 
     def validate(self) -> None:
         """Check cross-concept invariants: child references and acyclicity."""
@@ -327,14 +336,16 @@ class Ontology:
         return self._related.get(normalized) or {}
 
     def copy(self) -> "Ontology":
-        """Independent clone: the maps and the index lists and inner dicts are
-        copied, nothing is checked again.  Concepts, relations and the index's
-        relation tuples are shared, as no code writes them after construction."""
+        """Independent clone: the maps are copied, nothing is checked again, and each
+        index entry is shared until a side writes it (``_entry``).  Concepts, relations and
+        the index's relation tuples are shared, as no code writes them after construction."""
         clone = Ontology(self.id)
         clone.concepts = dict(self.concepts)
         clone._relations = dict(self._relations)
-        clone._ids_by_term = {term: ids.copy() for term, ids in self._ids_by_term.items()}
-        clone._related = {term: dict(joined) for term, joined in self._related.items()}
+        clone._ids_by_term = dict(self._ids_by_term)
+        clone._related = dict(self._related)
+        for side in (self, clone):
+            side._own_ids, side._own_related = set(), set()
         return clone
 
     def __eq__(self, other) -> bool:
@@ -400,7 +411,8 @@ class BusinessComponent(Ontology):
     entity's name, its children the ids of its composition children, its
     attributes and associations the entity's (targets spelled as given).
     Each declared relation becomes a ``declared`` ``Relation`` between two
-    such ids, so ``relations`` lists the part_of edges too.
+    such ids, so ``relations`` lists the part_of edges too.  ``add_concept``
+    takes no other id, so term questions look the id up in ``concepts``.
 
     Invariants checked on construction:
 
@@ -505,6 +517,17 @@ class BusinessComponent(Ontology):
         if nb < na:
             return ComponentRelation(rel.b, rel.a, rel.kind), (nb, na)
         return rel, (na, nb)
+
+    def add_concept(self, concept: Concept) -> None:
+        if concept.id != f"{self.id}#{concept.key}":
+            raise SchemaViolation(f"concept id {concept.id!r} is not <component id>#<key>")
+        super().add_concept(concept)
+
+    def concepts_by_term(self, normalized: str) -> list[Concept]:
+        return [concept] if (concept := self.concepts.get(f"{self.id}#{normalized}")) else []
+
+    def term_present(self, normalized: str) -> bool:
+        return f"{self.id}#{normalized}" in self.concepts
 
     def __eq__(self, other) -> bool:
         return Ontology.__eq__(self, other) is True and self.name == other.name

@@ -49,7 +49,7 @@ ONE = Fraction(1)
 
 class ChildrenIndex(dict):
     """Concept id -> its children, sorted by (key, id), as ``children_index``
-    builds it; ``parents``: child id -> arity -> the ids of its parents.
+    builds it; ``parents``: arity -> child id -> the ids of its parents, a tuple.
     ``syntactic_similarity`` fills ``memo`` (a composite pair's score, by
     the pair's ids) and ``atoms`` (a concept's atomic child keys, counted):
     every call on one index shares them, valid exactly as long as the index is.
@@ -57,7 +57,7 @@ class ChildrenIndex(dict):
 
     def __init__(self):
         super().__init__()
-        self.parents: dict[str, dict[int, list[str]]] = {}
+        self.parents: dict[int, dict[str, tuple[str, ...]]] = {}
         self.memo: dict[tuple[str, str], Fraction] = {}
         self.atoms: dict[str, Counter[str]] = {}
 
@@ -76,7 +76,10 @@ def children_index(ontologies: list[Ontology]) -> ChildrenIndex:
             kids[cid] = tuple(sorted(children, key=lambda c: (c.key, c.id)))
             arity = len(concept.children)
             for child in set(concept.children):
-                kids.parents.setdefault(child, {}).setdefault(arity, []).append(cid)
+                kids.parents.setdefault(arity, {}).setdefault(child, []).append(cid)
+    for by_child in kids.parents.values():
+        for child, parents in by_child.items():
+            by_child[child] = tuple(parents)
     return kids
 
 

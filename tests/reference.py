@@ -28,7 +28,8 @@ handed ``json.dumps`` before it wrote its rows one at a time.
 ``brute_force_syntactic`` is ``syntactic_similarity`` without matching:
 it tries every permutation of the children.  ``naive_first_relation``
 scans every relation of every ontology for the first that joins two
-terms.
+terms, and ``naive_concepts_by_term`` and ``naive_term_present`` scan
+every concept of an ontology for a normalized term.
 
 ``random_component`` draws a component over the words of ``_WORDS``,
 acyclic by construction, for the tests that need many varied inputs.
@@ -463,6 +464,17 @@ def naive_first_relation(ontologies, s1, s2, kinds):
             if terms == wanted:
                 return relation
     return None
+
+
+def naive_concepts_by_term(ontology: Ontology, normalized: str) -> list[Concept]:
+    found = [
+        c for c in ontology.concepts.values() if normalize_term(c.term) == normalized
+    ]
+    return sorted(found, key=lambda c: c.id)
+
+
+def naive_term_present(ontology: Ontology, normalized: str) -> bool:
+    return any(normalize_term(c.term) == normalized for c in ontology.concepts.values())
 
 
 _WORDS = (

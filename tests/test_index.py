@@ -8,10 +8,12 @@ relation on every call and serve as oracles here.
 
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomerge import (
+    BusinessComponent,
     Concept,
     Ontology,
     Relation,
@@ -27,7 +29,13 @@ from ontomerge.enrichment import _equivalence_partners, first_relations
 from ontomerge.model import SEMANTIC_KINDS
 from ontomerge.terms import normalize_term
 
-from .reference import expand_correspondences, naive_first_relation
+from .reference import (
+    expand_correspondences,
+    naive_concepts_by_term,
+    naive_first_relation,
+    naive_term_present,
+)
+from .strategies import components, ids, names
 
 # Spellings that normalize onto a few shared terms, so that concepts
 # collide on terms and homonymies can join two same-termed concepts.
@@ -64,17 +72,6 @@ def naive_related_terms(ontology, term):
         elif tb == term:
             related.setdefault(ta, []).append(relation)
     return {other: tuple(sorted(found)) for other, found in related.items()}
-
-
-def naive_concepts_by_term(ontology, normalized):
-    found = [
-        c for c in ontology.concepts.values() if normalize_term(c.term) == normalized
-    ]
-    return sorted(found, key=lambda c: c.id)
-
-
-def naive_term_present(ontology, normalized):
-    return any(normalize_term(c.term) == normalized for c in ontology.concepts.values())
 
 
 def naive_equivalence_partners(term, sources):
@@ -183,6 +180,118 @@ def test_indexes_match_naive_scans_through_writes_and_copies(ops, more_ops, orig
             assert set(first) <= set(TERMS)
             for t2 in TERMS:
                 assert first.get(t2) == naive_first_relation(sources, t1, t2, kinds)
+
+
+def index_entries(ontology):
+    """(index, term) -> the entry object, over both term indexes."""
+    return {**{("ids", term): entry for term, entry in ontology._ids_by_term.items()},
+            **{("related", term): entry for term, entry in ontology._related.items()}}
+
+
+def written_entries(ontology, before):
+    """The (index, term) entries that writes to ``ontology`` since it held
+    ``before``'s concepts and relations touched: the term of each added
+    concept, and both terms of each added relation."""
+    written = {("ids", ontology.concepts[cid].key)
+               for cid in ontology.concepts.keys() - before.concepts.keys()}
+    for relation in set(ontology.semantic_relations()) - set(before.semantic_relations()):
+        for end in (relation.a, relation.b):
+            written.add(("related", ontology.concepts[end].key))
+    return written
+
+
+@settings(max_examples=150, deadline=None)
+@given(op_lists, op_lists, op_lists, op_lists, op_lists)
+def test_a_copy_shares_each_index_entry_until_one_side_writes_it(
+        ops, clone_ops, original_ops, second_ops, later_clone_ops):
+    ontology = Ontology("O")
+    apply_ops(ontology, ops, "O#")
+    snapshot = ontology.copy()  # the content, to tell what later writes touched
+    clone = ontology.copy()
+    shared = index_entries(ontology)
+    assert index_entries(clone).keys() == shared.keys()
+    assert all(index_entries(clone)[key] is entry for key, entry in shared.items())
+
+    apply_ops(clone, clone_ops, "C#")
+    written = written_entries(clone, snapshot)
+    for key, entry in index_entries(clone).items():
+        assert (entry is shared.get(key)) == (key not in written)
+    assert all(index_entries(ontology)[key] is entry for key, entry in shared.items())
+    assert_matches_oracle(clone)
+
+    # a write on either side never shows on the other, nor on a second copy
+    clone_answers = answers(clone)
+    apply_ops(ontology, original_ops, "P#")
+    assert_matches_oracle(ontology)
+    assert answers(clone) == clone_answers
+    second = clone.copy()
+    original_answers = answers(ontology)
+    apply_ops(second, second_ops, "S#")
+    assert_matches_oracle(second)
+    assert answers(clone) == clone_answers
+    assert answers(ontology) == original_answers
+    second_answers = answers(second)
+    apply_ops(clone, later_clone_ops, "D#")
+    assert_matches_oracle(clone)
+    assert answers(second) == second_answers
+    assert answers(ontology) == original_answers
+
+
+def test_a_hub_term_written_many_times_on_a_clone_is_copied_once():
+    partners = 40
+    od = Ontology(
+        "Od",
+        concepts=[Concept("Od#hub", "Hub"),
+                  *(Concept(f"Od#p{i}", f"p{i}") for i in range(partners + 1))],
+        relations=[Relation("Od#hub", "Od#p0", "synonymy")],
+    )
+    clone = od.copy()
+    related, ids = od._related["hub"], od._ids_by_term["hub"]
+    assert clone._related["hub"] is related and clone._ids_by_term["hub"] is ids
+    for i in range(1, partners + 1):
+        clone.add_relation(Relation("Od#hub", f"Od#p{i}", "synonymy", "inferred_case1"))
+        clone.add_concept(Concept(f"Od#hub~{i}", "HUB"))
+        if i == 1:
+            own_related, own_ids = clone._related["hub"], clone._ids_by_term["hub"]
+            assert own_related is not related and own_ids is not ids
+        # the entry copied at the first write takes every later one in place
+        assert clone._related["hub"] is own_related and clone._ids_by_term["hub"] is own_ids
+    assert len(clone.related_terms("hub")) == partners + 1
+    assert len(clone.concepts_by_term("hub")) == partners + 1
+    assert od._related["hub"] is related and od._ids_by_term["hub"] is ids
+    assert dict(od.related_terms("hub")) == {"p0": (Relation("Od#hub", "Od#p0", "synonymy"),)}
+    assert [c.id for c in od.concepts_by_term("hub")] == ["Od#hub"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(components(), st.lists(names, max_size=4), ids, names)
+def test_component_term_questions_equal_a_scan_of_its_concepts(component, probes, stray, term):
+    keys = {concept.key for concept in component.concepts.values()}
+    for key in sorted(keys | {normalize_term(probe) for probe in probes}):
+        assert component.term_present(key) == naive_term_present(component, key)
+        assert component.concepts_by_term(key) == naive_concepts_by_term(component, key)
+    assert "_ids_by_term" not in vars(component)  # answered without a term index
+
+    key = normalize_term(term)
+    own = f"{component.id}#{key}"
+    for wrong in (key, f"{component.id}{key}", f"{component.id}~2#{key}", own + " ", stray):
+        if wrong != own:
+            with pytest.raises(SchemaViolation, match=r"is not <component id>#<key>$"):
+                component.add_concept(Concept(wrong, term))
+    if own not in component.concepts:
+        component.add_concept(Concept(own, term))
+        assert component.concepts_by_term(key) == naive_concepts_by_term(component, key)
+        assert component.term_present(key)
+
+
+def test_component_rejects_a_concept_id_other_than_its_id_and_key():
+    component = BusinessComponent("CM1", "c")
+    for cid in ("CM1#Brume", "CM2#brume", "brume", "CM1#brume~2", "CM1##brume"):
+        with pytest.raises(SchemaViolation, match=rf"^concept id '{cid}' is not "):
+            component.add_concept(Concept(cid, "Brume"))
+    assert component.concepts == {}
+    component.add_concept(Concept("CM1#brume", "Brume"))
+    assert [c.id for c in component.concepts_by_term("brume")] == ["CM1#brume"]
 
 
 def test_same_term_homonymy_is_indexed_under_one_term():

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ontomerge import (
@@ -23,10 +23,13 @@ from ontomerge import (
     CyclicComposition,
     Entity,
     Evidence,
+    HomonymClusterCollision,
     IntegrationError,
     Ontology,
     Relation,
     ScenarioSpec,
+    align,
+    build_clusters,
     generate_scenario,
     integrate,
     merge,
@@ -139,6 +142,48 @@ def test_merge_equals_reference_on_any_partition(inputs, data):
         return merged, clusters, warnings
 
     assert _outcome(lambda: run(merge)) == _outcome(lambda: run(reference))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_inputs(), st.data())
+def test_merge_takes_parts_in_any_order_and_form_and_keeps_only_sorted_tuples(inputs, data):
+    # build_clusters gives sorted tuples; a library caller may give a part
+    # as an unsorted tuple or as a list, which must merge alike
+    components, od = inputs
+    sources, _ = reference_sources(list(map(component_inputs, components)))
+    correspondences, enriched, _ = align(sources, od)
+    try:
+        partition = build_clusters(correspondences, [cid for s in sources for cid in s.concepts])
+    except HomonymClusterCollision:
+        reject()  # no partition to merge
+    given_parts = [data.draw(st.sampled_from([tuple, list]))(data.draw(st.permutations(part)))
+                   for part in partition]
+
+    def reference(*args):
+        merged, clusters = reference_merge(*args)
+        return ontology_to_component(merged, name=MERGED_NAME), clusters
+
+    def run(merge_with, parts):
+        warnings = []
+        merged, clusters = merge_with(parts, sources, enriched, correspondences, warnings)
+        return merged, clusters, warnings
+
+    expected = _outcome(lambda: run(reference, partition))
+    assert _outcome(lambda: run(merge, partition)) == expected
+    given = _outcome(lambda: run(merge, given_parts))
+    assert given == _outcome(lambda: run(reference, given_parts))
+    if not isinstance(expected[0], bytes):
+        assert given == expected  # merge raised, as the reference did
+        return
+    # the warnings come in member order
+    assert given[:2] == expected[:2] and sorted(given[2]) == sorted(expected[2])
+    for parts in (partition, given_parts):
+        _, clusters = merge(parts, sources, enriched, correspondences)
+        members = {cluster.members[0]: cluster.members for cluster in clusters}
+        for part in parts:
+            kept = members[min(part)]
+            assert type(kept) is tuple and list(kept) == sorted(part)
+            assert (kept is part) == (type(part) is tuple and list(part) == sorted(part))
 
 
 @settings(max_examples=25, deadline=None)

@@ -206,9 +206,10 @@ def test_children_index_holds_the_parents_by_arity(pair):
     for source in (o1, o2):
         for concept in source.concepts.values():
             for child in set(concept.children):
-                expected.setdefault(child, {}).setdefault(len(concept.children), []).append(
+                expected.setdefault(len(concept.children), {}).setdefault(child, []).append(
                     concept.id)
-    assert kids.parents == expected
+    assert kids.parents == {arity: {child: tuple(parents) for child, parents in by_child.items()}
+                            for arity, by_child in expected.items()}
     assert all(kids[cid] == tuple(sorted((o.concepts[c] for c in concept.children),
                                          key=lambda c: (c.key, c.id)))
                for o in (o1, o2) for cid, concept in o.concepts.items())

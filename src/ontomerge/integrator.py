@@ -19,7 +19,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .enrichment import RunMaps, enrich
-from .errors import CyclicComposition, HomonymClusterCollision, SchemaViolation
+from .errors import HomonymClusterCollision, SchemaViolation
 from .model import (
     Association,
     BusinessComponent,
@@ -345,9 +345,7 @@ def merge(
         members = members if tuple(sorted(members)) == members else tuple(sorted(members))
         # aliases are in key order, which is name_sort_key order within a cluster
         clusters.append(tuple.__new__(Cluster, (display, members, aliases)))
-    cycle = merged.composition_cycle()
-    if cycle:
-        raise CyclicComposition("composition cycle: " + " -> ".join(cycle))
+    merged.validate()
 
     for c1, c2 in homonyms:
         if part_of[c1] == part_of[c2]:

@@ -420,8 +420,12 @@ class BusinessComponent(Ontology):
     * every association, composition, and relation endpoint names an
       entity of this component;
     * the composition graph is acyclic;
-    * declared relation kinds are semantic (synonymy/homonymy/equivalence)
-      and no entity pair carries both synonymy and homonymy.
+    * declared relation kinds are semantic (synonymy/homonymy/equivalence).
+
+    Each relation then goes through ``add_relation`` in input order, so a
+    self relation, a duplicate, or synonymy beside homonymy on one pair is
+    rejected by ``Relation`` and ``Ontology``'s own rules, in messages that
+    name concept ids and start ``component '<id>': ``.
 
     References resolve through one transient map from entity name to key;
     only one spelled otherwise is normalized again.  The cycle walk starts
@@ -473,50 +477,25 @@ class BusinessComponent(Ontology):
             self.add_concept(Concept._assembled(
                 entity.key, f"{id}#{entity.key}", entity.name, tuple(children),
                 entity.attributes, entity.associations))
-        seen_pairs: dict[tuple[str, str], str] = {}
-        for rel, pair in sorted(self._canonical_relation(rel, key) for rel in relations):
-            prev = seen_pairs.get(pair)
-            if prev == rel.kind:
+        for a, b, kind in relations:  # in input order: the first bad one is reported
+            if kind not in SEMANTIC_KINDS:
                 raise SchemaViolation(
-                    f"component {id!r}: duplicate {rel.kind} relation "
-                    f"between {rel.a!r} and {rel.b!r}"
+                    f"component {id!r}: relation kind {kind!r} is not one of {SEMANTIC_KINDS}"
                 )
-            if {prev, rel.kind} == {"synonymy", "homonymy"}:
-                raise SchemaViolation(
-                    f"component {id!r}: entity pair ({rel.a!r}, {rel.b!r}) "
-                    "cannot carry both synonymy and homonymy"
-                )
-            seen_pairs[pair] = rel.kind
-            self.add_relation(Relation(f"{id}#{pair[0]}", f"{id}#{pair[1]}", rel.kind))
+            ends = key(a), key(b)
+            for end, raw in zip(ends, (a, b)):
+                if end is None:
+                    raise SchemaViolation(
+                        f"component {id!r}: relation endpoint {raw!r} is not a declared entity"
+                    )
+            try:
+                self.add_relation(Relation(f"{id}#{ends[0]}", f"{id}#{ends[1]}", kind))
+            except SchemaViolation as exc:
+                raise SchemaViolation(f"component {id!r}: {exc}") from exc
         cycle = self.composition_cycle()
         if cycle:  # named by key: each id is "<id>#<key>"
             raise CyclicComposition(f"component {id!r}: composition cycle: "
                                     + " -> ".join(cid[len(id) + 1:] for cid in cycle))
-
-    def _canonical_relation(
-        self, rel: ComponentRelation, key: Callable[[str], Optional[str]]
-    ) -> tuple[ComponentRelation, tuple[str, str]]:
-        """``rel`` with its ends in key order, and their keys."""
-        rel = ComponentRelation(*rel)
-        if rel.kind not in SEMANTIC_KINDS:
-            raise SchemaViolation(
-                f"component {self.id!r}: relation kind {rel.kind!r} is not one of "
-                f"{SEMANTIC_KINDS}"
-            )
-        na, nb = key(rel.a), key(rel.b)
-        for endpoint, raw in ((na, rel.a), (nb, rel.b)):
-            if endpoint is None:
-                raise SchemaViolation(
-                    f"component {self.id!r}: relation endpoint {raw!r} is not a "
-                    "declared entity"
-                )
-        if na == nb:
-            raise SchemaViolation(
-                f"component {self.id!r}: relation may not join entity {rel.a!r} to itself"
-            )
-        if nb < na:
-            return ComponentRelation(rel.b, rel.a, rel.kind), (nb, na)
-        return rel, (na, nb)
 
     def add_concept(self, concept: Concept) -> None:
         if concept.id != f"{self.id}#{concept.key}":

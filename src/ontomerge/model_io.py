@@ -47,8 +47,8 @@ value (its relations or associations through ``_rows``), and ``_render``
 a plain value's: document scalars, warnings, ``eval``'s metrics.
 ``component_chunks``, ``ontology_chunks``, ``report_chunks`` and
 ``evalgen.truth_chunks`` stream a document one record or one row of
-report correspondences at a time; a correspondence's frame is cut from
-``_render``'s output at the ids and at its relations list.
+report correspondences at a time; a correspondence fills its record's
+template, cut at its two ids.
 """
 
 from __future__ import annotations
@@ -100,33 +100,16 @@ def _load_document(path) -> Any:
         raise MalformedFile(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise MalformedFile(f"{path}: invalid JSON: nested too deeply") from exc
-    # only a \ud800-\udfff escape can put a surrogate in a decoded string
-    if ("\\ud" in text or "\\uD" in text) and _has_lone_surrogate(document):
-        raise MalformedFile(f"{path}: invalid JSON: unpaired surrogate escape in a string")
+    # only a \ud800-\udfff escape can put a surrogate in a decoded string; the
+    # decoder joins an escaped pair into one character, so what fails to
+    # encode is an unpaired one.  The C encoder takes any depth the decoder did.
+    if "\\ud" in text or "\\uD" in text:
+        try:
+            json.dumps(document, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedFile(
+                f"{path}: invalid JSON: unpaired surrogate escape in a string") from exc
     return document
-
-
-def _has_lone_surrogate(document: Any) -> bool:
-    """Whether a key or string anywhere in ``document`` cannot be UTF-8 encoded.
-
-    The JSON decoder joins an escaped surrogate pair into one character,
-    so what fails to encode is an unpaired surrogate.  Iterative, so that
-    any depth the decoder accepted is walked.
-    """
-    pending = [document]
-    while pending:
-        value = pending.pop()
-        if isinstance(value, dict):
-            pending.extend(value)
-            pending.extend(value.values())
-        elif isinstance(value, list):
-            pending.extend(value)
-        elif isinstance(value, str):
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError:
-                return True
-    return False
 
 
 def _context(where) -> str:
@@ -211,7 +194,9 @@ def _render(value: Any, indent: str) -> str:
     indentation and sorted keys, ``indent`` put before every line but the
     first: a string is encoded in place, a dict fills the ``_template`` of
     its sorted keys, a list goes through ``_items`` and any other scalar
-    through ``json.dumps``."""
+    through ``json.dumps``.  Written by hand because ``json.dumps(indent=...)``
+    runs the pure-Python encoder, whose closures leave reference cycles
+    (33 objects a call) for the cyclic collector."""
     if isinstance(value, str):
         return encode_basestring(value)
     inner = indent + "  "
@@ -430,27 +415,15 @@ def serialize_ontology(ontology: Ontology) -> bytes:
 # reports
 
 
-def _correspondence_frame(kind: str, score: Fraction, verdict: str) -> list[str]:
-    """One correspondence as ``_dumps`` lays it out at depth 2, with empty
-    ids and ``""`` for its relations list, cut at those three: the text
-    before c1, between c1 and c2, between c2 and the relations, and after
-    them.  Sorted keys put c1, c2, the evidence kind and its relations in
-    this order, and no kind, score or verdict is empty, so the first three
-    ``""`` are theirs."""
-    entry = {
-        "c1": "", "c2": "", "score": str(score), "verdict": verdict,
-        "evidence": {"kind": kind, "relations_used": ""},
-    }
-    return ("    " + _render(entry, "    ")).split('""', 3)
-
-
 def _correspondence_list(report: Report) -> Iterator[bytes]:
     """The report's correspondence list, each row of ``pair_rows`` as two
     chunks: the row's head, which holds c1, and its entries, each after
     the first preceded by the separator and the head."""
-    head, middle, before, after = _correspondence_frame("syntactic", Fraction(0), "Distinct")
-    trivial_tail = before + "[]" + after
-    frames: dict[tuple[str, int, int, str], list[str]] = {}
+    # the entry's template cut at the ids; its evidence sits at depth 3
+    head, middle, rest = ("    " + _template(
+        ("c1", "c2", "evidence", "score", "verdict"), "    ")).split("%s", 2)
+    evidence = _template(("kind", "relations_used"), " " * 6)
+    trivial_tail = rest % (evidence % ('"syntactic"', "[]"), '"0"', '"Distinct"')
     tails: dict[tuple[tuple[Relation, ...], tuple[str, int, int, str]], str] = {}
     # per side of a sparse report: each partner's entry as an unlisted pair
     unlisted: dict[int, list[bytes]] = {}
@@ -468,11 +441,10 @@ def _correspondence_list(report: Report) -> Iterator[bytes]:
             frame = (kind, score.numerator, score.denominator, corr.verdict)
             tail = tails.get((relations, frame))
             if tail is None:
-                if frame not in frames:
-                    frames[frame] = _correspondence_frame(kind, score, corr.verdict)[2:]
                 # relations_used sits four levels deep in the report
-                rendered = _table(relations, " " * 8)
-                tail = tails[relations, frame] = rendered.join(frames[frame])
+                tail = tails[relations, frame] = rest % (
+                    evidence % (encode_basestring(kind), _table(relations, " " * 8)),
+                    encode_basestring(str(score)), encode_basestring(corr.verdict))
             entries[k] = (encode_basestring(corr.c2) + tail).encode("utf-8")
         if entries:  # none when every later source is empty
             row_head = (head + encode_basestring(c1) + middle).encode("utf-8")
@@ -520,11 +492,10 @@ def serialize_report(report: Report) -> bytes:
     order: a sparse report (``Report.pair_space`` set) gets its unlisted
     pairs written as (0, syntactic, Distinct) entries, so v1 files list
     every pair either way.  That list is written one string per row of
-    ``model.pair_rows``: the head is cut once per report, the frame of
-    the tail once per distinct (evidence kind, score, verdict), the
-    relations list once per distinct (evidence, score, verdict), and each
-    side of a sparse report encodes its partners once as unlisted
-    entries, which a row reuses or patches a copy of.
+    ``model.pair_rows``: the entry's ``_template`` is cut at c1 and c2
+    once per report, the rest filled once per distinct (evidence, score,
+    verdict), and each side of a sparse report encodes its partners once
+    as unlisted entries, which a row reuses or patches a copy of.
     ``tests/test_model_io.py`` keeps a plain ``json.dumps`` rendering as
     the oracle for these bytes.  Raises SchemaViolation where
     ``pair_rows`` does.

@@ -1,8 +1,11 @@
 """Exit codes, output files, and the no-partial-output guarantee."""
 
 import argparse
+import functools
 import hashlib
+import importlib.util
 import json
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -473,6 +476,104 @@ def test_integrate_outputs_on_fixtures_are_pinned(tmp_path, name):
     assert (tmp_path / "report.json").read_bytes() == payload
 
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# sha256 of (cmr, od2, report) for each bench workload and seed
+BENCH_DIGESTS = {
+    ("composite_wide", 1): (
+        "abdfe84271a94114d8681b347798258cbd3af87481fe8ba0f1d38eddde7c0c6a",
+        "cede3bb95b30664b5e676e9e315cfbb308027a4af095b66388a38252ebf2139f",
+        "ccb9cbe167f0ca7d20823fa81b48eb7a75edb399b374a57d4990f08e48af6738",
+    ),
+    ("composite_wide", 2): (
+        "11de0893ae299a0ceb4bec3fbba4079fcc9490016a22d5487dc8c0ad74ef6c4b",
+        "06c36d78d4d3498bb7ea0ebfab2b8faaf1e21a3b467456ab2730ac1969790b7d",
+        "6109caf00c8abe85d279da617e63ee31bb0d6105beea95f6d0f81ac876c8fd77",
+    ),
+    ("composite_wide", 3): (
+        "a80e0f4379bb95c15e43fb8aa40e2af397d72b16667e09c1fc99a5351989b2f6",
+        "abbbd6af6373e355fa5232e301d6d2112cdc08170ae9e912d5bb5a1b86e44024",
+        "aaafee027568b4cc8a45427d10eb66dee4ad4f9c648089815af41840aeace734",
+    ),
+    ("dense_declared", 1): (
+        "f5b2d36e6d396ccce499a23db604405ebf038ea7ca6a6631fc88659c630a7843",
+        "6affe6f29b1b843b39b38d4ed959394022312883cc6092b155b4dd8a88aaf4cf",
+        "6a4be3ac6ace0df993cae066f9602f6a0b06874000c9055238bc7ab34bfc7a5f",
+    ),
+    ("dense_declared", 2): (
+        "6cacb478120299a0aab7b88478d356d88f8a5fd4dab80b87ae3d9e3c797c6011",
+        "69f217593fe279b9383b6dd3108a4803ab40e041bd99ff20e9ce41fe2f9e015c",
+        "c33b383f58a221689b03ebceaeb87a9bf739beac008923dd0e9ad5db3eba024b",
+    ),
+    ("dense_declared", 3): (
+        "2eb00adc2d794b6b82e556a396e9db6583065134c66e5de8f3b868680b30a64d",
+        "15df1d787d417b7a171e6abccea3f88bc34b6607c80bcadfe3c68da9c59b1b40",
+        "a1b8c106fdef9221dd25133e41bb9886559b51ba7fa0e429fdf354a506d026e2",
+    ),
+    ("dense_withheld", 1): (
+        "19ec1f33b2b61a22626e698f8dd76c1ebd3773264a34261d686fe0ae8ec29926",
+        "b99bb8b0ab1ded9c6ca3d41d8381031fb7a9e5f6e7f888b03558ac71d8369684",
+        "a6a65ff4e2a2e7c5623ae74d39d3edbe8eed789067e51a71ac19250ebd9f83b6",
+    ),
+    ("dense_withheld", 2): (
+        "ffe6d3054a825bd459d7f9e423f7b7b481ea9acc840d1c06fffb332ed3d8f8c4",
+        "2992a3f8632e63375d982e93068d04ebe64af70d2639a8b29b02a37108cff0f5",
+        "9ae390b3837d8f526ff0f7a845a1930fe8e1248a3cd060b073b0b827dbeffe8b",
+    ),
+    ("dense_withheld", 3): (
+        "a1d06239f5325549b0cfd5953b47312d5df818108b3a0b22f2ade8bb192bf13d",
+        "068cb343cdcf59e12f4dd1e606ada2cb2fc9c4c1302313cfd10a0d160aa41032",
+        "4c440fbb2a2b256ea8c85c6c0611de341e670dc5e61f74209dba4ccb316ad9a0",
+    ),
+    ("sparse_bulk", 1): (
+        "8a4eefc1461d00478ee8e60407c7d17b74adcecac8427a7a464ca0f4cc58971b",
+        "5b01f3be032f27aa9c9e8b999ae58bfd6eede02b82389d855f20ebfa1a6dd304",
+        "8229d4e82a9dcd86d9cfabf15ca1da745949f2efda6b28dabb8da5f79ac88d21",
+    ),
+    ("sparse_bulk", 2): (
+        "c6fea7da929b09813a376ab12e222da59547ad7a77eda107f55b7932f7bc2894",
+        "ea43e36dbe2b6658aa4082858e98b646febe74d3dc6eda770d8770a98179eb2b",
+        "9e398a645a267a1ba2198ef75dd3be0c35d616af9265f86fbedbc3c6f078d33e",
+    ),
+    ("sparse_bulk", 3): (
+        "8acb7618b274c21aa918f68ad2acb6edc106d5df6023a962e2d460e1018545fb",
+        "497ec7ab430435d892d07e1f2b0981324fdf93cfb62209e04b67ffff6beecd72",
+        "723bcdcba1b8454cfcd93e5ab4452c0487828b7fe352b945d2e4c5d3b42e2e53",
+    ),
+}
+
+
+@functools.cache
+def _bench_workloads() -> dict:
+    """``bench/run.py``'s ``WORKLOADS``, loaded from the file; the bench's
+    modules import each other by bare name, so its directory is on the path meanwhile."""
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(BENCH))
+    return run.WORKLOADS
+
+
+@pytest.mark.parametrize("workload, seed", sorted(BENCH_DIGESTS))
+def test_bench_workload_outputs_are_pinned(tmp_path, workload, seed):
+    scenario = _bench_workloads()[workload](seed)
+    for name, payload in scenario.files.items():
+        (tmp_path / name).write_bytes(payload)
+    outputs = [tmp_path / name for name in ("cmr.json", "od2.json", "report.json")]
+    assert main([
+        "integrate",
+        *(arg for name in scenario.components for arg in ("--component", str(tmp_path / name))),
+        "--ontology", str(tmp_path / scenario.ontology),
+        *(arg for flag, path in zip(("--out-component", "--out-ontology", "--report"), outputs)
+          for arg in (flag, str(path))),
+    ]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs)
+    assert digests == BENCH_DIGESTS[workload, seed]
+
+
 @pytest.mark.parametrize("second", ["cm2", "cm1"])
 def test_align_report_equals_integrate_report(tmp_path, second, capsys):
     paths = {"cm1": FIXTURES / "cm1.json", "cm2": FIXTURES / f"{second}.json",
@@ -805,6 +906,20 @@ def test_deeply_nested_json_is_schema_error(tmp_path, scenario_files, capsys, co
     }[command]
     assert main(args) == 2  # was 4: RecursionError surfaced as an internal error
     assert f"{deep}: invalid JSON: nested too deeply" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_doubled_component_relation_is_schema_error(tmp_path, scenario_files, capsys):
+    edited = scenario_files["cm1"]
+    document = json.loads(edited.read_bytes())
+    document["relations"] = [{"a": "Service", "b": "Compagnie", "kind": "synonymy"},
+                             {"a": "compagnie", "b": "Service", "kind": "synonymy"}]
+    edited.write_text(json.dumps(document), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(_integrate_args(scenario_files, out)) == 2
+    assert (f"{edited}: component 'CM1': duplicate synonymy relation between "
+            "'CM1#compagnie' and 'CM1#service'") in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

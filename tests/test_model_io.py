@@ -231,6 +231,33 @@ def test_missing_file_is_malformed(tmp_path):
         parse_component(tmp_path / "nowhere.json")
 
 
+def _called_from(frames, call):
+    """``call()``, made ``frames`` Python frames further down the stack."""
+    return call() if frames == 0 else _called_from(frames - 1, call)
+
+
+@pytest.mark.parametrize("frames", [0, 50])
+def test_lone_surrogate_at_the_deepest_accepted_nesting_is_malformed(tmp_path, frames):
+    path = tmp_path / "deep.json"
+
+    def load(depth, string):
+        path.write_text("[" * depth + string + "]" * depth, encoding="utf-8")
+        return _called_from(frames, lambda: model_io._load_document(path))
+
+    accepted, refused = 1, 100000
+    with pytest.raises(MalformedFile, match="nested too deeply"):
+        load(refused, '"x"')
+    while refused - accepted > 1:  # the decoder's deepest nesting at this stack depth
+        depth = (accepted + refused) // 2
+        try:
+            load(depth, '"x"')
+            accepted = depth
+        except MalformedFile:
+            refused = depth
+    with pytest.raises(MalformedFile, match="unpaired surrogate"):
+        load(accepted, '"\\ud800"')
+
+
 def test_declared_relation_endpoints_checked(tmp_path):
     path = _write(
         tmp_path, "rel.json",

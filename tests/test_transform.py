@@ -303,6 +303,80 @@ def test_respelled_references_are_written_as_their_entities():
     assert document["relations"] == [{"a": "Dossier", "b": "Taux", "kind": "synonymy"}]
 
 
+
+# --- declared relations, checked by Ontology.add_relation -------------------
+
+
+@st.composite
+def relation_lists(draw):
+    """Components of ``NAMES`` entities, children among later ones, whose
+    relation lists may break any rule: reversed duplicates, self relations,
+    synonymy beside homonymy on one pair, kinds that are not semantic or no
+    kind at all, undeclared endpoints, and respelled endpoints."""
+    count = draw(st.integers(min_value=2, max_value=5))
+    names = NAMES[:count]
+    entities = tuple(
+        Entity(name=name, components=draw(st.sets(st.sampled_from(names[i + 1:])))
+               if i + 1 < count else ())
+        for i, name in enumerate(names)
+    )
+    ends = (*names, "Inconnu")
+    pairs = sorted(((a, b) for a in ends for b in ends),  # valid pairs first
+                   key=lambda pair: (pair[0] == pair[1], "Inconnu" in pair))
+    kinds = (*model.SEMANTIC_KINDS * 3, "part_of", "parenté")
+    relations = [
+        (_respell(a, draw(spellings)), _respell(b, draw(spellings)), kind)
+        for (a, b), kind in draw(st.lists(st.tuples(st.sampled_from(pairs),
+                                                    st.sampled_from(kinds)), max_size=4))
+    ]
+    if relations and draw(st.booleans()):  # one pair again, reversed
+        a, b, kind = draw(st.sampled_from(relations))
+        kind = draw(st.sampled_from((kind, "synonymy", "homonymy")))
+        relations.insert(draw(st.integers(0, len(relations))), (b, a, kind))
+    return ComponentInput("CMr", "relations", entities, tuple(relations))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_lists())
+@example(ComponentInput("CMr", "relations", (Entity("Dossier", components=("Taux",)),
+                                             Entity("Taux")), (("Dossier", "Taux", "part_of"),)))
+def test_component_relation_rules_are_the_ontology_rules(inputs):
+    keys = {entity.key for entity in inputs.entities}
+    own_rule_fails = any(  # the rules that only a component has
+        kind not in model.SEMANTIC_KINDS or not {normalize_term(a), normalize_term(b)} <= keys
+        for a, b, kind in inputs.relations
+    )
+    try:
+        (expected,), _ = reference_sources([inputs])
+    except SchemaViolation as exc:
+        expected = exc
+    if own_rule_fails or isinstance(expected, SchemaViolation):
+        with pytest.raises(SchemaViolation) as caught:
+            BusinessComponent(*inputs)
+        assert str(caught.value).startswith("component 'CMr': ")
+        if not own_rule_fails:  # the first bad relation fails the same check
+            assert str(caught.value) == f"component 'CMr': {expected}"
+    else:
+        assert BusinessComponent(*inputs).semantic_relations() == expected.semantic_relations()
+
+
+@pytest.mark.parametrize("relations, message", [
+    ([("a", "A ", "synonymy")], "relation may not join a concept to itself: 'CM#a'"),
+    ([("a", "b", "synonymy"), ("B", "a", "synonymy")],
+     "duplicate synonymy relation between 'CM#a' and 'CM#b'"),
+    ([("b", "a", "homonymy"), ("a", "b", "synonymy")],
+     "concept pair ('CM#a', 'CM#b') cannot carry both synonymy and homonymy"),
+    ([("c", "b", "homonymy"), ("b", "c", "homonymy"), ("a", "b", "part_of")],
+     "duplicate homonymy relation between 'CM#b' and 'CM#c'"),  # the first in input order
+    ([("b", "c", "part_of"), ("a", "a", "synonymy")],  # a composition link all the same
+     "relation kind 'part_of' is not one of ('equivalence', 'homonymy', 'synonymy')"),
+])
+def test_component_relation_errors_name_concept_ids(relations, message):
+    entities = (Entity("a"), Entity("b", components=("c",)), Entity("c"))
+    with pytest.raises(SchemaViolation) as caught:
+        BusinessComponent("CM", "c", entities, relations)
+    assert str(caught.value) == f"component 'CM': {message}"
+
 # --- cycle walks rooted at composites ---------------------------------------
 
 

@@ -22,13 +22,13 @@ ends and case-3 cells), from which ``RunMaps.reach`` reads what the
 lookup and the three cases join forwards, beside their checks.  A
 commit drops only the entries it changes, so a term with D equivalence
 partners costs O(D) per run, not per concept.  Case 3 asks
-``perfect_assignment`` whether its 0/1 child matrix has a perfect
-matching.  ``enrich`` alone decides whether a pair may be enriched
-(both terms in the support ontology, joined there by no relation) and
-alone commits: it resolves the endpoints once and builds the
-``EnrichmentRecord``.  Enrichment only ever adds relations, never
-modifies or removes one; as a related pair is never tried, no pair
-comes to carry both synonymy and homonymy.
+``perfect_assignment`` whether the child pairs that relate, listed row
+by row, hold a perfect matching.  ``enrich`` alone decides whether a
+pair may be enriched (both terms in the support ontology, joined there
+by no relation) and alone commits: it resolves the endpoints once and
+builds the ``EnrichmentRecord``.  Enrichment only ever adds relations,
+never modifies or removes one; as a related pair is never tried, no
+pair comes to carry both synonymy and homonymy.
 """
 
 from __future__ import annotations
@@ -203,8 +203,10 @@ def infer_via_children(c1: Concept, c2: Concept, maps: RunMaps) -> Optional[tupl
     are equal or a synonymy / equivalence relation between the terms
     exists in the support ontology or any source (the first in
     ``first_relations``, support ontology first, read once per child term
-    and run from ``RunMaps.cells``).  A perfect injective matching over
-    all n children is required, and ``perfect_assignment`` finds one by
+    and run from ``RunMaps.cells``); a row lists c2's children that c1's
+    child relates to, read from the smaller side, and an empty row ends
+    the search.  A perfect injective matching over all n children is
+    required, and ``perfect_assignment`` finds one over the rows by
     augmenting paths in O(n * cells); among several perfect matchings it
     picks the one ``max_weight_assignment`` would, whose relations are
     returned as the evidence (empty when every matched pair shares a
@@ -216,15 +218,25 @@ def infer_via_children(c1: Concept, c2: Concept, maps: RunMaps) -> Optional[tupl
         return None
     if c1.key == c2.key:
         return None
-    kids, cells = maps.kids, maps.cells
-    support = [[True if x.key == y.key else cells[x.key].get(y.key)  # True: equal terms
-                for y in kids[c2.id]] for x in kids[c1.id]]
-    assignment = perfect_assignment(support)
+    cells, left, right = maps.cells, maps.kids[c1.id], maps.kids[c2.id]
+    columns: dict[str, list[int]] = {}  # child key of c2 -> its columns
+    for j, y in enumerate(right):
+        columns.setdefault(y.key, []).append(j)
+    rows = []
+    for x in left:
+        related = cells[x.key]
+        if len(related) < len(right):  # read the smaller side: a hub term costs a row
+            row = sorted(j for key in {x.key, *related} for j in columns.get(key, ()))
+        else:
+            row = [j for j, y in enumerate(right) if y.key == x.key or y.key in related]
+        if not row:
+            return None
+        rows.append(row)
+    assignment = perfect_assignment(rows)
     if assignment is None:
         return None
-    return tuple(
-        support[i][j] for i, j in enumerate(assignment) if support[i][j] is not True
-    )
+    return tuple(cells[x.key][right[j].key]
+                 for x, j in zip(left, assignment) if x.key != right[j].key)
 
 
 def enrich(

@@ -14,7 +14,8 @@ against 0.13 s on the mostly-0 child matrix of two 200-wide composites
 sharing one key in two, and 0.12 s against 0.35 s on a random dense one.
 
 ``perfect_assignment`` answers the 0/1 question of case 3, whether the
-nonzero cells hold a perfect matching, by augmenting paths, one per row
+nonzero cells, given row by row as sorted column lists, hold a perfect
+matching, by augmenting paths, one per row
 (the plain form of Hopcroft & Karp, SIAM J. Comput. 1973), in
 O(n * cells), and keeps the same tie rule.
 """
@@ -88,28 +89,28 @@ def max_weight_assignment(
     return total, tuple(assignment)
 
 
-def perfect_assignment(weights: Sequence[Sequence[object]]) -> Optional[tuple[int, ...]]:
-    """The assignment ``max_weight_assignment`` picks for a 0/1 matrix when
-    its nonzero cells hold a perfect matching, else None.  Cells are read
-    as truth values.
+def perfect_assignment(cols: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The assignment ``max_weight_assignment`` picks for an n x n 0/1
+    matrix when its nonzero cells hold a perfect matching, else None.
+    ``cols[r]`` lists the columns of row r's nonzero cells, in ascending
+    order, each below n = ``len(cols)``.
 
     Rows are matched first to last, each along an alternating path to a
     free column.  Then each row, from the last one back, lets go of its
     column and takes the largest column from which an alternating path
     through the rows before it leads back there.
     """
-    n = len(weights)
-    if any(len(row) != n for row in weights):
-        raise ValueError("weight matrix must be square")
-    cols = [[c for c, w in enumerate(row) if w] for row in weights]
+    n = len(cols)
+    if any(row and not 0 <= row[0] <= row[-1] < n for row in cols):
+        raise ValueError("a column lies outside the square matrix")
     rows: list[list[int]] = [[] for _ in range(n)]  # column -> rows with a 1 there
     for r, row in enumerate(cols):
         for c in row:
             rows[c].append(r)
-    match = [-1] * n  # row -> column
-    owner = [-1] * n  # column -> row
     if not all(cols) or not all(rows):
         return None
+    match = [-1] * n  # row -> column
+    owner = [-1] * n  # column -> row
 
     def reroute(r: int, free: list[int]) -> bool:
         """Match row r to its largest column that leads to a free one; only

@@ -5,10 +5,11 @@ directly: atomic concepts score 1 exactly when their normalized terms are
 equal, and composite concepts of equal arity score the best average
 pairing of their children.  An atomic child scores 0 against a composite
 one, so that pairing splits in two: the atomic children pair by equal
-keys (a multiset intersection, no matcher), and only the composite
-children go through maximum-weight bipartite matching, computed
-bottom-up over the composition graph, reading children from one
-``children_index`` and memoized in it.  The semantic measure
+keys (a count, no matcher; ``integrator.align``'s join memoizes it for
+flat composites), and only the composite children go through
+maximum-weight bipartite matching, computed bottom-up over the
+composition graph, reading children from one ``children_index`` and
+memoized in it.  The semantic measure
 consults the support ontology first: a synonymy relation between the two
 terms forces 1, else a homonymy relation forces 0, else the syntactic
 measure decides.  Both measures only read; enrichment, the one write to
@@ -51,8 +52,9 @@ class ChildrenIndex(dict):
     """Concept id -> its children, sorted by (key, id), as ``children_index``
     builds it; ``parents``: arity -> child id -> the ids of its parents, a tuple.
     ``syntactic_similarity`` fills ``memo`` (a composite pair's score, by
-    the pair's ids) and ``atoms`` (a concept's atomic child keys, counted):
-    every call on one index shares them, valid exactly as long as the index is.
+    the pair's ids; ``integrator.align``'s join also writes it) and ``atoms``
+    (a concept's atomic child keys, counted): every call on one index
+    shares them, valid exactly as long as the index is.
     """
 
     def __init__(self):
@@ -98,17 +100,19 @@ def syntactic_similarity(c1: Concept, c2: Concept, kids: ChildrenIndex) -> Fract
     keys plus the best assignment among the composite children alone,
     padded to a square with 0 cells: all-atomic children need no matcher.
 
-    Composite pairs are scored bottom-up from an explicit stack, so no
-    composition depth meets the recursion limit, and each composite pair
-    is scored once per index, into ``kids.memo`` by (id of c1's side, id
-    of c2's side); each concept's atomic child keys are counted once, into
+    A pair in ``kids.memo`` is returned at once; other composite pairs are
+    scored bottom-up from an explicit stack, so no composition depth meets
+    the recursion limit, each once per index, into ``kids.memo`` by (id
+    of c1's side, id of c2's side); each concept's atomic child keys are counted once, into
     ``kids.atoms``.  The scores read only the component ontologies, which
     enrichment never writes.
     """
-    score = _flat_score(c1, c2)
+    memo, atoms = kids.memo, kids.atoms
+    score = memo.get((c1.id, c2.id))
+    if score is None:
+        score = _flat_score(c1, c2)
     if score is not None:
         return score
-    memo, atoms = kids.memo, kids.atoms
     stack = [(c1, c2)]
     while stack:
         a, b = stack[-1]

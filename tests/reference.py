@@ -31,6 +31,13 @@ scans every relation of every ontology for the first that joins two
 terms, and ``naive_concepts_by_term`` and ``naive_term_present`` scan
 every concept of an ontology for a normalized term.
 
+``reference_fixed_partners`` is the fixed part of ``align``'s rows as it
+was found before the counting join: every equal-key pair, and every
+equal-key atomic pair lifted through each arity's parents, pair by pair,
+to a closure.  ``reference_infer_via_children`` is case 3 as it was
+before it listed each row's nonzero columns: it builds the whole n x n
+support matrix and hands ``perfect_assignment`` its ``nonzero_columns``.
+
 ``random_component`` draws a component over the words of ``_WORDS``,
 acyclic by construction, for the tests that need many varied inputs.
 """
@@ -41,7 +48,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ontomerge import (
@@ -61,10 +68,13 @@ from ontomerge import (
     build_clusters,
     normalize_term,
 )
+from ontomerge.enrichment import RunMaps
 from ontomerge.evalgen import GroundTruth
 from ontomerge.integrator import DEFAULT_TAU, MERGED_ID, MERGED_NAME
+from ontomerge.matching import perfect_assignment
 from ontomerge.model import SYNTACTIC, first_free, pair_rows
 from ontomerge.model_io import FORMAT_VERSION
+from ontomerge.similarity import ChildrenIndex
 
 
 class ComponentInput(NamedTuple):
@@ -449,6 +459,56 @@ def brute_force_syntactic(c1, c2, o1, o2) -> Fraction:
         for p in permutations(range(n))
     )
     return best / n
+
+
+def reference_fixed_partners(source: Ontology, later: Ontology,
+                             kids: ChildrenIndex) -> dict[str, set[str]]:
+    """c1 id -> the ids of the concepts of ``later`` that share c1's key or
+    score above 0 against c1 syntactically: the equal-key atomic pairs,
+    lifted bottom-up to the equal-arity pairs of their parents."""
+    partners: dict[str, set[str]] = {}
+    lifted = []
+    for c1 in source.concepts.values():
+        for c2 in later.concepts_by_term(c1.key):
+            partners.setdefault(c1.id, set()).add(c2.id)
+            if c1.is_atomic and c2.is_atomic:
+                lifted.append((c1.id, c2.id))
+    seen = set(lifted)
+    for x, y in lifted:  # grows as it is read: each pair lifts once
+        for by_child in kids.parents.values():
+            for p, q in product(by_child.get(x, ()), by_child.get(y, ())):
+                if (p, q) not in seen:
+                    seen.add((p, q))
+                    lifted.append((p, q))
+                    partners.setdefault(p, set()).add(q)
+    return partners
+
+
+def nonzero_columns(weights) -> list[list[int]]:
+    """Each row's nonzero columns, ascending, of a square matrix: what
+    ``perfect_assignment`` reads.  Raises ValueError when it is not square."""
+    if any(len(row) != len(weights) for row in weights):
+        raise ValueError("weight matrix must be square")
+    return [[c for c, w in enumerate(row) if w] for row in weights]
+
+
+def reference_infer_via_children(c1: Concept, c2: Concept,
+                                 maps: RunMaps) -> Optional[tuple[Relation, ...]]:
+    """Case 3 over the whole support matrix: cell (i, j) is True when the
+    children share a key, else the first cell relation of their keys."""
+    if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
+        return None
+    if c1.key == c2.key:
+        return None
+    kids, cells = maps.kids, maps.cells
+    support = [[True if x.key == y.key else cells[x.key].get(y.key)
+                for y in kids[c2.id]] for x in kids[c1.id]]
+    assignment = perfect_assignment(nonzero_columns(support))
+    if assignment is None:
+        return None
+    return tuple(
+        support[i][j] for i, j in enumerate(assignment) if support[i][j] is not True
+    )
 
 
 def naive_first_relation(ontologies, s1, s2, kinds):

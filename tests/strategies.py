@@ -83,6 +83,28 @@ def concept_pairs(draw, max_depth: int = 2, max_children: int = 4):
     return c1, c2, o1, o2
 
 
+@st.composite
+def layered_ontologies(draw, ontology_id: str, levels: int = 3, max_width: int = 4):
+    """An ontology of 1 to 5 atomic concepts over ``TERM_POOL`` and up to
+    four composites on each of ``levels`` levels above them.  A composite
+    holds 1 to ``max_width`` distinct concepts of the levels below, so
+    composite children nest to depth ``levels``, one child sits under
+    parents of several arities, two children of one composite may share a
+    term and a term may name several concepts."""
+    ontology = Ontology(ontology_id)
+    below: list[str] = []
+    for level in range(levels + 1):
+        count = draw(st.integers(min_value=0 if level else 1, max_value=4 if level else 5))
+        made = []
+        for index in range(count):
+            children = draw(st.lists(st.sampled_from(below), min_size=1, max_size=max_width,
+                                     unique=True)) if level else ()
+            made.append(f"{ontology_id}#{level}.{index}")
+            ontology.add_concept(Concept(id=made[-1], term=draw(terms), children=children))
+        below += made
+    return ontology
+
+
 # Ids mix the characters JSON escapes, a line separator it leaves raw, a
 # formatting character and non-ASCII text; names (entity names, aliases)
 # must also stay nonblank after normalization.

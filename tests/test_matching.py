@@ -1,5 +1,6 @@
 """Kuhn-Munkres assignment against a permutation brute force and the subset DP,
-and the 0/1 perfect matcher against both."""
+and the 0/1 perfect matcher against both, its matrices handed over as each
+row's nonzero columns."""
 
 import random
 from fractions import Fraction
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomerge.matching import max_weight_assignment, perfect_assignment
+
+from .reference import nonzero_columns
 
 
 def brute_force_total(weights):
@@ -166,7 +169,7 @@ def perfect_oracle(weights):
 @given(zero_one_matrices())
 def test_perfect_assignment_matches_kuhn_munkres_and_subset_dp(weights):
     expected = perfect_oracle(weights)
-    assert perfect_assignment(weights) == expected
+    assert perfect_assignment(nonzero_columns(weights)) == expected
     if len(weights) <= 7:
         total, assignment = subset_dp_assignment(weights)
         assert expected == (assignment if total == len(weights) else None)
@@ -189,14 +192,18 @@ def _banded(n, rng, extra):
 def test_wide_perfect_assignment_keeps_the_tie_rule(n, extra):
     rng = random.Random(n * 10 + extra)
     weights = _banded(n, rng, extra)
-    assert perfect_assignment(weights) == perfect_oracle(weights) is not None
+    assert perfect_assignment(nonzero_columns(weights)) == perfect_oracle(weights) is not None
     weights[rng.randrange(n)] = [0] * n  # a row with no one: no perfect matching
-    assert perfect_assignment(weights) is None
+    assert perfect_assignment(nonzero_columns(weights)) is None
     weights = _banded(n, rng, extra)
     weights[0] = weights[1] = [1] + [0] * (n - 1)  # two rows share their only column
-    assert perfect_assignment(weights) is None
+    assert perfect_assignment(nonzero_columns(weights)) is None
 
 
 def test_perfect_assignment_rejects_non_square():
+    # two rows, so columns 0 and 1 only
+    for cols in ([[0], [1, 2]], [[-1], [0]]):
+        with pytest.raises(ValueError):
+            perfect_assignment(cols)
     with pytest.raises(ValueError):
-        perfect_assignment([[1], [0]])
+        nonzero_columns([[1], [0]])

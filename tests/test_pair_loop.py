@@ -8,7 +8,9 @@ per pair and ``Fraction`` comparisons in the classifier.  The fast loop
 must agree with it on every output, and count guards keep the child
 re-sorting and the composite re-scoring from coming back.  The split
 syntactic score and case 3 are held to their full-matrix forms too
-(``naive_syntactic``, ``naive_infer_via_children``).  ``naive_align``'s
+(``naive_syntactic``, ``naive_infer_via_children``), and the fixed part
+of each row to the per-arity lift it replaced
+(``reference.reference_fixed_partners``).  ``naive_align``'s
 enrichment hook calls ``enrich`` with one ``RunMaps`` per state of the
 support ontology, built again after each commit, so it does not rest on
 the entries a commit drops (``RunMaps.forget``).
@@ -20,6 +22,7 @@ import weakref
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,8 +60,13 @@ from ontomerge.integrator import ASSUMED_IDENTICAL_WARNING
 from ontomerge.matching import max_weight_assignment
 from ontomerge.model import as_fraction
 
-from .reference import expand_correspondences, naive_first_relation
-from .strategies import TERM_POOL, build_ontology, concept_trees, terms
+from .reference import (
+    expand_correspondences,
+    naive_first_relation,
+    reference_fixed_partners,
+    reference_infer_via_children,
+)
+from .strategies import TERM_POOL, build_ontology, concept_trees, layered_ontologies, terms
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +654,134 @@ def test_case3_equals_per_cell_oracle(inputs):
             assert infer_via_children(c1, c2, maps) == naive_infer_via_children(
                 c1, c2, sources, od, maps.kids
             )
+
+
+HUB_SPOKES = (*TERM_POOL[:4], *(f"spoke {i}" for i in range(12)))
+
+
+@st.composite
+def hub_case3_inputs(draw):
+    """``case3_inputs`` with a fifth child term, "hub", that the support
+    ontology relates by synonymy or equivalence to up to 16 terms, the
+    four other child terms among them or not: a hub row has more cells
+    than its composite has children, the other rows fewer."""
+    width = draw(st.integers(min_value=1, max_value=8))
+    child_terms = st.sampled_from((*TERM_POOL[:4], "hub"))
+    sources = []
+    for sid in ("L", "R"):
+        roots = [(draw(terms), draw(st.lists(child_terms, min_size=width, max_size=width)))
+                 for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+        source = build_ontology(("root", roots), sid)[0]
+        _draw_relations(draw, source, sorted(source.concepts), most=4)
+        sources.append(source)
+    od = Ontology("Od", [Concept(id=f"Od#{t}", term=t) for t in ("hub", *HUB_SPOKES)])
+    for spoke in draw(st.lists(st.sampled_from(HUB_SPOKES), unique=True, max_size=16)):
+        od.add_relation(Relation("Od#hub", f"Od#{spoke}",
+                                 draw(st.sampled_from(("synonymy", "equivalence")))))
+    _draw_relations(draw, od, [f"Od#{t}" for t in TERM_POOL[:4]], most=4)
+    return sources, od, Fraction(1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hub_case3_inputs())
+def test_case3_rows_of_nonzero_columns_equal_the_matrix_build(inputs):
+    sources, od, _ = inputs
+    maps = RunMaps(od, sources)
+    composites = [c for source in sources for c in source.concepts.values() if c.children]
+    for c1 in composites:
+        for c2 in composites:
+            found = infer_via_children(c1, c2, maps)
+            assert found == reference_infer_via_children(c1, c2, maps)
+            assert found == naive_infer_via_children(c1, c2, sources, od, maps.kids)
+
+
+# ---------------------------------------------------------------------------
+# the fixed part of a row: one counting join against the per-arity lift
+
+
+class _RecordedMaps(RunMaps):
+    """``RunMaps`` that keeps the last instance built, for its ``kids``."""
+
+    last = None
+
+    def __init__(self, od, sources):
+        super().__init__(od, sources)
+        type(self).last = self
+
+
+@st.composite
+def layered_sources(draw):
+    """Two or three plain ontologies from ``layered_ontologies``."""
+    count = draw(st.integers(min_value=2, max_value=3))
+    return [draw(layered_ontologies(sid)) for sid in ("A", "B", "C")[:count]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(layered_sources())
+def test_fixed_partners_equal_the_per_arity_lift_and_the_join_scores_exactly(sources):
+    # with an empty support ontology a row is its fixed part alone
+    with patch.object(integrator, "RunMaps", _RecordedMaps):
+        correspondences, _, _ = align(sources, Ontology("Od"))
+    kids = _RecordedMaps.last.kids
+    expected = set()
+    for i, source in enumerate(sources):
+        for later in sources[i + 1:]:
+            for c1, found in reference_fixed_partners(source, later, children_index(sources)).items():
+                expected.update((c1, c2) for c2 in found)
+    assert {c.pair for c in correspondences} == expected
+    concepts = {cid: c for source in sources for cid, c in source.concepts.items()}
+    for (a, b), score in kids.memo.items():
+        assert score == syntactic_similarity(concepts[a], concepts[b], children_index(sources))
+
+
+def arity_fan_inputs(k):
+    """Two components alike: composites p1..pK, where pj holds the atom s
+    and j - 1 atoms of its own, so K arities whose composites share an
+    atomic child, each atom with an equal key on the other side."""
+    def component(cid):
+        entities = [Entity(name="s")]
+        for j in range(1, k + 1):
+            own = [f"a{j}.{i}" for i in range(1, j)]
+            entities += [*map(Entity, own), Entity(name=f"p{j}", components=("s", *own))]
+        return BusinessComponent(id=cid, name=cid, entities=tuple(entities))
+    return [component("L"), component("R")]
+
+
+def test_fixed_partner_parent_reads_follow_the_join_hits(monkeypatch):
+    # lifting every equal-key atomic pair through each arity's parents read
+    # them 2 * K times per lifted pair: 88 at K = 4 and 4,384 at K = 16
+    reads = [0]
+
+    class CountingDict(dict):
+        def __getitem__(self, key):
+            reads[0] += 1
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            reads[0] += 1
+            return super().get(key, default)
+
+    def counted_index(ontologies):
+        kids = children_index(ontologies)
+        kids.parents = CountingDict(
+            (arity, CountingDict(by_child)) for arity, by_child in kids.parents.items())
+        return kids
+
+    monkeypatch.setattr(enrichment, "children_index", counted_index)
+    for k in (4, 16):
+        sources = arity_fan_inputs(k)
+        reads[0] = 0
+        correspondences, _, _ = align(sources, Ontology("Od"))
+        left, right = sources
+        hits = sum(x.key == y.key and not x.children and not y.children
+                   for c1 in left.concepts.values() for q in right.concepts.values()
+                   if c1.children and len(c1.children) == len(q.children)
+                   for x in map(left.concepts.get, c1.children)
+                   for y in map(right.concepts.get, q.children))
+        children = sum(len(c.children) for source in sources for c in source.concepts.values())
+        assert hits == k * (k + 1) // 2
+        assert len(correspondences) == 1 + hits  # the pairs of equal keys: atoms, composites
+        assert reads[0] <= hits + children
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def perfect_assignment(cols: Sequence[Sequence[int]]) -> Optional[tuple[int, ...
     through the rows before it leads back there.
     """
     n = len(cols)
-    if any(row and not 0 <= row[0] <= row[-1] < n for row in cols):
+    if any(row and (row[0] < 0 or row[-1] >= n) for row in cols):
         raise ValueError("a column lies outside the square matrix")
     rows: list[list[int]] = [[] for _ in range(n)]  # column -> rows with a 1 there
     for r, row in enumerate(cols):

@@ -203,14 +203,13 @@ def infer_via_children(c1: Concept, c2: Concept, maps: RunMaps) -> Optional[tupl
     are equal or a synonymy / equivalence relation between the terms
     exists in the support ontology or any source (the first in
     ``first_relations``, support ontology first, read once per child term
-    and run from ``RunMaps.cells``); a row lists c2's children that c1's
-    child relates to, read from the smaller side, and an empty row ends
-    the search.  A perfect injective matching over all n children is
-    required, and ``perfect_assignment`` finds one over the rows by
-    augmenting paths in O(n * cells); among several perfect matchings it
-    picks the one ``max_weight_assignment`` would, whose relations are
-    returned as the evidence (empty when every matched pair shares a
-    term).  Only distinct parent terms are inferred (a shared term is
+    and run from ``RunMaps.cells``); a row lists the children of c2 that
+    one of c1 relates to, and an empty row ends the search.  A perfect
+    injective matching over all n children is required, and
+    ``perfect_assignment`` finds one by augmenting paths in O(n * cells);
+    among several perfect matchings it picks the one
+    ``max_weight_assignment`` would, whose relations are returned as the
+    evidence (empty when every matched pair shares a term).  Only distinct parent terms are inferred (a shared term is
     already decided syntactically, and a self-synonymy would break
     pipeline idempotence); the inferred kind is always synonymy.
     """
@@ -219,16 +218,10 @@ def infer_via_children(c1: Concept, c2: Concept, maps: RunMaps) -> Optional[tupl
     if c1.key == c2.key:
         return None
     cells, left, right = maps.cells, maps.kids[c1.id], maps.kids[c2.id]
-    columns: dict[str, list[int]] = {}  # child key of c2 -> its columns
-    for j, y in enumerate(right):
-        columns.setdefault(y.key, []).append(j)
     rows = []
     for x in left:
         related = cells[x.key]
-        if len(related) < len(right):  # read the smaller side: a hub term costs a row
-            row = sorted(j for key in {x.key, *related} for j in columns.get(key, ()))
-        else:
-            row = [j for j, y in enumerate(right) if y.key == x.key or y.key in related]
+        row = [j for j, y in enumerate(right) if y.key == x.key or y.key in related]
         if not row:
             return None
         rows.append(row)

@@ -33,7 +33,7 @@ from .model import (
     first_free,
     pair_space_of,
 )
-from .similarity import semantic_similarity
+from .similarity import child_key_hits, flat_composites, semantic_similarity
 from .terms import normalize_term
 
 ALIAS_PREFIX = "alias: "
@@ -54,12 +54,9 @@ def align(
     Returns only the scored pairs.  A row pairs c1 with two sets of
     concepts of a later source.  The fixed part, found once per source
     pair by one counting join, is what no commit can change: the concepts
-    that share c1's key or score above 0 syntactically.  A composite c1's
-    atomic child keys are looked up among the later source's atomic
-    concepts, and each parent of c1's arity with a hit is a partner.
-    When both are flat (no composite child, no two child keys equal),
-    hits / arity is the pair's syntactic score, written to ``kids.memo``.
-    Only a pair whose c1 is a child lifts on to the parents' pairs.  When
+    that share c1's key or score above 0 syntactically, that is the hits
+    of ``similarity.child_key_hits``, lifted to the equal-arity pairs of
+    their parents when c1 is itself a child.  When
     the support ontology holds c1's key, ``candidates`` adds the concepts
     whose keys it holds and that ``RunMaps.reach`` gives for c1 against
     the support ontology as enriched so far: a concept whose key it
@@ -111,8 +108,7 @@ def align(
     maps = RunMaps(enriched_od, ordered)
     kids = maps.kids
 
-    flat = {cid for cid, row in kids.items()  # n atomic children of n keys
-            if row and len({x.key for x in row if not x.children}) == len(row)}
+    flat = flat_composites(kids)
     nested = {child for by_child in kids.parents.values() for child in by_child if kids[child]}
 
     def fixed_partners(source: Ontology, later: Ontology) -> dict[str, set[str]]:
@@ -120,21 +116,8 @@ def align(
         partners: dict[str, set[str]] = {}
         lifted = []
         for c1 in source.concepts.values():
-            if not c1.children:
-                continue
-            by_child = kids.parents[len(c1.children)]
-            hits: dict[str, int] = {}  # equal-arity composite -> equal-key atomic child pairs
-            for x in kids[c1.id]:
-                for y in () if x.children else later.concepts_by_term(x.key):
-                    if not y.children:
-                        for q in by_child.get(y.id, ()):
-                            hits[q] = hits.get(q, 0) + 1
-            if hits:
+            if c1.children and (hits := child_key_hits(c1, later, kids, flat)):
                 partners[c1.id] = set(hits)
-                if c1.id in flat:
-                    for q, count in hits.items():
-                        if q in flat:
-                            kids.memo[c1.id, q] = Fraction(count, len(c1.children))
                 if c1.id in nested:
                     lifted.extend((c1.id, q) for q in hits)
         for x, y in lifted:  # grows as it is read: each pair lifts once

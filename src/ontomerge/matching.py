@@ -14,10 +14,9 @@ against 0.13 s on the mostly-0 child matrix of two 200-wide composites
 sharing one key in two, and 0.12 s against 0.35 s on a random dense one.
 
 ``perfect_assignment`` answers the 0/1 question of case 3, whether the
-nonzero cells, given row by row as sorted column lists, hold a perfect
-matching, by augmenting paths, one per row
-(the plain form of Hopcroft & Karp, SIAM J. Comput. 1973), in
-O(n * cells), and keeps the same tie rule.
+nonzero cells, listed row by row, hold a perfect matching, by augmenting
+paths, one per row (the plain form of Hopcroft & Karp, SIAM J. Comput.
+1973), in O(n * cells), and keeps the same tie rule.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ def perfect_assignment(cols: Sequence[Sequence[int]]) -> Optional[tuple[int, ...
     """The assignment ``max_weight_assignment`` picks for an n x n 0/1
     matrix when its nonzero cells hold a perfect matching, else None.
     ``cols[r]`` lists the columns of row r's nonzero cells, in ascending
-    order, each below n = ``len(cols)``.
+    order, each below n = ``len(cols)``; any other list raises ValueError.
 
     Rows are matched first to last, each along an alternating path to a
     free column.  Then each row, from the last one back, lets go of its
@@ -101,16 +100,16 @@ def perfect_assignment(cols: Sequence[Sequence[int]]) -> Optional[tuple[int, ...
     through the rows before it leads back there.
     """
     n = len(cols)
-    if any(row and (row[0] < 0 or row[-1] >= n) for row in cols):
-        raise ValueError("a column lies outside the square matrix")
     rows: list[list[int]] = [[] for _ in range(n)]  # column -> rows with a 1 there
     for r, row in enumerate(cols):
-        for c in row:
+        for c, after in zip(row, [*row[1:], n]):
+            if not 0 <= c < after:
+                raise ValueError(f"row {r}'s columns do not ascend within range({n})")
             rows[c].append(r)
-    if not all(cols) or not all(rows):
-        return None
     match = [-1] * n  # row -> column
     owner = [-1] * n  # column -> row
+    if not all(cols) or not all(rows):
+        return None
 
     def reroute(r: int, free: list[int]) -> bool:
         """Match row r to its largest column that leads to a free one; only

@@ -5,15 +5,15 @@ directly: atomic concepts score 1 exactly when their normalized terms are
 equal, and composite concepts of equal arity score the best average
 pairing of their children.  An atomic child scores 0 against a composite
 one, so that pairing splits in two: the atomic children pair by equal
-keys (a count, no matcher; ``integrator.align``'s join memoizes it for
-flat composites), and only the composite children go through
-maximum-weight bipartite matching, computed bottom-up over the
-composition graph, reading children from one ``children_index`` and
-memoized in it.  The semantic measure
-consults the support ontology first: a synonymy relation between the two
-terms forces 1, else a homonymy relation forces 0, else the syntactic
-measure decides.  Both measures only read; enrichment, the one write to
-the support ontology, is a step of ``integrator.align``'s pair loop.
+keys (a count, no matcher; ``child_key_hits`` counts a row's at once),
+and only the composite children go through maximum-weight bipartite
+matching, computed bottom-up over the composition graph, reading
+children from one ``children_index`` and memoized in it.  The semantic
+measure consults the support ontology first: a synonymy relation between
+the two terms forces 1, else a homonymy relation forces 0, else the
+syntactic measure decides.  Both measures only read; enrichment, the
+one write to the support ontology, is a step of ``integrator.align``'s
+pair loop.
 
 All scores are exact Fractions in [0, 1]; atomic pairs score exactly 0
 or 1.
@@ -52,9 +52,9 @@ class ChildrenIndex(dict):
     """Concept id -> its children, sorted by (key, id), as ``children_index``
     builds it; ``parents``: arity -> child id -> the ids of its parents, a tuple.
     ``syntactic_similarity`` fills ``memo`` (a composite pair's score, by
-    the pair's ids; ``integrator.align``'s join also writes it) and ``atoms``
-    (a concept's atomic child keys, counted): every call on one index
-    shares them, valid exactly as long as the index is.
+    the pair's ids; ``child_key_hits`` too) and ``atoms`` (a concept's
+    atomic child keys, counted): every call on one index shares them,
+    valid exactly as long as the index is.
     """
 
     def __init__(self):
@@ -100,19 +100,17 @@ def syntactic_similarity(c1: Concept, c2: Concept, kids: ChildrenIndex) -> Fract
     keys plus the best assignment among the composite children alone,
     padded to a square with 0 cells: all-atomic children need no matcher.
 
-    A pair in ``kids.memo`` is returned at once; other composite pairs are
-    scored bottom-up from an explicit stack, so no composition depth meets
-    the recursion limit, each once per index, into ``kids.memo`` by (id
-    of c1's side, id of c2's side); each concept's atomic child keys are counted once, into
+    Composite pairs are scored bottom-up from an explicit stack, so no
+    composition depth meets the recursion limit, and each composite pair
+    is scored once per index, into ``kids.memo`` by (id of c1's side, id
+    of c2's side); each concept's atomic child keys are counted once, into
     ``kids.atoms``.  The scores read only the component ontologies, which
     enrichment never writes.
     """
-    memo, atoms = kids.memo, kids.atoms
-    score = memo.get((c1.id, c2.id))
-    if score is None:
-        score = _flat_score(c1, c2)
+    score = _flat_score(c1, c2)
     if score is not None:
         return score
+    memo, atoms = kids.memo, kids.atoms
     stack = [(c1, c2)]
     while stack:
         a, b = stack[-1]
@@ -149,6 +147,31 @@ def syntactic_similarity(c1: Concept, c2: Concept, kids: ChildrenIndex) -> Fract
             total += max_weight_assignment(square)[0]
         memo[a.id, b.id] = Fraction(total, len(left))
     return memo[c1.id, c2.id]
+
+
+def flat_composites(kids: ChildrenIndex) -> set[str]:
+    """The composites in ``kids`` whose n children are atomic, of n keys."""
+    return {cid for cid, row in kids.items()
+            if row and len({x.key for x in row if not x.children}) == len(row)}
+
+
+def child_key_hits(c1: Concept, later: Ontology, kids: ChildrenIndex,
+                   flat: set[str]) -> dict[str, int]:
+    """Composite q of ``later`` of c1's arity -> its equal-key atomic child
+    pairs with c1, counted in one pass over c1's atomic children.  For c1
+    and q in ``flat`` (``flat_composites``), count / arity is the pair's
+    syntactic score, written to ``kids.memo``."""
+    hits: dict[str, int] = {}
+    by_child = kids.parents.get(len(c1.children), {})
+    for x in kids[c1.id]:
+        for y in () if x.children else later.concepts_by_term(x.key):
+            if not y.children:
+                for q in by_child.get(y.id, ()):
+                    hits[q] = hits.get(q, 0) + 1
+    if c1.id in flat:
+        for q in flat.intersection(hits):
+            kids.memo[c1.id, q] = Fraction(hits[q], len(c1.children))
+    return hits
 
 
 def _flat_score(c1: Concept, c2: Concept) -> Optional[Fraction]:

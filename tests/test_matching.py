@@ -201,8 +201,9 @@ def test_wide_perfect_assignment_keeps_the_tie_rule(n, extra):
 
 
 def test_perfect_assignment_rejects_non_square():
-    # two rows, so columns 0 and 1 only
-    for cols in ([[0], [1, 2]], [[-1], [0]]):
+    # three rows, so columns 0 to 2 only, each row ascending
+    for cols in ([[0], [1], [2, 3]], [[-1], [0], [1]], [[0], [2, 5, 1], [1]],
+                 [[0], [0, -2, 1], [1]], [[1, 0], [0], [2]], [[0, 0], [1], [2]]):
         with pytest.raises(ValueError):
             perfect_assignment(cols)
     with pytest.raises(ValueError):

@@ -4,8 +4,9 @@ When the support ontology has no relation for a concept pair, three cases
 are tried in order.  Each only looks for evidence and returns it:
 
 * case 1 - some single source ontology already declares a semantic
-  relation between the two terms (the first, sources in order); its kind
-  is copied into the support ontology.
+  relation between the two terms (the first, sources in order, of those
+  that relate the first term); its kind is copied into the support
+  ontology.
 * case 2 (``infer_via_equivalents``) - each term has a declared
   equivalent in the sources and a synonymy or homonymy relation bridges
   the two equivalents (in the support ontology or any source); the
@@ -86,6 +87,22 @@ def _equivalence_partners(sources: Sequence[Ontology]) -> dict[str, list[tuple[s
     return partners
 
 
+def _relating_sources(sources: Sequence[Ontology]) -> dict[str, tuple[Ontology, ...]]:
+    """Term -> the sources, in order, whose semantic relations touch it; a
+    term that no source relates is left out."""
+    relating: dict[str, tuple[Ontology, ...]] = {}
+    for source in sources:
+        alone = (source,)  # shared by the terms that only this source relates so far
+        for relation in source.semantic_relations():
+            for term in (source.concepts[relation.a].key, source.concepts[relation.b].key):
+                found = relating.get(term, ())
+                if not found:
+                    relating[term] = alone
+                elif found[-1] is not source:
+                    relating[term] = (*found, source)
+    return relating
+
+
 def first_relations(
     ontologies: Sequence[Ontology], term: str, kinds: tuple[str, ...]
 ) -> dict[str, Relation]:
@@ -118,8 +135,10 @@ class RunMaps:
 
     ``od`` is the support ontology ``enrich`` gates on and commits to,
     ``sources`` the component ontologies and ``kids`` their
-    ``children_index``.  ``partners`` (term -> equivalence partners)
-    reads only the sources, which no commit writes.  The rest is filled
+    ``children_index``.  ``partners`` (term -> equivalence partners) and
+    ``relating`` (term -> the sources, in order, that relate it) read only
+    the sources, which no commit writes; ``reach``, case 1, ``bridges`` and
+    ``cells`` read ``od`` and the sources ``relating`` names.  The rest is filled
     on first use from ``od`` as enriched so far: ``bridges`` (s1 -> (s2,
     first synonymy or homonymy) for each s2 with a partner, by s2) and
     ``cells`` (case 3's term -> related term -> first synonymy or
@@ -133,11 +152,12 @@ class RunMaps:
         # the maps alive after ``align`` returns, until the collector runs
         self.od, self.sources = od, sources
         self.kids = children_index(sources)
-        self._ontologies = ontologies = [od, *sources]
         self._partners = partners = _equivalence_partners(sources)
-        self.cells = _Lazy(lambda term: first_relations(ontologies, term, _CELL_KINDS))
+        self.relating = relating = _relating_sources(sources)
+        self.cells = _Lazy(lambda t: first_relations((od, *relating.get(t, ())), t, _CELL_KINDS))
         self.bridges = _Lazy(lambda s1: sorted(
-            (s2, bridge) for s2, bridge in first_relations(ontologies, s1, _BRIDGE_KINDS).items()
+            (s2, bridge) for s2, bridge
+            in first_relations((od, *relating.get(s1, ())), s1, _BRIDGE_KINDS).items()
             if s2 in partners))
 
     def partners(self, term: str) -> Sequence[tuple[str, Relation]]:
@@ -164,7 +184,8 @@ class RunMaps:
         source, and a commit in its row involves c1's key, so a kept reach
         could be read again only when a third source gives c1 a second row.
         """
-        keys = {term for o in self._ontologies for term in o.related_terms(c1.key)}
+        around = (self.od, *self.relating.get(c1.key, ()))
+        keys = {term for o in around for term in o.related_terms(c1.key)}
         if self.partners(c1.key):
             keys.update(end for end, _ in self.paths(c1.key))
         linked = {key for x in self.kids[c1.id] for key in (x.key, *self.cells[x.key])}
@@ -252,7 +273,7 @@ def enrich(
     t1, t2 = c1.key, c2.key
     if not (od.term_present(t1) and od.term_present(t2)) or lookup_relations(od, t1, t2):
         return None
-    direct = next((r for source in maps.sources for r in lookup_relations(source, t1, t2)), None)
+    direct = next((r for s in maps.relating.get(t1, ()) for r in lookup_relations(s, t1, t2)), None)
     if direct is not None:
         case, kind, evidence = "inferred_case1", direct.kind, (direct,)
     elif (bridged := infer_via_equivalents(t1, t2, maps)) is not None:

@@ -27,6 +27,7 @@ SEMANTIC_KINDS = ("equivalence", "homonymy", "synonymy")
 PROVENANCES = ("declared", "inferred_case1", "inferred_case2", "inferred_case3")
 VERDICTS = ("Distinct", "Homonym", "Identical", "Synonym")
 EVIDENCE_KINDS = ("enriched", "od_homonymy", "od_synonymy", "syntactic")
+_SIBLING = {"synonymy": "homonymy", "homonymy": "synonymy"}  # kinds one pair cannot both carry
 
 
 class _Value:
@@ -276,7 +277,7 @@ class Ontology:
             raise SchemaViolation(
                 f"duplicate {relation.kind} relation between {relation.a!r} and {relation.b!r}"
             )
-        sibling = {"synonymy": "homonymy", "homonymy": "synonymy"}.get(relation.kind)
+        sibling = _SIBLING.get(relation.kind)
         if sibling and (relation.a, relation.b, sibling) in self._relations:
             raise SchemaViolation(
                 f"concept pair ({relation.a!r}, {relation.b!r}) cannot carry both "
@@ -410,6 +411,8 @@ class BusinessComponent(Ontology):
     Each entity becomes the concept ``<component id>#<key>``, its term the
     entity's name, its children the ids of its composition children, its
     attributes and associations the entity's (targets spelled as given).
+    Children are distinct, stored in key order: keys are unique, and
+    child ids share the ``<component id>#`` prefix, so id order is key order.
     Each declared relation becomes a ``declared`` ``Relation`` between two
     such ids, so ``relations`` lists the part_of edges too.  ``add_concept``
     takes no other id, so term questions look the id up in ``concepts``.

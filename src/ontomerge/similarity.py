@@ -33,7 +33,7 @@ from typing import Optional
 
 from .errors import SchemaViolation
 from .matching import max_weight_assignment
-from .model import SYNTACTIC, Concept, Evidence, Ontology, Relation
+from .model import SYNTACTIC, BusinessComponent, Concept, Evidence, Ontology, Relation
 from .terms import normalize_term
 
 __all__ = [
@@ -49,7 +49,7 @@ ONE = Fraction(1)
 
 
 class ChildrenIndex(dict):
-    """Concept id -> its children, sorted by (key, id), as ``children_index``
+    """Concept id -> its children, distinct, by (key, id), as ``children_index``
     builds it; ``parents``: arity -> child id -> the ids of its parents, a tuple.
     ``syntactic_similarity`` fills ``memo`` (a composite pair's score, by
     the pair's ids; ``child_key_hits`` too) and ``atoms`` (a concept's
@@ -67,18 +67,25 @@ class ChildrenIndex(dict):
 def children_index(ontologies: list[Ontology]) -> ChildrenIndex:
     """The ``ChildrenIndex`` of ``ontologies``, in one pass over their concepts.
 
-    Raises SchemaViolation when two ontologies share a concept id.
+    A ``BusinessComponent``'s children are read in stored order, its key
+    order; a plain ``Ontology``'s are sorted.  Raises SchemaViolation when
+    two ontologies share a concept id.
     """
     kids = ChildrenIndex()
     for ontology in ontologies:
-        for cid, concept in ontology.concepts.items():
+        stored, concepts = isinstance(ontology, BusinessComponent), ontology.concepts
+        for cid, concept in concepts.items():
             if cid in kids:
                 raise SchemaViolation(f"concept id {cid!r} occurs in several sources")
-            children = (ontology.concepts[child] for child in concept.children)
-            kids[cid] = tuple(sorted(children, key=lambda c: (c.key, c.id)))
-            arity = len(concept.children)
-            for child in set(concept.children):
-                kids.parents.setdefault(arity, {}).setdefault(child, []).append(cid)
+            if not concept.children:
+                kids[cid] = ()
+                continue
+            # from a list: a tuple built from a generator can keep spare slots
+            children = tuple([concepts[child] for child in concept.children])
+            kids[cid] = children if stored else tuple(sorted(children, key=lambda c: (c.key, c.id)))
+            by_child = kids.parents.setdefault(len(children), {})
+            for child in concept.children:
+                by_child.setdefault(child, []).append(cid)
     for by_child in kids.parents.values():
         for child, parents in by_child.items():
             by_child[child] = tuple(parents)
@@ -213,6 +220,8 @@ def semantic_similarity(
     to ``syntactic_similarity``.
     """
     relations = lookup_relations(od, c1.key, c2.key)
+    if not relations:
+        return syntactic_similarity(c1, c2, kids), SYNTACTIC
     synonymies = tuple(r for r in relations if r.kind == "synonymy")
     if synonymies:
         return ONE, Evidence(kind=_evidence_kind(synonymies, "od_synonymy"),

@@ -38,6 +38,11 @@ to a closure.  ``reference_infer_via_children`` is case 3 as it was
 before it listed each row's nonzero columns: it builds the whole n x n
 support matrix and hands ``perfect_assignment`` its ``nonzero_columns``.
 
+``reference_perfect_assignment`` is ``matching.perfect_assignment`` as
+it was before it gave a row its free largest column at once and left a
+one-column row alone in its backward pass: every row walks its
+alternating paths, forwards and backwards.
+
 ``random_component`` draws a component over the words of ``_WORDS``,
 acyclic by construction, for the tests that need many varied inputs.
 """
@@ -509,6 +514,47 @@ def reference_infer_via_children(c1: Concept, c2: Concept,
     return tuple(
         support[i][j] for i, j in enumerate(assignment) if support[i][j] is not True
     )
+
+
+def reference_perfect_assignment(cols: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """``perfect_assignment`` with every row rerouted in both passes."""
+    n = len(cols)
+    rows: list[list[int]] = [[] for _ in range(n)]  # column -> rows with a 1 there
+    for r, row in enumerate(cols):
+        for c, after in zip(row, [*row[1:], n]):
+            if not 0 <= c < after:
+                raise ValueError(f"row {r}'s columns do not ascend within range({n})")
+            rows[c].append(r)
+    match = [-1] * n  # row -> column
+    owner = [-1] * n  # column -> row
+    if not all(cols) or not all(rows):
+        return None
+
+    def reroute(r: int, free: list[int]) -> bool:
+        via = dict.fromkeys(free, -1)  # column -> where its owner moves to
+        best = cols[r][-1]
+        for x in free:
+            if best in via:
+                break
+            for y in rows[x]:
+                if y < r and match[y] not in via:
+                    via[match[y]] = x
+                    free.append(match[y])
+        col = best if best in via else max((c for c in cols[r] if c in via), default=-1)
+        if col == -1:
+            return False
+        while col != -1:
+            match[r], owner[col], r, col = col, r, owner[col], via[col]
+        return True
+
+    for r in range(n):
+        if not reroute(r, [c for c in range(n) if owner[c] == -1]):
+            return None
+    for r in reversed(range(n)):
+        free = match[r]
+        owner[free] = match[r] = -1
+        reroute(r, [free])
+    return tuple(match)
 
 
 def naive_first_relation(ontologies, s1, s2, kinds):

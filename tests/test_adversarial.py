@@ -1,0 +1,90 @@
+"""Work bounds on the input shapes of ``adversarial``, as counts, with no
+timing, and the per-run indexes those bounds rely on against a scan of
+every source."""
+
+from __future__ import annotations
+
+import pytest
+
+from ontomerge import Ontology, align
+from ontomerge import enrichment
+from ontomerge.enrichment import RunMaps
+from ontomerge.model import SEMANTIC_KINDS
+
+from .adversarial import k_components
+from .reference import naive_first_relation
+
+
+def _source_reads(monkeypatch, sources):
+    """Count the ``related_terms`` calls on ``sources``."""
+    calls = [0]
+    related_terms = Ontology.related_terms
+    ids = {id(source) for source in sources}
+
+    def counted(self, normalized):
+        calls[0] += id(self) in ids
+        return related_terms(self, normalized)
+
+    monkeypatch.setattr(Ontology, "related_terms", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_k_component_source_reads_stay_within_concepts_and_listed_pairs(monkeypatch, k):
+    # ROADMAP item 22: reading every source on every (concept, later
+    # source) row made 56,558 reads at k = 8 and 845,534 at k = 32.  A row
+    # now reads only the sources that relate its term: 1,112 and 3,472
+    # reads.  Those still grow with k, as the rows number O(concepts * k),
+    # but only where a component relates the row's term, which is rare here
+    components, od = k_components(k)
+    reads = _source_reads(monkeypatch, components)
+    correspondences, _, records = align(components, od)
+    concepts = sum(len(component.concepts) for component in components)
+    assert records and 0 < reads[0] <= 2 * (concepts + len(correspondences))
+
+
+class _EverySource(dict):
+    """A relating-sources index that names every source for every term."""
+
+    def __init__(self, sources):
+        super().__init__()
+        self.sources = tuple(sources)
+
+    def get(self, term, default=None):
+        return self.sources
+
+
+def _scanning(sources, od, monkeypatch):
+    """``RunMaps`` that read every source, as before the relating index."""
+    with monkeypatch.context() as patch:
+        patch.setattr(enrichment, "_relating_sources", _EverySource)
+        return RunMaps(od, sources)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relating_index_equals_a_scan_of_every_source(monkeypatch, seed):
+    components, od = k_components(6, concepts=120, vocabulary=50, synonymies=10,
+                                  declared=40, seed=seed)
+    sources = sorted(components, key=lambda c: c.id)
+    indexed, scanned = RunMaps(od, sources), _scanning(sources, od, monkeypatch)
+    terms = sorted({c.key for source in sources for c in source.concepts.values()})
+    for term in terms:
+        assert indexed.cells[term] == scanned.cells[term], term
+        assert indexed.bridges[term] == scanned.bridges[term], term
+    for source in sources:
+        for concept in source.concepts.values():
+            assert indexed.reach(concept) == scanned.reach(concept), concept.id
+
+    # case 1, through whole runs: the same records, each the first source
+    # relation that a scan of every relation finds
+    fast = align(components, od)
+    with monkeypatch.context() as patch:
+        patch.setattr(enrichment, "_relating_sources", _EverySource)
+        assert align(components, od) == fast
+    case1 = [r for r in fast[2] if r.case == "inferred_case1"]
+    assert case1
+    for record in case1:
+        c1, c2 = (next(s.concepts[cid] for s in sources if cid in s.concepts)
+                  for cid in record.pair)
+        assert record.evidence == (naive_first_relation(sources, c1.key, c2.key,
+                                                        SEMANTIC_KINDS),)

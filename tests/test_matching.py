@@ -7,12 +7,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontomerge.matching import max_weight_assignment, perfect_assignment
 
-from .reference import nonzero_columns
+from .reference import nonzero_columns, reference_perfect_assignment
 
 
 def brute_force_total(weights):
@@ -198,6 +198,39 @@ def test_wide_perfect_assignment_keeps_the_tie_rule(n, extra):
     weights = _banded(n, rng, extra)
     weights[0] = weights[1] = [1] + [0] * (n - 1)  # two rows share their only column
     assert perfect_assignment(nonzero_columns(weights)) is None
+
+
+@st.composite
+def forced_column_lists(draw):
+    """Column lists, n <= 12, rich in one-column rows: a permutation, a
+    forced chain (row r holds columns p[r - 1] and p[r], row 0 only p[0],
+    the rows then shuffled), or one-column rows beside wider ones; some
+    made infeasible by giving two rows one and the same single column."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    perm = draw(st.permutations(range(n)))
+    shape = draw(st.sampled_from(("permutation", "chain", "mixed")))
+    if shape == "permutation":
+        cols = [[c] for c in perm]
+    elif shape == "chain":
+        chain = [sorted({perm[r], perm[r - 1]}) if r else [perm[0]] for r in range(n)]
+        cols = [chain[r] for r in draw(st.permutations(range(n)))]
+    else:
+        cols = []
+        for c in perm:
+            extra = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+            cols.append([c] if draw(st.integers(0, 2)) == 0 else sorted({c, *extra}))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        cols[i] = cols[j] = [cols[i][0]]
+    return cols
+
+
+@settings(max_examples=500, deadline=None)
+@given(forced_column_lists())
+@example([[1, 2, 3], [2, 3], [0, 2, 3], [0, 1]])  # row 1 must trade column 2 for 3
+def test_forced_rows_keep_the_oracle_and_kuhn_munkres_answer(cols):
+    weights = [[int(c in row) for c in range(len(cols))] for row in cols]
+    assert perfect_assignment(cols) == reference_perfect_assignment(cols) == perfect_oracle(weights)
 
 
 def test_perfect_assignment_rejects_non_square():

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -33,7 +33,7 @@ from .model import (
     first_free,
     pair_space_of,
 )
-from .similarity import child_key_hits, flat_composites, semantic_similarity
+from .similarity import partner_scores, semantic_similarity
 from .terms import normalize_term
 
 ALIAS_PREFIX = "alias: "
@@ -52,20 +52,18 @@ def align(
     """Score the cross-source concept pairs that can be other than Distinct.
 
     Returns only the scored pairs.  A row pairs c1 with two sets of
-    concepts of a later source.  The fixed part, found once per source
-    pair by one counting join, is what no commit can change: the concepts
-    that share c1's key or score above 0 syntactically, that is the hits
-    of ``similarity.child_key_hits``, lifted to the equal-arity pairs of
-    their parents when c1 is itself a child.  When
-    the support ontology holds c1's key, ``candidates`` adds the concepts
-    whose keys it holds and that ``RunMaps.reach`` gives for c1 against
-    the support ontology as enriched so far: a concept whose key it
-    reaches, or a composite of c1's arity with a child whose key it links
-    to a child of c1.  Every other pair is exactly (0, syntactic, Distinct)
-    and would not be enriched, so skipping it leaves the scan order of
-    the others, and so the enrichment order, unchanged.  The full list
-    is the expansion of the returned one over ``pair_space_of(sources)``
-    (see ``model.pair_rows``).
+    concepts of a later source.  The fixed part is what no commit can
+    change: the concepts that share c1's key and, when c1 is a composite,
+    those that score above 0 against it syntactically, c1's row of
+    ``similarity.partner_scores``.  When the support ontology holds c1's
+    key, ``candidates`` adds the concepts whose keys it holds and that
+    ``RunMaps.reach`` gives for c1 against the support ontology as
+    enriched so far: a concept whose key it reaches, or a composite of
+    c1's arity with a child whose key it links to a child of c1.  Every
+    other pair is exactly (0, syntactic, Distinct) and would not be
+    enriched, so skipping it leaves the scan order of the others, and so
+    the enrichment order, unchanged.  The full list is the expansion of
+    the returned one over ``pair_space_of(sources)`` (``model.pair_rows``).
 
     Pairs are taken in sorted (source id, concept id) order, source
     pair by source pair, as a scan of every pair would meet them.  Each
@@ -74,12 +72,12 @@ def align(
     declines a pair it may not enrich; ``semantic_similarity`` then only
     reads.  A commit adds no term to the support ontology, so after it
     the rest of the row is read again through ``candidates``.  ``enrich``
-    and ``reach`` read one ``enrichment.RunMaps``, the scorer and the joins
-    its ``children_index``; it is built here over a copy of the support
-    ontology and dropped on return.  ``reach`` is computed once per row
-    whose c1 key the support ontology holds, and again after each commit
-    in the row.  Enrichment commits land on the copy, which is returned
-    with the records.  Verdicts:
+    and ``reach`` read one ``enrichment.RunMaps``, the scorer and
+    ``partner_scores`` its ``children_index``; it is built here over a
+    copy of the support ontology and dropped on return.  ``reach`` is
+    computed once per row whose c1 key the support ontology holds, and
+    again after each commit in the row.  Enrichment commits land on the
+    copy, which is returned with the records.  Verdicts:
 
     * score 1 via a support-ontology or enriched synonymy -> Synonym;
     * score 0 via homonymy with equal terms -> Homonym (unequal terms are
@@ -108,30 +106,6 @@ def align(
     maps = RunMaps(enriched_od, ordered)
     kids = maps.kids
 
-    flat = flat_composites(kids)
-    nested = {child for by_child in kids.parents.values() for child in by_child if kids[child]}
-
-    def fixed_partners(source: Ontology, later: Ontology) -> dict[str, set[str]]:
-        """c1 id -> the ids of its row's fixed part in ``later`` (see above)."""
-        partners: dict[str, set[str]] = {}
-        lifted = []
-        for c1 in source.concepts.values():
-            if c1.children and (hits := child_key_hits(c1, later, kids, flat)):
-                partners[c1.id] = set(hits)
-                if c1.id in nested:
-                    lifted.extend((c1.id, q) for q in hits)
-        for x, y in lifted:  # grows as it is read: each pair lifts once
-            for by_child in kids.parents.values():
-                for p, q in product(by_child.get(x, ()), by_child.get(y, ())):
-                    if q not in partners.setdefault(p, set()):
-                        partners[p].add(q)
-                        if p in nested:
-                            lifted.append((p, q))
-        for c1 in source.concepts.values():
-            for c2 in later.concepts_by_term(c1.key):
-                partners.setdefault(c1.id, set()).add(c2.id)
-        return partners
-
     def candidates(c1: Concept, later: Ontology) -> set[str]:
         """The ids of the part of c1's row in ``later`` that a commit can change."""
         keys, linked = maps.reach(c1)
@@ -144,11 +118,15 @@ def align(
     correspondences: list[Correspondence] = []
     for i, source in enumerate(ordered):
         for later in ordered[i + 1:]:
-            fixed = fixed_partners(source, later)
+            fixed = {}  # every row's fixed part before the rows: the row loop runs faster so
+            for c1 in source.concepts.values():
+                fixed[c1.id] = [c.id for c in later.concepts_by_term(c1.key)]
+                if c1.children:
+                    fixed[c1.id] = {*fixed[c1.id], *partner_scores(c1, later, kids)}
             for cid in sorted(source.concepts):
                 c1 = source.concepts[cid]
                 known = enriched_od.term_present(c1.key)  # enrichment adds no term
-                partners = fixed.get(cid, ())
+                partners = fixed[cid]
                 row = sorted({*partners, *candidates(c1, later)} if known else partners,
                              reverse=True)  # popped from the end, by id
                 while row:

@@ -3,12 +3,10 @@
 Two measures work together.  The syntactic measure compares terms
 directly: atomic concepts score 1 exactly when their normalized terms are
 equal, and composite concepts of equal arity score the best average
-pairing of their children.  An atomic child scores 0 against a composite
-one, so that pairing splits in two: the atomic children pair by equal
-keys (a count, no matcher; ``child_key_hits`` counts a row's at once),
-and only the composite children go through maximum-weight bipartite
-matching, computed bottom-up over the composition graph, reading
-children from one ``children_index`` and memoized in it.  The semantic
+pairing of their children.  One join, ``partner_scores``, finds the
+composites that score above 0 against a composite and their scores,
+bottom-up over the composition graph, reading children from one
+``children_index`` and memoized in it.  The semantic
 measure consults the support ontology first: a synonymy relation between
 the two terms forces 1, else a homonymy relation forces 0, else the
 syntactic measure decides.  Both measures only read; enrichment, the
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Optional
 
 from .errors import SchemaViolation
 from .matching import max_weight_assignment
@@ -40,6 +37,7 @@ __all__ = [
     "children_index",
     "lookup_relations",
     "normalize_term",
+    "partner_scores",
     "semantic_similarity",
     "syntactic_similarity",
 ]
@@ -50,18 +48,17 @@ ONE = Fraction(1)
 
 class ChildrenIndex(dict):
     """Concept id -> its children, distinct, by (key, id), as ``children_index``
-    builds it; ``parents``: arity -> child id -> the ids of its parents, a tuple.
-    ``syntactic_similarity`` fills ``memo`` (a composite pair's score, by
-    the pair's ids; ``child_key_hits`` too) and ``atoms`` (a concept's
-    atomic child keys, counted): every call on one index shares them,
-    valid exactly as long as the index is.
+    builds it from ``sources``; ``parents``: arity -> child id -> the ids of
+    its parents, a tuple.  ``partner_scores`` fills ``rows``: ``id()`` of a
+    later source -> composite id -> its row there, shared by every call on
+    the index and valid as long as it is, since it keeps its sources alive.
     """
 
-    def __init__(self):
+    def __init__(self, sources: tuple[Ontology, ...]):
         super().__init__()
+        self.sources = sources
         self.parents: dict[int, dict[str, tuple[str, ...]]] = {}
-        self.memo: dict[tuple[str, str], Fraction] = {}
-        self.atoms: dict[str, Counter[str]] = {}
+        self.rows: dict[int, dict[str, dict[str, Fraction]]] = {}
 
 
 def children_index(ontologies: list[Ontology]) -> ChildrenIndex:
@@ -71,7 +68,7 @@ def children_index(ontologies: list[Ontology]) -> ChildrenIndex:
     order; a plain ``Ontology``'s are sorted.  Raises SchemaViolation when
     two ontologies share a concept id.
     """
-    kids = ChildrenIndex()
+    kids = ChildrenIndex(tuple(ontologies))
     for ontology in ontologies:
         stored, concepts = isinstance(ontology, BusinessComponent), ontology.concepts
         for cid, concept in concepts.items():
@@ -100,95 +97,95 @@ def syntactic_similarity(c1: Concept, c2: Concept, kids: ChildrenIndex) -> Fract
     of a maximum-weight injective child assignment divided by n, where
     each child weight is the score of that child pair.  Mixed arities
     score 0.  Symmetric in its arguments.  ``kids`` is the
-    ``children_index`` of the ontologies holding both concepts.
-
-    An atomic child scores 0 against a composite one, so the best total
-    is the size of the multiset intersection of the atomic children's
-    keys plus the best assignment among the composite children alone,
-    padded to a square with 0 cells: all-atomic children need no matcher.
-
-    Composite pairs are scored bottom-up from an explicit stack, so no
-    composition depth meets the recursion limit, and each composite pair
-    is scored once per index, into ``kids.memo`` by (id of c1's side, id
-    of c2's side); each concept's atomic child keys are counted once, into
-    ``kids.atoms``.  The scores read only the component ontologies, which
-    enrichment never writes.
+    ``children_index`` of the ontologies holding both concepts; a
+    composite pair's score is read from c1's row in c2's ontology
+    (``partner_scores``).
     """
-    score = _flat_score(c1, c2)
-    if score is not None:
-        return score
-    memo, atoms = kids.memo, kids.atoms
-    stack = [(c1, c2)]
-    while stack:
-        a, b = stack[-1]
-        if (a.id, b.id) in memo:
-            stack.pop()
+    n1, n2 = len(c1.children), len(c2.children)
+    if not n1 and not n2:
+        return ONE if c1.key == c2.key else ZERO
+    if not n1 or n1 != n2:
+        return ZERO
+    for later in kids.sources:
+        if c2.id in later.concepts:
+            return partner_scores(c1, later, kids).get(c2.id, ZERO)
+    raise KeyError(c2.id)
+
+
+def partner_scores(c1: Concept, later: Ontology, kids: ChildrenIndex) -> dict[str, Fraction]:
+    """c1's row in ``later``: each composite of ``later`` that scores above 0
+    against composite c1 -> its exact syntactic score.  Do not modify.
+
+    The row joins c1's children: an atomic child's partners are the atoms
+    of ``later`` with its key, a composite child's are its own row, and
+    each partner reaches the composites of c1's arity that hold it
+    (``kids.parents``).  A candidate's total is the best assignment over
+    its nonzero cells: their count when all pair two atoms and no child
+    sits in two cells, else the atomic cells counted by key plus
+    ``max_weight_assignment`` over the composite ones (``_cells_total``),
+    as an atomic child scores 0 against a composite one.  Rows are built
+    bottom-up from an explicit stack, so no composition depth meets the
+    recursion limit, once per index, into ``kids.rows``; they read only
+    the component ontologies, which enrichment never writes.
+    """
+    rows = kids.rows.setdefault(id(later), {})
+    stack = [c1]
+    while c1.id not in rows:
+        a = stack.pop()
+        if a.id not in rows:
+            pending = [x for x in kids[a.id] if x.children and x.id not in rows]
+            if pending:
+                stack += [a, *pending]  # their rows first
+            else:
+                rows[a.id] = _partner_row(a, later, kids, rows)
+    return rows[c1.id]
+
+
+def _partner_row(c1: Concept, later: Ontology, kids: ChildrenIndex,
+                 rows: dict[str, dict[str, Fraction]]) -> dict[str, Fraction]:
+    """c1's row in ``later``, read from its composite children's in ``rows``."""
+    children = kids[c1.id]
+    n = len(children)
+    by_child = kids.parents.get(n, {})
+    hits: dict[str, int] = {}  # candidate -> its cells of two atoms
+    cells: dict[str, list[tuple[str, str, Fraction]]] = {}  # its cells of two composites
+    slow: set[str] = set()  # the candidates whose total may not be their cell count
+    for x in children:
+        if x.children:
+            for y, score in rows[x.id].items():
+                for q in by_child.get(y, ()):
+                    cells.setdefault(q, []).append((x.id, y, score))
             continue
-        left, right = kids[a.id], kids[b.id]
-        rows = [x for x in left if x.children]
-        cols = [y for y in right if y.children]
-        weights = []
-        pending = []
-        for x in rows:
-            row = []
-            for y in cols:
-                weight = _flat_score(x, y)
-                if weight is None:
-                    weight = memo.get((x.id, y.id))
-                    if weight is None:
-                        pending.append((x, y))
-                row.append(weight)
-            weights.append(row)
-        if pending:
-            stack.extend(pending)  # score the child pairs first
-            continue
-        stack.pop()
-        for concept, children in ((a, left), (b, right)):
-            if concept.id not in atoms:
-                atoms[concept.id] = Counter(x.key for x in children if not x.children)
-        total = (atoms[a.id] & atoms[b.id]).total()
-        if rows and cols:
-            size = max(len(rows), len(cols))
-            square = [row + [ZERO] * (size - len(cols)) for row in weights]
-            square += [[ZERO] * size] * (size - len(rows))
-            total += max_weight_assignment(square)[0]
-        memo[a.id, b.id] = Fraction(total, len(left))
-    return memo[c1.id, c2.id]
-
-
-def flat_composites(kids: ChildrenIndex) -> set[str]:
-    """The composites in ``kids`` whose n children are atomic, of n keys."""
-    return {cid for cid, row in kids.items()
-            if row and len({x.key for x in row if not x.children}) == len(row)}
-
-
-def child_key_hits(c1: Concept, later: Ontology, kids: ChildrenIndex,
-                   flat: set[str]) -> dict[str, int]:
-    """Composite q of ``later`` of c1's arity -> its equal-key atomic child
-    pairs with c1, counted in one pass over c1's atomic children.  For c1
-    and q in ``flat`` (``flat_composites``), count / arity is the pair's
-    syntactic score, written to ``kids.memo``."""
-    hits: dict[str, int] = {}
-    by_child = kids.parents.get(len(c1.children), {})
-    for x in kids[c1.id]:
-        for y in () if x.children else later.concepts_by_term(x.key):
+        ys = later.concepts_by_term(x.key)
+        for y in ys:
             if not y.children:
                 for q in by_child.get(y.id, ()):
                     hits[q] = hits.get(q, 0) + 1
-    if c1.id in flat:
-        for q in flat.intersection(hits):
-            kids.memo[c1.id, q] = Fraction(hits[q], len(c1.children))
-    return hits
+        if len(ys) > 1:
+            slow.update(q for y in ys if not y.children for q in by_child.get(y.id, ()))
+    keys = [x.key for x in children if not x.children]
+    slow.update(cells, hits if len(set(keys)) < len(keys) else ())
+    row = {q: Fraction(count, n) for q, count in hits.items() if q not in slow}
+    if slow:
+        counts = Counter(keys)
+        for q in slow:
+            total = (counts & Counter(y.key for y in kids[q] if not y.children)).total()
+            if q in cells:
+                total += _cells_total(cells[q])
+            row[q] = Fraction(total, n)
+    return row
 
 
-def _flat_score(c1: Concept, c2: Concept) -> Optional[Fraction]:
-    """The syntactic score of a pair that needs no child matching, else None."""
-    kids1, kids2 = c1.children, c2.children
-    if not kids1 and not kids2:
-        return ONE if c1.key == c2.key else ZERO
-    if not kids1 or not kids2 or len(kids1) != len(kids2):
-        return ZERO
-    return None
+def _cells_total(cells: list[tuple[str, str, Fraction]]) -> Fraction:
+    """The best assignment total over (row, column, weight) cells at distinct
+    places: ``max_weight_assignment`` on their rows and columns, padded square."""
+    rows = {x: i for i, x in enumerate(dict.fromkeys(x for x, _, _ in cells))}
+    cols = {y: j for j, y in enumerate(dict.fromkeys(y for _, y, _ in cells))}
+    size = max(len(rows), len(cols))
+    square = [[ZERO] * size for _ in range(size)]
+    for x, y, weight in cells:
+        square[rows[x]][cols[y]] = weight
+    return max_weight_assignment(square)[0]
 
 
 def lookup_relations(ontology: Ontology, t1: str, t2: str) -> tuple[Relation, ...]:

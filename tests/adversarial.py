@@ -8,10 +8,18 @@ holds the whole vocabulary plus some synonymies.  At a fixed number of
 concepts, the pairs ``integrate`` lists barely grow with k, so work per
 listed pair that grows with k is work spent per component.
 
-Run as a script, it times ``integrate`` on the shape at several k (the
-k probe of ROADMAP item 22):
+``wide_composites`` is the wide-composite shape of ROADMAP item 16: two
+components of W atoms, W composites of two atoms each, offset
+differently on each side, and one ``top`` that holds every composite,
+against an empty support ontology.  Only about 4W of the W² child pairs
+of the two tops score above 0.
+
+Run as a script, it times ``integrate`` on the k shape at several k (the
+k probe of ROADMAP item 22), or with ``wide`` first on the wide shape at
+several W (the wide probe of ROADMAP item 16):
 
     PYTHONPATH=src python tests/adversarial.py 2 8 32 64
+    PYTHONPATH=src python tests/adversarial.py wide 100 200 400
 """
 
 from __future__ import annotations
@@ -54,24 +62,41 @@ def k_components(k: int, concepts: int = 1600, vocabulary: int = 800,
     return components, od
 
 
-def _probe(ks: list[int], repeats: int = 3) -> None:
-    """Print, for each k, the best of ``repeats`` ``integrate`` times, the
-    listed pairs and the time per listed pair."""
+def wide_composites(width: int) -> tuple[list[BusinessComponent], Ontology]:
+    """Components L and R, each with atoms t0 .. t(W-1), composites
+    k_j ⊃ {t_j, t_(j+s) mod W} with s = 1 in L and s = 2 in R, and
+    ``top`` ⊃ every k_j, for W = ``width``; the support ontology is empty."""
+    def component(cid: str, shift: int) -> BusinessComponent:
+        atoms = [Entity(name=f"t{j}") for j in range(width)]
+        pairs = [Entity(name=f"k{j}", components=(f"t{j}", f"t{(j + shift) % width}"))
+                 for j in range(width)]
+        top = Entity(name="top", components=tuple(f"k{j}" for j in range(width)))
+        return BusinessComponent(id=cid, name=cid, entities=[*atoms, *pairs, top])
+    return [component("L", 1), component("R", 2)], Ontology("Od")
+
+
+def _probe(shape, sizes: list[int], repeats: int = 3) -> None:
+    """Print, for each size, the best of ``repeats`` ``integrate`` times on
+    ``shape(size)``, the listed pairs and the time per listed pair."""
     from ontomerge import integrate
 
-    print("| k | integrate (best of %d) | listed pairs | µs per listed pair |" % repeats)
+    print("| size | integrate (best of %d) | listed pairs | µs per listed pair |" % repeats)
     print("|---|---|---|---|")
-    for k in ks:
+    for size in sizes:
         best, listed = None, None
         for _ in range(repeats):
-            components, od = k_components(k)
+            components, od = shape(size)
             start = perf_counter()
             _, _, report = integrate(components, od)
             elapsed = perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
             listed = len(report.correspondences)
-        print(f"| {k} | {best:.3f} s | {listed:,} | {best / listed * 1e6:.0f} |")
+        print(f"| {size} | {best:.3f} s | {listed:,} | {best / listed * 1e6:.0f} |")
 
 
 if __name__ == "__main__":
-    _probe([int(arg) for arg in sys.argv[1:]] or [2, 8, 32, 64])
+    args = sys.argv[1:]
+    if args[:1] == ["wide"]:
+        _probe(wide_composites, [int(arg) for arg in args[1:]] or [100, 200, 400])
+    else:
+        _probe(k_components, [int(arg) for arg in args] or [2, 8, 32, 64])

@@ -34,9 +34,14 @@ every concept of an ontology for a normalized term.
 ``reference_fixed_partners`` is the fixed part of ``align``'s rows as it
 was found before the counting join: every equal-key pair, and every
 equal-key atomic pair lifted through each arity's parents, pair by pair,
-to a closure.  ``reference_infer_via_children`` is case 3 as it was
-before it listed each row's nonzero columns: it builds the whole n x n
-support matrix and hands ``perfect_assignment`` its ``nonzero_columns``.
+to a closure.  ``reference_syntactic`` is ``syntactic_similarity`` by
+plain recursion over the full child matrix, with no cache, no children
+index and no split of atomic from composite children.
+``reference_infer_via_children`` is case 3 over the full n x n support
+matrix, one ``naive_first_relation`` scan per child cell, no early exit
+and ``max_weight_assignment`` for the pairing; it reads neither the run
+maps nor the children index.  ``nonzero_columns`` lists a square
+matrix's nonzero cells as ``perfect_assignment`` reads them.
 
 ``reference_perfect_assignment`` is ``matching.perfect_assignment`` as
 it was before it gave a row its free largest column at once and left a
@@ -73,10 +78,9 @@ from ontomerge import (
     build_clusters,
     normalize_term,
 )
-from ontomerge.enrichment import RunMaps
 from ontomerge.evalgen import GroundTruth
 from ontomerge.integrator import DEFAULT_TAU, MERGED_ID, MERGED_NAME
-from ontomerge.matching import perfect_assignment
+from ontomerge.matching import max_weight_assignment
 from ontomerge.model import SYNTACTIC, first_free, pair_rows
 from ontomerge.model_io import FORMAT_VERSION
 from ontomerge.similarity import ChildrenIndex
@@ -497,22 +501,55 @@ def nonzero_columns(weights) -> list[list[int]]:
     return [[c for c, w in enumerate(row) if w] for row in weights]
 
 
-def reference_infer_via_children(c1: Concept, c2: Concept,
-                                 maps: RunMaps) -> Optional[tuple[Relation, ...]]:
-    """Case 3 over the whole support matrix: cell (i, j) is True when the
-    children share a key, else the first cell relation of their keys."""
+def _children_sorted(concept: Concept, ontology: Ontology) -> list[Concept]:
+    """``concept``'s children in ``ontology``, by (key, id)."""
+    kids = [ontology.concepts[child] for child in concept.children]
+    return sorted(kids, key=lambda c: (c.key, c.id))
+
+
+def reference_syntactic(c1: Concept, c2: Concept, o1: Ontology, o2: Ontology) -> Fraction:
+    """The syntactic score of c1 in o1 against c2 in o2, recursing into
+    every child pair and matching the full child matrix."""
+    if c1.is_atomic and c2.is_atomic:
+        return Fraction(1) if c1.key == c2.key else Fraction(0)
+    if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
+        return Fraction(0)
+    left = _children_sorted(c1, o1)
+    right = _children_sorted(c2, o2)
+    weights = [[reference_syntactic(a, b, o1, o2) for b in right] for a in left]
+    total, _ = max_weight_assignment(weights)
+    return total / len(left)
+
+
+def reference_infer_via_children(c1: Concept, c2: Concept, sources: Sequence[Ontology],
+                                 od: Ontology) -> Optional[tuple[Relation, ...]]:
+    """Case 3 with one ``naive_first_relation`` scan per child cell and no early exit."""
     if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
         return None
     if c1.key == c2.key:
         return None
-    kids, cells = maps.kids, maps.cells
-    support = [[True if x.key == y.key else cells[x.key].get(y.key)
-                for y in kids[c2.id]] for x in kids[c1.id]]
-    assignment = perfect_assignment(nonzero_columns(support))
-    if assignment is None:
+    o1, o2 = (next(o for o in sources if c.id in o.concepts) for c in (c1, c2))
+    left, right = _children_sorted(c1, o1), _children_sorted(c2, o2)
+    ontologies = [od, *sources]
+    support = []
+    weights = []
+    for kid1 in left:
+        row_rel = []
+        row_w = []
+        for kid2 in right:
+            s1, s2 = kid1.key, kid2.key
+            relation = None  # term equality needs no relation
+            if s1 != s2:
+                relation = naive_first_relation(ontologies, s1, s2, ("synonymy", "equivalence"))
+            row_rel.append(relation)
+            row_w.append(1 if s1 == s2 or relation is not None else 0)
+        support.append(row_rel)
+        weights.append(row_w)
+    total, assignment = max_weight_assignment(weights)
+    if total != len(left):
         return None
     return tuple(
-        support[i][j] for i, j in enumerate(assignment) if support[i][j] is not True
+        support[i][j] for i, j in enumerate(assignment) if support[i][j] is not None
     )
 
 

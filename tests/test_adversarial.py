@@ -4,15 +4,17 @@ every source."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from ontomerge import Ontology, align
-from ontomerge import enrichment
+from ontomerge import enrichment, similarity
 from ontomerge.enrichment import RunMaps
 from ontomerge.model import SEMANTIC_KINDS
 
-from .adversarial import k_components
-from .reference import naive_first_relation
+from .adversarial import k_components, wide_composites
+from .reference import naive_first_relation, reference_syntactic
 
 
 def _source_reads(monkeypatch, sources):
@@ -88,3 +90,26 @@ def test_relating_index_equals_a_scan_of_every_source(monkeypatch, seed):
                   for cid in record.pair)
         assert record.evidence == (naive_first_relation(sources, c1.key, c2.key,
                                                         SEMANTIC_KINDS),)
+
+
+@pytest.mark.parametrize("width", [50, 200])
+def test_wide_composite_rows_are_built_once_and_top_scores_as_the_full_matrix(monkeypatch,
+                                                                             width):
+    # ROADMAP item 16: each composite's row in the other source is built
+    # once, however many parents read it, and the tops, scored over their
+    # nonzero child cells only, score what the full W x W matrix gives
+    built = Counter()
+    partner_row = similarity._partner_row
+
+    def counted(c1, later, kids, rows):
+        built[c1.id, later.id] += 1
+        return partner_row(c1, later, kids, rows)
+
+    monkeypatch.setattr(similarity, "_partner_row", counted)
+    components, od = wide_composites(width)
+    correspondences, _, _ = align(components, od)
+    assert len(built) == width + 1 and set(built.values()) == {1}
+    left, right = components
+    top = next(c for c in correspondences if c.pair == ("L#top", "R#top"))
+    assert top.score == reference_syntactic(left.concepts["L#top"], right.concepts["R#top"],
+                                            left, right)

@@ -2,14 +2,15 @@
 
 ``naive_align`` is the scoring loop as it was before per-concept facts
 were hoisted out of it: owners found with ``find_owner`` for every pair,
-children sorted on every expansion (``_children_sorted``), composites
-scored by plain recursion with no memo, a fresh syntactic ``Evidence``
-per pair and ``Fraction`` comparisons in the classifier.  The fast loop
-must agree with it on every output, and count guards keep the child
-re-sorting and the composite re-scoring from coming back.  The split
-syntactic score and case 3 are held to their full-matrix forms too
-(``naive_syntactic``, ``naive_infer_via_children``), and the fixed part
-of each row to the per-arity lift it replaced
+composites scored by plain recursion with no memo
+(``reference.reference_syntactic``, which sorts children on every
+expansion), a fresh syntactic ``Evidence`` per pair and ``Fraction``
+comparisons in the classifier.  The fast loop must agree with it on every
+output, and count guards keep the child re-sorting and the composite
+re-scoring from coming back.  The syntactic score, its rows
+(``similarity.partner_scores``) and case 3 are held to their full-matrix
+forms too (``reference_syntactic``, ``reference_infer_via_children``),
+and the fixed part of each row to the per-arity lift it replaced
 (``reference.reference_fixed_partners``).  ``naive_align``'s
 enrichment hook calls ``enrich`` with one ``RunMaps`` per state of the
 support ontology, built again after each commit, so it does not rest on
@@ -59,12 +60,13 @@ from ontomerge.enrichment import RunMaps, infer_via_children
 from ontomerge.integrator import ASSUMED_IDENTICAL_WARNING
 from ontomerge.matching import max_weight_assignment
 from ontomerge.model import as_fraction
+from ontomerge.similarity import partner_scores
 
 from .reference import (
     expand_correspondences,
-    naive_first_relation,
     reference_fixed_partners,
     reference_infer_via_children,
+    reference_syntactic,
 )
 from .strategies import TERM_POOL, build_ontology, concept_trees, layered_ontologies, terms
 
@@ -81,30 +83,13 @@ def find_owner(ontologies: Iterable[Ontology], concept_id: str) -> Ontology:
     raise KeyError(f"concept {concept_id!r} not found in any given ontology")
 
 
-def _children_sorted(concept: Concept, ontology: Ontology) -> list[Concept]:
-    kids = [ontology.concepts[child] for child in concept.children]
-    return sorted(kids, key=lambda c: (c.key, c.id))
-
-
-def naive_syntactic(c1, c2, o1, o2):
-    if c1.is_atomic and c2.is_atomic:
-        return Fraction(1) if c1.key == c2.key else Fraction(0)
-    if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
-        return Fraction(0)
-    left = _children_sorted(c1, o1)
-    right = _children_sorted(c2, o2)
-    weights = [[naive_syntactic(a, b, o1, o2) for b in right] for a in left]
-    total, _ = max_weight_assignment(weights)
-    return total / len(left)
-
-
 def naive_semantic(c1, c2, od, sources, hook):
     o1 = find_owner(sources, c1.id)
     o2 = find_owner(sources, c2.id)
     t1, t2 = c1.key, c2.key
 
     def fallback():
-        return naive_syntactic(c1, c2, o1, o2), Evidence(kind="syntactic")
+        return reference_syntactic(c1, c2, o1, o2), Evidence(kind="syntactic")
 
     if not (od.term_present(t1) and od.term_present(t2)):
         return fallback()
@@ -572,7 +557,7 @@ def test_split_syntactic_score_equals_full_matrix_and_is_symmetric(pair):
     c1, c2, o1, o2 = pair
     kids = children_index([o1, o2])
     score = syntactic_similarity(c1, c2, kids)
-    assert score == naive_syntactic(c1, c2, o1, o2)
+    assert score == reference_syntactic(c1, c2, o1, o2)
     assert syntactic_similarity(c2, c1, kids) == score
 
 
@@ -587,36 +572,6 @@ def test_atomic_children_pair_without_the_matcher(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # case 3 agrees with its per-cell matrix
-
-
-def naive_infer_via_children(c1, c2, sources, od, kids):
-    """Case 3 with one ``naive_first_relation`` scan per child cell and no early exit."""
-    if c1.is_atomic or c2.is_atomic or len(c1.children) != len(c2.children):
-        return None
-    if c1.key == c2.key:
-        return None
-    left, right = kids[c1.id], kids[c2.id]
-    ontologies = [od, *sources]
-    support = []
-    weights = []
-    for kid1 in left:
-        row_rel = []
-        row_w = []
-        for kid2 in right:
-            s1, s2 = kid1.key, kid2.key
-            relation = None  # term equality needs no relation
-            if s1 != s2:
-                relation = naive_first_relation(ontologies, s1, s2, ("synonymy", "equivalence"))
-            row_rel.append(relation)
-            row_w.append(1 if s1 == s2 or relation is not None else 0)
-        support.append(row_rel)
-        weights.append(row_w)
-    total, assignment = max_weight_assignment(weights)
-    if total != len(left):
-        return None
-    return tuple(
-        support[i][j] for i, j in enumerate(assignment) if support[i][j] is not None
-    )
 
 
 @st.composite
@@ -651,8 +606,8 @@ def test_case3_equals_per_cell_oracle(inputs):
     composites = [c for source in sources for c in source.concepts.values() if c.children]
     for c1 in composites:
         for c2 in composites:
-            assert infer_via_children(c1, c2, maps) == naive_infer_via_children(
-                c1, c2, sources, od, maps.kids
+            assert infer_via_children(c1, c2, maps) == reference_infer_via_children(
+                c1, c2, sources, od
             )
 
 
@@ -691,8 +646,7 @@ def test_case3_rows_of_nonzero_columns_equal_the_matrix_build(inputs):
     for c1 in composites:
         for c2 in composites:
             found = infer_via_children(c1, c2, maps)
-            assert found == reference_infer_via_children(c1, c2, maps)
-            assert found == naive_infer_via_children(c1, c2, sources, od, maps.kids)
+            assert found == reference_infer_via_children(c1, c2, sources, od)
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +684,24 @@ def test_fixed_partners_equal_the_per_arity_lift_and_the_join_scores_exactly(sou
                 expected.update((c1, c2) for c2 in found)
     assert {c.pair for c in correspondences} == expected
     concepts = {cid: c for source in sources for cid, c in source.concepts.items()}
-    for (a, b), score in kids.memo.items():
-        assert score == syntactic_similarity(concepts[a], concepts[b], children_index(sources))
+    for rows in kids.rows.values():
+        for a, row in rows.items():
+            for b, score in row.items():
+                assert score == syntactic_similarity(concepts[a], concepts[b],
+                                                     children_index(sources))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layered_sources())
+def test_partner_scores_equal_the_full_matrix_scores_above_0(sources):
+    kids = children_index(sources)
+    for i, source in enumerate(sources):
+        for later in sources[i + 1:]:
+            for c1 in source.concepts.values():
+                if c1.children:
+                    expected = {q.id: score for q in later.concepts.values()
+                                if (score := reference_syntactic(c1, q, source, later)) > 0}
+                    assert partner_scores(c1, later, kids) == expected
 
 
 def arity_fan_inputs(k):

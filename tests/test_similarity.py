@@ -21,6 +21,7 @@ from ontomerge import (
     syntactic_similarity,
 )
 from ontomerge import integrator, similarity
+from ontomerge.matching import max_weight_assignment
 from ontomerge.model import SYNTACTIC
 
 from .reference import brute_force_syntactic
@@ -165,36 +166,59 @@ def _shared_child_sources():
 
 
 def test_composite_pair_scores_are_shared_by_the_calls_on_one_index(monkeypatch):
-    # each score written to an index's memo is a composite pair scored; the
-    # calls on one index share the memo, so a second call scores only the
-    # pairs the first did not
-    scored = []
+    # each row built is a composite's partners in one later source scored; the
+    # calls on one index share the rows, so a second call builds only the
+    # rows the first did not
+    built = []
+    partner_row = similarity._partner_row
 
-    class CountingMemo(dict):
-        def __setitem__(self, pair, score):
-            scored.append(pair)
-            super().__setitem__(pair, score)
+    def counted(c1, later, kids, rows):
+        built.append(c1.id)
+        return partner_row(c1, later, kids, rows)
 
-    class CountingIndex(similarity.ChildrenIndex):
-        def __init__(self):
-            super().__init__()
-            self.memo = CountingMemo()
-
-    monkeypatch.setattr(similarity, "ChildrenIndex", CountingIndex)
+    monkeypatch.setattr(similarity, "_partner_row", counted)
     o1, o2 = _shared_child_sources()
     p1, p2, r1, r2 = (o.concepts[f"{o.id}#{t}"] for t in "pr" for o in (o1, o2))
     kids = children_index([o1, o2])
     assert syntactic_similarity(p1, p2, kids) == 1
-    assert scored == [("A#l", "B#l"), ("A#k", "B#k"), ("A#p", "B#p")]
+    assert built == ["A#l", "A#k", "A#p"]
     assert syntactic_similarity(r1, r2, kids) == 1
-    assert scored[3:] == [("A#r", "B#r")]  # (K, K') came from the memo
+    assert built[3:] == ["A#r"]  # K's row came from the index
     assert semantic_similarity(r1, r2, Ontology("Od"), kids) == (1, SYNTACTIC)
-    assert len(scored) == 4  # and so did (R, R')
-    assert kids.atoms["A#r"] == {"x": 1}
+    assert len(built) == 4  # and so did R's
+    assert kids.rows[id(o2)]["A#r"] == {"B#r": 1}
     fresh = children_index([o1, o2])
-    assert fresh.memo == {} and fresh.atoms == {}
+    assert fresh.rows == {}
     assert syntactic_similarity(r1, r2, fresh) == 1
-    assert scored[4:] == [("A#l", "B#l"), ("A#k", "B#k"), ("A#r", "B#r")]  # scored again
+    assert built[4:] == ["A#l", "A#k", "A#r"]  # built again
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A rows x cols matrix of Fractions in [0, 1], about half its cells 0,
+    with some rows and columns all 0."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cell = st.one_of(st.just(Fraction(0)),
+                     st.fractions(min_value=0, max_value=1, max_denominator=12))
+    matrix = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    for r in draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1)):
+        matrix[r] = [Fraction(0)] * cols
+    for c in draw(st.sets(st.integers(0, cols - 1), max_size=cols - 1)):
+        for row in matrix:
+            row[c] = Fraction(0)
+    return matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_best_total_over_nonzero_cells_equals_the_padded_matrix_total(matrix):
+    # ROADMAP item 16: a 0 cell adds nothing to an assignment, so matching
+    # only the rows and columns that hold a nonzero cell loses nothing
+    size = max(len(matrix), len(matrix[0]))
+    padded = [row + [Fraction(0)] * (size - len(row)) for row in matrix]
+    padded += [[Fraction(0)] * size for _ in range(size - len(matrix))]
+    cells = [(f"r{r}", f"c{c}", w) for r, row in enumerate(matrix) for c, w in enumerate(row) if w]
+    assert similarity._cells_total(cells) == max_weight_assignment(padded)[0]
 
 
 @settings(max_examples=200, deadline=None)

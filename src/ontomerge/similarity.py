@@ -1,17 +1,16 @@
 """Similarity between concepts: exact term matching plus support-ontology lookup.
 
 Two measures work together.  The syntactic measure compares terms
-directly: atomic concepts score 1 exactly when their normalized terms are
-equal, and composite concepts of equal arity score the best average
+directly: atomic concepts score 1 exactly when their normalized terms
+are equal, and composite concepts of equal arity score the best average
 pairing of their children.  One join, ``partner_scores``, finds the
 composites that score above 0 against a composite and their scores,
 bottom-up over the composition graph, reading children from one
-``children_index`` and memoized in it.  The semantic
-measure consults the support ontology first: a synonymy relation between
-the two terms forces 1, else a homonymy relation forces 0, else the
-syntactic measure decides.  Both measures only read; enrichment, the
-one write to the support ontology, is a step of ``integrator.align``'s
-pair loop.
+``children_index`` and cached in it.  The semantic measure consults the
+support ontology first: a synonymy relation between the two terms forces
+1, else a homonymy relation forces 0, else the syntactic measure
+decides.  Both measures only read; enrichment, the one write to the
+support ontology, is a step of ``integrator.align``'s pair loop.
 
 All scores are exact Fractions in [0, 1]; atomic pairs score exactly 0
 or 1.

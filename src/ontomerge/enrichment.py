@@ -38,7 +38,7 @@ from typing import Iterator, Optional, Sequence
 
 from .matching import perfect_assignment
 from .model import Concept, EnrichmentRecord, Ontology, Relation, first_free
-from .similarity import children_index, lookup_relations
+from .similarity import _Lazy, children_index, lookup_relations
 
 _CELL_KINDS = ("synonymy", "equivalence")  # what relates two case-3 children
 _BRIDGE_KINDS = ("synonymy", "homonymy")  # what bridges two case-2 equivalents
@@ -116,18 +116,6 @@ def first_relations(
                 if found is not None:
                     first[other] = found
     return first
-
-
-class _Lazy(dict):
-    """A dict that builds a missing entry with ``build(key)`` and keeps it."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
 
 
 class RunMaps:

@@ -109,9 +109,10 @@ def align(
     def candidates(c1: Concept, later: Ontology) -> set[str]:
         """The ids of the part of c1's row in ``later`` that a commit can change."""
         keys, linked = maps.reach(c1)
-        found = {c.id for term in keys for c in later.concepts_by_term(term)}
+        terms = kids.concepts_by_key(later)
+        found = {c.id for term in keys for c in terms.get(term, ())}
         by_child = kids.parents.get(len(c1.children), {})
-        found.update(p for term in linked for y in later.concepts_by_term(term)
+        found.update(p for term in linked for y in terms.get(term, ())
                      for p in by_child.get(y.id, ()))
         return {c for c in found if enriched_od.term_present(later.concepts[c].key)}
 
@@ -119,8 +120,9 @@ def align(
     for i, source in enumerate(ordered):
         for later in ordered[i + 1:]:
             fixed = {}  # every row's fixed part before the rows: the row loop runs faster so
+            terms = kids.concepts_by_key(later)
             for c1 in source.concepts.values():
-                fixed[c1.id] = [c.id for c in later.concepts_by_term(c1.key)]
+                fixed[c1.id] = [c.id for c in terms.get(c1.key, ())]
                 if c1.children:
                     fixed[c1.id] = {*fixed[c1.id], *partner_scores(c1, later, kids)}
             for cid in sorted(source.concepts):
@@ -144,12 +146,7 @@ def align(
                             f"{ASSUMED_IDENTICAL_WARNING} for term "
                             f"{c1.key!r} ({c1.id}, {c2.id})"
                         )
-                    correspondences.append(
-                        Correspondence(
-                            c1=c1.id, c2=c2.id, score=score,
-                            verdict=verdict, evidence=evidence,
-                        )
-                    )
+                    correspondences.append(Correspondence(c1.id, c2.id, score, verdict, evidence))
     return correspondences, enriched_od, records
 
 
@@ -321,7 +318,7 @@ def merge(
                 )
         if aliases:  # listed beside an equal attribute, not folded into it
             attributes = [*attributes, *(ALIAS_PREFIX + alias for alias in aliases)]
-        merged.add_concept(Concept._assembled(
+        Ontology.add_concept(merged, Concept._assembled(  # its id is built from its key
             key, f"{MERGED_ID}#{key}", display,
             tuple(sorted(f"{MERGED_ID}#{child}" for child in children)) if children else (),
             tuple(sorted(attributes)) if attributes else (),
@@ -460,7 +457,7 @@ def _renamed(component: BusinessComponent, new_id: str) -> BusinessComponent:
 
     renamed = BusinessComponent(new_id, component.name)
     for concept in component.concepts.values():
-        renamed.add_concept(Concept._assembled(
+        Ontology.add_concept(renamed, Concept._assembled(  # moved() builds each id from its key
             concept.key, moved(concept.id), concept.term, tuple(map(moved, concept.children)),
             concept.attributes, concept.associations))
     for relation in component.semantic_relations():

@@ -314,11 +314,15 @@ class Ontology:
                     )
 
     def composition_cycle(self) -> Optional[list[str]]:
-        """A cycle of composition links between known concepts, or None; walked
-        from composites only, in id order, as a childless concept is on no cycle."""
+        """A cycle of composition links between known concepts, or None.  The
+        walk starts at each composite in id order and steps into composites
+        only: a childless concept is on no cycle, and skipping it changes no
+        other step, so the first cycle found, and every message naming it, stay."""
+        concepts = self.concepts
         return find_cycle(
-            sorted(cid for cid, concept in self.concepts.items() if concept.children),
-            lambda node: [c for c in self.concepts[node].children if c in self.concepts],
+            sorted(cid for cid, concept in concepts.items() if concept.children),
+            lambda node: [c for c in concepts[node].children
+                          if c in concepts and concepts[c].children],
         )
 
     def concepts_by_term(self, normalized: str) -> list[Concept]:
@@ -415,7 +419,8 @@ class BusinessComponent(Ontology):
     child ids share the ``<component id>#`` prefix, so id order is key order.
     Each declared relation becomes a ``declared`` ``Relation`` between two
     such ids, so ``relations`` lists the part_of edges too.  ``add_concept``
-    takes no other id, so term questions look the id up in ``concepts``.
+    takes no other id, so term questions look the id up in ``concepts``;
+    the constructor builds each id from its key and skips that check.
 
     Invariants checked on construction:
 
@@ -431,8 +436,8 @@ class BusinessComponent(Ontology):
     name concept ids and start ``component '<id>': ``.
 
     References resolve through one transient map from entity name to key;
-    only one spelled otherwise is normalized again.  The cycle walk starts
-    at composites.  Equal means same type, name and ontology.
+    only one spelled otherwise is normalized again.  The cycle walk visits
+    composites only.  Equal means same type, name and ontology.
     """
 
     def __init__(self, id: str, name: str, entities: Iterable[Entity] = (),
@@ -477,7 +482,7 @@ class BusinessComponent(Ontology):
                         f"{entity.name!r} is not a declared entity"
                     )
                 children.append(f"{id}#{child_key}")
-            self.add_concept(Concept._assembled(
+            Ontology.add_concept(self, Concept._assembled(  # its id is built from its key
                 entity.key, f"{id}#{entity.key}", entity.name, tuple(children),
                 entity.attributes, entity.associations))
         for a, b, kind in relations:  # in input order: the first bad one is reported

@@ -15,11 +15,12 @@ support ontology, is a step of ``integrator.align``'s pair loop.
 All scores are exact Fractions in [0, 1]; atomic pairs score exactly 0
 or 1.
 
-Term questions read the two indexes that ``Ontology`` keeps on write:
-"does the support ontology know this term" is ``Ontology.term_present``,
+"Does the support ontology know this term" is ``Ontology.term_present``,
 and "which semantic relations join these two terms" is
-``lookup_relations`` (a read of ``Ontology.related_terms``), for the
-support ontology and for each source alike.
+``lookup_relations``, a read of ``Ontology.related_terms``, for the
+support ontology and for each source alike: two indexes that ``Ontology``
+keeps on write.  "Which concepts of a source bear this key" reads the
+run's ``children_index`` instead (``ChildrenIndex.concepts_by_key``).
 """
 
 from __future__ import annotations
@@ -45,23 +46,52 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class _Lazy(dict):
+    """A dict that builds a missing entry with ``build(key)`` and keeps it."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class ChildrenIndex(dict):
     """Concept id -> its children, distinct, by (key, id), as ``children_index``
     builds it from ``sources``; ``parents``: arity -> child id -> the ids of
-    its parents, a tuple.  ``partner_scores`` fills ``rows``: ``id()`` of a
-    later source -> composite id -> its row there, shared by every call on
-    the index and valid as long as it is, since it keeps its sources alive.
+    its parents, a tuple.  Filled on first use and shared by every call on
+    the index, valid as long as it is, since it keeps its sources alive:
+    ``by_key``, ``id()`` of a source -> its key -> its concepts by id
+    (``concepts_by_key``); ``rows``, ``id()`` of a later source -> composite
+    id -> its row there (``partner_scores``); ``fractions``, (total, arity)
+    -> the one ``Fraction(total, arity)`` that the rows hold.
     """
 
     def __init__(self, sources: tuple[Ontology, ...]):
         super().__init__()
         self.sources = sources
         self.parents: dict[int, dict[str, tuple[str, ...]]] = {}
+        self.by_key: dict[int, dict[str, list[Concept]]] = {}
         self.rows: dict[int, dict[str, dict[str, Fraction]]] = {}
+        self.fractions = _Lazy(lambda key: Fraction(*key))
+
+    def concepts_by_key(self, source: Ontology) -> dict[str, list[Concept]]:
+        """``source``'s key -> its concepts by id, built at the first call for
+        ``source``, so a source only ever scanned as the earlier one of a
+        pair is never indexed.  Do not modify."""
+        index = self.by_key.get(id(source))
+        if index is None:
+            index = self.by_key[id(source)] = {}
+            for _, concept in sorted(source.concepts.items()):
+                index.setdefault(concept.key, []).append(concept)
+        return index
 
 
 def children_index(ontologies: list[Ontology]) -> ChildrenIndex:
-    """The ``ChildrenIndex`` of ``ontologies``, in one pass over their concepts.
+    """The ``ChildrenIndex`` of ``ontologies``, in one pass over their concepts;
+    its key maps, rows and fractions start empty and fill on first use.
 
     A ``BusinessComponent``'s children are read in stored order, its key
     order; a plain ``Ontology``'s are sorted.  Raises SchemaViolation when
@@ -125,7 +155,9 @@ def partner_scores(c1: Concept, later: Ontology, kids: ChildrenIndex) -> dict[st
     as an atomic child scores 0 against a composite one.  Rows are built
     bottom-up from an explicit stack, so no composition depth meets the
     recursion limit, once per index, into ``kids.rows``; they read only
-    the component ontologies, which enrichment never writes.
+    the component ontologies, which enrichment never writes.  Atomic
+    partners come from ``kids.concepts_by_key(later)``, and scores from
+    ``kids.fractions``.
     """
     rows = kids.rows.setdefault(id(later), {})
     stack = [c1]
@@ -145,7 +177,7 @@ def _partner_row(c1: Concept, later: Ontology, kids: ChildrenIndex,
     """c1's row in ``later``, read from its composite children's in ``rows``."""
     children = kids[c1.id]
     n = len(children)
-    by_child = kids.parents.get(n, {})
+    by_child, terms = kids.parents.get(n, {}), kids.concepts_by_key(later)
     hits: dict[str, int] = {}  # candidate -> its cells of two atoms
     cells: dict[str, list[tuple[str, str, Fraction]]] = {}  # its cells of two composites
     slow: set[str] = set()  # the candidates whose total may not be their cell count
@@ -155,7 +187,7 @@ def _partner_row(c1: Concept, later: Ontology, kids: ChildrenIndex,
                 for q in by_child.get(y, ()):
                     cells.setdefault(q, []).append((x.id, y, score))
             continue
-        ys = later.concepts_by_term(x.key)
+        ys = terms.get(x.key, ())
         for y in ys:
             if not y.children:
                 for q in by_child.get(y.id, ()):
@@ -164,14 +196,14 @@ def _partner_row(c1: Concept, later: Ontology, kids: ChildrenIndex,
             slow.update(q for y in ys if not y.children for q in by_child.get(y.id, ()))
     keys = [x.key for x in children if not x.children]
     slow.update(cells, hits if len(set(keys)) < len(keys) else ())
-    row = {q: Fraction(count, n) for q, count in hits.items() if q not in slow}
+    row = {q: kids.fractions[count, n] for q, count in hits.items() if q not in slow}
     if slow:
         counts = Counter(keys)
         for q in slow:
             total = (counts & Counter(y.key for y in kids[q] if not y.children)).total()
             if q in cells:
                 total += _cells_total(cells[q])
-            row[q] = Fraction(total, n)
+            row[q] = kids.fractions[total, n]
     return row
 
 

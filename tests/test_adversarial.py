@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from ontomerge import Ontology, align
+from ontomerge import BusinessComponent, Ontology, align
 from ontomerge import enrichment, similarity
 from ontomerge.enrichment import RunMaps
 from ontomerge.model import SEMANTIC_KINDS
@@ -90,6 +90,34 @@ def test_relating_index_equals_a_scan_of_every_source(monkeypatch, seed):
                   for cid in record.pair)
         assert record.evidence == (naive_first_relation(sources, c1.key, c2.key,
                                                         SEMANTIC_KINDS),)
+
+
+def test_k_component_align_indexes_each_later_source_once(monkeypatch):
+    # A row reads a later source's concepts of a key from the run's key
+    # index, built at the first read of that source and kept: no row asks
+    # the source itself, and the first source, never a later one, is not indexed
+    components, od = k_components(8)
+    asked = [0]
+    maps: dict[str, list] = {}  # source id -> every key map handed out for it
+    concepts_by_term, concepts_by_key = (BusinessComponent.concepts_by_term,
+                                         similarity.ChildrenIndex.concepts_by_key)
+
+    def counted_term(self, normalized):
+        asked[0] += 1
+        return concepts_by_term(self, normalized)
+
+    def counted_key(self, source):
+        maps.setdefault(source.id, []).append(concepts_by_key(self, source))
+        return maps[source.id][-1]
+
+    monkeypatch.setattr(BusinessComponent, "concepts_by_term", counted_term)
+    monkeypatch.setattr(similarity.ChildrenIndex, "concepts_by_key", counted_key)
+    correspondences, _, _ = align(components, od)
+    assert correspondences and asked[0] == 0
+    ordered = sorted(component.id for component in components)
+    assert sorted(maps) == ordered[1:]
+    for handed in maps.values():
+        assert all(index is handed[0] for index in handed)  # built once
 
 
 @pytest.mark.parametrize("width", [50, 200])

@@ -22,6 +22,7 @@ from ontomerge import (
     SchemaViolation,
     align,
     generate_scenario,
+    children_index,
     lookup_relations,
     pair_space_of,
 )
@@ -102,9 +103,18 @@ def answers(ontology):
     }
 
 
+def assert_key_index_matches_oracle(ontology):
+    """The run index's key map of ``ontology``: every key, its concepts by id."""
+    by_key = children_index([ontology]).concepts_by_key(ontology)
+    assert by_key.keys() == {concept.key for concept in ontology.concepts.values()}
+    for key, found in by_key.items():
+        assert found == naive_concepts_by_term(ontology, key)
+
+
 def assert_matches_oracle(ontology):
     for concept in ontology.concepts.values():
         assert concept.key == normalize_term(concept.term)
+    assert_key_index_matches_oracle(ontology)
     got = answers(ontology)
     for (t1, t2), found in got["lookup"].items():
         assert found == naive_lookup(ontology, t1, t2)
@@ -271,6 +281,7 @@ def test_component_term_questions_equal_a_scan_of_its_concepts(component, probes
         assert component.term_present(key) == naive_term_present(component, key)
         assert component.concepts_by_term(key) == naive_concepts_by_term(component, key)
     assert "_ids_by_term" not in vars(component)  # answered without a term index
+    assert_key_index_matches_oracle(component)
 
     key = normalize_term(term)
     own = f"{component.id}#{key}"
@@ -307,6 +318,7 @@ def test_same_term_homonymy_is_indexed_under_one_term():
         "service": (Relation("O#a", "O#b", "homonymy"),)
     }
     assert [c.id for c in ontology.concepts_by_term("service")] == ["O#a", "O#b"]
+    assert_key_index_matches_oracle(ontology)
 
 
 @settings(max_examples=10, deadline=None)

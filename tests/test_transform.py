@@ -435,3 +435,24 @@ def test_all_atomic_walks_call_no_children_function(monkeypatch):
     assert calls == ["walk"]  # walked from no root, so no children were listed
     BusinessComponent(id="CM", name="plat", entities=tuple(Entity(f"t{i}") for i in range(40)))
     assert calls == ["walk", "walk"]  # nor for a component without composites
+
+    # C composites over 40 atoms, each holding every C-th atom and the next
+    # composite: a walk lists the children of composites only, at most C times
+    composites = 3
+    holds = {f"k{j}": [f"t{i}" for i in range(j, 40, composites)]
+             + ([f"k{j + 1}"] if j + 1 < composites else []) for j in range(composites)}
+    calls.clear()
+    Ontology("X", [*(Concept(id=f"X#t{i}", term=f"t{i}") for i in range(40)),
+                   *(Concept(id=f"X#{k}", term=k, children=[f"X#{c}" for c in held])
+                     for k, held in holds.items())]).validate()
+    BusinessComponent(id="CM", name="mixte", entities=(
+        *(Entity(f"t{i}") for i in range(40)),
+        *(Entity(k, components=tuple(held)) for k, held in holds.items())))
+    walks = []  # the nodes each walk listed the children of
+    for call in calls:
+        if call == "walk":
+            walks.append([])
+        else:
+            walks[-1].append(call)
+    assert len(walks) == 2
+    assert all(0 < len(listed) <= composites for listed in walks)

@@ -170,37 +170,41 @@ def build_clusters(
 ) -> list[tuple[str, ...]]:
     """Partition concepts into the connected parts of the Synonym/Identical edges.
 
-    Each part is walked from its smallest id; unmatched concepts stay
-    singletons.  Raises SchemaViolation when a merge edge or a Homonym
-    pair names a concept outside ``concept_ids``, and
-    HomonymClusterCollision when a Homonym pair lands in one part; the
-    error carries the connecting chain of edges.
+    Each part is walked from its smallest id; a concept that no merge edge
+    touches is its own part, a 1-tuple, and is neither walked nor kept in
+    the adjacency.  Raises SchemaViolation when a merge edge or a Homonym
+    pair names a concept outside ``concept_ids``, and HomonymClusterCollision
+    when a Homonym pair lands in one part; the error carries the connecting
+    chain of edges.
     """
-    adjacency: dict[str, list[tuple[str, str]]] = {cid: [] for cid in sorted(set(concept_ids))}
+    known = dict.fromkeys(concept_ids)  # a set of a few hundred ids takes five times the bytes
+    adjacency: dict[str, list[tuple[str, str]]] = {}  # only the ids a merge edge touches
     for corr in correspondences:
         if corr.verdict == "Distinct":
             continue
-        if corr.c1 not in adjacency or corr.c2 not in adjacency:
+        if corr.c1 not in known or corr.c2 not in known:
             raise SchemaViolation(
                 f"{corr.verdict} pair {corr.pair} names a concept outside the clustered ids"
             )
         if corr.verdict != "Homonym":
-            adjacency[corr.c1].append((corr.c2, corr.verdict))
-            adjacency[corr.c2].append((corr.c1, corr.verdict))
-    part: dict[str, list[str]] = {}  # concept id -> the members of its part
+            adjacency.setdefault(corr.c1, []).append((corr.c2, corr.verdict))
+            adjacency.setdefault(corr.c2, []).append((corr.c1, corr.verdict))
+    part: dict[str, list[str]] = {}  # concept id with an edge -> the members of its part
     groups = []
-    for root in adjacency:  # by id
-        if root in part:
-            continue
-        members = part[root] = [root]
-        for node in members:  # the walk appends what it reaches
-            for neighbor, _ in adjacency[node]:
-                if neighbor not in part:
-                    part[neighbor] = members
-                    members.append(neighbor)
-        groups.append(tuple(sorted(members)))
+    for root in sorted(known):
+        if root not in adjacency:
+            groups.append((root,))
+        elif root not in part:
+            members = part[root] = [root]
+            for node in members:  # the walk appends what it reaches
+                for neighbor, _ in adjacency[node]:
+                    if neighbor not in part:
+                        part[neighbor] = members
+                        members.append(neighbor)
+            groups.append(tuple(sorted(members)))
     for corr in correspondences:
-        if corr.verdict == "Homonym" and part[corr.c1] is part[corr.c2]:
+        if corr.verdict == "Homonym" and (
+                corr.c1 == corr.c2 or corr.c1 in part and part[corr.c1] is part.get(corr.c2)):
             chain = _edge_chain(adjacency, corr.c1, corr.c2)
             path = " ; ".join(f"{a} -[{v}]- {b}" for a, b, v in chain)
             raise HomonymClusterCollision(
@@ -221,7 +225,7 @@ def _edge_chain(
     previous = {start: (start, start, "")}  # node -> the edge that reached it
     queue = [start]
     for node in queue:
-        for neighbor, verdict in sorted(adjacency[node], key=itemgetter(0)):
+        for neighbor, verdict in sorted(adjacency.get(node, ()), key=itemgetter(0)):
             if neighbor not in previous:
                 previous[neighbor] = (node, neighbor, verdict)
                 queue.append(neighbor)
@@ -252,8 +256,10 @@ def merge(
     instead displayed as "<term> (<source id>)".  A key's term, for the display and
     the aliases alike, is that of the member of smallest id, so the order of a
     part's members changes nothing.  Children and associations are re-targeted to
-    clusters and deduplicated; the other keys' terms become ``alias: <term>``
-    attributes.  No declared relation is carried over.  Warnings are appended to
+    clusters and deduplicated, attributes are the deduplicated union of the members',
+    and the other keys' terms become ``alias: <term>`` attributes; a part of one member
+    with no children and no associations passes through as that concept under its
+    key.  No declared relation is carried over.  Warnings are appended to
     ``warnings``.  Raises CyclicComposition ("composition cycle: CMr#a -> ... ->
     CMr#a") when merged composition links form a cycle, HomonymClusterCollision when
     a Homonym pair shares a cluster.
@@ -277,16 +283,20 @@ def merge(
     displays: list[str] = []
     keys: list[str] = []  # filled pair by pair: a list of pairs would raise the tracemalloc peak
     for members in partition:
-        display, key = _cluster_display(members, member_concept, od, homonym_endpoints, sources)
+        if len(members) == 1 and members[0] not in homonym_endpoints:
+            concept = member_concept[members[0]]  # a singleton's display is its member's
+            display, key = concept.term, concept.key
+        else:
+            display, key = _cluster_display(members, member_concept, od, homonym_endpoints, sources)
         displays.append(display)
         keys.append(key)
-    _disambiguate_displays(displays, keys, partition, member_concept, sources, sink)
-
     if len(set(keys)) != len(keys):
-        raise SchemaViolation(
-            "merged concept terms collide after disambiguation; support ontology "
-            "or inputs are contradictory"
-        )
+        _disambiguate_displays(displays, keys, partition, member_concept, sources, sink)
+        if len(set(keys)) != len(keys):
+            raise SchemaViolation(
+                "merged concept terms collide after disambiguation; support ontology "
+                "or inputs are contradictory"
+            )
 
     merged = BusinessComponent(MERGED_ID, MERGED_NAME)
     clusters: list[Cluster] = []
@@ -294,8 +304,19 @@ def merge(
         if len(members) == 1:
             concept = member_concept[members[0]]
             aliases = (concept.term,) if concept.key != key else ()
+            if not (concept.children or concept.associations):
+                # a plain member passes through: its attributes are sorted, so
+                # without a duplicate or an alias they are the merged concept's
+                attributes = concept.attributes
+                if aliases or attributes and len(set(attributes)) != len(attributes):
+                    attributes = tuple(sorted(
+                        [*set(attributes), *(ALIAS_PREFIX + a for a in aliases)]))
+                cid = f"{MERGED_ID}#{key}"
+                merged.concepts[cid] = Concept._assembled(key, cid, display, (), attributes, ())
+                clusters.append(tuple.__new__(Cluster, (display, tuple(members), aliases)))
+                continue
         else:
-            term_of = _key_terms(members, member_concept)
+            term_of = _key_terms(members, member_concept)  # built once, dropped with the part
             aliases = tuple(raw for k, raw in sorted(term_of.items()) if k != key)
         children, attributes, associations = set(), set(), set()
         for member in members:
@@ -318,11 +339,12 @@ def merge(
                 )
         if aliases:  # listed beside an equal attribute, not folded into it
             attributes = [*attributes, *(ALIAS_PREFIX + alias for alias in aliases)]
-        Ontology.add_concept(merged, Concept._assembled(  # its id is built from its key
-            key, f"{MERGED_ID}#{key}", display,
+        cid = f"{MERGED_ID}#{key}"
+        merged.concepts[cid] = Concept._assembled(  # keys are distinct, and merged has no index
+            key, cid, display,
             tuple(sorted(f"{MERGED_ID}#{child}" for child in children)) if children else (),
             tuple(sorted(attributes)) if attributes else (),
-            tuple(sorted(associations)) if associations else ()))
+            tuple(sorted(associations)) if associations else ())
         members = members if tuple(sorted(members)) == members else tuple(sorted(members))
         # aliases are in key order, which is name_sort_key order within a cluster
         clusters.append(tuple.__new__(Cluster, (display, members, aliases)))
@@ -350,19 +372,16 @@ def _cluster_display(
     homonym_endpoints: set[str],
     sources: Sequence[Ontology],
 ) -> tuple[str, str]:
-    """A cluster's display term and its key, which only a homonym's
-    "<term> (<source id>)" display normalizes; a singleton's is its member's."""
+    """The display term and key of a cluster with several members or a
+    homonym endpoint; only a homonym's "<term> (<source id>)" display is
+    normalized."""
     if not homonym_endpoints.isdisjoint(members):
         _, member = min((member_concept[m].key, m) for m in members if m in homonym_endpoints)
         display = f"{member_concept[member].term} ({_owner(member, sources).id})"
         return display, normalize_term(display)
-    if len(members) == 1:
-        concept = member_concept[members[0]]
-        return concept.term, concept.key
-    term_of = _key_terms(members, member_concept)
-    in_od = [key for key in term_of if od.term_present(key)]
-    chosen = min(in_od or term_of)
-    return term_of[chosen], chosen
+    keys = {member_concept[m].key for m in members}
+    chosen = min([key for key in keys if od.term_present(key)] or keys)
+    return member_concept[min(m for m in members if member_concept[m].key == chosen)].term, chosen
 
 
 def _key_terms(members: Iterable[str], member_concept: dict[str, Concept]) -> dict[str, str]:

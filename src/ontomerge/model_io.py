@@ -324,9 +324,10 @@ def component_chunks(bc: BusinessComponent) -> Iterator[bytes]:
     template = _template(("associations", "attributes", "components", "name"), "    ")
     concepts = bc.concepts
     entities = (
-        template % (_table(concept.associations, inner), _texts(concept.attributes, inner),
-                    _texts(concept.children and [concepts[c].term for c in concept.children],
-                           inner),
+        template % (_table(concept.associations, inner) if concept.associations else "[]",
+                    _texts(concept.attributes, inner) if concept.attributes else "[]",
+                    _texts([concepts[c].term for c in concept.children], inner)
+                    if concept.children else "[]",
                     encode_basestring(concept.term))
         for concept in map(concepts.__getitem__, sorted(concepts))
     )
@@ -416,9 +417,9 @@ def serialize_ontology(ontology: Ontology) -> bytes:
 
 
 def _correspondence_list(report: Report) -> Iterator[bytes]:
-    """The report's correspondence list, each row of ``pair_rows`` as two
-    chunks: the row's head, which holds c1, and its entries, each after
-    the first preceded by the separator and the head."""
+    """The report's correspondence list, each row of ``pair_rows`` as one
+    chunk: its entries, each led by the separator and the row's head, which
+    holds c1; the first row's head follows the list's opener on its own."""
     # the entry's template cut at the ids; its evidence sits at depth 3
     head, middle, rest = ("    " + _template(
         ("c1", "c2", "evidence", "score", "verdict"), "    ")).split("%s", 2)
@@ -427,7 +428,7 @@ def _correspondence_list(report: Report) -> Iterator[bytes]:
     tails: dict[tuple[tuple[Relation, ...], tuple[str, int, int, str]], str] = {}
     # per side of a sparse report: each partner's entry as an unlisted pair
     unlisted: dict[int, list[bytes]] = {}
-    opener = b"[\n"
+    opener = b"[\n"  # until the first row is written
     for c1, side, partners, cells in pair_rows(report):
         if side is None:
             entries = [b""] * len(partners)  # an explicit row lists every pair
@@ -448,18 +449,21 @@ def _correspondence_list(report: Report) -> Iterator[bytes]:
             entries[k] = (encode_basestring(corr.c2) + tail).encode("utf-8")
         if entries:  # none when every later source is empty
             row_head = (head + encode_basestring(c1) + middle).encode("utf-8")
-            yield opener + row_head
-            yield (b",\n" + row_head).join(entries)
-            opener = b",\n"
-    yield b"[]" if opener == b"[\n" else b"\n  ]"
+            if opener:
+                yield opener + row_head
+            yield (b",\n" + row_head).join(entries if opener else (b"", *entries))
+            opener = b""
+    yield b"[]" if opener else b"\n  ]"
 
 
 def _cluster_rows(clusters: Iterable[Cluster]) -> Iterator[str]:
     """Each cluster at depth 2, by (term, members)."""
     template, inner = _template(("aliases", "members", "term"), "    "), " " * 6
-    for cluster in sorted(clusters, key=lambda cl: (cl.term, cl.members)):
-        yield template % (_texts(cluster.aliases, inner), _texts(cluster.members, inner),
-                          encode_basestring(cluster.term))
+    for term, members, aliases in sorted(clusters, key=itemgetter(0, 1)):
+        yield template % (_texts(aliases, inner) if aliases else "[]",
+                          f"[\n{inner}  {encode_basestring(members[0])}\n{inner}]"
+                          if len(members) == 1 else _texts(members, inner),
+                          encode_basestring(term))
 
 
 def _enrichment_rows(enrichments: Iterable[EnrichmentRecord]) -> Iterator[str]:
@@ -473,7 +477,7 @@ def _enrichment_rows(enrichments: Iterable[EnrichmentRecord]) -> Iterator[str]:
 def report_chunks(report: Report) -> Iterator[bytes]:
     """The bytes of ``serialize_report`` in order, never held whole: each
     top-level member by sorted key, each cluster and enrichment record on
-    its own and each row of correspondences as two chunks.  Raises
+    its own and each row of correspondences as one chunk.  Raises
     SchemaViolation where ``pair_rows`` does, possibly after some chunks."""
     yield from _document({
         "format_version": FORMAT_VERSION, "warnings": sorted(report.warnings),

@@ -24,6 +24,9 @@ through ``expand_correspondences`` and compares the pair sets whole.
 ``reference_truth_document`` is the dict that ``evalgen.serialize_truth``
 handed ``json.dumps`` before it wrote its rows one at a time.
 
+``reference_build_clusters`` is ``build_clusters`` as it was before a
+concept that no merge edge touches skipped the adjacency and the walk:
+every id gets an adjacency list and is walked from as a root.
 ``brute_force_closure`` is ``build_clusters`` without union-find, and
 ``brute_force_syntactic`` is ``syntactic_similarity`` without matching:
 it tries every permutation of the children.  ``naive_first_relation``
@@ -433,6 +436,65 @@ def reference_truth_document(truth: GroundTruth) -> dict:
             for p in truth.planted
         ],
     }
+
+
+def reference_build_clusters(
+    correspondences: Sequence[Correspondence], concept_ids: Iterable[str]
+) -> list[tuple[str, ...]]:
+    """The connected parts of the Synonym/Identical edges, each walked from
+    its smallest id; raises as ``build_clusters`` does."""
+    adjacency: dict[str, list[tuple[str, str]]] = {cid: [] for cid in sorted(set(concept_ids))}
+    for corr in correspondences:
+        if corr.verdict == "Distinct":
+            continue
+        if corr.c1 not in adjacency or corr.c2 not in adjacency:
+            raise SchemaViolation(
+                f"{corr.verdict} pair {corr.pair} names a concept outside the clustered ids"
+            )
+        if corr.verdict != "Homonym":
+            adjacency[corr.c1].append((corr.c2, corr.verdict))
+            adjacency[corr.c2].append((corr.c1, corr.verdict))
+    part: dict[str, list[str]] = {}  # concept id -> the members of its part
+    groups = []
+    for root in adjacency:  # by id
+        if root in part:
+            continue
+        members = part[root] = [root]
+        for node in members:  # the walk appends what it reaches
+            for neighbor, _ in adjacency[node]:
+                if neighbor not in part:
+                    part[neighbor] = members
+                    members.append(neighbor)
+        groups.append(tuple(sorted(members)))
+    for corr in correspondences:
+        if corr.verdict == "Homonym" and part[corr.c1] is part[corr.c2]:
+            chain = _edge_chain(adjacency, corr.c1, corr.c2)
+            path = " ; ".join(f"{a} -[{v}]- {b}" for a, b, v in chain)
+            raise HomonymClusterCollision(
+                f"homonym pair ({corr.c1}, {corr.c2}) would land in one cluster "
+                f"via: {path}",
+                chain=chain,
+            )
+    return groups
+
+
+def _edge_chain(
+    adjacency: dict[str, list[tuple[str, str]]], start: str, goal: str
+) -> list[tuple[str, str, str]]:
+    """Shortest path from start to goal, breadth first, each node's
+    neighbours taken by id."""
+    previous = {start: (start, start, "")}  # node -> the edge that reached it
+    queue = [start]
+    for node in queue:
+        for neighbor, verdict in sorted(adjacency[node], key=lambda edge: edge[0]):
+            if neighbor not in previous:
+                previous[neighbor] = (node, neighbor, verdict)
+                queue.append(neighbor)
+    chain = []
+    while goal != start:
+        chain.append(previous[goal])
+        goal = previous[goal][0]
+    return chain[::-1]
 
 
 def brute_force_closure(ids, edges):

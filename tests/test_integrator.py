@@ -37,8 +37,13 @@ from .conftest import (
     make_edge,
     make_support_ontology,
 )
-from .reference import brute_force_closure, component_inputs, expand_correspondences
-from .strategies import TERM_POOL, terms
+from .reference import (
+    brute_force_closure,
+    component_inputs,
+    expand_correspondences,
+    reference_build_clusters,
+)
+from .strategies import TERM_POOL, ids, terms
 
 
 def _verdicts(correspondences):
@@ -250,6 +255,32 @@ def test_union_find_matches_closure_oracle(seed):
         (e.c1, e.c2) for e in edges if e.verdict in ("Synonym", "Identical")
     ]
     assert build_clusters(edges, ids) == brute_force_closure(ids, merging)
+
+
+def _clustered(edges, concept_ids, cluster_with):
+    """The partition, or the error's class, message and chain."""
+    try:
+        return cluster_with(edges, concept_ids)
+    except IntegrationError as exc:
+        return type(exc), str(exc), getattr(exc, "chain", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_build_clusters_equals_reference(data):
+    # ids that need escaping, given in any order and repeated; edges of every
+    # verdict, self pairs among them, and now and then an id left out of the
+    # clustered ones, which a Distinct edge may name but no other
+    pool = data.draw(st.lists(ids, min_size=1, max_size=8, unique=True))
+    outside = data.draw(st.sets(st.sampled_from(pool), max_size=1))
+    kept = [cid for cid in pool if cid not in outside]
+    repeats = data.draw(st.lists(st.sampled_from(kept), max_size=4)) if kept else []
+    concept_ids = data.draw(st.permutations(kept + repeats))
+    edge = st.builds(make_edge, st.sampled_from(pool), st.sampled_from(pool),
+                     st.sampled_from(["Synonym", "Identical", "Homonym", "Distinct"]))
+    edges = data.draw(st.lists(edge, max_size=12))
+    assert _clustered(edges, concept_ids, build_clusters) == \
+        _clustered(edges, concept_ids, reference_build_clusters)
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,17 @@ def _support(words, synonyms, homonyms) -> Ontology:
 words = st.sampled_from(_WORDS)
 
 
-def _capitalize(component: BusinessComponent, names) -> BusinessComponent:
-    """``component`` with the entities of ``names`` capitalized; references
-    keep their spelling and resolve by key."""
+def _reshaped(component: BusinessComponent, capitalized, plain, doubled) -> BusinessComponent:
+    """``component`` with the entities of ``capitalized`` capitalized, those of
+    ``plain`` stripped of their associations and composition children, and
+    those of ``doubled`` given an attribute twice and once more capitalized;
+    references keep their spelling and resolve by key."""
     inputs = component_inputs(component)
     return BusinessComponent(inputs.id, inputs.name, [
-        Entity(e.name.capitalize() if e.name in names else e.name, e.attributes,
-               e.associations, e.components)
+        Entity(e.name.capitalize() if e.name in capitalized else e.name,
+               (*e.attributes, "nom", "nom", "Nom") if e.name in doubled else e.attributes,
+               () if e.name in plain else e.associations,
+               () if e.name in plain else e.components)
         for e in inputs.entities
     ], inputs.relations)
 
@@ -103,7 +107,10 @@ def random_inputs(draw):
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     ids = draw(st.sampled_from([("CM1", "CM2"), ("CM2", "CM1", "CM3"), ("CM1", "CM1")]))
     capitalized = draw(st.sets(words))  # so that display order differs from key order
-    components = [_capitalize(random_component(rng, cid), capitalized) for cid in ids]
+    plain = draw(st.sets(words))  # a part of one such member passes through merge
+    doubled = draw(st.sets(words))  # merge deduplicates attributes
+    components = [_reshaped(random_component(rng, cid), capitalized, plain, doubled)
+                  for cid in ids]
     synonyms = draw(st.lists(st.tuples(words, words), max_size=6))
     homonyms = draw(st.sets(words, max_size=2))
     known = draw(st.sets(words, max_size=8)) | {w for pair in synonyms for w in pair} | homonyms
@@ -119,13 +126,19 @@ def test_integrate_equals_reference_on_random_components(inputs):
 @settings(max_examples=150, deadline=None)
 @given(random_inputs(), st.data())
 def test_merge_equals_reference_on_any_partition(inputs, data):
-    # a library caller's partition: any grouping of the concepts, and
-    # Homonym verdicts on any pairs, even pairs that share a part
+    # a library caller's partition: any grouping of the concepts, each part
+    # a tuple or a list, and Homonym verdicts on any pairs, even pairs that
+    # share a part.  Up to one part per concept: one-member parts re-keyed by
+    # a homonym's suffix or by disambiguation (one key in two parts)
     components, od = inputs
     sources, _ = reference_sources(list(map(component_inputs, components)))
     ids = sorted(cid for source in sources for cid in source.concepts)
-    part_of = data.draw(st.lists(st.integers(0, 4), min_size=len(ids), max_size=len(ids)))
-    partition = [tuple(c for c, p in zip(ids, part_of) if p == part) for part in range(5)]
+    parts = data.draw(st.integers(1, len(ids)))
+    part_of = data.draw(st.lists(st.integers(0, parts - 1), min_size=len(ids),
+                                 max_size=len(ids)))
+    forms = data.draw(st.lists(st.sampled_from([tuple, list]), min_size=parts, max_size=parts))
+    partition = [form(c for c, p in zip(ids, part_of) if p == part)
+                 for part, form in enumerate(forms)]
     homonyms = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
                                   max_size=2))
     verdicts = [Correspondence(a, b, Fraction(0), "Homonym", Evidence("enriched"))

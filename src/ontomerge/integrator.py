@@ -12,9 +12,7 @@ inputs give byte-identical serialized outputs.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -237,49 +235,44 @@ def _edge_chain(
 
 
 def merge(
-    partition: Sequence[tuple[str, ...]],
     sources: Sequence[Ontology],
     od: Ontology,
     correspondences: Sequence[Correspondence] = (),
     warnings: Optional[list[str]] = None,
 ) -> tuple[BusinessComponent, list[Cluster]]:
-    """Collapse each cluster into one concept ``CMr#<key>`` of the merged component.
+    """Cluster the source concepts; collapse each cluster into one concept ``CMr#<key>``.
 
-    ``sources`` are the components (any ontologies do).  Returns the merged component
-    (id ``MERGED_ID``, name ``MERGED_NAME``) and one ``Cluster`` per part of
-    ``partition``, sorted by (term, members); a part that is a sorted tuple is its
-    cluster's ``members``.  Every source concept must lie in exactly one part,
-    recorded in one map (member -> part index); a member's source is looked up among
-    ``sources`` for homonym displays, display collisions and associations alone.  A
-    cluster's canonical term prefers member terms that occur in the support ontology
-    (smallest normalized term wins); clusters touched by a Homonym verdict are
-    instead displayed as "<term> (<source id>)".  A key's term, for the display and
-    the aliases alike, is that of the member of smallest id, so the order of a
-    part's members changes nothing.  Children and associations are re-targeted to
-    clusters and deduplicated, attributes are the deduplicated union of the members',
-    and the other keys' terms become ``alias: <term>`` attributes; a part of one member
-    with no children and no associations passes through as that concept under its
-    key.  No declared relation is carried over.  Warnings are appended to
-    ``warnings``.  Raises CyclicComposition ("composition cycle: CMr#a -> ... ->
-    CMr#a") when merged composition links form a cycle, HomonymClusterCollision when
-    a Homonym pair shares a cluster.
+    ``sources`` are the components (any ontologies do); no two may hold one concept
+    id.  The clusters are the parts that ``build_clusters`` makes of every source
+    concept from the Synonym/Identical edges of ``correspondences``: it alone rejects
+    an edge naming an unknown concept and a Homonym pair in one part, the latter as
+    HomonymClusterCollision with the chain of edges that joined it.  Returns the
+    merged component (id ``MERGED_ID``, name ``MERGED_NAME``) and one ``Cluster`` per
+    part, sorted by (term, members).  A member's part is recorded in one map; its
+    source is looked up among ``sources`` for homonym displays, display collisions
+    and associations alone.  A cluster's canonical term prefers member terms that
+    occur in the support ontology (smallest normalized term wins); clusters touched
+    by a Homonym verdict are instead displayed as "<term> (<source id>)".  A key's
+    term, for the display and the aliases alike, is that of the member of smallest
+    id.  Children and associations are re-targeted to clusters and deduplicated,
+    attributes are the deduplicated union of the members', and the other keys'
+    terms become ``alias: <term>`` attributes; a part of one member with no children
+    and no associations passes through as that concept under its key.  No declared
+    relation is carried over.  Warnings are appended to ``warnings``.  Raises
+    CyclicComposition ("composition cycle: CMr#a -> ... -> CMr#a") when merged
+    composition links form a cycle, SchemaViolation when an association target
+    names no concept of its member's source.
     """
     sink = warnings if warnings is not None else []
-    homonyms = [corr.pair for corr in correspondences if corr.verdict == "Homonym"]
-    homonym_endpoints = {member for pair in homonyms for member in pair}
-
     member_concept = {cid: c for source in sources for cid, c in source.concepts.items()}
+    if len(member_concept) != sum(len(source.concepts) for source in sources):
+        shared = next(cid for i, source in enumerate(sources) for cid in source.concepts
+                      if any(cid in earlier.concepts for earlier in sources[:i]))
+        raise SchemaViolation(f"concept id {shared!r} occurs in several sources")
+    partition = build_clusters(correspondences, member_concept)
+    homonym_endpoints = {member for corr in correspondences if corr.verdict == "Homonym"
+                         for member in corr.pair}
     part_of = {member: index for index, members in enumerate(partition) for member in members}
-    for problem, ids in (
-        ("concepts missing from clusters", member_concept.keys() - part_of.keys()),
-        ("concepts in clusters but in no source", part_of.keys() - member_concept.keys()),
-        ("concepts appear in several clusters", () if len(part_of) == sum(map(len, partition))
-         else [cid for cid, n in Counter(chain.from_iterable(partition)).items() if n > 1]),
-    ):
-        if ids:
-            raise SchemaViolation(f"{problem}: {sorted(ids)}")
-    if not all(partition):
-        raise SchemaViolation("a cluster of the partition is empty")
     displays: list[str] = []
     keys: list[str] = []  # filled pair by pair: a list of pairs would raise the tracemalloc peak
     for members in partition:
@@ -313,7 +306,7 @@ def merge(
                         [*set(attributes), *(ALIAS_PREFIX + a for a in aliases)]))
                 cid = f"{MERGED_ID}#{key}"
                 merged.concepts[cid] = Concept._assembled(key, cid, display, (), attributes, ())
-                clusters.append(tuple.__new__(Cluster, (display, tuple(members), aliases)))
+                clusters.append(tuple.__new__(Cluster, (display, members, aliases)))
                 continue
         else:
             term_of = _key_terms(members, member_concept)  # built once, dropped with the part
@@ -332,11 +325,13 @@ def merge(
                 children.add(child_key)
             attributes.update(concept.attributes)
             if concept.associations:
-                owner = _owner(member, sources).id
-                associations.update(
-                    Association(displays[part_of[f"{owner}#{normalize_term(t)}"]], label)
-                    for t, label in concept.associations
-                )
+                owner = _owner(member, sources)
+                for target, label in concept.associations:
+                    target_id = f"{owner.id}#{normalize_term(target)}"
+                    if target_id not in owner.concepts:
+                        raise SchemaViolation(f"concept {member!r}: association target "
+                                              f"{target!r} names no concept of {owner.id!r}")
+                    associations.add(Association(displays[part_of[target_id]], label))
         if aliases:  # listed beside an equal attribute, not folded into it
             attributes = [*attributes, *(ALIAS_PREFIX + alias for alias in aliases)]
         cid = f"{MERGED_ID}#{key}"
@@ -345,24 +340,16 @@ def merge(
             tuple(sorted(f"{MERGED_ID}#{child}" for child in children)) if children else (),
             tuple(sorted(attributes)) if attributes else (),
             tuple(sorted(associations)) if associations else ())
-        members = members if tuple(sorted(members)) == members else tuple(sorted(members))
         # aliases are in key order, which is name_sort_key order within a cluster
         clusters.append(tuple.__new__(Cluster, (display, members, aliases)))
     merged.validate()
-
-    for c1, c2 in homonyms:
-        if part_of[c1] == part_of[c2]:
-            raise HomonymClusterCollision(
-                f"homonym pair ({c1}, {c2}) ended up in cluster "
-                f"{MERGED_ID + '#' + keys[part_of[c1]]!r}"
-            )
     clusters.sort()  # by (term, members): members of two parts never tie
     return merged, clusters
 
 
 def _owner(cid: str, sources: Sequence[Ontology]) -> Ontology:
-    """The last of ``sources`` that holds concept ``cid``, as in ``member_concept``."""
-    return next(source for source in reversed(sources) if cid in source.concepts)
+    """The source that holds concept ``cid``."""
+    return next(source for source in sources if cid in source.concepts)
 
 
 def _cluster_display(
@@ -434,10 +421,10 @@ def integrate(
     duplicate with the smallest free ~2, ~3, ... (free: no input id and no
     earlier rename), so a result component can be re-integrated against a
     copy of itself.  Outputs are reusable as future inputs.  The merged
-    component has id ``MERGED_ID`` and name ``MERGED_NAME``.  The one
-    ``Report`` is built here from what ``align``, ``build_clusters`` and
-    ``merge`` returned and the warnings they appended.  It is sparse: it
-    lists the scored pairs, and its ``pair_space`` stands for the
+    component has id ``MERGED_ID`` and name ``MERGED_NAME``; ``merge``
+    clusters what ``align`` found.  The one ``Report`` is built here from
+    what those two returned and the warnings they appended.  It is sparse:
+    it lists the scored pairs, and its ``pair_space`` stands for the
     Distinct rest.
     """
     if len(components) < 2:
@@ -455,9 +442,7 @@ def integrate(
         kept.add(component.id)
         sources.append(component)
     correspondences, enriched_od, records = align(sources, od, tau, warnings=warnings)
-    all_ids = [cid for source in sources for cid in source.concepts]
-    partition = build_clusters(correspondences, all_ids)
-    merged, clusters = merge(partition, sources, enriched_od, correspondences, warnings)
+    merged, clusters = merge(sources, enriched_od, correspondences, warnings)
     report = Report(
         correspondences=sorted(correspondences, key=attrgetter("c1", "c2")),
         enrichments=sorted(records, key=lambda r: (r.pair, r.injected)),

@@ -419,8 +419,9 @@ class BusinessComponent(Ontology):
     child ids share the ``<component id>#`` prefix, so id order is key order.
     Each declared relation becomes a ``declared`` ``Relation`` between two
     such ids, so ``relations`` lists the part_of edges too.  ``add_concept``
-    takes no other id, so term questions look the id up in ``concepts``;
-    the constructor builds each id from its key and skips that check.
+    takes no other id; the constructor builds each id from its key and
+    skips that check.  A term question builds the inherited term index;
+    the pipeline asks a component none.
 
     Invariants checked on construction:
 
@@ -509,12 +510,6 @@ class BusinessComponent(Ontology):
         if concept.id != f"{self.id}#{concept.key}":
             raise SchemaViolation(f"concept id {concept.id!r} is not <component id>#<key>")
         super().add_concept(concept)
-
-    def concepts_by_term(self, normalized: str) -> list[Concept]:
-        return [concept] if (concept := self.concepts.get(f"{self.id}#{normalized}")) else []
-
-    def term_present(self, normalized: str) -> bool:
-        return f"{self.id}#{normalized}" in self.concepts
 
     def __eq__(self, other) -> bool:
         return Ontology.__eq__(self, other) is True and self.name == other.name

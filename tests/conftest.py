@@ -115,6 +115,12 @@ def make_edge(c1: str, c2: str, verdict: str) -> Correspondence:
     return Correspondence(c1, c2, score, verdict, Evidence("syntactic"))
 
 
+def part_edges(partition) -> list[Correspondence]:
+    """Each part of ``partition`` as a chain of Identical edges, in its member order,
+    so that ``build_clusters`` (and so ``merge``) clusters exactly those parts."""
+    return [make_edge(a, b, "Identical") for part in partition for a, b in zip(part, part[1:])]
+
+
 def make_contradictory_od() -> Ontology:
     """A support ontology whose relations chain a homonym pair together.
 

@@ -1,19 +1,25 @@
-"""What a fresh interpreter loads for ``integrate``, and what it loads on demand.
+"""What a fresh interpreter loads for ``integrate``, what it loads on demand,
+and what each package module imports.
 
 ``integrate`` needs neither ``dataclasses`` (nor the ``inspect`` it pulls
 in) nor the scenario generator ``evalgen``; the package resolves the
 generator's public names on first use.  The package modules it loads are
 pinned: without a bytecode cache every cold start compiles each of them,
-so a module added to this path costs every run.
+so a module added to this path costs every run.  No module imports a name
+it never uses, which a refactor that deletes the last use would leave.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
+import symtable
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,3 +70,56 @@ def test_integrate_loads_no_dataclasses_and_no_scenario_generator(tmp_path):
                     "ontomerge.model_io", "ontomerge.similarity", "ontomerge.terms"],
     }
     assert json.loads((tmp_path / "metrics.json").read_text())["macro_f1"] == 1.0
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that ``source`` imports at module level and never reads, with their line.
+
+    A read is a reference that resolves to the module scope (``symtable``
+    says which, so a local of the same name is not one), a name in an
+    annotation, quoted or not, or an entry of ``__all__``."""
+    top = symtable.symtable(source, "<module>", "exec")
+    imported = {s.get_name() for s in top.get_symbols() if s.is_imported()} - {"annotations"}
+    used: set[str] = set()
+    tables = [top]
+    for table in tables:
+        tables.extend(table.get_children())
+        used.update(s.get_name() for s in table.get_symbols()
+                    if s.is_referenced() and (table is top or s.is_global()))
+    lines: dict[str, int] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                lines.setdefault(alias.asname or alias.name.partition(".")[0], node.lineno)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+        hint = (node.annotation if isinstance(node, (ast.arg, ast.AnnAssign))
+                else node.returns if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                else None)  # not evaluated under ``from __future__ import annotations``
+        for part in ast.walk(hint) if hint is not None else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                part = ast.parse(part.value, mode="eval")
+            used.update(n.id for n in ast.walk(part) if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {lines[name]})" for name in imported - used)
+
+
+def test_the_unused_import_check_finds_an_import_left_behind():
+    source = (
+        "from __future__ import annotations\n"
+        "from collections import Counter\n"
+        "from itertools import chain\n"
+        "import os.path\n"
+        "from typing import Optional, Sequence\n"
+        "from .model import Ontology\n"
+        "__all__ = ['Sequence']\n"
+        "def f(a: 'Optional[Ontology]') -> int:\n"
+        "    chain = [a]\n"
+        "    return os.path.sep, chain\n"
+    )
+    assert unused_imports(source) == ["Counter (line 2)", "chain (line 3)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "ontomerge").glob("*.py")))
+def test_no_package_module_imports_a_name_it_never_uses(module):
+    assert unused_imports((ROOT / "src" / "ontomerge" / module).read_text(encoding="utf-8")) == []

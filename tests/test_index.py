@@ -23,6 +23,7 @@ from ontomerge import (
     align,
     generate_scenario,
     children_index,
+    integrate,
     lookup_relations,
     pair_space_of,
 )
@@ -280,7 +281,6 @@ def test_component_term_questions_equal_a_scan_of_its_concepts(component, probes
     for key in sorted(keys | {normalize_term(probe) for probe in probes}):
         assert component.term_present(key) == naive_term_present(component, key)
         assert component.concepts_by_term(key) == naive_concepts_by_term(component, key)
-    assert "_ids_by_term" not in vars(component)  # answered without a term index
     assert_key_index_matches_oracle(component)
 
     key = normalize_term(term)
@@ -293,6 +293,15 @@ def test_component_term_questions_equal_a_scan_of_its_concepts(component, probes
         component.add_concept(Concept(own, term))
         assert component.concepts_by_term(key) == naive_concepts_by_term(component, key)
         assert component.term_present(key)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integrate_asks_no_component_a_term_question(seed):
+    # a component builds its term index only when asked, which would raise the
+    # memory peak of every run: the pipeline reads components by key and by id
+    components, od, _ = generate_scenario(ScenarioSpec(60, 6, 3, 0.5, seed))
+    integrate(components, od)
+    assert not any("_ids_by_term" in vars(component) for component in components)
 
 
 def test_component_rejects_a_concept_id_other_than_its_id_and_key():

@@ -36,6 +36,7 @@ from .conftest import (
     make_contradictory_od,
     make_edge,
     make_support_ontology,
+    part_edges,
 )
 from .reference import (
     brute_force_closure,
@@ -294,10 +295,7 @@ def test_canonical_term_prefers_support_vocabulary():
     ]
     od = make_support_ontology()
     correspondences, enriched, _ = align(sources, od)
-    partition = build_clusters(
-        correspondences, [cid for s in sources for cid in s.concepts]
-    )
-    merged, clusters = merge(partition, sources, enriched, correspondences=correspondences)
+    merged, clusters = merge(sources, enriched, correspondences=correspondences)
     (concept,) = merged.concepts.values()
     assert concept.term == "Cabinet"  # both terms known; smallest wins
     assert concept.attributes == ("alias: Compagnie",)
@@ -341,7 +339,7 @@ def test_aliases_take_the_term_of_the_smallest_id_whatever_the_member_order(orde
     ]
     od = Ontology("Od", [Concept(id="Od#dee", term="dee")])
     part = ("A#d", "A#k", "B#k")[::order]
-    _, clusters = merge([part], sources, od)
+    _, clusters = merge(sources, od, part_edges([part]))
     assert [(cl.term, cl.aliases) for cl in clusters] == [("Dee", ("Kay",))]
 
 
@@ -358,7 +356,7 @@ def test_suffix_fallback_takes_the_source_of_the_smallest_id_whatever_the_member
     ]
     partition = [("A#service", "C#prestation")[::order], ("B#service",), ("B#service (a)",)]
     homonymy = make_edge("A#service", "B#service", "Homonym")
-    _, clusters = merge(partition, sources, Ontology("Od"), correspondences=[homonymy])
+    _, clusters = merge(sources, Ontology("Od"), [*part_edges(partition), homonymy])
     assert {cl.term: tuple(sorted(cl.members)) for cl in clusters} == {
         "Service (A) (A)": ("A#service", "C#prestation"),
         "Service (A) (B)": ("B#service (a)",),
@@ -373,19 +371,47 @@ def _two_one_concept_sources():
     ]
 
 
-def test_merge_rejects_a_cluster_member_no_source_holds():
-    partition = [("CM1#aube",), ("CM2#brume",), ("CM9#y",), ("CM9#x",)]
-    with pytest.raises(SchemaViolation) as caught:
-        merge(partition, _two_one_concept_sources(), Ontology("Od"))
-    assert str(caught.value) == (
-        "concepts in clusters but in no source: ['CM9#x', 'CM9#y']"
-    )
+def test_merge_rejects_an_edge_naming_an_unknown_concept():
+    edges = [make_edge("CM1#aube", "CM2#brume", "Synonym"),
+             make_edge("CM2#brume", "CM9#y", "Identical")]
+    with pytest.raises(SchemaViolation, match=(
+        r"^Identical pair \('CM2#brume', 'CM9#y'\) names a concept outside the clustered ids$"
+    )):
+        merge(_two_one_concept_sources(), Ontology("Od"), edges)
 
 
-def test_merge_rejects_an_empty_cluster():
-    partition = [(), ("CM1#aube",), ("CM2#brume",)]
-    with pytest.raises(SchemaViolation, match="a cluster of the partition is empty"):
-        merge(partition, _two_one_concept_sources(), Ontology("Od"))
+def test_merge_raises_the_chain_that_puts_a_homonym_pair_in_one_cluster():
+    sources = [*_two_one_concept_sources(),
+               BusinessComponent(id="CM3", name="c", entities=(Entity(name="Aube"),))]
+    edges = [*part_edges([("CM1#aube", "CM2#brume", "CM3#aube")]),
+             make_edge("CM1#aube", "CM3#aube", "Homonym")]
+    with pytest.raises(HomonymClusterCollision) as caught:
+        merge(sources, Ontology("Od"), edges)
+    assert caught.value.chain == (("CM1#aube", "CM2#brume", "Identical"),
+                                  ("CM2#brume", "CM3#aube", "Identical"))
+    assert str(caught.value).startswith("homonym pair (CM1#aube, CM3#aube) would land in one")
+
+
+def test_merge_rejects_a_concept_id_that_two_sources_hold():
+    # plain ontologies may hold any ids, so two sources can share one
+    sources = [Ontology("A", [Concept("X#1", "un", attributes=("a",))]),
+               Ontology("B", [Concept("X#1", "one", attributes=("b",))])]
+    with pytest.raises(SchemaViolation, match=r"^concept id 'X#1' occurs in several sources$"):
+        merge(sources, Ontology("Od"))
+    with pytest.raises(SchemaViolation, match=r"^concept id 'X#1' occurs in several sources$"):
+        align(sources, Ontology("Od"))
+
+
+def test_merge_rejects_an_association_target_that_names_no_concept_of_its_source():
+    # a component resolves each target to its concept id; a plain ontology need not
+    sources = [Ontology("A", [Concept("A#1", "x", associations=[("y", "rel")]),
+                              Concept("A#2", "y")]),
+               Ontology("B", [Concept("B#z", "z")])]
+    correspondences, enriched, _ = align(sources, Ontology("Od"))
+    with pytest.raises(SchemaViolation, match=(
+        r"^concept 'A#1': association target 'y' names no concept of 'A'$"
+    )):
+        merge(sources, enriched, correspondences)
 
 
 def test_all_singletons_is_disjoint_union():
@@ -396,8 +422,7 @@ def test_all_singletons_is_disjoint_union():
         ),
         BusinessComponent(id="CM2", name="b", entities=(Entity(name="Brume"),)),
     ]
-    partition = build_clusters([], [cid for s in sources for cid in s.concepts])
-    merged, _ = merge(partition, sources, Ontology("Od"))
+    merged, _ = merge(sources, Ontology("Od"))
     assert len(merged.concepts) == 3
     assert sorted(c.term for c in merged.concepts.values()) == [
         "Aube", "Brume", "Crépuscule",
@@ -408,10 +433,9 @@ def test_mapping_covers_every_source_concept(cm1, cm2, support_od):
     sources = [cm1, cm2]
     correspondences, enriched, _ = align(sources, support_od)
     all_ids = [cid for s in sources for cid in s.concepts]
-    partition = build_clusters(correspondences, all_ids)
-    merged, clusters = merge(partition, sources, enriched, correspondences=correspondences)
+    merged, clusters = merge(sources, enriched, correspondences=correspondences)
     assert sorted(m for cluster in clusters for m in cluster.members) == sorted(all_ids)
-    assert len(merged.concepts) == len(partition)
+    assert len(merged.concepts) == len(build_clusters(correspondences, all_ids))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomerge import (
@@ -28,8 +28,6 @@ from ontomerge import (
     Ontology,
     Relation,
     ScenarioSpec,
-    align,
-    build_clusters,
     generate_scenario,
     integrate,
     merge,
@@ -38,7 +36,7 @@ from ontomerge import (
 from ontomerge import model, terms
 from ontomerge.integrator import MERGED_NAME
 
-from .conftest import make_cm1, make_cm2, make_support_ontology
+from .conftest import make_cm1, make_cm2, make_support_ontology, part_edges
 from .reference import (
     _WORDS,
     component_inputs,
@@ -126,77 +124,42 @@ def test_integrate_equals_reference_on_random_components(inputs):
 @settings(max_examples=150, deadline=None)
 @given(random_inputs(), st.data())
 def test_merge_equals_reference_on_any_partition(inputs, data):
-    # a library caller's partition: any grouping of the concepts, each part
-    # a tuple or a list, and Homonym verdicts on any pairs, even pairs that
-    # share a part.  Up to one part per concept: one-member parts re-keyed by
-    # a homonym's suffix or by disambiguation (one key in two parts)
+    # any grouping of the concepts, each part given to merge as a chain of
+    # Identical edges in any member order, and Homonym verdicts on any pairs,
+    # even pairs that share a part.  Up to one part per concept: one-member
+    # parts re-keyed by a homonym's suffix or by disambiguation (one key in two
+    # parts)
     components, od = inputs
     sources, _ = reference_sources(list(map(component_inputs, components)))
     ids = sorted(cid for source in sources for cid in source.concepts)
     parts = data.draw(st.integers(1, len(ids)))
     part_of = data.draw(st.lists(st.integers(0, parts - 1), min_size=len(ids),
                                  max_size=len(ids)))
-    forms = data.draw(st.lists(st.sampled_from([tuple, list]), min_size=parts, max_size=parts))
-    partition = [form(c for c, p in zip(ids, part_of) if p == part)
-                 for part, form in enumerate(forms)]
+    partition = sorted(tuple(c for c, p in zip(ids, part_of) if p == part)
+                       for part in range(parts) if part in part_of)
+    chains = [data.draw(st.permutations(part)) for part in partition]
     homonyms = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
                                   max_size=2))
     verdicts = [Correspondence(a, b, Fraction(0), "Homonym", Evidence("enriched"))
                 for a, b in homonyms if a != b]
 
-    def reference(*args):
-        merged, clusters = reference_merge(*args)
-        return ontology_to_component(merged, name=MERGED_NAME), clusters
-
-    def run(merge_with):
+    def merged():
         warnings = []
-        merged, clusters = merge_with([part for part in partition if part], sources, od,
-                                      verdicts, warnings)
-        return merged, clusters, warnings
+        component, clusters = merge(sources, od, [*part_edges(chains), *verdicts], warnings)
+        return component, clusters, warnings
 
-    assert _outcome(lambda: run(merge)) == _outcome(lambda: run(reference))
-
-
-@settings(max_examples=100, deadline=None)
-@given(random_inputs(), st.data())
-def test_merge_takes_parts_in_any_order_and_form_and_keeps_only_sorted_tuples(inputs, data):
-    # build_clusters gives sorted tuples; a library caller may give a part
-    # as an unsorted tuple or as a list, which must merge alike
-    components, od = inputs
-    sources, _ = reference_sources(list(map(component_inputs, components)))
-    correspondences, enriched, _ = align(sources, od)
-    try:
-        partition = build_clusters(correspondences, [cid for s in sources for cid in s.concepts])
-    except HomonymClusterCollision:
-        reject()  # no partition to merge
-    given_parts = [data.draw(st.sampled_from([tuple, list]))(data.draw(st.permutations(part)))
-                   for part in partition]
-
-    def reference(*args):
-        merged, clusters = reference_merge(*args)
-        return ontology_to_component(merged, name=MERGED_NAME), clusters
-
-    def run(merge_with, parts):
+    def reference():
         warnings = []
-        merged, clusters = merge_with(parts, sources, enriched, correspondences, warnings)
-        return merged, clusters, warnings
+        merged, clusters = reference_merge(partition, sources, od, verdicts, warnings)
+        return ontology_to_component(merged, name=MERGED_NAME), clusters, warnings
 
-    expected = _outcome(lambda: run(reference, partition))
-    assert _outcome(lambda: run(merge, partition)) == expected
-    given = _outcome(lambda: run(merge, given_parts))
-    assert given == _outcome(lambda: run(reference, given_parts))
-    if not isinstance(expected[0], bytes):
-        assert given == expected  # merge raised, as the reference did
-        return
-    # the warnings come in member order
-    assert given[:2] == expected[:2] and sorted(given[2]) == sorted(expected[2])
-    for parts in (partition, given_parts):
-        _, clusters = merge(parts, sources, enriched, correspondences)
-        members = {cluster.members[0]: cluster.members for cluster in clusters}
-        for part in parts:
-            kept = members[min(part)]
-            assert type(kept) is tuple and list(kept) == sorted(part)
-            assert (kept is part) == (type(part) is tuple and list(part) == sorted(part))
+    got, expected = _outcome(merged), _outcome(reference)
+    if any(part_of[ids.index(a)] == part_of[ids.index(b)] for a, b in homonyms if a != b):
+        # merge raises build_clusters' chain before it builds a concept; the
+        # reference raises too, on the collision or on an earlier check
+        assert got[0] is HomonymClusterCollision and isinstance(expected[0], type)
+    else:
+        assert got == expected
 
 
 @settings(max_examples=25, deadline=None)

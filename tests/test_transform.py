@@ -18,14 +18,13 @@ from ontomerge import (
     Relation,
     SchemaViolation,
     align,
-    build_clusters,
     merge,
     normalize_term,
     serialize_component,
 )
 from ontomerge import model
 
-from .conftest import make_cm1, make_cm2, make_support_ontology
+from .conftest import make_cm1, make_cm2, make_support_ontology, part_edges
 from .reference import (
     ComponentInput,
     ontology_to_component,
@@ -148,7 +147,7 @@ def _merge_into_a_cycle():
     # A#a ⊃ A#b and B#c ⊃ B#d, clustered as {a, d} and {b, c}: each contains the other
     sources = [Ontology("A", [Concept("A#a", "a", ("A#b",)), Concept("A#b", "b")]),
                Ontology("B", [Concept("B#c", "c", ("B#d",)), Concept("B#d", "d")])]
-    merge([("A#a", "B#d"), ("A#b", "B#c")], sources, Ontology("Od"))
+    merge(sources, Ontology("Od"), part_edges([("A#a", "B#d"), ("A#b", "B#c")]))
 
 
 @pytest.mark.parametrize("close_a_cycle", [
@@ -179,10 +178,7 @@ def test_component_constructor_walks_the_composition_once(monkeypatch):
 def test_merged_scenario_yields_one_entity_per_synonym_cluster():
     sources = [make_cm1(), make_cm2()]
     correspondences, enriched, _ = align(sources, make_support_ontology())
-    partition = build_clusters(
-        correspondences, [cid for s in sources for cid in s.concepts]
-    )
-    component, clusters = merge(partition, sources, enriched, correspondences=correspondences)
+    component, clusters = merge(sources, enriched, correspondences=correspondences)
     groups = [
         cluster for cluster in clusters
         if {"CM1#compagnie", "CM2#cabinet"} == set(cluster.members)

@@ -4,6 +4,8 @@ Each component model is read as a small ontology, aligned pairwise
 against a support (domain) ontology to detect synonym and homonym naming
 conflicts, merged into one result component, and the support ontology is
 enriched with the relations inferred along the way.
+
+Names outside ``__all__`` are module internals and may change without notice.
 """
 
 from .errors import (
@@ -31,7 +33,6 @@ from .model import (
     Report,
     pair_space_of,
 )
-from .enrichment import enrich, infer_via_children, infer_via_equivalents
 from .integrator import align, build_clusters, integrate, merge
 from .model_io import (
     export_dot,
@@ -42,13 +43,7 @@ from .model_io import (
     serialize_ontology,
     serialize_report,
 )
-from .similarity import (
-    children_index,
-    lookup_relations,
-    normalize_term,
-    semantic_similarity,
-    syntactic_similarity,
-)
+from .terms import normalize_term
 
 __version__ = "0.1.0"
 
@@ -88,24 +83,17 @@ __all__ = [
     "SchemaViolation",
     "align",
     "build_clusters",
-    "children_index",
-    "enrich",
     "evaluate",
     "export_dot",
     "generate_scenario",
-    "infer_via_children",
-    "infer_via_equivalents",
     "integrate",
-    "lookup_relations",
     "merge",
     "normalize_term",
     "pair_space_of",
     "parse_component",
     "parse_ontology",
     "parse_report",
-    "semantic_similarity",
     "serialize_component",
     "serialize_ontology",
     "serialize_report",
-    "syntactic_similarity",
 ]

@@ -31,16 +31,6 @@ from fractions import Fraction
 from .errors import SchemaViolation
 from .matching import max_weight_assignment
 from .model import SYNTACTIC, BusinessComponent, Concept, Evidence, Ontology, Relation
-from .terms import normalize_term
-
-__all__ = [
-    "children_index",
-    "lookup_relations",
-    "normalize_term",
-    "partner_scores",
-    "semantic_similarity",
-    "syntactic_similarity",
-]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -224,7 +224,8 @@ def reference_merge(
     association metadata are re-targeted to cluster representatives and
     deduplicated; the other keys' terms become ``alias: <term>``
     attributes.  Warnings are appended to ``warnings``.  Raises
-    HomonymClusterCollision when a Homonym pair shares a cluster.
+    HomonymClusterCollision when a Homonym pair shares a cluster, right
+    after the partition's checks and before any display is chosen.
     """
     sink = warnings if warnings is not None else []
     homonym_endpoints: set[str] = set()
@@ -246,6 +247,12 @@ def reference_merge(
         raise SchemaViolation(f"concepts appear in several clusters: {doubled}")
     if not all(partition):
         raise SchemaViolation("a cluster of the partition is empty")
+    part_of = {member: index for index, members in enumerate(partition) for member in members}
+    for corr in correspondences:
+        if corr.verdict == "Homonym" and part_of[corr.c1] == part_of[corr.c2]:
+            raise HomonymClusterCollision(
+                f"homonym pair ({corr.c1}, {corr.c2}) ended up in part {part_of[corr.c1]}"
+            )
     displays: list[str] = []
     keys: list[str] = []  # filled pair by pair: a list of pairs would raise the tracemalloc peak
     for members in partition:
@@ -309,13 +316,6 @@ def reference_merge(
         )
         clusters.append(Cluster(term=display, members=tuple(members), aliases=aliases))
     merged.validate()
-
-    for corr in correspondences:
-        if corr.verdict == "Homonym" and cluster_of[corr.c1] == cluster_of[corr.c2]:
-            raise HomonymClusterCollision(
-                f"homonym pair ({corr.c1}, {corr.c2}) ended up in cluster "
-                f"{cluster_of[corr.c1]!r}"
-            )
     return merged, sorted(clusters, key=lambda cl: (cl.term, cl.members))
 
 

@@ -17,19 +17,16 @@ from ontomerge import (
     Relation,
     ScenarioSpec,
     build_clusters,
-    children_index,
-    enrich,
     evaluate,
     generate_scenario,
     integrate,
-    semantic_similarity,
     serialize_component,
     serialize_ontology,
     serialize_report,
-    syntactic_similarity,
 )
 from ontomerge.cli import main
-from ontomerge.enrichment import RunMaps
+from ontomerge.enrichment import RunMaps, enrich
+from ontomerge.similarity import children_index, semantic_similarity, syntactic_similarity
 
 from .conftest import make_cm1, make_cm2, make_edge, make_support_ontology
 from .reference import (

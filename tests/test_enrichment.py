@@ -11,17 +11,13 @@ from ontomerge import (
     Relation,
     ScenarioSpec,
     align,
-    enrich,
     generate_scenario,
-    infer_via_children,
-    infer_via_equivalents,
     integrate,
-    lookup_relations,
     serialize_ontology,
-    syntactic_similarity,
 )
 from ontomerge import enrichment, integrator
-from ontomerge.enrichment import RunMaps
+from ontomerge.enrichment import RunMaps, enrich, infer_via_children, infer_via_equivalents
+from ontomerge.similarity import lookup_relations, syntactic_similarity
 
 
 def _ontology(oid, *concepts, relations=()):

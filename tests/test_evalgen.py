@@ -26,7 +26,7 @@ from ontomerge import (
 )
 from ontomerge.evalgen import PlantedRelation, parse_truth, serialize_truth
 from ontomerge.model import VERDICTS
-from ontomerge.similarity import normalize_term
+from ontomerge.terms import normalize_term
 
 from .reference import expand_correspondences, reference_evaluate, reference_truth_document
 from .strategies import truths

@@ -22,13 +22,12 @@ from ontomerge import (
     SchemaViolation,
     align,
     generate_scenario,
-    children_index,
     integrate,
-    lookup_relations,
     pair_space_of,
 )
 from ontomerge.enrichment import _equivalence_partners, first_relations
 from ontomerge.model import SEMANTIC_KINDS
+from ontomerge.similarity import children_index, lookup_relations
 from ontomerge.terms import normalize_term
 
 from .reference import (

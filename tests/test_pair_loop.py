@@ -41,26 +41,26 @@ from ontomerge import (
     ScenarioSpec,
     SchemaViolation,
     align,
-    children_index,
-    enrich,
     generate_scenario,
-    infer_via_equivalents,
     integrate,
-    lookup_relations,
     normalize_term,
     pair_space_of,
-    semantic_similarity,
     serialize_component,
     serialize_ontology,
-    syntactic_similarity,
 )
 from ontomerge import enrichment, integrator
 from ontomerge.cli import main
-from ontomerge.enrichment import RunMaps, infer_via_children
+from ontomerge.enrichment import RunMaps, enrich, infer_via_children, infer_via_equivalents
 from ontomerge.integrator import ASSUMED_IDENTICAL_WARNING
 from ontomerge.matching import max_weight_assignment
 from ontomerge.model import as_fraction
-from ontomerge.similarity import partner_scores
+from ontomerge.similarity import (
+    children_index,
+    lookup_relations,
+    partner_scores,
+    semantic_similarity,
+    syntactic_similarity,
+)
 
 from .reference import (
     expand_correspondences,

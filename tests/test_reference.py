@@ -155,9 +155,9 @@ def test_merge_equals_reference_on_any_partition(inputs, data):
 
     got, expected = _outcome(merged), _outcome(reference)
     if any(part_of[ids.index(a)] == part_of[ids.index(b)] for a, b in homonyms if a != b):
-        # merge raises build_clusters' chain before it builds a concept; the
-        # reference raises too, on the collision or on an earlier check
-        assert got[0] is HomonymClusterCollision and isinstance(expected[0], type)
+        # both raise right after the partition is checked, before any display
+        # is chosen; only the messages differ (merge's carries the chain)
+        assert got[0] is expected[0] is HomonymClusterCollision
     else:
         assert got == expected
 

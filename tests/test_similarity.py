@@ -14,15 +14,17 @@ from ontomerge import (
     Ontology,
     Relation,
     align,
-    children_index,
-    lookup_relations,
     normalize_term,
-    semantic_similarity,
-    syntactic_similarity,
 )
 from ontomerge import integrator, similarity
 from ontomerge.matching import max_weight_assignment
 from ontomerge.model import SYNTACTIC
+from ontomerge.similarity import (
+    children_index,
+    lookup_relations,
+    semantic_similarity,
+    syntactic_similarity,
+)
 
 from .reference import brute_force_syntactic
 from .strategies import concept_pairs, terms

@@ -248,7 +248,8 @@ def merge(
     an edge naming an unknown concept and a Homonym pair in one part, the latter as
     HomonymClusterCollision with the chain of edges that joined it.  Returns the
     merged component (id ``MERGED_ID``, name ``MERGED_NAME``) and one ``Cluster`` per
-    part, sorted by (term, members).  A member's part is recorded in one map; its
+    part, sorted by (term, members).  A member's part is recorded in one map, built
+    only when some member has children or associations, its only readers; its
     source is looked up among ``sources`` for homonym displays, display collisions
     and associations alone.  A cluster's canonical term prefers member terms that
     occur in the support ontology (smallest normalized term wins); clusters touched
@@ -272,7 +273,9 @@ def merge(
     partition = build_clusters(correspondences, member_concept)
     homonym_endpoints = {member for corr in correspondences if corr.verdict == "Homonym"
                          for member in corr.pair}
-    part_of = {member: index for index, members in enumerate(partition) for member in members}
+    part_of: dict[str, int] = {}  # read only to re-target children and associations
+    if any(concept.children or concept.associations for concept in member_concept.values()):
+        part_of = {member: index for index, members in enumerate(partition) for member in members}
     displays: list[str] = []
     keys: list[str] = []  # filled pair by pair: a list of pairs would raise the tracemalloc peak
     for members in partition:

@@ -16,7 +16,9 @@ import heapq
 from bisect import insort
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CyclicComposition, SchemaViolation
@@ -637,6 +639,9 @@ def pair_space_of(sources: Iterable[Ontology]) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(sorted(source.concepts)) for source in ordered)
 
 
+_NO_CELLS: Mapping[int, Correspondence] = MappingProxyType({})  # every unlisted row's cells
+
+
 def pair_rows(
     report: Report,
 ) -> Iterator[tuple[str, Optional[int], Sequence[str], Mapping[int, Correspondence]]]:
@@ -652,10 +657,15 @@ def pair_rows(
     Concept ids order rows across sources ("CM 2#x" < "CM#x").  In an
     explicit report ``side`` is None and ``cells`` holds every position.
 
-    The listed pairs are indexed once.  Raises SchemaViolation for a pair
-    listed twice and, in a sparse report, for a pair outside the pair
-    space or one that points from a later source to an earlier one.
-    Nothing listed is dropped.
+    The listed pairs are indexed once.  A sparse report's rows come from
+    merging its sides' sorted ids; a side's partners are indexed by
+    position only once a row of that side lists a pair, and an id -> side
+    map is built only to word a stray-pair error.  An unlisted row's
+    ``cells`` is one shared, read-only empty mapping.
+
+    Raises SchemaViolation for a pair listed twice and, in a sparse
+    report, for a pair outside the pair space or one that points from a
+    later source to an earlier one.  Nothing listed is dropped.
     """
     listed: dict[str, dict[str, Correspondence]] = {}
     for corr in report.correspondences:
@@ -670,25 +680,32 @@ def pair_rows(
             yield c1, None, partners, {k: row[c2] for k, c2 in enumerate(partners)}
         return
 
-    side_of = {cid: side for side, ids in enumerate(space) for cid in ids}
     partners: list[tuple[str, ...]] = [()] * len(space)
     for side in range(len(space) - 2, -1, -1):
         partners[side] = tuple(sorted(partners[side + 1] + space[side + 1]))
-    position = [{cid: k for k, cid in enumerate(ids)} for ids in partners]
-    for c1 in sorted(cid for ids in space[:-1] for cid in ids):
-        side = side_of[c1]
+    position: list[Optional[dict[str, int]]] = [None] * len(space)
+    rows = (zip(sorted(ids), repeat(side)) for side, ids in enumerate(space[:-1]))
+    for c1, side in heapq.merge(*rows):
+        row = listed.pop(c1, None)
+        if row is None:
+            yield c1, side, partners[side], _NO_CELLS
+            continue
+        index = position[side]
+        if index is None:
+            index = position[side] = {cid: k for k, cid in enumerate(partners[side])}
         cells: dict[int, Correspondence] = {}
-        for c2, corr in listed.pop(c1, {}).items():
-            k = position[side].get(c2)
+        for c2, corr in row.items():
+            k = index.get(c2)
             if k is None:
-                raise _stray_pair(corr, side_of)
+                raise _stray_pair(corr, space)
             cells[k] = corr
         yield c1, side, partners[side], cells
     for row in listed.values():  # rows whose c1 is in no earlier source
-        raise _stray_pair(next(iter(row.values())), side_of)
+        raise _stray_pair(next(iter(row.values())), space)
 
 
-def _stray_pair(corr: Correspondence, side_of: dict[str, int]) -> SchemaViolation:
+def _stray_pair(corr: Correspondence, space: tuple[tuple[str, ...], ...]) -> SchemaViolation:
+    side_of = {cid: side for side, ids in enumerate(space) for cid in ids}
     sides = side_of.get(corr.c1), side_of.get(corr.c2)
     if None in sides:
         return SchemaViolation(f"pair {corr.pair} lies outside the report's pair space")

@@ -426,16 +426,17 @@ def _correspondence_list(report: Report) -> Iterator[bytes]:
     evidence = _template(("kind", "relations_used"), " " * 6)
     trivial_tail = rest % (evidence % ('"syntactic"', "[]"), '"0"', '"Distinct"')
     tails: dict[tuple[tuple[Relation, ...], tuple[str, int, int, str]], str] = {}
-    # per side of a sparse report: each partner's entry as an unlisted pair
+    # per side of a sparse report: b"", then each partner's entry as an
+    # unlisted pair; joined, the leading b"" puts a separator before the first
     unlisted: dict[int, list[bytes]] = {}
     opener = b"[\n"  # until the first row is written
     for c1, side, partners, cells in pair_rows(report):
         if side is None:
-            entries = [b""] * len(partners)  # an explicit row lists every pair
+            entries = [b""] * (len(partners) + 1)  # an explicit row lists every pair
         else:
             if side not in unlisted:
-                unlisted[side] = [(encode_basestring(c2) + trivial_tail).encode("utf-8")
-                                  for c2 in partners]
+                unlisted[side] = [b"", *((encode_basestring(c2) + trivial_tail).encode("utf-8")
+                                         for c2 in partners)]
             entries = unlisted[side].copy() if cells else unlisted[side]
         for k, corr in cells.items():
             score, (kind, relations) = corr.score, corr.evidence
@@ -446,20 +447,24 @@ def _correspondence_list(report: Report) -> Iterator[bytes]:
                 tail = tails[relations, frame] = rest % (
                     evidence % (encode_basestring(kind), _table(relations, " " * 8)),
                     encode_basestring(str(score)), encode_basestring(corr.verdict))
-            entries[k] = (encode_basestring(corr.c2) + tail).encode("utf-8")
-        if entries:  # none when every later source is empty
+            entries[k + 1] = (encode_basestring(corr.c2) + tail).encode("utf-8")
+        if len(entries) > 1:  # no entry when every later source is empty
             row_head = (head + encode_basestring(c1) + middle).encode("utf-8")
             if opener:
                 yield opener + row_head
-            yield (b",\n" + row_head).join(entries if opener else (b"", *entries))
+                entries = entries[1:]
+            yield (b",\n" + row_head).join(entries)
             opener = b""
     yield b"[]" if opener else b"\n  ]"
 
 
-def _cluster_rows(clusters: Iterable[Cluster]) -> Iterator[str]:
-    """Each cluster at depth 2, by (term, members)."""
+def _cluster_rows(clusters: Sequence[Cluster]) -> Iterator[str]:
+    """Each cluster at depth 2, by (term, members).  ``merge`` gives them
+    in that order, so they are sorted only when two neighbours are out of it."""
     template, inner = _template(("aliases", "members", "term"), "    "), " " * 6
-    for term, members, aliases in sorted(clusters, key=itemgetter(0, 1)):
+    if any(a[0] > b[0] or a[0] == b[0] and a[1] > b[1] for a, b in zip(clusters, clusters[1:])):
+        clusters = sorted(clusters, key=itemgetter(0, 1))
+    for term, members, aliases in clusters:
         yield template % (_texts(aliases, inner) if aliases else "[]",
                           f"[\n{inner}  {encode_basestring(members[0])}\n{inner}]"
                           if len(members) == 1 else _texts(members, inner),
@@ -477,7 +482,10 @@ def _enrichment_rows(enrichments: Iterable[EnrichmentRecord]) -> Iterator[str]:
 def report_chunks(report: Report) -> Iterator[bytes]:
     """The bytes of ``serialize_report`` in order, never held whole: each
     top-level member by sorted key, each cluster and enrichment record on
-    its own and each row of correspondences as one chunk.  Raises
+    its own and each row of correspondences as one chunk.  Clusters are
+    sorted only when they arrive out of (term, members) order, which
+    ``merge`` gives.  A sparse row whose c1 lists no pair allocates only
+    its chunk: it joins its side's unlisted entries in place.  Raises
     SchemaViolation where ``pair_rows`` does, possibly after some chunks."""
     yield from _document({
         "format_version": FORMAT_VERSION, "warnings": sorted(report.warnings),

@@ -667,13 +667,31 @@ def test_chunk_writers_peak_below_their_output():
         assert peak < size / 10
 
 
+def test_sparse_report_writer_peak_below_three_rows():
+    # one row in ten lists a pair.  About 2.7 times the longest row when this
+    # test was written: the side's unlisted entries, the row being joined and
+    # the listed pairs' index
+    space = tuple(tuple(sorted(f"{source}#entité {index}" for index in range(200)))
+                  for source in ("CM", "CM 2"))
+    report = Report([
+        Correspondence(space[0][index], space[1][index * 7 % 200], Fraction(1, 2), "Distinct",
+                       _SYNTACTIC)
+        for index in range(0, 200, 10)
+    ], pair_space=space)
+    peak, size = _writer_peak(model_io.report_chunks, report)
+    longest = max(map(len, model_io.report_chunks(report)))
+    assert size > 150 * longest
+    assert peak < 3 * longest
+
+
 # Source ids whose concept ids interleave: "CM 2#x" < "CM!#x" < "CM#x".
 SOURCE_IDS = ["CM", "CM 2", "CM!", "CM#a"]
 
 
 @st.composite
 def sparse_reports(draw):
-    """A sparse report: a pair space over 2-3 sources and some of its pairs."""
+    """A sparse report: a pair space over 2-3 sources, some of its pairs, and
+    clusters of its ids in drawn order, whose terms often repeat."""
     source_ids = sorted(draw(st.lists(
         st.sampled_from(SOURCE_IDS), min_size=2, max_size=3, unique=True
     )))
@@ -692,10 +710,15 @@ def sparse_reports(draw):
     ]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
     shared = st.sampled_from(draw(st.lists(evidences, min_size=1, max_size=3)))
+    members = st.lists(st.sampled_from(sorted(seen)), min_size=1, max_size=3, unique=True)
+    clusters = draw(st.permutations(draw(st.lists(st.builds(
+        Cluster, st.sampled_from(["a", "b"]), members, st.lists(names, max_size=2)),
+        max_size=4)))) if seen else []
     return Report(
         correspondences=[
             draw(correspondences(st.just(c1), shared, st.just(c2))) for c1, c2 in chosen
         ],
+        clusters=clusters,
         warnings=sorted(draw(st.lists(ids, max_size=2))),
         pair_space=tuple(space),
     )
@@ -728,6 +751,14 @@ def _listed(*pairs):
     warnings=[""],
     pair_space=(('CM#""', 'CM#x"'), ('CM 2#""', 'CM 2#a"')),
 ))
+@example(Report(  # clusters out of term order
+    clusters=[Cluster("b", ["CM#a"]), Cluster("a", ["CM#b"]), Cluster("a", ["CM 2#a"])],
+    pair_space=(("CM#a", "CM#b"), ("CM 2#a",)),
+))
+@example(Report(  # two clusters that share a term, out of members order
+    clusters=[Cluster("a", ["CM#a"]), Cluster("a", ["CM#b", "CM 2#a"]), Cluster("b", ["CM#b"])],
+    pair_space=(("CM#a", "CM#b"), ("CM 2#a",)),
+))
 def test_sparse_report_writer_matches_dumps_oracle(report):
     payload = serialize_report(report)
     assert payload == _dumps_report_oracle(report)
@@ -736,7 +767,8 @@ def test_sparse_report_writer_matches_dumps_oracle(report):
         path = Path(tmp) / "report.json"
         path.write_bytes(payload)
         parsed = parse_report(path)
-    assert parsed == Report(naive_full_list(report), report.enrichments, report.clusters,
+    clusters = sorted(report.clusters, key=lambda cl: (cl.term, cl.members))
+    assert parsed == Report(naive_full_list(report), report.enrichments, clusters,
                             report.warnings, pair_space=())
 
 
@@ -754,19 +786,30 @@ def test_integrate_report_bytes_with_interleaved_source_ids():
 _TRIVIAL = Correspondence("CM#a", "CM 2#b", Fraction(0), "Distinct", Evidence("syntactic"))
 
 
-@pytest.mark.parametrize("pair, message", [
-    (("CM#a", "CM 2#b"), "listed twice"),
-    (("CM#a", "CM 2#zz"), "outside the report's pair space"),
-    (("CM#zz", "CM 2#b"), "outside the report's pair space"),
-    (("CM 2#b", "CM#a"), "does not point from an earlier source to a later one"),
-    (("CM#a", "CM#c"), "does not point from an earlier source to a later one"),
-], ids=["duplicate", "unknown-c2", "unknown-c1", "backward", "same-source"])
-def test_sparse_report_rejects_stray_pairs(pair, message):
+_TWO_SOURCES = (("CM#a", "CM#c"), ("CM 2#b",))
+_THREE_SOURCES = (*_TWO_SOURCES, ("CM 3#d", "CM 3#e"))
+
+
+# The id -> side map that words these errors is built only once a stray pair
+# is met, and a side's partners are indexed at the first of its rows that lists
+# a pair: the three-source cases reach the last side's ids only through that map,
+# and "CM 2#b", walked before "CM#a", is the first row of its side.
+@pytest.mark.parametrize("pair, message, space", [
+    (("CM#a", "CM 2#b"), "listed twice", _TWO_SOURCES),
+    (("CM#a", "CM 2#zz"), "outside the report's pair space", _TWO_SOURCES),
+    (("CM#zz", "CM 2#b"), "outside the report's pair space", _TWO_SOURCES),
+    (("CM 2#b", "CM#a"), "does not point from an earlier source to a later one", _TWO_SOURCES),
+    (("CM#a", "CM#c"), "does not point from an earlier source to a later one", _TWO_SOURCES),
+    (("CM 3#d", "CM 2#b"), "does not point from an earlier source to a later one",
+     _THREE_SOURCES),
+    (("CM 3#e", "CM 3#d"), "does not point from an earlier source to a later one",
+     _THREE_SOURCES),
+    (("CM 2#b", "CM 3#zz"), "outside the report's pair space", _THREE_SOURCES),
+], ids=["duplicate", "unknown-c2", "unknown-c1", "backward", "same-source",
+        "third-to-second", "c1-in-last-source", "unknown-c2-first-listing-row"])
+def test_sparse_report_rejects_stray_pairs(pair, message, space):
     stray = Correspondence(*pair, _TRIVIAL.score, _TRIVIAL.verdict, _TRIVIAL.evidence)
-    report = Report(
-        correspondences=[_TRIVIAL, stray],
-        pair_space=(("CM#a", "CM#c"), ("CM 2#b",)),
-    )
+    report = Report(correspondences=[_TRIVIAL, stray], pair_space=space)
     for consume in (serialize_report, expand_correspondences):
         with pytest.raises(SchemaViolation, match=message):
             consume(report)

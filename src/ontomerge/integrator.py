@@ -3,11 +3,11 @@
 Steps: take every cross-component concept pair (each component is its
 own source ontology) that can be other than Distinct, enrich the support
 ontology where it knows both terms but joins them by nothing, score the
-pair against it, classify verdicts, cluster synonym/identical concepts
-by connected parts, and write each cluster as one concept of the merged
-component.  The merged component carries none of the relations that the
-sources declare.  Everything is sequential and deterministic: fixed
-inputs give byte-identical serialized outputs.
+pair against it, which gives its verdict, cluster synonym/identical
+concepts by connected parts, and write each cluster as one concept of
+the merged component.  The merged component carries none of the
+relations that the sources declare.  Everything is sequential and
+deterministic: fixed inputs give byte-identical serialized outputs.
 """
 
 from __future__ import annotations
@@ -75,15 +75,10 @@ def align(
     copy of the support ontology and dropped on return.  ``reach`` is
     computed once per row whose c1 key the support ontology holds, and
     again after each commit in the row.  Enrichment commits land on the
-    copy, which is returned with the records.  Verdicts:
-
-    * score 1 via a support-ontology or enriched synonymy -> Synonym;
-    * score 0 via homonymy with equal terms -> Homonym (unequal terms are
-      merely Distinct: homonyms share a term by definition);
-    * syntactic score >= tau -> Identical, with a warning when the terms
-      are equal but the support ontology had no say (a latent homonym
-      cannot be excluded);
-    * anything else -> Distinct.
+    copy, which is returned with the records.  ``semantic_similarity``
+    alone decides each pair's score, evidence and verdict; an Identical
+    pair of equal keys also gets a warning, as the support ontology had
+    no say and a latent homonym cannot be excluded.
 
     Concept ids must be unique across sources: the indexes and maps
     built once per run are keyed by them.
@@ -137,30 +132,14 @@ def align(
                             records.append(record)
                             row = sorted((c for c in {*partners, *candidates(c1, later)}
                                           if c > c2.id), reverse=True)
-                    score, evidence = semantic_similarity(c1, c2, enriched_od, kids)
-                    verdict = _classify(c1, c2, score, evidence.kind, tau)
-                    if verdict == "Identical" and c1.key == c2.key:
+                    corr = semantic_similarity(c1, c2, enriched_od, kids, tau)
+                    if corr.verdict == "Identical" and c1.key == c2.key:
                         sink.append(
                             f"{ASSUMED_IDENTICAL_WARNING} for term "
                             f"{c1.key!r} ({c1.id}, {c2.id})"
                         )
-                    correspondences.append(Correspondence(c1.id, c2.id, score, verdict, evidence))
+                    correspondences.append(corr)
     return correspondences, enriched_od, records
-
-
-def _classify(c1: Concept, c2: Concept, score: Fraction, kind: str, tau: Fraction) -> str:
-    # integer comparisons (denominators are positive): score == 1, score == 0,
-    # score >= tau
-    num, den = score.numerator, score.denominator
-    if kind in ("od_synonymy", "enriched") and num == den:
-        return "Synonym"
-    if kind in ("od_homonymy", "enriched") and num == 0:
-        if c1.key == c2.key:
-            return "Homonym"
-        return "Distinct"
-    if kind == "syntactic" and num * tau.denominator >= tau.numerator * den:
-        return "Identical"
-    return "Distinct"
 
 
 def build_clusters(

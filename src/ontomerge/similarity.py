@@ -6,11 +6,13 @@ are equal, and composite concepts of equal arity score the best average
 pairing of their children.  One join, ``partner_scores``, finds the
 composites that score above 0 against a composite and their scores,
 bottom-up over the composition graph, reading children from one
-``children_index`` and cached in it.  The semantic measure consults the
-support ontology first: a synonymy relation between the two terms forces
-1, else a homonymy relation forces 0, else the syntactic measure
-decides.  Both measures only read; enrichment, the one write to the
-support ontology, is a step of ``integrator.align``'s pair loop.
+``children_index`` and cached in it.  The semantic measure,
+``semantic_similarity``, gives a pair's whole ``Correspondence`` and is
+the one place that decides a verdict: a synonymy relation between the
+two terms in the support ontology makes a Synonym, else a homonymy makes
+a Homonym, else the syntactic score against the threshold decides.  Both
+measures only read; enrichment, the one write to the support ontology,
+is a step of ``integrator.align``'s pair loop.
 
 All scores are exact Fractions in [0, 1]; atomic pairs score exactly 0
 or 1.
@@ -30,7 +32,9 @@ from fractions import Fraction
 
 from .errors import SchemaViolation
 from .matching import max_weight_assignment
-from .model import SYNTACTIC, BusinessComponent, Concept, Evidence, Ontology, Relation
+from .model import (
+    SYNTACTIC, BusinessComponent, Concept, Correspondence, Evidence, Ontology, Relation,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -222,36 +226,37 @@ def lookup_relations(ontology: Ontology, t1: str, t2: str) -> tuple[Relation, ..
 
 
 def semantic_similarity(
-    c1: Concept, c2: Concept, od: Ontology, kids: ChildrenIndex
-) -> tuple[Fraction, Evidence]:
-    """Support-ontology-driven score with syntactic fallback; only reads.
+    c1: Concept, c2: Concept, od: Ontology, kids: ChildrenIndex, tau: Fraction
+) -> Correspondence:
+    """The pair's ``Correspondence``: the one statement of the verdict rule.
 
-    Branches, in order, over the relations ``od`` holds between the two
-    terms (none when either term is absent):
+    The first rule that holds over the relations ``od`` holds between the
+    two keys (none when either key is absent) decides score, evidence and
+    verdict together:
 
-    1. synonymy present -> (1, od_synonymy);
-    2. homonymy present -> (0, od_homonymy);
-    3. otherwise (no relation, or equivalence only) -> syntactic score.
+    1. synonymy -> score 1, Synonym;
+    2. homonymy -> score 0, Homonym when the keys are equal, else Distinct
+       (homonyms share a term by definition);
+    3. otherwise (no relation, or equivalence only) -> the syntactic score,
+       Identical when it reaches ``tau`` (an exact integer comparison),
+       else Distinct.
 
-    Evidence kind is "enriched" when any decisive relation was inferred
-    rather than declared.  Symmetric in (c1, c2).  ``kids`` is passed on
-    to ``syntactic_similarity``.
+    The evidence of rules 1 and 2 lists the relations of that kind, and its
+    kind is "enriched" when any of them was inferred rather than declared.
+    Only reads; symmetric in (c1, c2) but for the order of the pair.
+    ``kids`` is passed on to ``syntactic_similarity``.
     """
     relations = lookup_relations(od, c1.key, c2.key)
-    if not relations:
-        return syntactic_similarity(c1, c2, kids), SYNTACTIC
-    synonymies = tuple(r for r in relations if r.kind == "synonymy")
-    if synonymies:
-        return ONE, Evidence(kind=_evidence_kind(synonymies, "od_synonymy"),
-                             relations_used=synonymies)
-    homonymies = tuple(r for r in relations if r.kind == "homonymy")
-    if homonymies:
-        return ZERO, Evidence(kind=_evidence_kind(homonymies, "od_homonymy"),
-                              relations_used=homonymies)
-    return syntactic_similarity(c1, c2, kids), SYNTACTIC
-
-
-def _evidence_kind(relations: tuple[Relation, ...], declared_kind: str) -> str:
-    if any(r.provenance.startswith("inferred_case") for r in relations):
-        return "enriched"
-    return declared_kind
+    if relations:
+        for kind, score, declared in (("synonymy", ONE, "od_synonymy"),
+                                      ("homonymy", ZERO, "od_homonymy")):
+            used = tuple(r for r in relations if r.kind == kind)
+            if used:
+                inferred = any(r.provenance.startswith("inferred_case") for r in used)
+                verdict = "Synonym" if score else "Homonym" if c1.key == c2.key else "Distinct"
+                return Correspondence(c1.id, c2.id, score, verdict,
+                                      Evidence("enriched" if inferred else declared, used))
+    score = syntactic_similarity(c1, c2, kids)
+    # score >= tau, in integers (denominators are positive)
+    identical = score.numerator * tau.denominator >= tau.numerator * score.denominator
+    return Correspondence(c1.id, c2.id, score, "Identical" if identical else "Distinct", SYNTACTIC)

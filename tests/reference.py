@@ -40,6 +40,10 @@ equal-key atomic pair lifted through each arity's parents, pair by pair,
 to a closure.  ``reference_syntactic`` is ``syntactic_similarity`` by
 plain recursion over the full child matrix, with no cache, no children
 index and no split of atomic from composite children.
+``naive_semantic`` and ``naive_classify`` are ``semantic_similarity`` as
+it was before it returned the pair's ``Correspondence``: the score and
+evidence first, each owner found by ``find_owner``, then the verdict
+from the evidence kind and the score in ``Fraction`` comparisons.
 ``reference_infer_via_children`` is case 3 over the full n x n support
 matrix, one ``naive_first_relation`` scan per child cell, no early exit
 and ``max_weight_assignment`` for the pairing; it reads neither the run
@@ -71,6 +75,7 @@ from ontomerge import (
     Concept,
     Correspondence,
     Entity,
+    Evidence,
     HomonymClusterCollision,
     Ontology,
     Relation,
@@ -86,7 +91,7 @@ from ontomerge.integrator import DEFAULT_TAU, MERGED_ID, MERGED_NAME
 from ontomerge.matching import max_weight_assignment
 from ontomerge.model import SYNTACTIC, first_free, pair_rows
 from ontomerge.model_io import FORMAT_VERSION
-from ontomerge.similarity import ChildrenIndex
+from ontomerge.similarity import ChildrenIndex, lookup_relations
 
 
 class ComponentInput(NamedTuple):
@@ -583,6 +588,55 @@ def reference_syntactic(c1: Concept, c2: Concept, o1: Ontology, o2: Ontology) ->
     return total / len(left)
 
 
+def find_owner(ontologies: Iterable[Ontology], concept_id: str) -> Ontology:
+    """Return the ontology that contains ``concept_id``."""
+    for ontology in ontologies:
+        if concept_id in ontology.concepts:
+            return ontology
+    raise KeyError(f"concept {concept_id!r} not found in any given ontology")
+
+
+def naive_semantic(c1, c2, od, sources, hook):
+    """The (score, evidence) of c1 against c2: their owners looked up in
+    ``sources`` and the syntactic score by ``reference_syntactic``.  When
+    the support ontology holds both terms but no relation joins them,
+    ``hook(c1, c2)`` may enrich it; a non-None result reads it again."""
+    o1 = find_owner(sources, c1.id)
+    o2 = find_owner(sources, c2.id)
+    t1, t2 = c1.key, c2.key
+
+    def fallback():
+        return reference_syntactic(c1, c2, o1, o2), Evidence(kind="syntactic")
+
+    if not (od.term_present(t1) and od.term_present(t2)):
+        return fallback()
+    relations = lookup_relations(od, t1, t2)
+    if not relations and hook(c1, c2) is not None:
+        relations = lookup_relations(od, t1, t2)
+    if not relations:
+        return fallback()
+    for kind, declared, score in (("synonymy", "od_synonymy", 1), ("homonymy", "od_homonymy", 0)):
+        used = tuple(r for r in relations if r.kind == kind)
+        if used:
+            inferred = any(r.provenance.startswith("inferred_case") for r in used)
+            return Fraction(score), Evidence(
+                kind="enriched" if inferred else declared, relations_used=used
+            )
+    return fallback()
+
+
+def naive_classify(c1, c2, score, kind, tau):
+    """The verdict of a pair from its score and evidence kind, in
+    ``Fraction`` comparisons."""
+    if kind in ("od_synonymy", "enriched") and score == 1:
+        return "Synonym"
+    if kind in ("od_homonymy", "enriched") and score == 0:
+        return "Homonym" if c1.key == c2.key else "Distinct"
+    if kind == "syntactic" and score >= tau:
+        return "Identical"
+    return "Distinct"
+
+
 def reference_infer_via_children(c1: Concept, c2: Concept, sources: Sequence[Ontology],
                                  od: Ontology) -> Optional[tuple[Relation, ...]]:
     """Case 3 with one ``naive_first_relation`` scan per child cell and no early exit."""
@@ -590,7 +644,7 @@ def reference_infer_via_children(c1: Concept, c2: Concept, sources: Sequence[Ont
         return None
     if c1.key == c2.key:
         return None
-    o1, o2 = (next(o for o in sources if c.id in o.concepts) for c in (c1, c2))
+    o1, o2 = find_owner(sources, c1.id), find_owner(sources, c2.id)
     left, right = _children_sorted(c1, o1), _children_sorted(c2, o2)
     ontologies = [od, *sources]
     support = []

@@ -102,9 +102,10 @@ def test_criterion_2c_semantic_precedence_and_symmetry(t1, t2, kind):
     if kind != "none":
         od.add_relation(Relation("Od#a", "Od#b", kind))
     c1, c2 = left.concepts["L#c"], right.concepts["R#c"]
-    score, evidence = semantic_similarity(c1, c2, od, children_index([left, right]))
-    flipped, _ = semantic_similarity(c2, c1, od, children_index([left, right]))
-    assert score == flipped
+    corr = semantic_similarity(c1, c2, od, children_index([left, right]), Fraction(1))
+    flipped = semantic_similarity(c2, c1, od, children_index([left, right]), Fraction(1))
+    score, evidence = corr.score, corr.evidence
+    assert score == flipped.score and corr.verdict == flipped.verdict
     if kind == "synonymy":
         assert score == Fraction(1) and evidence.kind == "od_synonymy"
     elif kind == "homonymy":

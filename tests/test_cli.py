@@ -6,6 +6,8 @@ import gc
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -457,23 +459,29 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
-def test_integrate_outputs_on_fixtures_are_pinned(tmp_path, name):
-    components, od = _pinned_inputs(name, tmp_path)
-    args = [
+def _pinned_args(components, od, out):
+    """``integrate``'s arguments for one pinned input, writing into ``out``."""
+    return [
         "integrate",
         *(arg for path in components for arg in ("--component", str(path))),
         "--ontology", str(od),
-        "--out-component", str(tmp_path / "cmr.json"),
-        "--out-ontology", str(tmp_path / "od2.json"),
-        "--report", str(tmp_path / "report.json"),
+        "--out-component", str(out / "cmr.json"),
+        "--out-ontology", str(out / "od2.json"),
+        "--report", str(out / "report.json"),
     ]
-    assert main(args) == 0
-    digests = {
-        output: hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
-        for output in PINNED_DIGESTS[name]
-    }
-    assert digests == PINNED_DIGESTS[name]
+
+
+def _digests(out, name):
+    """sha256 of each of ``out``'s outputs that ``PINNED_DIGESTS[name]`` pins."""
+    return {output: hashlib.sha256((out / output).read_bytes()).hexdigest()
+            for output in PINNED_DIGESTS[name]}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_integrate_outputs_on_fixtures_are_pinned(tmp_path, name):
+    components, od = _pinned_inputs(name, tmp_path)
+    assert main(_pinned_args(components, od, tmp_path)) == 0
+    assert _digests(tmp_path, name) == PINNED_DIGESTS[name]
     # the report the CLI streams equals the library's serialize_report
     _, _, report = integrate(
         [model_io.parse_component(path) for path in components], model_io.parse_ontology(od)
@@ -481,6 +489,77 @@ def test_integrate_outputs_on_fixtures_are_pinned(tmp_path, name):
     payload = model_io.serialize_report(report)
     assert payload == b"".join(model_io.report_chunks(report))
     assert (tmp_path / "report.json").read_bytes() == payload
+
+
+def test_tau_is_read_exactly_and_admits_partial_composite_scores(tmp_path, capsys):
+    components, od = _pinned_inputs("composite", tmp_path)
+
+    def digests(tau):
+        out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+        out.mkdir()
+        assert main([*_pinned_args(components, od, out), "--tau", tau]) == 0
+        return _digests(out, "composite")
+
+    half = digests("1/2")
+    assert digests("0.5") == half
+    assert digests("1") == PINNED_DIGESTS["composite"]  # 1 is the default
+    assert half["report.json"] != PINNED_DIGESTS["composite"]["report.json"]
+    inputs = [model_io.parse_component(path) for path in components], model_io.parse_ontology(od)
+    strict = integrate(*inputs, tau=Fraction(1))[2].correspondences
+    loose = integrate(*inputs, tau=Fraction(1, 2))[2].correspondences
+    assert [c.pair for c in strict] == [c.pair for c in loose]
+    changed = [(a.score, (a.verdict, b.verdict)) for a, b in zip(strict, loose) if a != b]
+    assert {verdicts for _, verdicts in changed} == {("Distinct", "Identical")}
+    assert sorted({score for score, _ in changed}) == [
+        Fraction(n, n + 1) for n in (1, 2, 3, 4, 5, 6, 7, 8, 10)]
+    capsys.readouterr()
+    assert main([*_pinned_args(components, od, tmp_path), "--tau", "abc"]) == 1
+    assert "not a number: 'abc'" in capsys.readouterr().err
+
+
+def test_entity_names_like_suffixed_displays_collide_after_disambiguation(tmp_path, capsys):
+    # the homonyms CM1#a and CM2#a display as "a (CM1)" and "a (CM2)"; CM1's
+    # own "a (CM2)" then takes the suffix (CM1), which names CM1's third entity
+    # (a known defect, ROADMAP)
+    cm1 = BusinessComponent("CM1", "CM1",
+                            [Entity("a"), Entity("a (CM2)"), Entity("a (CM2) (CM1)")])
+    cm2 = BusinessComponent("CM2", "CM2", [Entity("a")])
+    od = Ontology("Od", [Concept("Od#a", "a"), Concept("Od#a2", "a")],
+                  [Relation("Od#a", "Od#a2", "homonymy")])
+    paths = [tmp_path / "cm1.json", tmp_path / "cm2.json"]
+    for path, component in zip(paths, (cm1, cm2)):
+        path.write_bytes(model_io.serialize_component(component))
+    (tmp_path / "od.json").write_bytes(model_io.serialize_ontology(od))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(_pinned_args(paths, tmp_path / "od.json", out)) == 2
+    assert capsys.readouterr().err == (
+        "error: merged concept terms collide after disambiguation; support ontology "
+        "or inputs are contradictory\n")
+    assert not any(out.iterdir())
+
+
+def test_module_entry_point_writes_the_pinned_fixture_outputs(tmp_path):
+    components, od = _pinned_inputs("fixtures", tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "ontomerge.cli", *_pinned_args(components, od, tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    assert _digests(tmp_path, "fixtures") == PINNED_DIGESTS["fixtures"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["export-dot", "--ontology", str(FIXTURES / "od.json")], 0),
+    ([], 1),
+], ids=["export-dot", "no-arguments"])
+def test_entrypoint_exits_with_the_code_of_main(argv, code, monkeypatch, capsys):
+    assert main(argv) == code
+    monkeypatch.setattr(sys, "argv", ["ontomerge", *argv])
+    with pytest.raises(SystemExit) as raised:
+        cli.entrypoint()
+    assert raised.value.code == code
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

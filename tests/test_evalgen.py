@@ -80,6 +80,15 @@ def test_half_coverage_declares_floor_of_relations():
     assert len(od_pairs & truth_pairs) == len(primary_pairs)
 
 
+@pytest.mark.parametrize("missing", ["concept_count", "synonym_pairs", "homonym_pairs"])
+def test_spec_from_dict_requires_every_field_without_a_default(missing):
+    data = {"concept_count": 8, "synonym_pairs": 2, "homonym_pairs": 1}
+    assert ScenarioSpec.from_dict(data) == ScenarioSpec(8, 2, 1)
+    del data[missing]
+    with pytest.raises(InfeasibleSpec, match=f"^scenario spec is missing field '{missing}'$"):
+        ScenarioSpec.from_dict(data)
+
+
 def test_concept_count_bounds_pairs():
     with pytest.raises(InfeasibleSpec):
         ScenarioSpec(5, 2, 1, 1.0, rng_seed=0)

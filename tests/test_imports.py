@@ -6,7 +6,9 @@ in) nor the scenario generator ``evalgen``; the package resolves the
 generator's public names on first use.  The package modules it loads are
 pinned: without a bytecode cache every cold start compiles each of them,
 so a module added to this path costs every run.  No module imports a name
-it never uses, which a refactor that deletes the last use would leave.
+it never uses, and no module defines a function, class or method that
+nothing in ``src/`` or ``tests/`` names: a refactor that deletes the last
+use would leave either behind.
 The package's public names are pinned, and every other public name it
 binds is a submodule, so that a new export is a decision.
 """
@@ -20,6 +22,7 @@ import subprocess
 import symtable
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -140,3 +143,76 @@ def test_the_unused_import_check_finds_an_import_left_behind():
 @pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "ontomerge").glob("*.py")))
 def test_no_package_module_imports_a_name_it_never_uses(module):
     assert unused_imports((ROOT / "src" / "ontomerge" / module).read_text(encoding="utf-8")) == []
+
+
+# Called by the import machinery for a name the module lacks (PEP 562), never by name.
+UNNAMED = {"__init__.py": {"__getattr__"}}
+
+
+def definitions(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each module-level function and class of ``source``, and
+    of each method of those classes whose name is not a dunder."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            found.extend((f"{node.name}.{item.name}", item.lineno) for item in node.body
+                         if isinstance(item, functions)
+                         and not (item.name.startswith("__") and item.name.endswith("__")))
+    return found
+
+
+def references(source: str) -> set[str]:
+    """The names that ``source`` reads: loaded names and attributes, imported
+    names, and string constants that spell an identifier or a dotted path (as
+    ``monkeypatch.setattr(module, "name", ...)`` and ``__all__`` do)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and all(
+                part.isidentifier() for part in node.value.split(".")):
+            names.update(node.value.split("."))
+    return names
+
+
+def unreferenced(modules: dict[str, str], others: Iterable[str] = ()) -> list[str]:
+    """``module: name (line n)`` for each definition of ``modules`` (file name ->
+    source) that no source of ``modules`` or ``others`` references by name,
+    but for ``UNNAMED``."""
+    read = set().union(*map(references, [*modules.values(), *others]))
+    return [f"{module}: {name} (line {line})" for module, source in sorted(modules.items())
+            for name, line in definitions(source)
+            if name.rpartition(".")[2] not in read | UNNAMED.get(module, set())]
+
+
+def test_the_unreferenced_definition_check_finds_a_definition_left_behind():
+    source = (
+        "def __getattr__(name): ...\n"
+        "def kept(): return helper\n"
+        "def helper(): ...\n"
+        "def orphan():\n"
+        "    def inner(): ...\n"
+        "class Shape:\n"
+        "    def __init__(self): self.side = 1\n"
+        "    def area(self): ...\n"
+        "    def spare(self): ...\n"
+        "class Unused: ...\n"
+        "patched = ('kept', 'Shape.area')\n"
+    )
+    assert unreferenced({"__init__.py": source}) == [
+        "__init__.py: orphan (line 4)", "__init__.py: Shape.spare (line 9)",
+        "__init__.py: Unused (line 10)"]
+
+
+def test_every_package_definition_is_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in (ROOT / "src" / "ontomerge").glob("*.py")}
+    tests = [path.read_text(encoding="utf-8") for path in (ROOT / "tests").glob("*.py")]
+    assert unreferenced(sources, tests) == []

@@ -96,6 +96,17 @@ def test_align_requires_two_sources(support_od):
         align([make_cm1()], support_od)
 
 
+def test_align_rejects_two_sources_with_one_id(support_od):
+    twins = [Ontology("CM", [Concept("CM#a", "a")]), Ontology("CM", [Concept("CM#b", "b")])]
+    with pytest.raises(SchemaViolation, match="source ontology ids must be distinct"):
+        align(twins, support_od)
+
+
+def test_integrate_requires_two_components(support_od):
+    with pytest.raises(SchemaViolation, match="integration needs at least two components"):
+        integrate([make_cm1()], support_od)
+
+
 def test_align_rejects_bad_threshold(cm1, cm2, support_od):
     sources = [cm1, cm2]
     with pytest.raises(SchemaViolation):

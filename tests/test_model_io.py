@@ -214,6 +214,17 @@ def test_reader_errors_name_the_file_and_the_entry(tmp_path, kind, fields, error
     assert str(raised.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("score", ["x", "1/0"])
+def test_report_reader_rejects_a_score_that_is_no_fraction(tmp_path, score):
+    rows = [_ROW, {**_ROW, "c2": "B#c", "score": score}]
+    path = _write(tmp_path, "doc.json", {"format_version": 1, "correspondences": rows})
+    with pytest.raises(SchemaViolation) as raised:
+        parse_report(path)
+    assert type(raised.value) is SchemaViolation
+    # the rest of the message is the Fraction constructor's own
+    assert str(raised.value).startswith(f"{path}: correspondences[1]: bad score: ")
+
+
 def test_broken_json_is_malformed(tmp_path):
     path = _write(tmp_path, "broken.json", "{not json")
     with pytest.raises(MalformedFile):

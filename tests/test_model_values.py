@@ -198,6 +198,20 @@ def test_business_component_value():
         BusinessComponent("CM", "Clinic", (Entity("Service"), Entity("service")))
 
 
+def test_ontology_rejects_an_empty_id_and_a_repeated_concept_id():
+    with raises("ontology id must be nonempty"):
+        Ontology("")
+    ontology = Ontology("Od", [Concept("Od#a", "a")])
+    with raises("duplicate concept id 'Od#a' in ontology 'Od'"):
+        ontology.add_concept(Concept("Od#a", "b"))
+    assert list(ontology.concepts) == ["Od#a"]
+
+
+def test_business_component_rejects_an_undeclared_composition_child():
+    with raises("component 'CM': composition child 'Acte' of 'Service' is not a declared entity"):
+        BusinessComponent("CM", "Clinic", (Entity("Service", components=("Acte",)),))
+
+
 def test_report_value():
     corr = Correspondence("C#a", "D#b", Fraction(0), "Distinct", Evidence("syntactic"))
     kwargs = {"correspondences": [corr], "enrichments": [], "clusters": [],

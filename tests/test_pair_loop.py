@@ -1,7 +1,8 @@
 """The pair loop of ``align`` against the per-pair path it replaced.
 
 ``naive_align`` is the scoring loop as it was before per-concept facts
-were hoisted out of it: owners found with ``find_owner`` for every pair,
+were hoisted out of it, scoring each pair with ``reference.naive_semantic``
+and ``naive_classify``: owners found with ``find_owner`` for every pair,
 composites scored by plain recursion with no memo
 (``reference.reference_syntactic``, which sorts children on every
 expansion), a fresh syntactic ``Evidence`` per pair and ``Fraction``
@@ -22,7 +23,6 @@ import sys
 import weakref
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable
 from unittest.mock import patch
 
 import pytest
@@ -64,6 +64,8 @@ from ontomerge.similarity import (
 
 from .reference import (
     expand_correspondences,
+    naive_classify,
+    naive_semantic,
     reference_fixed_partners,
     reference_infer_via_children,
     reference_syntactic,
@@ -73,49 +75,6 @@ from .strategies import TERM_POOL, build_ontology, concept_trees, layered_ontolo
 
 # ---------------------------------------------------------------------------
 # naive reference
-
-
-def find_owner(ontologies: Iterable[Ontology], concept_id: str) -> Ontology:
-    """Return the ontology that contains ``concept_id``."""
-    for ontology in ontologies:
-        if concept_id in ontology.concepts:
-            return ontology
-    raise KeyError(f"concept {concept_id!r} not found in any given ontology")
-
-
-def naive_semantic(c1, c2, od, sources, hook):
-    o1 = find_owner(sources, c1.id)
-    o2 = find_owner(sources, c2.id)
-    t1, t2 = c1.key, c2.key
-
-    def fallback():
-        return reference_syntactic(c1, c2, o1, o2), Evidence(kind="syntactic")
-
-    if not (od.term_present(t1) and od.term_present(t2)):
-        return fallback()
-    relations = lookup_relations(od, t1, t2)
-    if not relations and hook(c1, c2) is not None:
-        relations = lookup_relations(od, t1, t2)
-    if not relations:
-        return fallback()
-    for kind, declared, score in (("synonymy", "od_synonymy", 1), ("homonymy", "od_homonymy", 0)):
-        used = tuple(r for r in relations if r.kind == kind)
-        if used:
-            inferred = any(r.provenance.startswith("inferred_case") for r in used)
-            return Fraction(score), Evidence(
-                kind="enriched" if inferred else declared, relations_used=used
-            )
-    return fallback()
-
-
-def naive_classify(c1, c2, score, kind, tau):
-    if kind in ("od_synonymy", "enriched") and score == 1:
-        return "Synonym"
-    if kind in ("od_homonymy", "enriched") and score == 0:
-        return "Homonym" if c1.key == c2.key else "Distinct"
-    if kind == "syntactic" and score >= tau:
-        return "Identical"
-    return "Distinct"
 
 
 def naive_align(sources, od, tau, warnings):

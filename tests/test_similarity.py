@@ -1,5 +1,6 @@
 """Term normalization, the syntactic measure, and the semantic measure."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from ontomerge import (
     Concept,
+    Correspondence,
     EmptyTerm,
     Entity,
+    Evidence,
     BusinessComponent,
     Ontology,
     Relation,
@@ -26,7 +29,7 @@ from ontomerge.similarity import (
     syntactic_similarity,
 )
 
-from .reference import brute_force_syntactic
+from .reference import brute_force_syntactic, naive_classify, naive_semantic
 from .strategies import concept_pairs, terms
 
 
@@ -186,7 +189,8 @@ def test_composite_pair_scores_are_shared_by_the_calls_on_one_index(monkeypatch)
     assert built == ["A#l", "A#k", "A#p"]
     assert syntactic_similarity(r1, r2, kids) == 1
     assert built[3:] == ["A#r"]  # K's row came from the index
-    assert semantic_similarity(r1, r2, Ontology("Od"), kids) == (1, SYNTACTIC)
+    corr = semantic_similarity(r1, r2, Ontology("Od"), kids, Fraction(1))
+    assert (corr.score, corr.evidence, corr.verdict) == (1, SYNTACTIC, "Identical")
     assert len(built) == 4  # and so did R's
     assert kids.rows[id(o2)]["A#r"] == {"B#r": 1}
     fresh = children_index([o1, o2])
@@ -311,13 +315,13 @@ def test_od_synonymy_forces_one():
         Relation("Od#service", "Od#prestation", "synonymy"),
         concepts=[("Od#service", "Service"), ("Od#prestation", "Prestation")],
     )
-    score, evidence = semantic_similarity(
+    corr = semantic_similarity(
         sources[0].concepts["CM1#service"], sources[1].concepts["CM2#prestation"],
-        od, children_index(sources),
+        od, children_index(sources), Fraction(1),
     )
-    assert score == 1
-    assert evidence.kind == "od_synonymy"
-    assert evidence.relations_used
+    assert corr.score == 1 and corr.verdict == "Synonym"
+    assert corr.evidence.kind == "od_synonymy"
+    assert corr.evidence.relations_used
 
 
 def test_od_homonymy_forces_zero():
@@ -329,12 +333,12 @@ def test_od_homonymy_forces_zero():
         Relation("Od#service", "Od#service~2", "homonymy"),
         concepts=[("Od#service", "Service"), ("Od#service~2", "Service")],
     )
-    score, evidence = semantic_similarity(
+    corr = semantic_similarity(
         sources[0].concepts["CM1#service"], sources[1].concepts["CM2#service"],
-        od, children_index(sources),
+        od, children_index(sources), Fraction(1),
     )
-    assert score == 0
-    assert evidence.kind == "od_homonymy"
+    assert corr.score == 0 and corr.verdict == "Homonym"
+    assert corr.evidence.kind == "od_homonymy"
 
 
 def test_terms_absent_fall_back_to_syntactic():
@@ -343,12 +347,12 @@ def test_terms_absent_fall_back_to_syntactic():
         _single_entity_component("CM2", "Facture"),
     )
     od = _support(concepts=[("Od#service", "Service")])
-    score, evidence = semantic_similarity(
+    corr = semantic_similarity(
         sources[0].concepts["CM1#facture"], sources[1].concepts["CM2#facture"],
-        od, children_index(sources),
+        od, children_index(sources), Fraction(1),
     )
-    assert score == 1
-    assert evidence.kind == "syntactic"
+    assert corr.score == 1 and corr.verdict == "Identical"
+    assert corr.evidence.kind == "syntactic"
 
 
 def test_equivalence_only_falls_back_to_syntactic():
@@ -360,12 +364,12 @@ def test_equivalence_only_falls_back_to_syntactic():
         Relation("Od#client", "Od#acheteur", "equivalence"),
         concepts=[("Od#client", "Client"), ("Od#acheteur", "Acheteur")],
     )
-    score, evidence = semantic_similarity(
+    corr = semantic_similarity(
         sources[0].concepts["CM1#client"], sources[1].concepts["CM2#acheteur"],
-        od, children_index(sources),
+        od, children_index(sources), Fraction(1),
     )
-    assert score == 0
-    assert evidence.kind == "syntactic"
+    assert corr.score == 0 and corr.verdict == "Distinct"
+    assert corr.evidence.kind == "syntactic"
 
 
 # align runs the enrichment hook, then scores the pair on what it left
@@ -434,11 +438,11 @@ def test_hook_not_called_when_terms_absent(monkeypatch):
     correspondences, enriched, records = align(sources, od)
     assert records == []
     assert _verdicts(correspondences) == {("CM1#note", "CM2#note"): (1, "Identical", "syntactic")}
-    score, evidence = semantic_similarity(
+    corr = semantic_similarity(
         sources[0].concepts["CM1#facture"], sources[1].concepts["CM2#note"],
-        enriched, children_index(sources),
+        enriched, children_index(sources), Fraction(1),
     )
-    assert evidence.kind == "syntactic"
+    assert corr.evidence.kind == "syntactic"
 
 
 @settings(max_examples=300, deadline=None)
@@ -462,10 +466,68 @@ def test_od_relation_precedence_over_any_syntactic_score(t1, t2, kind):
     od.add_relation(Relation("Od#a", "Od#b", kind))
     c1 = sources[0].concepts[f"CM1#{normalize_term(t1)}"]
     c2 = sources[1].concepts[f"CM2#{normalize_term(t2)}"]
-    score, evidence = semantic_similarity(c1, c2, od, children_index(sources))
-    flipped, _ = semantic_similarity(c2, c1, od, children_index(sources))
-    assert score == flipped
+    corr = semantic_similarity(c1, c2, od, children_index(sources), Fraction(1))
+    flipped = semantic_similarity(c2, c1, od, children_index(sources), Fraction(1))
+    assert corr.score == flipped.score
     if kind == "synonymy":
-        assert score == 1 and evidence.kind == "od_synonymy"
+        assert corr.score == 1 and corr.evidence.kind == "od_synonymy"
     else:
-        assert score == 0 and evidence.kind == "od_homonymy"
+        assert corr.score == 0 and corr.evidence.kind == "od_homonymy"
+
+
+# the scorer's whole rule, one row per case, against the naive oracles
+
+
+def _table_pair(composite, equal_keys):
+    """Two one-source components whose pair of interest is (CM1#p, CM2#p or
+    CM2#q): atoms, or composites over (x, y) and (x, z) that score 1/2."""
+    def component(cid, term, child):
+        if not composite:
+            return BusinessComponent(cid, cid, [Entity(term)])
+        return BusinessComponent(cid, cid, [Entity(term, components=["x", child]),
+                                            Entity("x"), Entity(child)])
+    other = "p" if equal_keys else "q"
+    left, right = component("CM1", "p", "y"), component("CM2", other, "z")
+    return [left, right], left.concepts["CM1#p"], right.concepts[f"CM2#{other}"]
+
+
+def test_scorer_table_matches_naive_oracles():
+    seen = set()
+    for relation, provenance, equal_keys, tau, composite in itertools.product(
+            (None, "equivalence", "synonymy", "homonymy"), ("declared", "inferred_case2"),
+            (True, False), (Fraction(1, 2), Fraction(1)), (False, True)):
+        if relation is None and provenance != "declared":
+            continue
+        sources, c1, c2 = _table_pair(composite, equal_keys)
+        od = _support(concepts=[("Od#s", c1.term), ("Od#t", c2.term)])
+        if relation:
+            od.add_relation(Relation("Od#s", "Od#t", relation, provenance))
+        case = (relation, provenance, equal_keys, tau, composite)
+        score, evidence = naive_semantic(c1, c2, od, sources, lambda *_: None)
+        expected = Correspondence(c1.id, c2.id, score,
+                                  naive_classify(c1, c2, score, evidence.kind, tau), evidence)
+        assert semantic_similarity(c1, c2, od, children_index(sources), tau) == expected, case
+        seen.add((expected.verdict, expected.evidence.kind))
+    assert seen == {("Synonym", "od_synonymy"), ("Synonym", "enriched"),
+                    ("Homonym", "od_homonymy"), ("Homonym", "enriched"),
+                    ("Distinct", "od_homonymy"), ("Distinct", "enriched"),
+                    ("Identical", "syntactic"), ("Distinct", "syntactic")}
+
+
+def test_synonymy_wins_over_homonymy_between_other_concepts_of_the_same_terms():
+    # synonymy(Od#a, Od#b) and homonymy(Od#a~2, Od#b) both join the terms
+    # (a, b); synonymy is tried first
+    sources = _sources_for(
+        _single_entity_component("CM1", "a"),
+        _single_entity_component("CM2", "b"),
+    )
+    od = _support(
+        Relation("Od#a", "Od#b", "synonymy"),
+        Relation("Od#a~2", "Od#b", "homonymy"),
+        concepts=[("Od#a", "a"), ("Od#a~2", "a"), ("Od#b", "b")],
+    )
+    assert {r.kind for r in lookup_relations(od, "a", "b")} == {"synonymy", "homonymy"}
+    corr = semantic_similarity(sources[0].concepts["CM1#a"], sources[1].concepts["CM2#b"],
+                               od, children_index(sources), Fraction(1))
+    assert (corr.score, corr.verdict) == (1, "Synonym")
+    assert corr.evidence == Evidence("od_synonymy", (Relation("Od#a", "Od#b", "synonymy"),))

@@ -149,13 +149,14 @@ def build_clusters(
 
     Each part is walked from its smallest id; a concept that no merge edge
     touches is its own part, a 1-tuple, and is neither walked nor kept in
-    the adjacency.  Raises SchemaViolation when a merge edge or a Homonym
-    pair names a concept outside ``concept_ids``, and HomonymClusterCollision
-    when a Homonym pair lands in one part; the error carries the connecting
-    chain of edges.
+    the adjacency, which lists each merge edge's own ``Correspondence``
+    under both its ids.  Raises SchemaViolation when a merge edge or a
+    Homonym pair names a concept outside ``concept_ids``, and
+    HomonymClusterCollision when a Homonym pair lands in one part; the
+    error carries the connecting chain of edges.
     """
     known = dict.fromkeys(concept_ids)  # a set of a few hundred ids takes five times the bytes
-    adjacency: dict[str, list[tuple[str, str]]] = {}  # only the ids a merge edge touches
+    adjacency: dict[str, list[Correspondence]] = {}  # only the ids a merge edge touches
     for corr in correspondences:
         if corr.verdict == "Distinct":
             continue
@@ -164,8 +165,8 @@ def build_clusters(
                 f"{corr.verdict} pair {corr.pair} names a concept outside the clustered ids"
             )
         if corr.verdict != "Homonym":
-            adjacency.setdefault(corr.c1, []).append((corr.c2, corr.verdict))
-            adjacency.setdefault(corr.c2, []).append((corr.c1, corr.verdict))
+            adjacency.setdefault(corr.c1, []).append(corr)
+            adjacency.setdefault(corr.c2, []).append(corr)
     part: dict[str, list[str]] = {}  # concept id with an edge -> the members of its part
     groups = []
     for root in sorted(known):
@@ -174,7 +175,8 @@ def build_clusters(
         elif root not in part:
             members = part[root] = [root]
             for node in members:  # the walk appends what it reaches
-                for neighbor, _ in adjacency[node]:
+                for edge in adjacency[node]:
+                    neighbor = edge.c2 if edge.c1 == node else edge.c1
                     if neighbor not in part:
                         part[neighbor] = members
                         members.append(neighbor)
@@ -193,16 +195,17 @@ def build_clusters(
 
 
 def _edge_chain(
-    adjacency: dict[str, list[tuple[str, str]]], start: str, goal: str
+    adjacency: dict[str, list[Correspondence]], start: str, goal: str
 ) -> list[tuple[str, str, str]]:
     """Shortest path from start to goal through the merge edges of
     ``adjacency``, as edge triples.  The walk is breadth first and takes
-    each node's neighbours by id, so of several shortest paths it gives
-    the one it reaches first."""
+    each node's edges by neighbour id alone (stable: the first listed edge
+    to a neighbour wins), so of several shortest paths it gives the first."""
     previous = {start: (start, start, "")}  # node -> the edge that reached it
     queue = [start]
     for node in queue:
-        for neighbor, verdict in sorted(adjacency.get(node, ()), key=itemgetter(0)):
+        steps = [(e.c2 if e.c1 == node else e.c1, e.verdict) for e in adjacency.get(node, ())]
+        for neighbor, verdict in sorted(steps, key=itemgetter(0)):
             if neighbor not in previous:
                 previous[neighbor] = (node, neighbor, verdict)
                 queue.append(neighbor)
@@ -237,8 +240,9 @@ def merge(
     id.  Children and associations are re-targeted to clusters and deduplicated,
     attributes are the deduplicated union of the members', and the other keys'
     terms become ``alias: <term>`` attributes; a part of one member with no children
-    and no associations passes through as that concept under its key.  No declared
-    relation is carried over.  Warnings are appended to ``warnings``.  Raises
+    and no associations passes through as that concept under its key.  When some member
+    has children, each merged id is built once and merged children hold that string.  No
+    declared relation is carried over.  Warnings are appended to ``warnings``.  Raises
     CyclicComposition ("composition cycle: CMr#a -> ... -> CMr#a") when merged
     composition links form a cycle, SchemaViolation when an association target
     names no concept of its member's source.
@@ -272,10 +276,13 @@ def merge(
                 "merged concept terms collide after disambiguation; support ontology "
                 "or inputs are contradictory"
             )
+    merged_ids = ([f"{MERGED_ID}#{key}" for key in keys]  # built once, for children to hold
+                  if any(concept.children for concept in member_concept.values()) else [])
 
     merged = BusinessComponent(MERGED_ID, MERGED_NAME)
     clusters: list[Cluster] = []
-    for members, display, key in zip(partition, displays, keys):
+    for index, (members, display, key) in enumerate(zip(partition, displays, keys)):
+        cid = merged_ids[index] if merged_ids else f"{MERGED_ID}#{key}"
         if len(members) == 1:
             concept = member_concept[members[0]]
             aliases = (concept.term,) if concept.key != key else ()
@@ -286,7 +293,6 @@ def merge(
                 if aliases or attributes and len(set(attributes)) != len(attributes):
                     attributes = tuple(sorted(
                         [*set(attributes), *(ALIAS_PREFIX + a for a in aliases)]))
-                cid = f"{MERGED_ID}#{key}"
                 merged.concepts[cid] = Concept._assembled(key, cid, display, (), attributes, ())
                 clusters.append(tuple.__new__(Cluster, (display, members, aliases)))
                 continue
@@ -297,14 +303,13 @@ def merge(
         for member in members:
             concept = member_concept[member]
             for child in concept.children:
-                child_key = keys[part_of[child]]
-                if child_key == key:
+                child_part = part_of[child]
+                if child_part == index:
                     sink.append(
-                        f"dropping self-composition of {MERGED_ID + '#' + key!r} "
-                        f"introduced by merging {member!r}"
+                        f"dropping self-composition of {cid!r} introduced by merging {member!r}"
                     )
                     continue
-                children.add(child_key)
+                children.add(merged_ids[child_part])
             attributes.update(concept.attributes)
             if concept.associations:
                 owner = _owner(member, sources)
@@ -316,10 +321,8 @@ def merge(
                     associations.add(Association(displays[part_of[target_id]], label))
         if aliases:  # listed beside an equal attribute, not folded into it
             attributes = [*attributes, *(ALIAS_PREFIX + alias for alias in aliases)]
-        cid = f"{MERGED_ID}#{key}"
         merged.concepts[cid] = Concept._assembled(  # keys are distinct, and merged has no index
-            key, cid, display,
-            tuple(sorted(f"{MERGED_ID}#{child}" for child in children)) if children else (),
+            key, cid, display, tuple(sorted(children)) if children else (),
             tuple(sorted(attributes)) if attributes else (),
             tuple(sorted(associations)) if associations else ())
         # aliases are in key order, which is name_sort_key order within a cluster
@@ -436,14 +439,12 @@ def integrate(
 
 
 def _renamed(component: BusinessComponent, new_id: str) -> BusinessComponent:
-    """``component`` under ``new_id``, each concept id re-prefixed."""
+    """``component`` under ``new_id``, each concept id re-prefixed once."""
 
-    def moved(cid: str) -> str:
-        return f"{new_id}#{component.concepts[cid].key}"
-
+    moved = {cid: f"{new_id}#{c.key}" for cid, c in component.concepts.items()}.__getitem__
     renamed = BusinessComponent(new_id, component.name)
     for concept in component.concepts.values():
-        Ontology.add_concept(renamed, Concept._assembled(  # moved() builds each id from its key
+        Ontology.add_concept(renamed, Concept._assembled(  # moved gives each id built from its key
             concept.key, moved(concept.id), concept.term, tuple(map(moved, concept.children)),
             concept.attributes, concept.associations))
     for relation in component.semantic_relations():

@@ -30,6 +30,16 @@ PROVENANCES = ("declared", "inferred_case1", "inferred_case2", "inferred_case3")
 VERDICTS = ("Distinct", "Homonym", "Identical", "Synonym")
 EVIDENCE_KINDS = ("enriched", "od_homonymy", "od_synonymy", "syntactic")
 _SIBLING = {"synonymy": "homonymy", "homonymy": "synonymy"}  # kinds one pair cannot both carry
+_KIND, _PROVENANCE, _VERDICT, _EVIDENCE_KIND = (  # each string -> itself, the one copy
+    dict(zip(names, names)) for names in (RELATION_KINDS, PROVENANCES, VERDICTS, EVIDENCE_KINDS))
+
+
+def _constant(constants: Mapping[str, str], value, what: str) -> str:
+    """``constants``' own copy of ``value``; SchemaViolation when it has none."""
+    try:
+        return constants[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise SchemaViolation(f"unknown {what} {value!r}") from None
 
 
 class _Value:
@@ -76,15 +86,14 @@ class Relation(_Value, NamedTuple("Relation", [
     Semantic kinds (synonymy, homonymy, equivalence) are symmetric and
     stored once per unordered pair: endpoints are swapped into sorted
     order on construction.  part_of is directed composite -> child.
+    ``kind`` and ``provenance`` are the one copy in ``RELATION_KINDS``/``PROVENANCES``.
     """
 
     __slots__ = ()
 
     def __new__(cls, a: str, b: str, kind: str, provenance: str = "declared"):
-        if kind not in RELATION_KINDS:
-            raise SchemaViolation(f"unknown relation kind {kind!r}")
-        if provenance not in PROVENANCES:
-            raise SchemaViolation(f"unknown relation provenance {provenance!r}")
+        kind = _constant(_KIND, kind, "relation kind")
+        provenance = _constant(_PROVENANCE, provenance, "relation provenance")
         if a == b:
             raise SchemaViolation(f"relation may not join a concept to itself: {a!r}")
         if kind in SEMANTIC_KINDS and b < a:
@@ -203,6 +212,8 @@ class Ontology:
     ``copy`` and ``__eq__`` carry those alone.  Duplicate semantic
     relations (same unordered endpoint pair and kind) and
     synonymy/homonymy coexistence on one concept pair are rejected.
+    ``add_relation``, the one way in, stores a relation with its endpoints
+    as its concepts' own ``id`` strings (rebuilt only when they are others).
 
     Two indexes, kept up to date by ``add_concept`` and ``add_relation``
     and shared copy-on-write by ``copy``, answer term questions without a scan:
@@ -275,6 +286,9 @@ class Ontology:
                 raise SchemaViolation(
                     f"relation endpoint {endpoint!r} is not a concept of ontology {self.id!r}"
                 )
+        ca, cb = self.concepts[relation.a], self.concepts[relation.b]
+        if ca.id is not relation.a or cb.id is not relation.b:  # hold the concepts' own ids
+            relation = tuple.__new__(Relation, (ca.id, cb.id, relation.kind, relation.provenance))
         if relation.key in self._relations:
             raise SchemaViolation(
                 f"duplicate {relation.kind} relation between {relation.a!r} and {relation.b!r}"
@@ -286,7 +300,7 @@ class Ontology:
                 "synonymy and homonymy"
             )
         self._relations[relation.key] = relation
-        ta, tb = self.concepts[relation.a].key, self.concepts[relation.b].key
+        ta, tb = ca.key, cb.key
         joined = self._entry(self._related, self._own_related, ta, dict)
         shared = tuple(sorted((*joined.get(tb, ()), relation)))
         joined[tb] = self._entry(self._related, self._own_related, tb, dict)[ta] = shared
@@ -438,7 +452,8 @@ class BusinessComponent(Ontology):
     rejected by ``Relation`` and ``Ontology``'s own rules, in messages that
     name concept ids and start ``component '<id>': ``.
 
-    References resolve through one transient map from entity name to key;
+    Each concept id is built once; children and relations hold that string.
+    References resolve through one transient map from entity name to id;
     only one spelled otherwise is normalized again.  The cycle walk visits
     composites only.  Equal means same type, name and ontology.
     """
@@ -450,57 +465,56 @@ class BusinessComponent(Ontology):
         super().__init__(id)
         self.name = name
         entities = sorted(entities, key=attrgetter("key", "name"))
-        key_of: dict[str, str] = {}  # entity name -> key
+        id_of: dict[str, str] = {}  # entity name -> its concept id, the one string built
         previous = None
         for entity in entities:  # sorted, so a repeated key follows the first
             if entity.key == previous:
                 raise SchemaViolation(
                     f"component {id!r}: duplicate entity name {entity.name!r}"
                 )
-            key_of[entity.name] = previous = entity.key
-        keys: set[str] = set()  # filled at the first reference spelled otherwise
+            id_of[entity.name], previous = f"{id}#{entity.key}", entity.key
+        by_key: dict[str, str] = {}  # filled at the first reference spelled otherwise
 
-        def key(reference: str) -> Optional[str]:
-            """The key of the entity that ``reference`` names, or None."""
-            if reference in key_of:
-                return key_of[reference]
-            if not keys:
-                keys.update(key_of.values())
-            found = normalize_term(reference)
-            return found if found in keys else None
+        def concept_id(reference: str) -> Optional[str]:
+            """The concept id of the entity that ``reference`` names, or None."""
+            if reference in id_of:
+                return id_of[reference]
+            if not by_key:
+                by_key.update((cid[len(id) + 1:], cid) for cid in id_of.values())
+            return by_key.get(normalize_term(reference))
 
         for entity in entities:
             for association in entity.associations:
-                if key(association.target) is None:
+                if concept_id(association.target) is None:
                     raise SchemaViolation(
                         f"component {id!r}: association of {entity.name!r} targets "
                         f"undeclared entity {association.target!r}"
                     )
             children = []  # their ids, in key order, which is id order
             for child in entity.components:
-                child_key = key(child)
-                if child_key is None:
+                child_id = concept_id(child)
+                if child_id is None:
                     raise SchemaViolation(
                         f"component {id!r}: composition child {child!r} of "
                         f"{entity.name!r} is not a declared entity"
                     )
-                children.append(f"{id}#{child_key}")
+                children.append(child_id)
             Ontology.add_concept(self, Concept._assembled(  # its id is built from its key
-                entity.key, f"{id}#{entity.key}", entity.name, tuple(children),
+                entity.key, id_of[entity.name], entity.name, tuple(children),
                 entity.attributes, entity.associations))
         for a, b, kind in relations:  # in input order: the first bad one is reported
             if kind not in SEMANTIC_KINDS:
                 raise SchemaViolation(
                     f"component {id!r}: relation kind {kind!r} is not one of {SEMANTIC_KINDS}"
                 )
-            ends = key(a), key(b)
+            ends = concept_id(a), concept_id(b)
             for end, raw in zip(ends, (a, b)):
                 if end is None:
                     raise SchemaViolation(
                         f"component {id!r}: relation endpoint {raw!r} is not a declared entity"
                     )
             try:
-                self.add_relation(Relation(f"{id}#{ends[0]}", f"{id}#{ends[1]}", kind))
+                self.add_relation(Relation(*ends, kind))
             except SchemaViolation as exc:
                 raise SchemaViolation(f"component {id!r}: {exc}") from exc
         cycle = self.composition_cycle()
@@ -519,13 +533,13 @@ class BusinessComponent(Ontology):
 
 class Evidence(_Value, NamedTuple("Evidence", [
         ("kind", str), ("relations_used", tuple[Relation, ...])])):
-    """Why a similarity score came out the way it did."""
+    """Why a similarity score came out the way it did; ``kind`` is the
+    shared string of ``EVIDENCE_KINDS``."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, relations_used: tuple[Relation, ...] = ()):
-        if kind not in EVIDENCE_KINDS:
-            raise SchemaViolation(f"unknown evidence kind {kind!r}")
+        kind = _constant(_EVIDENCE_KIND, kind, "evidence kind")
         if kind in ("od_synonymy", "od_homonymy") and not relations_used:
             raise SchemaViolation(
                 f"evidence of kind {kind!r} must reference at least one relation"
@@ -540,13 +554,13 @@ SYNTACTIC = Evidence(kind="syntactic")
 class Correspondence(_Value, NamedTuple("Correspondence", [
         ("c1", str), ("c2", str), ("score", Fraction), ("verdict", str),
         ("evidence", Evidence)])):
-    """The verdict on one cross-component concept pair."""
+    """The verdict on one cross-component concept pair; ``verdict`` is the
+    shared string of ``VERDICTS``."""
 
     __slots__ = ()
 
     def __new__(cls, c1: str, c2: str, score: Fraction, verdict: str, evidence: Evidence):
-        if verdict not in VERDICTS:
-            raise SchemaViolation(f"unknown verdict {verdict!r}")
+        verdict = _constant(_VERDICT, verdict, "verdict")
         if not isinstance(score, (Fraction, int)):
             raise SchemaViolation(f"similarity score {score!r} is not exact")
         # integer comparisons (the denominator is positive)

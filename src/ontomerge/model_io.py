@@ -62,6 +62,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import MalformedFile, SchemaViolation
 from .model import (
+    SYNTACTIC,
     Association,
     BusinessComponent,
     Cluster,
@@ -520,29 +521,39 @@ def parse_report(path) -> Report:
 
     The result is explicit (empty ``pair_space``): its correspondences
     are every pair the file lists, and a pair listed twice is rejected.
+    Correspondences share one ``Fraction`` per score string, one ``Evidence``
+    per kind that lists no relation, and one string per concept id.
     """
     doc = _load_document(path)
     context = str(path)
     _check_version(doc, context)
     correspondences = []
     pairs: set[tuple[str, str]] = set()
+    scores: dict[str, Fraction] = {}
+    bare = {SYNTACTIC.kind: SYNTACTIC}  # evidence kind -> its Evidence without relations
+    ids: dict[str, str] = {}
     for index, raw in enumerate(_field(doc, "correspondences", list, context)):
         at = (context, ": correspondences", index)
         _expect(type(raw) is dict, at, "correspondence must be an object")
         evidence = _field(raw, "evidence", dict, at)
-        try:
-            score = Fraction(_field(raw, "score", str, at))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaViolation(f"{_context(at)}: bad score: {exc}") from exc
+        text = _field(raw, "score", str, at)
+        score = scores.get(text)
+        if score is None:
+            try:
+                score = scores[text] = Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise SchemaViolation(f"{_context(at)}: bad score: {exc}") from exc
         c1, c2 = _field(raw, "c1", str, at), _field(raw, "c2", str, at)
+        c1, c2 = ids.setdefault(c1, c1), ids.setdefault(c2, c2)
         verdict, kind = _field(raw, "verdict", str, at), _field(evidence, "kind", str, at)
         relations = tuple(
             _relation(r, (at, ".evidence.relations_used", rindex))
             for rindex, r in enumerate(_field(evidence, "relations_used", list, at, ()))
         )
         try:
-            correspondences.append(
-                Correspondence(c1, c2, score, verdict, Evidence(kind, relations)))
+            proof = (Evidence(kind, relations) if relations
+                     else bare.get(kind) or bare.setdefault(kind, Evidence(kind)))
+            correspondences.append(Correspondence(c1, c2, score, verdict, proof))
         except SchemaViolation as exc:
             raise _in_context(exc, at) from exc
         pair = c1, c2

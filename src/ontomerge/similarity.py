@@ -241,8 +241,9 @@ def semantic_similarity(
        Identical when it reaches ``tau`` (an exact integer comparison),
        else Distinct.
 
-    The evidence of rules 1 and 2 lists the relations of that kind, and its
-    kind is "enriched" when any of them was inferred rather than declared.
+    The evidence of rules 1 and 2 lists the relations of that kind (``od``'s
+    own tuple when all have it), and its kind is "enriched" when any of them
+    was inferred rather than declared.
     Only reads; symmetric in (c1, c2) but for the order of the pair.
     ``kids`` is passed on to ``syntactic_similarity``.
     """
@@ -251,6 +252,8 @@ def semantic_similarity(
         for kind, score, declared in (("synonymy", ONE, "od_synonymy"),
                                       ("homonymy", ZERO, "od_homonymy")):
             used = tuple(r for r in relations if r.kind == kind)
+            if len(used) == len(relations):
+                used = relations  # the support ontology's own tuple
             if used:
                 inferred = any(r.provenance.startswith("inferred_case") for r in used)
                 verdict = "Synonym" if score else "Homonym" if c1.key == c2.key else "Distinct"

@@ -33,12 +33,13 @@ from ontomerge import cli
 from ontomerge.cli import _write_outputs, main
 from ontomerge.evalgen import ScenarioSpec, generate_scenario
 
-from .conftest import (
-    make_composite_inputs,
-    make_conflicting_components,
-    make_contradictory_od,
-    make_interleaved_inputs,
-    make_wide_tied_inputs,
+from .conftest import make_conflicting_components, make_contradictory_od
+from .pins import (
+    FIXTURES,
+    PINNED_DIGESTS,
+    _digests,
+    _pinned_args,
+    _pinned_inputs,
 )
 
 
@@ -402,79 +403,6 @@ def test_repeated_runs_are_byte_identical(tmp_path, scenario_files):
     assert main(_integrate_args(scenario_files, second)) == 0
     for name in ("cmr.json", "od2.json", "report.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
-
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def _pinned_inputs(name, tmp_path):
-    """(component paths, ontology path) of one pinned input."""
-    if name == "fixtures":
-        return [FIXTURES / "cm1.json", FIXTURES / "cm2.json"], FIXTURES / "od.json"
-    if name == "generated":  # cases 1, 2 and 3 all inject at this coverage
-        components, od, _ = generate_scenario(ScenarioSpec(60, 10, 4, 0.5, rng_seed=3))
-    elif name == "composite":
-        components, od = make_composite_inputs()
-    elif name == "wide_tied":  # case 3 at width 12 with 32 tied pairings
-        components, od = make_wide_tied_inputs()
-    else:
-        components, od = make_interleaved_inputs()
-    inputs = tmp_path / "in"
-    inputs.mkdir()
-    paths = []
-    for index, component in enumerate(components):
-        paths.append(inputs / f"cm{index}.json")
-        paths[-1].write_bytes(model_io.serialize_component(component))
-    (inputs / "od.json").write_bytes(model_io.serialize_ontology(od))
-    return paths, inputs / "od.json"
-
-
-# sha256 of ``integrate`` outputs per input; any change is a change of output
-PINNED_DIGESTS = {
-    "composite": {
-        "cmr.json": "0b88c17475bd7f29049facd89494fc505f4ce0fcaac582bb16992394894cca82",
-        "od2.json": "12fb2652af6f4f544f6588e68aac7e1ac1e47997c13aef78d567d6519f5f4c53",
-        "report.json": "a4d35722627a0d4f3573072979fdc5ec531d517dbec279dce5af97b6309c47ff",
-    },
-    "fixtures": {
-        "cmr.json": "daf03e7d2a3c9d7b673378a8a293f5fde4e2626acec09879d3f6d4e39fc9d1f1",
-        "od2.json": "250de1daa76d8765d41884746242b506f55a70d062c34ffcc9ecb22be32abe93",
-        "report.json": "1df63b427734f2b1a571afeb71008a0329aef594ce5b1d36966b855d34c01147",
-    },
-    "generated": {
-        "cmr.json": "b3cc6a50ac0724aab270322a72e5d55dc51a7553f109bceb2b38ea2f4c968b40",
-        "od2.json": "5a09e6693de4405eea3801e11536b7ea50c32d354f92509e9242d32ae2da9dbb",
-        "report.json": "aefcd0f7ed370ec1a194f4371ea63195c4087f2508fa2de0df3e3d0784ac4917",
-    },
-    "interleaved": {
-        "cmr.json": "a60a928a502ba8768873f4a4e7c0b8995e5f6e4b566a81bc365d474d9c8f4dbb",
-        "od2.json": "cd30a3ef43a0b6ebff9ce114352096d1fb89c61d3dd274f0c7d40bf6a3e2bc72",
-        "report.json": "5896fd685cfd25d95212496fd8e21fa38e5b81fc789e59a5cef200f994faf8cd",
-    },
-    "wide_tied": {
-        "cmr.json": "fb12b5cb9c90610c0fcc1abee18ec3846300b803f9d010dc4532bf851ca07f87",
-        "od2.json": "6af385ebd77eb5f8bdd2e265c80407f5b74839778d57e0dcdafa185b9f6a622f",
-        "report.json": "84c3fb9a53400db95acd42f137438dd5aa4283223812113b7282a2b4b7f1b66d",
-    },
-}
-
-
-def _pinned_args(components, od, out):
-    """``integrate``'s arguments for one pinned input, writing into ``out``."""
-    return [
-        "integrate",
-        *(arg for path in components for arg in ("--component", str(path))),
-        "--ontology", str(od),
-        "--out-component", str(out / "cmr.json"),
-        "--out-ontology", str(out / "od2.json"),
-        "--report", str(out / "report.json"),
-    ]
-
-
-def _digests(out, name):
-    """sha256 of each of ``out``'s outputs that ``PINNED_DIGESTS[name]`` pins."""
-    return {output: hashlib.sha256((out / output).read_bytes()).hexdigest()
-            for output in PINNED_DIGESTS[name]}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))

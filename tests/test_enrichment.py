@@ -19,6 +19,8 @@ from ontomerge import enrichment, integrator
 from ontomerge.enrichment import RunMaps, enrich, infer_via_children, infer_via_equivalents
 from ontomerge.similarity import lookup_relations, syntactic_similarity
 
+from .conftest import assert_relations_share_ids
+
 
 def _ontology(oid, *concepts, relations=()):
     ontology = Ontology(oid)
@@ -474,6 +476,14 @@ def test_same_term_injection_creates_second_endpoint():
     assert record.injected.kind == "homonymy"
     assert {record.injected.a, record.injected.b} == {"Od#poste", "Od#poste~2"}
     assert "Od#poste~2" in od.concepts
+
+
+def test_committed_relations_hold_the_support_concepts_ids():
+    components, od, _ = generate_scenario(ScenarioSpec(60, 10, 4, 0.5, rng_seed=3))
+    _, enriched, records = align(components, od)
+    assert {record.case for record in records} == {
+        "inferred_case1", "inferred_case2", "inferred_case3"}
+    assert_relations_share_ids(enriched)
 
 
 def test_monotonicity_relation_count_never_shrinks():

@@ -244,6 +244,15 @@ def test_collision_chain_takes_the_smallest_ids_level_by_level():
     )
 
 
+def test_collision_chain_takes_the_first_listed_of_two_edges_to_one_neighbour():
+    # the walk sorts a node's edges on the neighbour id alone, and stably:
+    # sorted on (id, verdict), the Identical edge would come first
+    edges = [make_edge("\\", "\\\\", verdict) for verdict in ("Synonym", "Identical", "Homonym")]
+    with pytest.raises(HomonymClusterCollision) as excinfo:
+        build_clusters(edges, ["\\", "\\\\"])
+    assert excinfo.value.chain == (("\\", "\\\\", "Synonym"),)
+
+
 @pytest.mark.parametrize("verdict", ["Identical", "Homonym"])
 def test_pair_outside_the_clustered_ids_is_schema_error(verdict):
     edges = [make_edge("a", "b", "Synonym"), make_edge("b", "z", verdict)]
@@ -423,6 +432,26 @@ def test_merge_rejects_an_association_target_that_names_no_concept_of_its_source
         r"^concept 'A#1': association target 'y' names no concept of 'A'$"
     )):
         merge(sources, enriched, correspondences)
+
+
+def test_composite_children_are_their_concepts_own_ids():
+    # CM1#dossier and CM2#dossier merge; CM2#date passes through on its own
+    components = [
+        BusinessComponent("CM1", "a", [Entity("Dossier", components=("Nom", "Agence")),
+                                       Entity("Nom"), Entity("Agence")]),
+        BusinessComponent("CM2", "b", [Entity("Dossier", components=("Nom", "Agence")),
+                                       Entity("Nom"), Entity("Agence"),
+                                       Entity("Fiche", components=("Nom", "Date")),
+                                       Entity("Date")]),
+    ]
+    for component in components:
+        assert all(child is component.concepts[child].id
+                   for concept in component.concepts.values() for child in concept.children)
+    merged, _, _ = integrate(components, Ontology("Od"))
+    assert merged.concepts["CMr#dossier"].children == ("CMr#agence", "CMr#nom")
+    assert merged.concepts["CMr#fiche"].children == ("CMr#date", "CMr#nom")
+    assert all(child is merged.concepts[child].id
+               for concept in merged.concepts.values() for child in concept.children)
 
 
 def test_all_singletons_is_disjoint_union():

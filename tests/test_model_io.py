@@ -36,6 +36,7 @@ from ontomerge import (
     integrate,
 )
 from ontomerge import model_io
+from ontomerge.model import SYNTACTIC, VERDICTS
 from ontomerge.evalgen import (
     ScenarioSpec,
     evaluate,
@@ -44,12 +45,8 @@ from ontomerge.evalgen import (
     serialize_truth,
 )
 
-from .conftest import (
-    make_cm1,
-    make_composite_inputs,
-    make_interleaved_inputs,
-    make_support_ontology,
-)
+from .conftest import assert_relations_share_ids, make_cm1, make_support_ontology
+from .pins import FIXTURES, make_composite_inputs, make_interleaved_inputs
 from .reference import component_inputs, expand_correspondences, reference_component_document
 from .strategies import components, correspondences, evidences, ids, names, ontologies, reports
 
@@ -483,6 +480,32 @@ def test_report_round_trip(tmp_path, cm1, cm2, support_od):
     path = _write(tmp_path, "report.json", payload)
     parsed = parse_report(path)
     assert serialize_report(parsed) == payload
+
+
+def _one_object_per_value(values) -> bool:
+    return len({id(value) for value in values}) == len(set(values))
+
+
+def test_parsed_report_shares_its_repeated_values(tmp_path, cm1, cm2, support_od):
+    _, _, report = integrate([cm1, cm2], support_od)
+    payload = serialize_report(report)
+    parsed = parse_report(_write(tmp_path, "report.json", payload))
+    assert parsed == Report(expand_correspondences(report), report.enrichments,
+                            report.clusters, report.warnings)
+    assert serialize_report(parsed) == payload
+    listed = parsed.correspondences
+    assert len(listed) == 6 and len({c.score for c in listed}) < len(listed)
+    assert _one_object_per_value([c.score for c in listed])
+    assert _one_object_per_value([cid for c in listed for cid in c.pair])
+    assert _one_object_per_value([c.evidence for c in listed if not c.evidence.relations_used])
+    assert all(c.evidence is SYNTACTIC for c in listed if c.evidence.kind == "syntactic")
+    assert all(c.verdict is VERDICTS[VERDICTS.index(c.verdict)] for c in listed)
+
+
+def test_parsed_ontology_relations_hold_their_concepts_ids(tmp_path, support_od):
+    assert_relations_share_ids(parse_ontology(FIXTURES / "od.json"))
+    written = _write(tmp_path, "od.json", serialize_ontology(support_od))
+    assert_relations_share_ids(parse_ontology(written))
 
 
 def test_report_clusters_round_trip_in_memory_order(tmp_path):

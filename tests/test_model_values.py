@@ -30,6 +30,9 @@ from ontomerge import (
     Report,
     SchemaViolation,
 )
+from ontomerge.model import EVIDENCE_KINDS, PROVENANCES, RELATION_KINDS, VERDICTS
+
+from .conftest import assert_relations_share_ids
 
 SYNONYMY = Relation("C#a", "D#b", "synonymy")
 INFERRED = Relation("C#a", "D#b", "synonymy", "inferred_case1")
@@ -223,3 +226,48 @@ def test_report_value():
     assert repr(empty) == (
         "Report(correspondences=[], enrichments=[], clusters=[], warnings=[], pair_space=())"
     )
+
+
+def _joined(text: str) -> str:
+    """An equal string built at run time: a distinct object from ``text``."""
+    joined = "".join([text[:1], text[1:]])
+    assert joined == text and joined is not text
+    return joined
+
+
+def test_values_hold_the_model_constants_for_equal_strings():
+    relation = Relation("C#a", "D#b", _joined("synonymy"), _joined("inferred_case2"))
+    assert relation.kind is RELATION_KINDS[RELATION_KINDS.index("synonymy")]
+    assert relation.provenance is PROVENANCES[PROVENANCES.index("inferred_case2")]
+    evidence = Evidence(_joined("od_synonymy"), (relation,))
+    assert evidence.kind is EVIDENCE_KINDS[EVIDENCE_KINDS.index("od_synonymy")]
+    corr = Correspondence("C#a", "D#b", 1, _joined("Synonym"), evidence)
+    assert corr.verdict is VERDICTS[VERDICTS.index("Synonym")]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Relation("a", "b", ["synonymy"]), "unknown relation kind ['synonymy']"),
+    (lambda: Relation("a", "b", "synonymy", {"declared": 1}),
+     "unknown relation provenance {'declared': 1}"),
+    (lambda: Correspondence("a", "b", 0, ["Distinct"], Evidence("syntactic")),
+     "unknown verdict ['Distinct']"),
+    (lambda: Evidence({"syntactic"}), "unknown evidence kind {'syntactic'}"),
+], ids=["relation kind", "provenance", "verdict", "evidence kind"])
+def test_an_unhashable_constant_is_a_schema_violation(build, message):
+    with raises(message):
+        build()
+
+
+def test_stored_relations_and_children_hold_their_concepts_ids():
+    ontology = Ontology("Od", [Concept(_joined("Od#a"), "a"), Concept(_joined("Od#b"), "b")],
+                        [Relation(_joined("Od#b"), _joined("Od#a"), _joined("homonymy"))])
+    assert_relations_share_ids(ontology)
+    component = BusinessComponent("CM", "cm", [
+        Entity("Dossier", components=("nom", "Date")), Entity("Nom"), Entity("Date"),
+        Entity("Fichier"),
+    ], [ComponentRelation("Fichier", "dossier", "synonymy"),
+        ComponentRelation("nom", "Date", "equivalence")])
+    assert_relations_share_ids(component)
+    concepts = component.concepts
+    assert concepts["CM#dossier"].children == ("CM#date", "CM#nom")
+    assert all(child is concepts[child].id for child in concepts["CM#dossier"].children)

@@ -324,6 +324,25 @@ def test_od_synonymy_forces_one():
     assert corr.evidence.relations_used
 
 
+def test_synonym_evidence_is_the_support_ontologys_own_tuple_when_all_are_synonymies():
+    sources = _sources_for(
+        _single_entity_component("CM1", "Service"),
+        _single_entity_component("CM2", "Prestation"),
+    )
+    concepts = [("Od#service", "Service"), ("Od#prestation", "Prestation"),
+                ("Od#prestation~2", "Prestation")]
+    synonymies = (Relation("Od#service", "Od#prestation", "synonymy"),
+                  Relation("Od#service", "Od#prestation~2", "synonymy"))
+    c1, c2 = sources[0].concepts["CM1#service"], sources[1].concepts["CM2#prestation"]
+    for relations, shared in ((synonymies, True),
+                              ((*synonymies, Relation("Od#prestation", "Od#service", "equivalence")),
+                               False)):
+        od = _support(*relations, concepts=concepts)
+        corr = semantic_similarity(c1, c2, od, children_index(sources), Fraction(1))
+        assert corr.verdict == "Synonym" and corr.evidence.relations_used == synonymies
+        assert (corr.evidence.relations_used is od.related_terms("service")["prestation"]) is shared
+
+
 def test_od_homonymy_forces_zero():
     sources = _sources_for(
         _single_entity_component("CM1", "Service"),
